@@ -19,6 +19,8 @@ __all__ = [
     "make_basis",
     "eval_basis",
     "design_matrix",
+    "band_form",
+    "expand_band",
     "difference_penalty",
 ]
 
@@ -123,22 +125,27 @@ class DesignMatrix:
             self._dense = out
         return self._dense
 
-    def crossprod(self, weights: np.ndarray | None = None) -> np.ndarray:
-        """Z' diag(w) Z as a dense m x m matrix, built from the compact rows."""
-        if weights is None and self._xtx is not None:
-            return self._xtx
+    def gram_band(self, weights: np.ndarray | None = None) -> np.ndarray:
+        """Z' diag(w) Z in upper band storage (solveh_banded layout).
+
+        Row `width - 1 - k` holds the k-th superdiagonal, right-aligned, so
+        the main diagonal is the last row.
+        """
         w, m = self.width, self.m
-        flat = np.zeros(m * m)
+        band = np.zeros((w, m))
         for a in range(w):
-            rows = (self.start + a) * m
             for b in range(a, w):
                 contrib = self.values[:, a] * self.values[:, b]
                 if weights is not None:
                     contrib = contrib * weights
-                flat += np.bincount(rows + self.start + b, weights=contrib, minlength=m * m)
-        out = flat.reshape(m, m)
-        iu = np.triu_indices(m, 1)
-        out[(iu[1], iu[0])] = out[iu]
+                band[w - 1 - (b - a)] += np.bincount(self.start + b, weights=contrib, minlength=m)
+        return band
+
+    def crossprod(self, weights: np.ndarray | None = None) -> np.ndarray:
+        """Z' diag(w) Z as a dense m x m matrix: the expansion of `gram_band`."""
+        if weights is None and self._xtx is not None:
+            return self._xtx
+        out = expand_band(self.gram_band(weights))
         if weights is None:
             self._xtx = out
         return out
@@ -175,6 +182,26 @@ class PenaltyMatrix:
     order: int
     D: np.ndarray
     S: np.ndarray
+
+
+def band_form(a: np.ndarray, bandwidth: int) -> np.ndarray:
+    """Upper band storage of a symmetric banded matrix for solveh_banded."""
+    m = a.shape[0]
+    ab = np.zeros((bandwidth + 1, m))
+    for off in range(bandwidth + 1):
+        ab[bandwidth - off, off:] = np.diagonal(a, off)
+    return ab
+
+
+def expand_band(band: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix from its upper band storage."""
+    u, m = band.shape[0] - 1, band.shape[1]
+    out = np.zeros((m, m))
+    for off in range(min(u, m - 1) + 1):
+        idx = np.arange(m - off)
+        out[idx, idx + off] = band[u - off, off:]
+        out[idx + off, idx] = band[u - off, off:]
+    return out
 
 
 def make_basis(z_lo: float, z_hi: float, m: int, degree: int) -> BasisSpec:

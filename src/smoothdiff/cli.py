@@ -164,6 +164,11 @@ def _fit_payload(fit: StratumFit, lam_source: str) -> dict:
     }
 
 
+def pointwise_variance(design: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Variance of each fitted value: the diagonal of D cov D'."""
+    return np.sum((design @ cov) * design, axis=1)
+
+
 def cmd_analyze(config: AnalysisConfig) -> int:
     data1, data2 = load_strata(config)
     if config.domain is not None:
@@ -237,7 +242,7 @@ def cmd_analyze(config: AnalysisConfig) -> int:
         cols = []
         for fit in fits:
             center = dm.predict(fit.coef)
-            se = np.sqrt(np.einsum("ij,jk,ik->i", dm.dense, fit.cov, dm.dense))
+            se = np.sqrt(pointwise_variance(dm.dense, fit.cov))
             cols.append((center, center - BAND_MULTIPLIER * se, center + BAND_MULTIPLIER * se))
         for i, z in enumerate(grid):
             row = [repr(float(z))]
@@ -394,6 +399,56 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+_MODEL_FIT_KEYS = ("coef", "beta", "lambda", "dispersion", "cov", "edf", "family", "deviance", "n_obs")
+
+
+def _model_field(path: str, obj, key: str, where: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ParameterError(f"{path}: model file lacks key {where}{key!r}")
+    return obj[key]
+
+
+def load_model(path: str):
+    """Basis and the two stratum fits from an analyze fits.json."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            model = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read model file {path}: {exc}") from exc
+    basis = _model_field(path, model, "basis", "")
+    domain, m, degree = (_model_field(path, basis, k, "basis.") for k in ("domain", "m", "degree"))
+    strata = _model_field(path, model, "strata", "")
+    if not isinstance(strata, list) or len(strata) != 2:
+        raise ParameterError(f"{path}: 'strata' must list exactly 2 fits")
+    try:
+        spec = make_basis(float(domain[0]), float(domain[1]), int(m), int(degree))
+        fits = []
+        for i, entry in enumerate(strata):
+            f = {k: _model_field(path, entry, k, f"strata[{i}].") for k in _MODEL_FIT_KEYS}
+            fits.append(
+                StratumFit(
+                    coef=np.asarray(f["coef"], dtype=float),
+                    beta=np.asarray(f["beta"], dtype=float),
+                    lam=f["lambda"],
+                    dispersion=f["dispersion"],
+                    cov=np.asarray(f["cov"], dtype=float),
+                    edf=f["edf"],
+                    family=f["family"],
+                    deviance=f["deviance"],
+                    n_obs=f["n_obs"],
+                )
+            )
+            if fits[-1].coef.shape != (spec.m,) or fits[-1].cov.shape != (spec.m, spec.m):
+                raise ParameterError(
+                    f"{path}: strata[{i}] coef/cov do not match basis dimension m={spec.m}"
+                )
+    except ParameterError:
+        raise
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ParameterError(f"{path}: malformed model file ({exc})") from exc
+    return spec, fits
+
+
 def cmd_diagnose(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     payload = {}
@@ -424,25 +479,7 @@ def cmd_diagnose(args) -> int:
             summary += " (decay rate undefined: some pi_i <= 2*lam_p)"
         print(summary)
     else:
-        with open(args.model, encoding="utf-8") as fh:
-            model = json.load(fh)
-        basis = model["basis"]
-        spec = make_basis(basis["domain"][0], basis["domain"][1], basis["m"], basis["degree"])
-        fits = []
-        for entry in model["strata"]:
-            fits.append(
-                StratumFit(
-                    coef=np.asarray(entry["coef"]),
-                    beta=np.asarray(entry["beta"]),
-                    lam=entry["lambda"],
-                    dispersion=entry["dispersion"],
-                    cov=np.asarray(entry["cov"]),
-                    edf=entry["edf"],
-                    family=entry["family"],
-                    deviance=entry["deviance"],
-                    n_obs=entry["n_obs"],
-                )
-            )
+        spec, fits = load_model(args.model)
         max_lag = min(args.max_lag, spec.n_regions - 1)
         anchor = spec.n_regions // 2 - max_lag // 2
         rows = []

@@ -15,9 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import expit, xlogy
+from scipy.special import expit
 
-from .basis import BasisSpec, DesignMatrix, PenaltyMatrix, design_matrix
+from .basis import (
+    BasisSpec,
+    DesignMatrix,
+    PenaltyMatrix,
+    band_form,
+    design_matrix,
+    expand_band,
+)
 from .errors import NumericalError, ParameterError
 
 __all__ = [
@@ -48,6 +55,11 @@ class StratumData:
         z = np.asarray(self.z, dtype=float)
         if y.ndim != 1 or z.ndim != 1 or y.size != z.size or y.size == 0:
             raise ParameterError("y and z must be non-empty vectors of equal length")
+        for name, v in (("y", y), ("z", z)):
+            bad = np.flatnonzero(~np.isfinite(v))
+            if bad.size:
+                i = int(bad[0])
+                raise ParameterError(f"{name}[{i}] = {float(v[i])!r} is not finite")
         if self.family not in ("gaussian", "binomial"):
             raise ParameterError(f"unknown family {self.family!r}")
         if self.family == "binomial" and not np.all(np.isin(y, (0.0, 1.0))):
@@ -87,29 +99,39 @@ class StratumFit:
     n_obs: int
 
 
-def _band_form(a: np.ndarray, bandwidth: int) -> np.ndarray:
-    """Upper band storage of a symmetric banded matrix for solveh_banded."""
-    m = a.shape[0]
-    ab = np.zeros((bandwidth + 1, m))
-    for off in range(bandwidth + 1):
-        ab[bandwidth - off, off:] = np.diagonal(a, off)
-    return ab
-
-
 def penalized_inverse(a: np.ndarray, bandwidth: int | None = None) -> np.ndarray:
     """Inverse of an SPD penalized system, via its band when the width is given."""
     m = a.shape[0]
     try:
         if bandwidth is not None and bandwidth < m - 1:
-            inv = scipy.linalg.solveh_banded(_band_form(a, bandwidth), np.eye(m))
+            inv = scipy.linalg.solveh_banded(band_form(a, bandwidth), np.eye(m))
         else:
             c, low = scipy.linalg.cho_factor(a)
             inv = scipy.linalg.cho_solve((c, low), np.eye(m))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"penalized system is not positive definite (cond={np.linalg.cond(a):.3e})"
-        ) from exc
+        raise _not_positive_definite(a) from exc
     return inv
+
+
+def _not_positive_definite(a: np.ndarray) -> NumericalError:
+    return NumericalError(
+        f"penalized system is not positive definite (cond={np.linalg.cond(a):.3e})"
+    )
+
+
+def _cov_edf(a: np.ndarray, gram: np.ndarray, bandwidth: int | None) -> tuple[np.ndarray, float]:
+    """Unit-dispersion covariance A^{-1} and edf = tr(A^{-1} Z'WZ), with A = Z'WZ + lambda S."""
+    ainv = penalized_inverse(a, bandwidth)
+    return ainv, float(np.sum(ainv * gram))
+
+
+def _banded_coef(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A coef = rhs from A's upper band by one banded Cholesky factorization."""
+    try:
+        factor = scipy.linalg.cholesky_banded(ab)
+    except np.linalg.LinAlgError as exc:
+        raise _not_positive_definite(expand_band(ab)) from exc
+    return scipy.linalg.cho_solve_banded((factor, False), rhs)
 
 
 def _warn_small_sample(data: StratumData, spec: BasisSpec) -> None:
@@ -151,10 +173,8 @@ def _solve_penalized(
     ztz, xtx, zx = _weighted_blocks(dm, data, w)
     a = ztz + lam * pen.S
     if data.X is None:
-        ainv = penalized_inverse(a, bandwidth)
-        coef = ainv @ dm.rhs(resp, w)
-        edf = float(np.sum(ainv * ztz))
-        return np.zeros(0), coef, ainv, edf
+        ainv, edf = _cov_edf(a, ztz, bandwidth)
+        return np.zeros(0), ainv @ dm.rhs(resp, w), ainv, edf
 
     # Fixed effects present: solve the full block system. A minimum-norm
     # solve keeps the fitted values defined even when the spline spans a
@@ -228,7 +248,8 @@ def _gaussian_at(
 
 
 def _binomial_deviance(y: np.ndarray, mu: np.ndarray) -> float:
-    return float(2.0 * np.sum(xlogy(y, y) - xlogy(y, mu) + xlogy(1 - y, 1 - y) - xlogy(1 - y, 1 - mu)))
+    """Deviance of 0/1 outcomes: the saturated terms y log y vanish."""
+    return float(2.0 * np.sum(-np.log(np.where(y > 0, mu, 1.0 - mu))))
 
 
 def fit_binomial(
@@ -253,10 +274,21 @@ def _binomial_at(
     eta = np.log(mu / (1.0 - mu))
     deviance = _binomial_deviance(y, mu)
     trace = [deviance]
+    # Without fixed effects each iteration needs only the coefficients: A is
+    # built as a band and factored once; its inverse waits for convergence.
+    if data.X is None:
+        beta = np.zeros(0)
+        penalty_band = lam * band_form(pen.S, bandwidth)
     for _ in range(MAX_IRLS_ITER):
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         u = eta + (y - mu) / w
-        beta, coef, cov_unit, edf = _solve_penalized(dm, data, pen, lam, u, w, bandwidth)
+        if data.X is None:
+            gram = dm.gram_band(w)
+            ab = penalty_band.copy()
+            ab[bandwidth + 1 - gram.shape[0] :] += gram
+            coef = _banded_coef(ab, dm.rhs(u, w))
+        else:
+            beta, coef, cov_unit, edf = _solve_penalized(dm, data, pen, lam, u, w, bandwidth)
         eta = _linear_predictor(dm, data, beta, coef)
         if np.max(np.abs(eta)) > ETA_DIVERGENCE:
             raise NumericalError(
@@ -274,6 +306,9 @@ def _binomial_at(
             f"IRLS failed to converge in {MAX_IRLS_ITER} iterations; "
             f"deviance trace tail {trace[-4:]}"
         )
+    if data.X is None:
+        ztz = expand_band(gram)
+        cov_unit, edf = _cov_edf(ztz + lam * pen.S, ztz, bandwidth)
     cov = 0.5 * (cov_unit + cov_unit.T)
     return StratumFit(
         coef=coef,

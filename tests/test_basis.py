@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smoothdiff.basis import (
+    band_form,
     design_matrix,
     difference_penalty,
     eval_basis,
+    expand_band,
     make_basis,
 )
 from smoothdiff.errors import ParameterError
@@ -178,6 +180,60 @@ class TestDesignMatrix:
         spec = make_basis(0.0, 1.0, 6, 2)
         with pytest.raises(ParameterError):
             design_matrix(spec, np.asarray([]))
+
+
+def crossprod_by_m2_bincount(dm, weights=None):
+    """Reference Z' diag(w) Z: one length-m^2 bincount per coefficient pair, then mirrored."""
+    w, m = dm.width, dm.m
+    flat = np.zeros(m * m)
+    for a in range(w):
+        rows = (dm.start + a) * m
+        for b in range(a, w):
+            contrib = dm.values[:, a] * dm.values[:, b]
+            if weights is not None:
+                contrib = contrib * weights
+            flat += np.bincount(rows + dm.start + b, weights=contrib, minlength=m * m)
+    out = flat.reshape(m, m)
+    iu = np.triu_indices(m, 1)
+    out[(iu[1], iu[0])] = out[iu]
+    return out
+
+
+class TestGramBand:
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    @pytest.mark.parametrize("m_extra", [2, 10, 100])
+    def test_crossprod_bit_identical_to_m2_bincount(self, d, m_extra):
+        spec = make_basis(0.0, 1.0, d + m_extra, d)
+        rng = np.random.default_rng(10 + d)
+        # some points outside the domain give all-zero rows
+        z = rng.uniform(-0.05, 1.05, 2000)
+        w = rng.uniform(1e-3, 0.25, 2000)
+        dm = design_matrix(spec, z)
+        assert np.array_equal(dm.crossprod(w), crossprod_by_m2_bincount(dm, w))
+        assert np.array_equal(dm.crossprod(), crossprod_by_m2_bincount(dm))
+        # the cached unweighted product is the same array on the second call
+        assert dm.crossprod() is dm.crossprod()
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_band_rows_are_the_superdiagonals(self, d):
+        spec = make_basis(0.0, 1.0, 14, d)
+        rng = np.random.default_rng(20)
+        dm = design_matrix(spec, rng.uniform(0, 1, 300))
+        w = rng.uniform(0.1, 1.0, 300)
+        band = dm.gram_band(w)
+        dense = dm.crossprod(w)
+        assert band.shape == (d + 1, spec.m)
+        assert np.array_equal(band_form(dense, d), band)
+        for off in range(d + 1):
+            assert np.array_equal(band[d - off, off:], np.diagonal(dense, off))
+            assert np.all(band[d - off, :off] == 0.0)
+
+    def test_expand_band_wider_than_matrix(self):
+        # a band with more rows than the matrix has diagonals keeps the dense ones
+        band = np.zeros((4, 2))
+        band[2, 1] = 5.0
+        band[3] = [1.0, 2.0]
+        assert np.array_equal(expand_band(band), [[1.0, 5.0], [5.0, 2.0]])
 
 
 class TestDifferencePenalty:

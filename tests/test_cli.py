@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from smoothdiff.basis import difference_penalty
-from smoothdiff.cli import main, write_stratum_csv
+from smoothdiff.basis import design_matrix, difference_penalty, make_basis
+from smoothdiff.cli import CURVE_GRID_POINTS, main, pointwise_variance, write_stratum_csv
 from smoothdiff.fitting import fit_stratum, select_lambda
 from smoothdiff.simulate import SimScenario, gen_coefficients, gen_stratum, replicate_rng
 from smoothdiff.tdp import threshold_regions
@@ -155,6 +155,42 @@ class TestAnalyze:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert main(["analyze", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    def test_non_finite_outcome_exits_2_naming_index(self, tmp_path, capsys):
+        scn, data1, data2 = make_pair(seed=5)
+        path = tmp_path / "nan.csv"
+        write_stratum_csv(path, data1, data2)
+        lines = path.read_text().splitlines()
+        fields = lines[4].split(",")
+        lines[4] = ",".join(["nan"] + fields[1:])  # stratum 1, index 3
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["analyze", "--data", str(path), "--basis-dim", "20", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "y[3] = nan is not finite" in capsys.readouterr().err
+
+    def test_pointwise_variance_matches_einsum(self, tmp_path):
+        scn, data1, data2 = make_pair(seed=11)
+        p = tmp_path / "d.csv"
+        write_stratum_csv(p, data1, data2)
+        out = tmp_path / "out"
+        rc = main(
+            ["analyze", "--data", str(p), "--basis-dim", "20", "--degree", "2",
+             "--domain", "0", "1", "--out", str(out)]
+        )
+        assert rc == 0
+        model = json.loads((out / "fits.json").read_text())
+        spec = make_basis(0.0, 1.0, 20, 2)
+        D = design_matrix(spec, np.linspace(0.0, 1.0, CURVE_GRID_POINTS)).dense
+        covs = [np.asarray(entry["cov"]) for entry in model["strata"]]
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(20, 20))
+        covs.append(a @ a.T + np.eye(20))
+        for cov in covs:
+            oracle = np.einsum("ij,jk,ik->i", D, cov, D)
+            np.testing.assert_allclose(pointwise_variance(D, cov), oracle, rtol=1e-12)
+        curves = np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1)
+        se = np.sqrt(np.einsum("ij,jk,ik->i", D, covs[0], D))
+        np.testing.assert_allclose(curves[:, 3] - curves[:, 1], 1.96 * se, rtol=1e-9, atol=1e-15)
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # binomial fit on perfectly separated outcomes diverges
@@ -396,3 +432,66 @@ class TestDiagnose:
         # decays toward zero beyond lag d
         d = 2
         assert all(abs(c) < 0.2 for c in corr[d + 2 :])
+
+    def _model_file(self, tmp_path):
+        scn, data1, data2 = make_pair(seed=13, n=800)
+        p = tmp_path / "d.csv"
+        write_stratum_csv(p, data1, data2)
+        out = tmp_path / "out"
+        rc = main(
+            ["analyze", "--data", str(p), "--basis-dim", "20", "--degree", "2",
+             "--domain", "0", "1", "--out", str(out)]
+        )
+        assert rc == 0
+        return json.loads((out / "fits.json").read_text())
+
+    def _diagnose_model(self, tmp_path, path):
+        return main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")])
+
+    def test_model_mode_missing_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert self._diagnose_model(tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert "cannot read model file" in err and "absent.json" in err
+
+    def test_model_mode_invalid_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        assert self._diagnose_model(tmp_path, path) == 2
+        assert "broken.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, key", [({}, "'basis'"), ([], "'basis'")])
+    def test_model_mode_empty_model_exits_2(self, tmp_path, capsys, payload, key):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(payload))
+        assert self._diagnose_model(tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert "empty.json" in err and key in err
+
+    @pytest.mark.parametrize(
+        "drop, key",
+        [
+            (("strata",), "'strata'"),
+            (("basis", "m"), "basis.'m'"),
+            (("strata", 1, "cov"), "strata[1].'cov'"),
+        ],
+    )
+    def test_model_mode_missing_key_exits_2(self, tmp_path, capsys, drop, key):
+        model = self._model_file(tmp_path)
+        node = model
+        for step in drop[:-1]:
+            node = node[step]
+        del node[drop[-1]]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(model))
+        assert self._diagnose_model(tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert "partial.json" in err and key in err
+
+    def test_model_mode_mismatched_dimension_exits_2(self, tmp_path, capsys):
+        model = self._model_file(tmp_path)
+        model["basis"]["m"] = 21
+        path = tmp_path / "resized.json"
+        path.write_text(json.dumps(model))
+        assert self._diagnose_model(tmp_path, path) == 2
+        assert "m=21" in capsys.readouterr().err

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, xlogy
 
+from smoothdiff import fitting
 from smoothdiff.basis import design_matrix, difference_penalty, make_basis
 from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import (
     StratumData,
+    _binomial_deviance,
     default_lambda_grid,
     fit_binomial,
     fit_gaussian,
@@ -221,6 +223,138 @@ class TestFitBinomial:
     def test_non_binary_outcome_rejected(self):
         with pytest.raises(ParameterError):
             StratumData(y=np.asarray([0.0, 0.5]), z=np.asarray([0.1, 0.2]), family="binomial")
+
+
+def xlogy_deviance(y, mu):
+    """Binomial deviance with the saturated terms written out, valid for any y in [0, 1]."""
+    return float(2.0 * np.sum(xlogy(y, y) - xlogy(y, mu) + xlogy(1 - y, 1 - y) - xlogy(1 - y, 1 - mu)))
+
+
+def full_inverse_irls(data, spec, pen, lam):
+    """Reference penalized IRLS: the full inverse of A in every iteration, coef = A^{-1} rhs.
+
+    Returns (coef, cov, edf, deviance).
+    """
+    dm = design_matrix(spec, data.z)
+    bandwidth = max(spec.degree, pen.order)
+    y = data.y
+    mu = (y + 0.5) / 2.0
+    eta = np.log(mu / (1.0 - mu))
+    deviance = xlogy_deviance(y, mu)
+    for _ in range(fitting.MAX_IRLS_ITER):
+        w = np.clip(mu * (1.0 - mu), 1e-10, None)
+        u = eta + (y - mu) / w
+        ztz = dm.crossprod(w)
+        ainv = penalized_inverse(ztz + lam * pen.S, bandwidth)
+        coef = ainv @ dm.rhs(u, w)
+        edf = float(np.sum(ainv * ztz))
+        eta = dm.predict(coef)
+        if np.max(np.abs(eta)) > fitting.ETA_DIVERGENCE:
+            raise NumericalError("linear predictor diverged")
+        mu = expit(eta)
+        new_deviance = xlogy_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12))
+        converged = abs(new_deviance - deviance) <= fitting.IRLS_REL_TOL * (abs(deviance) + 1e-12)
+        deviance = new_deviance
+        if converged:
+            return coef, 0.5 * (ainv + ainv.T), edf, deviance
+    raise NumericalError("IRLS failed to converge")
+
+
+def full_inverse_gcv_lambda(data, spec, pen):
+    """Reference GCV grid search over the full-inverse IRLS."""
+    grid = default_lambda_grid(design_matrix(spec, data.z), pen)
+    best_lam, best_score = None, np.inf
+    for lam in np.sort(grid):
+        try:
+            _, _, edf, deviance = full_inverse_irls(data, spec, pen, float(lam))
+        except NumericalError:
+            continue
+        score = data.n * deviance / (data.n - edf) ** 2
+        if score <= best_score:
+            best_lam, best_score = float(lam), score
+    return best_lam
+
+
+# (m, degree, n, seed): degree 1 has a narrower Gram band than the q=2 penalty
+BINOMIAL_FIXTURES = [(8, 2, 600, 16), (20, 3, 1500, 17), (30, 1, 1000, 18)]
+
+
+def binomial_fixture(m, degree, n, seed):
+    spec = make_basis(0.0, 1.0, m, degree)
+    pen = difference_penalty(m, 2)
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0, 1, n)
+    y = (rng.random(n) < expit(1.5 * np.sin(5 * z))).astype(float)
+    return StratumData(y=y, z=z, family="binomial"), spec, pen
+
+
+class TestBandedIrls:
+    @pytest.mark.parametrize("fixture", BINOMIAL_FIXTURES)
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 50.0])
+    def test_matches_full_inverse_irls(self, fixture, lam):
+        data, spec, pen = binomial_fixture(*fixture)
+        fit = fit_binomial(data, spec, pen, lam)
+        coef, cov, edf, deviance = full_inverse_irls(data, spec, pen, lam)
+        # relative to the largest entry, so near-zero entries do not dominate
+        np.testing.assert_allclose(fit.coef, coef, rtol=1e-10, atol=1e-10 * np.max(np.abs(coef)))
+        np.testing.assert_allclose(fit.cov, cov, rtol=1e-10, atol=1e-10 * np.max(np.abs(cov)))
+        assert fit.edf == pytest.approx(edf, rel=1e-10)
+        assert fit.deviance == pytest.approx(deviance, rel=1e-10)
+
+    @pytest.mark.parametrize("fixture", BINOMIAL_FIXTURES)
+    def test_select_lambda_picks_the_same_grid_point(self, fixture):
+        data, spec, pen = binomial_fixture(*fixture)
+        assert select_lambda(data, spec, pen) == full_inverse_gcv_lambda(data, spec, pen)
+
+    def test_one_inverse_per_fit(self, monkeypatch):
+        data, spec, pen = binomial_fixture(*BINOMIAL_FIXTURES[0])
+        calls = []
+
+        def counting(a, bandwidth=None):
+            calls.append(a.shape)
+            return penalized_inverse(a, bandwidth)
+
+        monkeypatch.setattr(fitting, "penalized_inverse", counting)
+        fit_binomial(data, spec, pen, 0.5)
+        assert calls == [(spec.m, spec.m)]
+
+    def test_not_positive_definite_iteration_raises(self, setup):
+        # no data beyond z = 0.3 leaves basis functions without support, so
+        # Z'WZ has zero rows and at lambda = 0 the first factorization fails
+        spec, pen = setup
+        rng = np.random.default_rng(19)
+        z = rng.uniform(0, 0.3, 200)
+        data = StratumData(y=(rng.random(200) < 0.5).astype(float), z=z, family="binomial")
+        with pytest.raises(NumericalError, match="not positive definite"):
+            fit_binomial(data, spec, pen, 0.0)
+
+    def test_deviance_bitwise_equal_to_xlogy_form(self):
+        rng = np.random.default_rng(21)
+        y = (rng.random(500) < 0.4).astype(float)
+        mu = rng.uniform(0, 1, 500)
+        # clip edges and the IRLS starting values on both outcomes
+        mu[:8] = [1e-12, 1.0 - 1e-12, 1e-12, 1.0 - 1e-12, 0.25, 0.75, 0.25, 0.75]
+        y[:8] = [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]
+        assert _binomial_deviance(y, mu) == xlogy_deviance(y, mu)
+        for i in range(8):
+            assert _binomial_deviance(y[i : i + 1], mu[i : i + 1]) == xlogy_deviance(
+                y[i : i + 1], mu[i : i + 1]
+            )
+
+
+class TestStratumDataValidation:
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_nan_outcome_names_first_index(self, family):
+        y = np.asarray([0.0, 1.0, 1.0, np.nan, 0.0, np.nan])
+        with pytest.raises(ParameterError, match=r"y\[3\].*not finite"):
+            StratumData(y=y, z=np.linspace(0, 1, 6), family=family)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_covariate_names_first_index(self, bad):
+        z = np.linspace(0, 1, 5)
+        z[2] = bad
+        with pytest.raises(ParameterError, match=r"z\[2\].*not finite"):
+            StratumData(y=np.zeros(5), z=z)
 
 
 class TestSelectLambda:
