@@ -14,8 +14,6 @@ from .errors import DomainError, NumericalError, ParameterError
 from .fitting import (
     StratumData,
     StratumFit,
-    fit_binomial,
-    fit_gaussian,
     fit_stratum,
     select_lambda,
 )
@@ -32,7 +30,6 @@ from .tdp import (
     PValueFamily,
     TdpReport,
     closed_testing_oracle,
-    h_alpha,
     phi_alpha,
     simes_test,
     threshold_regions,

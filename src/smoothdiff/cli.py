@@ -48,7 +48,6 @@ class AnalysisConfig:
     tdp: tuple[float, ...] = (0.5, 0.7, 0.9)
     lam: float | None = None
     out: str = "smoothdiff_out"
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
@@ -178,16 +177,20 @@ def cmd_analyze(config: AnalysisConfig) -> int:
         z_hi = max(data1.z.max(), data2.z.max())
     spec = make_basis(z_lo, z_hi, config.basis_dim, config.degree)
     pen = difference_penalty(config.basis_dim)
+    for i, data in enumerate((data1, data2), 1):
+        outside = np.flatnonzero((data.z < spec.z_lo) | (data.z > spec.z_hi))
+        if outside.size:
+            raise ParameterError(
+                f"stratum {i}: {outside.size} rows have z outside the domain "
+                f"[{spec.z_lo!r}, {spec.z_hi!r}], the first z = {float(data.z[outside[0]])!r}"
+            )
 
-    fits = []
-    sources = []
-    for data in (data1, data2):
-        if config.lam is not None:
-            lam, source = config.lam, "fixed"
-        else:
-            lam, source = select_lambda(data, spec, pen), "gcv"
-        fits.append(fit_stratum(data, spec, pen, lam))
-        sources.append(source)
+    if config.lam is not None:
+        fits = [fit_stratum(data, spec, pen, config.lam) for data in (data1, data2)]
+        source = "fixed"
+    else:
+        fits = [select_lambda(data, spec, pen) for data in (data1, data2)]
+        source = "gcv"
     series = window_statistics(fits[0], fits[1], spec)
     report = threshold_regions(series, config.alpha, config.tdp)
 
@@ -200,7 +203,7 @@ def cmd_analyze(config: AnalysisConfig) -> int:
             "knots": [float(k) for k in spec.knots],
         },
         "alpha": config.alpha,
-        "strata": [_fit_payload(f, s) for f, s in zip(fits, sources)],
+        "strata": [_fit_payload(f, source) for f in fits],
     }
     with open(os.path.join(config.out, "fits.json"), "w", encoding="utf-8") as fh:
         json.dump(fits_payload, fh, sort_keys=True, indent=1)
@@ -529,8 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--alpha", type=float)
     pa.add_argument("--tdp", type=float, nargs="+", help="TDP thresholds")
     pa.add_argument("--lambda", dest="lam", type=float, help="fixed smoothing parameter")
-    pa.add_argument("--seed", type=int)
-    pa.add_argument("--threads", type=int, default=None)
     pa.add_argument("--out", help="output directory")
 
     ps = sub.add_parser("simulate", help="run a simulation preset or scenario file")
@@ -567,7 +568,6 @@ _CONFIG_FIELD_PARSERS = {
     "alpha": float,
     "tdp": _float_tuple,
     "lambda": float,
-    "seed": int,
     "out": str,
 }
 
@@ -595,13 +595,11 @@ def _analysis_config(args) -> AnalysisConfig:
         "alpha": args.alpha,
         "tdp": tuple(args.tdp) if args.tdp else None,
         "lam": args.lam,
-        "seed": args.seed,
         "out": args.out,
     }
     for key, value in flag_map.items():
         if value is not None:
             settings[key] = value
-    settings.setdefault("seed", _default_seed())
     return AnalysisConfig(**settings)
 
 

@@ -30,8 +30,6 @@ from .errors import NumericalError, ParameterError
 __all__ = [
     "StratumData",
     "StratumFit",
-    "fit_gaussian",
-    "fit_binomial",
     "fit_stratum",
     "select_lambda",
 ]
@@ -143,19 +141,6 @@ def _warn_small_sample(data: StratumData, spec: BasisSpec) -> None:
         )
 
 
-def _weighted_blocks(
-    dm: DesignMatrix, data: StratumData, w: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    ztz = dm.crossprod(w)
-    if data.X is None:
-        return ztz, None, None
-    X = data.X
-    wx = X if w is None else w[:, None] * X
-    xtx = X.T @ wx
-    zx = dm.cross_with(X, w)
-    return ztz, xtx, zx
-
-
 def _solve_penalized(
     dm: DesignMatrix,
     data: StratumData,
@@ -170,7 +155,7 @@ def _solve_penalized(
     Returns (beta, coef, cov_unit, edf) where cov_unit is the unit-dispersion
     posterior covariance of the spline coefficients.
     """
-    ztz, xtx, zx = _weighted_blocks(dm, data, w)
+    ztz = dm.crossprod(w)
     a = ztz + lam * pen.S
     if data.X is None:
         ainv, edf = _cov_edf(a, ztz, bandwidth)
@@ -179,7 +164,9 @@ def _solve_penalized(
     # Fixed effects present: solve the full block system. A minimum-norm
     # solve keeps the fitted values defined even when the spline spans a
     # fixed-effect column (the block matrix is then singular).
-    X, p, m = data.X, data.p, dm.m
+    X, p = data.X, data.p
+    xtx = X.T @ (X if w is None else w[:, None] * X)
+    zx = dm.cross_with(X, w)
     c = np.block([[xtx, zx.T], [zx, a]])
     wresp = resp if w is None else w * resp
     rhs = np.concatenate([X.T @ wresp, dm.rhs(resp, w)])
@@ -200,19 +187,6 @@ def _linear_predictor(dm: DesignMatrix, data: StratumData, beta: np.ndarray, coe
     if data.X is not None:
         eta = eta + data.X @ beta
     return eta
-
-
-def fit_gaussian(
-    data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, lam: float
-) -> StratumFit:
-    """Penalized least squares fit of one stratum at a fixed smoothing parameter."""
-    if lam < 0:
-        raise ParameterError("smoothing parameter must be non-negative")
-    if data.family != "gaussian":
-        raise ParameterError("fit_gaussian requires gaussian data")
-    _warn_small_sample(data, spec)
-    dm = design_matrix(spec, data.z)
-    return _gaussian_at(dm, data, spec, pen, lam)
 
 
 def _gaussian_at(
@@ -250,19 +224,6 @@ def _gaussian_at(
 def _binomial_deviance(y: np.ndarray, mu: np.ndarray) -> float:
     """Deviance of 0/1 outcomes: the saturated terms y log y vanish."""
     return float(2.0 * np.sum(-np.log(np.where(y > 0, mu, 1.0 - mu))))
-
-
-def fit_binomial(
-    data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, lam: float
-) -> StratumFit:
-    """Penalized logistic IRLS fit of one stratum at a fixed smoothing parameter."""
-    if lam < 0:
-        raise ParameterError("smoothing parameter must be non-negative")
-    if data.family != "binomial":
-        raise ParameterError("fit_binomial requires binomial data")
-    _warn_small_sample(data, spec)
-    dm = design_matrix(spec, data.z)
-    return _binomial_at(dm, data, spec, pen, lam)
 
 
 def _binomial_at(
@@ -326,10 +287,21 @@ def _binomial_at(
 def fit_stratum(
     data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, lam: float
 ) -> StratumFit:
-    """Dispatch to the family-specific fitter."""
-    if data.family == "gaussian":
-        return fit_gaussian(data, spec, pen, lam)
-    return fit_binomial(data, spec, pen, lam)
+    """Penalized fit of one stratum at a fixed smoothing parameter.
+
+    Least squares for Gaussian outcomes, logistic IRLS for binary ones.
+    """
+    if lam < 0:
+        raise ParameterError("smoothing parameter must be non-negative")
+    _warn_small_sample(data, spec)
+    return _fit_at(design_matrix(spec, data.z), data, spec, pen, lam)
+
+
+def _fit_at(
+    dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, lam: float
+) -> StratumFit:
+    fit_at = _gaussian_at if data.family == "gaussian" else _binomial_at
+    return fit_at(dm, data, spec, pen, lam)
 
 
 def default_lambda_grid(dm: DesignMatrix, pen: PenaltyMatrix, n_grid: int = 40) -> np.ndarray:
@@ -338,91 +310,38 @@ def default_lambda_grid(dm: DesignMatrix, pen: PenaltyMatrix, n_grid: int = 40) 
     return np.geomspace(1e-4 * scale, 1e4 * scale, n_grid)
 
 
-def _penalized_logdet(
-    dm: DesignMatrix, data: StratumData, pen: PenaltyMatrix, lam: float, w: np.ndarray | None
-) -> float:
-    ztz, xtx, zx = _weighted_blocks(dm, data, w)
-    a = ztz + lam * pen.S
-    if data.X is None:
-        sign, logdet = np.linalg.slogdet(a)
-    else:
-        sign, logdet = np.linalg.slogdet(np.block([[xtx, zx.T], [zx, a]]))
-    if sign <= 0:
-        raise NumericalError("penalized system lost positive definiteness")
-    return float(logdet)
-
-
-def _reml_score(
-    fit: StratumFit,
-    dm: DesignMatrix,
-    data: StratumData,
-    pen: PenaltyMatrix,
-    lam: float,
-    flushed: bool,
-) -> float:
-    """Negative restricted log-likelihood of lambda, up to lambda-free constants.
-
-    Gaussian: (n - p - M) log(rss + lam b'Sb) + log|C| - (m - M) log lam with
-    M the penalty nullity (the profile over the dispersion). Binomial uses the
-    Laplace/working-model analog with the deviance at dispersion 1.
-    """
-    rank = dm.m - pen.order
-    roughness = lam * float(fit.coef @ pen.S @ fit.coef)
-    if fit.family == "gaussian":
-        w = None
-        quad = fit.deviance + roughness
-        nm = data.n - data.p - pen.order
-        if nm <= 0:
-            raise NumericalError("too few observations for the restricted likelihood")
-        data_term = 0.0 if flushed else nm * np.log(max(quad, 1e-300))
-    else:
-        mu = expit(_linear_predictor(dm, data, fit.beta, fit.coef))
-        w = np.clip(mu * (1.0 - mu), 1e-10, None)
-        data_term = fit.deviance + roughness
-    logdet = _penalized_logdet(dm, data, pen, lam, w)
-    return data_term + logdet - rank * np.log(lam)
-
-
 def select_lambda(
     data: StratumData,
     spec: BasisSpec,
     pen: PenaltyMatrix,
     grid: np.ndarray | None = None,
-    method: str = "gcv",
-) -> float:
-    """Smoothing parameter minimizing a selection score over a log-spaced grid.
+) -> StratumFit:
+    """Fit at the smoothing parameter minimizing GCV over a log-spaced grid.
 
-    method="gcv" (default) minimizes n * deviance / (n - edf)^2;
-    method="reml" minimizes the restricted marginal likelihood. Deviance at
-    the rounding level is treated as an exact fit, so ties resolve toward the
-    heaviest smoothing; the selected value is then held fixed downstream.
+    GCV is n * deviance / (n - edf)^2. Deviance at the rounding level is
+    treated as an exact fit, so ties resolve toward the heaviest smoothing.
+    Returns the fit computed at the selected value (`fit.lam`), which is then
+    held fixed downstream.
     """
-    if method not in ("reml", "gcv"):
-        raise ParameterError(f"unknown selection method {method!r}")
     dm = design_matrix(spec, data.z)
     if grid is None:
         grid = default_lambda_grid(dm, pen)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0):
         raise ParameterError("lambda grid must be a non-empty vector of positive values")
+    _warn_small_sample(data, spec)
     yss = float(data.y @ data.y)
-    best_lam, best_score = None, np.inf
+    best_fit, best_score = None, np.inf
     for lam in np.sort(grid):
         try:
-            if data.family == "gaussian":
-                fit = _gaussian_at(dm, data, spec, pen, float(lam))
-            else:
-                fit = _binomial_at(dm, data, spec, pen, float(lam))
-            flushed = data.family == "gaussian" and fit.deviance <= 1e-16 * max(yss, 1e-300)
-            if method == "gcv":
-                dev = 0.0 if flushed else fit.deviance
-                score = data.n * dev / (data.n - fit.edf) ** 2
-            else:
-                score = _reml_score(fit, dm, data, pen, float(lam), flushed)
+            fit = _fit_at(dm, data, spec, pen, float(lam))
         except NumericalError:
             continue
+        flushed = data.family == "gaussian" and fit.deviance <= 1e-16 * max(yss, 1e-300)
+        dev = 0.0 if flushed else fit.deviance
+        score = data.n * dev / (data.n - fit.edf) ** 2
         if score <= best_score:
-            best_lam, best_score = float(lam), score
-    if best_lam is None:
+            best_fit, best_score = fit, score
+    if best_fit is None:
         raise NumericalError("no smoothing parameter candidate could be fit")
-    return best_lam
+    return best_fit

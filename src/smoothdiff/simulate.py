@@ -20,7 +20,7 @@ from scipy.stats import chi2
 
 from .basis import BasisSpec, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
-from .fitting import StratumData, fit_stratum, select_lambda
+from .fitting import StratumData, select_lambda
 from .tdp import PValueFamily, TdpReport, phi_alpha, threshold_regions
 from .windows import WindowTestSeries, sliding_inverses, window_statistics
 
@@ -266,10 +266,7 @@ def run_replicate(scenario: SimScenario, index: int) -> ReplicateRecord:
     data_base = gen_stratum(b_base, scenario, rng, spec)
     data_alt = gen_stratum(b_alt, scenario, rng, spec)
     try:
-        fits = []
-        for data in (data_alt, data_base):
-            lam = select_lambda(data, spec, pen)
-            fits.append(fit_stratum(data, spec, pen, lam))
+        fits = [select_lambda(data, spec, pen) for data in (data_alt, data_base)]
         series = window_statistics(fits[0], fits[1], spec)
     except NumericalError as exc:
         return ReplicateRecord(
@@ -323,8 +320,7 @@ def representative_covariance() -> tuple[BasisSpec, np.ndarray]:
     rng = replicate_rng(seed, 0)
     b_base, _, _ = gen_coefficients(scenario, rng)
     data = gen_stratum(b_base, scenario, rng, spec)
-    fit = fit_stratum(data, spec, pen, select_lambda(data, spec, pen))
-    return spec, 2.0 * fit.cov
+    return spec, 2.0 * select_lambda(data, spec, pen).cov
 
 
 def exact_model_error_rates(

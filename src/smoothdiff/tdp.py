@@ -20,7 +20,6 @@ __all__ = [
     "RegionRecord",
     "TdpReport",
     "simes_test",
-    "h_alpha",
     "phi_alpha",
     "threshold_regions",
     "closed_testing_oracle",
@@ -70,11 +69,6 @@ def _h_alpha(p: np.ndarray, alpha: float) -> int:
         if not np.any(tail <= np.arange(1, i + 1) * alpha / i):
             return i
     return 0
-
-
-def h_alpha(family: PValueFamily) -> int:
-    """The family's Simes-surviving tail size (computed once at construction)."""
-    return family.h
 
 
 def phi_alpha(family: PValueFamily, region: np.ndarray) -> int:

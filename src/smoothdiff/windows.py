@@ -138,7 +138,6 @@ def window_statistics(
     fit1: StratumFit,
     fit2: StratumFit,
     spec: BasisSpec,
-    check_tol: float | None = None,
 ) -> WindowTestSeries:
     """Quadratic-form statistics and chi-square p-values for every region.
 
@@ -151,7 +150,7 @@ def window_statistics(
     w = spec.degree + 1
     delta = fit1.coef - fit2.coef
     vsum = fit1.cov + fit2.cov
-    inverses = sliding_inverses(vsum, w, check_tol=check_tol)
+    inverses = sliding_inverses(vsum, w)
     n_windows = spec.n_regions
     t = np.empty(n_windows)
     for k in range(n_windows):

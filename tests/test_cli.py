@@ -6,7 +6,7 @@ import pytest
 
 from smoothdiff.basis import design_matrix, difference_penalty, make_basis
 from smoothdiff.cli import CURVE_GRID_POINTS, main, pointwise_variance, write_stratum_csv
-from smoothdiff.fitting import fit_stratum, select_lambda
+from smoothdiff.fitting import select_lambda
 from smoothdiff.simulate import SimScenario, gen_coefficients, gen_stratum, replicate_rng
 from smoothdiff.tdp import threshold_regions
 from smoothdiff.windows import window_statistics
@@ -64,9 +64,7 @@ class TestAnalyze:
         scn, data1, data2 = make_pair(seed=7)
         spec = scn.basis()
         pen = difference_penalty(scn.m, scn.penalty_order)
-        fits = [
-            fit_stratum(d, spec, pen, select_lambda(d, spec, pen)) for d in (data1, data2)
-        ]
+        fits = [select_lambda(d, spec, pen) for d in (data1, data2)]
         series = window_statistics(fits[0], fits[1], spec)
         report = threshold_regions(series, 0.1, (0.9, 0.7, 0.5))
 
@@ -167,6 +165,42 @@ class TestAnalyze:
         rc = main(["analyze", "--data", str(path), "--basis-dim", "20", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "y[3] = nan is not finite" in capsys.readouterr().err
+
+    def test_rows_outside_domain_exit_2_naming_stratum(self, tmp_path, capsys):
+        scn, data1, data2 = make_pair(seed=5)
+        path = tmp_path / "d.csv"
+        write_stratum_csv(path, data1, data2)
+        argv = ["analyze", "--data", str(path), "--basis-dim", "20", "--degree", "2"]
+        rc = main(argv + ["--domain", "0", "0.5", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        outside = np.flatnonzero(data1.z > 0.5)
+        err = capsys.readouterr().err
+        assert f"stratum 1: {outside.size} rows have z outside the domain" in err
+        assert f"first z = {float(data1.z[outside[0]])!r}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_domain_covering_the_data_exits_0(self, tmp_path):
+        scn, data1, data2 = make_pair(seed=5)
+        path = tmp_path / "d.csv"
+        write_stratum_csv(path, data1, data2)
+        z = np.concatenate([data1.z, data2.z])
+        lo, hi = repr(float(z.min())), repr(float(z.max()))
+        out = tmp_path / "o"
+        argv = ["analyze", "--data", str(path), "--basis-dim", "20", "--degree", "2"]
+        assert main(argv + ["--domain", lo, hi, "--out", str(out)]) == 0
+        assert json.loads((out / "fits.json").read_text())["basis"]["domain"] == [float(lo), float(hi)]
+
+    def test_seed_config_key_is_unknown(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("basis_dim = 20\nseed = 3\n")
+        assert main(["analyze", "--config", str(config)]) == 2
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seed", "--threads"])
+    def test_seed_and_threads_flags_rejected(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--data", "d.csv", flag, "5", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
 
     def test_pointwise_variance_matches_einsum(self, tmp_path):
         scn, data1, data2 = make_pair(seed=11)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit, xlogy
@@ -9,8 +11,7 @@ from smoothdiff.fitting import (
     StratumData,
     _binomial_deviance,
     default_lambda_grid,
-    fit_binomial,
-    fit_gaussian,
+    fit_stratum,
     penalized_inverse,
     select_lambda,
 )
@@ -46,7 +47,7 @@ class TestFitGaussian:
         spec, pen = setup
         rng = np.random.default_rng(0)
         data = StratumData(y=np.zeros(40), z=rng.uniform(0, 1, 40))
-        fit = fit_gaussian(data, spec, pen, 1.0)
+        fit = fit_stratum(data, spec, pen, 1.0)
         assert np.allclose(fit.coef, 0.0)
         assert fit.beta.size == 0
 
@@ -57,7 +58,7 @@ class TestFitGaussian:
         z = np.asarray([0.1, 0.3, 0.6, 0.9])
         y = np.asarray([2.0, -1.0, 0.5, 3.0])
         with pytest.warns(UserWarning):
-            fit = fit_gaussian(StratumData(y=y, z=z), spec, pen, 0.0)
+            fit = fit_stratum(StratumData(y=y, z=z), spec, pen, 0.0)
         zt_y = design_matrix(spec, z).dense.T @ y
         assert np.allclose(fit.coef, zt_y)
 
@@ -66,7 +67,7 @@ class TestFitGaussian:
         rng = np.random.default_rng(1)
         data = random_gaussian_data(rng)
         lam = 0.7
-        fit = fit_gaussian(data, spec, pen, lam)
+        fit = fit_stratum(data, spec, pen, lam)
         zd = design_matrix(spec, data.z).dense
         a = zd.T @ zd + lam * pen.S
         ref = np.linalg.solve(a, zd.T @ data.y)
@@ -77,7 +78,7 @@ class TestFitGaussian:
         rng = np.random.default_rng(2)
         data = random_gaussian_data(rng, with_x=True)
         lam = 0.5
-        fit = fit_gaussian(data, spec, pen, lam)
+        fit = fit_stratum(data, spec, pen, lam)
         zd = design_matrix(spec, data.z).dense
         m_full = np.hstack([data.X, zd])
         penalty = np.zeros((10, 10))
@@ -93,7 +94,7 @@ class TestFitGaussian:
         spec, pen = setup
         rng = np.random.default_rng(3)
         for _ in range(10):
-            fit = fit_gaussian(random_gaussian_data(rng), spec, pen, float(rng.uniform(0.01, 5)))
+            fit = fit_stratum(random_gaussian_data(rng), spec, pen, float(rng.uniform(0.01, 5)))
             assert np.max(np.abs(fit.cov - fit.cov.T)) < 1e-10
             np.linalg.cholesky(fit.cov)
 
@@ -102,7 +103,7 @@ class TestFitGaussian:
         rng = np.random.default_rng(4)
         data = random_gaussian_data(rng)
         lam = 0.9
-        fit = fit_gaussian(data, spec, pen, lam)
+        fit = fit_stratum(data, spec, pen, lam)
         base = gaussian_objective(data, spec, pen, lam, fit.beta, fit.coef)
         for j in range(spec.m):
             for sign in (-1.0, 1.0):
@@ -116,7 +117,7 @@ class TestFitGaussian:
         data = random_gaussian_data(rng)
         roughness = [
             float(f.coef @ pen.S @ f.coef)
-            for f in (fit_gaussian(data, spec, pen, lam) for lam in (0.01, 0.1, 1.0, 10.0))
+            for f in (fit_stratum(data, spec, pen, lam) for lam in (0.01, 0.1, 1.0, 10.0))
         ]
         assert all(roughness[i + 1] <= roughness[i] + 1e-12 for i in range(3))
 
@@ -126,8 +127,8 @@ class TestFitGaussian:
         z = rng.uniform(0, 1, 60)
         y = np.cos(4 * z) + rng.normal(0, 0.3, 60)
         lam = 0.4
-        plain = fit_gaussian(StratumData(y=y, z=z), spec, pen, lam)
-        with_icpt = fit_gaussian(
+        plain = fit_stratum(StratumData(y=y, z=z), spec, pen, lam)
+        with_icpt = fit_stratum(
             StratumData(y=y, z=z, X=np.ones((60, 1))), spec, pen, lam
         )
         dm = design_matrix(spec, z)
@@ -158,19 +159,19 @@ class TestFitGaussian:
         data = StratumData(y=np.asarray([1.0, 2.0]), z=np.asarray([0.2, 0.8]))
         with pytest.raises(NumericalError):
             with pytest.warns(UserWarning):
-                fit_gaussian(data, spec, pen, 0.0)
+                fit_stratum(data, spec, pen, 0.0)
 
     def test_negative_lambda_rejected(self, setup):
         spec, pen = setup
         data = StratumData(y=np.zeros(30), z=np.linspace(0, 1, 30))
         with pytest.raises(ParameterError):
-            fit_gaussian(data, spec, pen, -1.0)
+            fit_stratum(data, spec, pen, -1.0)
 
     def test_small_sample_warns(self, setup):
         spec, pen = setup
         data = StratumData(y=np.zeros(5), z=np.linspace(0, 1, 5))
         with pytest.warns(UserWarning, match="sample size"):
-            fit_gaussian(data, spec, pen, 1.0)
+            fit_stratum(data, spec, pen, 1.0)
 
 
 class TestFitBinomial:
@@ -181,7 +182,7 @@ class TestFitBinomial:
             y=np.ones(200), z=rng.uniform(0, 1, 200), family="binomial"
         )
         with pytest.raises(NumericalError, match="separation|diverged"):
-            fit_binomial(data, spec, pen, 0.5)
+            fit_stratum(data, spec, pen, 0.5)
 
     def test_constant_half_probability_recovers_flat_logit(self, setup):
         spec, pen = setup
@@ -192,7 +193,7 @@ class TestFitBinomial:
             z=rng.uniform(0, 1, n),
             family="binomial",
         )
-        fit = fit_binomial(data, spec, pen, 1.0)
+        fit = fit_stratum(data, spec, pen, 1.0)
         eta = design_matrix(spec, data.z).predict(fit.coef)
         assert np.max(np.abs(eta)) < 0.25
 
@@ -204,7 +205,7 @@ class TestFitBinomial:
         eta_true = 1.2 * np.sin(5 * z)
         y = (rng.random(n) < expit(eta_true)).astype(float)
         lam = 0.8
-        fit = fit_binomial(StratumData(y=y, z=z, family="binomial"), spec, pen, lam)
+        fit = fit_stratum(StratumData(y=y, z=z, family="binomial"), spec, pen, lam)
         dm = design_matrix(spec, z)
         mu = expit(dm.predict(fit.coef))
         score = dm.dense.T @ (y - mu) - lam * pen.S @ fit.coef
@@ -216,7 +217,7 @@ class TestFitBinomial:
         n = 500
         z = rng.uniform(0, 1, n)
         y = (rng.random(n) < 0.5).astype(float)
-        fit = fit_binomial(StratumData(y=y, z=z, family="binomial"), spec, pen, 2.0)
+        fit = fit_stratum(StratumData(y=y, z=z, family="binomial"), spec, pen, 2.0)
         assert fit.dispersion == 1.0
         np.linalg.cholesky(fit.cov)
 
@@ -293,7 +294,7 @@ class TestBandedIrls:
     @pytest.mark.parametrize("lam", [1e-3, 0.5, 50.0])
     def test_matches_full_inverse_irls(self, fixture, lam):
         data, spec, pen = binomial_fixture(*fixture)
-        fit = fit_binomial(data, spec, pen, lam)
+        fit = fit_stratum(data, spec, pen, lam)
         coef, cov, edf, deviance = full_inverse_irls(data, spec, pen, lam)
         # relative to the largest entry, so near-zero entries do not dominate
         np.testing.assert_allclose(fit.coef, coef, rtol=1e-10, atol=1e-10 * np.max(np.abs(coef)))
@@ -304,7 +305,7 @@ class TestBandedIrls:
     @pytest.mark.parametrize("fixture", BINOMIAL_FIXTURES)
     def test_select_lambda_picks_the_same_grid_point(self, fixture):
         data, spec, pen = binomial_fixture(*fixture)
-        assert select_lambda(data, spec, pen) == full_inverse_gcv_lambda(data, spec, pen)
+        assert select_lambda(data, spec, pen).lam == full_inverse_gcv_lambda(data, spec, pen)
 
     def test_one_inverse_per_fit(self, monkeypatch):
         data, spec, pen = binomial_fixture(*BINOMIAL_FIXTURES[0])
@@ -315,7 +316,7 @@ class TestBandedIrls:
             return penalized_inverse(a, bandwidth)
 
         monkeypatch.setattr(fitting, "penalized_inverse", counting)
-        fit_binomial(data, spec, pen, 0.5)
+        fit_stratum(data, spec, pen, 0.5)
         assert calls == [(spec.m, spec.m)]
 
     def test_not_positive_definite_iteration_raises(self, setup):
@@ -326,7 +327,7 @@ class TestBandedIrls:
         z = rng.uniform(0, 0.3, 200)
         data = StratumData(y=(rng.random(200) < 0.5).astype(float), z=z, family="binomial")
         with pytest.raises(NumericalError, match="not positive definite"):
-            fit_binomial(data, spec, pen, 0.0)
+            fit_stratum(data, spec, pen, 0.0)
 
     def test_deviance_bitwise_equal_to_xlogy_form(self):
         rng = np.random.default_rng(21)
@@ -357,14 +358,46 @@ class TestStratumDataValidation:
             StratumData(y=np.zeros(5), z=z)
 
 
+def assert_fits_bitwise_equal(a, b):
+    for name in ("coef", "beta", "cov"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("lam", "dispersion", "edf", "family", "deviance", "n_obs"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
 class TestSelectLambda:
+    @pytest.mark.parametrize("case", ["gaussian", "binomial", "gaussian_intercept"])
+    def test_returned_fit_equals_fit_at_its_lambda(self, setup, case):
+        if case == "binomial":
+            data, spec, pen = binomial_fixture(*BINOMIAL_FIXTURES[1])
+        else:
+            spec, pen = setup
+            rng = np.random.default_rng(22)
+            z = rng.uniform(0, 1, 200)
+            y = np.sin(5 * z) + rng.normal(0, 0.4, 200)
+            X = np.ones((200, 1)) if case == "gaussian_intercept" else None
+            data = StratumData(y=y, z=z, X=X)
+        fit = select_lambda(data, spec, pen)
+        assert_fits_bitwise_equal(fit, fit_stratum(data, spec, pen, fit.lam))
+
+    def test_small_sample_warns_once(self, setup):
+        spec, pen = setup
+        z = np.linspace(0, 1, 6)
+        data = StratumData(y=np.sin(3 * z), z=z)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            select_lambda(data, spec, pen)
+        user = [w for w in caught if issubclass(w.category, UserWarning)]
+        assert len(user) == 1
+        assert "sample size" in str(user[0].message)
+
     def test_pure_noise_selects_heavy_smoothing(self, setup):
         spec, pen = setup
         rng = np.random.default_rng(12)
         selected = []
         for _ in range(100):
             data = StratumData(y=rng.normal(0, 1, 120), z=rng.uniform(0, 1, 120))
-            selected.append(select_lambda(data, spec, pen))
+            selected.append(select_lambda(data, spec, pen).lam)
         grid = default_lambda_grid(design_matrix(spec, np.linspace(0, 1, 120)), pen)
         top_decade = grid[-1] / 10
         assert np.median(selected) >= top_decade
@@ -377,38 +410,19 @@ class TestSelectLambda:
         z = np.linspace(0, 1, 90)
         data = StratumData(y=np.full(90, 2.5), z=z)
         grid = default_lambda_grid(design_matrix(spec, z), pen)
-        assert select_lambda(data, spec, pen) == pytest.approx(grid[-1])
+        assert select_lambda(data, spec, pen).lam == pytest.approx(grid[-1])
 
     def test_degenerate_grid_returns_the_value(self, setup):
         spec, pen = setup
         rng = np.random.default_rng(13)
         data = random_gaussian_data(rng)
-        assert select_lambda(data, spec, pen, grid=np.asarray([0.37])) == 0.37
+        assert select_lambda(data, spec, pen, grid=np.asarray([0.37])).lam == 0.37
 
     def test_deterministic(self, setup):
         spec, pen = setup
         rng = np.random.default_rng(14)
         data = random_gaussian_data(rng, n=200)
-        assert select_lambda(data, spec, pen) == select_lambda(data, spec, pen)
-
-    def test_reml_method_on_prior_typical_curve(self, setup):
-        spec, pen = setup
-        rng = np.random.default_rng(15)
-        z = rng.uniform(0, 1, 400)
-        y = np.sin(4 * z) + rng.normal(0, 0.3, 400)
-        lam = select_lambda(StratumData(y=y, z=z), spec, pen, method="reml")
-        fit = fit_gaussian(StratumData(y=y, z=z), spec, pen, lam)
-        # a clearly smooth truth: the restricted likelihood must smooth
-        # without collapsing to either grid end
-        grid = default_lambda_grid(design_matrix(spec, z), pen)
-        assert grid[0] < lam < grid[-1]
-        assert 2.0 < fit.edf < 7.5
-
-    def test_unknown_method_rejected(self, setup):
-        spec, pen = setup
-        data = StratumData(y=np.zeros(30), z=np.linspace(0, 1, 30))
-        with pytest.raises(ParameterError):
-            select_lambda(data, spec, pen, method="aic")
+        assert select_lambda(data, spec, pen).lam == select_lambda(data, spec, pen).lam
 
     def test_binomial_selection_runs(self, setup):
         spec, pen = setup
@@ -416,5 +430,5 @@ class TestSelectLambda:
         n = 600
         z = rng.uniform(0, 1, n)
         y = (rng.random(n) < expit(np.sin(5 * z))).astype(float)
-        lam = select_lambda(StratumData(y=y, z=z, family="binomial"), spec, pen)
-        assert lam > 0
+        fit = select_lambda(StratumData(y=y, z=z, family="binomial"), spec, pen)
+        assert fit.lam > 0

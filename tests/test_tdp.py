@@ -7,7 +7,6 @@ from smoothdiff.errors import ParameterError
 from smoothdiff.tdp import (
     PValueFamily,
     closed_testing_oracle,
-    h_alpha,
     phi_alpha,
     simes_test,
     threshold_regions,
@@ -66,11 +65,11 @@ class TestSimes:
 class TestHAlpha:
     def test_all_ones_gives_n(self):
         fam = PValueFamily(p=np.ones(7), alpha=0.2)
-        assert h_alpha(fam) == 7
+        assert fam.h == 7
 
     def test_all_zeros_gives_zero(self):
         fam = PValueFamily(p=np.zeros(5), alpha=0.05)
-        assert h_alpha(fam) == 0
+        assert fam.h == 0
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(1)
@@ -79,7 +78,7 @@ class TestHAlpha:
             p = rng.uniform(0, 1, n) ** rng.uniform(0.3, 3.0)
             alpha = float(rng.choice([0.05, 0.2]))
             fam = PValueFamily(p=p, alpha=alpha)
-            assert h_alpha(fam) == h_by_tail_enumeration(fam.p, alpha)
+            assert fam.h == h_by_tail_enumeration(fam.p, alpha)
 
 
 class TestPhiAlpha:
@@ -125,7 +124,7 @@ class TestPhiAlpha:
             p = rng.uniform(0, 1, n) ** 2
             lo = PValueFamily(p=p, alpha=0.05)
             hi = PValueFamily(p=p, alpha=0.2)
-            assert h_alpha(lo) >= h_alpha(hi)
+            assert lo.h >= hi.h
             region = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
             assert phi_alpha(lo, region) <= phi_alpha(hi, region)
 

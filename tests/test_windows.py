@@ -5,7 +5,7 @@ from scipy.stats import chi2, kstest
 
 from smoothdiff.basis import difference_penalty, make_basis
 from smoothdiff.errors import NumericalError, ParameterError
-from smoothdiff.fitting import StratumData, StratumFit, fit_gaussian
+from smoothdiff.fitting import StratumData, StratumFit, fit_stratum
 from smoothdiff.windows import (
     sliding_inverses,
     window_stat_correlation,
@@ -225,7 +225,7 @@ class TestWindowStatCovariance:
         rng = np.random.default_rng(8)
         z = rng.uniform(0, 1, 3000)
         y = np.sin(5 * z) + rng.normal(0, 0.4, 3000)
-        fit = fit_gaussian(StratumData(y=y, z=z), spec, pen, 1.0)
+        fit = fit_stratum(StratumData(y=y, z=z), spec, pen, 1.0)
         anchor = 18
         lags = np.arange(0, 9)
         corr = [window_stat_correlation(fit, fit, spec, anchor, anchor + l) for l in lags]
