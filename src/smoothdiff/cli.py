@@ -358,6 +358,8 @@ def _write_sweep_csv(path: str, outcome) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.threads < 1:
+        raise ParameterError(f"--threads must be at least 1, got {args.threads}")
     if args.scenario is not None:
         scenario = load_scenario(args.scenario)
         name = os.path.splitext(os.path.basename(args.scenario))[0]
@@ -393,7 +395,11 @@ def cmd_simulate(args) -> int:
 
     table = outcome.tdp_table if name.startswith("table2") or name == "tableS1" else outcome.error_table
     kind = "mean empirical TDP" if table is outcome.tdp_table else "type 1 error"
-    print(f"{name}: {kind} over {outcome.n_effective} replicates ({outcome.n_failed} failed)")
+    failed = f"{outcome.n_failed} failed"
+    causes = outcome.failures_by_cause
+    if causes:
+        failed += ": " + ", ".join(f"{cause} {count}" for cause, count in causes.items())
+    print(f"{name}: {kind} over {outcome.n_effective} replicates ({failed})")
     taus = scenario.thresholds
     print("          " + "  ".join(f"tdp={t:<5g}" for t in taus))
     for alpha in scenario.alphas:
@@ -618,6 +624,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ParameterError(
                     "diagnose needs either --model or all of --epsilon/--theta/--lambda-p"
                 )
+            if args.max_lag < 0:
+                raise ParameterError(f"--max-lag must be non-negative, got {args.max_lag}")
             return cmd_diagnose(args)
         raise ParameterError(f"unknown command {args.command!r}")
     except ParameterError as exc:

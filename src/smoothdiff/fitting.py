@@ -304,10 +304,72 @@ def _fit_at(
     return fit_at(dm, data, spec, pen, lam)
 
 
+def _grid_scale(dm: DesignMatrix, pen: PenaltyMatrix) -> float:
+    """tr(Z'Z)/tr(S): the lambda at which data and penalty weigh alike."""
+    return float(np.trace(dm.crossprod())) / float(np.trace(pen.S))
+
+
 def default_lambda_grid(dm: DesignMatrix, pen: PenaltyMatrix, n_grid: int = 40) -> np.ndarray:
     """Log-spaced grid spanning [1e-4, 1e4] times tr(Z'Z)/tr(S)."""
-    scale = float(np.trace(dm.crossprod())) / float(np.trace(pen.S))
+    scale = _grid_scale(dm, pen)
     return np.geomspace(1e-4 * scale, 1e4 * scale, n_grid)
+
+
+def _gcv_score(data: StratumData, deviance: float, edf: float, yss: float) -> float:
+    """n * deviance / (n - edf)^2, with rounding-level Gaussian deviance read as zero."""
+    flushed = data.family == "gaussian" and deviance <= 1e-16 * max(yss, 1e-300)
+    dev = 0.0 if flushed else deviance
+    return data.n * dev / (data.n - edf) ** 2
+
+
+def _fitted_grid(
+    dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, grid: np.ndarray
+):
+    """(lam, deviance, edf, fit) at each grid point whose full fit succeeds."""
+    for lam in grid:
+        try:
+            fit = _fit_at(dm, data, spec, pen, float(lam))
+        except NumericalError:
+            continue
+        yield float(lam), fit.deviance, fit.edf, fit
+
+
+def _gaussian_grid(
+    dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, grid: np.ndarray
+):
+    """(lam, deviance, edf, None) at each grid point of a Gaussian fit without fixed effects.
+
+    No inverse is formed. With G = Z'Z, c = tr(G)/tr(S) and M = G + cS, the
+    generalized eigenvalues mu of G v = mu M v lie in [0, 1] and give
+    edf(lam) = sum mu / (mu + (lam/c)(1 - mu)) (Demmler-Reinsch). The
+    deviance comes from one banded Cholesky solve for the coefficients. A
+    point is skipped where `_gaussian_at` would fail: the factorization
+    fails, or edf exhausts n without an exact fit.
+    """
+    gram = dm.crossprod()
+    scale = _grid_scale(dm, pen)
+    try:
+        mu = scipy.linalg.eigh(gram, gram + scale * pen.S, eigvals_only=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("no smoothing parameter candidate could be fit") from exc
+    mu = np.clip(mu, 0.0, 1.0)  # rounding can leave mu just outside [0, 1]
+    bandwidth = max(spec.degree, pen.order)
+    gram_band = band_form(gram, bandwidth)
+    penalty_band = band_form(pen.S, bandwidth)
+    rhs = dm.rhs(data.y)
+    yss = float(data.y @ data.y)
+    for lam in grid:
+        lam = float(lam)
+        try:
+            coef = _banded_coef(gram_band + lam * penalty_band, rhs)
+        except NumericalError:
+            continue
+        edf = float(np.sum(mu / (mu + (lam / scale) * (1.0 - mu))))
+        resid = data.y - dm.predict(coef)
+        rss = float(resid @ resid)
+        if data.n - edf <= 0 and rss > 1e-12 * (yss + 1.0):
+            continue
+        yield lam, rss, edf, None
 
 
 def select_lambda(
@@ -321,7 +383,9 @@ def select_lambda(
     GCV is n * deviance / (n - edf)^2. Deviance at the rounding level is
     treated as an exact fit, so ties resolve toward the heaviest smoothing.
     Returns the fit computed at the selected value (`fit.lam`), which is then
-    held fixed downstream.
+    held fixed downstream. Gaussian fits without fixed effects score the grid
+    without any inverse (`_gaussian_grid`) and fit once at the chosen value;
+    the others keep the full fit of every grid point.
     """
     dm = design_matrix(spec, data.z)
     if grid is None:
@@ -330,18 +394,14 @@ def select_lambda(
     if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0):
         raise ParameterError("lambda grid must be a non-empty vector of positive values")
     _warn_small_sample(data, spec)
+    scored = _gaussian_grid if data.family == "gaussian" and data.X is None else _fitted_grid
     yss = float(data.y @ data.y)
-    best_fit, best_score = None, np.inf
-    for lam in np.sort(grid):
-        try:
-            fit = _fit_at(dm, data, spec, pen, float(lam))
-        except NumericalError:
-            continue
-        flushed = data.family == "gaussian" and fit.deviance <= 1e-16 * max(yss, 1e-300)
-        dev = 0.0 if flushed else fit.deviance
-        score = data.n * dev / (data.n - fit.edf) ** 2
+    best, best_score = None, np.inf
+    for lam, deviance, edf, fit in scored(dm, data, spec, pen, np.sort(grid)):
+        score = _gcv_score(data, deviance, edf, yss)
         if score <= best_score:
-            best_fit, best_score = fit, score
-    if best_fit is None:
+            best, best_score = (lam, fit), score
+    if best is None:
         raise NumericalError("no smoothing parameter candidate could be fit")
-    return best_fit
+    lam, fit = best
+    return fit if fit is not None else _fit_at(dm, data, spec, pen, lam)

@@ -29,6 +29,8 @@ __all__ = [
     "RegionOutcome",
     "ReplicateRecord",
     "SimOutcome",
+    "FAILURE_CAUSES",
+    "failure_cause",
     "replicate_rng",
     "clumped_indices",
     "gen_coefficients",
@@ -122,6 +124,25 @@ class ReplicateRecord:
     message: str = ""
 
 
+# Failure causes in report order, each with the text that marks its messages
+# (raised in fitting and windows); a message matching none is "other".
+_FAILURE_MARKERS = (
+    ("separation", "separation"),
+    ("irls_nonconvergence", "IRLS failed to converge"),
+    ("not_positive_definite", "not positive definite"),
+    ("no_lambda_candidate", "no smoothing parameter candidate"),
+)
+FAILURE_CAUSES = tuple(cause for cause, _ in _FAILURE_MARKERS) + ("other",)
+
+
+def failure_cause(message: str) -> str:
+    """Cause of a failed replicate, one of FAILURE_CAUSES, read from its message."""
+    for cause, marker in _FAILURE_MARKERS:
+        if marker in message:
+            return cause
+    return "other"
+
+
 @dataclass(frozen=True)
 class SimOutcome:
     """Aggregated simulation results: per-cell tables plus raw records."""
@@ -135,6 +156,12 @@ class SimOutcome:
     @property
     def n_effective(self) -> int:
         return len(self.records) - self.n_failed
+
+    @property
+    def failures_by_cause(self) -> dict[str, int]:
+        """Failed replicates per cause, in FAILURE_CAUSES order; causes with none are left out."""
+        causes = [failure_cause(r.message) for r in self.records if r.failed]
+        return {c: causes.count(c) for c in FAILURE_CAUSES if c in causes}
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from smoothdiff import simulate
 from smoothdiff.basis import design_matrix, difference_penalty, make_basis
 from smoothdiff.cli import CURVE_GRID_POINTS, main, pointwise_variance, write_stratum_csv
 from smoothdiff.fitting import select_lambda
@@ -385,6 +386,71 @@ class TestSimulate:
         assert (out_env / "tiny_outcome.json").read_bytes() == (out_flag / "tiny_outcome.json").read_bytes()
 
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        out = tmp_path / "sim"
+        rc = main(
+            ["simulate", "--preset", "table1a", "--replicates", "1", "--threads", threads, "--out", str(out)]
+        )
+        assert rc == 2
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_thread_is_valid(self, tmp_path):
+        scenario = tmp_path / "tiny.scn"
+        scenario.write_text(TINY_SCENARIO)
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(scenario), "--threads", "1", "--out", str(out)]) == 0
+
+    def test_summary_tallies_failures_by_cause(self, tmp_path, capsys, monkeypatch):
+        scenario = tmp_path / "tiny.scn"
+        scenario.write_text(TINY_SCENARIO)
+        messages = {
+            0: "linear predictor diverged (complete or quasi-complete separation)",
+            2: "no smoothing parameter candidate could be fit",
+            3: "linear predictor diverged (complete or quasi-complete separation)",
+        }
+        real = simulate.run_replicate
+
+        def failing(scn, index):
+            rec = real(scn, index)
+            if index not in messages:
+                return rec
+            return simulate.ReplicateRecord(
+                index=index,
+                m_delta=rec.m_delta,
+                true_indices=rec.true_indices,
+                p_values=(),
+                regions=(),
+                truth_region_tdp={},
+                failed=True,
+                message=messages[index],
+            )
+
+        monkeypatch.setattr(simulate, "run_replicate", failing)
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(scenario), "--threads", "1", "--out", str(out)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.endswith("over 2 replicates (3 failed: separation 2, no_lambda_candidate 1)")
+        outcome = json.loads((out / "tiny_outcome.json").read_text())
+        assert outcome["n_failed"] == 3
+        assert "separation" not in json.dumps(outcome["scenario"])
+
+    def test_summary_without_failures(self, tmp_path, capsys):
+        scenario = tmp_path / "tiny.scn"
+        scenario.write_text(TINY_SCENARIO)
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(scenario), "--threads", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith("over 5 replicates (0 failed)")
+
+
+TINY_SCENARIO = (
+    "n_nonzero = 4\nm = 20\ndegree = 2\nn_per_stratum = 500\n"
+    "sigma_b2 = 0.4\nnoise_var = 0.3\nm_delta = 1.5\ndomain = 0 1\n"
+    "alphas = 0.1\nthresholds = 0.9 0.5\nn_replicates = 5\nseed = 5\n"
+)
+
+
 class TestDiagnose:
     def test_parameter_mode_reports_residual_and_rates(self, tmp_path, capsys):
         out = tmp_path / "diag"
@@ -529,3 +595,24 @@ class TestDiagnose:
         path.write_text(json.dumps(model))
         assert self._diagnose_model(tmp_path, path) == 2
         assert "m=21" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lag", ["-1", "-20"])
+    def test_model_mode_negative_max_lag_exits_2(self, tmp_path, capsys, lag):
+        model = self._model_file(tmp_path)
+        path = tmp_path / "fits.json"
+        path.write_text(json.dumps(model))
+        out = tmp_path / "diag"
+        rc = main(["diagnose", "--model", str(path), "--max-lag", lag, "--out", str(out)])
+        assert rc == 2
+        assert f"--max-lag must be non-negative, got {lag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_mode_zero_max_lag_reports_lag_zero(self, tmp_path):
+        model = self._model_file(tmp_path)
+        path = tmp_path / "fits.json"
+        path.write_text(json.dumps(model))
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--model", str(path), "--max-lag", "0", "--out", str(out)]) == 0
+        payload = json.loads((out / "diagnostics.json").read_text())
+        assert [lag for lag, _ in payload["correlations"]] == [0]
+        assert payload["correlations"][0][1] == pytest.approx(1.0)

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit, xlogy
 
 from smoothdiff import fitting
@@ -432,3 +433,157 @@ class TestSelectLambda:
         y = (rng.random(n) < expit(np.sin(5 * z))).astype(float)
         fit = select_lambda(StratumData(y=y, z=z, family="binomial"), spec, pen)
         assert fit.lam > 0
+
+
+def full_fit_gcv_path(data, spec, pen, grid):
+    """Reference GCV path: the full fit, with its inverse, at every sorted grid point.
+
+    Returns (lam, deviance, edf, score) for each point that can be fit, the
+    deviance flushed to zero at the rounding level as select_lambda does.
+    """
+    dm = design_matrix(spec, data.z)
+    yss = float(data.y @ data.y)
+    path = []
+    for lam in np.sort(grid):
+        try:
+            fit = fitting._fit_at(dm, data, spec, pen, float(lam))
+        except NumericalError:
+            continue
+        dev = 0.0 if fit.deviance <= 1e-16 * max(yss, 1e-300) else fit.deviance
+        path.append((float(lam), dev, fit.edf, data.n * dev / (data.n - fit.edf) ** 2))
+    return path
+
+
+def path_argmin(path):
+    """Lambda of the smallest score, ties going to the larger lambda."""
+    best_lam, best_score = None, np.inf
+    for lam, _, _, score in path:
+        if score <= best_score:
+            best_lam, best_score = lam, score
+    return best_lam
+
+
+def eigen_gcv_path(data, spec, pen, grid):
+    """The same (lam, deviance, edf, score) path from the inverse-free Gaussian scoring."""
+    dm = design_matrix(spec, data.z)
+    yss = float(data.y @ data.y)
+    path = []
+    for lam, deviance, edf, _ in fitting._gaussian_grid(dm, data, spec, pen, np.sort(grid)):
+        dev = 0.0 if deviance <= 1e-16 * max(yss, 1e-300) else deviance
+        path.append((lam, dev, edf, fitting._gcv_score(data, deviance, edf, yss)))
+    return path
+
+
+def assert_paths_match(path, ref, data):
+    """Same points, and (deviance, edf, score) equal at rtol 1e-9 up to conditioning.
+
+    Near an exact fit the deviance is a small residual whose rounding scales
+    with y'y, so it also gets the exact-fit threshold 1e-12 y'y of
+    `_gaussian_at` as an absolute allowance. The score's tolerance is the
+    deviance and edf tolerances carried through n * dev / (n - edf)^2.
+    """
+    n, yss = data.n, float(data.y @ data.y)
+    assert [p[0] for p in path] == [r[0] for r in ref]
+    for (_, dev, edf, score), (_, ref_dev, ref_edf, ref_score) in zip(path, ref):
+        assert dev == pytest.approx(ref_dev, rel=1e-9, abs=1e-12 * yss)
+        assert edf == pytest.approx(ref_edf, rel=1e-9, abs=0.0)
+        rest = n - ref_edf
+        score_tol = 1e-9 * ref_score * (1 + 2 * ref_edf / rest) + n * 1e-12 * yss / rest**2
+        assert score == pytest.approx(ref_score, rel=0.0, abs=score_tol)
+
+
+def gaussian_fixture(kind, m, degree, n, seed):
+    """One Gaussian stratum without fixed effects, its basis and penalty."""
+    spec = make_basis(0.0, 1.0, m, degree)
+    pen = difference_penalty(m, 2)
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0, 1, n)
+    if kind == "constant":
+        # constant coefficients fit exactly at every lambda (penalty null space)
+        y = np.full(n, 2.5)
+    elif kind == "noise":
+        y = rng.normal(0, 1, n)
+    else:
+        y = np.sin(5 * z) + 0.3 * z + rng.normal(0, 0.4, n)
+    return StratumData(y=y, z=z), spec, pen
+
+
+# (kind, m, degree, n, seed); "small" has n <= m
+GAUSSIAN_FIXTURES = [
+    ("signal", 8, 2, 50, 1),
+    ("signal", 8, 2, 200, 22),
+    ("noise", 8, 2, 120, 12),
+    ("signal", 20, 3, 1500, 17),
+    ("signal", 30, 1, 1000, 18),
+    ("constant", 8, 2, 90, 3),
+    ("small", 12, 3, 9, 4),
+    ("small", 20, 2, 20, 5),
+]
+
+
+class TestGaussianGcvPath:
+    @pytest.mark.parametrize("fixture", GAUSSIAN_FIXTURES)
+    def test_matches_full_fit_path(self, fixture):
+        data, spec, pen = gaussian_fixture(*fixture)
+        grid = default_lambda_grid(design_matrix(spec, data.z), pen)
+        ref = full_fit_gcv_path(data, spec, pen, grid)
+        assert ref
+        assert_paths_match(eigen_gcv_path(data, spec, pen, grid), ref, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert select_lambda(data, spec, pen).lam == path_argmin(ref)
+
+    def test_constant_outcome_flushes_every_point(self):
+        data, spec, pen = gaussian_fixture(*GAUSSIAN_FIXTURES[5])
+        grid = default_lambda_grid(design_matrix(spec, data.z), pen)
+        assert all(score == 0.0 for *_, score in eigen_gcv_path(data, spec, pen, grid))
+
+    @pytest.mark.parametrize("fixture", [GAUSSIAN_FIXTURES[0], GAUSSIAN_FIXTURES[6]])
+    def test_one_point_grid(self, fixture):
+        data, spec, pen = gaussian_fixture(*fixture)
+        grid = np.asarray([0.37])
+        path = eigen_gcv_path(data, spec, pen, grid)
+        assert_paths_match(path, full_fit_gcv_path(data, spec, pen, grid), data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert select_lambda(data, spec, pen, grid=grid).lam == 0.37
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(6, 40),
+        degree=st.integers(1, 3),
+        n=st.integers(5, 400),
+        noise=st.floats(0.01, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scores_match_full_fit_path(self, m, degree, n, noise, seed):
+        spec = make_basis(0.0, 1.0, m, degree)
+        pen = difference_penalty(m, 2)
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(0, 1, n)
+        data = StratumData(y=np.cos(3 * z) + rng.normal(0, noise, n), z=z)
+        grid = default_lambda_grid(design_matrix(spec, z), pen)
+        path = eigen_gcv_path(data, spec, pen, grid)
+        assert_paths_match(path, full_fit_gcv_path(data, spec, pen, grid), data)
+
+    def test_singular_system_has_no_candidate(self, setup):
+        # every row outside the basis domain: Z'Z = 0, so no lambda can be fit
+        spec, pen = setup
+        data = StratumData(y=np.ones(30), z=np.full(30, 2.0))
+        with pytest.raises(NumericalError, match="no smoothing parameter candidate"):
+            select_lambda(data, spec, pen, grid=np.asarray([0.1, 1.0]))
+
+    @pytest.mark.parametrize("fixture", [GAUSSIAN_FIXTURES[1], GAUSSIAN_FIXTURES[6]])
+    def test_one_inverse_per_select_lambda(self, fixture, monkeypatch):
+        data, spec, pen = gaussian_fixture(*fixture)
+        calls = []
+
+        def counting(a, bandwidth=None):
+            calls.append(a.shape)
+            return penalized_inverse(a, bandwidth)
+
+        monkeypatch.setattr(fitting, "penalized_inverse", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            select_lambda(data, spec, pen)
+        assert calls == [(spec.m, spec.m)]

@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, chisquare
 
-from smoothdiff.basis import design_matrix
-from smoothdiff.errors import ParameterError
+from smoothdiff import fitting
+from smoothdiff.basis import design_matrix, difference_penalty, make_basis
+from smoothdiff.errors import NumericalError, ParameterError
+from smoothdiff.fitting import StratumData, fit_stratum, select_lambda
 from smoothdiff.tdp import PValueFamily, phi_alpha
 from smoothdiff.simulate import (
     EXACT_MODEL_CASES,
+    FAILURE_CAUSES,
     SimScenario,
     clumped_indices,
     exact_model_error_rates,
+    failure_cause,
     gen_coefficients,
     gen_stratum,
     outcome_to_json,
@@ -22,6 +26,7 @@ from smoothdiff.simulate import (
     run_scenario,
     table_csv_lines,
 )
+from smoothdiff.windows import sliding_inverses
 
 
 def small_scenario(**overrides):
@@ -288,3 +293,70 @@ class TestExactModelErrorRates:
             mean, _, n = rates[key]
             assert n == n_reps
             assert mean == rate
+
+
+def raised_message(fn, *args, **kwargs) -> str:
+    with pytest.raises(NumericalError) as exc:
+        fn(*args, **kwargs)
+    return str(exc.value)
+
+
+def binary_stratum(z, rng):
+    return StratumData(y=(rng.random(z.size) < 0.5).astype(float), z=z, family="binomial")
+
+
+class TestFailureCause:
+    """Each cause is read from a message the package really raises."""
+
+    @pytest.fixture
+    def basis(self):
+        return make_basis(0.0, 1.0, 8, 2), difference_penalty(8, 2)
+
+    def test_separation(self, basis):
+        spec, pen = basis
+        data = StratumData(y=np.ones(200), z=np.linspace(0, 1, 200), family="binomial")
+        assert failure_cause(raised_message(fit_stratum, data, spec, pen, 0.5)) == "separation"
+
+    def test_irls_nonconvergence(self, basis, monkeypatch):
+        spec, pen = basis
+        monkeypatch.setattr(fitting, "MAX_IRLS_ITER", 1)
+        rng = np.random.default_rng(1)
+        data = binary_stratum(rng.uniform(0, 1, 300), rng)
+        message = raised_message(fit_stratum, data, spec, pen, 0.5)
+        assert failure_cause(message) == "irls_nonconvergence"
+
+    def test_not_positive_definite(self, basis):
+        # no data beyond z = 0.3: at lambda = 0 the penalized system is singular
+        spec, pen = basis
+        rng = np.random.default_rng(2)
+        data = binary_stratum(rng.uniform(0, 0.3, 200), rng)
+        message = raised_message(fit_stratum, data, spec, pen, 0.0)
+        assert failure_cause(message) == "not_positive_definite"
+        message = raised_message(sliding_inverses, np.zeros((6, 6)), 3)
+        assert failure_cause(message) == "not_positive_definite"
+
+    def test_no_lambda_candidate(self, basis):
+        spec, pen = basis
+        gaussian = StratumData(y=np.ones(30), z=np.full(30, 2.0))  # outside the domain
+        grid = np.asarray([0.1, 1.0])
+        message = raised_message(select_lambda, gaussian, spec, pen, grid)
+        assert failure_cause(message) == "no_lambda_candidate"
+        separated = StratumData(y=np.ones(200), z=np.linspace(0, 1, 200), family="binomial")
+        message = raised_message(select_lambda, separated, spec, pen, grid)
+        assert failure_cause(message) == "no_lambda_candidate"
+
+    def test_other(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(6, 6))
+        message = raised_message(sliding_inverses, a @ a.T + np.eye(6), 3, None, 0.0)
+        assert message.startswith("incremental inverse drifted")
+        assert failure_cause(message) == "other"
+
+    def test_causes_in_report_order(self):
+        assert FAILURE_CAUSES == (
+            "separation",
+            "irls_nonconvergence",
+            "not_positive_definite",
+            "no_lambda_candidate",
+            "other",
+        )
