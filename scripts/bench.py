@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Run the benchmark over fixed seeds and record one point of the BENCH trajectory.
+
+    python3 scripts/bench.py --label baseline
+    python3 scripts/bench.py --label mychange --repo ../other-checkout
+
+For every workload and each of the fixed seeds 1-5 this runs a 20 s
+`perfbench/run.py --trace 0` of the checkout at `--repo` (default: the
+checkout holding this script) in a fresh process, one run at a time. It writes `BENCH_<label>.json` in the
+current directory with each end-to-end metric's median and quartiles over
+the seeds, every run's values, the environment block the benchmark prints,
+and the git revision measured (`dirty` is true when tracked files differ
+from it). The script exits 1 when any run fails the correctness gate.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("analyze_m120", "analyze_m500", "simulate_binomial")
+# Fixed so that the committed BENCH_*.json files compare with one another.
+SEEDS = (1, 2, 3, 4, 5)
+SECONDS = 20.0
+
+
+def git_revision(repo: str) -> dict:
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-C", repo, *args], capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+
+
+def run_once(repo: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """(result line, environment block) of one `perfbench/run.py` run."""
+    cmd = [
+        sys.executable, "perfbench/run.py",
+        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(cmd, cwd=repo, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{workload} seed {seed}: exit {proc.returncode}\n{proc.stderr.strip()}")
+    env = next((json.loads(line[len("# env "):]) for line in lines if line.startswith("# env ")), {})
+    return json.loads(lines[-1]), env
+
+
+def summarize(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method, so one run gives all three equal)."""
+    if len(values) == 1:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--label", required=True, help="name of this point; the file is BENCH_<label>.json")
+    parser.add_argument("--repo", default=ROOT, help="checkout whose perfbench/run.py and src/ are measured")
+    args = parser.parse_args(argv)
+
+    record = {
+        "label": args.label,
+        "revision": git_revision(args.repo),
+        "seeds": list(SEEDS),
+        "seconds": SECONDS,
+        "environment": None,
+        "workloads": {},
+    }
+    ok = True
+    for workload in WORKLOADS:
+        runs = []
+        for seed in SEEDS:
+            result, env = run_once(args.repo, workload, seed, SECONDS)
+            record["environment"] = record["environment"] or env
+            metrics = {name: m["value"] for name, m in result["metrics"].items()}
+            runs.append({"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
+                         "failed": result["failed"], "metrics": metrics})
+            ok = ok and result["correct"] and result["failed"] == 0
+            print(f"{workload} seed {seed}: " + " ".join(f"{k}={v:.4g}" for k, v in metrics.items()), flush=True)
+        names = runs[0]["metrics"]
+        record["workloads"][workload] = {
+            "metrics": {name: summarize([r["metrics"][name] for r in runs]) for name in names},
+            "runs": runs,
+        }
+    out = f"BENCH_{args.label}.json"
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {out}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

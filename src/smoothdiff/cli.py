@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
-from .fitting import StratumData, StratumFit, fit_stratum, select_lambda
+from .fitting import StratumData, StratumFit, band_covariance, fit_stratum, select_lambda
 from .simulate import (
     SimScenario,
     outcome_to_json,
@@ -30,6 +30,9 @@ from .windows import window_stat_correlation, window_statistics
 SEED_ENV_VAR = "SMOOTHDIFF_SEED"
 CURVE_GRID_POINTS = 201
 BAND_MULTIPLIER = 1.96
+# fits.json layout: 2 stores each stratum's `precision_band`; 1 (no
+# "format" key) stored the dense `cov` of every stratum.
+MODEL_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,7 @@ def write_stratum_csv(path: str, data1: StratumData, data2: StratumData) -> None
 
 
 def _fit_payload(fit: StratumFit, lam_source: str) -> dict:
-    return {
+    payload = {
         "lambda": fit.lam,
         "lambda_source": lam_source,
         "dispersion": fit.dispersion,
@@ -159,8 +162,14 @@ def _fit_payload(fit: StratumFit, lam_source: str) -> dict:
         "n_obs": fit.n_obs,
         "coef": [float(c) for c in fit.coef],
         "beta": [float(b) for b in fit.beta],
-        "cov": [[float(v) for v in row] for row in fit.cov],
     }
+    if fit.precision_band is None:
+        # With fixed effects the covariance inverts a dense Schur complement
+        # A - Zx (X'WX)^{-1} Zx', which has no band to store.
+        payload["cov"] = [[float(v) for v in row] for row in fit.cov]
+    else:
+        payload["precision_band"] = [[float(v) for v in row] for row in fit.precision_band]
+    return payload
 
 
 def pointwise_variance(design: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -196,6 +205,7 @@ def cmd_analyze(config: AnalysisConfig) -> int:
 
     os.makedirs(config.out, exist_ok=True)
     fits_payload = {
+        "format": MODEL_FORMAT,
         "basis": {
             "degree": spec.degree,
             "m": spec.m,
@@ -408,7 +418,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_MODEL_FIT_KEYS = ("coef", "beta", "lambda", "dispersion", "cov", "edf", "family", "deviance", "n_obs")
+_MODEL_FIT_KEYS = ("coef", "beta", "lambda", "dispersion", "edf", "family", "deviance", "n_obs")
 
 
 def _model_field(path: str, obj, key: str, where: str):
@@ -417,8 +427,45 @@ def _model_field(path: str, obj, key: str, where: str):
     return obj[key]
 
 
+def _model_matrix(path: str, value, where: str) -> np.ndarray:
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{path}: {where} is not a numeric matrix ({exc})") from exc
+    if not np.all(np.isfinite(out)):
+        raise ParameterError(f"{path}: {where} holds a non-finite entry")
+    return out
+
+
+def _model_covariance(path: str, entry: dict, i: int, m: int, dispersion: float):
+    """(cov, precision_band) of strata[i]: rebuilt from its band, or read dense.
+
+    Format-1 files and strata with fixed effects hold the dense `cov`.
+    """
+    if "precision_band" in entry:
+        where = f"strata[{i}].'precision_band'"
+        band = _model_matrix(path, entry["precision_band"], where)
+        if band.ndim != 2 or band.shape[0] < 1 or band.shape[1] != m:
+            raise ParameterError(
+                f"{path}: {where} has shape {band.shape}, expected (rows >= 1, m={m})"
+            )
+        try:
+            return band_covariance(band, dispersion), band
+        except NumericalError as exc:
+            raise ParameterError(f"{path}: {where} is not positive definite ({exc})") from exc
+    if "cov" in entry:
+        where = f"strata[{i}].'cov'"
+        cov = _model_matrix(path, entry["cov"], where)
+        if cov.shape != (m, m):
+            raise ParameterError(f"{path}: {where} does not match basis dimension m={m}")
+        return cov, None
+    raise ParameterError(
+        f"{path}: model file lacks key strata[{i}].'precision_band' (or strata[{i}].'cov')"
+    )
+
+
 def load_model(path: str):
-    """Basis and the two stratum fits from an analyze fits.json."""
+    """Basis and the two stratum fits from an analyze fits.json (format 1 or 2)."""
     try:
         with open(path, encoding="utf-8") as fh:
             model = json.load(fh)
@@ -429,28 +476,39 @@ def load_model(path: str):
     strata = _model_field(path, model, "strata", "")
     if not isinstance(strata, list) or len(strata) != 2:
         raise ParameterError(f"{path}: 'strata' must list exactly 2 fits")
+    fmt = model.get("format", 1)
+    if fmt not in (1, MODEL_FORMAT):
+        raise ParameterError(f"{path}: unknown model format {fmt!r} (expected 1 or {MODEL_FORMAT})")
     try:
         spec = make_basis(float(domain[0]), float(domain[1]), int(m), int(degree))
         fits = []
         for i, entry in enumerate(strata):
             f = {k: _model_field(path, entry, k, f"strata[{i}].") for k in _MODEL_FIT_KEYS}
+            coef = np.asarray(f["coef"], dtype=float)
+            if coef.shape != (spec.m,):
+                raise ParameterError(
+                    f"{path}: strata[{i}].'coef' does not match basis dimension m={spec.m}"
+                )
+            dispersion = float(f["dispersion"])
+            if not (np.isfinite(dispersion) and dispersion >= 0):
+                raise ParameterError(
+                    f"{path}: strata[{i}].'dispersion' = {dispersion!r} is not finite and non-negative"
+                )
+            cov, band = _model_covariance(path, entry, i, spec.m, dispersion)
             fits.append(
                 StratumFit(
-                    coef=np.asarray(f["coef"], dtype=float),
+                    coef=coef,
                     beta=np.asarray(f["beta"], dtype=float),
                     lam=f["lambda"],
-                    dispersion=f["dispersion"],
-                    cov=np.asarray(f["cov"], dtype=float),
+                    dispersion=dispersion,
+                    cov=cov,
                     edf=f["edf"],
                     family=f["family"],
                     deviance=f["deviance"],
                     n_obs=f["n_obs"],
+                    precision_band=band,
                 )
             )
-            if fits[-1].coef.shape != (spec.m,) or fits[-1].cov.shape != (spec.m, spec.m):
-                raise ParameterError(
-                    f"{path}: strata[{i}] coef/cov do not match basis dimension m={spec.m}"
-                )
     except ParameterError:
         raise
     except (TypeError, ValueError, IndexError) as exc:

@@ -4,7 +4,9 @@ Gaussian outcomes are fit by penalized least squares, binary outcomes by
 penalized IRLS; both return the coefficient vector together with the
 posterior covariance of the coefficients, phi * (Z'WZ + lambda S)^{-1}
 (or the inverse Schur complement of the fixed-effect block when extra
-covariates are present). The smoothing parameter is chosen by GCV on a
+covariates are present). Without fixed effects a fit also keeps the upper
+band of A = Z'WZ + lambda S, from which `band_covariance` rebuilds the
+covariance bit for bit. The smoothing parameter is chosen by GCV on a
 log-spaced grid and then treated as fixed.
 """
 
@@ -30,6 +32,7 @@ from .errors import NumericalError, ParameterError
 __all__ = [
     "StratumData",
     "StratumFit",
+    "band_covariance",
     "fit_stratum",
     "select_lambda",
 ]
@@ -84,7 +87,14 @@ class StratumData:
 
 @dataclass(frozen=True)
 class StratumFit:
-    """Fitted coefficients, smoothing parameter, dispersion and posterior covariance."""
+    """Fitted coefficients, smoothing parameter, dispersion and posterior covariance.
+
+    `precision_band` is the upper band (solveh_banded layout) of the
+    unit-dispersion precision A = Z'WZ + lambda S that the fit inverted, so
+    that `cov == band_covariance(precision_band, dispersion)` exactly. It is
+    None for fits with fixed effects, whose covariance inverts a dense Schur
+    complement.
+    """
 
     coef: np.ndarray
     beta: np.ndarray
@@ -95,6 +105,7 @@ class StratumFit:
     family: str
     deviance: float
     n_obs: int
+    precision_band: np.ndarray | None = None
 
 
 def penalized_inverse(a: np.ndarray, bandwidth: int | None = None) -> np.ndarray:
@@ -123,6 +134,24 @@ def _cov_edf(a: np.ndarray, gram: np.ndarray, bandwidth: int | None) -> tuple[np
     return ainv, float(np.sum(ainv * gram))
 
 
+def _scaled_covariance(cov_unit: np.ndarray, dispersion: float) -> np.ndarray:
+    """dispersion * cov_unit, symmetrized."""
+    cov = dispersion * cov_unit
+    return 0.5 * (cov + cov.T)
+
+
+def band_covariance(band: np.ndarray, dispersion: float) -> np.ndarray:
+    """Posterior covariance dispersion * A^{-1} from A's upper band storage.
+
+    The band is a fit's `precision_band`; the inverse takes the same
+    `penalized_inverse` path as the fit did (banded, or dense Cholesky when
+    the band covers the whole matrix), so the result equals `fit.cov` bit
+    for bit.
+    """
+    cov_unit = penalized_inverse(expand_band(band), band.shape[0] - 1)
+    return _scaled_covariance(cov_unit, dispersion)
+
+
 def _banded_coef(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A coef = rhs from A's upper band by one banded Cholesky factorization."""
     try:
@@ -149,17 +178,18 @@ def _solve_penalized(
     resp: np.ndarray,
     w: np.ndarray | None,
     bandwidth: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray | None]:
     """Solve the penalized (weighted) normal equations.
 
-    Returns (beta, coef, cov_unit, edf) where cov_unit is the unit-dispersion
-    posterior covariance of the spline coefficients.
+    Returns (beta, coef, cov_unit, edf, band) where cov_unit is the
+    unit-dispersion posterior covariance of the spline coefficients and band
+    the upper band of the matrix it inverts (None with fixed effects).
     """
     ztz = dm.crossprod(w)
     a = ztz + lam * pen.S
     if data.X is None:
         ainv, edf = _cov_edf(a, ztz, bandwidth)
-        return np.zeros(0), ainv @ dm.rhs(resp, w), ainv, edf
+        return np.zeros(0), ainv @ dm.rhs(resp, w), ainv, edf, band_form(a, bandwidth)
 
     # Fixed effects present: solve the full block system. A minimum-norm
     # solve keeps the fitted values defined even when the spline spans a
@@ -179,7 +209,7 @@ def _solve_penalized(
         cov_unit = penalized_inverse(schur, None)
     except NumericalError:
         cov_unit = np.linalg.pinv(schur)
-    return beta, coef, cov_unit, edf
+    return beta, coef, cov_unit, edf, None
 
 
 def _linear_predictor(dm: DesignMatrix, data: StratumData, beta: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -193,7 +223,7 @@ def _gaussian_at(
     dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, lam: float
 ) -> StratumFit:
     bandwidth = max(spec.degree, pen.order)
-    beta, coef, cov_unit, edf = _solve_penalized(dm, data, pen, lam, data.y, None, bandwidth)
+    beta, coef, cov_unit, edf, band = _solve_penalized(dm, data, pen, lam, data.y, None, bandwidth)
     resid = data.y - _linear_predictor(dm, data, beta, coef)
     rss = float(resid @ resid)
     denom = data.n - edf
@@ -206,18 +236,17 @@ def _gaussian_at(
             )
     else:
         dispersion = rss / denom
-    cov = dispersion * cov_unit
-    cov = 0.5 * (cov + cov.T)
     return StratumFit(
         coef=coef,
         beta=beta,
         lam=float(lam),
         dispersion=dispersion,
-        cov=cov,
+        cov=_scaled_covariance(cov_unit, dispersion),
         edf=edf,
         family="gaussian",
         deviance=rss,
         n_obs=data.n,
+        precision_band=band,
     )
 
 
@@ -249,7 +278,7 @@ def _binomial_at(
             ab[bandwidth + 1 - gram.shape[0] :] += gram
             coef = _banded_coef(ab, dm.rhs(u, w))
         else:
-            beta, coef, cov_unit, edf = _solve_penalized(dm, data, pen, lam, u, w, bandwidth)
+            beta, coef, cov_unit, edf, ab = _solve_penalized(dm, data, pen, lam, u, w, bandwidth)
         eta = _linear_predictor(dm, data, beta, coef)
         if np.max(np.abs(eta)) > ETA_DIVERGENCE:
             raise NumericalError(
@@ -268,19 +297,19 @@ def _binomial_at(
             f"deviance trace tail {trace[-4:]}"
         )
     if data.X is None:
-        ztz = expand_band(gram)
-        cov_unit, edf = _cov_edf(ztz + lam * pen.S, ztz, bandwidth)
-    cov = 0.5 * (cov_unit + cov_unit.T)
+        # The covariance inverts the last iteration's A, whose band is `ab`.
+        cov_unit, edf = _cov_edf(expand_band(ab), expand_band(gram), bandwidth)
     return StratumFit(
         coef=coef,
         beta=beta,
         lam=float(lam),
         dispersion=1.0,
-        cov=cov,
+        cov=_scaled_covariance(cov_unit, 1.0),
         edf=edf,
         family="binomial",
         deviance=deviance,
         n_obs=data.n,
+        precision_band=ab,
     )
 
 

@@ -170,17 +170,17 @@ def window_stat_covariance(
     The coefficient-difference windows are jointly Gaussian with covariance
     blocks drawn from V1 + V2, and each statistic is a quadratic form in its
     window precision, so the quadratic-form covariance identity applies.
+    Only the 2w x 2w submatrix of V1 + V2 on the two windows is summed.
     """
     w = spec.degree + 1
     n_windows = spec.n_regions
     if not (0 <= k < n_windows and 0 <= k2 < n_windows):
         raise ParameterError(f"window indices must lie in [0, {n_windows})")
-    vsum = fit1.cov + fit2.cov
-    sl1 = slice(k, k + w)
-    sl2 = slice(k2, k2 + w)
-    sigma = np.block([[vsum[sl1, sl1], vsum[sl1, sl2]], [vsum[sl2, sl1], vsum[sl2, sl2]]])
-    a = _direct_inverse(vsum[sl1, sl1], k)
-    b = _direct_inverse(vsum[sl2, sl2], k2)
+    idx = np.r_[k : k + w, k2 : k2 + w]
+    block = np.ix_(idx, idx)
+    sigma = fit1.cov[block] + fit2.cov[block]
+    a = _direct_inverse(sigma[:w, :w], k)
+    b = _direct_inverse(sigma[w:, w:], k2)
     problem = QuadFormProblem(A=0.5 * (a + a.T), B=0.5 * (b + b.T), sigma=0.5 * (sigma + sigma.T))
     return cov_quadratic_forms(problem)
 

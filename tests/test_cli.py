@@ -6,7 +6,7 @@ import pytest
 
 from smoothdiff import simulate
 from smoothdiff.basis import design_matrix, difference_penalty, make_basis
-from smoothdiff.cli import CURVE_GRID_POINTS, main, pointwise_variance, write_stratum_csv
+from smoothdiff.cli import CURVE_GRID_POINTS, load_model, main, pointwise_variance, write_stratum_csv
 from smoothdiff.fitting import select_lambda
 from smoothdiff.simulate import SimScenario, gen_coefficients, gen_stratum, replicate_rng
 from smoothdiff.tdp import threshold_regions
@@ -213,10 +213,10 @@ class TestAnalyze:
              "--domain", "0", "1", "--out", str(out)]
         )
         assert rc == 0
-        model = json.loads((out / "fits.json").read_text())
+        _, fits = load_model(str(out / "fits.json"))
         spec = make_basis(0.0, 1.0, 20, 2)
         D = design_matrix(spec, np.linspace(0.0, 1.0, CURVE_GRID_POINTS)).dense
-        covs = [np.asarray(entry["cov"]) for entry in model["strata"]]
+        covs = [fit.cov for fit in fits]
         rng = np.random.default_rng(3)
         a = rng.normal(size=(20, 20))
         covs.append(a @ a.T + np.eye(20))
@@ -573,7 +573,7 @@ class TestDiagnose:
         [
             (("strata",), "'strata'"),
             (("basis", "m"), "basis.'m'"),
-            (("strata", 1, "cov"), "strata[1].'cov'"),
+            (("strata", 1, "precision_band"), "strata[1].'precision_band'"),
         ],
     )
     def test_model_mode_missing_key_exits_2(self, tmp_path, capsys, drop, key):
@@ -616,3 +616,124 @@ class TestDiagnose:
         payload = json.loads((out / "diagnostics.json").read_text())
         assert [lag for lag, _ in payload["correlations"]] == [0]
         assert payload["correlations"][0][1] == pytest.approx(1.0)
+
+
+def analyze_to(out, data1, data2, basis_dim=20, family="gaussian"):
+    """Run analyze on the two strata (written as one CSV beside `out`); its fits.json as a dict."""
+    path = out.parent / f"{out.name}.csv"
+    write_stratum_csv(path, data1, data2)
+    rc = main(
+        ["analyze", "--data", str(path), "--basis-dim", str(basis_dim), "--degree", "2",
+         "--domain", "0", "1", "--family", family, "--out", str(out)]
+    )
+    assert rc == 0
+    return json.loads((out / "fits.json").read_text())
+
+
+def diagnose_files(model_path, out):
+    """correlation_table.csv and diagnostics.json bytes of diagnose --model."""
+    assert main(["diagnose", "--model", str(model_path), "--max-lag", "6", "--out", str(out)]) == 0
+    return [(out / name).read_bytes() for name in ("correlation_table.csv", "diagnostics.json")]
+
+
+class TestModelFile:
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_loaded_cov_is_bitwise_the_fit_cov(self, tmp_path, family):
+        scn, data1, data2 = make_pair(seed=7, family=family)
+        analyze_to(tmp_path / "out", data1, data2, family=family)
+        spec, loaded = load_model(str(tmp_path / "out" / "fits.json"))
+        pen = difference_penalty(scn.m, scn.penalty_order)
+        for data, fit in zip((data1, data2), loaded):
+            direct = select_lambda(data, spec, pen)
+            assert np.array_equal(fit.cov, direct.cov)
+            assert np.array_equal(fit.precision_band, direct.precision_band)
+            assert np.array_equal(fit.coef, direct.coef)
+
+    def test_band_file_holds_o_m_numbers_and_no_cov(self, tmp_path):
+        _, data1, data2 = make_pair(seed=7)
+        m = 60
+        model = analyze_to(tmp_path / "out", data1, data2, basis_dim=m)
+        assert model["format"] == 2
+        for entry in model["strata"]:
+            assert "cov" not in entry
+            band = np.asarray(entry["precision_band"])
+            assert band.shape == (3, m)  # bandwidth max(degree 2, penalty order 2)
+            numbers = sum(np.size(v) for v in entry.values() if not isinstance(v, str))
+            assert numbers <= 5 * m
+
+    def test_dense_format_1_file_gives_identical_diagnostics(self, tmp_path):
+        _, data1, data2 = make_pair(seed=13, n=800)
+        model = analyze_to(tmp_path / "out", data1, data2)
+        path2 = tmp_path / "out" / "fits.json"
+        _, fits = load_model(str(path2))
+        del model["format"]
+        for entry, fit in zip(model["strata"], fits):
+            del entry["precision_band"]
+            entry["cov"] = [[float(v) for v in row] for row in fit.cov]
+        path1 = tmp_path / "dense.json"
+        path1.write_text(json.dumps(model, sort_keys=True, indent=1))
+        assert diagnose_files(path1, tmp_path / "d1") == diagnose_files(path2, tmp_path / "d2")
+
+    def test_fixed_effect_strata_keep_dense_cov(self, tmp_path):
+        _, data1, data2 = make_pair(seed=13, n=800)
+        rng = np.random.default_rng(4)
+        path = tmp_path / "x.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("y,z,stratum,x_age\n")
+            for label, data in (("1", data1), ("2", data2)):
+                x = rng.normal(size=data.n)
+                for yi, zi, xi in zip(data.y + 0.3 * x, data.z, x):
+                    fh.write(f"{float(yi)!r},{float(zi)!r},{label},{float(xi)!r}\n")
+        out = tmp_path / "out"
+        rc = main(["analyze", "--data", str(path), "--basis-dim", "20", "--degree", "2",
+                   "--domain", "0", "1", "--out", str(out)])
+        assert rc == 0
+        model = json.loads((out / "fits.json").read_text())
+        for entry in model["strata"]:
+            assert "precision_band" not in entry
+            assert np.asarray(entry["cov"]).shape == (20, 20)
+            assert len(entry["beta"]) == 1
+        diag = tmp_path / "diag"
+        assert main(["diagnose", "--model", str(out / "fits.json"), "--out", str(diag)]) == 0
+        assert (diag / "correlation_table.csv").exists()
+
+    @pytest.mark.parametrize(
+        "corrupt, problem",
+        [
+            (lambda band: [row[:-1] for row in band], "has shape (3, 19)"),
+            (lambda band: [], "has shape (0,)"),
+            (lambda band: [band[0][:-1]] + band[1:], "is not a numeric matrix"),
+            (lambda band: [band[0], band[1], band[2][:5] + [float("nan")] + band[2][6:]], "non-finite"),
+            (lambda band: [band[0], band[1], [float("inf")] * len(band[2])], "non-finite"),
+            (lambda band: [band[0], band[1], [-abs(v) for v in band[2]]], "not positive definite"),
+        ],
+        ids=["columns", "no_rows", "ragged", "nan", "inf", "not_pd"],
+    )
+    def test_bad_precision_band_exits_2(self, tmp_path, capsys, corrupt, problem):
+        _, data1, data2 = make_pair(seed=13, n=800)
+        model = analyze_to(tmp_path / "out", data1, data2)
+        entry = model["strata"][0]
+        entry["precision_band"] = corrupt(entry["precision_band"])
+        path = tmp_path / "bad_band.json"
+        path.write_text(json.dumps(model))
+        assert main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")]) == 2
+        err = capsys.readouterr().err
+        assert "bad_band.json" in err and "strata[0].'precision_band'" in err and problem in err
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("format", 3, "unknown model format 3"),
+            ("dispersion", float("nan"), "strata[1].'dispersion' = nan"),
+            ("dispersion", -1.0, "strata[1].'dispersion' = -1.0"),
+        ],
+    )
+    def test_bad_model_field_exits_2(self, tmp_path, capsys, key, value, problem):
+        _, data1, data2 = make_pair(seed=13, n=800)
+        model = analyze_to(tmp_path / "out", data1, data2)
+        (model if key == "format" else model["strata"][1])[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(model))
+        assert main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")]) == 2
+        err = capsys.readouterr().err
+        assert "bad.json" in err and problem in err

@@ -1,16 +1,19 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit, xlogy
 
 from smoothdiff import fitting
-from smoothdiff.basis import design_matrix, difference_penalty, make_basis
+from smoothdiff.basis import design_matrix, difference_penalty, expand_band, make_basis
 from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import (
     StratumData,
     _binomial_deviance,
+    band_covariance,
     default_lambda_grid,
     fit_stratum,
     penalized_inverse,
@@ -360,7 +363,7 @@ class TestStratumDataValidation:
 
 
 def assert_fits_bitwise_equal(a, b):
-    for name in ("coef", "beta", "cov"):
+    for name in ("coef", "beta", "cov", "precision_band"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for name in ("lam", "dispersion", "edf", "family", "deviance", "n_obs"):
         assert getattr(a, name) == getattr(b, name), name
@@ -587,3 +590,71 @@ class TestGaussianGcvPath:
             warnings.simplefilter("ignore", UserWarning)
             select_lambda(data, spec, pen)
         assert calls == [(spec.m, spec.m)]
+
+
+def json_round_trip(value):
+    return json.loads(json.dumps(value))
+
+
+class TestPrecisionBand:
+    """A fit's precision band, stored as JSON, rebuilds its covariance bit for bit."""
+
+    @staticmethod
+    def fixture(family, m, degree, seed=31):
+        spec = make_basis(0.0, 1.0, m, degree)
+        pen = difference_penalty(m, 2)
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(0, 1, 600)
+        if family == "gaussian":
+            y = np.sin(5 * z) + rng.normal(0, 0.4, z.size)
+        else:
+            y = (rng.random(z.size) < expit(1.5 * np.sin(5 * z))).astype(float)
+        return StratumData(y=y, z=z, family=family), spec, pen
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @pytest.mark.parametrize("m", [3, 40])
+    def test_band_rebuilds_cov_bitwise(self, family, degree, m):
+        m = max(m, degree + 2)
+        data, spec, pen = self.fixture(family, m, degree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit = select_lambda(data, spec, pen)
+        bandwidth = max(degree, pen.order)
+        assert fit.precision_band.shape == (bandwidth + 1, m)
+        band = np.asarray(json_round_trip(fit.precision_band.tolist()))
+        cov = band_covariance(band, json_round_trip(fit.dispersion))
+        assert np.array_equal(cov, fit.cov)
+        # it is the matrix the fit inverted: A cov = dispersion * I
+        np.testing.assert_allclose(
+            expand_band(band) @ fit.cov, fit.dispersion * np.eye(m), atol=1e-8 * fit.dispersion
+        )
+
+    def test_small_m_takes_the_dense_branch(self, monkeypatch):
+        # bandwidth max(1, 2) = 2 covers the whole 3 x 3 matrix
+        data, spec, pen = self.fixture("gaussian", 3, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit = fit_stratum(data, spec, pen, 0.5)
+        calls = []
+        real = scipy.linalg.cho_factor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        assert np.array_equal(band_covariance(fit.precision_band, fit.dispersion), fit.cov)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_fixed_effect_fit_has_no_band(self, setup, family):
+        spec, pen = setup
+        rng = np.random.default_rng(5)
+        z = rng.uniform(0, 1, 300)
+        if family == "gaussian":
+            y = np.sin(5 * z) + rng.normal(0, 0.4, z.size)
+        else:
+            y = (rng.random(z.size) < expit(np.sin(5 * z))).astype(float)
+        data = StratumData(y=y, z=z, family=family, X=rng.normal(size=(300, 1)))
+        assert fit_stratum(data, spec, pen, 0.5).precision_band is None

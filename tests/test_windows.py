@@ -6,7 +6,9 @@ from scipy.stats import chi2, kstest
 from smoothdiff.basis import difference_penalty, make_basis
 from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import StratumData, StratumFit, fit_stratum
+from smoothdiff.toeplitz import QuadFormProblem, cov_quadratic_forms
 from smoothdiff.windows import (
+    _direct_inverse,
     sliding_inverses,
     window_stat_correlation,
     window_stat_covariance,
@@ -185,10 +187,32 @@ class TestChiSquareTail:
                 assert abs(ours - exact) <= 1e-12 * exact
 
 
+def full_sum_stat_covariance(fit1, fit2, spec, k, k2):
+    """window_stat_covariance as first written: blocks read from the full m x m sum V1 + V2."""
+    w = spec.degree + 1
+    vsum = fit1.cov + fit2.cov
+    sl1, sl2 = slice(k, k + w), slice(k2, k2 + w)
+    sigma = np.block([[vsum[sl1, sl1], vsum[sl1, sl2]], [vsum[sl2, sl1], vsum[sl2, sl2]]])
+    a = _direct_inverse(vsum[sl1, sl1], k)
+    b = _direct_inverse(vsum[sl2, sl2], k2)
+    problem = QuadFormProblem(A=0.5 * (a + a.T), B=0.5 * (b + b.T), sigma=0.5 * (sigma + sigma.T))
+    return cov_quadratic_forms(problem)
+
+
 class TestWindowStatCovariance:
     def setup_method(self):
         self.spec = make_basis(0.0, 1.0, 14, 2)
         self.rng = np.random.default_rng(7)
+
+    def test_block_sum_equals_full_sum_bitwise(self):
+        spec = make_basis(0.0, 1.0, 30, 3)
+        n_windows = spec.n_regions
+        f1 = make_fit(np.zeros(30), random_spd(self.rng, 30), 30)
+        f2 = make_fit(np.zeros(30), random_spd(self.rng, 30), 30)
+        pairs = [(0, 0), (0, 3), (5, 2), (10, 14), (n_windows - 1, 0), (n_windows - 1, n_windows - 1)]
+        for k, k2 in pairs:
+            got = window_stat_covariance(f1, f2, spec, k, k2)
+            assert np.array_equal(got, full_sum_stat_covariance(f1, f2, spec, k, k2)), (k, k2)
 
     def test_self_case_is_chi_square_variance(self):
         cov = random_spd(self.rng, 14)
