@@ -84,61 +84,76 @@ def _float_tuple(text: str) -> tuple[float, ...]:
 
 
 def read_stratum_csv(path: str, stratum_col: str | None = None):
-    """Read 'y,z[,stratum][,x_*]' CSV into one or two StratumData-ready dicts."""
+    """Read a 'y,z[,stratum][,x_*]' CSV into columns.
+
+    Returns (y, z, X, strata): X holds the x_* columns (None without any) and
+    strata the stripped labels of `stratum_col` (None when it is None).
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ParameterError(f"{path}: empty file (header row required)")
-            fields = [f.strip() for f in reader.fieldnames]
-            if "y" not in fields or "z" not in fields:
-                raise ParameterError(f"{path}: header must contain 'y' and 'z' columns")
-            x_cols = [f for f in fields if f.startswith("x_")]
-            rows = []
-            for lineno, row in enumerate(reader, 2):
-                try:
-                    parsed = {
-                        "y": float(row["y"]),
-                        "z": float(row["z"]),
-                        "x": [float(row[c]) for c in x_cols],
-                    }
-                except (TypeError, ValueError) as exc:
-                    raise ParameterError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
-                if stratum_col is not None:
-                    if stratum_col not in row or row[stratum_col] is None:
-                        raise ParameterError(f"{path}:{lineno}: missing stratum column {stratum_col!r}")
-                    parsed["stratum"] = row[stratum_col].strip()
-                rows.append(parsed)
-    except OSError as exc:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
+    if header is None:
+        raise ParameterError(f"{path}: empty file (header row required)")
+    fields = [f.strip() for f in header]
+    if "y" not in fields or "z" not in fields:
+        raise ParameterError(f"{path}: header must contain 'y' and 'z' columns")
     if not rows:
         raise ParameterError(f"{path}: no data rows")
-    return rows, x_cols
+    column = {name: i for i, name in enumerate(fields)}
+    x_cols = [f for f in fields if f.startswith("x_")]
+    numeric = [column["y"], column["z"], *(column[c] for c in x_cols)]
+    label = column.get(stratum_col) if stratum_col is not None else None
+    used = numeric if label is None else [*numeric, label]
+    values = None
+    if (stratum_col is None or label is not None) and min(map(len, rows)) > max(used):
+        columns = list(zip(*rows))
+        try:
+            values = [np.array([float(v) for v in columns[i]]) for i in numeric]
+        except ValueError:
+            pass
+    if values is None:
+        raise _first_row_error(path, rows, numeric, label, stratum_col)
+    X = np.column_stack(values[2:]) if x_cols else None
+    strata = None if label is None else np.array([v.strip() for v in columns[label]])
+    return values[0], values[1], X, strata
 
 
-def _rows_to_data(rows: list[dict], x_cols: list[str], family: str) -> StratumData:
-    y = np.asarray([r["y"] for r in rows])
-    z = np.asarray([r["z"] for r in rows])
-    X = np.asarray([r["x"] for r in rows]) if x_cols else None
-    return StratumData(y=y, z=z, family=family, X=X)
+def _first_row_error(path, rows, numeric, label, stratum_col) -> ParameterError:
+    """The error of the first malformed data row (rows numbered from 2)."""
+    for lineno, row in enumerate(rows, 2):
+        try:
+            for i in numeric:
+                float(row[i] if i < len(row) else None)
+        except (TypeError, ValueError) as exc:
+            return ParameterError(f"{path}:{lineno}: non-numeric field ({exc})")
+        if stratum_col is not None and (label is None or label >= len(row)):
+            return ParameterError(f"{path}:{lineno}: missing stratum column {stratum_col!r}")
+    raise AssertionError("no malformed row")
 
 
 def load_strata(config: AnalysisConfig) -> tuple[StratumData, StratumData]:
     if config.data is not None:
-        rows, x_cols = read_stratum_csv(config.data, config.stratum_col)
-        labels = sorted({r["stratum"] for r in rows})
+        y, z, X, strata = read_stratum_csv(config.data, config.stratum_col)
+        labels = sorted(set(strata.tolist()))
         if len(labels) != 2:
             raise ParameterError(
                 f"{config.data}: expected exactly 2 stratum labels, found {labels}"
             )
-        groups = [[r for r in rows if r["stratum"] == lab] for lab in labels]
-        return tuple(_rows_to_data(g, x_cols, config.family) for g in groups)
+        groups = [strata == lab for lab in labels]
+        return tuple(
+            StratumData(y=y[g], z=z[g], family=config.family, X=None if X is None else X[g])
+            for g in groups
+        )
     if config.stratum1 is None or config.stratum2 is None:
         raise ParameterError("provide either --data with a stratum column or both stratum files")
     out = []
     for path in (config.stratum1, config.stratum2):
-        rows, x_cols = read_stratum_csv(path)
-        out.append(_rows_to_data(rows, x_cols, config.family))
+        y, z, X, _ = read_stratum_csv(path)
+        out.append(StratumData(y=y, z=z, family=config.family, X=X))
     return out[0], out[1]
 
 

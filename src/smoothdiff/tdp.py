@@ -1,10 +1,13 @@
 """Closed testing with Simes local tests and simultaneous TDP lower bounds.
 
 The shortcut needs a single scalar per family (the largest tail-set size the
-Simes test leaves standing); every query set R then gets a lower confidence
-bound on its number of true discoveries in O(|R|^2), simultaneously valid at
-level alpha over all R. A brute-force closed-testing evaluator over the full
-power set doubles as the correctness oracle for small families.
+Simes test leaves standing, h, found in O(n log n)); every query set R then
+gets a lower confidence bound on its number of true discoveries in
+O(|R| log |R|), simultaneously valid at level alpha over all R. The bounds of
+all prefixes of the p-value order, which is all that region selection needs,
+come from one sort and one linear sweep. A brute-force closed-testing
+evaluator over the full power set doubles as the correctness oracle for small
+families.
 """
 
 from __future__ import annotations
@@ -61,14 +64,41 @@ def simes_test(pvals: np.ndarray, alpha: float) -> bool:
 
 
 def _h_alpha(p: np.ndarray, alpha: float) -> int:
-    """Largest i such that the i largest p-values survive the Simes test."""
+    """Largest i such that the i largest p-values survive the Simes test.
+
+    The tail of size i is ordered[n-i:], and its j-th smallest value rejects
+    it iff that value <= (j * alpha) / i. The value with d values above it
+    sits in every tail i > d, at rank j = i - d. For d = 0 the cutoff
+    (i * alpha) / i is alpha up to rounding, so every i is tested. For d >= 1
+    the cutoff grows with i by a factor of at least 1 + 1/n^2, more than its
+    two roundings can undo while n < 10^7: the tails such a value rejects are
+    all i from a first one on, which a bisection over every value at once
+    finds. Tail i falls iff the largest value rejects it or i reaches the
+    least of those first tails.
+    """
     ordered = np.sort(p)
     n = ordered.size
-    for i in range(n, 0, -1):
-        tail = ordered[n - i :]
-        if not np.any(tail <= np.arange(1, i + 1) * alpha / i):
-            return i
-    return 0
+    tails = np.arange(1, n + 1)
+    rejected = ordered[-1] <= (tails * alpha) / tails
+    lower = ordered[:-1]
+    above = np.arange(n - 1, 0, -1)
+    lo = above + 1
+    hi = np.full(n - 1, n + 1)
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        rejects = lower <= ((mid - above) * alpha) / mid
+        unsettled = lo < hi
+        hi = np.where(unsettled & rejects, mid, hi)
+        lo = np.where(unsettled & ~rejects, mid + 1, lo)
+    if lo.size:
+        rejected |= tails >= lo.min()
+    standing = tails[~rejected]
+    return int(standing[-1]) if standing.size else 0
+
+
+def _counts_below(scaled: np.ndarray, alpha: float, n_cutoffs: int) -> np.ndarray:
+    """N(u) = #{scaled <= u * alpha} for u = 1..n_cutoffs; `scaled` ascending."""
+    return np.searchsorted(scaled, np.arange(1, n_cutoffs + 1) * alpha, side="right")
 
 
 def phi_alpha(family: PValueFamily, region: np.ndarray) -> int:
@@ -78,12 +108,9 @@ def phi_alpha(family: PValueFamily, region: np.ndarray) -> int:
     Equals the closed-testing bound #R - max{#S subset of R with H_S kept}.
     """
     region = _as_index_set(region, family.n)
-    ps = family.p[region]
-    r = ps.size
-    scaled = family.h * ps
-    u = np.arange(1, r + 1)
-    counts = np.count_nonzero(scaled[None, :] <= u[:, None] * family.alpha, axis=1)
-    return int(np.max(1 - u + counts))
+    scaled = np.sort(family.h * family.p[region])
+    counts = _counts_below(scaled, family.alpha, scaled.size)
+    return int(np.max(1 - np.arange(1, scaled.size + 1) + counts))
 
 
 def _as_index_set(region, n: int) -> np.ndarray:
@@ -121,13 +148,24 @@ class TdpReport:
         raise ParameterError(f"no record for threshold {tau}")
 
 
-def _largest_prefix_at(family: PValueFamily, order: np.ndarray, tau: float) -> tuple[int, int]:
-    """Largest s with phi(first s of `order`) >= tau * s, and that phi."""
-    for s in range(order.size, 0, -1):
-        phi = phi_alpha(family, order[:s])
-        if phi >= tau * s:
-            return s, phi
-    return 0, 0
+def _prefix_phi(family: PValueFamily, order: np.ndarray) -> np.ndarray:
+    """phi of the first s entries of `order` (ascending p) for s = 1..n.
+
+    h * p is non-decreasing along `order`, so the prefix of size s counts
+    min(s, N(u)) of its values under u * alpha, with N(u) taken over the whole
+    family: phi(s) = max over u <= s of min(s - u + 1, N(u) - u + 1). From
+    u*(s), the least u with N(u) >= s, on, the first term is the smaller and
+    peaks at u*(s); below it the second is, and its running maximum covers
+    every s at once.
+    """
+    counts = _counts_below(family.h * family.p[order], family.alpha, family.n)
+    s = np.arange(1, family.n + 1)
+    first_full = np.searchsorted(counts, s, side="left") + 1
+    from_full = np.where(first_full <= s, s - first_full + 1, 0)
+    best_partial = np.maximum.accumulate(counts - s + 1)
+    last_partial = np.minimum(first_full, s + 1) - 1
+    partial = np.where(last_partial >= 1, best_partial[last_partial - 1], 0)
+    return np.maximum(from_full, partial)
 
 
 def threshold_regions(series, alpha: float, thresholds) -> TdpReport:
@@ -137,21 +175,27 @@ def threshold_regions(series, alpha: float, thresholds) -> TdpReport:
     (ties by window index): the bound depends on a set only through how many
     of its scaled p-values fall under each u*alpha cutoff, so swapping any
     member for one with a smaller p-value can never lower it, and the best
-    set of each size is a prefix. Thresholds are processed in descending
-    order; all reported bounds are simultaneously valid at level alpha.
+    set of each size is a prefix. One sweep gives phi of every prefix
+    (`_prefix_phi`), and each threshold takes the largest size s with
+    phi >= tau * s. Thresholds are processed in descending order; all
+    reported bounds are simultaneously valid at level alpha.
     """
     taus = sorted(set(float(t) for t in thresholds), reverse=True)
     if any(not 0.0 < t <= 1.0 for t in taus):
         raise ParameterError("thresholds must lie in (0, 1]")
     family = PValueFamily(p=series.p, alpha=alpha)
     order = np.lexsort((np.arange(family.n), family.p))
+    prefix_phi = _prefix_phi(family, order)
+    sizes = np.arange(1, family.n + 1)
     records = []
     for tau in taus:
-        size, phi = _largest_prefix_at(family, order, tau)
-        windows = tuple(sorted(int(k) for k in order[:size]))
-        if size == 0:
+        clears = np.flatnonzero(prefix_phi >= tau * sizes)
+        if clears.size == 0:
             records.append(RegionRecord(tau=tau, windows=(), phi=0, bound=0.0, intervals=()))
             continue
+        size = int(clears[-1]) + 1
+        phi = int(prefix_phi[size - 1])
+        windows = tuple(sorted(int(k) for k in order[:size]))
         # Window k annotates its knot-defined region (one elementary cell):
         # that cell is exactly where the fitted difference depends on the
         # window's coefficients, so area TDP matches hypothesis-count TDP.
@@ -181,32 +225,31 @@ def closed_testing_oracle(family: PValueFamily, region: np.ndarray) -> int:
     if n > 20:
         raise ParameterError("closed-testing oracle is limited to n <= 20")
     region = _as_index_set(region, n)
-    p = family.p
-    alpha = family.alpha
+    # Relabel the hypotheses by ascending p: bit b of a mask is then the b-th
+    # smallest p, and a set's members, read from the lowest bit up, come in
+    # the order the Simes test sorts them.
+    order = np.argsort(family.p, kind="stable")
+    ordered = family.p[order]
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    masks = np.arange(1 << n, dtype=np.int64)
+    members = [(masks >> b & 1).astype(bool) for b in range(n)]
+    size = np.sum(members, axis=0)
+    divisor = np.maximum(size, 1)
 
-    n_masks = 1 << n
-    local_reject = np.zeros(n_masks, dtype=bool)
-    for mask in range(1, n_masks):
-        members = [i for i in range(n) if mask >> i & 1]
-        local_reject[mask] = simes_test(p[members], alpha)
+    local_reject = np.zeros(masks.size, dtype=bool)
+    rank = np.zeros(masks.size, dtype=np.int64)
+    for b in range(n):
+        rank += members[b]
+        local_reject |= members[b] & (ordered[b] <= (rank * family.alpha) / divisor)
 
     # Close under supersets: rejected iff every superset's local test rejects.
-    in_x = local_reject.copy()
-    for bit in range(n):
-        step = 1 << bit
-        for mask in range(n_masks):
-            if not mask >> bit & 1:
-                in_x[mask] = in_x[mask] and in_x[mask | step]
+    closed = local_reject
+    for b in range(n):
+        without = masks[~members[b]]
+        closed[without] &= closed[without | 1 << b]
 
-    region_mask = 0
-    for i in region:
-        region_mask |= 1 << int(i)
-
+    region_mask = int(np.sum(1 << position[region]))
     # Largest surviving subset of R; the empty set always survives.
-    best = 0
-    sub = region_mask
-    while sub:
-        if not in_x[sub]:
-            best = max(best, bin(sub).count("1"))
-        sub = (sub - 1) & region_mask
-    return int(region.size - best)
+    inside = (masks & ~region_mask) == 0
+    return int(region.size - size[inside & ~closed].max())

@@ -155,6 +155,44 @@ class TestAnalyze:
         bad.write_text("a,b\n1,2\n")
         assert main(["analyze", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"", "bad.csv: empty file (header row required)"),
+            (b"a,b\n1,2\n", "bad.csv: header must contain 'y' and 'z' columns"),
+            (b"y,z,stratum\n\n", "bad.csv: no data rows"),
+            (b"y,z\n1,0.5\n", "bad.csv:2: missing stratum column 'stratum'"),
+            # The first bad row is reported, not the first bad column.
+            (b"y,z,stratum\n1,0.5,1\n\n1,0.6\noops,0.7,2\n", "bad.csv:3: missing stratum column"),
+            (b"y,z,stratum\n1,0.5,1\n1,,2\n", "bad.csv:3: non-numeric field (could not convert"),
+            (b"y,z,stratum\n1,0.5,1\n1\n", "bad.csv:3: non-numeric field (float() argument"),
+            (
+                b"y,z,stratum\n1,0.5,a\n1,0.6,b\n1,0.7,c\n",
+                "bad.csv: expected exactly 2 stratum labels, found ['a', 'b', 'c']",
+            ),
+            (b"y,z,stratum\n1,0.5,\xff\n", "cannot read"),
+        ],
+    )
+    def test_malformed_csv_exits_2_naming_problem(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        assert main(["analyze", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_columns_found_by_stripped_header_names(self, tmp_path):
+        scn, data1, data2 = make_pair(seed=3)
+        plain = tmp_path / "plain.csv"
+        write_stratum_csv(plain, data1, data2)
+        lines = plain.read_text().splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n".join([" y , z , stratum", *lines[1:]]) + "\n")
+        for path in (plain, spaced):
+            argv = ["analyze", "--data", str(path), "--basis-dim", "20", "--degree", "2"]
+            assert main([*argv, "--out", str(tmp_path / path.stem)]) == 0
+        assert (tmp_path / "plain" / "windows.csv").read_bytes() == (
+            tmp_path / "spaced" / "windows.csv"
+        ).read_bytes()
+
     def test_non_finite_outcome_exits_2_naming_index(self, tmp_path, capsys):
         scn, data1, data2 = make_pair(seed=5)
         path = tmp_path / "nan.csv"

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from smoothdiff import tdp
 from smoothdiff.basis import make_basis
 from smoothdiff.errors import ParameterError
 from smoothdiff.tdp import (
     PValueFamily,
+    _h_alpha,
+    _prefix_phi,
     closed_testing_oracle,
     phi_alpha,
     simes_test,
@@ -27,6 +30,87 @@ def h_by_tail_enumeration(p, alpha):
         if not simes_by_definition(ordered[p.size - i :], alpha):
             best = max(best, i)
     return best
+
+
+def phi_by_broadcast(family, region):
+    """The shortcut bound with every count taken from an r x r comparison."""
+    ps = family.p[np.unique(region)]
+    u = np.arange(1, ps.size + 1)
+    counts = np.count_nonzero(family.h * ps[None, :] <= u[:, None] * family.alpha, axis=1)
+    return int(np.max(1 - u + counts))
+
+
+def largest_prefix_by_descending_search(prefix_phi, tau):
+    """Largest s with prefix_phi[s - 1] >= tau * s, and that phi."""
+    for s in range(len(prefix_phi), 0, -1):
+        phi = prefix_phi[s - 1]
+        if phi >= tau * s:
+            return s, phi
+    return 0, 0
+
+
+def closed_testing_by_loops(family, region):
+    """Closed testing over the power set, one mask at a time (small n only)."""
+    n = family.n
+    region = np.unique(region)
+    p = family.p
+    n_masks = 1 << n
+    local_reject = np.zeros(n_masks, dtype=bool)
+    for mask in range(1, n_masks):
+        members = [i for i in range(n) if mask >> i & 1]
+        local_reject[mask] = simes_test(p[members], family.alpha)
+    in_x = local_reject.copy()
+    for bit in range(n):
+        step = 1 << bit
+        for mask in range(n_masks):
+            if not mask >> bit & 1:
+                in_x[mask] = in_x[mask] and in_x[mask | step]
+    region_mask = 0
+    for i in region:
+        region_mask |= 1 << int(i)
+    best = 0
+    sub = region_mask
+    while sub:
+        if not in_x[sub]:
+            best = max(best, bin(sub).count("1"))
+        sub = (sub - 1) & region_mask
+    return int(region.size - best)
+
+
+FAMILY_KINDS = (
+    "uniform",
+    "signal",
+    "ties",
+    "cutoffs",
+    "simes_boundary",
+    "dyadic",
+    "zeros_and_ones",
+    "ones",
+    "zeros",
+)
+
+
+def family_pvalues(kind, n, alpha, rng):
+    """p-values of one kind: nulls, signals, ties, values on the comparisons' boundaries, or 0/1."""
+    if kind == "uniform":
+        return rng.uniform(0, 1, n)
+    if kind == "signal":
+        strong = rng.uniform(0, 1e-4, int(rng.integers(0, n + 1)))
+        return np.concatenate([strong, rng.uniform(0, 1, n - strong.size)])
+    if kind == "ties":
+        return np.round(rng.uniform(0, 1, n) ** 3, 2)
+    if kind == "cutoffs":
+        # Values equal to (j * alpha) / i sit on the comparisons' boundaries.
+        return (rng.integers(1, n + 1, n) * alpha) / rng.integers(1, n + 1, n)
+    if kind == "simes_boundary":
+        # The sorted values equal the Simes cutoffs of the whole family.
+        return rng.permutation((np.arange(1, n + 1) * alpha) / n)
+    if kind == "dyadic":
+        # With a dyadic alpha, h * p == u * alpha holds exactly for many pairs.
+        return rng.integers(0, 65, n) / 64
+    if kind == "zeros_and_ones":
+        return rng.choice([0.0, 1.0, alpha], n)
+    return np.full(n, 1.0 if kind == "ones" else 0.0)
 
 
 class FakeSeries:
@@ -80,8 +164,30 @@ class TestHAlpha:
             fam = PValueFamily(p=p, alpha=alpha)
             assert fam.h == h_by_tail_enumeration(fam.p, alpha)
 
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 37, 500, 2000])
+    def test_matches_enumeration_oracle_on_large_families(self, kind, n):
+        rng = np.random.default_rng(n)
+        for alpha in (0.01, 0.1, 0.25):
+            p = family_pvalues(kind, n, alpha, rng)
+            assert _h_alpha(p, alpha) == h_by_tail_enumeration(p, alpha)
+
 
 class TestPhiAlpha:
+    @given(
+        n=st.integers(1, 300),
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(FAMILY_KINDS),
+        alpha=st.sampled_from([0.01, 0.05, 0.1, 0.2, 0.25]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_broadcast_counts(self, n, seed, kind, alpha):
+        rng = np.random.default_rng(seed)
+        fam = PValueFamily(p=family_pvalues(kind, n, alpha, rng), alpha=alpha)
+        for _ in range(5):
+            region = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            assert phi_alpha(fam, region) == phi_by_broadcast(fam, region)
+
     def test_no_evidence_gives_zero(self):
         fam = PValueFamily(p=np.ones(6), alpha=0.1)
         assert fam.h >= 1
@@ -153,6 +259,17 @@ class TestPhiAlpha:
 
 
 class TestClosedTestingOracle:
+    def test_matches_loop_version(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(1, 10))
+            alpha = float(rng.choice([0.05, 0.1, 0.25]))
+            kind = FAMILY_KINDS[int(rng.integers(0, 7))]
+            fam = PValueFamily(p=family_pvalues(kind, n, alpha, rng), alpha=alpha)
+            for _ in range(4):
+                region = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                assert closed_testing_oracle(fam, region) == closed_testing_by_loops(fam, region)
+
     def test_single_rejected_hypothesis(self):
         fam = PValueFamily(p=np.asarray([0.01]), alpha=0.05)
         assert closed_testing_oracle(fam, [0]) == 1
@@ -202,6 +319,40 @@ class TestThresholdRegions:
         assert rec.windows == tuple(range(9))
         assert rec.bound == 1.0
         assert rec.intervals == ((0.0, 1.0),)
+
+    @given(
+        n=st.integers(2, 2000),
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(FAMILY_KINDS),
+        alpha=st.sampled_from([0.01, 0.05, 0.1, 0.2, 0.25]),
+    )
+    @example(n=2000, seed=0, kind="signal", alpha=0.05)
+    @example(n=500, seed=1, kind="ties", alpha=0.2)
+    @example(n=300, seed=2, kind="zeros", alpha=0.1)
+    @example(n=300, seed=3, kind="ones", alpha=0.1)
+    @settings(max_examples=30, deadline=None)
+    def test_sweep_matches_descending_search(self, n, seed, kind, alpha):
+        p = family_pvalues(kind, n, alpha, np.random.default_rng(seed))
+        fam = PValueFamily(p=p, alpha=alpha)
+        assert fam.h == h_by_tail_enumeration(fam.p, alpha)
+        order = np.lexsort((np.arange(n), fam.p))
+        expected = [phi_alpha(fam, order[:s]) for s in range(1, n + 1)]
+        assert _prefix_phi(fam, order).tolist() == expected
+        report = threshold_regions(series_for(p), alpha, [0.5, 0.7, 0.9])
+        assert report.h == fam.h
+        for rec in report.records:
+            size, phi = largest_prefix_by_descending_search(expected, rec.tau)
+            assert (len(rec.windows), rec.phi) == (size, phi)
+            assert rec.windows == tuple(sorted(int(k) for k in order[:size]))
+
+    def test_makes_no_phi_alpha_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("threshold_regions called phi_alpha")
+
+        monkeypatch.setattr(tdp, "phi_alpha", refuse)
+        p = np.random.default_rng(12).uniform(0, 1, 200) ** 6
+        report = threshold_regions(series_for(p), 0.1, [0.9, 0.7, 0.5])
+        assert all(rec.windows for rec in report.records)
 
     def test_greedy_matches_exhaustive_search(self):
         rng = np.random.default_rng(7)
