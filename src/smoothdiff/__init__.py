@@ -43,8 +43,6 @@ from .toeplitz import (
     cov_quadratic_forms,
     decay_rate,
     factor_pentadiagonal,
-    frobenius_form,
-    tridiag_toeplitz_inverse,
 )
 from .windows import (
     SlidingInverses,
@@ -53,6 +51,7 @@ from .windows import (
     window_stat_correlation,
     window_stat_covariance,
     window_statistics,
+    window_test_series,
 )
 
 __version__ = "0.1.0"

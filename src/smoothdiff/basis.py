@@ -86,11 +86,6 @@ class BasisSpec:
             out.append((float(bp[start]), float(bp[-1])))
         return out
 
-    def cell_measure(self, cells: np.ndarray) -> float:
-        """Total covariate length of the cells flagged in a boolean mask."""
-        widths = np.diff(self.breakpoints)
-        return float(widths[np.asarray(cells, dtype=bool)].sum())
-
 
 @dataclass
 class DesignMatrix:

@@ -16,13 +16,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import chi2
 
 from .basis import BasisSpec, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
 from .fitting import StratumData, select_lambda
-from .tdp import PValueFamily, TdpReport, phi_alpha, threshold_regions
-from .windows import WindowTestSeries, sliding_inverses, window_statistics
+from .tdp import TdpReport, phi_alpha, threshold_regions
+from .windows import window_statistics, window_test_series
 
 __all__ = [
     "SimScenario",
@@ -309,18 +308,16 @@ def run_replicate(scenario: SimScenario, index: int) -> ReplicateRecord:
 
     nonzero = k_set[b_alt[k_set] != b_base[k_set]]
     truth_cells = _truth_cells(spec, nonzero)
-    width = spec.degree + 1
-    truth_windows = np.flatnonzero(
-        [np.any((nonzero >= k) & (nonzero <= k + width - 1)) for k in range(spec.n_regions)]
-    )
+    # Window k holds coefficients k..k+degree, so it holds a planted one
+    # exactly when cell k is true.
+    truth_windows = np.flatnonzero(truth_cells)
 
     regions = []
     truth_region_tdp = {}
     for alpha in scenario.alphas:
         report = threshold_regions(series, alpha, scenario.thresholds)
         if truth_windows.size:
-            family = PValueFamily(p=series.p, alpha=alpha)
-            truth_region_tdp[alpha] = phi_alpha(family, truth_windows) / truth_windows.size
+            truth_region_tdp[alpha] = phi_alpha(report.family, truth_windows) / truth_windows.size
         regions.extend(_score_regions(report, spec, truth_cells))
     return ReplicateRecord(
         index=index,
@@ -365,10 +362,6 @@ def exact_model_error_rates(
     """
     spec, v = representative_covariance()
     half = np.linalg.cholesky(v)
-    w = spec.degree + 1
-    n_windows = spec.n_regions
-    inverses = sliding_inverses(v, w, reanchor=None)
-    regions = np.asarray([spec.region(k) for k in range(n_windows)])
     rates = {}
     for n_nonzero, alphas, thresholds in EXACT_MODEL_CASES:
         scenario = SimScenario(
@@ -383,10 +376,7 @@ def exact_model_error_rates(
         for _ in range(n_replicates):
             b_base, b_alt, k_set = gen_coefficients(scenario, rng)
             d_hat = (b_alt - b_base) + half @ rng.normal(size=scenario.m)
-            t = np.asarray(
-                [d_hat[k : k + w] @ inverses[k] @ d_hat[k : k + w] for k in range(n_windows)]
-            )
-            series = WindowTestSeries(spec=spec, T=t, p=chi2.sf(t, df=w), regions=regions)
+            series = window_test_series(spec, d_hat, v)
             truth_cells = _truth_cells(spec, k_set[b_alt[k_set] != b_base[k_set]])
             for alpha in scenario.alphas:
                 report = threshold_regions(series, alpha, scenario.thresholds)

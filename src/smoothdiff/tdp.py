@@ -135,11 +135,18 @@ class RegionRecord:
 
 @dataclass(frozen=True)
 class TdpReport:
-    """h, per-threshold selected regions, and their simultaneous TDP bounds."""
+    """Per-threshold selected regions and the p-value family their bounds use."""
 
-    alpha: float
-    h: int
+    family: PValueFamily
     records: tuple[RegionRecord, ...]
+
+    @property
+    def alpha(self) -> float:
+        return self.family.alpha
+
+    @property
+    def h(self) -> int:
+        return self.family.h
 
     def record(self, tau: float) -> RegionRecord:
         for rec in self.records:
@@ -211,7 +218,7 @@ def threshold_regions(series, alpha: float, thresholds) -> TdpReport:
                 intervals=tuple(spec.cells_to_intervals(cells)),
             )
         )
-    return TdpReport(alpha=alpha, h=family.h, records=tuple(records))
+    return TdpReport(family=family, records=tuple(records))
 
 
 def closed_testing_oracle(family: PValueFamily, region: np.ndarray) -> int:

@@ -1,10 +1,17 @@
 """Banded-Toeplitz and quadratic-form kernels behind the dependence diagnostics.
 
 A pentadiagonal Toeplitz matrix with corner deficits factors into two real
-tridiagonal Toeplitz matrices; their closed-form inverses decay log-linearly
-off the diagonal, and the covariance between Gaussian quadratic forms built
-from overlapping coefficient windows inherits that decay. These kernels make
-those facts executable so they can be checked on fitted models.
+tridiagonal Toeplitz matrices (`factor_pentadiagonal`). The inverse of each
+factor decays off the diagonal at the rate arcosh(diag / (2 off))
+(`TridiagFactor.psi`), and `decay_rate` compares the slower of the two rates
+with the decay of the numerically inverted matrix. The covariance between
+Gaussian quadratic forms built from overlapping coefficient windows
+(`cov_quadratic_forms`) inherits that decay.
+
+Each quantity has one closed form here. The paper's alternative forms (the
+closed-form tridiagonal inverse, the Hadamard double sum and the Frobenius
+form of the quadratic-form covariance) are the test oracles in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -23,10 +30,8 @@ __all__ = [
     "DecayDiagnostics",
     "build_pentadiagonal",
     "factor_pentadiagonal",
-    "tridiag_toeplitz_inverse",
     "decay_rate",
     "cov_quadratic_forms",
-    "frobenius_form",
 ]
 
 
@@ -189,40 +194,6 @@ def factor_pentadiagonal(params: PentaParams) -> tuple[TridiagFactor, TridiagFac
     return z1, z2
 
 
-def _logsinh(x: np.ndarray) -> np.ndarray:
-    """log(sinh(x)) for x > 0 without overflow."""
-    return x + np.log1p(-np.exp(-2.0 * x)) - math.log(2.0)
-
-
-def tridiag_toeplitz_inverse(factor: TridiagFactor, n: int | None = None) -> np.ndarray:
-    """Closed-form inverse of a tridiagonal Toeplitz factor.
-
-    Entry (k, l), 1-based with k <= l, of the inverse of tridiag(1, 2cosh(psi), 1)
-    is (-1)^(l-k) sinh(psi k) sinh(psi (n+1-l)) / (sinh(psi) sinh(psi (n+1)));
-    the general factor is that matrix scaled by its off-diagonal value.
-    Evaluated in log space so large n does not overflow.
-    """
-    if n is None:
-        n = factor.n
-    psi = factor.psi
-    if psi is None:
-        raise DomainError(
-            "closed-form inverse requires diag > 2*off > 0 (real decay rate)"
-        )
-    if n == 1:
-        return np.asarray([[1.0 / factor.diag]])
-    k = np.arange(1, n + 1)
-    log_fwd = _logsinh(psi * k)
-    log_bwd = _logsinh(psi * (n + 1 - k))
-    log_scale = _logsinh(np.asarray(psi)) + _logsinh(np.asarray(psi * (n + 1)))
-    kk, ll = np.meshgrid(k, k, indexing="ij")
-    lo = np.minimum(kk, ll)
-    hi = np.maximum(kk, ll)
-    log_mag = log_fwd[lo - 1] + log_bwd[hi - 1] - log_scale
-    signs = np.where((hi - lo) % 2 == 0, 1.0, -1.0)
-    return signs * np.exp(log_mag) / factor.off
-
-
 def decay_rate(params: PentaParams, n: int | None = None, n_lags: int = 12) -> DecayDiagnostics:
     """Predicted off-diagonal decay rate min_i psi_i, plus an empirical slope check.
 
@@ -260,32 +231,10 @@ def decay_rate(params: PentaParams, n: int | None = None, n_lags: int = 12) -> D
 def cov_quadratic_forms(problem: QuadFormProblem) -> float:
     """Covariance of the quadratic forms x'Ax and y'By.
 
-    Each quartic expectation splits into pair-partitions; the two partitions
-    that mix the x and y blocks both contribute, and each is the total of the
-    Hadamard product (J ox A) o vec(S_xy) vec(S_xy)' o (B ox J). For symmetric
-    A and B the two contributions are equal, giving twice the single sum.
+    The quartic expectation splits into pair-partitions; the one that pairs
+    x with x and y with y is the product of the means, and the two that mix
+    the blocks are equal for symmetric A and B:
+    Cov = 2 tr(A S_xy B S_yx) = 2 * sum((A S_xy) o (S_xy B)).
     """
-    A, B, sxy = problem.A, problem.B, problem.sigma_xy
-    v = np.ravel(sxy, order="F")
-    u = (
-        np.kron(np.ones((problem.d_y, problem.d_y)), A)
-        * np.outer(v, v)
-        * np.kron(B, np.ones((problem.d_x, problem.d_x)))
-    )
-    return 2.0 * float(u.sum())
-
-
-def _psd_sqrt(mat: np.ndarray, label: str) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    if vals.min() < -1e-8 * max(vals.max(), 1.0):
-        raise ParameterError(f"{label} must be positive semidefinite")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
-def frobenius_form(problem: QuadFormProblem) -> float:
-    """Same covariance as 2 * ||A^(1/2) S_xy B^(1/2)||_F^2 (PSD A, B only)."""
-    half_a = _psd_sqrt(problem.A, "A")
-    half_b = _psd_sqrt(problem.B, "B")
-    core = half_a @ problem.sigma_xy @ half_b
-    return 2.0 * float(np.sum(core * core))
+    sxy = problem.sigma_xy
+    return 2.0 * float(np.sum((problem.A @ sxy) * (sxy @ problem.B)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import frobenius_form, kronecker_double_sum, tridiag_toeplitz_inverse
 from smoothdiff.errors import DomainError, ParameterError
 from smoothdiff.toeplitz import (
     PentaParams,
@@ -13,8 +14,6 @@ from smoothdiff.toeplitz import (
     cov_quadratic_forms,
     decay_rate,
     factor_pentadiagonal,
-    frobenius_form,
-    tridiag_toeplitz_inverse,
 )
 
 
@@ -167,9 +166,23 @@ class TestQuadFormCovariance:
         rng = np.random.default_rng(17)
         for _ in range(100):
             problem = random_psd_problem(rng)
-            ds = cov_quadratic_forms(problem)
-            fb = frobenius_form(problem)
-            assert ds == pytest.approx(fb, rel=1e-10, abs=1e-12)
+            trace = cov_quadratic_forms(problem)
+            assert trace == pytest.approx(kronecker_double_sum(problem), rel=1e-10, abs=1e-12)
+            assert trace == pytest.approx(frobenius_form(problem), rel=1e-10, abs=1e-12)
+
+    def test_trace_form_on_indefinite_weights(self):
+        # the Frobenius form needs PSD A and B; the trace and double-sum
+        # forms hold for any symmetric pair
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            d_x, d_y = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            ra = rng.normal(size=(d_x, d_x))
+            rb = rng.normal(size=(d_y, d_y))
+            rs = rng.normal(size=(d_x + d_y, d_x + d_y + 2))
+            problem = QuadFormProblem(A=ra + ra.T, B=rb + rb.T, sigma=rs @ rs.T)
+            assert cov_quadratic_forms(problem) == pytest.approx(
+                kronecker_double_sum(problem), rel=1e-10, abs=1e-10
+            )
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(19)
@@ -212,4 +225,7 @@ class TestQuadFormCovariance:
         problem = random_psd_problem(np.random.default_rng(seed))
         assert cov_quadratic_forms(problem) == pytest.approx(
             frobenius_form(problem), rel=1e-9, abs=1e-12
+        )
+        assert cov_quadratic_forms(problem) == pytest.approx(
+            kronecker_double_sum(problem), rel=1e-9, abs=1e-12
         )

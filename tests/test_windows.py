@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2, kstest
 
-from smoothdiff.basis import difference_penalty, make_basis
+from smoothdiff.basis import BasisSpec, difference_penalty, make_basis
 from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import StratumData, StratumFit, fit_stratum
+from smoothdiff.simulate import failure_cause
 from smoothdiff.toeplitz import QuadFormProblem, cov_quadratic_forms
 from smoothdiff.windows import (
     _direct_inverse,
@@ -13,6 +14,7 @@ from smoothdiff.windows import (
     window_stat_correlation,
     window_stat_covariance,
     window_statistics,
+    window_test_series,
 )
 
 
@@ -73,11 +75,6 @@ class TestSlidingInverses:
         n_windows = 200 - 4 + 1
         assert out.n_factorizations == 1 + (n_windows - 1) // 64
 
-    def test_debug_check_passes_on_spd(self):
-        rng = np.random.default_rng(4)
-        v = random_spd(rng, 40)
-        sliding_inverses(v, 4, check_tol=1e-8)
-
     def test_loss_of_positive_definiteness_names_window(self):
         v = np.eye(12)
         v[8, 8] = -1.0  # window containing index 8 is indefinite
@@ -100,6 +97,61 @@ class TestSlidingInverses:
         for k, inv in enumerate(out):
             direct = np.linalg.inv(v[k : k + w, k : k + w])
             assert np.max(np.abs(inv - direct)) <= 1e-10 * max(np.max(np.abs(direct)), 1.0)
+
+
+def window_spec(m, w):
+    """Open-uniform spec on [0, 1] with windows of width w; w = m is allowed
+    here, although make_basis keeps at least two regions."""
+    degree = w - 1
+    knots = np.concatenate([np.zeros(degree), np.linspace(0.0, 1.0, m - w + 2), np.ones(degree)])
+    return BasisSpec(degree=degree, z_lo=0.0, z_hi=1.0, m=m, knots=knots)
+
+
+class TestWindowTestSeries:
+    @given(m=st.integers(1, 30), w=st.integers(1, 8), seed=st.integers(0, 999))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sliding_inverses_and_direct_solve(self, m, w, seed):
+        w = min(w, m)
+        rng = np.random.default_rng(seed)
+        v = random_spd(rng, m)
+        delta = rng.normal(size=m)
+        series = window_test_series(window_spec(m, w), delta, v)
+        assert series.n_windows == m - w + 1
+        sliding = sliding_inverses(v, w)
+        for k in range(m - w + 1):
+            d = delta[k : k + w]
+            direct = d @ np.linalg.solve(v[k : k + w, k : k + w], d)
+            assert series.T[k] == pytest.approx(direct, rel=1e-12, abs=1e-300)
+            assert series.T[k] == pytest.approx(d @ sliding[k] @ d, rel=1e-10, abs=1e-300)
+        assert np.array_equal(series.p, chi2.sf(series.T, df=w))
+
+    @given(
+        m=st.integers(2, 200),
+        degree=st.integers(0, 5),
+        lo=st.floats(-1e3, 1e3),
+        width=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_regions_equal_spec_regions_bitwise(self, m, degree, lo, width):
+        if m < degree + 2:
+            return
+        spec = make_basis(lo, lo + width, m, degree)
+        series = window_test_series(spec, np.zeros(m), np.eye(m))
+        expected = np.asarray([spec.region(k) for k in range(spec.n_regions)])
+        assert np.array_equal(series.regions, expected)
+
+    @pytest.mark.parametrize("bad, first", [([8], 6), ([3, 9], 1), ([0], 0), ([11], 9)])
+    def test_indefinite_covariance_names_first_bad_window(self, bad, first):
+        # width 3 over 12 coefficients: window k covers k..k+2
+        spec = make_basis(0.0, 1.0, 12, 2)
+        cov = 0.5 * np.eye(12)
+        cov[bad, bad] = -0.5
+        fit = make_fit(np.zeros(12), cov, 12)
+        with pytest.raises(NumericalError) as exc:
+            window_statistics(fit, fit, spec)
+        message = str(exc.value)
+        assert message == f"window {first} covariance is not positive definite"
+        assert failure_cause(message) == "not_positive_definite"
 
 
 class TestWindowStatistics:
