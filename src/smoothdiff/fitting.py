@@ -4,10 +4,11 @@ Gaussian outcomes are fit by penalized least squares, binary outcomes by
 penalized IRLS; both return the coefficient vector together with the
 posterior covariance of the coefficients, phi * (Z'WZ + lambda S)^{-1}
 (or the inverse Schur complement of the fixed-effect block when extra
-covariates are present). Without fixed effects a fit also keeps the upper
-band of A = Z'WZ + lambda S, from which `band_covariance` rebuilds the
-covariance bit for bit. The smoothing parameter is chosen by GCV on a
-log-spaced grid and then treated as fixed.
+covariates are present). Without fixed effects A = Z'WZ + lambda S exists
+only as its upper band, built and solved in `_banded_solve` and kept by the
+fit, from which `band_covariance` rebuilds the covariance bit for bit. The
+smoothing parameter is chosen by GCV on a log-spaced grid and then treated
+as fixed.
 """
 
 from __future__ import annotations
@@ -108,30 +109,41 @@ class StratumFit:
     precision_band: np.ndarray | None = None
 
 
-def penalized_inverse(a: np.ndarray, bandwidth: int | None = None) -> np.ndarray:
-    """Inverse of an SPD penalized system, via its band when the width is given."""
-    m = a.shape[0]
+def penalized_inverse(ab: np.ndarray) -> np.ndarray:
+    """Inverse of an SPD system from its upper band, which may span the whole matrix."""
     try:
-        if bandwidth is not None and bandwidth < m - 1:
-            inv = scipy.linalg.solveh_banded(band_form(a, bandwidth), np.eye(m))
-        else:
-            c, low = scipy.linalg.cho_factor(a)
-            inv = scipy.linalg.cho_solve((c, low), np.eye(m))
+        return scipy.linalg.solveh_banded(ab, np.eye(ab.shape[1]))
     except np.linalg.LinAlgError as exc:
-        raise _not_positive_definite(a) from exc
-    return inv
+        raise _not_positive_definite(ab) from exc
 
 
-def _not_positive_definite(a: np.ndarray) -> NumericalError:
-    return NumericalError(
-        f"penalized system is not positive definite (cond={np.linalg.cond(a):.3e})"
-    )
+def _not_positive_definite(ab: np.ndarray) -> NumericalError:
+    cond = np.linalg.cond(expand_band(ab))
+    return NumericalError(f"penalized system is not positive definite (cond={cond:.3e})")
 
 
-def _cov_edf(a: np.ndarray, gram: np.ndarray, bandwidth: int | None) -> tuple[np.ndarray, float]:
-    """Unit-dispersion covariance A^{-1} and edf = tr(A^{-1} Z'WZ), with A = Z'WZ + lambda S."""
-    ainv = penalized_inverse(a, bandwidth)
-    return ainv, float(np.sum(ainv * gram))
+def _penalty_band(spec: BasisSpec, pen: PenaltyMatrix) -> np.ndarray:
+    """S's upper band at A's half-bandwidth max(degree, order)."""
+    return band_form(pen.S, max(spec.degree, pen.order))
+
+
+def _banded_solve(
+    gram: np.ndarray, penalty_band: np.ndarray, lam: float, rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ab, coef): A = Z'WZ + lam S's upper band, from a possibly narrower `gram_band(w)`, and A^{-1} rhs."""
+    ab = lam * penalty_band
+    ab[ab.shape[0] - gram.shape[0] :] += gram
+    try:
+        factor = scipy.linalg.cholesky_banded(ab)
+    except np.linalg.LinAlgError as exc:
+        raise _not_positive_definite(ab) from exc
+    return ab, scipy.linalg.cho_solve_banded((factor, False), rhs)
+
+
+def _cov_edf(ab: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit-dispersion covariance A^{-1} and edf = tr(A^{-1} Z'WZ), from the bands of A and Z'WZ."""
+    ainv = penalized_inverse(ab)
+    return ainv, float(np.sum(ainv * expand_band(gram)))
 
 
 def _scaled_covariance(cov_unit: np.ndarray, dispersion: float) -> np.ndarray:
@@ -143,22 +155,11 @@ def _scaled_covariance(cov_unit: np.ndarray, dispersion: float) -> np.ndarray:
 def band_covariance(band: np.ndarray, dispersion: float) -> np.ndarray:
     """Posterior covariance dispersion * A^{-1} from A's upper band storage.
 
-    The band is a fit's `precision_band`; the inverse takes the same
-    `penalized_inverse` path as the fit did (banded, or dense Cholesky when
-    the band covers the whole matrix), so the result equals `fit.cov` bit
-    for bit.
+    The band is a fit's `precision_band`. The fit inverted A by the same
+    `penalized_inverse` call on the same band, so the result equals
+    `fit.cov` bit for bit.
     """
-    cov_unit = penalized_inverse(expand_band(band), band.shape[0] - 1)
-    return _scaled_covariance(cov_unit, dispersion)
-
-
-def _banded_coef(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A coef = rhs from A's upper band by one banded Cholesky factorization."""
-    try:
-        factor = scipy.linalg.cholesky_banded(ab)
-    except np.linalg.LinAlgError as exc:
-        raise _not_positive_definite(expand_band(ab)) from exc
-    return scipy.linalg.cho_solve_banded((factor, False), rhs)
+    return _scaled_covariance(penalized_inverse(band), dispersion)
 
 
 def _warn_small_sample(data: StratumData, spec: BasisSpec) -> None:
@@ -177,23 +178,15 @@ def _solve_penalized(
     lam: float,
     resp: np.ndarray,
     w: np.ndarray | None,
-    bandwidth: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray | None]:
-    """Solve the penalized (weighted) normal equations.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(beta, coef, cov_unit, edf) of the penalized block system with fixed effects.
 
-    Returns (beta, coef, cov_unit, edf, band) where cov_unit is the
-    unit-dispersion posterior covariance of the spline coefficients and band
-    the upper band of the matrix it inverts (None with fixed effects).
+    cov_unit inverts the Schur complement of the fixed-effect block. A
+    minimum-norm solve keeps the fitted values defined even when the spline
+    spans a fixed-effect column (the block matrix is then singular).
     """
     ztz = dm.crossprod(w)
     a = ztz + lam * pen.S
-    if data.X is None:
-        ainv, edf = _cov_edf(a, ztz, bandwidth)
-        return np.zeros(0), ainv @ dm.rhs(resp, w), ainv, edf, band_form(a, bandwidth)
-
-    # Fixed effects present: solve the full block system. A minimum-norm
-    # solve keeps the fitted values defined even when the spline spans a
-    # fixed-effect column (the block matrix is then singular).
     X, p = data.X, data.p
     xtx = X.T @ (X if w is None else w[:, None] * X)
     zx = dm.cross_with(X, w)
@@ -206,10 +199,10 @@ def _solve_penalized(
     edf = float(np.trace(np.linalg.lstsq(c, gram, rcond=None)[0]))
     schur = a - zx @ np.linalg.lstsq(xtx, zx.T, rcond=None)[0]
     try:
-        cov_unit = penalized_inverse(schur, None)
-    except NumericalError:
+        cov_unit = scipy.linalg.cho_solve(scipy.linalg.cho_factor(schur), np.eye(schur.shape[0]))
+    except np.linalg.LinAlgError:
         cov_unit = np.linalg.pinv(schur)
-    return beta, coef, cov_unit, edf, None
+    return beta, coef, cov_unit, edf
 
 
 def _linear_predictor(dm: DesignMatrix, data: StratumData, beta: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -222,8 +215,13 @@ def _linear_predictor(dm: DesignMatrix, data: StratumData, beta: np.ndarray, coe
 def _gaussian_at(
     dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, lam: float
 ) -> StratumFit:
-    bandwidth = max(spec.degree, pen.order)
-    beta, coef, cov_unit, edf, band = _solve_penalized(dm, data, pen, lam, data.y, None, bandwidth)
+    if data.X is None:
+        beta, gram = np.zeros(0), dm.gram_band()
+        band, coef = _banded_solve(gram, _penalty_band(spec, pen), lam, dm.rhs(data.y))
+        cov_unit, edf = _cov_edf(band, gram)
+    else:
+        beta, coef, cov_unit, edf = _solve_penalized(dm, data, pen, lam, data.y, None)
+        band = None
     resid = data.y - _linear_predictor(dm, data, beta, coef)
     rss = float(resid @ resid)
     denom = data.n - edf
@@ -258,7 +256,6 @@ def _binomial_deviance(y: np.ndarray, mu: np.ndarray) -> float:
 def _binomial_at(
     dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, lam: float
 ) -> StratumFit:
-    bandwidth = max(spec.degree, pen.order)
     y = data.y
     mu = (y + 0.5) / 2.0
     eta = np.log(mu / (1.0 - mu))
@@ -266,19 +263,18 @@ def _binomial_at(
     trace = [deviance]
     # Without fixed effects each iteration needs only the coefficients: A is
     # built as a band and factored once; its inverse waits for convergence.
+    ab = None
     if data.X is None:
         beta = np.zeros(0)
-        penalty_band = lam * band_form(pen.S, bandwidth)
+        penalty_band = _penalty_band(spec, pen)
     for _ in range(MAX_IRLS_ITER):
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         u = eta + (y - mu) / w
         if data.X is None:
             gram = dm.gram_band(w)
-            ab = penalty_band.copy()
-            ab[bandwidth + 1 - gram.shape[0] :] += gram
-            coef = _banded_coef(ab, dm.rhs(u, w))
+            ab, coef = _banded_solve(gram, penalty_band, lam, dm.rhs(u, w))
         else:
-            beta, coef, cov_unit, edf, ab = _solve_penalized(dm, data, pen, lam, u, w, bandwidth)
+            beta, coef, cov_unit, edf = _solve_penalized(dm, data, pen, lam, u, w)
         eta = _linear_predictor(dm, data, beta, coef)
         if np.max(np.abs(eta)) > ETA_DIVERGENCE:
             raise NumericalError(
@@ -298,7 +294,7 @@ def _binomial_at(
         )
     if data.X is None:
         # The covariance inverts the last iteration's A, whose band is `ab`.
-        cov_unit, edf = _cov_edf(expand_band(ab), expand_band(gram), bandwidth)
+        cov_unit, edf = _cov_edf(ab, gram)
     return StratumFit(
         coef=coef,
         beta=beta,
@@ -320,8 +316,8 @@ def fit_stratum(
 
     Least squares for Gaussian outcomes, logistic IRLS for binary ones.
     """
-    if lam < 0:
-        raise ParameterError("smoothing parameter must be non-negative")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ParameterError(f"smoothing parameter must be finite and >= 0, got {float(lam)!r}")
     _warn_small_sample(data, spec)
     return _fit_at(design_matrix(spec, data.z), data, spec, pen, lam)
 
@@ -382,15 +378,14 @@ def _gaussian_grid(
     except np.linalg.LinAlgError as exc:
         raise NumericalError("no smoothing parameter candidate could be fit") from exc
     mu = np.clip(mu, 0.0, 1.0)  # rounding can leave mu just outside [0, 1]
-    bandwidth = max(spec.degree, pen.order)
-    gram_band = band_form(gram, bandwidth)
-    penalty_band = band_form(pen.S, bandwidth)
+    gram_band = dm.gram_band()
+    penalty_band = _penalty_band(spec, pen)
     rhs = dm.rhs(data.y)
     yss = float(data.y @ data.y)
     for lam in grid:
         lam = float(lam)
         try:
-            coef = _banded_coef(gram_band + lam * penalty_band, rhs)
+            _, coef = _banded_solve(gram_band, penalty_band, lam, rhs)
         except NumericalError:
             continue
         edf = float(np.sum(mu / (mu + (lam / scale) * (1.0 - mu))))
@@ -420,8 +415,8 @@ def select_lambda(
     if grid is None:
         grid = default_lambda_grid(dm, pen)
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0):
-        raise ParameterError("lambda grid must be a non-empty vector of positive values")
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ParameterError("lambda grid must be a non-empty vector of finite positive values")
     _warn_small_sample(data, spec)
     scored = _gaussian_grid if data.family == "gaussian" and data.X is None else _fitted_grid
     yss = float(data.y @ data.y)

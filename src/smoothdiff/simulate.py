@@ -68,10 +68,15 @@ class SimScenario:
     def __post_init__(self):
         if not 0 < self.n_nonzero < self.m:
             raise ParameterError("n_nonzero must lie strictly between 0 and m")
-        if self.m_delta < 0 or self.sigma_delta2 < 0 or self.sigma_b2 < 0:
-            raise ParameterError("variances and the minimum shift must be non-negative")
-        if self.nu < 1:
-            raise ParameterError("clumping factor must be at least 1")
+        for name, low in (("sigma_b2", 0), ("sigma_delta2", 0), ("m_delta", 0), ("noise_var", 0), ("nu", 1)):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= low):
+                raise ParameterError(f"{name} = {value!r} must be finite and at least {low}")
+        sweep = self.m_delta_sweep
+        if sweep is not None and (len(sweep) != 2 or not all(np.isfinite(v) and v >= 0 for v in sweep)):
+            raise ParameterError(f"m_delta_sweep = {sweep!r} must be two finite non-negative values")
+        if not 0 <= self.seed < 2**64:
+            raise ParameterError(f"seed = {self.seed!r} must lie in [0, 2**64)")
         if self.family not in ("gaussian", "binomial"):
             raise ParameterError(f"unknown family {self.family!r}")
         if any(not 0 < a < 1 for a in self.alphas):

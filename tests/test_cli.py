@@ -229,6 +229,28 @@ class TestAnalyze:
         assert main(argv + ["--domain", lo, hi, "--out", str(out)]) == 0
         assert json.loads((out / "fits.json").read_text())["basis"]["domain"] == [float(lo), float(hi)]
 
+    @pytest.mark.parametrize(
+        "flags, config, value",
+        [
+            (["--lambda", "nan"], "", "nan"),
+            (["--lambda", "inf"], "", "inf"),
+            (["--lambda", "-1"], "", "-1.0"),
+            ([], "lambda = nan\n", "nan"),
+        ],
+    )
+    def test_bad_lambda_exits_2(self, tmp_path, capsys, flags, config, value):
+        scn, data1, data2 = make_pair(seed=5)
+        path = tmp_path / "d.csv"
+        write_stratum_csv(path, data1, data2)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "basis_dim = 20\ndegree = 2\n")
+        out = tmp_path / "o"
+        argv = ["analyze", "--config", str(cfg), "--data", str(path), "--out", str(out)]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert f"smoothing parameter must be finite and >= 0, got {value}" in err
+        assert not out.exists()
+
     def test_seed_config_key_is_unknown(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("basis_dim = 20\nseed = 3\n")
@@ -423,6 +445,31 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(scenario), "--seed", "31", "--threads", "1", "--out", str(out_flag)]) == 0
         assert (out_env / "tiny_outcome.json").read_bytes() == (out_flag / "tiny_outcome.json").read_bytes()
 
+
+    @pytest.mark.parametrize(
+        "setting, flags, env, problem",
+        [
+            ("seed = 5", ["--seed", "-1"], None, "seed = -1 must lie in [0, 2**64)"),
+            ("seed = 5", ["--seed", str(2**64)], None, f"seed = {2**64} must lie in [0, 2**64)"),
+            ("seed = -1", [], None, "seed = -1 must lie in [0, 2**64)"),
+            ("seed = 5", [], "-7", "seed = -7 must lie in [0, 2**64)"),
+            ("m_delta_sweep = 0 1 2", [], None, "m_delta_sweep = (0.0, 1.0, 2.0) must be two"),
+            ("noise_var = -1", [], None, "noise_var = -1.0 must be finite"),
+            ("noise_var = nan", [], None, "noise_var = nan must be finite"),
+            ("m_delta = nan", [], None, "m_delta = nan must be finite"),
+            ("sigma_b2 = nan", [], None, "sigma_b2 = nan must be finite"),
+        ],
+    )
+    def test_bad_scenario_field_exits_2(self, tmp_path, capsys, monkeypatch, setting, flags, env, problem):
+        scenario = tmp_path / "bad.scn"
+        scenario.write_text(TINY_SCENARIO.replace("seed = 5", setting))
+        if env is not None:
+            monkeypatch.setenv("SMOOTHDIFF_SEED", env)
+        out = tmp_path / "sim"
+        argv = ["simulate", "--scenario", str(scenario), "--threads", "1", "--out", str(out)]
+        assert main(argv + flags) == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):

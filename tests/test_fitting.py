@@ -3,12 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit, xlogy
 
 from smoothdiff import fitting
-from smoothdiff.basis import design_matrix, difference_penalty, expand_band, make_basis
+from smoothdiff.basis import band_form, design_matrix, difference_penalty, expand_band, make_basis
 from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import (
     StratumData,
@@ -142,8 +141,7 @@ class TestFitGaussian:
 
     def test_banded_and_dense_paths_agree(self):
         rng = np.random.default_rng(7)
-        for trial in range(5):
-            m = int(rng.integers(8, 30))
+        for m in [2, 3, 4] + [int(rng.integers(8, 30)) for _ in range(5)]:
             a = rng.normal(size=(m, m))
             a = a @ a.T + m * np.eye(m)
             # zero outside a band to make a banded SPD test matrix
@@ -153,9 +151,11 @@ class TestFitGaussian:
                     if abs(j - k) > bw:
                         a[j, k] = 0.0
             a = a + m * np.eye(m)
-            banded = penalized_inverse(a, bw)
-            dense = penalized_inverse(a, None)
-            assert np.max(np.abs(banded - dense)) < 1e-10 * np.max(np.abs(dense))
+            dense = np.linalg.inv(a)
+            # the band at its own width, and as wide as the matrix
+            for width in {min(bw, m - 1), m - 1}:
+                banded = penalized_inverse(band_form(a, width))
+                assert np.max(np.abs(banded - dense)) < 1e-10 * np.max(np.abs(dense))
 
     def test_singular_system_raises(self, setup):
         spec, pen = setup
@@ -170,6 +170,20 @@ class TestFitGaussian:
         data = StratumData(y=np.zeros(30), z=np.linspace(0, 1, 30))
         with pytest.raises(ParameterError):
             fit_stratum(data, spec, pen, -1.0)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, setup, lam):
+        spec, pen = setup
+        data = StratumData(y=np.zeros(30), z=np.linspace(0, 1, 30))
+        with pytest.raises(ParameterError, match=f"got {lam!r}"):
+            fit_stratum(data, spec, pen, lam)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_lambda_grid_rejected(self, setup, bad):
+        spec, pen = setup
+        data = StratumData(y=np.zeros(30), z=np.linspace(0, 1, 30))
+        with pytest.raises(ParameterError, match="finite positive"):
+            select_lambda(data, spec, pen, grid=np.asarray([0.5, bad]))
 
     def test_small_sample_warns(self, setup):
         spec, pen = setup
@@ -250,7 +264,7 @@ def full_inverse_irls(data, spec, pen, lam):
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         u = eta + (y - mu) / w
         ztz = dm.crossprod(w)
-        ainv = penalized_inverse(ztz + lam * pen.S, bandwidth)
+        ainv = penalized_inverse(band_form(ztz + lam * pen.S, bandwidth))
         coef = ainv @ dm.rhs(u, w)
         edf = float(np.sum(ainv * ztz))
         eta = dm.predict(coef)
@@ -315,13 +329,14 @@ class TestBandedIrls:
         data, spec, pen = binomial_fixture(*BINOMIAL_FIXTURES[0])
         calls = []
 
-        def counting(a, bandwidth=None):
-            calls.append(a.shape)
-            return penalized_inverse(a, bandwidth)
+        def counting(ab):
+            calls.append(ab.shape)
+            return penalized_inverse(ab)
 
         monkeypatch.setattr(fitting, "penalized_inverse", counting)
         fit_stratum(data, spec, pen, 0.5)
-        assert calls == [(spec.m, spec.m)]
+        # A's (b + 1) x m upper band, not a dense m x m matrix
+        assert calls == [(max(spec.degree, pen.order) + 1, spec.m)]
 
     def test_not_positive_definite_iteration_raises(self, setup):
         # no data beyond z = 0.3 leaves basis functions without support, so
@@ -581,15 +596,36 @@ class TestGaussianGcvPath:
         data, spec, pen = gaussian_fixture(*fixture)
         calls = []
 
-        def counting(a, bandwidth=None):
-            calls.append(a.shape)
-            return penalized_inverse(a, bandwidth)
+        def counting(ab):
+            calls.append(ab.shape)
+            return penalized_inverse(ab)
 
         monkeypatch.setattr(fitting, "penalized_inverse", counting)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             select_lambda(data, spec, pen)
-        assert calls == [(spec.m, spec.m)]
+        # A's (b + 1) x m upper band, not a dense m x m matrix
+        assert calls == [(max(spec.degree, pen.order) + 1, spec.m)]
+
+    @pytest.mark.parametrize("fixture", GAUSSIAN_FIXTURES)
+    def test_selected_coef_is_the_grid_solve(self, fixture, monkeypatch):
+        data, spec, pen = gaussian_fixture(*fixture)
+        solves = []
+        real = fitting._banded_solve
+
+        def recording(gram, penalty_band, lam, rhs):
+            ab, coef = real(gram, penalty_band, lam, rhs)
+            solves.append((lam, coef))
+            return ab, coef
+
+        monkeypatch.setattr(fitting, "_banded_solve", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            fit = select_lambda(data, spec, pen)
+        # the grid's solve at the chosen lambda, then the fit's own
+        grid_coef, fit_coef = [coef for lam, coef in solves if lam == fit.lam]
+        assert np.array_equal(grid_coef, fit.coef)
+        assert fit_coef is fit.coef
 
 
 def json_round_trip(value):
@@ -629,23 +665,6 @@ class TestPrecisionBand:
         np.testing.assert_allclose(
             expand_band(band) @ fit.cov, fit.dispersion * np.eye(m), atol=1e-8 * fit.dispersion
         )
-
-    def test_small_m_takes_the_dense_branch(self, monkeypatch):
-        # bandwidth max(1, 2) = 2 covers the whole 3 x 3 matrix
-        data, spec, pen = self.fixture("gaussian", 3, 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fit = fit_stratum(data, spec, pen, 0.5)
-        calls = []
-        real = scipy.linalg.cho_factor
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
-        assert np.array_equal(band_covariance(fit.precision_band, fit.dispersion), fit.cov)
-        assert calls == [1]
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_fixed_effect_fit_has_no_band(self, setup, family):
