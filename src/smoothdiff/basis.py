@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ParameterError
 
@@ -93,7 +94,8 @@ class DesignMatrix:
 
     Rows are stored compactly: row i has the degree+1 potentially non-zero
     values `values[i]` starting at column `start[i]`. `dense` materializes
-    the full n x m matrix.
+    the full n x m matrix. `gram_band` and `rhs` go through weight-free CSR
+    operators built on first use, so a predict-only expansion never builds them.
     """
 
     z: np.ndarray
@@ -102,6 +104,8 @@ class DesignMatrix:
     m: int
     _dense: np.ndarray | None = field(default=None, repr=False)
     _xtx: np.ndarray | None = field(default=None, repr=False)
+    _cols: np.ndarray | None = field(default=None, repr=False)
+    _ops: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -112,28 +116,38 @@ class DesignMatrix:
         return self.values.shape[1]
 
     @property
+    def cols(self) -> np.ndarray:
+        """n x width column index of the compact rows."""
+        if self._cols is None:
+            self._cols = self.start[:, None] + np.arange(self.width)[None, :]
+        return self._cols
+
+    @property
     def dense(self) -> np.ndarray:
         if self._dense is None:
             out = np.zeros((self.n, self.m))
-            cols = self.start[:, None] + np.arange(self.width)[None, :]
-            np.put_along_axis(out, cols, self.values, axis=1)
+            np.put_along_axis(out, self.cols, self.values, axis=1)
             self._dense = out
         return self._dense
+
+    def _operators(self) -> tuple:
+        if self._ops is None:
+            self._ops = _sparse_operators(self.values, self.start, self.m)
+        return self._ops
 
     def gram_band(self, weights: np.ndarray | None = None) -> np.ndarray:
         """Z' diag(w) Z in upper band storage (solveh_banded layout).
 
         Row `width - 1 - k` holds the k-th superdiagonal, right-aligned, so
-        the main diagonal is the last row.
+        the main diagonal is the last row. One matvec gives every pair's
+        band row; they are added in pair order.
         """
         w, m = self.width, self.m
+        gram_op, _ = self._operators()
+        per_pair = gram_op @ (np.ones(self.n) if weights is None else weights)
         band = np.zeros((w, m))
-        for a in range(w):
-            for b in range(a, w):
-                contrib = self.values[:, a] * self.values[:, b]
-                if weights is not None:
-                    contrib = contrib * weights
-                band[w - 1 - (b - a)] += np.bincount(self.start + b, weights=contrib, minlength=m)
+        for k, (a, b) in enumerate(_pairs(w)):
+            band[w - 1 - (b - a)] += per_pair[k * m : (k + 1) * m]
         return band
 
     def crossprod(self, weights: np.ndarray | None = None) -> np.ndarray:
@@ -146,28 +160,56 @@ class DesignMatrix:
         return out
 
     def rhs(self, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """Z' diag(w) y."""
-        out = np.zeros(self.m)
-        wy = y if weights is None else weights * y
-        for a in range(self.width):
-            out += np.bincount(self.start + a, weights=self.values[:, a] * wy, minlength=self.m)
-        return out
-
-    def cross_with(self, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """Z' diag(w) X for a dense n x p matrix X."""
-        out = np.zeros((self.m, x.shape[1]))
-        wx = x if weights is None else weights[:, None] * x
-        for a in range(self.width):
-            for j in range(x.shape[1]):
-                out[:, j] += np.bincount(
-                    self.start + a, weights=self.values[:, a] * wx[:, j], minlength=self.m
-                )
+        """Z' diag(w) y for a vector y, or for each column of an n x p matrix y."""
+        if weights is not None:
+            y = weights * y if y.ndim == 1 else weights[:, None] * y
+        _, rhs_op = self._operators()
+        per_offset = (rhs_op @ y).reshape(self.width, self.m, *y.shape[1:])
+        out = np.zeros(per_offset.shape[1:])
+        for part in per_offset:
+            out += part
         return out
 
     def predict(self, coef: np.ndarray) -> np.ndarray:
         """Z @ coef via the compact rows."""
-        cols = self.start[:, None] + np.arange(self.width)[None, :]
-        return np.einsum("ij,ij->i", self.values, coef[cols])
+        return np.einsum("ij,ij->i", self.values, coef[self.cols])
+
+
+def _pairs(width: int) -> list[tuple[int, int]]:
+    """Coefficient pairs (a, b), a <= b, of one compact row, in the order the Gram band adds them."""
+    return [(a, b) for a in range(width) for b in range(a, width)]
+
+
+def _sparse_operators(values: np.ndarray, start: np.ndarray, m: int) -> tuple:
+    """(G, R): the weight-independent CSR operators behind `gram_band` and `rhs`.
+
+    Row k*m + j of G holds pair k's products `values[:, a] * values[:, b]`
+    at the samples with `start + b == j`; row a*m + j of R holds
+    `values[:, a]` at the samples with `start + a == j`. Each row lists its
+    samples in ascending order, and `csr_matvec` sums a row from 0 in that
+    order, which is the order `np.bincount` accumulates in, so `G @ w` and
+    `R @ (w*y)` give the per-pair and per-offset sums of a `bincount` bit
+    for bit.
+    """
+    width = values.shape[1]
+    order = np.argsort(start, kind="stable")
+    per_start = np.bincount(start, minlength=m)
+    vals = values[order]
+
+    def csr(blocks: list[tuple[np.ndarray, int]]) -> scipy.sparse.csr_array:
+        # Block k is (data, shift), data listing the samples in `order`;
+        # sample i goes to row k*m + start[i] + shift.
+        counts = np.zeros((len(blocks), m), dtype=np.int64)
+        for k, (_, shift) in enumerate(blocks):
+            counts[k, shift:] = per_start[: m - shift]
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        data = np.concatenate([block for block, _ in blocks])
+        indices = np.tile(order, len(blocks))
+        return scipy.sparse.csr_array((data, indices, indptr), shape=(len(blocks) * m, start.size))
+
+    gram_op = csr([(vals[:, a] * vals[:, b], b) for a, b in _pairs(width)])
+    rhs_op = csr([(vals[:, a], a) for a in range(width)])
+    return gram_op, rhs_op
 
 
 @dataclass(frozen=True)

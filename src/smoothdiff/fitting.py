@@ -171,38 +171,39 @@ def _warn_small_sample(data: StratumData, spec: BasisSpec) -> None:
         )
 
 
-def _solve_penalized(
-    dm: DesignMatrix,
-    data: StratumData,
-    pen: PenaltyMatrix,
-    lam: float,
-    resp: np.ndarray,
-    w: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(beta, coef, cov_unit, edf) of the penalized block system with fixed effects.
+def _fixed_effect_solve(
+    dm: DesignMatrix, data: StratumData, pen: PenaltyMatrix, lam: float, resp: np.ndarray, w: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(beta, coef, system) of the penalized block system with fixed effects.
 
-    cov_unit inverts the Schur complement of the fixed-effect block. A
-    minimum-norm solve keeps the fitted values defined even when the spline
-    spans a fixed-effect column (the block matrix is then singular).
+    system = (X'WX, Z'WX, Z'WZ, C), C being the block matrix solved, is what
+    `_fixed_effect_cov_edf` needs once the fit has converged. A minimum-norm
+    solve keeps the fitted values defined even when the spline spans a
+    fixed-effect column (C is then singular).
     """
     ztz = dm.crossprod(w)
-    a = ztz + lam * pen.S
     X, p = data.X, data.p
     xtx = X.T @ (X if w is None else w[:, None] * X)
-    zx = dm.cross_with(X, w)
-    c = np.block([[xtx, zx.T], [zx, a]])
+    zx = dm.rhs(X, w)
+    c = np.block([[xtx, zx.T], [zx, ztz + lam * pen.S]])
     wresp = resp if w is None else w * resp
     rhs = np.concatenate([X.T @ wresp, dm.rhs(resp, w)])
     theta = np.linalg.lstsq(c, rhs, rcond=None)[0]
-    beta, coef = theta[:p], theta[p:]
+    return theta[:p], theta[p:], (xtx, zx, ztz, c)
+
+
+def _fixed_effect_cov_edf(system: tuple) -> tuple[np.ndarray, float]:
+    """(cov_unit, edf) from `_fixed_effect_solve`'s system; cov_unit inverts the Schur complement."""
+    xtx, zx, ztz, c = system
+    p = xtx.shape[0]
     gram = np.block([[xtx, zx.T], [zx, ztz]])
     edf = float(np.trace(np.linalg.lstsq(c, gram, rcond=None)[0]))
-    schur = a - zx @ np.linalg.lstsq(xtx, zx.T, rcond=None)[0]
+    schur = c[p:, p:] - zx @ np.linalg.lstsq(xtx, zx.T, rcond=None)[0]
     try:
         cov_unit = scipy.linalg.cho_solve(scipy.linalg.cho_factor(schur), np.eye(schur.shape[0]))
     except np.linalg.LinAlgError:
         cov_unit = np.linalg.pinv(schur)
-    return beta, coef, cov_unit, edf
+    return cov_unit, edf
 
 
 def _linear_predictor(dm: DesignMatrix, data: StratumData, beta: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -220,7 +221,8 @@ def _gaussian_at(
         band, coef = _banded_solve(gram, _penalty_band(spec, pen), lam, dm.rhs(data.y))
         cov_unit, edf = _cov_edf(band, gram)
     else:
-        beta, coef, cov_unit, edf = _solve_penalized(dm, data, pen, lam, data.y, None)
+        beta, coef, system = _fixed_effect_solve(dm, data, pen, lam, data.y, None)
+        cov_unit, edf = _fixed_effect_cov_edf(system)
         band = None
     resid = data.y - _linear_predictor(dm, data, beta, coef)
     rss = float(resid @ resid)
@@ -261,8 +263,9 @@ def _binomial_at(
     eta = np.log(mu / (1.0 - mu))
     deviance = _binomial_deviance(y, mu)
     trace = [deviance]
-    # Without fixed effects each iteration needs only the coefficients: A is
-    # built as a band and factored once; its inverse waits for convergence.
+    # Each iteration solves only for the coefficients; the covariance and edf
+    # wait for convergence and use the last iteration's system. Without fixed
+    # effects that system is A's band, factored once per iteration.
     ab = None
     if data.X is None:
         beta = np.zeros(0)
@@ -274,7 +277,7 @@ def _binomial_at(
             gram = dm.gram_band(w)
             ab, coef = _banded_solve(gram, penalty_band, lam, dm.rhs(u, w))
         else:
-            beta, coef, cov_unit, edf = _solve_penalized(dm, data, pen, lam, u, w)
+            beta, coef, system = _fixed_effect_solve(dm, data, pen, lam, u, w)
         eta = _linear_predictor(dm, data, beta, coef)
         if np.max(np.abs(eta)) > ETA_DIVERGENCE:
             raise NumericalError(
@@ -295,6 +298,8 @@ def _binomial_at(
     if data.X is None:
         # The covariance inverts the last iteration's A, whose band is `ab`.
         cov_unit, edf = _cov_edf(ab, gram)
+    else:
+        cov_unit, edf = _fixed_effect_cov_edf(system)
     return StratumFit(
         coef=coef,
         beta=beta,

@@ -1,10 +1,16 @@
-"""The paper's alternative closed forms, kept as oracles for the library's one.
+"""Alternative forms of library quantities, kept as oracles for the library's one.
 
 `smoothdiff.toeplitz.cov_quadratic_forms` computes the covariance of two
 Gaussian quadratic forms as a trace; the Hadamard/Kronecker double sum and
 the Frobenius form below are the paper's other two expressions of it. The
 closed-form tridiagonal Toeplitz inverse is checked against numeric
 inversion by acceptance criterion 7.
+
+The weighted design products of `smoothdiff.basis.DesignMatrix` go through
+cached sparse operators; the `bincount` loops below are the per-pair,
+per-offset and per-column forms they replaced, which they must match bit
+for bit. `solve_penalized_per_iteration` is the fixed-effect solve that
+formed the covariance and edf in every IRLS iteration.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from smoothdiff.errors import DomainError, ParameterError
 from smoothdiff.toeplitz import QuadFormProblem, TridiagFactor
@@ -83,3 +90,61 @@ def tridiag_toeplitz_inverse(factor: TridiagFactor, n: int | None = None) -> np.
     log_mag = log_fwd[lo - 1] + log_bwd[hi - 1] - log_scale
     signs = np.where((hi - lo) % 2 == 0, 1.0, -1.0)
     return signs * np.exp(log_mag) / factor.off
+
+
+def gram_band_by_pair_bincount(dm, weights=None) -> np.ndarray:
+    """Z' diag(w) Z's upper band: one length-m `bincount` per coefficient pair."""
+    w, m = dm.width, dm.m
+    band = np.zeros((w, m))
+    for a in range(w):
+        for b in range(a, w):
+            contrib = dm.values[:, a] * dm.values[:, b]
+            if weights is not None:
+                contrib = contrib * weights
+            band[w - 1 - (b - a)] += np.bincount(dm.start + b, weights=contrib, minlength=m)
+    return band
+
+
+def rhs_by_offset_bincount(dm, y, weights=None) -> np.ndarray:
+    """Z' diag(w) y: one `bincount` per offset within the compact rows."""
+    out = np.zeros(dm.m)
+    wy = y if weights is None else weights * y
+    for a in range(dm.width):
+        out += np.bincount(dm.start + a, weights=dm.values[:, a] * wy, minlength=dm.m)
+    return out
+
+
+def cross_with_by_column_bincount(dm, x, weights=None) -> np.ndarray:
+    """Z' diag(w) X for an n x p matrix X: one `bincount` per offset and column."""
+    out = np.zeros((dm.m, x.shape[1]))
+    wx = x if weights is None else weights[:, None] * x
+    for a in range(dm.width):
+        for j in range(x.shape[1]):
+            out[:, j] += np.bincount(dm.start + a, weights=dm.values[:, a] * wx[:, j], minlength=dm.m)
+    return out
+
+
+def solve_penalized_per_iteration(dm, X, S, lam, resp, w):
+    """(beta, coef, cov_unit, edf) of the penalized block system with fixed effects X.
+
+    Forms everything at once, as one IRLS iteration used to: the minimum-norm
+    solve, the edf by an (m + p)-column `lstsq`, and the inverse of the
+    Schur complement of the fixed-effect block.
+    """
+    ztz = dm.crossprod(w)
+    a = ztz + lam * S
+    p = X.shape[1]
+    xtx = X.T @ (X if w is None else w[:, None] * X)
+    zx = cross_with_by_column_bincount(dm, X, w)
+    c = np.block([[xtx, zx.T], [zx, a]])
+    wresp = resp if w is None else w * resp
+    rhs = np.concatenate([X.T @ wresp, rhs_by_offset_bincount(dm, resp, w)])
+    theta = np.linalg.lstsq(c, rhs, rcond=None)[0]
+    gram = np.block([[xtx, zx.T], [zx, ztz]])
+    edf = float(np.trace(np.linalg.lstsq(c, gram, rcond=None)[0]))
+    schur = a - zx @ np.linalg.lstsq(xtx, zx.T, rcond=None)[0]
+    try:
+        cov_unit = scipy.linalg.cho_solve(scipy.linalg.cho_factor(schur), np.eye(schur.shape[0]))
+    except np.linalg.LinAlgError:
+        cov_unit = np.linalg.pinv(schur)
+    return theta[:p], theta[p:], cov_unit, edf

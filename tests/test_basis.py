@@ -2,6 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    cross_with_by_column_bincount,
+    gram_band_by_pair_bincount,
+    rhs_by_offset_bincount,
+)
+from smoothdiff import basis
 from smoothdiff.basis import (
     band_form,
     design_matrix,
@@ -234,6 +240,80 @@ class TestGramBand:
         band[2, 1] = 5.0
         band[3] = [1.0, 2.0]
         assert np.array_equal(expand_band(band), [[1.0, 5.0], [5.0, 2.0]])
+
+
+def assert_matches_bincount_oracles(dm, rng):
+    """gram_band and rhs (vector and matrix) equal the bincount loops bit for bit."""
+    w = rng.uniform(1e-3, 0.25, dm.n)
+    y = rng.normal(size=dm.n)
+    x = rng.normal(size=(dm.n, 3))
+    for weights in (None, w):
+        assert np.array_equal(dm.gram_band(weights), gram_band_by_pair_bincount(dm, weights))
+        assert np.array_equal(dm.rhs(y, weights), rhs_by_offset_bincount(dm, y, weights))
+        assert np.array_equal(dm.rhs(x, weights), cross_with_by_column_bincount(dm, x, weights))
+        # a column-major right-hand side gives the same sums
+        assert np.array_equal(dm.rhs(np.asfortranarray(x), weights), cross_with_by_column_bincount(dm, x, weights))
+
+
+class TestSparseOperators:
+    """The cached CSR operators reproduce the bincount loops they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    @pytest.mark.parametrize("m_extra,n", [(2, 2000), (30, 2000), (200, 3000), (60, 25)])
+    def test_bit_identical_to_bincount_oracles(self, d, m_extra, n):
+        spec = make_basis(0.0, 1.0, d + m_extra, d)
+        rng = np.random.default_rng(40 + d)
+        # points outside the domain give all-zero rows; n = 25 has n < m
+        dm = design_matrix(spec, rng.uniform(-0.05, 1.05, n))
+        assert_matches_bincount_oracles(dm, rng)
+
+    @pytest.mark.parametrize("d", [0, 3])
+    def test_all_rows_outside_the_domain(self, d):
+        spec = make_basis(0.0, 1.0, 12, d)
+        rng = np.random.default_rng(47)
+        dm = design_matrix(spec, np.concatenate([rng.uniform(-2, -1, 30), rng.uniform(1.5, 2, 30)]))
+        assert_matches_bincount_oracles(dm, rng)
+        assert not dm.gram_band(rng.uniform(0.1, 1, dm.n)).any()
+
+    @given(m=st.integers(2, 150), n=st.integers(1, 400), d=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_property(self, m, n, d, seed):
+        spec = make_basis(0.0, 1.0, m + d, d)
+        rng = np.random.default_rng(seed)
+        dm = design_matrix(spec, rng.uniform(-0.1, 1.1, n))
+        assert_matches_bincount_oracles(dm, rng)
+
+    def test_operators_built_once_per_design_matrix(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        real = basis._sparse_operators
+        monkeypatch.setattr(basis, "_sparse_operators", counting)
+        spec = make_basis(0.0, 1.0, 20, 3)
+        rng = np.random.default_rng(48)
+        dm = design_matrix(spec, rng.uniform(0, 1, 300))
+        w = rng.uniform(0.1, 1.0, 300)
+        for _ in range(3):
+            dm.gram_band(w)
+            dm.rhs(rng.normal(size=300), w)
+            dm.rhs(rng.normal(size=(300, 2)), w)
+        dm.crossprod()
+        assert calls == [20]
+
+    def test_predict_only_builds_no_operator(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("operator built by a predict-only design matrix")
+
+        monkeypatch.setattr(basis, "_sparse_operators", fail)
+        spec = make_basis(0.0, 1.0, 20, 3)
+        rng = np.random.default_rng(49)
+        dm = design_matrix(spec, rng.uniform(0, 1, 300))
+        coef = rng.normal(size=20)
+        assert np.array_equal(dm.predict(coef), dm.predict(coef))
+        np.testing.assert_allclose(dm.predict(coef), dm.dense @ coef, rtol=1e-13, atol=1e-13)
 
 
 class TestDifferencePenalty:

@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from oracles import solve_penalized_per_iteration
 from scipy.special import expit, xlogy
 
 from smoothdiff import fitting
@@ -360,6 +362,70 @@ class TestBandedIrls:
             assert _binomial_deviance(y[i : i + 1], mu[i : i + 1]) == xlogy_deviance(
                 y[i : i + 1], mu[i : i + 1]
             )
+
+
+def per_iteration_fixed_effect_irls(data, spec, pen, lam):
+    """Binomial IRLS with fixed effects that forms cov and edf in every iteration.
+
+    Returns (beta, coef, cov, edf, deviance) of the last iteration, as
+    `_binomial_at` did before the covariance waited for convergence.
+    """
+    dm = design_matrix(spec, data.z)
+    y = data.y
+    mu = (y + 0.5) / 2.0
+    eta = np.log(mu / (1.0 - mu))
+    deviance = _binomial_deviance(y, mu)
+    for _ in range(fitting.MAX_IRLS_ITER):
+        w = np.clip(mu * (1.0 - mu), 1e-10, None)
+        u = eta + (y - mu) / w
+        beta, coef, cov_unit, edf = solve_penalized_per_iteration(dm, data.X, pen.S, lam, u, w)
+        eta = dm.predict(coef) + data.X @ beta
+        mu = expit(eta)
+        new_deviance = _binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12))
+        converged = abs(new_deviance - deviance) <= fitting.IRLS_REL_TOL * (abs(deviance) + 1e-12)
+        deviance = new_deviance
+        if converged:
+            return beta, coef, 0.5 * (cov_unit + cov_unit.T), edf, deviance
+    raise NumericalError("IRLS failed to converge")
+
+
+class TestFixedEffectIrls:
+    @staticmethod
+    def fixture(m, degree, seed):
+        spec = make_basis(0.0, 1.0, m, degree)
+        pen = difference_penalty(m, 2)
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(0, 1, 800)
+        x = rng.normal(size=(800, 2))
+        eta = 1.5 * np.sin(5 * z) + x @ np.asarray([0.4, -0.3])
+        y = (rng.random(800) < expit(eta)).astype(float)
+        return StratumData(y=y, z=z, family="binomial", X=x), spec, pen
+
+    @pytest.mark.parametrize("m,degree,seed", [(8, 2, 61), (25, 3, 62), (30, 1, 63)])
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 50.0])
+    def test_bit_identical_to_per_iteration_path(self, m, degree, seed, lam):
+        data, spec, pen = self.fixture(m, degree, seed)
+        fit = fit_stratum(data, spec, pen, lam)
+        beta, coef, cov, edf, deviance = per_iteration_fixed_effect_irls(data, spec, pen, lam)
+        assert np.array_equal(fit.beta, beta)
+        assert np.array_equal(fit.coef, coef)
+        assert np.array_equal(fit.cov, cov)
+        assert fit.edf == edf
+        assert fit.deviance == deviance
+
+    def test_one_schur_inverse_per_fit(self, monkeypatch):
+        data, spec, pen = self.fixture(25, 3, 62)
+        calls = []
+        real = scipy.linalg.cho_factor
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        fit_stratum(data, spec, pen, 0.5)
+        # the IRLS ran several iterations, and only the converged one inverts
+        assert calls == [(spec.m, spec.m)]
 
 
 class TestStratumDataValidation:
