@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import design_matrix, difference_penalty, make_basis
+from .basis import DesignMatrix, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
 from .fitting import StratumData, StratumFit, band_covariance, fit_stratum, select_lambda
 from .simulate import (
@@ -181,15 +181,22 @@ def _fit_payload(fit: StratumFit, lam_source: str) -> dict:
     if fit.precision_band is None:
         # With fixed effects the covariance inverts a dense Schur complement
         # A - Zx (X'WX)^{-1} Zx', which has no band to store.
-        payload["cov"] = [[float(v) for v in row] for row in fit.cov]
+        payload["cov"] = [[float(v) for v in row] for row in fit.dense_cov]
     else:
         payload["precision_band"] = [[float(v) for v in row] for row in fit.precision_band]
     return payload
 
 
-def pointwise_variance(design: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Variance of each fitted value: the diagonal of D cov D'."""
-    return np.sum((design @ cov) * design, axis=1)
+def band_pointwise_variance(dm: DesignMatrix, band: np.ndarray) -> np.ndarray:
+    """Variance of each fitted value, the diagonal of Z V Z', from the
+    compact rows of Z and V's upper band to offset degree (width - 1)."""
+    u = dm.width - 1
+    out = np.zeros(dm.n)
+    for a in range(dm.width):
+        for b in range(a, dm.width):
+            term = dm.values[:, a] * dm.values[:, b] * band[u - (b - a), dm.start + b]
+            out += term if a == b else 2.0 * term
+    return out
 
 
 def cmd_analyze(config: AnalysisConfig) -> int:
@@ -270,7 +277,7 @@ def cmd_analyze(config: AnalysisConfig) -> int:
         cols = []
         for fit in fits:
             center = dm.predict(fit.coef)
-            se = np.sqrt(pointwise_variance(dm.dense, fit.cov))
+            se = np.sqrt(band_pointwise_variance(dm, fit.covariance_band(spec.degree)))
             cols.append((center, center - BAND_MULTIPLIER * se, center + BAND_MULTIPLIER * se))
         for i, z in enumerate(grid):
             row = [repr(float(z))]
@@ -516,7 +523,7 @@ def load_model(path: str):
                     beta=np.asarray(f["beta"], dtype=float),
                     lam=f["lambda"],
                     dispersion=dispersion,
-                    cov=cov,
+                    dense_cov=cov,
                     edf=f["edf"],
                     family=f["family"],
                     deviance=f["deviance"],

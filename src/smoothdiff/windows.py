@@ -4,8 +4,10 @@ Knot-defined region k depends on the w = degree+1 adjacent coefficients
 k..k+degree. Its statistic is T_k = d_k' V_k^{-1} d_k, the quadratic form of
 the coefficient-difference window d_k against the w x w diagonal block V_k
 of the summed covariance V1 + V2, referred to a chi-square with w degrees of
-freedom. `window_test_series` is the one place T is computed: it factors
-every block in one batched Cholesky call and takes T_k = ||L_k^{-1} d_k||^2.
+freedom. One kernel computes T: it factors every block in one batched
+Cholesky call and takes T_k = ||L_k^{-1} d_k||^2. `window_statistics` reads
+the blocks from the fits' covariance bands, `window_test_series` from a
+dense matrix.
 The covariance of two statistics, which the dependence diagnostics report,
 is read from the 2w x 2w block of V1 + V2 on both windows.
 
@@ -134,6 +136,25 @@ def sliding_inverses(
     return SlidingInverses(inverses=inverses, n_factorizations=n_fact)
 
 
+def _window_series(spec: BasisSpec, delta: np.ndarray, blocks: np.ndarray) -> WindowTestSeries:
+    """Statistics, p-values and regions from the stacked w x w window blocks V_k."""
+    w = spec.degree + 1
+    try:
+        chol = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        # The batched call does not say which block failed; name the first.
+        for k, block in enumerate(blocks):
+            _direct_inverse(block, k)
+        raise
+    d = delta[np.arange(spec.n_regions)[:, None] + np.arange(w)]
+    z = np.empty_like(d)
+    for i in range(w):
+        z[:, i] = (d[:, i] - np.sum(chol[:, i, :i] * z[:, :i], axis=1)) / chol[:, i, i]
+    t = np.sum(z * z, axis=1)
+    regions = np.column_stack((spec.breakpoints[:-1], spec.breakpoints[1:]))
+    return WindowTestSeries(spec=spec, T=t, p=chi2.sf(t, df=w), regions=regions)
+
+
 def window_test_series(spec: BasisSpec, delta: np.ndarray, v: np.ndarray) -> WindowTestSeries:
     """Statistics, chi-square p-values and regions of every window of `delta`.
 
@@ -142,23 +163,8 @@ def window_test_series(spec: BasisSpec, delta: np.ndarray, v: np.ndarray) -> Win
     rows, all windows at once, gives z_k = L_k^{-1} d_k and T_k = ||z_k||^2.
     p-values use the chi-square survival function with w degrees of freedom.
     """
-    w = spec.degree + 1
-    idx = np.arange(spec.n_regions)[:, None] + np.arange(w)
-    blocks = v[idx[:, :, None], idx[:, None, :]]
-    try:
-        chol = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        # The batched call does not say which block failed; name the first.
-        for k, block in enumerate(blocks):
-            _direct_inverse(block, k)
-        raise
-    d = delta[idx]
-    z = np.empty_like(d)
-    for i in range(w):
-        z[:, i] = (d[:, i] - np.sum(chol[:, i, :i] * z[:, :i], axis=1)) / chol[:, i, i]
-    t = np.sum(z * z, axis=1)
-    regions = np.column_stack((spec.breakpoints[:-1], spec.breakpoints[1:]))
-    return WindowTestSeries(spec=spec, T=t, p=chi2.sf(t, df=w), regions=regions)
+    idx = np.arange(spec.n_regions)[:, None] + np.arange(spec.degree + 1)
+    return _window_series(spec, delta, v[idx[:, :, None], idx[:, None, :]])
 
 
 def window_statistics(
@@ -169,12 +175,20 @@ def window_statistics(
     """Quadratic-form statistics and chi-square p-values for every region.
 
     T_k = d_k' (V1_k + V2_k)^{-1} d_k over the coefficient-difference windows
-    d_k of width degree+1 (`window_test_series`).
+    d_k of width w = degree+1, as in `window_test_series`. The blocks are
+    read from the sum of the fits' covariance bands to offset degree, so
+    no m x m matrix is formed.
     """
-    m = spec.m
-    if any(f.coef.size != m or f.cov.shape != (m, m) for f in (fit1, fit2)):
+    m, w = spec.m, spec.degree + 1
+    bands = [f.covariance_band(spec.degree) for f in (fit1, fit2)]
+    if any(f.coef.size != m or b.shape[1] != m for f, b in zip((fit1, fit2), bands)):
         raise ParameterError("fits do not match the basis dimension")
-    return window_test_series(spec, fit1.coef - fit2.coef, fit1.cov + fit2.cov)
+    band = bands[0] + bands[1]
+    # V_k[i, j] = V[k + i, k + j], held in row degree - |i - j| at column k + max(i, j).
+    i = np.arange(w)
+    rows = spec.degree - np.abs(i[:, None] - i[None, :])
+    cols = np.arange(spec.n_regions)[:, None, None] + np.maximum(i[:, None], i[None, :])
+    return _window_series(spec, fit1.coef - fit2.coef, band[rows, cols])
 
 
 def window_stat_covariance(

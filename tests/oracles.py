@@ -11,6 +11,12 @@ cached sparse operators; the `bincount` loops below are the per-pair,
 per-offset and per-column forms they replaced, which they must match bit
 for bit. `solve_penalized_per_iteration` is the fixed-effect solve that
 formed the covariance and edf in every IRLS iteration.
+
+`smoothdiff.fitting.selected_inverse_band` gives every edf and covariance
+band without an inverse. `dense_inverse_edf` is the dense inverse per grid
+point that binomial fits used for their edf, `demmler_reinsch_edfs` the
+generalized eigensolve that scored the Gaussian grid, and
+`pointwise_variance` the dense diag(D cov D') that the curves used.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from smoothdiff.basis import expand_band
 from smoothdiff.errors import DomainError, ParameterError
 from smoothdiff.toeplitz import QuadFormProblem, TridiagFactor
 
@@ -148,3 +155,27 @@ def solve_penalized_per_iteration(dm, X, S, lam, resp, w):
     except np.linalg.LinAlgError:
         cov_unit = np.linalg.pinv(schur)
     return theta[:p], theta[p:], cov_unit, edf
+
+
+def dense_inverse_edf(ab, gram_band):
+    """(A^{-1}, tr(A^{-1} Z'WZ)) from the bands of A and Z'WZ, by one dense
+    `solveh_banded` inverse."""
+    ainv = scipy.linalg.solveh_banded(ab, np.eye(ab.shape[1]))
+    return ainv, float(np.sum(ainv * expand_band(gram_band)))
+
+
+def demmler_reinsch_edfs(gram, S, grid):
+    """edf(lam) = tr((G + lam S)^{-1} G) at each grid point from one eigensolve.
+
+    With c = tr(G)/tr(S), the generalized eigenvalues mu of G v = mu (G + cS) v
+    lie in [0, 1] (clipped there against rounding) and give
+    edf(lam) = sum mu / (mu + (lam/c)(1 - mu)) (Demmler-Reinsch; Wood 2017, 5.4).
+    """
+    scale = float(np.trace(gram)) / float(np.trace(S))
+    mu = np.clip(scipy.linalg.eigh(gram, gram + scale * S, eigvals_only=True), 0.0, 1.0)
+    return np.asarray([float(np.sum(mu / (mu + (lam / scale) * (1.0 - mu)))) for lam in grid])
+
+
+def pointwise_variance(design, cov):
+    """Variance of each fitted value: the diagonal of D cov D'."""
+    return np.sum((design @ cov) * design, axis=1)

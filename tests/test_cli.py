@@ -3,10 +3,11 @@ import os
 
 import numpy as np
 import pytest
+from oracles import pointwise_variance
 
 from smoothdiff import simulate
 from smoothdiff.basis import design_matrix, difference_penalty, make_basis
-from smoothdiff.cli import CURVE_GRID_POINTS, load_model, main, pointwise_variance, write_stratum_csv
+from smoothdiff.cli import CURVE_GRID_POINTS, band_pointwise_variance, load_model, main, write_stratum_csv
 from smoothdiff.fitting import select_lambda
 from smoothdiff.simulate import SimScenario, gen_coefficients, gen_stratum, replicate_rng
 from smoothdiff.tdp import threshold_regions
@@ -286,6 +287,17 @@ class TestAnalyze:
         curves = np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1)
         se = np.sqrt(np.einsum("ij,jk,ik->i", D, covs[0], D))
         np.testing.assert_allclose(curves[:, 3] - curves[:, 1], 1.96 * se, rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_band_pointwise_variance_matches_dense(self, family, degree):
+        _, data1, _ = make_pair(seed=11, family=family)
+        spec = make_basis(0.0, 1.0, 20, degree)
+        pen = difference_penalty(20, 2)
+        dm = design_matrix(spec, np.linspace(0.0, 1.0, CURVE_GRID_POINTS))
+        fit = select_lambda(data1, spec, pen)
+        got = band_pointwise_variance(dm, fit.covariance_band(degree))
+        np.testing.assert_allclose(got, pointwise_variance(dm.dense, fit.cov), rtol=1e-12)
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # binomial fit on perfectly separated outcomes diverges

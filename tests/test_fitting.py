@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
-from oracles import solve_penalized_per_iteration
+from oracles import demmler_reinsch_edfs, dense_inverse_edf, solve_penalized_per_iteration
 from scipy.special import expit, xlogy
 
 from smoothdiff import fitting
@@ -19,7 +20,9 @@ from smoothdiff.fitting import (
     fit_stratum,
     penalized_inverse,
     select_lambda,
+    selected_inverse_band,
 )
+from smoothdiff.windows import window_statistics
 
 
 @pytest.fixture
@@ -336,8 +339,11 @@ class TestBandedIrls:
             return penalized_inverse(ab)
 
         monkeypatch.setattr(fitting, "penalized_inverse", counting)
-        fit_stratum(data, spec, pen, 0.5)
-        # A's (b + 1) x m upper band, not a dense m x m matrix
+        fit = fit_stratum(data, spec, pen, 0.5)
+        assert calls == []
+        # the dense covariance is one inverse of A's (b + 1) x m band, on request
+        fit.cov
+        fit.cov
         assert calls == [(max(spec.degree, pen.order) + 1, spec.m)]
 
     def test_not_positive_definite_iteration_raises(self, setup):
@@ -444,7 +450,7 @@ class TestStratumDataValidation:
 
 
 def assert_fits_bitwise_equal(a, b):
-    for name in ("coef", "beta", "cov", "precision_band"):
+    for name in ("coef", "beta", "cov", "cov_band", "precision_band"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for name in ("lam", "dispersion", "edf", "family", "deviance", "n_obs"):
         assert getattr(a, name) == getattr(b, name), name
@@ -547,14 +553,14 @@ def path_argmin(path):
     return best_lam
 
 
-def eigen_gcv_path(data, spec, pen, grid):
-    """The same (lam, deviance, edf, score) path from the inverse-free Gaussian scoring."""
+def batched_gcv_path(data, spec, pen, grid):
+    """The same (lam, deviance, edf, score) path from the batched grid, one selected inversion for all points."""
     dm = design_matrix(spec, data.z)
     yss = float(data.y @ data.y)
     path = []
-    for lam, deviance, edf, _ in fitting._gaussian_grid(dm, data, spec, pen, np.sort(grid)):
-        dev = 0.0 if deviance <= 1e-16 * max(yss, 1e-300) else deviance
-        path.append((lam, dev, edf, fitting._gcv_score(data, deviance, edf, yss)))
+    for fit in fitting._band_grid(dm, data, spec, pen, np.sort(grid)):
+        dev = 0.0 if fit.deviance <= 1e-16 * max(yss, 1e-300) else fit.deviance
+        path.append((fit.lam, dev, fit.edf, fitting._gcv_score(data, fit.deviance, fit.edf, yss)))
     return path
 
 
@@ -612,7 +618,7 @@ class TestGaussianGcvPath:
         grid = default_lambda_grid(design_matrix(spec, data.z), pen)
         ref = full_fit_gcv_path(data, spec, pen, grid)
         assert ref
-        assert_paths_match(eigen_gcv_path(data, spec, pen, grid), ref, data)
+        assert_paths_match(batched_gcv_path(data, spec, pen, grid), ref, data)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             assert select_lambda(data, spec, pen).lam == path_argmin(ref)
@@ -620,13 +626,13 @@ class TestGaussianGcvPath:
     def test_constant_outcome_flushes_every_point(self):
         data, spec, pen = gaussian_fixture(*GAUSSIAN_FIXTURES[5])
         grid = default_lambda_grid(design_matrix(spec, data.z), pen)
-        assert all(score == 0.0 for *_, score in eigen_gcv_path(data, spec, pen, grid))
+        assert all(score == 0.0 for *_, score in batched_gcv_path(data, spec, pen, grid))
 
     @pytest.mark.parametrize("fixture", [GAUSSIAN_FIXTURES[0], GAUSSIAN_FIXTURES[6]])
     def test_one_point_grid(self, fixture):
         data, spec, pen = gaussian_fixture(*fixture)
         grid = np.asarray([0.37])
-        path = eigen_gcv_path(data, spec, pen, grid)
+        path = batched_gcv_path(data, spec, pen, grid)
         assert_paths_match(path, full_fit_gcv_path(data, spec, pen, grid), data)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
@@ -647,7 +653,7 @@ class TestGaussianGcvPath:
         z = rng.uniform(0, 1, n)
         data = StratumData(y=np.cos(3 * z) + rng.normal(0, noise, n), z=z)
         grid = default_lambda_grid(design_matrix(spec, z), pen)
-        path = eigen_gcv_path(data, spec, pen, grid)
+        path = batched_gcv_path(data, spec, pen, grid)
         assert_paths_match(path, full_fit_gcv_path(data, spec, pen, grid), data)
 
     def test_singular_system_has_no_candidate(self, setup):
@@ -669,8 +675,9 @@ class TestGaussianGcvPath:
         monkeypatch.setattr(fitting, "penalized_inverse", counting)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            select_lambda(data, spec, pen)
-        # A's (b + 1) x m upper band, not a dense m x m matrix
+            fit = select_lambda(data, spec, pen)
+        assert calls == []
+        fit.cov
         assert calls == [(max(spec.degree, pen.order) + 1, spec.m)]
 
     @pytest.mark.parametrize("fixture", GAUSSIAN_FIXTURES)
@@ -680,18 +687,18 @@ class TestGaussianGcvPath:
         real = fitting._banded_solve
 
         def recording(gram, penalty_band, lam, rhs):
-            ab, coef = real(gram, penalty_band, lam, rhs)
+            ab, factor, coef = real(gram, penalty_band, lam, rhs)
             solves.append((lam, coef))
-            return ab, coef
+            return ab, factor, coef
 
         monkeypatch.setattr(fitting, "_banded_solve", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             fit = select_lambda(data, spec, pen)
-        # the grid's solve at the chosen lambda, then the fit's own
-        grid_coef, fit_coef = [coef for lam, coef in solves if lam == fit.lam]
-        assert np.array_equal(grid_coef, fit.coef)
-        assert fit_coef is fit.coef
+        # the grid's one solve at the chosen lambda is the fit; nothing refits
+        assert [lam for lam, _ in solves] == sorted({lam for lam, _ in solves})
+        [grid_coef] = [coef for lam, coef in solves if lam == fit.lam]
+        assert grid_coef is fit.coef
 
 
 def json_round_trip(value):
@@ -743,3 +750,135 @@ class TestPrecisionBand:
             y = (rng.random(z.size) < expit(np.sin(5 * z))).astype(float)
         data = StratumData(y=y, z=z, family=family, X=rng.normal(size=(300, 1)))
         assert fit_stratum(data, spec, pen, 0.5).precision_band is None
+
+
+def penalized_factors(m, degree, order, lams, seed=0):
+    """(ab, factor) per lambda of A = Z'WZ + lam S on random data and weights."""
+    spec = make_basis(0.0, 1.0, m, degree)
+    pen = difference_penalty(m, order)
+    rng = np.random.default_rng(seed)
+    dm = design_matrix(spec, rng.uniform(0, 1, 6 * m))
+    gram = dm.gram_band(rng.uniform(0.1, 1.0, dm.n))
+    systems = []
+    for lam in lams:
+        ab, factor, _ = fitting._banded_solve(gram, fitting._penalty_band(spec, pen), lam, np.ones(m))
+        systems.append((ab, factor))
+    return systems
+
+
+def dense_inverse_band(ab):
+    """The upper band of np.linalg.inv(A) at A's width."""
+    return band_form(np.linalg.inv(expand_band(ab)), ab.shape[0] - 1)
+
+
+class TestSelectedInverseBand:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("n_sys", [1, 40])
+    def test_matches_dense_inverse(self, degree, order, n_sys):
+        lams = np.geomspace(1e-3, 1e3, n_sys)
+        # from the smallest basis, whose band can span the whole matrix, up
+        smallest = max(degree + 2, order + 1)
+        for m in sorted({smallest, smallest + 1, 9, 31}):
+            systems = penalized_factors(m, degree, order, lams, seed=m)
+            bands = selected_inverse_band(np.stack([factor for _, factor in systems]))
+            assert bands.shape == (n_sys, max(degree, order) + 1, m)
+            for (ab, _), band in zip(systems, bands):
+                ref = dense_inverse_band(ab)
+                assert np.max(np.abs(band - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        degree=st.integers(0, 3),
+        order=st.integers(1, 3),
+        extra=st.integers(0, 40),
+        log_lam=st.floats(-4, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_dense_inverse(self, degree, order, extra, log_lam, seed):
+        m = max(degree + 2, order + 1) + extra
+        [(ab, factor)] = penalized_factors(m, degree, order, [10.0**log_lam], seed=seed)
+        [band] = selected_inverse_band(factor[None])
+        ref = dense_inverse_band(ab)
+        assert np.max(np.abs(band - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("degree, order", [(0, 1), (1, 2), (3, 2), (2, 3)])
+    def test_each_system_independent_of_the_stack(self, degree, order):
+        systems = penalized_factors(25, degree, order, np.geomspace(1e-2, 1e2, 7))
+        factors = np.stack([factor for _, factor in systems])
+        stacked = selected_inverse_band(factors)
+        for k in range(len(factors)):
+            assert np.array_equal(selected_inverse_band(factors[k : k + 1])[0], stacked[k])
+
+
+class TestGridEdf:
+    @pytest.mark.parametrize("fixture", BINOMIAL_FIXTURES)
+    def test_binomial_edf_matches_dense_inverse(self, fixture):
+        data, spec, pen = binomial_fixture(*fixture)
+        dm = design_matrix(spec, data.z)
+        solve = fitting._band_solver(dm, data, spec, pen)
+        systems = [solve(float(lam)) for lam in default_lambda_grid(dm, pen)]
+        for system, _, edf in fitting._selected_inverses(systems):
+            _, ref = dense_inverse_edf(system.precision_band, system.gram)
+            assert edf == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("fixture", GAUSSIAN_FIXTURES)
+    def test_gaussian_edf_matches_demmler_reinsch(self, fixture):
+        data, spec, pen = gaussian_fixture(*fixture)
+        dm = design_matrix(spec, data.z)
+        grid = default_lambda_grid(dm, pen)
+        solve = fitting._band_solver(dm, data, spec, pen)
+        edfs = [edf for _, _, edf in fitting._selected_inverses([solve(float(lam)) for lam in grid])]
+        np.testing.assert_allclose(edfs, demmler_reinsch_edfs(dm.crossprod(), pen.S, grid), rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_grid_scale_bitwise_equal_to_trace_form(degree, order):
+    rng = np.random.default_rng(degree * 3 + order)
+    for m in sorted({max(degree + 2, order + 1), 37, 500, 2000}):
+        spec = make_basis(0.0, 1.0, m, degree)
+        pen = difference_penalty(m, order)
+        dm = design_matrix(spec, rng.uniform(0, 1, 3 * m))
+        trace_form = float(np.trace(dm.crossprod())) / float(np.trace(pen.S))
+        band_form_scale = fitting._grid_scale(dm.gram_band(), fitting._penalty_band(spec, pen))
+        assert np.array_equal(band_form_scale, trace_form)
+        assert np.array_equal(default_lambda_grid(dm, pen), np.geomspace(1e-4 * trace_form, 1e4 * trace_form, 40))
+
+
+class TestNoDenseCovariance:
+    """The fit and select paths never hold an m x m float array (8 m^2 bytes)."""
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_gaussian_select_and_window_statistics_at_m2000(self):
+        m, n = 2000, 20000
+        spec = make_basis(0.0, 1.0, m, 3)
+        pen = difference_penalty(m, 2)
+        rng = np.random.default_rng(41)
+        strata = []
+        for shift in (0.0, 0.1):
+            z = rng.uniform(0, 1, n)
+            strata.append(StratumData(y=np.sin(6 * z) + shift * z + rng.normal(0, 0.3, n), z=z))
+
+        def run():
+            fits = [select_lambda(data, spec, pen) for data in strata]
+            window_statistics(fits[0], fits[1], spec)
+
+        assert self.traced_peak(run) < 8 * m * m
+
+    def test_binomial_fit_at_m500(self):
+        m, n = 500, 2000
+        spec = make_basis(0.0, 1.0, m, 3)
+        pen = difference_penalty(m, 2)
+        rng = np.random.default_rng(42)
+        z = rng.uniform(0, 1, n)
+        data = StratumData(y=(rng.random(n) < expit(np.sin(5 * z))).astype(float), z=z, family="binomial")
+        assert self.traced_peak(lambda: fit_stratum(data, spec, pen, 1.0)) < 8 * m * m

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 from scipy.stats import chi2, kstest
 
-from smoothdiff.basis import BasisSpec, difference_penalty, make_basis
+from smoothdiff.basis import BasisSpec, band_form, difference_penalty, make_basis
 from smoothdiff.errors import NumericalError, ParameterError
-from smoothdiff.fitting import StratumData, StratumFit, fit_stratum
+from smoothdiff.fitting import StratumData, StratumFit, fit_stratum, select_lambda
 from smoothdiff.simulate import failure_cause
 from smoothdiff.toeplitz import QuadFormProblem, cov_quadratic_forms
 from smoothdiff.windows import (
@@ -31,7 +32,7 @@ def make_fit(coef, cov, m):
         beta=np.zeros(0),
         lam=1.0,
         dispersion=1.0,
-        cov=np.asarray(cov, dtype=float),
+        dense_cov=np.asarray(cov, dtype=float),
         edf=float(m),
         family="gaussian",
         deviance=0.0,
@@ -249,6 +250,49 @@ def full_sum_stat_covariance(fit1, fit2, spec, k, k2):
     b = _direct_inverse(vsum[sl2, sl2], k2)
     problem = QuadFormProblem(A=0.5 * (a + a.T), B=0.5 * (b + b.T), sigma=0.5 * (sigma + sigma.T))
     return cov_quadratic_forms(problem)
+
+
+class TestWindowStatisticsFromBands:
+    """window_statistics reads the w x w blocks from the fits' covariance bands."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_matches_dense_window_series(self, family, degree):
+        m = 30
+        spec = make_basis(0.0, 1.0, m, degree)
+        pen = difference_penalty(m, 2)
+        rng = np.random.default_rng(40 + degree)
+        fits = []
+        for shift in (0.0, 0.4):
+            z = rng.uniform(0, 1, 1500)
+            eta = np.sin(5 * z) + shift * (z > 0.5)
+            if family == "gaussian":
+                y = eta + rng.normal(0, 0.4, z.size)
+            else:
+                y = (rng.random(z.size) < expit(eta)).astype(float)
+            fits.append(select_lambda(StratumData(y=y, z=z, family=family), spec, pen))
+        got = window_statistics(fits[0], fits[1], spec)
+        ref = window_test_series(spec, fits[0].coef - fits[1].coef, fits[0].cov + fits[1].cov)
+        np.testing.assert_allclose(got.T, ref.T, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.p, ref.p, rtol=1e-12, atol=0.0)
+        assert np.array_equal(got.regions, ref.regions)
+
+    @pytest.mark.parametrize("bad, first", [([8], 6), ([3, 9], 1), ([0], 0), ([11], 9)])
+    def test_indefinite_band_names_the_dense_first_block(self, bad, first):
+        spec = make_basis(0.0, 1.0, 12, 2)
+        cov = 0.5 * np.eye(12)
+        cov[bad, bad] = -0.5
+        # a band wider than the windows need, as a fit with b > degree holds
+        fit = StratumFit(
+            coef=np.zeros(12), beta=np.zeros(0), lam=1.0, dispersion=1.0, edf=12.0,
+            family="gaussian", deviance=0.0, n_obs=100, cov_band=band_form(cov, 3),
+        )
+        with pytest.raises(NumericalError) as from_band:
+            window_statistics(fit, fit, spec)
+        with pytest.raises(NumericalError) as from_dense:
+            window_test_series(spec, np.zeros(12), cov + cov)
+        assert str(from_band.value) == str(from_dense.value)
+        assert str(from_band.value) == f"window {first} covariance is not positive definite"
 
 
 class TestWindowStatCovariance:
