@@ -181,7 +181,7 @@ def _fit_payload(fit: StratumFit, lam_source: str) -> dict:
     if fit.precision_band is None:
         # With fixed effects the covariance inverts a dense Schur complement
         # A - Zx (X'WX)^{-1} Zx', which has no band to store.
-        payload["cov"] = [[float(v) for v in row] for row in fit.dense_cov]
+        payload["cov"] = [[float(v) for v in row] for row in fit.cov]
     else:
         payload["precision_band"] = [[float(v) for v in row] for row in fit.precision_band]
     return payload
