@@ -158,10 +158,9 @@ def solve_penalized_per_iteration(dm, X, S, lam, resp, w):
 
 
 def dense_inverse_edf(ab, gram_band):
-    """(A^{-1}, tr(A^{-1} Z'WZ)) from the bands of A and Z'WZ, by one dense
-    `solveh_banded` inverse."""
+    """tr(A^{-1} Z'WZ) from the bands of A and Z'WZ, by one dense `solveh_banded` inverse."""
     ainv = scipy.linalg.solveh_banded(ab, np.eye(ab.shape[1]))
-    return ainv, float(np.sum(ainv * expand_band(gram_band)))
+    return float(np.sum(ainv * expand_band(gram_band)))
 
 
 def demmler_reinsch_edfs(gram, S, grid):

@@ -819,8 +819,7 @@ class TestGridEdf:
         solve = fitting._band_solver(dm, data, spec, pen)
         systems = [solve(float(lam)) for lam in default_lambda_grid(dm, pen)]
         for system, _, edf in fitting._selected_inverses(systems):
-            _, ref = dense_inverse_edf(system.precision_band, system.gram)
-            assert edf == pytest.approx(ref, rel=1e-13, abs=0.0)
+            assert edf == pytest.approx(dense_inverse_edf(system.precision_band, system.gram), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("fixture", GAUSSIAN_FIXTURES)
     def test_gaussian_edf_matches_demmler_reinsch(self, fixture):
