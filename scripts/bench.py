@@ -1,16 +1,28 @@
 #!/usr/bin/env python3
-"""Run the benchmark over fixed seeds and record one point of the BENCH trajectory.
+"""Run the benchmark over fixed seeds and record one point of the BENCH trajectory,
+or compare a change with its parent in alternating pairs.
 
     python3 scripts/bench.py --label baseline
     python3 scripts/bench.py --label mychange --repo ../other-checkout
+    python3 scripts/bench.py --parent ../parent-checkout --pairs 10 --workload simulate_binomial
 
-For every workload and each of the fixed seeds 1-5 this runs a 20 s
-`perfbench/run.py --trace 0` of the checkout at `--repo` (default: the
-checkout holding this script) in a fresh process, one run at a time. It writes `BENCH_<label>.json` in the
-current directory with each end-to-end metric's median and quartiles over
-the seeds, every run's values, the environment block the benchmark prints,
-and the git revision measured (`dirty` is true when tracked files differ
-from it). The script exits 1 when any run fails the correctness gate.
+With `--label`, for every workload and each of the fixed seeds 1-5 this
+runs a 20 s `perfbench/run.py --trace 0` of the checkout at `--repo`
+(default: the checkout holding this script) in a fresh process, one run at
+a time. It writes `BENCH_<label>.json` in the current directory with each
+end-to-end metric's median and quartiles over the seeds, every run's
+values, the environment block the benchmark prints, and the git revision
+measured (`dirty` is true when tracked files differ from it).
+
+With `--parent`, it runs `--pairs` pairs of one workload, pair i at seed
+`--seed` + i: the parent checkout and the checkout at `--repo` each run
+once, the parent first in even pairs and second in odd ones, so that drift
+in the host's speed falls on both sides alike. It prints every pair, then
+per end-to-end metric of BENCHMARK.json each side's median and quartiles,
+the relative change of the medians, and in how many pairs the change did
+better.
+
+Either way the script exits 1 when any run fails the correctness gate.
 """
 
 from __future__ import annotations
@@ -61,11 +73,55 @@ def summarize(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def end_to_end_metrics(repo: str) -> dict:
+    """{metric: "lower" or "higher"}, the end-to-end metrics BENCHMARK.json declares."""
+    with open(os.path.join(repo, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+
+def compare_pairs(parent: str, change: str, workload: str, pairs: int, first_seed: int, seconds: float) -> bool:
+    """Run and report the alternating pairs; False when any run fails the gate."""
+    better = end_to_end_metrics(change)
+    sides = {"parent": [], "change": []}
+    ok = True
+    for i in range(pairs):
+        seed = first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result, _ = run_once(parent if side == "parent" else change, workload, seed, seconds)
+            ok = ok and result["correct"] and result["failed"] == 0
+            sides[side].append({name: m["value"] for name, m in result["metrics"].items()})
+        print(f"pair {i} seed {seed} ({order[0]} first): "
+              + " ".join(f"{name} {sides['parent'][-1][name]:.4g} -> {sides['change'][-1][name]:.4g}"
+                         for name in better), flush=True)
+    for name, direction in better.items():
+        before = [run[name] for run in sides["parent"]]
+        after = [run[name] for run in sides["change"]]
+        wins = sum((a < b) if direction == "lower" else (a > b) for a, b in zip(after, before))
+        p, c = summarize(before), summarize(after)
+        shift = (c["median"] - p["median"]) / p["median"] if p["median"] else float("nan")
+        print(f"{workload} {name} ({direction} is better): "
+              f"parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
+              f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
+              f"median {shift:+.1%}, parent IQR {p['q3'] - p['q1']:.4g}, change better in {wins}/{pairs}")
+    return ok
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--label", required=True, help="name of this point; the file is BENCH_<label>.json")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--label", help="name of this point; the file is BENCH_<label>.json")
+    mode.add_argument("--parent", help="checkout to compare with in alternating pairs")
     parser.add_argument("--repo", default=ROOT, help="checkout whose perfbench/run.py and src/ are measured")
+    parser.add_argument("--pairs", type=int, default=10, help="number of pairs (with --parent)")
+    parser.add_argument("--workload", choices=WORKLOADS, help="workload to compare (with --parent)")
+    parser.add_argument("--seed", type=int, default=101, help="seed of the first pair (with --parent)")
+    parser.add_argument("--seconds", type=float, default=SECONDS, help="length of each run (with --parent)")
     args = parser.parse_args(argv)
+    if args.parent is not None:
+        if args.workload is None or args.pairs < 1:
+            parser.error("--parent needs --workload and at least one pair")
+        return 0 if compare_pairs(args.parent, args.repo, args.workload, args.pairs, args.seed, args.seconds) else 1
 
     record = {
         "label": args.label,

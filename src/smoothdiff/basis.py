@@ -7,6 +7,7 @@ knot-defined test regions and the difference penalty all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -95,7 +96,12 @@ class DesignMatrix:
     Rows are stored compactly: row i has the degree+1 potentially non-zero
     values `values[i]` starting at column `start[i]`. `dense` materializes
     the full n x m matrix. `gram_band` and `rhs` go through weight-free CSR
-    operators built on first use, so a predict-only expansion never builds them.
+    operators built on first use, and `predict` through the CSR form of Z,
+    also built on first use, so a predict-only expansion builds only that.
+    Each kernel takes a stack of vectors in one product and gives every
+    vector's result bit for bit as it would alone: a CSR product sums each
+    output entry over the row's stored entries in order, whatever the number
+    of vectors.
     """
 
     z: np.ndarray
@@ -106,6 +112,8 @@ class DesignMatrix:
     _xtx: np.ndarray | None = field(default=None, repr=False)
     _cols: np.ndarray | None = field(default=None, repr=False)
     _ops: tuple | None = field(default=None, repr=False)
+    _gram: np.ndarray | None = field(default=None, repr=False)
+    _design: scipy.sparse.csr_array | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -140,14 +148,23 @@ class DesignMatrix:
 
         Row `width - 1 - k` holds the k-th superdiagonal, right-aligned, so
         the main diagonal is the last row. One matvec gives every pair's
-        band row; they are added in pair order.
+        band row; they are added in pair order. A (k, n) stack of weight
+        vectors gives the (k, width, m) stack of their bands. The unweighted
+        band is computed once and shared; callers must not modify it.
         """
+        if weights is not None:
+            return self._gram_bands(weights)
+        if self._gram is None:
+            self._gram = self._gram_bands(np.ones(self.n))
+        return self._gram
+
+    def _gram_bands(self, weights: np.ndarray) -> np.ndarray:
         w, m = self.width, self.m
         gram_op, _ = self._operators()
-        per_pair = gram_op @ (np.ones(self.n) if weights is None else weights)
-        band = np.zeros((w, m))
+        per_pair = (gram_op @ weights.T).T
+        band = np.zeros((*weights.shape[:-1], w, m))
         for k, (a, b) in enumerate(_pairs(w)):
-            band[w - 1 - (b - a)] += per_pair[k * m : (k + 1) * m]
+            band[..., w - 1 - (b - a), :] += per_pair[..., k * m : (k + 1) * m]
         return band
 
     def crossprod(self, weights: np.ndarray | None = None) -> np.ndarray:
@@ -171,8 +188,17 @@ class DesignMatrix:
         return out
 
     def predict(self, coef: np.ndarray) -> np.ndarray:
-        """Z @ coef via the compact rows."""
-        return np.einsum("ij,ij->i", self.values, coef[self.cols])
+        """Z @ coef; a (k, m) stack of coefficient vectors gives a (k, n) array.
+
+        One product with the CSR form of Z, whose row i holds the compact
+        row's values in column order.
+        """
+        if self._design is None:
+            indptr = np.arange(0, self.values.size + 1, self.width)
+            self._design = scipy.sparse.csr_array(
+                (self.values.ravel(), self.cols.ravel(), indptr), shape=(self.n, self.m)
+            )
+        return np.ascontiguousarray((self._design @ coef.T).T)
 
 
 def _pairs(width: int) -> list[tuple[int, int]]:
@@ -214,11 +240,27 @@ def _sparse_operators(values: np.ndarray, start: np.ndarray, m: int) -> tuple:
 
 @dataclass(frozen=True)
 class PenaltyMatrix:
-    """q-th order difference penalty: D stacks the difference stencils, S = D'D."""
+    """q-th order difference penalty S = D'D, D stacking the difference stencils.
+
+    `band` is S's upper band in solveh_banded layout (q + 1 rows), which is
+    all that fitting without fixed effects reads. The dense D and S are
+    built on request.
+    """
 
     order: int
-    D: np.ndarray
-    S: np.ndarray
+    band: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.band.shape[1]
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        return np.diff(np.eye(self.m), n=self.order, axis=0)
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        return self.D.T @ self.D
 
 
 def band_form(a: np.ndarray, bandwidth: int) -> np.ndarray:
@@ -316,10 +358,20 @@ def design_matrix(spec: BasisSpec, z: np.ndarray) -> DesignMatrix:
 
 
 def difference_penalty(m: int, order: int = 2) -> PenaltyMatrix:
-    """Difference penalty of the given order: D is (m-order) x m, S = D'D."""
+    """Difference penalty of the given order, S = D'D with D (m-order) x m.
+
+    S's band is summed from the stencil: row r of D holds the stencil c at
+    columns r..r+order, adding c_k c_{k+d} to S[r+k, r+k+d]. The entries
+    are small integers, so the sums are exact and the band equals D'D's.
+    """
     if order < 1:
         raise ParameterError("penalty order must be at least 1")
     if m <= order:
         raise ParameterError(f"basis dimension m={m} must exceed penalty order {order}")
-    D = np.diff(np.eye(m), n=order, axis=0)
-    return PenaltyMatrix(order=order, D=D, S=D.T @ D)
+    stencil = np.diff(np.eye(order + 1), n=order, axis=0)[0]
+    rows = m - order
+    band = np.zeros((order + 1, m))
+    for d in range(order + 1):
+        for k in range(order + 1 - d):
+            band[order - d, k + d : k + d + rows] += stencil[k] * stencil[k + d]
+    return PenaltyMatrix(order=order, band=band)

@@ -4,10 +4,18 @@ Gaussian outcomes are fit by penalized least squares, binary outcomes by
 penalized IRLS. The smoothing parameter is chosen by GCV on a log-spaced
 grid (`select_lambda`) and then treated as fixed, or given (`fit_stratum`).
 
-Without fixed effects A = Z'WZ + lambda S exists only as its upper band:
-`_banded_solve` builds it and factors it by one banded Cholesky for the
-coefficients. Everything a fit reads from A^{-1} lies within A's
-half-bandwidth b = max(degree, penalty order) of the diagonal: the edf
+Without fixed effects A = Z'WZ + lambda S exists only as its upper band.
+`_grid_systems` solves a lambda grid in lockstep: a block of lambdas
+advances together with every per-observation array laid out as (block, n),
+so one CSR product gives every weight vector's Gram band, right-hand side
+or linear predictor, and each system is factored by one banded Cholesky
+(LAPACK pbtrf/pbtrs) for its coefficients. A binomial lambda leaves the
+block when its IRLS converges or fails, keeping its own error; a Gaussian
+fit is the same solve done once, with w = 1. `fit_stratum` is the driver on
+a one-point grid, and no lambda's result depends on its block.
+
+Everything a fit reads from A^{-1} lies within A's half-bandwidth
+b = max(degree, penalty order) of the diagonal: the edf
 tr(A^{-1} Z'WZ), the window blocks of the covariance and the pointwise
 variances of the curves. So no inverse is formed. `selected_inverse_band`
 runs the Takahashi recurrence over a stack of Cholesky factors and returns
@@ -30,6 +38,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.lapack import dpbtrf as _pbtrf, dpbtrs as _pbtrs
 from scipy.special import expit
 
 from .basis import (
@@ -210,21 +219,43 @@ def _band_trace(sigma: np.ndarray, gram: np.ndarray) -> float:
 
 def _penalty_band(spec: BasisSpec, pen: PenaltyMatrix) -> np.ndarray:
     """S's upper band at A's half-bandwidth max(degree, order)."""
-    return band_form(pen.S, max(spec.degree, pen.order))
+    b = max(spec.degree, pen.order)
+    band = np.zeros((b + 1, spec.m))
+    band[b - pen.order :] = pen.band
+    return band
 
 
-def _banded_solve(
-    gram: np.ndarray, penalty_band: np.ndarray, lam: float, rhs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ab, factor, coef): A = Z'WZ + lam S's upper band, from a possibly
-    narrower `gram_band(w)`, its upper Cholesky factor, and A^{-1} rhs."""
-    ab = lam * penalty_band
-    ab[ab.shape[0] - gram.shape[0] :] += gram
-    try:
-        factor = scipy.linalg.cholesky_banded(ab)
-    except np.linalg.LinAlgError as exc:
-        raise _not_positive_definite(ab) from exc
-    return ab, factor, scipy.linalg.cho_solve_banded((factor, False), rhs)
+def _band_solve(
+    penalty_band: np.ndarray, lams: np.ndarray, gram: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Solve A_j coef_j = rhs_j, A_j = Z'W_jZ + lams[j] S, for a block of systems.
+
+    `gram` is a (k, g, m) stack of `gram_band`s, or one (g, m) band shared
+    by the block, possibly narrower than the penalty band; `rhs` is (k, m)
+    or one shared (m,) vector. Returns (ab, factors, coefs, errors): A's
+    upper bands, their upper Cholesky factors and the solutions, stacked
+    over the block, and per system None or the NumericalError of a system
+    that is not positive definite (its factor and coef rows are then
+    meaningless). Each system is factored and solved by LAPACK pbtrf/pbtrs
+    on its own, so its result does not depend on the rest of the block;
+    one finiteness check covers the block, as scipy's wrappers check each.
+    """
+    ab = lams[:, None, None] * penalty_band
+    ab[:, ab.shape[1] - gram.shape[-2] :] += gram
+    rhs = np.broadcast_to(rhs, (lams.size, ab.shape[2]))
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    factors = np.empty_like(ab)
+    coefs = np.empty(rhs.shape)
+    errors = [None] * lams.size
+    for j in range(lams.size):
+        factor, info = _pbtrf(ab[j])
+        if info:
+            errors[j] = _not_positive_definite(ab[j])
+            continue
+        factors[j] = factor
+        coefs[j] = _pbtrs(factor, rhs[j])[0]
+    return ab, factors, coefs, errors
 
 
 def _scaled_covariance(cov_unit: np.ndarray, dispersion: float) -> np.ndarray:
@@ -263,49 +294,56 @@ def _dispersion(data: StratumData, deviance: float, edf: float) -> float:
     raise NumericalError(f"effective degrees of freedom {edf:.2f} exhaust the sample size {data.n}")
 
 
-def _binomial_deviance(y: np.ndarray, mu: np.ndarray) -> float:
-    """Deviance of 0/1 outcomes: the saturated terms y log y vanish."""
-    return float(2.0 * np.sum(-np.log(np.where(y > 0, mu, 1.0 - mu))))
+def _binomial_deviance(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Deviance of 0/1 outcomes, one per row of mu: the saturated terms y log y vanish."""
+    return 2.0 * np.sum(-np.log(np.where(y > 0, mu, 1.0 - mu)), axis=-1)
+
+
+def _start(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(mu, eta, deviance) from which penalized logistic IRLS starts."""
+    mu = (y + 0.5) / 2.0
+    return mu, np.log(mu / (1.0 - mu)), float(_binomial_deviance(y, mu))
+
+
+def _converged(new_deviance, deviance):
+    return np.abs(new_deviance - deviance) <= IRLS_REL_TOL * (np.abs(deviance) + 1e-12)
+
+
+def _diverged() -> NumericalError:
+    return NumericalError("linear predictor diverged (complete or quasi-complete separation)")
+
+
+def _not_converged(trace: list[float]) -> NumericalError:
+    return NumericalError(
+        f"IRLS failed to converge in {MAX_IRLS_ITER} iterations; "
+        f"deviance trace tail {trace[-4:]}"
+    )
 
 
 def _irls(dm: DesignMatrix, data: StratumData, solve) -> tuple:
-    """(beta, coef, deviance, system) of penalized logistic IRLS.
+    """(beta, coef, deviance, system) of penalized logistic IRLS with fixed effects.
 
     `solve(u, w)` returns (beta, coef, system) for the working response u
     and weights w. Each iteration solves only for the coefficients; the
     caller takes the covariance and edf from the last iteration's system.
     """
     y = data.y
-    mu = (y + 0.5) / 2.0
-    eta = np.log(mu / (1.0 - mu))
-    deviance = _binomial_deviance(y, mu)
+    mu, eta, deviance = _start(y)
     trace = [deviance]
     for _ in range(MAX_IRLS_ITER):
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         u = eta + (y - mu) / w
         beta, coef, system = solve(u, w)
-        eta = _linear_predictor(dm, data, beta, coef)
+        eta = dm.predict(coef) + data.X @ beta
         if np.max(np.abs(eta)) > ETA_DIVERGENCE:
-            raise NumericalError(
-                "linear predictor diverged (complete or quasi-complete separation)"
-            )
+            raise _diverged()
         mu = expit(eta)
-        new_deviance = _binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12))
+        new_deviance = float(_binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12)))
         trace.append(new_deviance)
-        if abs(new_deviance - deviance) <= IRLS_REL_TOL * (abs(deviance) + 1e-12):
+        if _converged(new_deviance, deviance):
             return beta, coef, new_deviance, system
         deviance = new_deviance
-    raise NumericalError(
-        f"IRLS failed to converge in {MAX_IRLS_ITER} iterations; "
-        f"deviance trace tail {trace[-4:]}"
-    )
-
-
-def _linear_predictor(dm: DesignMatrix, data: StratumData, beta: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    eta = dm.predict(coef)
-    if data.X is not None:
-        eta = eta + data.X @ beta
-    return eta
+    raise _not_converged(trace)
 
 
 @dataclass(frozen=True)
@@ -313,7 +351,8 @@ class _BandSystem:
     """A fit without fixed effects, solved at `lam` up to its selected inverse.
 
     `gram` is the band of Z'WZ at convergence, `precision_band` that of A and
-    `factor` A's Cholesky factor.
+    `factor` A's Cholesky factor; `n_iter` counts the solves (1 for a
+    Gaussian fit, the IRLS iterations for a binomial one).
     """
 
     lam: float
@@ -322,31 +361,87 @@ class _BandSystem:
     gram: np.ndarray
     precision_band: np.ndarray
     factor: np.ndarray
+    n_iter: int
 
 
-def _band_solver(dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: PenaltyMatrix):
-    """The function lam -> `_BandSystem` for a stratum without fixed effects."""
-    penalty_band = _penalty_band(spec, pen)
+# Systems advanced together: a block of _BLOCK_VALUES // n lambdas keeps
+# each (block, n) array near 2^16 values.
+_BLOCK_VALUES = 1 << 16
+
+
+def _grid_systems(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarray, lams: np.ndarray) -> list:
+    """Each lambda's `_BandSystem`, or the NumericalError its fit raised.
+
+    The lambdas are solved in blocks, every system of a block advanced
+    together (`_gaussian_block`, `_binomial_block`). A system's result does
+    not depend on the block it was solved in.
+    """
+    size = max(1, _BLOCK_VALUES // data.n)
+    blocks = [lams[i : i + size] for i in range(0, lams.size, size)]
     if data.family == "gaussian":
-        gram, rhs = dm.gram_band(), dm.rhs(data.y)
+        shared = dm.gram_band(), dm.rhs(data.y)
+        solved = [_gaussian_block(dm, data, penalty_band, block, *shared) for block in blocks]
+    else:
+        solved = [_binomial_block(dm, data, penalty_band, block) for block in blocks]
+    return [out for block in solved for out in block]
 
-        def solve(lam: float) -> _BandSystem:
-            ab, factor, coef = _banded_solve(gram, penalty_band, lam, rhs)
-            resid = data.y - dm.predict(coef)
-            return _BandSystem(lam, coef, float(resid @ resid), gram, ab, factor)
 
-        return solve
+def _gaussian_block(
+    dm: DesignMatrix, data: StratumData, penalty_band: np.ndarray, lams: np.ndarray, gram: np.ndarray, rhs: np.ndarray
+) -> list:
+    """Penalized least squares at each lambda: one solve with w = 1, Z'Z and Z'y shared."""
+    ab, factors, coefs, out = _band_solve(penalty_band, lams, gram, rhs)
+    ok = np.flatnonzero([e is None for e in out])
+    resid = data.y - dm.predict(coefs[ok])
+    deviance = np.sum(resid * resid, axis=1)
+    for j, dev in zip(ok, deviance):
+        out[j] = _BandSystem(float(lams[j]), coefs[j], float(dev), gram, ab[j], factors[j], 1)
+    return out
 
-    def solve(lam: float) -> _BandSystem:
-        def step(u, w):
-            gram = dm.gram_band(w)
-            ab, factor, coef = _banded_solve(gram, penalty_band, lam, dm.rhs(u, w))
-            return None, coef, (gram, ab, factor)
 
-        _, coef, deviance, (gram, ab, factor) = _irls(dm, data, step)
-        return _BandSystem(lam, coef, deviance, gram, ab, factor)
+def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarray, lams: np.ndarray) -> list:
+    """Penalized logistic IRLS at each lambda, the block's systems in lockstep.
 
-    return solve
+    Every per-observation array is (live, n), one row per lambda still
+    iterating. A lambda leaves the block when it converges, fails to
+    factor, diverges or runs out of iterations, keeping its own deviance
+    trace and error; the first iteration's weights are shared by all.
+    """
+    y = data.y
+    mu, eta, start = _start(y)
+    deviance = np.full(lams.size, start)
+    traces = [[start] for _ in lams]
+    out: list = [None] * lams.size
+    live = np.arange(lams.size)
+    for n_iter in range(1, MAX_IRLS_ITER + 1):
+        w = np.clip(mu * (1.0 - mu), 1e-10, None)
+        u = eta + (y - mu) / w
+        gram = dm.gram_band(w)
+        gram = np.broadcast_to(gram, (live.size, *gram.shape[-2:]))
+        ab, factors, coefs, errors = _band_solve(penalty_band, lams[live], gram, dm.rhs((w * u).T).T)
+        for j, error in enumerate(errors):
+            if error is not None:
+                out[live[j]] = error
+        ok = np.flatnonzero([e is None for e in errors])
+        live, deviance, gram, ab, factors, coefs = (a[ok] for a in (live, deviance, gram, ab, factors, coefs))
+        eta = dm.predict(coefs)
+        diverged = np.max(np.abs(eta), axis=1) > ETA_DIVERGENCE
+        mu = expit(eta)
+        new_deviance = _binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12))
+        converged = _converged(new_deviance, deviance) & ~diverged
+        for j, i in enumerate(live):
+            traces[i].append(float(new_deviance[j]))
+            if diverged[j]:
+                out[i] = _diverged()
+            elif converged[j]:
+                out[i] = _BandSystem(float(lams[i]), coefs[j], traces[i][-1], gram[j], ab[j], factors[j], n_iter)
+        going = ~(diverged | converged)
+        live, deviance, eta, mu = live[going], new_deviance[going], eta[going], mu[going]
+        if not live.size:
+            return out
+    for i in live:
+        out[i] = _not_converged(traces[i])
+    return out
 
 
 def _selected_inverses(systems: list[_BandSystem]):
@@ -411,7 +506,7 @@ def _fixed_effect_fit(dm: DesignMatrix, data: StratumData, pen: PenaltyMatrix, l
     """The fit at `lam` of a stratum with fixed effects, its covariance dense."""
     if data.family == "gaussian":
         beta, coef, system = _fixed_effect_solve(dm, data, pen, lam, data.y, None)
-        resid = data.y - _linear_predictor(dm, data, beta, coef)
+        resid = data.y - (dm.predict(coef) + data.X @ beta)
         deviance = float(resid @ resid)
     else:
         beta, coef, deviance, system = _irls(
@@ -438,6 +533,8 @@ def fit_stratum(
     """Penalized fit of one stratum at a fixed smoothing parameter.
 
     Least squares for Gaussian outcomes, logistic IRLS for binary ones.
+    Without fixed effects this is the grid driver on a one-point grid, so
+    it raises the error that `select_lambda` skips that point for.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ParameterError(f"smoothing parameter must be finite and >= 0, got {float(lam)!r}")
@@ -450,7 +547,10 @@ def _fit_at(
 ) -> StratumFit:
     if data.X is not None:
         return _fixed_effect_fit(dm, data, pen, lam)
-    [selected] = _selected_inverses([_band_solver(dm, data, spec, pen)(float(lam))])
+    [system] = _grid_systems(dm, data, _penalty_band(spec, pen), np.asarray([float(lam)]))
+    if isinstance(system, NumericalError):
+        raise system
+    [selected] = _selected_inverses([system])
     return _band_fit(data, *selected)
 
 
@@ -461,7 +561,7 @@ def _grid_scale(gram_band: np.ndarray, penalty_band: np.ndarray) -> float:
 
 def default_lambda_grid(dm: DesignMatrix, pen: PenaltyMatrix, n_grid: int = 40) -> np.ndarray:
     """Log-spaced grid spanning [1e-4, 1e4] times tr(Z'Z)/tr(S)."""
-    scale = _grid_scale(dm.gram_band(), band_form(pen.S, 0))
+    scale = _grid_scale(dm.gram_band(), pen.band)
     return np.geomspace(1e-4 * scale, 1e4 * scale, n_grid)
 
 
@@ -477,19 +577,14 @@ def _band_grid(
 ):
     """The fit at each grid point that can be fit, for a stratum without fixed effects.
 
-    Every point is solved (a Gaussian one by one banded solve, a binomial one
-    by IRLS) for its coefficients and deviance only; then one
+    `_grid_systems` solves every point (a Gaussian one by one banded solve,
+    a binomial one by IRLS) for its coefficients and deviance only; then one
     `selected_inverse_band` call over all their factors gives every edf and
     covariance band. A point is skipped where its factorization or IRLS
     fails, or where its edf exhausts n without an exact fit.
     """
-    solve = _band_solver(dm, data, spec, pen)
-    systems = []
-    for lam in grid:
-        try:
-            systems.append(solve(float(lam)))
-        except NumericalError:
-            continue
+    solved = _grid_systems(dm, data, _penalty_band(spec, pen), grid)
+    systems = [s for s in solved if isinstance(s, _BandSystem)]
     if not systems:
         return
     for selected in _selected_inverses(systems):

@@ -12,6 +12,11 @@ per-offset and per-column forms they replaced, which they must match bit
 for bit. `solve_penalized_per_iteration` is the fixed-effect solve that
 formed the covariance and edf in every IRLS iteration.
 
+`smoothdiff.fitting` solves a lambda grid in lockstep, blocks of lambdas
+through batched sparse products. `per_lambda_band_solve` is the path it
+replaced: one lambda at a time, scipy's banded Cholesky wrappers in every
+IRLS iteration and the einsum predictor `predict_by_einsum`.
+
 `smoothdiff.fitting.selected_inverse_band` gives every edf and covariance
 band without an inverse. `dense_inverse_edf` is the dense inverse per grid
 point that binomial fits used for their edf, `demmler_reinsch_edfs` the
@@ -26,8 +31,11 @@ import math
 import numpy as np
 import scipy.linalg
 
+from scipy.special import expit
+
+from smoothdiff import fitting
 from smoothdiff.basis import expand_band
-from smoothdiff.errors import DomainError, ParameterError
+from smoothdiff.errors import DomainError, NumericalError, ParameterError
 from smoothdiff.toeplitz import QuadFormProblem, TridiagFactor
 
 
@@ -178,3 +186,58 @@ def demmler_reinsch_edfs(gram, S, grid):
 def pointwise_variance(design, cov):
     """Variance of each fitted value: the diagonal of D cov D'."""
     return np.sum((design @ cov) * design, axis=1)
+
+
+def predict_by_einsum(dm, coef):
+    """Z @ coef gathered from the compact rows."""
+    return np.einsum("ij,ij->i", dm.values, coef[dm.cols])
+
+
+def _banded_solve(gram, penalty_band, lam, rhs):
+    """(ab, factor, coef) of A = Z'WZ + lam S from its bands, by scipy's banded Cholesky."""
+    ab = lam * penalty_band
+    ab[ab.shape[0] - gram.shape[0] :] += gram
+    try:
+        factor = scipy.linalg.cholesky_banded(ab)
+    except np.linalg.LinAlgError as exc:
+        raise fitting._not_positive_definite(ab) from exc
+    return ab, factor, scipy.linalg.cho_solve_banded((factor, False), rhs)
+
+
+def per_lambda_band_solve(dm, data, penalty_band, lam):
+    """(coef, deviance, gram, ab, factor, n_iter) of one lambda's fit, solved alone.
+
+    A Gaussian fit is one banded solve (n_iter = 1). A binomial fit runs
+    penalized IRLS, one factorization per iteration, until the deviance
+    settles; gram, ab and factor are the last iteration's. Raises the
+    NumericalError the fit raises, reading `fitting.MAX_IRLS_ITER` at call
+    time.
+    """
+    y = data.y
+    if data.family == "gaussian":
+        gram = dm.gram_band()
+        ab, factor, coef = _banded_solve(gram, penalty_band, lam, dm.rhs(y))
+        resid = y - predict_by_einsum(dm, coef)
+        return coef, float(resid @ resid), gram, ab, factor, 1
+    mu = (y + 0.5) / 2.0
+    eta = np.log(mu / (1.0 - mu))
+    deviance = float(fitting._binomial_deviance(y, mu))
+    trace = [deviance]
+    for n_iter in range(1, fitting.MAX_IRLS_ITER + 1):
+        w = np.clip(mu * (1.0 - mu), 1e-10, None)
+        u = eta + (y - mu) / w
+        gram = dm.gram_band(w)
+        ab, factor, coef = _banded_solve(gram, penalty_band, lam, dm.rhs(u, w))
+        eta = predict_by_einsum(dm, coef)
+        if np.max(np.abs(eta)) > fitting.ETA_DIVERGENCE:
+            raise NumericalError("linear predictor diverged (complete or quasi-complete separation)")
+        mu = expit(eta)
+        new_deviance = float(fitting._binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12)))
+        trace.append(new_deviance)
+        if abs(new_deviance - deviance) <= fitting.IRLS_REL_TOL * (abs(deviance) + 1e-12):
+            return coef, new_deviance, gram, ab, factor, n_iter
+        deviance = new_deviance
+    raise NumericalError(
+        f"IRLS failed to converge in {fitting.MAX_IRLS_ITER} iterations; "
+        f"deviance trace tail {trace[-4:]}"
+    )

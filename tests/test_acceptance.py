@@ -354,34 +354,43 @@ class TestCriterion9NullCalibration:
         )
 
 
+def simulate_outputs(out_dir, preset, replicates, threads):
+    """The outcome and table files of one `simulate` run of a preset."""
+    rc = main(
+        [
+            "simulate",
+            "--preset", preset,
+            "--replicates", str(replicates),
+            "--seed", str(SEED),
+            "--threads", str(threads),
+            "--out", str(out_dir),
+        ]
+    )
+    assert rc == 0
+    return {
+        name: (out_dir / name).read_bytes()
+        for name in (f"{preset}_outcome.json", f"{preset}_error_table.csv", f"{preset}_tdp_table.csv")
+    }
+
+
 class TestCriterion10Determinism:
     def test_preset_bit_identical_across_runs_and_threads(self, tmp_path):
-        def run(out_dir, threads):
-            rc = main(
-                [
-                    "simulate",
-                    "--preset", "table2a",
-                    "--replicates", "6",
-                    "--seed", str(SEED),
-                    "--threads", str(threads),
-                    "--out", str(out_dir),
-                ]
-            )
-            assert rc == 0
-            return {
-                name: (out_dir / name).read_bytes()
-                for name in (
-                    "table2a_outcome.json",
-                    "table2a_error_table.csv",
-                    "table2a_tdp_table.csv",
-                )
-            }
-
-        first = run(tmp_path / "a", 1)
-        second = run(tmp_path / "b", 1)
-        threaded = run(tmp_path / "c", 2)
+        first = simulate_outputs(tmp_path / "a", "table2a", 6, 1)
+        second = simulate_outputs(tmp_path / "b", "table2a", 6, 1)
+        threaded = simulate_outputs(tmp_path / "c", "table2a", 6, 2)
         report(
             "criterion 10 (determinism)",
             first == second == threaded,
             "outcome and table files bit-identical across runs and --threads 1/2",
+        )
+
+    def test_binomial_preset_bit_identical_across_runs_and_threads(self, tmp_path):
+        # tableS1 fits every stratum by the lockstep binomial grid
+        first = simulate_outputs(tmp_path / "a", "tableS1", 4, 1)
+        second = simulate_outputs(tmp_path / "b", "tableS1", 4, 1)
+        threaded = simulate_outputs(tmp_path / "c", "tableS1", 4, 2)
+        report(
+            "criterion 10 (binomial determinism)",
+            first == second == threaded,
+            "tableS1 outcome and table files bit-identical across runs and --threads 1/2",
         )

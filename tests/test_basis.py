@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     cross_with_by_column_bincount,
     gram_band_by_pair_bincount,
+    predict_by_einsum,
     rhs_by_offset_bincount,
 )
 from smoothdiff import basis
@@ -253,6 +254,15 @@ def assert_matches_bincount_oracles(dm, rng):
         assert np.array_equal(dm.rhs(x, weights), cross_with_by_column_bincount(dm, x, weights))
         # a column-major right-hand side gives the same sums
         assert np.array_equal(dm.rhs(np.asfortranarray(x), weights), cross_with_by_column_bincount(dm, x, weights))
+    # a stack of weight, right-hand-side or coefficient vectors gives each
+    # vector's result bit for bit, whatever the stack's size
+    stack = rng.uniform(1e-3, 0.25, (3, dm.n))
+    assert np.array_equal(dm.gram_band(stack), [dm.gram_band(v) for v in stack])
+    assert np.array_equal(dm.gram_band(stack[:1]), dm.gram_band(stack[0])[None])
+    assert np.array_equal(dm.rhs(x), np.stack([dm.rhs(c) for c in x.T], axis=1))
+    coefs = rng.normal(size=(3, dm.m))
+    assert np.array_equal(dm.predict(coefs), [dm.predict(c) for c in coefs])
+    assert np.array_equal(dm.predict(coefs[:1]), dm.predict(coefs[0])[None])
 
 
 class TestSparseOperators:
@@ -282,6 +292,15 @@ class TestSparseOperators:
         rng = np.random.default_rng(seed)
         dm = design_matrix(spec, rng.uniform(-0.1, 1.1, n))
         assert_matches_bincount_oracles(dm, rng)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_predict_matches_einsum_oracle(self, d):
+        spec = make_basis(0.0, 1.0, 40 + d, d)
+        rng = np.random.default_rng(50 + d)
+        dm = design_matrix(spec, rng.uniform(-0.05, 1.05, 2000))
+        for coef in rng.normal(size=(4, spec.m)):
+            ref = predict_by_einsum(dm, coef)
+            np.testing.assert_allclose(dm.predict(coef), ref, rtol=0.0, atol=1e-15 * np.max(np.abs(ref)) * (d + 1))
 
     def test_operators_built_once_per_design_matrix(self, monkeypatch):
         calls = []
@@ -341,6 +360,17 @@ class TestDifferencePenalty:
             for k in range(12):
                 if abs(j - k) > 2:
                     assert pen.S[j, k] == 0.0
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_band_from_stencil_bitwise_equal_to_dense(self, q):
+        for m in sorted({q + 1, q + 2, 2 * q + 1, 9, 120, 501}):
+            pen = difference_penalty(m, q)
+            assert "S" not in pen.__dict__  # the dense form waits for a request
+            dense = np.diff(np.eye(m), n=q, axis=0)
+            ref = band_form(dense.T @ dense, q)
+            assert pen.band.shape == ref.shape
+            assert pen.band.tobytes() == ref.tobytes()
+            assert np.array_equal(pen.S, dense.T @ dense)
 
     def test_invalid(self):
         with pytest.raises(ParameterError):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
-from oracles import demmler_reinsch_edfs, dense_inverse_edf, solve_penalized_per_iteration
+from oracles import demmler_reinsch_edfs, dense_inverse_edf, per_lambda_band_solve, solve_penalized_per_iteration
 from scipy.special import expit, xlogy
 
 from smoothdiff import fitting
+from smoothdiff.cli import _TABLE_SCENARIOS
 from smoothdiff.basis import band_form, design_matrix, difference_penalty, expand_band, make_basis
 from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import (
@@ -22,6 +23,7 @@ from smoothdiff.fitting import (
     select_lambda,
     selected_inverse_band,
 )
+from smoothdiff.simulate import failure_cause, gen_coefficients, gen_stratum, replicate_rng
 from smoothdiff.windows import window_statistics
 
 
@@ -684,21 +686,24 @@ class TestGaussianGcvPath:
     def test_selected_coef_is_the_grid_solve(self, fixture, monkeypatch):
         data, spec, pen = gaussian_fixture(*fixture)
         solves = []
-        real = fitting._banded_solve
+        real = fitting._band_solve
 
-        def recording(gram, penalty_band, lam, rhs):
-            ab, factor, coef = real(gram, penalty_band, lam, rhs)
-            solves.append((lam, coef))
-            return ab, factor, coef
+        def recording(penalty_band, lams, gram, rhs):
+            ab, factors, coefs, errors = real(penalty_band, lams, gram, rhs)
+            solves.extend(zip(lams.tolist(), coefs))
+            return ab, factors, coefs, errors
 
-        monkeypatch.setattr(fitting, "_banded_solve", recording)
+        monkeypatch.setattr(fitting, "_band_solve", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             fit = select_lambda(data, spec, pen)
-        # the grid's one solve at the chosen lambda is the fit; nothing refits
-        assert [lam for lam, _ in solves] == sorted({lam for lam, _ in solves})
+        # one solve per grid point; the grid's solve at the chosen lambda is
+        # the fit, and nothing refits
+        grid = default_lambda_grid(design_matrix(spec, data.z), pen)
+        assert [lam for lam, _ in solves] == np.sort(grid).tolist()
         [grid_coef] = [coef for lam, coef in solves if lam == fit.lam]
-        assert grid_coef is fit.coef
+        assert np.shares_memory(grid_coef, fit.coef)
+        assert np.array_equal(grid_coef, fit.coef)
 
 
 def json_round_trip(value):
@@ -759,11 +764,10 @@ def penalized_factors(m, degree, order, lams, seed=0):
     rng = np.random.default_rng(seed)
     dm = design_matrix(spec, rng.uniform(0, 1, 6 * m))
     gram = dm.gram_band(rng.uniform(0.1, 1.0, dm.n))
-    systems = []
-    for lam in lams:
-        ab, factor, _ = fitting._banded_solve(gram, fitting._penalty_band(spec, pen), lam, np.ones(m))
-        systems.append((ab, factor))
-    return systems
+    lams = np.asarray(lams, dtype=float)
+    ab, factors, _, errors = fitting._band_solve(fitting._penalty_band(spec, pen), lams, gram, np.ones(m))
+    assert errors == [None] * lams.size
+    return list(zip(ab, factors))
 
 
 def dense_inverse_band(ab):
@@ -811,14 +815,20 @@ class TestSelectedInverseBand:
             assert np.array_equal(selected_inverse_band(factors[k : k + 1])[0], stacked[k])
 
 
+def grid_systems(data, spec, pen, grid):
+    """The lockstep driver's `_BandSystem` at each grid point (all must solve)."""
+    dm = design_matrix(spec, data.z)
+    systems = fitting._grid_systems(dm, data, fitting._penalty_band(spec, pen), np.asarray(grid, dtype=float))
+    assert all(isinstance(s, fitting._BandSystem) for s in systems)
+    return systems
+
+
 class TestGridEdf:
     @pytest.mark.parametrize("fixture", BINOMIAL_FIXTURES)
     def test_binomial_edf_matches_dense_inverse(self, fixture):
         data, spec, pen = binomial_fixture(*fixture)
-        dm = design_matrix(spec, data.z)
-        solve = fitting._band_solver(dm, data, spec, pen)
-        systems = [solve(float(lam)) for lam in default_lambda_grid(dm, pen)]
-        for system, _, edf in fitting._selected_inverses(systems):
+        grid = default_lambda_grid(design_matrix(spec, data.z), pen)
+        for system, _, edf in fitting._selected_inverses(grid_systems(data, spec, pen, grid)):
             assert edf == pytest.approx(dense_inverse_edf(system.precision_band, system.gram), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("fixture", GAUSSIAN_FIXTURES)
@@ -826,8 +836,7 @@ class TestGridEdf:
         data, spec, pen = gaussian_fixture(*fixture)
         dm = design_matrix(spec, data.z)
         grid = default_lambda_grid(dm, pen)
-        solve = fitting._band_solver(dm, data, spec, pen)
-        edfs = [edf for _, _, edf in fitting._selected_inverses([solve(float(lam)) for lam in grid])]
+        edfs = [edf for _, _, edf in fitting._selected_inverses(grid_systems(data, spec, pen, grid))]
         np.testing.assert_allclose(edfs, demmler_reinsch_edfs(dm.crossprod(), pen.S, grid), rtol=1e-10, atol=0.0)
 
 
@@ -860,7 +869,6 @@ class TestNoDenseCovariance:
     def test_gaussian_select_and_window_statistics_at_m2000(self):
         m, n = 2000, 20000
         spec = make_basis(0.0, 1.0, m, 3)
-        pen = difference_penalty(m, 2)
         rng = np.random.default_rng(41)
         strata = []
         for shift in (0.0, 0.1):
@@ -868,6 +876,7 @@ class TestNoDenseCovariance:
             strata.append(StratumData(y=np.sin(6 * z) + shift * z + rng.normal(0, 0.3, n), z=z))
 
         def run():
+            pen = difference_penalty(m, 2)
             fits = [select_lambda(data, spec, pen) for data in strata]
             window_statistics(fits[0], fits[1], spec)
 
@@ -881,3 +890,170 @@ class TestNoDenseCovariance:
         z = rng.uniform(0, 1, n)
         data = StratumData(y=(rng.random(n) < expit(np.sin(5 * z))).astype(float), z=z, family="binomial")
         assert self.traced_peak(lambda: fit_stratum(data, spec, pen, 1.0)) < 8 * m * m
+
+
+def preset_strata(name, n_replicates):
+    """Both strata of the first replicates of a simulate preset, with its basis and penalty."""
+    scenario = _TABLE_SCENARIOS[name]
+    spec = scenario.basis()
+    pen = difference_penalty(scenario.m, scenario.penalty_order)
+    strata = []
+    for index in range(n_replicates):
+        rng = replicate_rng(scenario.seed, index)
+        b_base, b_alt, _ = gen_coefficients(scenario, rng, scenario.m_delta_at(index))
+        strata += [gen_stratum(b, scenario, rng, spec) for b in (b_base, b_alt)]
+    return strata, spec, pen
+
+
+def assert_close(got, want, rtol=1e-12, atol=0.0):
+    """Equal to rtol relative to the largest entry of `want`, plus atol."""
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=rtol * np.max(np.abs(want)) + atol)
+
+
+def assert_matches_per_lambda_oracle(data, spec, pen, grid):
+    """Per lambda: the same failure set and iteration count as the per-lambda
+    band path, and coef, edf, deviance and cov_band equal to 1e-12 relative.
+
+    Near an exact Gaussian fit the deviance is a rounding-level residual, so
+    as in `assert_paths_match` it also gets 1e-12 y'y absolute, and
+    cov_band the dispersion's share of that.
+    """
+    slack = 1e-12 * float(data.y @ data.y) if data.family == "gaussian" else 0.0
+    dm = design_matrix(spec, data.z)
+    penalty_band = fitting._penalty_band(spec, pen)
+    solved = fitting._grid_systems(dm, data, penalty_band, grid)
+    assert [s.lam for s in solved if isinstance(s, fitting._BandSystem)] == [
+        float(lam) for lam, s in zip(grid, solved) if isinstance(s, fitting._BandSystem)
+    ]
+    for lam, got in zip(grid, solved):
+        try:
+            coef, deviance, gram, ab, factor, n_iter = per_lambda_band_solve(dm, data, penalty_band, float(lam))
+        except NumericalError as exc:
+            assert isinstance(got, NumericalError)
+            assert failure_cause(str(got)) == failure_cause(str(exc))
+            continue
+        assert isinstance(got, fitting._BandSystem)
+        assert got.n_iter == n_iter
+        ref = fitting._BandSystem(float(lam), coef, deviance, gram, ab, factor, n_iter)
+        [(_, sigma, edf), (_, ref_sigma, ref_edf)] = fitting._selected_inverses([got, ref])
+        fit, ref_fit = fitting._band_fit(data, got, sigma, edf), fitting._band_fit(data, ref, ref_sigma, ref_edf)
+        assert_close(fit.coef, ref_fit.coef)
+        assert_close(fit.cov_band, ref_fit.cov_band, atol=np.max(np.abs(ref_sigma)) * slack / (data.n - ref_edf))
+        assert fit.edf == pytest.approx(ref_fit.edf, rel=1e-12, abs=0.0)
+        assert fit.deviance == pytest.approx(ref_fit.deviance, rel=1e-12, abs=slack)
+
+
+class TestLockstepGrid:
+    """The lockstep driver against the per-lambda band path it replaced."""
+
+    @pytest.mark.parametrize("fixture", BINOMIAL_FIXTURES)
+    def test_binomial_fixtures_match_per_lambda_oracle(self, fixture):
+        data, spec, pen = binomial_fixture(*fixture)
+        grid = default_lambda_grid(design_matrix(spec, data.z), pen)
+        assert_matches_per_lambda_oracle(data, spec, pen, grid)
+
+    @pytest.mark.parametrize("fixture", GAUSSIAN_FIXTURES)
+    def test_gaussian_fixtures_match_per_lambda_oracle(self, fixture):
+        data, spec, pen = gaussian_fixture(*fixture)
+        grid = default_lambda_grid(design_matrix(spec, data.z), pen)
+        assert_matches_per_lambda_oracle(data, spec, pen, grid)
+
+    @pytest.mark.parametrize("name, n_replicates", [("tableS1", 3), ("fig8", 2), ("table2a", 2)])
+    def test_preset_strata_match_per_lambda_oracle(self, name, n_replicates):
+        strata, spec, pen = preset_strata(name, n_replicates)
+        for data in strata:
+            grid = default_lambda_grid(design_matrix(spec, data.z), pen)
+            assert_matches_per_lambda_oracle(data, spec, pen, grid)
+
+    def test_blocks_follow_the_sample_size(self, monkeypatch):
+        # tableS1 strata (n = 4000) advance 16 lambdas at a time: 16 + 16 + 8
+        strata, spec, pen = preset_strata("tableS1", 1)
+        sizes = []
+        real = fitting._binomial_block
+
+        def recording(dm, data, penalty_band, lams):
+            sizes.append(lams.size)
+            return real(dm, data, penalty_band, lams)
+
+        monkeypatch.setattr(fitting, "_binomial_block", recording)
+        select_lambda(strata[0], spec, pen)
+        assert sizes == [16, 16, 8]
+
+
+def separating_stratum():
+    """y = 1 wherever z < 0.2: the fit diverges at light smoothing only."""
+    rng = np.random.default_rng(3)
+    z = rng.uniform(0, 1, 300)
+    y = np.where(z < 0.2, 1.0, (rng.random(300) < 0.5).astype(float))
+    return StratumData(y=y, z=z, family="binomial")
+
+
+def short_support_stratum():
+    """No data beyond z = 0.3, so at lambda = 0 the system is singular."""
+    rng = np.random.default_rng(19)
+    return StratumData(y=(rng.random(200) < 0.5).astype(float), z=rng.uniform(0, 0.3, 200), family="binomial")
+
+
+class TestFailureParity:
+    """A failing lambda leaves every other lambda of its block as it is alone, bit for bit."""
+
+    @staticmethod
+    def together_and_alone(data, spec, pen, grid):
+        dm = design_matrix(spec, data.z)
+        penalty_band = fitting._penalty_band(spec, pen)
+        together = fitting._grid_systems(dm, data, penalty_band, grid)
+        alone = [fitting._grid_systems(dm, data, penalty_band, grid[i : i + 1])[0] for i in range(grid.size)]
+        for a, b in zip(together, alone):
+            assert type(a) is type(b)
+            if isinstance(b, NumericalError):
+                assert str(a) == str(b)
+                continue
+            for name in ("lam", "deviance", "n_iter"):
+                assert getattr(a, name) == getattr(b, name), name
+            for name in ("coef", "gram", "precision_band", "factor"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        return [failure_cause(str(s)) if isinstance(s, NumericalError) else None for s in together]
+
+    def test_not_positive_definite(self, setup):
+        spec, pen = setup
+        causes = self.together_and_alone(short_support_stratum(), spec, pen, np.asarray([0.0, 0.01, 0.5, 5.0]))
+        assert causes == ["not_positive_definite", None, None, None]
+
+    def test_separation(self, setup):
+        spec, pen = setup
+        causes = self.together_and_alone(separating_stratum(), spec, pen, np.geomspace(1e-7, 1e2, 10))
+        assert causes == ["separation"] * 4 + [None] * 6
+
+    @pytest.mark.parametrize("max_iter", [1, 5])
+    def test_irls_nonconvergence(self, setup, max_iter, monkeypatch):
+        # the separating stratum needs 4 to 10 iterations across this grid
+        monkeypatch.setattr(fitting, "MAX_IRLS_ITER", max_iter)
+        spec, pen = setup
+        grid = np.geomspace(1e-3, 1e3, 13)
+        causes = self.together_and_alone(separating_stratum(), spec, pen, grid)
+        assert "irls_nonconvergence" in causes
+        assert (None in causes) == (max_iter > 1)
+
+    @pytest.mark.parametrize(
+        "stratum, lam, max_iter",
+        [(short_support_stratum, 0.0, 100), (separating_stratum, 1e-7, 100), (separating_stratum, 0.5, 1)],
+    )
+    def test_fit_stratum_raises_the_per_lambda_message(self, setup, stratum, lam, max_iter, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_IRLS_ITER", max_iter)
+        spec, pen = setup
+        data = stratum()
+        dm = design_matrix(spec, data.z)
+        with pytest.raises(NumericalError) as ref:
+            per_lambda_band_solve(dm, data, fitting._penalty_band(spec, pen), lam)
+        with pytest.raises(NumericalError) as got:
+            fit_stratum(data, spec, pen, lam)
+        message, ref_message = str(got.value), str(ref.value)
+        assert failure_cause(message) == failure_cause(ref_message)
+        # the deviance trace of a non-converged fit agrees to rounding
+        head, _, trace = message.partition("[")
+        ref_head, _, ref_trace = ref_message.partition("[")
+        assert head == ref_head
+        if trace:
+            np.testing.assert_allclose(json.loads("[" + trace), json.loads("[" + ref_trace), rtol=1e-12)
+        else:
+            assert message == ref_message
