@@ -10,8 +10,8 @@ from oracles import demmler_reinsch_edfs, dense_inverse_edf, per_lambda_band_sol
 from scipy.special import expit, xlogy
 
 from smoothdiff import fitting
-from smoothdiff.cli import _TABLE_SCENARIOS
 from smoothdiff.basis import band_form, design_matrix, difference_penalty, expand_band, make_basis
+from smoothdiff.cli import _TABLE_SCENARIOS
 from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import (
     StratumData,
