@@ -16,11 +16,11 @@ measured (`dirty` is true when tracked files differ from it).
 
 With `--parent`, it runs `--pairs` pairs of one workload, pair i at seed
 `--seed` + i: the parent checkout and the checkout at `--repo` each run
-once, the parent first in even pairs and second in odd ones, so that drift
-in the host's speed falls on both sides alike. It prints every pair, then
-per end-to-end metric of BENCHMARK.json each side's median and quartiles,
-the relative change of the medians, and in how many pairs the change did
-better.
+once for the same 20 s, the parent first in even pairs and second in odd
+ones, so that drift in the host's speed falls on both sides alike. It
+prints every pair, then per end-to-end metric of BENCHMARK.json each
+side's median and quartiles, the relative change of the medians, and in
+how many pairs the change did better.
 
 Either way the script exits 1 when any run fails the correctness gate.
 """
@@ -79,7 +79,7 @@ def end_to_end_metrics(repo: str) -> dict:
         return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
 
-def compare_pairs(parent: str, change: str, workload: str, pairs: int, first_seed: int, seconds: float) -> bool:
+def compare_pairs(parent: str, change: str, workload: str, pairs: int, first_seed: int) -> bool:
     """Run and report the alternating pairs; False when any run fails the gate."""
     better = end_to_end_metrics(change)
     sides = {"parent": [], "change": []}
@@ -88,7 +88,7 @@ def compare_pairs(parent: str, change: str, workload: str, pairs: int, first_see
         seed = first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result, _ = run_once(parent if side == "parent" else change, workload, seed, seconds)
+            result, _ = run_once(parent if side == "parent" else change, workload, seed, SECONDS)
             ok = ok and result["correct"] and result["failed"] == 0
             sides[side].append({name: m["value"] for name, m in result["metrics"].items()})
         print(f"pair {i} seed {seed} ({order[0]} first): "
@@ -116,12 +116,11 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10, help="number of pairs (with --parent)")
     parser.add_argument("--workload", choices=WORKLOADS, help="workload to compare (with --parent)")
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair (with --parent)")
-    parser.add_argument("--seconds", type=float, default=SECONDS, help="length of each run (with --parent)")
     args = parser.parse_args(argv)
     if args.parent is not None:
         if args.workload is None or args.pairs < 1:
             parser.error("--parent needs --workload and at least one pair")
-        return 0 if compare_pairs(args.parent, args.repo, args.workload, args.pairs, args.seed, args.seconds) else 1
+        return 0 if compare_pairs(args.parent, args.repo, args.workload, args.pairs, args.seed) else 1
 
     record = {
         "label": args.label,

@@ -150,12 +150,13 @@ class DesignMatrix:
         the main diagonal is the last row. One matvec gives every pair's
         band row; they are added in pair order. A (k, n) stack of weight
         vectors gives the (k, width, m) stack of their bands. The unweighted
-        band is computed once and shared; callers must not modify it.
+        band is computed once and shared, read-only.
         """
         if weights is not None:
             return self._gram_bands(weights)
         if self._gram is None:
             self._gram = self._gram_bands(np.ones(self.n))
+            self._gram.setflags(write=False)
         return self._gram
 
     def _gram_bands(self, weights: np.ndarray) -> np.ndarray:

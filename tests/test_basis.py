@@ -242,6 +242,14 @@ class TestGramBand:
         band[3] = [1.0, 2.0]
         assert np.array_equal(expand_band(band), [[1.0, 5.0], [5.0, 2.0]])
 
+    def test_unweighted_band_is_shared_and_read_only(self):
+        dm = design_matrix(make_basis(0.0, 1.0, 12, 3), np.random.default_rng(21).uniform(0, 1, 200))
+        band = dm.gram_band()
+        assert dm.gram_band() is band
+        assert np.array_equal(band, dm.gram_band(np.ones(dm.n)))
+        with pytest.raises(ValueError, match="read-only"):
+            band[-1] += 1.0
+
 
 def assert_matches_bincount_oracles(dm, rng):
     """gram_band and rhs (vector and matrix) equal the bincount loops bit for bit."""

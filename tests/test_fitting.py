@@ -891,6 +891,19 @@ class TestNoDenseCovariance:
         data = StratumData(y=(rng.random(n) < expit(np.sin(5 * z))).astype(float), z=z, family="binomial")
         assert self.traced_peak(lambda: fit_stratum(data, spec, pen, 1.0)) < 8 * m * m
 
+    def test_binomial_select_at_m2000(self):
+        # the grid advances 3 lambdas at a time here; all 40 at once would hold twice the bound
+        m, n = 2000, 20000
+        spec = make_basis(0.0, 1.0, m, 3)
+        rng = np.random.default_rng(42)
+        z = rng.uniform(0, 1, n)
+        data = StratumData(y=(rng.random(n) < expit(np.sin(5 * z))).astype(float), z=z, family="binomial")
+
+        def run():
+            select_lambda(data, spec, difference_penalty(m, 2))
+
+        assert self.traced_peak(run) < 8 * m * m
+
 
 def preset_strata(name, n_replicates):
     """Both strata of the first replicates of a simulate preset, with its basis and penalty."""
