@@ -7,7 +7,6 @@ knot-defined test regions and the difference penalty all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -94,10 +93,10 @@ class DesignMatrix:
     """Basis expansion of a covariate sample.
 
     Rows are stored compactly: row i has the degree+1 potentially non-zero
-    values `values[i]` starting at column `start[i]`. `dense` materializes
-    the full n x m matrix. `gram_band` and `rhs` go through weight-free CSR
-    operators built on first use, and `predict` through the CSR form of Z,
-    also built on first use, so a predict-only expansion builds only that.
+    values `values[i]` starting at column `start[i]`. `gram_band` and `rhs`
+    go through weight-free CSR operators built on first use, and `predict`
+    through the CSR form of Z, also built on first use, so a predict-only
+    expansion builds only that.
     Each kernel takes a stack of vectors in one product and gives every
     vector's result bit for bit as it would alone: a CSR product sums each
     output entry over the row's stored entries in order, whatever the number
@@ -108,7 +107,6 @@ class DesignMatrix:
     values: np.ndarray
     start: np.ndarray
     m: int
-    _dense: np.ndarray | None = field(default=None, repr=False)
     _xtx: np.ndarray | None = field(default=None, repr=False)
     _cols: np.ndarray | None = field(default=None, repr=False)
     _ops: tuple | None = field(default=None, repr=False)
@@ -129,14 +127,6 @@ class DesignMatrix:
         if self._cols is None:
             self._cols = self.start[:, None] + np.arange(self.width)[None, :]
         return self._cols
-
-    @property
-    def dense(self) -> np.ndarray:
-        if self._dense is None:
-            out = np.zeros((self.n, self.m))
-            np.put_along_axis(out, self.cols, self.values, axis=1)
-            self._dense = out
-        return self._dense
 
     def _operators(self) -> tuple:
         if self._ops is None:
@@ -168,6 +158,7 @@ class DesignMatrix:
             band[..., w - 1 - (b - a), :] += per_pair[..., k * m : (k + 1) * m]
         return band
 
+    # No library path calls this; perfbench/spans.py wraps it by attribute.
     def crossprod(self, weights: np.ndarray | None = None) -> np.ndarray:
         """Z' diag(w) Z as a dense m x m matrix: the expansion of `gram_band`."""
         if weights is None and self._xtx is not None:
@@ -244,8 +235,7 @@ class PenaltyMatrix:
     """q-th order difference penalty S = D'D, D stacking the difference stencils.
 
     `band` is S's upper band in solveh_banded layout (q + 1 rows), which is
-    all that fitting without fixed effects reads. The dense D and S are
-    built on request.
+    all that fitting reads.
     """
 
     order: int
@@ -254,14 +244,6 @@ class PenaltyMatrix:
     @property
     def m(self) -> int:
         return self.band.shape[1]
-
-    @cached_property
-    def D(self) -> np.ndarray:
-        return np.diff(np.eye(self.m), n=self.order, axis=0)
-
-    @cached_property
-    def S(self) -> np.ndarray:
-        return self.D.T @ self.D
 
 
 def band_form(a: np.ndarray, bandwidth: int) -> np.ndarray:

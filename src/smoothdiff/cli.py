@@ -178,9 +178,9 @@ def _fit_payload(fit: StratumFit, lam_source: str) -> dict:
         "coef": [float(c) for c in fit.coef],
         "beta": [float(b) for b in fit.beta],
     }
-    if fit.precision_band is None:
-        # With fixed effects the covariance inverts a dense Schur complement
-        # A - Zx (X'WX)^{-1} Zx', which has no band to store.
+    if fit.beta.size:
+        # Format 2 has no key for the border B of fixed effects, so such a
+        # stratum stores its dense covariance dispersion * (A^{-1} + BB').
         payload["cov"] = [[float(v) for v in row] for row in fit.cov]
     else:
         payload["precision_band"] = [[float(v) for v in row] for row in fit.precision_band]
@@ -216,12 +216,13 @@ def cmd_analyze(config: AnalysisConfig) -> int:
                 f"[{spec.z_lo!r}, {spec.z_hi!r}], the first z = {float(data.z[outside[0]])!r}"
             )
 
-    if config.lam is not None:
-        fits = [fit_stratum(data, spec, pen, config.lam) for data in (data1, data2)]
-        source = "fixed"
-    else:
-        fits = [select_lambda(data, spec, pen) for data in (data1, data2)]
-        source = "gcv"
+    source = "gcv" if config.lam is None else "fixed"
+    fits = []
+    for i, data in enumerate((data1, data2), 1):
+        try:  # a rank-deficient fixed-effect column is found per stratum
+            fits.append(select_lambda(data, spec, pen) if source == "gcv" else fit_stratum(data, spec, pen, config.lam))
+        except ParameterError as exc:
+            raise ParameterError(f"stratum {i}: {exc}") from exc
     series = window_statistics(fits[0], fits[1], spec)
     report = threshold_regions(series, config.alpha, config.tdp)
 

@@ -4,29 +4,29 @@ Gaussian outcomes are fit by penalized least squares, binary outcomes by
 penalized IRLS. The smoothing parameter is chosen by GCV on a log-spaced
 grid (`select_lambda`) and then treated as fixed, or given (`fit_stratum`).
 
-Without fixed effects A = Z'WZ + lambda S exists only as its upper band.
+The spline coefficients c and fixed effects beta (columns X, p >= 0) solve
+[[A, Zx], [Zx', X'WX]] [c; beta] = [Z'Wu; X'Wu] with Zx = Z'WX, and
+A = Z'WZ + lambda S exists only as its upper band. One banded Cholesky
+solve (LAPACK pbtrf/pbtrs) of A on [Z'Wu | Zx] gives c0 and V; the p x p
+Schur complement S_x = X'WX - Zx'V = LL' gives beta, and c = c0 - V beta.
 `_grid_systems` solves a lambda grid in lockstep: a block of lambdas
 advances together with every per-observation array laid out as (block, n),
-so one CSR product gives every weight vector's Gram band, right-hand side
-or linear predictor, and each system is factored by one banded Cholesky
-(LAPACK pbtrf/pbtrs) for its coefficients. A binomial lambda leaves the
-block when its IRLS converges or fails, keeping its own error; a Gaussian
-fit is the same solve done once, with w = 1. `fit_stratum` is the driver on
-a one-point grid, and no lambda's result depends on its block.
+so one CSR product gives every weight vector's Gram band, right-hand sides
+or linear predictor. A binomial lambda leaves the block when its IRLS
+converges or fails, keeping its own error; a Gaussian fit is the same solve
+done once, with w = 1. `fit_stratum` is the driver on a one-point grid, and
+no lambda's result depends on its block.
 
-Everything a fit reads from A^{-1} lies within A's half-bandwidth
-b = max(degree, penalty order) of the diagonal: the edf
-tr(A^{-1} Z'WZ), the window blocks of the covariance and the pointwise
-variances of the curves. So no inverse is formed. `selected_inverse_band`
-runs the Takahashi recurrence over a stack of Cholesky factors and returns
-the (b+1)-band of every A^{-1} at once: the whole lambda grid in one call,
-or the single lambda of `fit_stratum`. A fit keeps that band scaled by the
-dispersion (`cov_band`) and A's band (`precision_band`), from which
-`band_covariance` builds the dense posterior covariance dispersion * A^{-1}
-on request (`fit.cov`).
-
-With fixed effects the block system is solved densely, and the covariance
-inverts the Schur complement of the fixed-effect block.
+The posterior covariance of c is dispersion * (A^{-1} + BB'), the border
+B = V L^{-T} (Woodbury on the Schur complement of X'WX). Everything a fit
+reads from it lies within A's half-bandwidth b = max(degree, penalty order)
+of the diagonal: the edf, the window blocks of the covariance and the
+pointwise variances of the curves. So no inverse is formed.
+`selected_inverse_band` runs the Takahashi recurrence over a stack of
+Cholesky factors and returns the (b+1)-band of every A^{-1} at once: the
+whole lambda grid in one call, or the single lambda of `fit_stratum`. A
+fit keeps the covariance band (`cov_band`), A's band (`precision_band`)
+and B (`border`), from which `fit.cov` builds the dense covariance.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .basis import (
     PenaltyMatrix,
     band_form,
     design_matrix,
-    expand_band,
 )
 from .errors import NumericalError, ParameterError
 
@@ -63,11 +62,17 @@ __all__ = [
 MAX_IRLS_ITER = 100
 IRLS_REL_TOL = 1e-8
 ETA_DIVERGENCE = 20.0
+# A fixed-effect column whose residual on the unpenalized part of the smooth
+# and the columns before it is below this share of its norm is not identified.
+IDENTIFIABLE_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class StratumData:
-    """One stratum's outcomes, smooth covariate, and optional fixed effects."""
+    """One stratum's outcomes, smooth covariate, and fixed effects.
+
+    `X` is the n x p fixed-effect matrix; None or no columns gives p = 0.
+    """
 
     y: np.ndarray
     z: np.ndarray
@@ -88,13 +93,12 @@ class StratumData:
             raise ParameterError(f"unknown family {self.family!r}")
         if self.family == "binomial" and not np.all(np.isin(y, (0.0, 1.0))):
             raise ParameterError("binomial outcomes must be 0/1")
-        X = self.X
-        if X is not None:
-            X = np.asarray(X, dtype=float)
-            if X.ndim != 2 or X.shape[0] != y.size:
-                raise ParameterError("fixed-effect matrix must be n x p")
-            if X.shape[1] == 0:
-                X = None
+        X = np.asarray(np.zeros((y.size, 0)) if self.X is None else self.X, dtype=float)
+        if X.ndim != 2 or X.shape[0] != y.size:
+            raise ParameterError("fixed-effect matrix must be n x p")
+        if not np.all(np.isfinite(X)):
+            i, j = np.argwhere(~np.isfinite(X))[0]
+            raise ParameterError(f"X[{i}, {j}] = {float(X[i, j])!r} is not finite")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "X", X)
@@ -103,23 +107,18 @@ class StratumData:
     def n(self) -> int:
         return self.y.size
 
-    @property
-    def p(self) -> int:
-        return 0 if self.X is None else self.X.shape[1]
-
 
 @dataclass(frozen=True)
 class StratumFit:
     """Fitted coefficients, smoothing parameter, dispersion and posterior covariance.
 
-    Without fixed effects a fit holds two bands in solveh_banded layout:
-    `cov_band`, the upper band of the posterior covariance dispersion *
-    A^{-1} to A's half-bandwidth, and `precision_band`, the band of the
-    unit-dispersion precision A = Z'WZ + lambda S that the fit factored.
-    `cov`, the dense covariance, is built on request as
-    `band_covariance(precision_band, dispersion)`. A fit with fixed
-    effects, whose covariance inverts a dense Schur complement, or one read
-    from a dense model file, stores that matrix as `dense_cov` instead.
+    `precision_band` is the band (solveh_banded layout) of the
+    unit-dispersion precision A = Z'WZ + lambda S that the fit factored,
+    `border` the m x p matrix B of the fixed effects (m x 0 without any),
+    and `cov_band` the upper band to A's half-bandwidth of the posterior
+    covariance dispersion * (A^{-1} + BB'). `cov`, that dense matrix, is
+    built on request from the first two; a fit read from a model file that
+    stores it holds it as `dense_cov` instead.
     """
 
     coef: np.ndarray
@@ -132,6 +131,7 @@ class StratumFit:
     n_obs: int
     cov_band: np.ndarray | None = None
     precision_band: np.ndarray | None = None
+    border: np.ndarray | None = field(default=None, repr=False)
     dense_cov: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
@@ -139,7 +139,10 @@ class StratumFit:
         """The dense m x m posterior covariance."""
         if self.dense_cov is not None:
             return self.dense_cov
-        return band_covariance(self.precision_band, self.dispersion)
+        cov = band_covariance(self.precision_band, self.dispersion)
+        if self.beta.size:
+            cov += self.dispersion * (self.border @ self.border.T)
+        return cov
 
     def covariance_band(self, bandwidth: int) -> np.ndarray:
         """Upper band of the posterior covariance to offset `bandwidth`.
@@ -156,12 +159,12 @@ def penalized_inverse(ab: np.ndarray) -> np.ndarray:
     try:
         return scipy.linalg.solveh_banded(ab, np.eye(ab.shape[1]))
     except np.linalg.LinAlgError as exc:
-        raise _not_positive_definite(ab) from exc
+        raise _not_positive_definite(_pbtrf(ab)[1]) from exc
 
 
-def _not_positive_definite(ab: np.ndarray) -> NumericalError:
-    cond = np.linalg.cond(expand_band(ab))
-    return NumericalError(f"penalized system is not positive definite (cond={cond:.3e})")
+def _not_positive_definite(minor: int) -> NumericalError:
+    """The error of a banded system whose Cholesky factorization fails at leading minor `minor` (LAPACK's info)."""
+    return NumericalError(f"penalized system is not positive definite (leading minor {minor})")
 
 
 def selected_inverse_band(factors: np.ndarray) -> np.ndarray:
@@ -209,12 +212,12 @@ def selected_inverse_band(factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_trace(sigma: np.ndarray, gram: np.ndarray) -> float:
-    """tr(Sigma G) from the (b+1)-band of Sigma and the possibly narrower band of G."""
-    g = gram.shape[0]
+def _band_trace(sigma: np.ndarray, gram: np.ndarray):
+    """tr(Sigma G) from the (b+1)-band of Sigma and the possibly narrower band of G, per system of a stack."""
+    g = gram.shape[-2]
     weight = np.full((g, 1), 2.0)  # each off-diagonal entry stands for two
     weight[-1] = 1.0
-    return float(np.sum(sigma[-g:] * (weight * gram)))
+    return np.sum(sigma[..., -g:, :] * (weight * gram), axis=(-2, -1))
 
 
 def _penalty_band(spec: BasisSpec, pen: PenaltyMatrix) -> np.ndarray:
@@ -228,49 +231,100 @@ def _penalty_band(spec: BasisSpec, pen: PenaltyMatrix) -> np.ndarray:
 def _band_solve(
     penalty_band: np.ndarray, lams: np.ndarray, gram: np.ndarray, rhs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """Solve A_j coef_j = rhs_j, A_j = Z'W_jZ + lams[j] S, for a block of systems.
+    """Solve A_j sol_j = rhs_j, A_j = Z'W_jZ + lams[j] S, for a block of systems.
 
     `gram` is a (k, g, m) stack of `gram_band`s, or one (g, m) band shared
-    by the block, possibly narrower than the penalty band; `rhs` is (k, m)
-    or one shared (m,) vector. Returns (ab, factors, coefs, errors): A's
-    upper bands, their upper Cholesky factors and the solutions, stacked
-    over the block, and per system None or the NumericalError of a system
-    that is not positive definite (its factor and coef rows are then
-    meaningless). Each system is factored and solved by LAPACK pbtrf/pbtrs
-    on its own, so its result does not depend on the rest of the block;
-    one finiteness check covers the block, as scipy's wrappers check each.
+    by the block, possibly narrower than the penalty band; `rhs` is a
+    (k, m, c) stack of c right-hand sides each, or one shared (m, c).
+    Returns (ab, factors, sols, errors): A's upper bands, their upper
+    Cholesky factors and the solutions, stacked over the block, and per
+    system None or the NumericalError of a system that is not positive
+    definite (its factor is then meaningless and its solutions zero). Each
+    system is factored and solved by LAPACK pbtrf/pbtrs on its own, so its
+    result does not depend on the rest of the block; one finiteness check
+    covers the block, as scipy's wrappers check each.
     """
     ab = lams[:, None, None] * penalty_band
     ab[:, ab.shape[1] - gram.shape[-2] :] += gram
-    rhs = np.broadcast_to(rhs, (lams.size, ab.shape[2]))
+    rhs = np.broadcast_to(rhs, (lams.size, *rhs.shape[-2:]))
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
     factors = np.empty_like(ab)
-    coefs = np.empty(rhs.shape)
+    sols = np.zeros(rhs.shape)
     errors = [None] * lams.size
     for j in range(lams.size):
         factor, info = _pbtrf(ab[j])
         if info:
-            errors[j] = _not_positive_definite(ab[j])
+            errors[j] = _not_positive_definite(info)
             continue
         factors[j] = factor
-        coefs[j] = _pbtrs(factor, rhs[j])[0]
-    return ab, factors, coefs, errors
+        sols[j] = _pbtrs(factor, rhs[j])[0]
+    return ab, factors, sols, errors
 
 
-def _scaled_covariance(cov_unit: np.ndarray, dispersion: float) -> np.ndarray:
-    """dispersion * cov_unit, symmetrized."""
-    cov = dispersion * cov_unit
-    return 0.5 * (cov + cov.T)
+def _schur_factors(schur: np.ndarray, errors: list) -> np.ndarray:
+    """Lower Cholesky factors of a (k, p, p) stack of S_x; identity where a system fails, setting its error."""
+    low = np.broadcast_to(np.eye(schur.shape[-1]), schur.shape).copy()
+    for j, s in enumerate(schur):
+        if errors[j] is None:
+            try:
+                low[j] = np.linalg.cholesky(s)
+            except np.linalg.LinAlgError:
+                errors[j] = NumericalError("penalized system is not positive definite (fixed-effect Schur complement)")
+    return low
+
+
+def _eliminate_border(sols: np.ndarray, zr: np.ndarray, xr: np.ndarray, errors: list) -> tuple:
+    """(coefs, betas, borders) of a block of bordered systems from their band solves.
+
+    `sols` is the (k, m, 1+p) stack [c0 | V] = A^{-1} Z'W[u | X]; `zr` =
+    Z'W[u | X] and `xr` = X'W[u | X] are stacked alike or shared. With
+    S_x = X'WX - Zx'V = LL' and g = L^{-1} (X'Wu - Zx'c0): beta = L^{-T} g,
+    the border B = V L^{-T} and coef = c0 - B g. Every product and
+    factorization treats each system of the stack on its own.
+    """
+    c0, v = sols[..., :1], sols[..., 1:]
+    if not v.shape[-1]:  # no fixed effects: coef = c0, with no per-iteration cost
+        return sols[..., 0], np.zeros((sols.shape[0], 0)), v
+    zx_t = np.swapaxes(zr[..., 1:], -1, -2)
+    low = _schur_factors(xr[..., 1:] - zx_t @ v, errors)
+    inv = np.linalg.inv(low)
+    inv_t = np.swapaxes(inv, -1, -2)
+    g = inv @ (xr[..., :1] - zx_t @ c0)
+    borders = v @ inv_t
+    return (c0 - borders @ g)[..., 0], (inv_t @ g)[..., 0], borders
+
+
+def _cross_products(dm: DesignMatrix, X: np.ndarray, u: np.ndarray, w: np.ndarray) -> tuple:
+    """(Z'W[u | X], X'W[u | X]), W = diag(w): (m, 1+p) and (p, 1+p) for (n,) u and w, stacked for (k, n).
+
+    One CSR product forms the Z' side of every stacked column.
+    """
+    lead, (n, p) = u.shape[:-1], X.shape
+    cols = np.empty((*lead, n, 1 + p))
+    np.multiply(w, u, out=cols[..., 0])
+    np.multiply(w[..., None], X, out=cols[..., 1:])
+    zr = dm.rhs(np.moveaxis(cols, -2, 0).reshape(n, -1)).reshape(dm.m, *lead, 1 + p)
+    return np.moveaxis(zr, 0, -2), X.T @ cols
+
+
+def _predict(dm: DesignMatrix, X: np.ndarray, coefs: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """The (k, n) linear predictors Z coef + X beta of a (k, m) and (k, p) stack."""
+    eta = dm.predict(coefs)
+    for j in range(X.shape[1]):
+        eta += betas[:, j : j + 1] * X[:, j]
+    return eta
 
 
 def band_covariance(band: np.ndarray, dispersion: float) -> np.ndarray:
-    """Posterior covariance dispersion * A^{-1} from A's upper band storage.
+    """Posterior covariance dispersion * A^{-1}, symmetrized, from A's upper band storage.
 
-    The band is a fit's `precision_band`; `fit.cov` is this matrix, and a
-    model file that stores the band rebuilds it bit for bit.
+    The band is a fit's `precision_band`; without fixed effects `fit.cov`
+    is this matrix, and a model file that stores the band rebuilds it bit
+    for bit.
     """
-    return _scaled_covariance(penalized_inverse(band), dispersion)
+    cov = dispersion * penalized_inverse(band)
+    return 0.5 * (cov + cov.T)
 
 
 def _warn_small_sample(data: StratumData, spec: BasisSpec) -> None:
@@ -280,6 +334,27 @@ def _warn_small_sample(data: StratumData, spec: BasisSpec) -> None:
             "the fit may be poorly determined",
             stacklevel=3,
         )
+
+
+def _check_identifiable(dm: DesignMatrix, X: np.ndarray, order: int) -> None:
+    """Raise ParameterError naming the first fixed-effect column whose coefficient is not identified.
+
+    beta is identified unless some Xa equals Zc with Sc = 0: c in the null
+    space N of the order-q difference penalty, the polynomials of degree
+    < q in the coefficient index. The diagonal of the QR factor of [ZN | X]
+    holds each column's residual on ZN and the columns before it.
+    """
+    if X.shape[1]:
+        null = np.vander(np.linspace(-1.0, 1.0, dm.m), order, increasing=True)
+        r = np.linalg.qr(np.hstack([dm.predict(null.T).T, X]), mode="r")
+        diag, resid = np.abs(np.diagonal(r))[order:], np.zeros(X.shape[1])
+        resid[: diag.size] = diag
+        rel = resid / np.maximum(np.linalg.norm(X, axis=0), 1e-300)
+        for k in np.flatnonzero(rel < IDENTIFIABLE_REL_TOL)[:1]:
+            raise ParameterError(
+                f"fixed-effect column {k + 1} is not identified: its relative residual on the unpenalized "
+                f"part of the smooth and the columns before it is {rel[k]:.2e}, below {IDENTIFIABLE_REL_TOL:g}"
+            )
 
 
 def _dispersion(data: StratumData, deviance: float, edf: float) -> float:
@@ -320,47 +395,24 @@ def _not_converged(trace: list[float]) -> NumericalError:
     )
 
 
-def _irls(dm: DesignMatrix, data: StratumData, solve) -> tuple:
-    """(beta, coef, deviance, system) of penalized logistic IRLS with fixed effects.
-
-    `solve(u, w)` returns (beta, coef, system) for the working response u
-    and weights w. Each iteration solves only for the coefficients; the
-    caller takes the covariance and edf from the last iteration's system.
-    """
-    y = data.y
-    mu, eta, deviance = _start(y)
-    trace = [deviance]
-    for _ in range(MAX_IRLS_ITER):
-        w = np.clip(mu * (1.0 - mu), 1e-10, None)
-        u = eta + (y - mu) / w
-        beta, coef, system = solve(u, w)
-        eta = dm.predict(coef) + data.X @ beta
-        if np.max(np.abs(eta)) > ETA_DIVERGENCE:
-            raise _diverged()
-        mu = expit(eta)
-        new_deviance = float(_binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12)))
-        trace.append(new_deviance)
-        if _converged(new_deviance, deviance):
-            return beta, coef, new_deviance, system
-        deviance = new_deviance
-    raise _not_converged(trace)
-
-
 @dataclass(frozen=True)
 class _BandSystem:
-    """A fit without fixed effects, solved at `lam` up to its selected inverse.
+    """A fit solved at `lam` up to its selected inverse.
 
-    `gram` is the band of Z'WZ at convergence, `precision_band` that of A and
-    `factor` A's Cholesky factor; `n_iter` counts the solves (1 for a
-    Gaussian fit, the IRLS iterations for a binomial one).
+    `gram` is the band of Z'WZ at convergence, `precision_band` that of A,
+    `factor` A's Cholesky factor and `border` the m x p matrix B of the
+    fixed effects; `n_iter` counts the solves (1 for a Gaussian fit, the
+    IRLS iterations for a binomial one).
     """
 
     lam: float
     coef: np.ndarray
+    beta: np.ndarray
     deviance: float
     gram: np.ndarray
     precision_band: np.ndarray
     factor: np.ndarray
+    border: np.ndarray
     n_iter: int
 
 
@@ -382,7 +434,7 @@ def _grid_systems(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarray,
     size = max(1, _BLOCK_VALUES // data.n)
     blocks = [lams[i : i + size] for i in range(0, lams.size, size)]
     if data.family == "gaussian":
-        shared = dm.gram_band(), dm.rhs(data.y)
+        shared = dm.gram_band(), *_cross_products(dm, data.X, data.y, np.ones(data.n))
         solved = [_gaussian_block(dm, data, penalty_band, block, *shared) for block in blocks]
     else:
         solved = [_binomial_block(dm, data, penalty_band, block) for block in blocks]
@@ -390,15 +442,16 @@ def _grid_systems(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarray,
 
 
 def _gaussian_block(
-    dm: DesignMatrix, data: StratumData, penalty_band: np.ndarray, lams: np.ndarray, gram: np.ndarray, rhs: np.ndarray
+    dm: DesignMatrix, data: StratumData, penalty_band: np.ndarray, lams: np.ndarray, gram, zr, xr
 ) -> list:
-    """Penalized least squares at each lambda: one solve with w = 1, Z'Z and Z'y shared."""
-    ab, factors, coefs, out = _band_solve(penalty_band, lams, gram, rhs)
+    """Penalized least squares at each lambda: one solve with w = 1, Z'Z, Z'[y | X] and X'[y | X] shared."""
+    ab, factors, sols, out = _band_solve(penalty_band, lams, gram, zr)
+    coefs, betas, borders = _eliminate_border(sols, zr, xr, out)
     ok = np.flatnonzero([e is None for e in out])
-    resid = data.y - dm.predict(coefs[ok])
+    resid = data.y - _predict(dm, data.X, coefs[ok], betas[ok])
     deviance = np.sum(resid * resid, axis=1)
     for j, dev in zip(ok, deviance):
-        out[j] = _BandSystem(float(lams[j]), coefs[j], float(dev), gram, ab[j], factors[j], 1)
+        out[j] = _BandSystem(float(lams[j]), coefs[j], betas[j], float(dev), gram, ab[j], factors[j], borders[j], 1)
     return out
 
 
@@ -410,7 +463,7 @@ def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarra
     factor, diverges or runs out of iterations, keeping its own deviance
     trace and error; the first iteration's weights are shared by all.
     """
-    y = data.y
+    y, X = data.y, data.X
     mu, eta, start = _start(y)
     deviance = np.full(lams.size, start)
     traces = [[start] for _ in lams]
@@ -421,13 +474,17 @@ def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarra
         u = eta + (y - mu) / w
         gram = dm.gram_band(w)
         gram = np.broadcast_to(gram, (live.size, *gram.shape[-2:]))
-        ab, factors, coefs, errors = _band_solve(penalty_band, lams[live], gram, dm.rhs((w * u).T).T)
+        zr, xr = _cross_products(dm, X, u, w)
+        ab, factors, sols, errors = _band_solve(penalty_band, lams[live], gram, zr)
+        coefs, betas, borders = _eliminate_border(sols, zr, xr, errors)
         for j, error in enumerate(errors):
             if error is not None:
                 out[live[j]] = error
         ok = np.flatnonzero([e is None for e in errors])
-        live, deviance, gram, ab, factors, coefs = (a[ok] for a in (live, deviance, gram, ab, factors, coefs))
-        eta = dm.predict(coefs)
+        live, deviance, gram, ab, factors, coefs, betas, borders = (
+            a[ok] for a in (live, deviance, gram, ab, factors, coefs, betas, borders)
+        )
+        eta = _predict(dm, X, coefs, betas)
         diverged = np.max(np.abs(eta), axis=1) > ETA_DIVERGENCE
         mu = expit(eta)
         new_deviance = _binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12))
@@ -437,7 +494,9 @@ def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarra
             if diverged[j]:
                 out[i] = _diverged()
             elif converged[j]:
-                out[i] = _BandSystem(float(lams[i]), coefs[j], traces[i][-1], gram[j], ab[j], factors[j], n_iter)
+                out[i] = _BandSystem(
+                    float(lams[i]), coefs[j], betas[j], traces[i][-1], gram[j], ab[j], factors[j], borders[j], n_iter
+                )
         going = ~(diverged | converged)
         live, deviance, eta, mu = live[going], new_deviance[going], eta[going], mu[going]
         if not live.size:
@@ -447,87 +506,72 @@ def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarra
     return out
 
 
-def _selected_inverses(systems: list[_BandSystem]):
-    """(system, band of A^{-1}, edf) per solved system, from one `selected_inverse_band` call."""
+def _border_bands(borders: np.ndarray, b: int) -> np.ndarray:
+    """The upper (b+1)-band of BB' for each of a (k, m, p) stack of borders."""
+    k, m, _ = borders.shape
+    out = np.zeros((k, b + 1, m))
+    for d in range(min(b, m - 1) + 1):
+        out[:, b - d, d:] = np.sum(borders[:, : m - d] * borders[:, d:], axis=-1)
+    return out
+
+
+def _selected_inverses(systems: list[_BandSystem], penalty_band: np.ndarray):
+    """(system, unit-dispersion covariance band, edf) per solved system.
+
+    One `selected_inverse_band` call gives the band sigma of every A^{-1}.
+    The covariance band is sigma + R, R the band of BB', and, as
+    tr(A^{-1} A) = m, edf = p + tr(sigma Z'WZ) - lambda tr(R S).
+    """
     sigma = selected_inverse_band(np.stack([s.factor for s in systems]))
-    return [(system, band, _band_trace(band, system.gram)) for system, band in zip(systems, sigma)]
+    outer = _border_bands(np.stack([s.border for s in systems]), sigma.shape[1] - 1)
+    border_traces = _band_trace(outer, penalty_band)
+    return [
+        (s, band + r, s.beta.size + float(_band_trace(band, s.gram)) - s.lam * float(trace))
+        for s, band, r, trace in zip(systems, sigma, outer, border_traces)
+    ]
 
 
-def _band_fit(data: StratumData, system: _BandSystem, sigma: np.ndarray, edf: float) -> StratumFit:
-    """The fit of a solved system, given the band of its A^{-1} and its edf."""
+def _band_fit(data: StratumData, system: _BandSystem, band: np.ndarray, edf: float) -> StratumFit:
+    """The fit of a solved system, given its unit-dispersion covariance band and its edf."""
     dispersion = _dispersion(data, system.deviance, edf)
     return StratumFit(
         coef=system.coef,
-        beta=np.zeros(0),
+        beta=system.beta,
         lam=system.lam,
         dispersion=dispersion,
         edf=edf,
         family=data.family,
         deviance=system.deviance,
         n_obs=data.n,
-        cov_band=dispersion * sigma,
+        cov_band=dispersion * band,
         precision_band=system.precision_band,
+        border=system.border,
     )
 
 
-def _fixed_effect_solve(
-    dm: DesignMatrix, data: StratumData, pen: PenaltyMatrix, lam: float, resp: np.ndarray, w: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(beta, coef, system) of the penalized block system with fixed effects.
+def _grid_fits(dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, lams: np.ndarray) -> list:
+    """The fit at each lambda, or the NumericalError that lambda's fit raised.
 
-    system = (X'WX, Z'WX, Z'WZ, C), C being the block matrix solved, is what
-    `_fixed_effect_cov_edf` needs once the fit has converged. A minimum-norm
-    solve keeps the fitted values defined even when the spline spans a
-    fixed-effect column (C is then singular).
+    `_grid_systems` solves every lambda (a Gaussian one by one banded solve,
+    a binomial one by IRLS) for its coefficients and deviance only; then one
+    `selected_inverse_band` call over all their factors gives every edf and
+    covariance band. A lambda also fails where its edf exhausts n without
+    an exact fit.
     """
-    ztz = dm.crossprod(w)
-    X, p = data.X, data.p
-    xtx = X.T @ (X if w is None else w[:, None] * X)
-    zx = dm.rhs(X, w)
-    c = np.block([[xtx, zx.T], [zx, ztz + lam * pen.S]])
-    wresp = resp if w is None else w * resp
-    rhs = np.concatenate([X.T @ wresp, dm.rhs(resp, w)])
-    theta = np.linalg.lstsq(c, rhs, rcond=None)[0]
-    return theta[:p], theta[p:], (xtx, zx, ztz, c)
-
-
-def _fixed_effect_cov_edf(system: tuple) -> tuple[np.ndarray, float]:
-    """(cov_unit, edf) from `_fixed_effect_solve`'s system; cov_unit inverts the Schur complement."""
-    xtx, zx, ztz, c = system
-    p = xtx.shape[0]
-    gram = np.block([[xtx, zx.T], [zx, ztz]])
-    edf = float(np.trace(np.linalg.lstsq(c, gram, rcond=None)[0]))
-    schur = c[p:, p:] - zx @ np.linalg.lstsq(xtx, zx.T, rcond=None)[0]
-    try:
-        cov_unit = scipy.linalg.cho_solve(scipy.linalg.cho_factor(schur), np.eye(schur.shape[0]))
-    except np.linalg.LinAlgError:
-        cov_unit = np.linalg.pinv(schur)
-    return cov_unit, edf
-
-
-def _fixed_effect_fit(dm: DesignMatrix, data: StratumData, pen: PenaltyMatrix, lam: float) -> StratumFit:
-    """The fit at `lam` of a stratum with fixed effects, its covariance dense."""
-    if data.family == "gaussian":
-        beta, coef, system = _fixed_effect_solve(dm, data, pen, lam, data.y, None)
-        resid = data.y - (dm.predict(coef) + data.X @ beta)
-        deviance = float(resid @ resid)
-    else:
-        beta, coef, deviance, system = _irls(
-            dm, data, lambda u, w: _fixed_effect_solve(dm, data, pen, lam, u, w)
-        )
-    cov_unit, edf = _fixed_effect_cov_edf(system)
-    dispersion = _dispersion(data, deviance, edf)
-    return StratumFit(
-        coef=coef,
-        beta=beta,
-        lam=float(lam),
-        dispersion=dispersion,
-        edf=edf,
-        family=data.family,
-        deviance=deviance,
-        n_obs=data.n,
-        dense_cov=_scaled_covariance(cov_unit, dispersion),
-    )
+    _check_identifiable(dm, data.X, pen.order)
+    penalty_band = _penalty_band(spec, pen)
+    solved = _grid_systems(dm, data, penalty_band, lams)
+    systems = [s for s in solved if isinstance(s, _BandSystem)]
+    selected = iter(_selected_inverses(systems, penalty_band) if systems else [])
+    out = []
+    for result in solved:
+        if isinstance(result, _BandSystem):
+            try:
+                result = _band_fit(data, *next(selected))
+            except NumericalError as exc:
+                result = exc
+        out.append(result)
+    return out
 
 
 def fit_stratum(
@@ -536,8 +580,8 @@ def fit_stratum(
     """Penalized fit of one stratum at a fixed smoothing parameter.
 
     Least squares for Gaussian outcomes, logistic IRLS for binary ones.
-    Without fixed effects this is the grid driver on a one-point grid, so
-    it raises the error that `select_lambda` skips that point for.
+    This is the grid driver on a one-point grid, so it raises the error
+    that `select_lambda` skips that point for.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ParameterError(f"smoothing parameter must be finite and >= 0, got {float(lam)!r}")
@@ -548,13 +592,10 @@ def fit_stratum(
 def _fit_at(
     dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, lam: float
 ) -> StratumFit:
-    if data.X is not None:
-        return _fixed_effect_fit(dm, data, pen, lam)
-    [system] = _grid_systems(dm, data, _penalty_band(spec, pen), np.asarray([float(lam)]))
-    if isinstance(system, NumericalError):
-        raise system
-    [selected] = _selected_inverses([system])
-    return _band_fit(data, *selected)
+    [fit] = _grid_fits(dm, data, spec, pen, np.asarray([float(lam)]))
+    if isinstance(fit, NumericalError):
+        raise fit
+    return fit
 
 
 def _grid_scale(gram_band: np.ndarray, penalty_band: np.ndarray) -> float:
@@ -575,39 +616,6 @@ def _gcv_score(data: StratumData, deviance: float, edf: float, yss: float) -> fl
     return data.n * dev / (data.n - edf) ** 2
 
 
-def _band_grid(
-    dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, grid: np.ndarray
-):
-    """The fit at each grid point that can be fit, for a stratum without fixed effects.
-
-    `_grid_systems` solves every point (a Gaussian one by one banded solve,
-    a binomial one by IRLS) for its coefficients and deviance only; then one
-    `selected_inverse_band` call over all their factors gives every edf and
-    covariance band. A point is skipped where its factorization or IRLS
-    fails, or where its edf exhausts n without an exact fit.
-    """
-    solved = _grid_systems(dm, data, _penalty_band(spec, pen), grid)
-    systems = [s for s in solved if isinstance(s, _BandSystem)]
-    if not systems:
-        return
-    for selected in _selected_inverses(systems):
-        try:
-            yield _band_fit(data, *selected)
-        except NumericalError:
-            continue
-
-
-def _fixed_effect_grid(
-    dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, grid: np.ndarray
-):
-    """The fit at each grid point that can be fit, for a stratum with fixed effects."""
-    for lam in grid:
-        try:
-            yield _fixed_effect_fit(dm, data, pen, float(lam))
-        except NumericalError:
-            continue
-
-
 def select_lambda(
     data: StratumData,
     spec: BasisSpec,
@@ -618,8 +626,9 @@ def select_lambda(
 
     GCV is n * deviance / (n - edf)^2. Deviance at the rounding level is
     treated as an exact fit, so ties resolve toward the heaviest smoothing.
-    Returns the fit computed at the selected value (`fit.lam`), which is then
-    held fixed downstream; it equals `fit_stratum` at that value.
+    A grid point whose fit fails is skipped. Returns the fit computed at the
+    selected value (`fit.lam`), which is then held fixed downstream; it
+    equals `fit_stratum` at that value.
     """
     dm = design_matrix(spec, data.z)
     if grid is None:
@@ -628,10 +637,11 @@ def select_lambda(
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
         raise ParameterError("lambda grid must be a non-empty vector of finite positive values")
     _warn_small_sample(data, spec)
-    fitted = _band_grid if data.X is None else _fixed_effect_grid
     yss = float(data.y @ data.y)
     best, best_score = None, np.inf
-    for fit in fitted(dm, data, spec, pen, np.sort(grid)):
+    for fit in _grid_fits(dm, data, spec, pen, np.sort(grid)):
+        if isinstance(fit, NumericalError):
+            continue
         score = _gcv_score(data, fit.deviance, fit.edf, yss)
         if score <= best_score:
             best, best_score = fit, score

@@ -9,8 +9,11 @@ inversion by acceptance criterion 7.
 The weighted design products of `smoothdiff.basis.DesignMatrix` go through
 cached sparse operators; the `bincount` loops below are the per-pair,
 per-offset and per-column forms they replaced, which they must match bit
-for bit. `solve_penalized_per_iteration` is the fixed-effect solve that
-formed the covariance and edf in every IRLS iteration.
+for bit. `dense_design`, `difference_matrix` and `penalty_matrix` are the
+dense Z, D and S = D'D that the library no longer forms.
+`solve_penalized_per_iteration` is the dense (m + p)-square block solve
+with fixed effects that the bordered band solve replaced; it formed the
+covariance and edf in every IRLS iteration.
 
 `smoothdiff.fitting` solves a lambda grid in lockstep, blocks of lambdas
 through batched sparse products. `per_lambda_band_solve` is the path it
@@ -139,6 +142,24 @@ def cross_with_by_column_bincount(dm, x, weights=None) -> np.ndarray:
     return out
 
 
+def dense_design(dm) -> np.ndarray:
+    """The n x m design matrix Z from its compact rows."""
+    out = np.zeros((dm.n, dm.m))
+    np.put_along_axis(out, dm.cols, dm.values, axis=1)
+    return out
+
+
+def difference_matrix(m, order) -> np.ndarray:
+    """The (m - order) x m matrix D of order-`order` differences."""
+    return np.diff(np.eye(m), n=order, axis=0)
+
+
+def penalty_matrix(pen) -> np.ndarray:
+    """The dense penalty S = D'D of a `PenaltyMatrix`."""
+    d = difference_matrix(pen.m, pen.order)
+    return d.T @ d
+
+
 def solve_penalized_per_iteration(dm, X, S, lam, resp, w):
     """(beta, coef, cov_unit, edf) of the penalized block system with fixed effects X.
 
@@ -200,7 +221,7 @@ def _banded_solve(gram, penalty_band, lam, rhs):
     try:
         factor = scipy.linalg.cholesky_banded(ab)
     except np.linalg.LinAlgError as exc:
-        raise fitting._not_positive_definite(ab) from exc
+        raise fitting._not_positive_definite(scipy.linalg.lapack.dpbtrf(ab)[1]) from exc
     return ab, factor, scipy.linalg.cho_solve_banded((factor, False), rhs)
 
 

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from oracles import pointwise_variance
+from oracles import dense_design, pointwise_variance
 
 from smoothdiff import simulate
 from smoothdiff.basis import design_matrix, difference_penalty, make_basis
@@ -276,7 +276,7 @@ class TestAnalyze:
         assert rc == 0
         _, fits = load_model(str(out / "fits.json"))
         spec = make_basis(0.0, 1.0, 20, 2)
-        D = design_matrix(spec, np.linspace(0.0, 1.0, CURVE_GRID_POINTS)).dense
+        D = dense_design(design_matrix(spec, np.linspace(0.0, 1.0, CURVE_GRID_POINTS)))
         covs = [fit.cov for fit in fits]
         rng = np.random.default_rng(3)
         a = rng.normal(size=(20, 20))
@@ -297,7 +297,7 @@ class TestAnalyze:
         dm = design_matrix(spec, np.linspace(0.0, 1.0, CURVE_GRID_POINTS))
         fit = select_lambda(data1, spec, pen)
         got = band_pointwise_variance(dm, fit.covariance_band(degree))
-        np.testing.assert_allclose(got, pointwise_variance(dm.dense, fit.cov), rtol=1e-12)
+        np.testing.assert_allclose(got, pointwise_variance(dense_design(dm), fit.cov), rtol=1e-12)
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # binomial fit on perfectly separated outcomes diverges
@@ -793,6 +793,22 @@ class TestModelFile:
         diag = tmp_path / "diag"
         assert main(["diagnose", "--model", str(out / "fits.json"), "--out", str(diag)]) == 0
         assert (diag / "correlation_table.csv").exists()
+
+    def test_constant_fixed_effect_column_exits_2(self, tmp_path, capsys):
+        _, data1, data2 = make_pair(seed=13, n=800)
+        rng = np.random.default_rng(5)
+        path = tmp_path / "const.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("y,z,stratum,x_age,x_site\n")
+            for label, data in (("1", data1), ("2", data2)):
+                for yi, zi in zip(data.y, data.z):
+                    fh.write(f"{float(yi)!r},{float(zi)!r},{label},{float(rng.normal())!r},1.0\n")
+        rc = main(["analyze", "--data", str(path), "--basis-dim", "20", "--degree", "2",
+                   "--domain", "0", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "stratum 1: fixed-effect column 2 is not identified" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "corrupt, problem",

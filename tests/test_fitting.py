@@ -4,9 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
-from oracles import demmler_reinsch_edfs, dense_inverse_edf, per_lambda_band_solve, solve_penalized_per_iteration
+from oracles import (
+    demmler_reinsch_edfs,
+    dense_design,
+    dense_inverse_edf,
+    penalty_matrix,
+    per_lambda_band_solve,
+    solve_penalized_per_iteration,
+)
 from scipy.special import expit, xlogy
 
 from smoothdiff import fitting
@@ -45,11 +51,8 @@ def random_gaussian_data(rng, n=50, with_x=False):
 
 
 def gaussian_objective(data, spec, pen, lam, beta, coef):
-    fitted = design_matrix(spec, data.z).dense @ coef
-    if data.X is not None:
-        fitted = fitted + data.X @ beta
-    resid = data.y - fitted
-    return float(resid @ resid + lam * coef @ pen.S @ coef)
+    resid = data.y - dense_design(design_matrix(spec, data.z)) @ coef - data.X @ beta
+    return float(resid @ resid + lam * coef @ penalty_matrix(pen) @ coef)
 
 
 class TestFitGaussian:
@@ -69,7 +72,7 @@ class TestFitGaussian:
         y = np.asarray([2.0, -1.0, 0.5, 3.0])
         with pytest.warns(UserWarning):
             fit = fit_stratum(StratumData(y=y, z=z), spec, pen, 0.0)
-        zt_y = design_matrix(spec, z).dense.T @ y
+        zt_y = dense_design(design_matrix(spec, z)).T @ y
         assert np.allclose(fit.coef, zt_y)
 
     def test_matches_dense_reference_solve(self, setup):
@@ -78,8 +81,8 @@ class TestFitGaussian:
         data = random_gaussian_data(rng)
         lam = 0.7
         fit = fit_stratum(data, spec, pen, lam)
-        zd = design_matrix(spec, data.z).dense
-        a = zd.T @ zd + lam * pen.S
+        zd = dense_design(design_matrix(spec, data.z))
+        a = zd.T @ zd + lam * penalty_matrix(pen)
         ref = np.linalg.solve(a, zd.T @ data.y)
         assert np.max(np.abs(fit.coef - ref)) / max(np.max(np.abs(ref)), 1.0) < 1e-10
 
@@ -89,13 +92,13 @@ class TestFitGaussian:
         data = random_gaussian_data(rng, with_x=True)
         lam = 0.5
         fit = fit_stratum(data, spec, pen, lam)
-        zd = design_matrix(spec, data.z).dense
+        zd = dense_design(design_matrix(spec, data.z))
         m_full = np.hstack([data.X, zd])
         penalty = np.zeros((10, 10))
-        penalty[2:, 2:] = lam * pen.S
+        penalty[2:, 2:] = lam * penalty_matrix(pen)
         ref = np.linalg.solve(m_full.T @ m_full + penalty, m_full.T @ data.y)
         assert np.allclose(np.concatenate([fit.beta, fit.coef]), ref, atol=1e-9)
-        schur = (zd.T @ zd + lam * pen.S) - (zd.T @ data.X) @ np.linalg.solve(
+        schur = (zd.T @ zd + lam * penalty_matrix(pen)) - (zd.T @ data.X) @ np.linalg.solve(
             data.X.T @ data.X, data.X.T @ zd
         )
         assert np.allclose(fit.cov, fit.dispersion * np.linalg.inv(schur), atol=1e-9)
@@ -126,25 +129,41 @@ class TestFitGaussian:
         rng = np.random.default_rng(5)
         data = random_gaussian_data(rng)
         roughness = [
-            float(f.coef @ pen.S @ f.coef)
+            float(f.coef @ penalty_matrix(pen) @ f.coef)
             for f in (fit_stratum(data, spec, pen, lam) for lam in (0.01, 0.1, 1.0, 10.0))
         ]
         assert all(roughness[i + 1] <= roughness[i] + 1e-12 for i in range(3))
 
-    def test_intercept_column_reproduces_fitted_values(self, setup):
+    def test_intercept_column_is_not_identified(self, setup):
+        # B-splines sum to one and S 1 = 0, so a constant column repeats the
+        # unpenalized part of the smooth and its coefficient has no value
         spec, pen = setup
         rng = np.random.default_rng(6)
         z = rng.uniform(0, 1, 60)
         y = np.cos(4 * z) + rng.normal(0, 0.3, 60)
-        lam = 0.4
-        plain = fit_stratum(StratumData(y=y, z=z), spec, pen, lam)
-        with_icpt = fit_stratum(
-            StratumData(y=y, z=z, X=np.ones((60, 1))), spec, pen, lam
-        )
-        dm = design_matrix(spec, z)
-        fitted_plain = dm.predict(plain.coef)
-        fitted_icpt = with_icpt.beta[0] + dm.predict(with_icpt.coef)
-        assert np.max(np.abs(fitted_plain - fitted_icpt)) < 1e-8
+        for family, outcome in (("gaussian", y), ("binomial", (y > 0.5).astype(float))):
+            data = StratumData(y=outcome, z=z, family=family, X=np.ones((60, 1)))
+            for fit in (lambda: fit_stratum(data, spec, pen, 0.4), lambda: select_lambda(data, spec, pen)):
+                with pytest.raises(ParameterError, match="fixed-effect column 1 is not identified"):
+                    fit()
+
+    def test_duplicated_column_is_not_identified(self, setup):
+        spec, pen = setup
+        rng = np.random.default_rng(23)
+        z = rng.uniform(0, 1, 80)
+        x = rng.normal(size=(80, 2))
+        data = StratumData(y=np.sin(5 * z) + rng.normal(0, 0.3, 80), z=z, X=np.column_stack([x, x[:, 0]]))
+        with pytest.raises(ParameterError, match="fixed-effect column 3 is not identified"):
+            fit_stratum(data, spec, pen, 0.4)
+
+    def test_nearly_linear_column_is_identified(self, setup):
+        # x = z is linear in z but not in the coefficients: the clamped
+        # boundary knots keep it off the null space of S
+        spec, pen = setup
+        rng = np.random.default_rng(24)
+        z = rng.uniform(0, 1, 300)
+        data = StratumData(y=np.sin(5 * z) + rng.normal(0, 0.3, 300), z=z, X=z[:, None])
+        assert np.isfinite(fit_stratum(data, spec, pen, 0.4).beta).all()
 
     def test_banded_and_dense_paths_agree(self):
         rng = np.random.default_rng(7)
@@ -233,7 +252,7 @@ class TestFitBinomial:
         fit = fit_stratum(StratumData(y=y, z=z, family="binomial"), spec, pen, lam)
         dm = design_matrix(spec, z)
         mu = expit(dm.predict(fit.coef))
-        score = dm.dense.T @ (y - mu) - lam * pen.S @ fit.coef
+        score = dense_design(dm).T @ (y - mu) - lam * penalty_matrix(pen) @ fit.coef
         assert np.max(np.abs(score)) < 1e-6
 
     def test_dispersion_fixed_at_one(self, setup):
@@ -271,7 +290,7 @@ def full_inverse_irls(data, spec, pen, lam):
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         u = eta + (y - mu) / w
         ztz = dm.crossprod(w)
-        ainv = penalized_inverse(band_form(ztz + lam * pen.S, bandwidth))
+        ainv = penalized_inverse(band_form(ztz + lam * penalty_matrix(pen), bandwidth))
         coef = ainv @ dm.rhs(u, w)
         edf = float(np.sum(ainv * ztz))
         eta = dm.predict(coef)
@@ -372,68 +391,122 @@ class TestBandedIrls:
             )
 
 
-def per_iteration_fixed_effect_irls(data, spec, pen, lam):
-    """Binomial IRLS with fixed effects that forms cov and edf in every iteration.
+def dense_block_fit(data, spec, pen, lam):
+    """(beta, coef, cov, edf, deviance, n_iter) from the dense block solve with fixed effects.
 
-    Returns (beta, coef, cov, edf, deviance) of the last iteration, as
-    `_binomial_at` did before the covariance waited for convergence.
+    A Gaussian fit is one `solve_penalized_per_iteration`; a binomial fit
+    runs IRLS on it, forming cov and edf in every iteration and returning
+    the last iteration's.
     """
     dm = design_matrix(spec, data.z)
+    S = penalty_matrix(pen)
     y = data.y
+    if data.family == "gaussian":
+        beta, coef, cov_unit, edf = solve_penalized_per_iteration(dm, data.X, S, lam, y, None)
+        resid = y - dm.predict(coef) - data.X @ beta
+        deviance = float(resid @ resid)
+        dispersion = deviance / (data.n - edf)
+        return beta, coef, dispersion * 0.5 * (cov_unit + cov_unit.T), edf, deviance, 1
     mu = (y + 0.5) / 2.0
     eta = np.log(mu / (1.0 - mu))
     deviance = _binomial_deviance(y, mu)
-    for _ in range(fitting.MAX_IRLS_ITER):
+    for n_iter in range(1, fitting.MAX_IRLS_ITER + 1):
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         u = eta + (y - mu) / w
-        beta, coef, cov_unit, edf = solve_penalized_per_iteration(dm, data.X, pen.S, lam, u, w)
+        beta, coef, cov_unit, edf = solve_penalized_per_iteration(dm, data.X, S, lam, u, w)
         eta = dm.predict(coef) + data.X @ beta
         mu = expit(eta)
         new_deviance = _binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12))
         converged = abs(new_deviance - deviance) <= fitting.IRLS_REL_TOL * (abs(deviance) + 1e-12)
         deviance = new_deviance
         if converged:
-            return beta, coef, 0.5 * (cov_unit + cov_unit.T), edf, deviance
+            return beta, coef, 0.5 * (cov_unit + cov_unit.T), edf, deviance, n_iter
     raise NumericalError("IRLS failed to converge")
 
 
-class TestFixedEffectIrls:
-    @staticmethod
-    def fixture(m, degree, seed):
-        spec = make_basis(0.0, 1.0, m, degree)
-        pen = difference_penalty(m, 2)
-        rng = np.random.default_rng(seed)
-        z = rng.uniform(0, 1, 800)
-        x = rng.normal(size=(800, 2))
-        eta = 1.5 * np.sin(5 * z) + x @ np.asarray([0.4, -0.3])
-        y = (rng.random(800) < expit(eta)).astype(float)
-        return StratumData(y=y, z=z, family="binomial", X=x), spec, pen
+def per_iteration_bordered_irls(data, spec, pen, lam):
+    """Binomial IRLS alone at `lam` that forms the covariance band and edf in every iteration.
 
-    @pytest.mark.parametrize("m,degree,seed", [(8, 2, 61), (25, 3, 62), (30, 1, 63)])
+    Each iteration runs the library's bordered band solve and selected
+    inverse on its own; returns the last iteration's fit.
+    """
+    dm = design_matrix(spec, data.z)
+    penalty_band = fitting._penalty_band(spec, pen)
+    y = data.y
+    mu, eta, deviance = fitting._start(y)
+    for n_iter in range(1, fitting.MAX_IRLS_ITER + 1):
+        w = np.clip(mu * (1.0 - mu), 1e-10, None)
+        u = eta + (y - mu) / w
+        gram = dm.gram_band(w)
+        zr, xr = fitting._cross_products(dm, data.X, u, w)
+        ab, factors, sols, errors = fitting._band_solve(penalty_band, np.asarray([lam]), gram, zr)
+        [coef], [beta], [border] = fitting._eliminate_border(sols, zr, xr, errors)
+        assert errors == [None]
+        eta = fitting._predict(dm, data.X, coef[None], beta[None])[0]
+        mu = expit(eta)
+        new_deviance = float(_binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12)))
+        system = fitting._BandSystem(lam, coef, beta, new_deviance, gram, ab[0], factors[0], border, n_iter)
+        fit = fitting._band_fit(data, *fitting._selected_inverses([system], penalty_band)[0])
+        if fitting._converged(new_deviance, deviance):
+            return fit
+        deviance = new_deviance
+    raise NumericalError("IRLS failed to converge")
+
+
+def fixed_effect_fixture(m, degree, seed, family="binomial", p=2):
+    spec = make_basis(0.0, 1.0, m, degree)
+    pen = difference_penalty(m, 2)
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0, 1, 800)
+    x = rng.normal(size=(800, p))
+    eta = 1.5 * np.sin(5 * z) + x @ np.asarray([0.4, -0.3][:p])
+    if family == "gaussian":
+        y = eta + rng.normal(0, 0.5, z.size)
+    else:
+        y = (rng.random(800) < expit(eta)).astype(float)
+    return StratumData(y=y, z=z, family=family, X=x), spec, pen
+
+
+FIXED_EFFECT_CASES = [(8, 2, 61), (25, 3, 62), (30, 1, 63)]
+
+
+class TestFixedEffectIrls:
+    @pytest.mark.parametrize("m,degree,seed", FIXED_EFFECT_CASES)
     @pytest.mark.parametrize("lam", [1e-3, 0.5, 50.0])
     def test_bit_identical_to_per_iteration_path(self, m, degree, seed, lam):
-        data, spec, pen = self.fixture(m, degree, seed)
+        data, spec, pen = fixed_effect_fixture(m, degree, seed)
         fit = fit_stratum(data, spec, pen, lam)
-        beta, coef, cov, edf, deviance = per_iteration_fixed_effect_irls(data, spec, pen, lam)
-        assert np.array_equal(fit.beta, beta)
-        assert np.array_equal(fit.coef, coef)
-        assert np.array_equal(fit.cov, cov)
-        assert fit.edf == edf
-        assert fit.deviance == deviance
+        assert_fits_bitwise_equal(fit, per_iteration_bordered_irls(data, spec, pen, lam))
 
-    def test_one_schur_inverse_per_fit(self, monkeypatch):
-        data, spec, pen = self.fixture(25, 3, 62)
-        calls = []
-        real = scipy.linalg.cho_factor
+    @pytest.mark.parametrize("family,p", [("gaussian", 1), ("gaussian", 2), ("binomial", 1), ("binomial", 2)])
+    @pytest.mark.parametrize("m,degree,seed", FIXED_EFFECT_CASES)
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 50.0])
+    def test_matches_dense_block_oracle(self, m, degree, seed, lam, family, p):
+        data, spec, pen = fixed_effect_fixture(m, degree, seed, family, p)
+        fit = fit_stratum(data, spec, pen, lam)
+        beta, coef, cov, edf, deviance, n_iter = dense_block_fit(data, spec, pen, lam)
+        assert_close(fit.beta, beta, rtol=1e-10)
+        assert_close(fit.coef, coef, rtol=1e-10)
+        assert_close(fit.cov, cov, rtol=1e-10)
+        assert fit.edf == pytest.approx(edf, rel=1e-10, abs=0.0)
+        assert fit.deviance == pytest.approx(deviance, rel=1e-10, abs=0.0)
+        [system] = fitting._grid_systems(
+            design_matrix(spec, data.z), data, fitting._penalty_band(spec, pen), np.asarray([lam])
+        )
+        assert system.n_iter == n_iter
 
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
-        fit_stratum(data, spec, pen, 0.5)
-        # the IRLS ran several iterations, and only the converged one inverts
-        assert calls == [(spec.m, spec.m)]
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.parametrize("m,degree,seed", FIXED_EFFECT_CASES)
+    def test_select_lambda_picks_the_dense_block_grid_point(self, m, degree, seed, family):
+        data, spec, pen = fixed_effect_fixture(m, degree, seed, family, p=1)
+        grid = default_lambda_grid(design_matrix(spec, data.z), pen)
+        best_lam, best_score = None, np.inf
+        for lam in np.sort(grid):
+            _, _, _, edf, deviance, _ = dense_block_fit(data, spec, pen, float(lam))
+            score = data.n * deviance / (data.n - edf) ** 2
+            if score <= best_score:
+                best_lam, best_score = float(lam), score
+        assert select_lambda(data, spec, pen).lam == best_lam
 
 
 class TestStratumDataValidation:
@@ -452,24 +525,27 @@ class TestStratumDataValidation:
 
 
 def assert_fits_bitwise_equal(a, b):
-    for name in ("coef", "beta", "cov", "cov_band", "precision_band"):
+    for name in ("coef", "beta", "cov", "cov_band", "precision_band", "border"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for name in ("lam", "dispersion", "edf", "family", "deviance", "n_obs"):
         assert getattr(a, name) == getattr(b, name), name
 
 
 class TestSelectLambda:
-    @pytest.mark.parametrize("case", ["gaussian", "binomial", "gaussian_intercept"])
+    @pytest.mark.parametrize("case", ["gaussian", "binomial", "gaussian_fixed_effect", "binomial_fixed_effect"])
     def test_returned_fit_equals_fit_at_its_lambda(self, setup, case):
-        if case == "binomial":
+        # a fixed-effect lambda's result does not depend on its block either
+        if case.startswith("binomial"):
             data, spec, pen = binomial_fixture(*BINOMIAL_FIXTURES[1])
         else:
             spec, pen = setup
             rng = np.random.default_rng(22)
             z = rng.uniform(0, 1, 200)
-            y = np.sin(5 * z) + rng.normal(0, 0.4, 200)
-            X = np.ones((200, 1)) if case == "gaussian_intercept" else None
-            data = StratumData(y=y, z=z, X=X)
+            data = StratumData(y=np.sin(5 * z) + rng.normal(0, 0.4, 200), z=z)
+        if case.endswith("fixed_effect"):
+            x = np.random.default_rng(25).normal(size=(data.n, 1))
+            y = data.y + 0.5 * x[:, 0] if data.family == "gaussian" else data.y
+            data = StratumData(y=y, z=data.z, family=data.family, X=x)
         fit = select_lambda(data, spec, pen)
         assert_fits_bitwise_equal(fit, fit_stratum(data, spec, pen, fit.lam))
 
@@ -560,7 +636,9 @@ def batched_gcv_path(data, spec, pen, grid):
     dm = design_matrix(spec, data.z)
     yss = float(data.y @ data.y)
     path = []
-    for fit in fitting._band_grid(dm, data, spec, pen, np.sort(grid)):
+    for fit in fitting._grid_fits(dm, data, spec, pen, np.sort(grid)):
+        if isinstance(fit, NumericalError):
+            continue
         dev = 0.0 if fit.deviance <= 1e-16 * max(yss, 1e-300) else fit.deviance
         path.append((fit.lam, dev, fit.edf, fitting._gcv_score(data, fit.deviance, fit.edf, yss)))
     return path
@@ -689,20 +767,19 @@ class TestGaussianGcvPath:
         real = fitting._band_solve
 
         def recording(penalty_band, lams, gram, rhs):
-            ab, factors, coefs, errors = real(penalty_band, lams, gram, rhs)
-            solves.extend(zip(lams.tolist(), coefs))
-            return ab, factors, coefs, errors
+            ab, factors, sols, errors = real(penalty_band, lams, gram, rhs)
+            solves.extend(zip(lams.tolist(), sols[..., 0]))
+            return ab, factors, sols, errors
 
         monkeypatch.setattr(fitting, "_band_solve", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             fit = select_lambda(data, spec, pen)
-        # one solve per grid point; the grid's solve at the chosen lambda is
-        # the fit, and nothing refits
+        # one solve per grid point; without fixed effects the grid's solve at
+        # the chosen lambda is the fit's coef, and nothing refits
         grid = default_lambda_grid(design_matrix(spec, data.z), pen)
         assert [lam for lam, _ in solves] == np.sort(grid).tolist()
         [grid_coef] = [coef for lam, coef in solves if lam == fit.lam]
-        assert np.shares_memory(grid_coef, fit.coef)
         assert np.array_equal(grid_coef, fit.coef)
 
 
@@ -745,7 +822,7 @@ class TestPrecisionBand:
         )
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
-    def test_fixed_effect_fit_has_no_band(self, setup, family):
+    def test_fixed_effect_cov_inverts_the_schur_complement(self, setup, family):
         spec, pen = setup
         rng = np.random.default_rng(5)
         z = rng.uniform(0, 1, 300)
@@ -754,7 +831,19 @@ class TestPrecisionBand:
         else:
             y = (rng.random(z.size) < expit(np.sin(5 * z))).astype(float)
         data = StratumData(y=y, z=z, family=family, X=rng.normal(size=(300, 1)))
-        assert fit_stratum(data, spec, pen, 0.5).precision_band is None
+        fit = fit_stratum(data, spec, pen, 0.5)
+        # Cov(coef) = dispersion * (A - Zx (X'WX)^{-1} Zx')^{-1}, W at convergence
+        zd, X = dense_design(design_matrix(spec, z)), data.X
+        w = np.ones(z.size)
+        if family == "binomial":
+            mu = expit(zd @ fit.coef + X @ fit.beta)
+            w = mu * (1.0 - mu)
+        zx = zd.T @ (w[:, None] * X)
+        a = zd.T @ (w[:, None] * zd) + 0.5 * penalty_matrix(pen)
+        schur = a - zx @ np.linalg.solve(X.T @ (w[:, None] * X), zx.T)
+        assert_close(fit.cov, fit.dispersion * np.linalg.inv(schur), rtol=1e-10)
+        # and its band is the fit's covariance band
+        assert_close(fit.cov_band, band_form(fit.cov, fit.cov_band.shape[0] - 1), rtol=1e-12)
 
 
 def penalized_factors(m, degree, order, lams, seed=0):
@@ -765,7 +854,7 @@ def penalized_factors(m, degree, order, lams, seed=0):
     dm = design_matrix(spec, rng.uniform(0, 1, 6 * m))
     gram = dm.gram_band(rng.uniform(0.1, 1.0, dm.n))
     lams = np.asarray(lams, dtype=float)
-    ab, factors, _, errors = fitting._band_solve(fitting._penalty_band(spec, pen), lams, gram, np.ones(m))
+    ab, factors, _, errors = fitting._band_solve(fitting._penalty_band(spec, pen), lams, gram, np.ones((m, 1)))
     assert errors == [None] * lams.size
     return list(zip(ab, factors))
 
@@ -828,7 +917,8 @@ class TestGridEdf:
     def test_binomial_edf_matches_dense_inverse(self, fixture):
         data, spec, pen = binomial_fixture(*fixture)
         grid = default_lambda_grid(design_matrix(spec, data.z), pen)
-        for system, _, edf in fitting._selected_inverses(grid_systems(data, spec, pen, grid)):
+        selected = fitting._selected_inverses(grid_systems(data, spec, pen, grid), fitting._penalty_band(spec, pen))
+        for system, _, edf in selected:
             assert edf == pytest.approx(dense_inverse_edf(system.precision_band, system.gram), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("fixture", GAUSSIAN_FIXTURES)
@@ -836,8 +926,9 @@ class TestGridEdf:
         data, spec, pen = gaussian_fixture(*fixture)
         dm = design_matrix(spec, data.z)
         grid = default_lambda_grid(dm, pen)
-        edfs = [edf for _, _, edf in fitting._selected_inverses(grid_systems(data, spec, pen, grid))]
-        np.testing.assert_allclose(edfs, demmler_reinsch_edfs(dm.crossprod(), pen.S, grid), rtol=1e-10, atol=0.0)
+        systems = grid_systems(data, spec, pen, grid)
+        edfs = [edf for _, _, edf in fitting._selected_inverses(systems, fitting._penalty_band(spec, pen))]
+        np.testing.assert_allclose(edfs, demmler_reinsch_edfs(dm.crossprod(), penalty_matrix(pen), grid), rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -848,7 +939,7 @@ def test_grid_scale_bitwise_equal_to_trace_form(degree, order):
         spec = make_basis(0.0, 1.0, m, degree)
         pen = difference_penalty(m, order)
         dm = design_matrix(spec, rng.uniform(0, 1, 3 * m))
-        trace_form = float(np.trace(dm.crossprod())) / float(np.trace(pen.S))
+        trace_form = float(np.trace(dm.crossprod())) / float(np.trace(penalty_matrix(pen)))
         band_form_scale = fitting._grid_scale(dm.gram_band(), fitting._penalty_band(spec, pen))
         assert np.array_equal(band_form_scale, trace_form)
         assert np.array_equal(default_lambda_grid(dm, pen), np.geomspace(1e-4 * trace_form, 1e4 * trace_form, 40))
@@ -904,6 +995,37 @@ class TestNoDenseCovariance:
 
         assert self.traced_peak(run) < 8 * m * m
 
+    def test_binomial_fixed_effect_select_and_window_statistics_at_m2000(self):
+        m, n = 2000, 20000
+        spec = make_basis(0.0, 1.0, m, 3)
+        rng = np.random.default_rng(43)
+        strata = []
+        for shift in (0.0, 0.3):
+            z, x = rng.uniform(0, 1, n), rng.normal(size=(n, 1))
+            y = (rng.random(n) < expit(np.sin(5 * z) + shift * z + 0.4 * x[:, 0])).astype(float)
+            strata.append(StratumData(y=y, z=z, family="binomial", X=x))
+
+        def run():
+            pen = difference_penalty(m, 2)
+            fits = [select_lambda(data, spec, pen) for data in strata]
+            window_statistics(fits[0], fits[1], spec)
+
+        assert self.traced_peak(run) < 8 * m * m
+
+    def test_not_positive_definite_fit_at_m2000(self):
+        # no data beyond z = 0.3: at lambda = 0 the first factorization fails,
+        # and its message comes from LAPACK's failing minor, not a dense matrix
+        m, n = 2000, 20000
+        spec = make_basis(0.0, 1.0, m, 3)
+        rng = np.random.default_rng(44)
+        data = StratumData(y=(rng.random(n) < 0.5).astype(float), z=rng.uniform(0, 0.3, n), family="binomial")
+
+        def run():
+            with pytest.raises(NumericalError, match=r"not positive definite \(leading minor \d+\)"):
+                fit_stratum(data, spec, difference_penalty(m, 2), 0.0)
+
+        assert self.traced_peak(run) < 8 * m * m
+
 
 def preset_strata(name, n_replicates):
     """Both strata of the first replicates of a simulate preset, with its basis and penalty."""
@@ -947,8 +1069,9 @@ def assert_matches_per_lambda_oracle(data, spec, pen, grid):
             continue
         assert isinstance(got, fitting._BandSystem)
         assert got.n_iter == n_iter
-        ref = fitting._BandSystem(float(lam), coef, deviance, gram, ab, factor, n_iter)
-        [(_, sigma, edf), (_, ref_sigma, ref_edf)] = fitting._selected_inverses([got, ref])
+        no_border = np.zeros((spec.m, 0))
+        ref = fitting._BandSystem(float(lam), coef, np.zeros(0), deviance, gram, ab, factor, no_border, n_iter)
+        [(_, sigma, edf), (_, ref_sigma, ref_edf)] = fitting._selected_inverses([got, ref], penalty_band)
         fit, ref_fit = fitting._band_fit(data, got, sigma, edf), fitting._band_fit(data, ref, ref_sigma, ref_edf)
         assert_close(fit.coef, ref_fit.coef)
         assert_close(fit.cov_band, ref_fit.cov_band, atol=np.max(np.abs(ref_sigma)) * slack / (data.n - ref_edf))
@@ -1023,7 +1146,7 @@ class TestFailureParity:
                 continue
             for name in ("lam", "deviance", "n_iter"):
                 assert getattr(a, name) == getattr(b, name), name
-            for name in ("coef", "gram", "precision_band", "factor"):
+            for name in ("coef", "beta", "gram", "precision_band", "factor", "border"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
         return [failure_cause(str(s)) if isinstance(s, NumericalError) else None for s in together]
 
@@ -1031,6 +1154,21 @@ class TestFailureParity:
         spec, pen = setup
         causes = self.together_and_alone(short_support_stratum(), spec, pen, np.asarray([0.0, 0.01, 0.5, 5.0]))
         assert causes == ["not_positive_definite", None, None, None]
+
+    def test_fixed_effect_not_positive_definite(self, setup):
+        spec, pen = setup
+        stratum = short_support_stratum()
+        x = np.random.default_rng(26).normal(size=(stratum.n, 1))
+        data = StratumData(y=stratum.y, z=stratum.z, family="binomial", X=x)
+        causes = self.together_and_alone(data, spec, pen, np.asarray([0.0, 0.01, 0.5, 5.0]))
+        assert causes == ["not_positive_definite", None, None, None]
+
+    def test_schur_complement_failure_is_per_system(self):
+        errors = [None, None, NumericalError("already failed")]
+        low = fitting._schur_factors(np.stack([2.0 * np.eye(2), -np.eye(2), -np.eye(2)]), errors)
+        assert errors[0] is None and str(errors[2]) == "already failed"
+        assert failure_cause(str(errors[1])) == "not_positive_definite"
+        np.testing.assert_array_equal(low, [np.sqrt(2.0) * np.eye(2), np.eye(2), np.eye(2)])
 
     def test_separation(self, setup):
         spec, pen = setup
