@@ -526,8 +526,8 @@ def _selected_inverses(systems: list[_BandSystem], penalty_band: np.ndarray):
     outer = _border_bands(np.stack([s.border for s in systems]), sigma.shape[1] - 1)
     border_traces = _band_trace(outer, penalty_band)
     return [
-        (s, band + r, s.beta.size + float(_band_trace(band, s.gram)) - s.lam * float(trace))
-        for s, band, r, trace in zip(systems, sigma, outer, border_traces)
+        (s, band, s.beta.size + float(_band_trace(sig, s.gram)) - s.lam * float(trace))
+        for s, sig, band, trace in zip(systems, sigma, sigma + outer, border_traces)
     ]
 
 
