@@ -58,6 +58,8 @@ class AnalysisConfig:
         taus = tuple(sorted({float(t) for t in self.tdp}, reverse=True))
         if any(not 0 < t <= 1 for t in taus):
             raise ParameterError("TDP thresholds must lie in (0, 1]")
+        if self.lam is not None and not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ParameterError(f"smoothing parameter must be finite and >= 0, got {float(self.lam)!r}")
         object.__setattr__(self, "tdp", taus)
 
 
@@ -216,13 +218,16 @@ def cmd_analyze(config: AnalysisConfig) -> int:
                 f"[{spec.z_lo!r}, {spec.z_hi!r}], the first z = {float(data.z[outside[0]])!r}"
             )
 
-    source = "gcv" if config.lam is None else "fixed"
     fits = []
     for i, data in enumerate((data1, data2), 1):
-        try:  # a rank-deficient fixed-effect column is found per stratum
-            fits.append(select_lambda(data, spec, pen) if source == "gcv" else fit_stratum(data, spec, pen, config.lam))
+        try:  # a fixed-effect column that is not identified is found per stratum
+            if config.lam is not None:
+                fits.append(fit_stratum(data, spec, pen, config.lam))
+            else:
+                fits.append(select_lambda(data, spec, pen))
         except ParameterError as exc:
             raise ParameterError(f"stratum {i}: {exc}") from exc
+    source = "gcv" if config.lam is None else "fixed"
     series = window_statistics(fits[0], fits[1], spec)
     report = threshold_regions(series, config.alpha, config.tdp)
 

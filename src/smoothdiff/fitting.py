@@ -65,6 +65,12 @@ ETA_DIVERGENCE = 20.0
 # A fixed-effect column whose residual on the unpenalized part of the smooth
 # and the columns before it is below this share of its norm is not identified.
 IDENTIFIABLE_REL_TOL = 1e-8
+# A Cholesky pivot of the Schur complement S_x below this share of its
+# column's weighted norm sqrt((X'WX)_kk) is rounding, not a residual: S_x is
+# a difference of Gram entries, so its pivots carry errors near sqrt(machine
+# epsilon) of that norm (1e-8 to 7e-8 measured at lambda = 0 for columns a
+# spline reproduces, e.g. x = z at degree 2).
+SCHUR_PIVOT_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -262,15 +268,25 @@ def _band_solve(
     return ab, factors, sols, errors
 
 
-def _schur_factors(schur: np.ndarray, errors: list) -> np.ndarray:
-    """Lower Cholesky factors of a (k, p, p) stack of S_x; identity where a system fails, setting its error."""
+def _schur_factors(schur: np.ndarray, scale: np.ndarray, errors: list) -> np.ndarray:
+    """Lower Cholesky factors of a (k, p, p) stack of S_x; identity where a system fails, setting its error.
+
+    A system fails where S_x is not positive definite or a pivot is below
+    SCHUR_PIVOT_REL_TOL times `scale`, the column norms sqrt(diag X'WX),
+    stacked (k, p) or shared (p,).
+    """
     low = np.broadcast_to(np.eye(schur.shape[-1]), schur.shape).copy()
+    scale = np.broadcast_to(scale, schur.shape[:-1])
     for j, s in enumerate(schur):
         if errors[j] is None:
             try:
-                low[j] = np.linalg.cholesky(s)
+                factor = np.linalg.cholesky(s)
             except np.linalg.LinAlgError:
+                factor = None
+            if factor is None or np.any(np.diagonal(factor) < SCHUR_PIVOT_REL_TOL * scale[j]):
                 errors[j] = NumericalError("penalized system is not positive definite (fixed-effect Schur complement)")
+            else:
+                low[j] = factor
     return low
 
 
@@ -287,7 +303,8 @@ def _eliminate_border(sols: np.ndarray, zr: np.ndarray, xr: np.ndarray, errors: 
     if not v.shape[-1]:  # no fixed effects: coef = c0, with no per-iteration cost
         return sols[..., 0], np.zeros((sols.shape[0], 0)), v
     zx_t = np.swapaxes(zr[..., 1:], -1, -2)
-    low = _schur_factors(xr[..., 1:] - zx_t @ v, errors)
+    xwx = xr[..., 1:]
+    low = _schur_factors(xwx - zx_t @ v, np.sqrt(np.diagonal(xwx, axis1=-2, axis2=-1)), errors)
     inv = np.linalg.inv(low)
     inv_t = np.swapaxes(inv, -1, -2)
     g = inv @ (xr[..., :1] - zx_t @ c0)
@@ -523,6 +540,8 @@ def _selected_inverses(systems: list[_BandSystem], penalty_band: np.ndarray):
     tr(A^{-1} A) = m, edf = p + tr(sigma Z'WZ) - lambda tr(R S).
     """
     sigma = selected_inverse_band(np.stack([s.factor for s in systems]))
+    if not systems[0].beta.size:  # no border: R = 0
+        return [(s, sig, float(_band_trace(sig, s.gram))) for s, sig in zip(systems, sigma)]
     outer = _border_bands(np.stack([s.border for s in systems]), sigma.shape[1] - 1)
     border_traces = _band_trace(outer, penalty_band)
     return [

@@ -250,6 +250,7 @@ class TestAnalyze:
         assert main(argv + flags) == 2
         err = capsys.readouterr().err
         assert f"smoothing parameter must be finite and >= 0, got {value}" in err
+        assert "stratum" not in err  # a setting of the run, not of one stratum
         assert not out.exists()
 
     def test_seed_config_key_is_unknown(self, tmp_path, capsys):

@@ -165,6 +165,21 @@ class TestFitGaussian:
         data = StratumData(y=np.sin(5 * z) + rng.normal(0, 0.3, 300), z=z, X=z[:, None])
         assert np.isfinite(fit_stratum(data, spec, pen, 0.4).beta).all()
 
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_spline_reproduced_column_at_lambda_zero_is_not_positive_definite(self, family):
+        # at lambda = 0 every column in the span of Z is unidentified, and a
+        # quadratic spline reproduces x = z exactly: S_x is zero up to
+        # rounding, so its pivot fails the relative tolerance
+        spec, pen = make_basis(0.0, 1.0, 20, 2), difference_penalty(20, 2)
+        rng = np.random.default_rng(0)
+        z = rng.uniform(0, 1, 300)
+        y = np.sin(5 * z) + rng.normal(0, 0.3, 300)
+        outcome = y if family == "gaussian" else (rng.uniform(size=300) < expit(y)).astype(float)
+        data = StratumData(y=outcome, z=z, family=family, X=z[:, None])
+        with pytest.raises(NumericalError, match="not positive definite"):
+            fit_stratum(data, spec, pen, 0.0)
+        assert np.isfinite(fit_stratum(data, spec, pen, 0.4).beta).all()
+
     def test_banded_and_dense_paths_agree(self):
         rng = np.random.default_rng(7)
         for m in [2, 3, 4] + [int(rng.integers(8, 30)) for _ in range(5)]:
@@ -780,6 +795,7 @@ class TestGaussianGcvPath:
         grid = default_lambda_grid(design_matrix(spec, data.z), pen)
         assert [lam for lam, _ in solves] == np.sort(grid).tolist()
         [grid_coef] = [coef for lam, coef in solves if lam == fit.lam]
+        assert np.shares_memory(grid_coef, fit.coef)
         assert np.array_equal(grid_coef, fit.coef)
 
 
@@ -1164,11 +1180,14 @@ class TestFailureParity:
         assert causes == ["not_positive_definite", None, None, None]
 
     def test_schur_complement_failure_is_per_system(self):
-        errors = [None, None, NumericalError("already failed")]
-        low = fitting._schur_factors(np.stack([2.0 * np.eye(2), -np.eye(2), -np.eye(2)]), errors)
+        errors = [None, None, NumericalError("already failed"), None]
+        # the last system is positive definite, but its second pivot 1e-7 is
+        # below SCHUR_PIVOT_REL_TOL times that column's norm 1
+        schur = np.stack([2.0 * np.eye(2), -np.eye(2), -np.eye(2), np.diag([1.0, 1e-14])])
+        low = fitting._schur_factors(schur, np.ones(2), errors)
         assert errors[0] is None and str(errors[2]) == "already failed"
-        assert failure_cause(str(errors[1])) == "not_positive_definite"
-        np.testing.assert_array_equal(low, [np.sqrt(2.0) * np.eye(2), np.eye(2), np.eye(2)])
+        assert [failure_cause(str(errors[j])) for j in (1, 3)] == ["not_positive_definite"] * 2
+        np.testing.assert_array_equal(low, [np.sqrt(2.0) * np.eye(2), np.eye(2), np.eye(2), np.eye(2)])
 
     def test_separation(self, setup):
         spec, pen = setup
