@@ -65,11 +65,9 @@ ETA_DIVERGENCE = 20.0
 # A fixed-effect column whose residual on the unpenalized part of the smooth
 # and the columns before it is below this share of its norm is not identified.
 IDENTIFIABLE_REL_TOL = 1e-8
-# A Cholesky pivot of the Schur complement S_x below this share of its
-# column's weighted norm sqrt((X'WX)_kk) is rounding, not a residual: S_x is
-# a difference of Gram entries, so its pivots carry errors near sqrt(machine
-# epsilon) of that norm (1e-8 to 7e-8 measured at lambda = 0 for columns a
-# spline reproduces, e.g. x = z at degree 2).
+# A Schur pivot below this share of its column's norm sqrt((X'WX)_kk) is rounding:
+# S_x is a difference of Gram entries, and a column the spline reproduces (x = z
+# at lambda = 0, degree 2) leaves pivots of 1e-8 to 7e-8 of that norm.
 SCHUR_PIVOT_REL_TOL = 1e-6
 
 
@@ -271,9 +269,7 @@ def _band_solve(
 def _schur_factors(schur: np.ndarray, scale: np.ndarray, errors: list) -> np.ndarray:
     """Lower Cholesky factors of a (k, p, p) stack of S_x; identity where a system fails, setting its error.
 
-    A system fails where S_x is not positive definite or a pivot is below
-    SCHUR_PIVOT_REL_TOL times `scale`, the column norms sqrt(diag X'WX),
-    stacked (k, p) or shared (p,).
+    A pivot below SCHUR_PIVOT_REL_TOL times `scale` (sqrt(diag X'WX), (k, p) or (p,)) fails too.
     """
     low = np.broadcast_to(np.eye(schur.shape[-1]), schur.shape).copy()
     scale = np.broadcast_to(scale, schur.shape[:-1])
@@ -401,17 +397,6 @@ def _converged(new_deviance, deviance):
     return np.abs(new_deviance - deviance) <= IRLS_REL_TOL * (np.abs(deviance) + 1e-12)
 
 
-def _diverged() -> NumericalError:
-    return NumericalError("linear predictor diverged (complete or quasi-complete separation)")
-
-
-def _not_converged(trace: list[float]) -> NumericalError:
-    return NumericalError(
-        f"IRLS failed to converge in {MAX_IRLS_ITER} iterations; "
-        f"deviance trace tail {trace[-4:]}"
-    )
-
-
 @dataclass(frozen=True)
 class _BandSystem:
     """A fit solved at `lam` up to its selected inverse.
@@ -509,7 +494,7 @@ def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarra
         for j, i in enumerate(live):
             traces[i].append(float(new_deviance[j]))
             if diverged[j]:
-                out[i] = _diverged()
+                out[i] = NumericalError("linear predictor diverged (complete or quasi-complete separation)")
             elif converged[j]:
                 out[i] = _BandSystem(
                     float(lams[i]), coefs[j], betas[j], traces[i][-1], gram[j], ab[j], factors[j], borders[j], n_iter
@@ -519,7 +504,8 @@ def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarra
         if not live.size:
             return out
     for i in live:
-        out[i] = _not_converged(traces[i])
+        tail = traces[i][-4:]
+        out[i] = NumericalError(f"IRLS failed to converge in {MAX_IRLS_ITER} iterations; deviance trace tail {tail}")
     return out
 
 
@@ -605,13 +591,7 @@ def fit_stratum(
     if not (np.isfinite(lam) and lam >= 0):
         raise ParameterError(f"smoothing parameter must be finite and >= 0, got {float(lam)!r}")
     _warn_small_sample(data, spec)
-    return _fit_at(design_matrix(spec, data.z), data, spec, pen, lam)
-
-
-def _fit_at(
-    dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, lam: float
-) -> StratumFit:
-    [fit] = _grid_fits(dm, data, spec, pen, np.asarray([float(lam)]))
+    [fit] = _grid_fits(design_matrix(spec, data.z), data, spec, pen, np.asarray([float(lam)]))
     if isinstance(fit, NumericalError):
         raise fit
     return fit
