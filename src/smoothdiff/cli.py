@@ -1,5 +1,11 @@
 """Command-line interface: analysis on user data, simulation presets, diagnostics.
 
+`analyze` writes each stratum's fit to fits.json as bands (format 3): the
+precision band of A = Z'WZ + lambda S and the fixed-effect border B.
+`diagnose --model` reads them back and widens each fit's covariance band to
+the offset its correlation table reads, so no m x m covariance is formed
+on either side. Files of formats 1 and 2 still load.
+
 Exit codes: 0 success, 2 input/configuration error, 3 numerical error.
 """
 
@@ -13,10 +19,11 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf
 
-from .basis import DesignMatrix, design_matrix, difference_penalty, make_basis
+from .basis import DesignMatrix, band_form, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
-from .fitting import StratumData, StratumFit, band_covariance, fit_stratum, select_lambda
+from .fitting import StratumData, StratumFit, fit_stratum, select_lambda
 from .simulate import (
     SimScenario,
     outcome_to_json,
@@ -30,9 +37,11 @@ from .windows import window_stat_correlation, window_statistics
 SEED_ENV_VAR = "SMOOTHDIFF_SEED"
 CURVE_GRID_POINTS = 201
 BAND_MULTIPLIER = 1.96
-# fits.json layout: 2 stores each stratum's `precision_band`; 1 (no
-# "format" key) stored the dense `cov` of every stratum.
-MODEL_FORMAT = 2
+# fits.json layout: 3 stores each stratum's `precision_band` and `border`
+# (p rows of m numbers); 2 stored `precision_band` without fixed effects and
+# the dense `cov` with them; 1 (no "format" key) the dense `cov` of every
+# stratum.
+MODEL_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -169,7 +178,7 @@ def write_stratum_csv(path: str, data1: StratumData, data2: StratumData) -> None
 
 
 def _fit_payload(fit: StratumFit, lam_source: str) -> dict:
-    payload = {
+    return {
         "lambda": fit.lam,
         "lambda_source": lam_source,
         "dispersion": fit.dispersion,
@@ -179,14 +188,9 @@ def _fit_payload(fit: StratumFit, lam_source: str) -> dict:
         "n_obs": fit.n_obs,
         "coef": [float(c) for c in fit.coef],
         "beta": [float(b) for b in fit.beta],
+        "precision_band": [[float(v) for v in row] for row in fit.precision_band],
+        "border": [[float(v) for v in col] for col in fit.border.T],
     }
-    if fit.beta.size:
-        # Format 2 has no key for the border B of fixed effects, so such a
-        # stratum stores its dense covariance dispersion * (A^{-1} + BB').
-        payload["cov"] = [[float(v) for v in row] for row in fit.cov]
-    else:
-        payload["precision_band"] = [[float(v) for v in row] for row in fit.precision_band]
-    return payload
 
 
 def band_pointwise_variance(dm: DesignMatrix, band: np.ndarray) -> np.ndarray:
@@ -465,10 +469,13 @@ def _model_matrix(path: str, value, where: str) -> np.ndarray:
     return out
 
 
-def _model_covariance(path: str, entry: dict, i: int, m: int, dispersion: float):
-    """(cov, precision_band) of strata[i]: rebuilt from its band, or read dense.
+def _model_bands(path: str, entry: dict, i: int, m: int, p: int) -> dict:
+    """The covariance fields of strata[i]'s StratumFit.
 
-    Format-1 files and strata with fixed effects hold the dense `cov`.
+    A band stratum gives its `precision_band`, checked positive definite by
+    one Cholesky factorization, and its `border` (p rows of m numbers; it
+    may be absent when p = 0, as in format 2). A dense `cov` (format 1, or
+    format 2 with fixed effects) is read as a full-width covariance band.
     """
     if "precision_band" in entry:
         where = f"strata[{i}].'precision_band'"
@@ -477,23 +484,31 @@ def _model_covariance(path: str, entry: dict, i: int, m: int, dispersion: float)
             raise ParameterError(
                 f"{path}: {where} has shape {band.shape}, expected (rows >= 1, m={m})"
             )
-        try:
-            return band_covariance(band, dispersion), band
-        except NumericalError as exc:
-            raise ParameterError(f"{path}: {where} is not positive definite ({exc})") from exc
+        minor = dpbtrf(band)[1]
+        if minor:
+            raise ParameterError(f"{path}: {where} is not positive definite (leading minor {minor})")
+        border = np.zeros((0, m))
+        if p or "border" in entry:
+            where = f"strata[{i}].'border'"
+            border = _model_matrix(path, _model_field(path, entry, "border", f"strata[{i}]."), where)
+            if border.shape == (0,):
+                border = border.reshape(0, m)
+            if border.shape != (p, m):
+                raise ParameterError(f"{path}: {where} has shape {border.shape}, expected (p={p}, m={m})")
+        return {"precision_band": band, "border": border.T}
     if "cov" in entry:
         where = f"strata[{i}].'cov'"
         cov = _model_matrix(path, entry["cov"], where)
         if cov.shape != (m, m):
             raise ParameterError(f"{path}: {where} does not match basis dimension m={m}")
-        return cov, None
+        return {"cov_band": band_form(cov, m - 1)}
     raise ParameterError(
         f"{path}: model file lacks key strata[{i}].'precision_band' (or strata[{i}].'cov')"
     )
 
 
 def load_model(path: str):
-    """Basis and the two stratum fits from an analyze fits.json (format 1 or 2)."""
+    """Basis and the two stratum fits from an analyze fits.json (format 1, 2 or 3)."""
     try:
         with open(path, encoding="utf-8") as fh:
             model = json.load(fh)
@@ -505,8 +520,8 @@ def load_model(path: str):
     if not isinstance(strata, list) or len(strata) != 2:
         raise ParameterError(f"{path}: 'strata' must list exactly 2 fits")
     fmt = model.get("format", 1)
-    if fmt not in (1, MODEL_FORMAT):
-        raise ParameterError(f"{path}: unknown model format {fmt!r} (expected 1 or {MODEL_FORMAT})")
+    if fmt not in (1, 2, MODEL_FORMAT):
+        raise ParameterError(f"{path}: unknown model format {fmt!r} (expected 1, 2 or {MODEL_FORMAT})")
     try:
         spec = make_basis(float(domain[0]), float(domain[1]), int(m), int(degree))
         fits = []
@@ -522,19 +537,18 @@ def load_model(path: str):
                 raise ParameterError(
                     f"{path}: strata[{i}].'dispersion' = {dispersion!r} is not finite and non-negative"
                 )
-            cov, band = _model_covariance(path, entry, i, spec.m, dispersion)
+            beta = np.asarray(f["beta"], dtype=float)
             fits.append(
                 StratumFit(
                     coef=coef,
-                    beta=np.asarray(f["beta"], dtype=float),
+                    beta=beta,
                     lam=f["lambda"],
                     dispersion=dispersion,
-                    dense_cov=cov,
                     edf=f["edf"],
                     family=f["family"],
                     deviance=f["deviance"],
                     n_obs=f["n_obs"],
-                    precision_band=band,
+                    **_model_bands(path, entry, i, spec.m, beta.size),
                 )
             )
     except ParameterError:
@@ -577,9 +591,12 @@ def cmd_diagnose(args) -> int:
         spec, fits = load_model(args.model)
         max_lag = min(args.max_lag, spec.n_regions - 1)
         anchor = spec.n_regions // 2 - max_lag // 2
+        # the 2w x 2w blocks of V1 + V2 lie within max_lag + degree of the diagonal
+        reach = max_lag + spec.degree
+        v_band = fits[0].covariance_band(reach) + fits[1].covariance_band(reach)
         rows = []
         for lag in range(max_lag + 1):
-            corr = window_stat_correlation(fits[0], fits[1], spec, anchor, anchor + lag)
+            corr = window_stat_correlation(v_band, spec, anchor, anchor + lag)
             rows.append((lag, float(corr)))
         path = os.path.join(args.out, "correlation_table.csv")
         with open(path, "w", encoding="utf-8") as fh:

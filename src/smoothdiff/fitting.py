@@ -26,14 +26,16 @@ pointwise variances of the curves. So no inverse is formed.
 Cholesky factors and returns the (b+1)-band of every A^{-1} at once: the
 whole lambda grid in one call, or the single lambda of `fit_stratum`. A
 fit keeps the covariance band (`cov_band`), A's band (`precision_band`)
-and B (`border`), from which `fit.cov` builds the dense covariance.
+and B (`border`), and holds its covariance in no other form: a wider band
+(`covariance_band`) comes from the same recurrence on A's band padded
+with zero rows, which is exact, as an entry inside the padded width reads
+only entries inside it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -45,7 +47,6 @@ from .basis import (
     BasisSpec,
     DesignMatrix,
     PenaltyMatrix,
-    band_form,
     design_matrix,
 )
 from .errors import NumericalError, ParameterError
@@ -119,10 +120,9 @@ class StratumFit:
     `precision_band` is the band (solveh_banded layout) of the
     unit-dispersion precision A = Z'WZ + lambda S that the fit factored,
     `border` the m x p matrix B of the fixed effects (m x 0 without any),
-    and `cov_band` the upper band to A's half-bandwidth of the posterior
-    covariance dispersion * (A^{-1} + BB'). `cov`, that dense matrix, is
-    built on request from the first two; a fit read from a model file that
-    stores it holds it as `dense_cov` instead.
+    and `cov_band` the upper band of the posterior covariance
+    dispersion * (A^{-1} + BB'), to A's half-bandwidth for a fit, to any
+    width for one read from a model file (None when only A's band is kept).
     """
 
     coef: np.ndarray
@@ -136,26 +136,17 @@ class StratumFit:
     cov_band: np.ndarray | None = None
     precision_band: np.ndarray | None = None
     border: np.ndarray | None = field(default=None, repr=False)
-    dense_cov: np.ndarray | None = field(default=None, repr=False)
-
-    @cached_property
-    def cov(self) -> np.ndarray:
-        """The dense m x m posterior covariance."""
-        if self.dense_cov is not None:
-            return self.dense_cov
-        cov = band_covariance(self.precision_band, self.dispersion)
-        if self.beta.size:
-            cov += self.dispersion * (self.border @ self.border.T)
-        return cov
 
     def covariance_band(self, bandwidth: int) -> np.ndarray:
         """Upper band of the posterior covariance to offset `bandwidth`.
 
-        Read from `cov_band` when it is that wide; otherwise from `cov`.
+        Read from `cov_band` when it is that wide; otherwise widened from
+        `precision_band` and `border`, without forming an m x m matrix.
         """
-        if self.cov_band is not None and self.cov_band.shape[0] > bandwidth:
-            return self.cov_band[self.cov_band.shape[0] - 1 - bandwidth :]
-        return band_form(self.cov, bandwidth)
+        band = self.cov_band
+        if band is None or band.shape[0] <= bandwidth:
+            band = self.dispersion * _unit_covariance_band(self.precision_band, self.border, bandwidth)
+        return band[band.shape[0] - 1 - bandwidth :]
 
 
 def penalized_inverse(ab: np.ndarray) -> np.ndarray:
@@ -330,11 +321,11 @@ def _predict(dm: DesignMatrix, X: np.ndarray, coefs: np.ndarray, betas: np.ndarr
 
 
 def band_covariance(band: np.ndarray, dispersion: float) -> np.ndarray:
-    """Posterior covariance dispersion * A^{-1}, symmetrized, from A's upper band storage.
+    """Dense covariance dispersion * A^{-1}, symmetrized, from A's upper band storage.
 
-    The band is a fit's `precision_band`; without fixed effects `fit.cov`
-    is this matrix, and a model file that stores the band rebuilds it bit
-    for bit.
+    The band is a fit's `precision_band`. Only the exact-model reference
+    (`simulate.representative_covariance`) calls it, to draw from the dense
+    covariance of a fit without fixed effects.
     """
     cov = dispersion * penalized_inverse(band)
     return 0.5 * (cov + cov.T)
@@ -516,6 +507,23 @@ def _border_bands(borders: np.ndarray, b: int) -> np.ndarray:
     for d in range(min(b, m - 1) + 1):
         out[:, b - d, d:] = np.sum(borders[:, : m - d] * borders[:, d:], axis=-1)
     return out
+
+
+def _unit_covariance_band(precision_band: np.ndarray, border: np.ndarray, bandwidth: int) -> np.ndarray:
+    """The upper band of A^{-1} + BB' to offset max(bandwidth, b), b A's half-bandwidth.
+
+    A's band padded with zero rows to that width is factored again, and the
+    selected inverse of its factor, zero outside A's band, is exact at the
+    padded width.
+    """
+    b, m = precision_band.shape[0] - 1, precision_band.shape[1]
+    width = max(bandwidth, b)
+    padded = np.zeros((width + 1, m))
+    padded[width - b :] = precision_band
+    factor, info = _pbtrf(padded)
+    if info:
+        raise _not_positive_definite(info)
+    return (selected_inverse_band(factor[None]) + _border_bands(border[None], width))[0]
 
 
 def _selected_inverses(systems: list[_BandSystem], penalty_band: np.ndarray):

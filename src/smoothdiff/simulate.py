@@ -19,7 +19,7 @@ from scipy.special import expit
 
 from .basis import BasisSpec, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
-from .fitting import StratumData, select_lambda
+from .fitting import StratumData, band_covariance, select_lambda
 from .tdp import TdpReport, phi_alpha, threshold_regions
 from .windows import window_statistics, window_test_series
 
@@ -349,7 +349,8 @@ def representative_covariance() -> tuple[BasisSpec, np.ndarray]:
     rng = replicate_rng(seed, 0)
     b_base, _, _ = gen_coefficients(scenario, rng)
     data = gen_stratum(b_base, scenario, rng, spec)
-    return spec, 2.0 * select_lambda(data, spec, pen).cov
+    fit = select_lambda(data, spec, pen)
+    return spec, 2.0 * band_covariance(fit.precision_band, fit.dispersion)
 
 
 def exact_model_error_rates(

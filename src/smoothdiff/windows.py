@@ -9,7 +9,9 @@ Cholesky call and takes T_k = ||L_k^{-1} d_k||^2. `window_statistics` reads
 the blocks from the fits' covariance bands, `window_test_series` from a
 dense matrix.
 The covariance of two statistics, which the dependence diagnostics report,
-is read from the 2w x 2w block of V1 + V2 on both windows.
+is read from the 2w x 2w block of V1 + V2 on both windows. That block lies
+within lag + degree of the diagonal, so it is gathered from V's band to
+that offset, as the w x w blocks are from V's band to offset degree.
 
 `sliding_inverses` is the incremental scheme of the method: each window's
 inverse comes from its predecessor's by deleting the leading row/column and
@@ -167,6 +169,16 @@ def window_test_series(spec: BasisSpec, delta: np.ndarray, v: np.ndarray) -> Win
     return _window_series(spec, delta, v[idx[:, :, None], idx[:, None, :]])
 
 
+def _band_entries(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """V[rows, cols] (broadcast index arrays) from the upper band of symmetric V.
+
+    V[i, j] is held in row u - |i - j| of the band at column max(i, j), u
+    the band's offset; every |i - j| must be at most u.
+    """
+    u = band.shape[0] - 1
+    return band[u - np.abs(rows - cols), np.maximum(rows, cols)]
+
+
 def window_statistics(
     fit1: StratumFit,
     fit2: StratumFit,
@@ -179,46 +191,44 @@ def window_statistics(
     read from the sum of the fits' covariance bands to offset degree, so
     no m x m matrix is formed.
     """
-    m, w = spec.m, spec.degree + 1
+    m = spec.m
     bands = [f.covariance_band(spec.degree) for f in (fit1, fit2)]
     if any(f.coef.size != m or b.shape[1] != m for f, b in zip((fit1, fit2), bands)):
         raise ParameterError("fits do not match the basis dimension")
-    band = bands[0] + bands[1]
-    # V_k[i, j] = V[k + i, k + j], held in row degree - |i - j| at column k + max(i, j).
-    i = np.arange(w)
-    rows = spec.degree - np.abs(i[:, None] - i[None, :])
-    cols = np.arange(spec.n_regions)[:, None, None] + np.maximum(i[:, None], i[None, :])
-    return _window_series(spec, fit1.coef - fit2.coef, band[rows, cols])
+    idx = np.arange(spec.n_regions)[:, None] + np.arange(spec.degree + 1)
+    blocks = _band_entries(bands[0] + bands[1], idx[:, :, None], idx[:, None, :])
+    return _window_series(spec, fit1.coef - fit2.coef, blocks)
 
 
-def window_stat_covariance(
-    fit1: StratumFit, fit2: StratumFit, spec: BasisSpec, k: int, k2: int
-) -> float:
+def window_stat_covariance(v_band: np.ndarray, spec: BasisSpec, k: int, k2: int) -> float:
     """Covariance of the window statistics T_k and T_k2 under the fitted model.
 
-    The coefficient-difference windows are jointly Gaussian with covariance
-    blocks drawn from V1 + V2, and each statistic is a quadratic form in its
+    `v_band` is the upper band of V = V1 + V2, the summed covariance of the
+    two fits, to an offset of at least |k - k2| + degree. The
+    coefficient-difference windows are jointly Gaussian with covariance
+    blocks drawn from V, and each statistic is a quadratic form in its
     window precision, so the quadratic-form covariance identity applies.
-    Only the 2w x 2w submatrix of V1 + V2 on the two windows is summed.
+    Only the 2w x 2w block of V on the two windows is gathered.
     """
     w = spec.degree + 1
     n_windows = spec.n_regions
     if not (0 <= k < n_windows and 0 <= k2 < n_windows):
         raise ParameterError(f"window indices must lie in [0, {n_windows})")
+    if v_band.shape[1] != spec.m or v_band.shape[0] <= abs(k - k2) + spec.degree:
+        raise ParameterError(
+            f"covariance band of shape {v_band.shape} does not reach offset {abs(k - k2) + spec.degree} at m={spec.m}"
+        )
     idx = np.r_[k : k + w, k2 : k2 + w]
-    block = np.ix_(idx, idx)
-    sigma = fit1.cov[block] + fit2.cov[block]
+    sigma = _band_entries(v_band, idx[:, None], idx[None, :])
     a = _direct_inverse(sigma[:w, :w], k)
     b = _direct_inverse(sigma[w:, w:], k2)
-    problem = QuadFormProblem(A=0.5 * (a + a.T), B=0.5 * (b + b.T), sigma=0.5 * (sigma + sigma.T))
+    problem = QuadFormProblem(A=0.5 * (a + a.T), B=0.5 * (b + b.T), sigma=sigma)
     return cov_quadratic_forms(problem)
 
 
-def window_stat_correlation(
-    fit1: StratumFit, fit2: StratumFit, spec: BasisSpec, k: int, k2: int
-) -> float:
+def window_stat_correlation(v_band: np.ndarray, spec: BasisSpec, k: int, k2: int) -> float:
     """Correlation of T_k and T_k2 implied by window_stat_covariance."""
-    cov = window_stat_covariance(fit1, fit2, spec, k, k2)
-    var1 = window_stat_covariance(fit1, fit2, spec, k, k)
-    var2 = window_stat_covariance(fit1, fit2, spec, k2, k2)
+    cov = window_stat_covariance(v_band, spec, k, k2)
+    var1 = window_stat_covariance(v_band, spec, k, k)
+    var2 = window_stat_covariance(v_band, spec, k2, k2)
     return cov / np.sqrt(var1 * var2)

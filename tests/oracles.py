@@ -25,6 +25,8 @@ band without an inverse. `dense_inverse_edf` is the dense inverse per grid
 point that binomial fits used for their edf, `demmler_reinsch_edfs` the
 generalized eigensolve that scored the Gaussian grid, and
 `pointwise_variance` the dense diag(D cov D') that the curves used.
+A fit holds its covariance only as bands; `dense_covariance` is the dense
+m x m matrix they are bands of, which fits once carried as `fit.cov`.
 """
 
 from __future__ import annotations
@@ -202,6 +204,12 @@ def demmler_reinsch_edfs(gram, S, grid):
     scale = float(np.trace(gram)) / float(np.trace(S))
     mu = np.clip(scipy.linalg.eigh(gram, gram + scale * S, eigvals_only=True), 0.0, 1.0)
     return np.asarray([float(np.sum(mu / (mu + (lam / scale) * (1.0 - mu)))) for lam in grid])
+
+
+def dense_covariance(fit) -> np.ndarray:
+    """A fit's dense posterior covariance dispersion * (A^{-1} + BB'), from its precision band and border."""
+    cov = fitting.band_covariance(fit.precision_band, fit.dispersion)
+    return cov + fit.dispersion * (fit.border @ fit.border.T)
 
 
 def pointwise_variance(design, cov):

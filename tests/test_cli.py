@@ -1,14 +1,16 @@
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import dense_design, pointwise_variance
+from oracles import dense_covariance, dense_design, pointwise_variance
 
 from smoothdiff import simulate
-from smoothdiff.basis import design_matrix, difference_penalty, make_basis
+from smoothdiff.basis import band_form, design_matrix, difference_penalty, make_basis
 from smoothdiff.cli import CURVE_GRID_POINTS, band_pointwise_variance, load_model, main, write_stratum_csv
-from smoothdiff.fitting import select_lambda
+from smoothdiff.fitting import StratumData, select_lambda
 from smoothdiff.simulate import SimScenario, gen_coefficients, gen_stratum, replicate_rng
 from smoothdiff.tdp import threshold_regions
 from smoothdiff.windows import window_statistics
@@ -278,7 +280,7 @@ class TestAnalyze:
         _, fits = load_model(str(out / "fits.json"))
         spec = make_basis(0.0, 1.0, 20, 2)
         D = dense_design(design_matrix(spec, np.linspace(0.0, 1.0, CURVE_GRID_POINTS)))
-        covs = [fit.cov for fit in fits]
+        covs = [dense_covariance(fit) for fit in fits]
         rng = np.random.default_rng(3)
         a = rng.normal(size=(20, 20))
         covs.append(a @ a.T + np.eye(20))
@@ -298,7 +300,7 @@ class TestAnalyze:
         dm = design_matrix(spec, np.linspace(0.0, 1.0, CURVE_GRID_POINTS))
         fit = select_lambda(data1, spec, pen)
         got = band_pointwise_variance(dm, fit.covariance_band(degree))
-        np.testing.assert_allclose(got, pointwise_variance(dense_design(dm), fit.cov), rtol=1e-12)
+        np.testing.assert_allclose(got, pointwise_variance(dense_design(dm), dense_covariance(fit)), rtol=1e-12)
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # binomial fit on perfectly separated outcomes diverges
@@ -728,10 +730,49 @@ def analyze_to(out, data1, data2, basis_dim=20, family="gaussian"):
     return json.loads((out / "fits.json").read_text())
 
 
+def analyze_fixed_effect_to(out):
+    """analyze on two strata with an x_age column; (its fits.json as a dict, the two StratumData)."""
+    _, data1, data2 = make_pair(seed=13, n=800)
+    rng = np.random.default_rng(4)
+    strata = []
+    for data in (data1, data2):
+        x = rng.normal(size=(data.n, 1))
+        strata.append(StratumData(y=data.y + 0.3 * x[:, 0], z=data.z, X=x))
+    path = out.parent / f"{out.name}.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("y,z,stratum,x_age\n")
+        for label, data in (("1", strata[0]), ("2", strata[1])):
+            for yi, zi, xi in zip(data.y, data.z, data.X[:, 0]):
+                fh.write(f"{float(yi)!r},{float(zi)!r},{label},{float(xi)!r}\n")
+    rc = main(["analyze", "--data", str(path), "--basis-dim", "20", "--degree", "2",
+               "--domain", "0", "1", "--out", str(out)])
+    assert rc == 0
+    return json.loads((out / "fits.json").read_text()), strata
+
+
 def diagnose_files(model_path, out):
     """correlation_table.csv and diagnostics.json bytes of diagnose --model."""
     assert main(["diagnose", "--model", str(model_path), "--max-lag", "6", "--out", str(out)]) == 0
     return [(out / name).read_bytes() for name in ("correlation_table.csv", "diagnostics.json")]
+
+
+def correlations(table: bytes) -> np.ndarray:
+    return np.loadtxt(table.decode().splitlines()[1:], delimiter=",")[:, 1]
+
+
+def check_model_file(path) -> int:
+    """scripts/check_model_file.py's exit code on `path`."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "check_model_file.py"
+    loader = importlib.util.spec_from_file_location("check_model_file", script)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module.main([str(path)])
+
+
+def assert_covariance_bands_bitwise_equal(loaded, direct, m):
+    # from the fit's own band up to the full width, as diagnose widens them
+    for width in range(m):
+        assert np.array_equal(loaded.covariance_band(width), direct.covariance_band(width)), width
 
 
 class TestModelFile:
@@ -743,57 +784,84 @@ class TestModelFile:
         pen = difference_penalty(scn.m, scn.penalty_order)
         for data, fit in zip((data1, data2), loaded):
             direct = select_lambda(data, spec, pen)
-            assert np.array_equal(fit.cov, direct.cov)
+            assert_covariance_bands_bitwise_equal(fit, direct, spec.m)
             assert np.array_equal(fit.precision_band, direct.precision_band)
+            assert np.array_equal(fit.border, direct.border)
             assert np.array_equal(fit.coef, direct.coef)
 
     def test_band_file_holds_o_m_numbers_and_no_cov(self, tmp_path):
         _, data1, data2 = make_pair(seed=7)
         m = 60
         model = analyze_to(tmp_path / "out", data1, data2, basis_dim=m)
-        assert model["format"] == 2
+        assert model["format"] == 3
         for entry in model["strata"]:
             assert "cov" not in entry
+            assert entry["border"] == []
             band = np.asarray(entry["precision_band"])
             assert band.shape == (3, m)  # bandwidth max(degree 2, penalty order 2)
             numbers = sum(np.size(v) for v in entry.values() if not isinstance(v, str))
             assert numbers <= 5 * m
 
     def test_dense_format_1_file_gives_identical_diagnostics(self, tmp_path):
+        # the dense file's table reads band_form(cov) and the band file's a
+        # widened selected inverse: two inverses of one fit, equal to rounding
         _, data1, data2 = make_pair(seed=13, n=800)
         model = analyze_to(tmp_path / "out", data1, data2)
-        path2 = tmp_path / "out" / "fits.json"
-        _, fits = load_model(str(path2))
+        path3 = tmp_path / "out" / "fits.json"
+        _, fits = load_model(str(path3))
         del model["format"]
         for entry, fit in zip(model["strata"], fits):
-            del entry["precision_band"]
-            entry["cov"] = [[float(v) for v in row] for row in fit.cov]
+            del entry["precision_band"], entry["border"]
+            entry["cov"] = [[float(v) for v in row] for row in dense_covariance(fit)]
         path1 = tmp_path / "dense.json"
         path1.write_text(json.dumps(model, sort_keys=True, indent=1))
-        assert diagnose_files(path1, tmp_path / "d1") == diagnose_files(path2, tmp_path / "d2")
+        dense, banded = diagnose_files(path1, tmp_path / "d1"), diagnose_files(path3, tmp_path / "d2")
+        np.testing.assert_allclose(correlations(dense[0]), correlations(banded[0]), rtol=1e-12, atol=0.0)
+        # one file gives the same bytes every time
+        assert diagnose_files(path3, tmp_path / "d3") == banded
+        assert diagnose_files(path1, tmp_path / "d4") == dense
 
-    def test_fixed_effect_strata_keep_dense_cov(self, tmp_path):
-        _, data1, data2 = make_pair(seed=13, n=800)
-        rng = np.random.default_rng(4)
-        path = tmp_path / "x.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("y,z,stratum,x_age\n")
-            for label, data in (("1", data1), ("2", data2)):
-                x = rng.normal(size=data.n)
-                for yi, zi, xi in zip(data.y + 0.3 * x, data.z, x):
-                    fh.write(f"{float(yi)!r},{float(zi)!r},{label},{float(xi)!r}\n")
-        out = tmp_path / "out"
-        rc = main(["analyze", "--data", str(path), "--basis-dim", "20", "--degree", "2",
-                   "--domain", "0", "1", "--out", str(out)])
-        assert rc == 0
-        model = json.loads((out / "fits.json").read_text())
+    def test_fixed_effect_strata_store_band_and_border(self, tmp_path):
+        model, strata = analyze_fixed_effect_to(tmp_path / "out")
+        assert model["format"] == 3
         for entry in model["strata"]:
-            assert "precision_band" not in entry
-            assert np.asarray(entry["cov"]).shape == (20, 20)
+            assert "cov" not in entry
+            assert np.asarray(entry["precision_band"]).shape == (3, 20)
+            assert np.asarray(entry["border"]).shape == (1, 20)
             assert len(entry["beta"]) == 1
+        spec, loaded = load_model(str(tmp_path / "out" / "fits.json"))
+        pen = difference_penalty(20, 2)
+        for data, fit in zip(strata, loaded):
+            direct = select_lambda(data, spec, pen)
+            assert np.array_equal(fit.border, direct.border)
+            assert_covariance_bands_bitwise_equal(fit, direct, spec.m)
+            # the bands are of dispersion * (A^{-1} + BB')
+            cov = dense_covariance(fit)
+            for width in (2, 8, 19):
+                np.testing.assert_allclose(
+                    fit.covariance_band(width), band_form(cov, width), rtol=0.0, atol=1e-12 * np.max(np.abs(cov))
+                )
         diag = tmp_path / "diag"
-        assert main(["diagnose", "--model", str(out / "fits.json"), "--out", str(diag)]) == 0
+        assert main(["diagnose", "--model", str(tmp_path / "out" / "fits.json"), "--out", str(diag)]) == 0
         assert (diag / "correlation_table.csv").exists()
+
+    def test_check_model_file_script(self, tmp_path, capsys):
+        _, data1, data2 = make_pair(seed=7)
+        analyze_to(tmp_path / "plain", data1, data2)
+        assert check_model_file(tmp_path / "plain" / "fits.json") == 0
+        model, _ = analyze_fixed_effect_to(tmp_path / "fixed")
+        assert check_model_file(tmp_path / "fixed" / "fits.json") == 0
+        # the format-2 form of a fixed-effect stratum: its dense covariance
+        _, fits = load_model(str(tmp_path / "fixed" / "fits.json"))
+        model["format"] = 2
+        for entry, fit in zip(model["strata"], fits):
+            del entry["precision_band"], entry["border"]
+            entry["cov"] = [[float(v) for v in row] for row in dense_covariance(fit)]
+        path = tmp_path / "format2.json"
+        path.write_text(json.dumps(model))
+        assert check_model_file(path) == 1
+        assert "format 2" in capsys.readouterr().err
+        assert main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")]) == 0
 
     def test_constant_fixed_effect_column_exits_2(self, tmp_path, capsys):
         _, data1, data2 = make_pair(seed=13, n=800)
@@ -812,32 +880,45 @@ class TestModelFile:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "corrupt, problem",
+        "key, corrupt, problem",
         [
-            (lambda band: [row[:-1] for row in band], "has shape (3, 19)"),
-            (lambda band: [], "has shape (0,)"),
-            (lambda band: [band[0][:-1]] + band[1:], "is not a numeric matrix"),
-            (lambda band: [band[0], band[1], band[2][:5] + [float("nan")] + band[2][6:]], "non-finite"),
-            (lambda band: [band[0], band[1], [float("inf")] * len(band[2])], "non-finite"),
-            (lambda band: [band[0], band[1], [-abs(v) for v in band[2]]], "not positive definite"),
+            ("precision_band", lambda band: [row[:-1] for row in band], "has shape (3, 19)"),
+            ("precision_band", lambda band: [], "has shape (0,)"),
+            ("precision_band", lambda band: [band[0][:-1]] + band[1:], "is not a numeric matrix"),
+            ("precision_band", lambda band: [band[0], band[1], band[2][:5] + [float("nan")] + band[2][6:]], "non-finite"),
+            ("precision_band", lambda band: [band[0], band[1], [float("inf")] * len(band[2])], "non-finite"),
+            ("precision_band", lambda band: [band[0], band[1], [-abs(v) for v in band[2]]], "not positive definite"),
+            ("border", lambda border: [row[:-1] for row in border], "has shape (1, 19), expected (p=1, m=20)"),
+            ("border", lambda border: [], "has shape (0, 20), expected (p=1, m=20)"),
+            ("border", lambda border: [border[0], border[0][:-1]], "is not a numeric matrix"),
+            ("border", lambda border: [border[0][:5] + [float("nan")] + border[0][6:]], "non-finite"),
+            ("border", None, "lacks key strata[0].'border'"),
         ],
-        ids=["columns", "no_rows", "ragged", "nan", "inf", "not_pd"],
+        ids=[
+            "columns", "no_rows", "ragged", "nan", "inf", "not_pd",
+            "border_columns", "border_rows", "border_ragged", "border_nan", "no_border",
+        ],
     )
-    def test_bad_precision_band_exits_2(self, tmp_path, capsys, corrupt, problem):
-        _, data1, data2 = make_pair(seed=13, n=800)
-        model = analyze_to(tmp_path / "out", data1, data2)
+    def test_bad_precision_band_exits_2(self, tmp_path, capsys, key, corrupt, problem):
+        model, _ = analyze_fixed_effect_to(tmp_path / "out")
         entry = model["strata"][0]
-        entry["precision_band"] = corrupt(entry["precision_band"])
+        if corrupt is None:
+            # a hand-edited format-2 band stratum with fixed effects: no border
+            # would drop BB' from the covariance
+            model["format"] = 2
+            del entry[key]
+        else:
+            entry[key] = corrupt(entry[key])
         path = tmp_path / "bad_band.json"
         path.write_text(json.dumps(model))
         assert main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")]) == 2
         err = capsys.readouterr().err
-        assert "bad_band.json" in err and "strata[0].'precision_band'" in err and problem in err
+        assert "bad_band.json" in err and f"strata[0].'{key}'" in err and problem in err
 
     @pytest.mark.parametrize(
         "key, value, problem",
         [
-            ("format", 3, "unknown model format 3"),
+            ("format", 4, "unknown model format 4"),
             ("dispersion", float("nan"), "strata[1].'dispersion' = nan"),
             ("dispersion", -1.0, "strata[1].'dispersion' = -1.0"),
         ],

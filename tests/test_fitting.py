@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
     demmler_reinsch_edfs,
+    dense_covariance,
     dense_design,
     dense_inverse_edf,
     penalty_matrix,
@@ -17,7 +18,7 @@ from scipy.special import expit, xlogy
 
 from smoothdiff import fitting
 from smoothdiff.basis import band_form, design_matrix, difference_penalty, expand_band, make_basis
-from smoothdiff.cli import _TABLE_SCENARIOS
+from smoothdiff.cli import _TABLE_SCENARIOS, main
 from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import (
     StratumData,
@@ -101,15 +102,15 @@ class TestFitGaussian:
         schur = (zd.T @ zd + lam * penalty_matrix(pen)) - (zd.T @ data.X) @ np.linalg.solve(
             data.X.T @ data.X, data.X.T @ zd
         )
-        assert np.allclose(fit.cov, fit.dispersion * np.linalg.inv(schur), atol=1e-9)
+        assert np.allclose(dense_covariance(fit), fit.dispersion * np.linalg.inv(schur), atol=1e-9)
 
     def test_covariance_symmetric_positive_definite(self, setup):
         spec, pen = setup
         rng = np.random.default_rng(3)
         for _ in range(10):
-            fit = fit_stratum(random_gaussian_data(rng), spec, pen, float(rng.uniform(0.01, 5)))
-            assert np.max(np.abs(fit.cov - fit.cov.T)) < 1e-10
-            np.linalg.cholesky(fit.cov)
+            cov = dense_covariance(fit_stratum(random_gaussian_data(rng), spec, pen, float(rng.uniform(0.01, 5))))
+            assert np.max(np.abs(cov - cov.T)) < 1e-10
+            np.linalg.cholesky(cov)
 
     def test_objective_optimality_under_perturbation(self, setup):
         spec, pen = setup
@@ -278,7 +279,7 @@ class TestFitBinomial:
         y = (rng.random(n) < 0.5).astype(float)
         fit = fit_stratum(StratumData(y=y, z=z, family="binomial"), spec, pen, 2.0)
         assert fit.dispersion == 1.0
-        np.linalg.cholesky(fit.cov)
+        np.linalg.cholesky(dense_covariance(fit))
 
     def test_non_binary_outcome_rejected(self):
         with pytest.raises(ParameterError):
@@ -357,7 +358,7 @@ class TestBandedIrls:
         coef, cov, edf, deviance = full_inverse_irls(data, spec, pen, lam)
         # relative to the largest entry, so near-zero entries do not dominate
         np.testing.assert_allclose(fit.coef, coef, rtol=1e-10, atol=1e-10 * np.max(np.abs(coef)))
-        np.testing.assert_allclose(fit.cov, cov, rtol=1e-10, atol=1e-10 * np.max(np.abs(cov)))
+        np.testing.assert_allclose(dense_covariance(fit), cov, rtol=1e-10, atol=1e-10 * np.max(np.abs(cov)))
         assert fit.edf == pytest.approx(edf, rel=1e-10)
         assert fit.deviance == pytest.approx(deviance, rel=1e-10)
 
@@ -376,11 +377,10 @@ class TestBandedIrls:
 
         monkeypatch.setattr(fitting, "penalized_inverse", counting)
         fit = fit_stratum(data, spec, pen, 0.5)
+        # neither the fit nor its windows, nor a band wider than the fit's, inverts A
+        window_statistics(fit, fit, spec)
+        fit.covariance_band(spec.m - 1)
         assert calls == []
-        # the dense covariance is one inverse of A's (b + 1) x m band, on request
-        fit.cov
-        fit.cov
-        assert calls == [(max(spec.degree, pen.order) + 1, spec.m)]
 
     def test_not_positive_definite_iteration_raises(self, setup):
         # no data beyond z = 0.3 leaves basis functions without support, so
@@ -502,7 +502,7 @@ class TestFixedEffectIrls:
         beta, coef, cov, edf, deviance, n_iter = dense_block_fit(data, spec, pen, lam)
         assert_close(fit.beta, beta, rtol=1e-10)
         assert_close(fit.coef, coef, rtol=1e-10)
-        assert_close(fit.cov, cov, rtol=1e-10)
+        assert_close(dense_covariance(fit), cov, rtol=1e-10)
         assert fit.edf == pytest.approx(edf, rel=1e-10, abs=0.0)
         assert fit.deviance == pytest.approx(deviance, rel=1e-10, abs=0.0)
         [system] = fitting._grid_systems(
@@ -540,7 +540,7 @@ class TestStratumDataValidation:
 
 
 def assert_fits_bitwise_equal(a, b):
-    for name in ("coef", "beta", "cov", "cov_band", "precision_band", "border"):
+    for name in ("coef", "beta", "cov_band", "precision_band", "border"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for name in ("lam", "dispersion", "edf", "family", "deviance", "n_obs"):
         assert getattr(a, name) == getattr(b, name), name
@@ -772,9 +772,9 @@ class TestGaussianGcvPath:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             fit = select_lambda(data, spec, pen)
+        window_statistics(fit, fit, spec)
+        fit.covariance_band(spec.m - 1)
         assert calls == []
-        fit.cov
-        assert calls == [(max(spec.degree, pen.order) + 1, spec.m)]
 
     @pytest.mark.parametrize("fixture", GAUSSIAN_FIXTURES)
     def test_selected_coef_is_the_grid_solve(self, fixture, monkeypatch):
@@ -832,11 +832,13 @@ class TestPrecisionBand:
         assert fit.precision_band.shape == (bandwidth + 1, m)
         band = np.asarray(json_round_trip(fit.precision_band.tolist()))
         cov = band_covariance(band, json_round_trip(fit.dispersion))
-        assert np.array_equal(cov, fit.cov)
+        assert np.array_equal(cov, dense_covariance(fit))
         # it is the matrix the fit inverted: A cov = dispersion * I
         np.testing.assert_allclose(
-            expand_band(band) @ fit.cov, fit.dispersion * np.eye(m), atol=1e-8 * fit.dispersion
+            expand_band(band) @ cov, fit.dispersion * np.eye(m), atol=1e-8 * fit.dispersion
         )
+        # and the fit's covariance band is a band of it
+        assert_close(fit.cov_band, band_form(cov, bandwidth), rtol=1e-12)
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_fixed_effect_cov_inverts_the_schur_complement(self, setup, family):
@@ -858,9 +860,26 @@ class TestPrecisionBand:
         zx = zd.T @ (w[:, None] * X)
         a = zd.T @ (w[:, None] * zd) + 0.5 * penalty_matrix(pen)
         schur = a - zx @ np.linalg.solve(X.T @ (w[:, None] * X), zx.T)
-        assert_close(fit.cov, fit.dispersion * np.linalg.inv(schur), rtol=1e-10)
+        cov = dense_covariance(fit)
+        assert_close(cov, fit.dispersion * np.linalg.inv(schur), rtol=1e-10)
         # and its band is the fit's covariance band
-        assert_close(fit.cov_band, band_form(fit.cov, fit.cov_band.shape[0] - 1), rtol=1e-12)
+        assert_close(fit.cov_band, band_form(cov, fit.cov_band.shape[0] - 1), rtol=1e-12)
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_widened_covariance_band_is_a_band_of_the_dense_covariance(self, family, p):
+        data, spec, pen = self.fixture(family, 30, 2)
+        rng = np.random.default_rng(6 + p)
+        data = StratumData(y=data.y, z=data.z, family=family, X=rng.normal(size=(data.n, p)))
+        fit = fit_stratum(data, spec, pen, 0.5)
+        cov = dense_covariance(fit)
+        b = fit.cov_band.shape[0] - 1
+        for width in range(0, spec.m + 2):
+            band = fit.covariance_band(width)
+            assert band.shape == (width + 1, spec.m)
+            assert_close(band, band_form(cov, width), rtol=1e-12)
+            if width <= b:  # read from the fit's own band
+                assert np.shares_memory(band, fit.cov_band)
 
 
 def penalized_factors(m, degree, order, lams, seed=0):
@@ -896,6 +915,15 @@ class TestSelectedInverseBand:
             for (ab, _), band in zip(systems, bands):
                 ref = dense_inverse_band(ab)
                 assert np.max(np.abs(band - ref)) <= 1e-12 * np.max(np.abs(ref))
+            # the factors padded with zero rows give the inverses' wider bands
+            b = max(degree, order)
+            inverses = [np.linalg.inv(expand_band(ab)) for ab, _ in systems]
+            for width in range(b, m):
+                padded = np.zeros((n_sys, width + 1, m))
+                padded[:, width - b :] = [factor for _, factor in systems]
+                for inv, band in zip(inverses, selected_inverse_band(padded)):
+                    ref = band_form(inv, width)
+                    assert np.max(np.abs(band - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1026,6 +1054,29 @@ class TestNoDenseCovariance:
             pen = difference_penalty(m, 2)
             fits = [select_lambda(data, spec, pen) for data in strata]
             window_statistics(fits[0], fits[1], spec)
+
+        assert self.traced_peak(run) < 8 * m * m
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_load_model_and_correlation_table_at_m2000(self, tmp_path, p):
+        # diagnose --model reads the bands of fits.json and widens them; the
+        # two dense covariances alone would hold the bound
+        m, n = 2000, 10000
+        rng = np.random.default_rng(45 + p)
+        path = tmp_path / "data.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("y,z,stratum" + ",x_a" * p + "\n")
+            for label, shift in (("1", 0.0), ("2", 0.3)):
+                z, x = rng.uniform(0, 1, n), rng.normal(size=n)
+                y = np.sin(6 * z) + shift * z + 0.5 * p * x + rng.normal(0, 0.3, n)
+                for yi, zi, xi in zip(y, z, x):
+                    fh.write(f"{float(yi)!r},{float(zi)!r},{label}" + f",{float(xi)!r}" * p + "\n")
+        out = tmp_path / "out"
+        argv = ["analyze", "--data", str(path), "--basis-dim", str(m), "--domain", "0", "1", "--lambda", "1"]
+        assert main([*argv, "--out", str(out)]) == 0
+
+        def run():
+            assert main(["diagnose", "--model", str(out / "fits.json"), "--out", str(tmp_path / "diag")]) == 0
 
         assert self.traced_peak(run) < 8 * m * m
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import dense_covariance
 from scipy.special import expit
 from scipy.stats import chi2, kstest
 
@@ -27,17 +28,24 @@ def random_spd(rng, m, diag_boost=None):
 
 
 def make_fit(coef, cov, m):
+    """A fit holding the full-width band of `cov`, as one read from a dense model file."""
     return StratumFit(
         coef=np.asarray(coef, dtype=float),
         beta=np.zeros(0),
         lam=1.0,
         dispersion=1.0,
-        dense_cov=np.asarray(cov, dtype=float),
         edf=float(m),
         family="gaussian",
         deviance=0.0,
         n_obs=100,
+        cov_band=band_form(np.asarray(cov, dtype=float), m - 1),
     )
+
+
+def full_band(*covs):
+    """The full-width upper band of the sum of dense covariances."""
+    v = sum(covs)
+    return band_form(v, v.shape[0] - 1)
 
 
 class TestSlidingInverses:
@@ -240,10 +248,10 @@ class TestChiSquareTail:
                 assert abs(ours - exact) <= 1e-12 * exact
 
 
-def full_sum_stat_covariance(fit1, fit2, spec, k, k2):
+def full_sum_stat_covariance(cov1, cov2, spec, k, k2):
     """window_stat_covariance as first written: blocks read from the full m x m sum V1 + V2."""
     w = spec.degree + 1
-    vsum = fit1.cov + fit2.cov
+    vsum = cov1 + cov2
     sl1, sl2 = slice(k, k + w), slice(k2, k2 + w)
     sigma = np.block([[vsum[sl1, sl1], vsum[sl1, sl2]], [vsum[sl2, sl1], vsum[sl2, sl2]]])
     a = _direct_inverse(vsum[sl1, sl1], k)
@@ -272,7 +280,7 @@ class TestWindowStatisticsFromBands:
                 y = (rng.random(z.size) < expit(eta)).astype(float)
             fits.append(select_lambda(StratumData(y=y, z=z, family=family), spec, pen))
         got = window_statistics(fits[0], fits[1], spec)
-        ref = window_test_series(spec, fits[0].coef - fits[1].coef, fits[0].cov + fits[1].cov)
+        ref = window_test_series(spec, fits[0].coef - fits[1].coef, dense_covariance(fits[0]) + dense_covariance(fits[1]))
         np.testing.assert_allclose(got.T, ref.T, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got.p, ref.p, rtol=1e-12, atol=0.0)
         assert np.array_equal(got.regions, ref.regions)
@@ -303,18 +311,25 @@ class TestWindowStatCovariance:
     def test_block_sum_equals_full_sum_bitwise(self):
         spec = make_basis(0.0, 1.0, 30, 3)
         n_windows = spec.n_regions
-        f1 = make_fit(np.zeros(30), random_spd(self.rng, 30), 30)
-        f2 = make_fit(np.zeros(30), random_spd(self.rng, 30), 30)
+        v1, v2 = random_spd(self.rng, 30), random_spd(self.rng, 30)
         pairs = [(0, 0), (0, 3), (5, 2), (10, 14), (n_windows - 1, 0), (n_windows - 1, n_windows - 1)]
         for k, k2 in pairs:
-            got = window_stat_covariance(f1, f2, spec, k, k2)
-            assert np.array_equal(got, full_sum_stat_covariance(f1, f2, spec, k, k2)), (k, k2)
+            # the band to exactly the offset the pair reaches, and the full band
+            for reach in (abs(k - k2) + spec.degree, 29):
+                got = window_stat_covariance(band_form(v1 + v2, reach), spec, k, k2)
+                assert np.array_equal(got, full_sum_stat_covariance(v1, v2, spec, k, k2)), (k, k2, reach)
+
+    def test_band_short_of_the_pair_is_rejected(self):
+        v_band = band_form(random_spd(self.rng, 14), 4)
+        assert np.isfinite(window_stat_covariance(v_band, self.spec, 3, 5))
+        with pytest.raises(ParameterError, match="does not reach offset 5"):
+            window_stat_covariance(v_band, self.spec, 3, 6)
+        with pytest.raises(ParameterError, match="m=14"):
+            window_stat_covariance(band_form(random_spd(self.rng, 12), 11), self.spec, 0, 0)
 
     def test_self_case_is_chi_square_variance(self):
         cov = random_spd(self.rng, 14)
-        f1 = make_fit(self.rng.normal(size=14), 0.5 * cov, 14)
-        f2 = make_fit(self.rng.normal(size=14), 0.5 * cov, 14)
-        var = window_stat_covariance(f1, f2, self.spec, 2, 2)
+        var = window_stat_covariance(full_band(0.5 * cov, 0.5 * cov), self.spec, 2, 2)
         # T_k is an exact chi-square with d+1 dof under the model
         assert var == pytest.approx(2.0 * (self.spec.degree + 1))
 
@@ -328,10 +343,8 @@ class TestWindowStatCovariance:
         v[idx[:-1] + 1, idx[:-1]] = 1.0
         v[idx[:-2], idx[:-2] + 2] = 0.3
         v[idx[:-2] + 2, idx[:-2]] = 0.3
-        f1 = make_fit(np.zeros(m), 0.5 * v, m)
-        f2 = make_fit(np.zeros(m), 0.5 * v, m)
         for k2 in range(6, 12):
-            cov = window_stat_covariance(f1, f2, self.spec, 0, k2)
+            cov = window_stat_covariance(full_band(0.5 * v, 0.5 * v), self.spec, 0, k2)
             if k2 - 0 > d:
                 assert cov == 0.0
             else:
@@ -348,7 +361,8 @@ class TestWindowStatCovariance:
         fit = fit_stratum(StratumData(y=y, z=z), spec, pen, 1.0)
         anchor = 18
         lags = np.arange(0, 9)
-        corr = [window_stat_correlation(fit, fit, spec, anchor, anchor + l) for l in lags]
+        v_band = 2.0 * fit.covariance_band(lags[-1] + spec.degree)
+        corr = [window_stat_correlation(v_band, spec, anchor, anchor + l) for l in lags]
         assert corr[0] == pytest.approx(1.0)
         assert all(np.diff(corr) < 0)
         logc = np.log(np.maximum(corr[1:], 1e-300))
