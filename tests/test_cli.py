@@ -779,12 +779,19 @@ class TestModelFile:
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_loaded_cov_is_bitwise_the_fit_cov(self, tmp_path, family):
         scn, data1, data2 = make_pair(seed=7, family=family)
-        analyze_to(tmp_path / "out", data1, data2, family=family)
+        model = analyze_to(tmp_path / "out", data1, data2, family=family)
         spec, loaded = load_model(str(tmp_path / "out" / "fits.json"))
+        # the same fits as a format-2 file, which has no border key
+        model["format"] = 2
+        for entry in model["strata"]:
+            del entry["border"]
+        (tmp_path / "format2.json").write_text(json.dumps(model))
+        _, loaded2 = load_model(str(tmp_path / "format2.json"))
         pen = difference_penalty(scn.m, scn.penalty_order)
-        for data, fit in zip((data1, data2), loaded):
+        for data, fit, fit2 in zip((data1, data2), loaded, loaded2):
             direct = select_lambda(data, spec, pen)
             assert_covariance_bands_bitwise_equal(fit, direct, spec.m)
+            assert_covariance_bands_bitwise_equal(fit2, direct, spec.m)
             assert np.array_equal(fit.precision_band, direct.precision_band)
             assert np.array_equal(fit.border, direct.border)
             assert np.array_equal(fit.coef, direct.coef)
