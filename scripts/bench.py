@@ -4,7 +4,7 @@ or compare a change with its parent in alternating pairs.
 
     python3 scripts/bench.py --label baseline
     python3 scripts/bench.py --label mychange --repo ../other-checkout
-    python3 scripts/bench.py --parent ../parent-checkout --pairs 10 --workload simulate_binomial
+    python3 scripts/bench.py --parent ../parent-checkout --pairs 10 --workload analyze_m120 --claim throughput_per_s
 
 With `--label`, for every workload and each of the fixed seeds 1-5 this
 runs a 20 s `perfbench/run.py --trace 0` of the checkout at `--repo`
@@ -20,7 +20,13 @@ once for the same 20 s, the parent first in even pairs and second in odd
 ones, so that drift in the host's speed falls on both sides alike. It
 prints every pair, then per end-to-end metric of BENCHMARK.json each
 side's median and quartiles, the relative change of the medians, and in
-how many pairs the change did better.
+how many pairs the change did better, followed by a verdict line. The
+metric named by `--claim` holds its gain when the change won at least 9 in
+10 of the pairs and its median moved the better way by more than the
+parent's interquartile range. Any other metric is within its bound when
+the change's median is no worse than the parent's by more than the
+BENCHMARK.json bound, and unresolved when either side's interquartile
+range exceeds the bound (relative to its median).
 
 Either way the script exits 1 when any run fails the correctness gate.
 """
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -74,14 +81,32 @@ def summarize(values: list[float]) -> dict:
 
 
 def end_to_end_metrics(repo: str) -> dict:
-    """{metric: "lower" or "higher"}, the end-to-end metrics BENCHMARK.json declares."""
+    """{metric: ("lower" or "higher", relative bound)}, the end-to-end metrics BENCHMARK.json declares."""
     with open(os.path.join(repo, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
 
 
-def compare_pairs(parent: str, change: str, workload: str, pairs: int, first_seed: int) -> bool:
+def verdict(direction: str, bound: float, parent: dict, change: dict, wins: int, pairs: int, claimed: bool) -> str:
+    """The verdict on one metric from both sides' summaries (see the module docstring)."""
+    sign = -1.0 if direction == "lower" else 1.0
+    if claimed:
+        need = math.ceil(0.9 * pairs)
+        gain = sign * (change["median"] - parent["median"])
+        iqr = parent["q3"] - parent["q1"]
+        held = wins >= need and gain > iqr
+        return (f"claimed gain {'holds' if held else 'NOT SHOWN'}: better in {wins}/{pairs} (need {need}), "
+                f"median gain {gain:.4g} against parent IQR {iqr:.4g}")
+    spreads = [(s["q3"] - s["q1"]) / s["median"] if s["median"] else 0.0 for s in (parent, change)]
+    if max(spreads) > bound:
+        return f"unresolved: IQR/median parent {spreads[0]:.1%}, change {spreads[1]:.1%} exceeds the {bound:.0%} bound"
+    limit = parent["median"] * (1.0 - sign * bound)
+    within = sign * (change["median"] - limit) >= 0.0
+    return f"{'within' if within else 'OUTSIDE'} the {bound:.0%} bound: change median {change['median']:.4g}, limit {limit:.4g}"
+
+
+def compare_pairs(parent: str, change: str, workload: str, pairs: int, first_seed: int, claim: str | None) -> bool:
     """Run and report the alternating pairs; False when any run fails the gate."""
-    better = end_to_end_metrics(change)
+    metrics = end_to_end_metrics(change)
     sides = {"parent": [], "change": []}
     ok = True
     for i in range(pairs):
@@ -93,8 +118,8 @@ def compare_pairs(parent: str, change: str, workload: str, pairs: int, first_see
             sides[side].append({name: m["value"] for name, m in result["metrics"].items()})
         print(f"pair {i} seed {seed} ({order[0]} first): "
               + " ".join(f"{name} {sides['parent'][-1][name]:.4g} -> {sides['change'][-1][name]:.4g}"
-                         for name in better), flush=True)
-    for name, direction in better.items():
+                         for name in metrics), flush=True)
+    for name, (direction, bound) in metrics.items():
         before = [run[name] for run in sides["parent"]]
         after = [run[name] for run in sides["change"]]
         wins = sum((a < b) if direction == "lower" else (a > b) for a, b in zip(after, before))
@@ -104,6 +129,7 @@ def compare_pairs(parent: str, change: str, workload: str, pairs: int, first_see
               f"parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
               f"median {shift:+.1%}, parent IQR {p['q3'] - p['q1']:.4g}, change better in {wins}/{pairs}")
+        print(f"{workload} {name} verdict: {verdict(direction, bound, p, c, wins, pairs, name == claim)}")
     return ok
 
 
@@ -116,11 +142,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10, help="number of pairs (with --parent)")
     parser.add_argument("--workload", choices=WORKLOADS, help="workload to compare (with --parent)")
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair (with --parent)")
+    parser.add_argument("--claim", help="end-to-end metric whose gain is claimed (with --parent)")
     args = parser.parse_args(argv)
     if args.parent is not None:
         if args.workload is None or args.pairs < 1:
             parser.error("--parent needs --workload and at least one pair")
-        return 0 if compare_pairs(args.parent, args.repo, args.workload, args.pairs, args.seed) else 1
+        if args.claim is not None and args.claim not in end_to_end_metrics(args.repo):
+            parser.error(f"--claim must name an end-to-end metric of BENCHMARK.json, got {args.claim!r}")
+        return 0 if compare_pairs(args.parent, args.repo, args.workload, args.pairs, args.seed, args.claim) else 1
 
     record = {
         "label": args.label,

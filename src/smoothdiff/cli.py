@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from scipy.linalg.lapack import dpbtrf
 
 from .basis import DesignMatrix, band_form, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
-from .fitting import StratumData, StratumFit, fit_stratum, select_lambda
+from .fitting import StratumData, StratumFit, covariance_bands, fit_stratum, select_lambda
 from .simulate import (
     SimScenario,
     outcome_to_json,
@@ -97,44 +98,61 @@ def _float_tuple(text: str) -> tuple[float, ...]:
 def read_stratum_csv(path: str, stratum_col: str | None = None):
     """Read a 'y,z[,stratum][,x_*]' CSV into columns.
 
-    Returns (y, z, X, strata): X holds the x_* columns (None without any) and
-    strata the stripped labels of `stratum_col` (None when it is None).
+    The header is parsed by `csv`, the data rows by one `np.loadtxt` pass
+    over the used columns: `"` quotes a field, blank lines are skipped,
+    other columns are ignored and `#` is not a comment. Returns
+    (y, z, X, strata): X holds the x_* columns (None without any) and strata
+    the stripped labels of `stratum_col` (None when it is None).
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = [row for row in reader if row]
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise ParameterError(f"{path}: empty file (header row required)")
+            fields = [f.strip() for f in header]
+            if "y" not in fields or "z" not in fields:
+                raise ParameterError(f"{path}: header must contain 'y' and 'z' columns")
+            column = {name: i for i, name in enumerate(fields)}
+            x_cols = [f for f in fields if f.startswith("x_")]
+            numeric = [column["y"], column["z"], *(column[c] for c in x_cols)]
+            label = column.get(stratum_col) if stratum_col is not None else None
+            dtype = [(f"c{j}", "f8") for j in range(len(numeric))]
+            if label is not None:
+                dtype.append(("label", "O"))
+            try:
+                with warnings.catch_warnings():  # a header-only file is reported below
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    table = np.loadtxt(
+                        fh, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                        usecols=numeric if label is None else [*numeric, label], dtype=dtype,
+                    )
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                raise _first_row_error(path, numeric, label, stratum_col, exc) from exc
+            if not table.size:
+                raise ParameterError(f"{path}: no data rows")
+            if stratum_col is not None and label is None:
+                raise _first_row_error(path, numeric, label, stratum_col, None)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
-    if header is None:
-        raise ParameterError(f"{path}: empty file (header row required)")
-    fields = [f.strip() for f in header]
-    if "y" not in fields or "z" not in fields:
-        raise ParameterError(f"{path}: header must contain 'y' and 'z' columns")
-    if not rows:
-        raise ParameterError(f"{path}: no data rows")
-    column = {name: i for i, name in enumerate(fields)}
-    x_cols = [f for f in fields if f.startswith("x_")]
-    numeric = [column["y"], column["z"], *(column[c] for c in x_cols)]
-    label = column.get(stratum_col) if stratum_col is not None else None
-    used = numeric if label is None else [*numeric, label]
-    values = None
-    if (stratum_col is None or label is not None) and min(map(len, rows)) > max(used):
-        columns = list(zip(*rows))
-        try:
-            values = [np.array([float(v) for v in columns[i]]) for i in numeric]
-        except ValueError:
-            pass
-    if values is None:
-        raise _first_row_error(path, rows, numeric, label, stratum_col)
+    values = [np.ascontiguousarray(table[f"c{j}"]) for j in range(len(numeric))]
     X = np.column_stack(values[2:]) if x_cols else None
-    strata = None if label is None else np.array([v.strip() for v in columns[label]])
+    strata = None if label is None else np.char.strip(table["label"].astype(str))
     return values[0], values[1], X, strata
 
 
-def _first_row_error(path, rows, numeric, label, stratum_col) -> ParameterError:
-    """The error of the first malformed data row (rows numbered from 2)."""
+def _first_row_error(path, numeric, label, stratum_col, parse_error) -> ParameterError:
+    """The error of the first malformed data row (rows numbered from 2, blank lines skipped).
+
+    The rows are read again by `csv`, each field converted by `float()`. A
+    row that `float()` accepts and numpy does not (such as '1_000') leaves
+    numpy's own message, `parse_error`.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = [row for row in reader if row]
     for lineno, row in enumerate(rows, 2):
         try:
             for i in numeric:
@@ -143,7 +161,7 @@ def _first_row_error(path, rows, numeric, label, stratum_col) -> ParameterError:
             return ParameterError(f"{path}:{lineno}: non-numeric field ({exc})")
         if stratum_col is not None and (label is None or label >= len(row)):
             return ParameterError(f"{path}:{lineno}: missing stratum column {stratum_col!r}")
-    raise AssertionError("no malformed row")
+    return ParameterError(f"{path}: unreadable data ({parse_error})")
 
 
 def load_strata(config: AnalysisConfig) -> tuple[StratumData, StratumData]:
@@ -593,11 +611,9 @@ def cmd_diagnose(args) -> int:
         anchor = spec.n_regions // 2 - max_lag // 2
         # the 2w x 2w blocks of V1 + V2 lie within max_lag + degree of the diagonal
         reach = max_lag + spec.degree
-        v_band = fits[0].covariance_band(reach) + fits[1].covariance_band(reach)
-        rows = []
-        for lag in range(max_lag + 1):
-            corr = window_stat_correlation(v_band, spec, anchor, anchor + lag)
-            rows.append((lag, float(corr)))
+        band1, band2 = covariance_bands(fits, reach)
+        corr = window_stat_correlation(band1 + band2, spec, anchor, anchor + np.arange(max_lag + 1))
+        rows = [(lag, float(c)) for lag, c in enumerate(corr)]
         path = os.path.join(args.out, "correlation_table.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("lag,correlation\n")

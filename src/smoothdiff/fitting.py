@@ -29,7 +29,8 @@ fit keeps the covariance band (`cov_band`), A's band (`precision_band`)
 and B (`border`), and holds its covariance in no other form: a wider band
 (`covariance_band`) comes from the same recurrence on A's band padded
 with zero rows, which is exact, as an entry inside the padded width reads
-only entries inside it.
+only entries inside it. `covariance_bands` widens several fits in one
+recurrence.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "StratumData",
     "StratumFit",
     "band_covariance",
+    "covariance_bands",
     "fit_stratum",
     "select_lambda",
     "selected_inverse_band",
@@ -138,15 +140,30 @@ class StratumFit:
     border: np.ndarray | None = field(default=None, repr=False)
 
     def covariance_band(self, bandwidth: int) -> np.ndarray:
-        """Upper band of the posterior covariance to offset `bandwidth`.
+        """Upper band of the posterior covariance to offset `bandwidth` (`covariance_bands` of this fit alone)."""
+        return covariance_bands([self], bandwidth)[0]
 
-        Read from `cov_band` when it is that wide; otherwise widened from
-        `precision_band` and `border`, without forming an m x m matrix.
-        """
-        band = self.cov_band
+
+def covariance_bands(fits: list[StratumFit], bandwidth: int) -> list[np.ndarray]:
+    """Upper band of each fit's posterior covariance to offset `bandwidth`.
+
+    A fit whose `cov_band` is that wide is sliced. The others are widened
+    from `precision_band` and `border` without forming an m x m matrix, all
+    fits whose precision bands share a shape in one `_unit_covariance_band`
+    call; each band is the one the fit would get alone.
+    """
+    bands = [f.cov_band for f in fits]
+    groups: dict[tuple, list[int]] = {}
+    for i, band in enumerate(bands):
         if band is None or band.shape[0] <= bandwidth:
-            band = self.dispersion * _unit_covariance_band(self.precision_band, self.border, bandwidth)
-        return band[band.shape[0] - 1 - bandwidth :]
+            groups.setdefault(fits[i].precision_band.shape, []).append(i)
+    for group in groups.values():
+        unit = _unit_covariance_band(
+            np.stack([fits[i].precision_band for i in group]), [fits[i].border for i in group], bandwidth
+        )
+        for i, u in zip(group, unit):
+            bands[i] = fits[i].dispersion * u
+    return [band[band.shape[0] - 1 - bandwidth :] for band in bands]
 
 
 def penalized_inverse(ab: np.ndarray) -> np.ndarray:
@@ -509,21 +526,26 @@ def _border_bands(borders: np.ndarray, b: int) -> np.ndarray:
     return out
 
 
-def _unit_covariance_band(precision_band: np.ndarray, border: np.ndarray, bandwidth: int) -> np.ndarray:
-    """The upper band of A^{-1} + BB' to offset max(bandwidth, b), b A's half-bandwidth.
+def _unit_covariance_band(precision_bands: np.ndarray, borders: list, bandwidth: int) -> np.ndarray:
+    """The upper bands of A^{-1} + BB' to offset max(bandwidth, b) for a (k, b+1, m) stack of A's bands.
 
-    A's band padded with zero rows to that width is factored again, and the
-    selected inverse of its factor, zero outside A's band, is exact at the
-    padded width.
+    Each band of A padded with zero rows to that width is factored again,
+    and one `selected_inverse_band` call over the k factors, each zero
+    outside its A's band, is exact at the padded width. `borders` holds
+    each system's m x p border B.
     """
-    b, m = precision_band.shape[0] - 1, precision_band.shape[1]
-    width = max(bandwidth, b)
-    padded = np.zeros((width + 1, m))
-    padded[width - b :] = precision_band
-    factor, info = _pbtrf(padded)
-    if info:
-        raise _not_positive_definite(info)
-    return (selected_inverse_band(factor[None]) + _border_bands(border[None], width))[0]
+    k, rows, m = precision_bands.shape
+    width = max(bandwidth, rows - 1)
+    padded = np.zeros((k, width + 1, m))
+    padded[:, width + 1 - rows :] = precision_bands
+    factors = []
+    for band in padded:
+        factor, info = _pbtrf(band)
+        if info:
+            raise _not_positive_definite(info)
+        factors.append(factor)
+    outer = [_border_bands(border[None], width)[0] for border in borders]
+    return selected_inverse_band(np.stack(factors)) + np.stack(outer)
 
 
 def _selected_inverses(systems: list[_BandSystem], penalty_band: np.ndarray):

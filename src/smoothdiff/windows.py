@@ -12,6 +12,8 @@ The covariance of two statistics, which the dependence diagnostics report,
 is read from the 2w x 2w block of V1 + V2 on both windows. That block lies
 within lag + degree of the diagonal, so it is gathered from V's band to
 that offset, as the w x w blocks are from V's band to offset degree.
+`window_stat_correlation` takes a vector of windows and inverts each
+window and computes each variance once for all of them.
 
 `sliding_inverses` is the incremental scheme of the method: each window's
 inverse comes from its predecessor's by deleting the leading row/column and
@@ -200,6 +202,34 @@ def window_statistics(
     return _window_series(spec, fit1.coef - fit2.coef, blocks)
 
 
+def _check_pairs(v_band: np.ndarray, spec: BasisSpec, k: int, k2: np.ndarray) -> None:
+    n_windows = spec.n_regions
+    if not (0 <= k < n_windows and np.all((0 <= k2) & (k2 < n_windows))):
+        raise ParameterError(f"window indices must lie in [0, {n_windows})")
+    reach = int(np.max(np.abs(k - k2))) + spec.degree
+    if v_band.shape[1] != spec.m or v_band.shape[0] <= reach:
+        raise ParameterError(
+            f"covariance band of shape {v_band.shape} does not reach offset {reach} at m={spec.m}"
+        )
+
+
+def _stat_covariance(v_band: np.ndarray, spec: BasisSpec, k: int, k2: int, precisions: dict) -> float:
+    """Cov(T_k, T_k2) from the 2w x 2w block of V on both windows.
+
+    `precisions` caches each window's symmetrized inverse by window index,
+    so that a window shared by several pairs is inverted once.
+    """
+    w = spec.degree + 1
+    idx = np.r_[k : k + w, k2 : k2 + w]
+    sigma = _band_entries(v_band, idx[:, None], idx[None, :])
+    for j, block in ((k, sigma[:w, :w]), (k2, sigma[w:, w:])):
+        if j not in precisions:
+            inv = _direct_inverse(block, j)
+            precisions[j] = 0.5 * (inv + inv.T)
+    problem = QuadFormProblem(A=precisions[k], B=precisions[k2], sigma=sigma)
+    return cov_quadratic_forms(problem)
+
+
 def window_stat_covariance(v_band: np.ndarray, spec: BasisSpec, k: int, k2: int) -> float:
     """Covariance of the window statistics T_k and T_k2 under the fitted model.
 
@@ -210,25 +240,31 @@ def window_stat_covariance(v_band: np.ndarray, spec: BasisSpec, k: int, k2: int)
     window precision, so the quadratic-form covariance identity applies.
     Only the 2w x 2w block of V on the two windows is gathered.
     """
-    w = spec.degree + 1
-    n_windows = spec.n_regions
-    if not (0 <= k < n_windows and 0 <= k2 < n_windows):
-        raise ParameterError(f"window indices must lie in [0, {n_windows})")
-    if v_band.shape[1] != spec.m or v_band.shape[0] <= abs(k - k2) + spec.degree:
-        raise ParameterError(
-            f"covariance band of shape {v_band.shape} does not reach offset {abs(k - k2) + spec.degree} at m={spec.m}"
-        )
-    idx = np.r_[k : k + w, k2 : k2 + w]
-    sigma = _band_entries(v_band, idx[:, None], idx[None, :])
-    a = _direct_inverse(sigma[:w, :w], k)
-    b = _direct_inverse(sigma[w:, w:], k2)
-    problem = QuadFormProblem(A=0.5 * (a + a.T), B=0.5 * (b + b.T), sigma=sigma)
-    return cov_quadratic_forms(problem)
+    _check_pairs(v_band, spec, k, np.asarray(k2))
+    return _stat_covariance(v_band, spec, k, k2, {})
 
 
-def window_stat_correlation(v_band: np.ndarray, spec: BasisSpec, k: int, k2: int) -> float:
-    """Correlation of T_k and T_k2 implied by window_stat_covariance."""
-    cov = window_stat_covariance(v_band, spec, k, k2)
-    var1 = window_stat_covariance(v_band, spec, k, k)
-    var2 = window_stat_covariance(v_band, spec, k2, k2)
-    return cov / np.sqrt(var1 * var2)
+def window_stat_correlation(v_band: np.ndarray, spec: BasisSpec, k: int, k2):
+    """Correlation of T_k and T_k2 implied by window_stat_covariance.
+
+    `k2` is one window index (a float is returned) or a vector of them (an
+    array, one correlation per entry). Each distinct window is inverted once
+    and each variance computed once, so the vector form equals the scalar
+    one entry by entry, bit for bit.
+    """
+    others = np.ravel(k2)
+    _check_pairs(v_band, spec, k, others)
+    precisions: dict = {}
+    variances: dict = {}
+
+    def variance(j: int) -> float:
+        if j not in variances:
+            variances[j] = _stat_covariance(v_band, spec, j, j, precisions)
+        return variances[j]
+
+    corr = [
+        (variance(k) if j == k else _stat_covariance(v_band, spec, k, j, precisions))
+        / np.sqrt(variance(k) * variance(j))
+        for j in others.tolist()
+    ]
+    return corr[0] if np.ndim(k2) == 0 else np.array(corr)

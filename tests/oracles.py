@@ -27,10 +27,15 @@ generalized eigensolve that scored the Gaussian grid, and
 `pointwise_variance` the dense diag(D cov D') that the curves used.
 A fit holds its covariance only as bands; `dense_covariance` is the dense
 m x m matrix they are bands of, which fits once carried as `fit.cov`.
+
+`smoothdiff.cli.read_stratum_csv` parses the data rows with `np.loadtxt`;
+`read_stratum_csv_by_float` is the `csv` reader with one `float()` per field
+that it replaced, and must give the same columns bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -270,3 +275,25 @@ def per_lambda_band_solve(dm, data, penalty_band, lam):
         f"IRLS failed to converge in {fitting.MAX_IRLS_ITER} iterations; "
         f"deviance trace tail {trace[-4:]}"
     )
+
+
+def read_stratum_csv_by_float(path, stratum_col=None):
+    """(y, z, X, strata) of a 'y,z[,stratum][,x_*]' CSV read by `csv` and `float()`.
+
+    Blank rows are skipped and columns past the used ones ignored. Raises
+    ValueError or IndexError on a malformed row; the library's messages are
+    not reproduced.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        fields = [f.strip() for f in next(reader)]
+        rows = [row for row in reader if row]
+    column = {name: i for i, name in enumerate(fields)}
+    x_cols = [f for f in fields if f.startswith("x_")]
+    numeric = [column["y"], column["z"], *(column[c] for c in x_cols)]
+    values = [np.array([float(row[i]) for row in rows]) for i in numeric]
+    X = np.column_stack(values[2:]) if x_cols else None
+    strata = None
+    if stratum_col is not None:
+        strata = np.array([row[column[stratum_col]].strip() for row in rows])
+    return values[0], values[1], X, strata

@@ -1,19 +1,36 @@
 import importlib.util
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import dense_covariance, dense_design, pointwise_variance
+from oracles import dense_covariance, dense_design, pointwise_variance, read_stratum_csv_by_float
 
 from smoothdiff import simulate
 from smoothdiff.basis import band_form, design_matrix, difference_penalty, make_basis
-from smoothdiff.cli import CURVE_GRID_POINTS, band_pointwise_variance, load_model, main, write_stratum_csv
-from smoothdiff.fitting import StratumData, select_lambda
+from smoothdiff.cli import (
+    CURVE_GRID_POINTS,
+    band_pointwise_variance,
+    load_model,
+    main,
+    read_stratum_csv,
+    write_stratum_csv,
+)
+from smoothdiff.fitting import StratumData, covariance_bands, select_lambda
 from smoothdiff.simulate import SimScenario, gen_coefficients, gen_stratum, replicate_rng
 from smoothdiff.tdp import threshold_regions
-from smoothdiff.windows import window_statistics
+from smoothdiff.windows import window_stat_correlation, window_statistics
+
+
+def load_script(name):
+    """The module of scripts/<name>.py."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    loader = importlib.util.spec_from_file_location(name, script)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
 
 
 def make_pair(seed=42, m_delta=2.0, family="gaussian", n=700):
@@ -389,6 +406,99 @@ class TestAnalyze:
         assert first[2] <= first[1] <= first[3]
 
 
+def number_text(rng, values):
+    """Each value as repr or '%.12g' text, with rounding-edge and special values mixed in."""
+    specials = ["5e-324", "2.2250738585072014e-308", "1e-310", "inf", "-inf", "nan", "-0.0",
+                "1E5", "+3.5", ".5", "7.", "1.7976931348623157e308", "0.1", "-1e-7"]
+    out = [repr(float(v)) if i % 2 else "%.12g" % v for i, v in enumerate(values)]
+    for i in rng.choice(len(out), size=len(specials), replace=False):
+        out[i] = specials[int(i) % len(specials)]
+    return out
+
+
+def csv_case(case, rng, n=200):
+    """(file bytes, stratum column) of a two-stratum table written in one reader-parity style."""
+    cols = {"y": number_text(rng, rng.normal(5, 3, n)), "z": number_text(rng, rng.uniform(0, 100, n))}
+    if case in ("x_columns", "stratum_first"):
+        cols["x_a"] = number_text(rng, rng.normal(size=n))
+        cols["x_b"] = number_text(rng, 1e3 * rng.normal(size=n))
+    if case == "word_labels":
+        labels = ["left" if i % 3 else "right" for i in range(n)]
+    else:
+        labels = [str(1 + i % 2) for i in range(n)]
+    if case == "stratum_first":
+        cols = {"stratum": labels, **cols}
+    elif case != "no_stratum":
+        cols["stratum"] = labels
+    names = list(cols)
+    rows = [[cols[c][i] for c in names] for i in range(n)]
+    end = "\n"
+    if case == "crlf":
+        end = "\r\n"
+    elif case == "quoted":
+        rows = [[f'"{v}"' for v in row] for row in rows]
+    elif case == "spaced":
+        rows = [[f" {v}  " if i % 2 else f"  {v} " for v in row] for i, row in enumerate(rows)]
+    elif case == "extra_columns":
+        names.append("note")
+        rows = [row + ["x"] * (1 + i % 3) for i, row in enumerate(rows)]
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    if case == "blank_lines":
+        lines = [text for i, line in enumerate(lines) for text in ([line, ""] if i % 7 == 3 else [line])] + [""]
+    return (end.join(lines) + end).encode(), None if case == "no_stratum" else "stratum"
+
+
+def assert_same_columns(got, want):
+    for name, a, b in zip(("y", "z", "X"), got[:3], want[:3]):
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape, name
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name  # bitwise, NaN and -0.0 included
+    if want[3] is None:
+        assert got[3] is None
+    else:
+        assert got[3].tolist() == want[3].tolist()
+
+
+class TestCsvReader:
+    """read_stratum_csv parses data rows with numpy; the csv + float() reader is its oracle."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["plain", "no_stratum", "x_columns", "crlf", "quoted", "spaced", "extra_columns",
+         "stratum_first", "word_labels", "blank_lines"],
+    )
+    def test_columns_bitwise_equal_to_float_reader(self, tmp_path, case):
+        content, col = csv_case(case, np.random.default_rng(len(case)))
+        path = tmp_path / "d.csv"
+        path.write_bytes(content)
+        assert_same_columns(read_stratum_csv(str(path), col), read_stratum_csv_by_float(path, col))
+
+    def test_synth_gait_file_bitwise_equal_to_float_reader(self, tmp_path):
+        path = tmp_path / "gait.csv"
+        load_script("demo_analysis").synth_gait(str(path), n=500, seed=4)
+        got = read_stratum_csv(str(path), "stratum")
+        assert_same_columns(got, read_stratum_csv_by_float(path, "stratum"))
+        assert got[0].size == 1000 and got[0].flags.c_contiguous and got[1].flags.c_contiguous
+
+    def test_number_float_accepts_and_numpy_rejects_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("y,z,stratum\n1,0.5,1\n1_000,0.6,2\n")
+        assert main(["analyze", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: unreadable data (could not convert string '1_000' to float64 at row 1, column 1" in err
+        assert "Traceback" not in err
+
+    def test_header_only_file_exits_2_without_warning(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("y,z,stratum\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "bad.csv: no data rows" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_unknown_preset_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -762,17 +872,37 @@ def correlations(table: bytes) -> np.ndarray:
 
 def check_model_file(path) -> int:
     """scripts/check_model_file.py's exit code on `path`."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "check_model_file.py"
-    loader = importlib.util.spec_from_file_location("check_model_file", script)
-    module = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(module)
-    return module.main([str(path)])
+    return load_script("check_model_file").main([str(path)])
 
 
 def assert_covariance_bands_bitwise_equal(loaded, direct, m):
     # from the fit's own band up to the full width, as diagnose widens them
     for width in range(m):
         assert np.array_equal(loaded.covariance_band(width), direct.covariance_band(width)), width
+
+
+def write_format_1(model, fits, path):
+    """`model` (a fits.json dict) rewritten as a format-1 file holding each fit's dense cov; its path."""
+    model = json.loads(json.dumps(model))
+    del model["format"]
+    for entry, fit in zip(model["strata"], fits):
+        del entry["precision_band"], entry["border"]
+        entry["cov"] = [[float(v) for v in row] for row in dense_covariance(fit)]
+    path.write_text(json.dumps(model, sort_keys=True, indent=1))
+    return path
+
+
+def per_lag_correlation_table(model_path, max_lag) -> bytes:
+    """correlation_table.csv from one widening per fit and one scalar correlation per lag."""
+    spec, fits = load_model(str(model_path))
+    max_lag = min(max_lag, spec.n_regions - 1)
+    anchor = spec.n_regions // 2 - max_lag // 2
+    reach = max_lag + spec.degree
+    v_band = fits[0].covariance_band(reach) + fits[1].covariance_band(reach)
+    lines = ["lag,correlation"]
+    for lag in range(max_lag + 1):
+        lines.append(f"{lag},{float(window_stat_correlation(v_band, spec, anchor, anchor + lag))!r}")
+    return ("\n".join(lines) + "\n").encode()
 
 
 class TestModelFile:
@@ -815,13 +945,7 @@ class TestModelFile:
         _, data1, data2 = make_pair(seed=13, n=800)
         model = analyze_to(tmp_path / "out", data1, data2)
         path3 = tmp_path / "out" / "fits.json"
-        _, fits = load_model(str(path3))
-        del model["format"]
-        for entry, fit in zip(model["strata"], fits):
-            del entry["precision_band"], entry["border"]
-            entry["cov"] = [[float(v) for v in row] for row in dense_covariance(fit)]
-        path1 = tmp_path / "dense.json"
-        path1.write_text(json.dumps(model, sort_keys=True, indent=1))
+        path1 = write_format_1(model, load_model(str(path3))[1], tmp_path / "dense.json")
         dense, banded = diagnose_files(path1, tmp_path / "d1"), diagnose_files(path3, tmp_path / "d2")
         np.testing.assert_allclose(correlations(dense[0]), correlations(banded[0]), rtol=1e-12, atol=0.0)
         # one file gives the same bytes every time
@@ -851,6 +975,28 @@ class TestModelFile:
         diag = tmp_path / "diag"
         assert main(["diagnose", "--model", str(tmp_path / "out" / "fits.json"), "--out", str(diag)]) == 0
         assert (diag / "correlation_table.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["plain", "fixed_effect", "dense_format_1"])
+    def test_one_call_widening_and_vector_correlations_match_per_fit_and_per_lag(self, tmp_path, kind):
+        if kind == "fixed_effect":
+            analyze_fixed_effect_to(tmp_path / "out")
+        else:
+            _, data1, data2 = make_pair(seed=13, n=800)
+            model = analyze_to(tmp_path / "out", data1, data2)
+        path = tmp_path / "out" / "fits.json"
+        if kind == "dense_format_1":
+            path = write_format_1(model, load_model(str(path))[1], tmp_path / "dense.json")
+        spec, fits = load_model(str(path))
+        if kind == "dense_format_1":  # held wide enough: sliced, not widened
+            assert fits[0].border is None and fits[0].cov_band.shape == (spec.m, spec.m)
+        else:
+            assert fits[0].border.shape == (spec.m, int(kind == "fixed_effect"))
+        for width in range(spec.degree, spec.m):
+            both = covariance_bands(fits, width)
+            for band, fit in zip(both, fits):
+                assert np.array_equal(band, fit.covariance_band(width)), width
+        table, _ = diagnose_files(path, tmp_path / "diag")
+        assert table == per_lag_correlation_table(path, 6)
 
     def test_check_model_file_script(self, tmp_path, capsys):
         _, data1, data2 = make_pair(seed=7)

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from smoothdiff.fitting import (
     StratumData,
     _binomial_deviance,
     band_covariance,
+    covariance_bands,
     default_lambda_grid,
     fit_stratum,
     penalized_inverse,
@@ -880,6 +882,18 @@ class TestPrecisionBand:
             assert_close(band, band_form(cov, width), rtol=1e-12)
             if width <= b:  # read from the fit's own band
                 assert np.shares_memory(band, fit.cov_band)
+
+    def test_covariance_bands_of_mixed_fits_equal_each_fit_alone(self):
+        data, spec, pen = self.fixture("gaussian", 30, 2)
+        rng = np.random.default_rng(9)
+        bordered = StratumData(y=data.y, z=data.z, X=rng.normal(size=(data.n, 2)))
+        fits = [fit_stratum(data, spec, pen, 0.5), fit_stratum(bordered, spec, pen, 2.0)]
+        # a band of another shape (penalty order 3) and one held at full width, as a format-1 file gives
+        fits.append(fit_stratum(data, spec, difference_penalty(30, 3), 1.0))
+        fits.append(replace(fits[0], cov_band=band_form(dense_covariance(fits[0]), 29), precision_band=None))
+        for width in range(0, spec.m):
+            for band, fit in zip(covariance_bands(fits, width), fits):
+                assert np.array_equal(band, fit.covariance_band(width)), width
 
 
 def penalized_factors(m, degree, order, lams, seed=0):

@@ -371,3 +371,51 @@ class TestWindowStatCovariance:
         ss_tot = np.sum((logc - logc.mean()) ** 2)
         assert slope < 0
         assert 1 - ss_res / ss_tot > 0.9
+
+
+def per_pair_correlation(v_band, spec, k, k2):
+    """Corr(T_k, T_k2) from three separate window_stat_covariance calls, each inverting its own windows."""
+    cov = window_stat_covariance(v_band, spec, k, k2)
+    var1 = window_stat_covariance(v_band, spec, k, k)
+    var2 = window_stat_covariance(v_band, spec, k2, k2)
+    return cov / np.sqrt(var1 * var2)
+
+
+class TestWindowStatCorrelationVector:
+    def setup_method(self):
+        self.spec = make_basis(0.0, 1.0, 30, 3)
+        rng = np.random.default_rng(21)
+        self.v_band = full_band(random_spd(rng, 30), random_spd(rng, 30))
+
+    @pytest.mark.parametrize("k, k2", [(12, np.arange(12, 23)), (5, [9, 0, 5, 9, 26, 2])])
+    def test_vector_equals_per_pair_loop_bitwise(self, k, k2):
+        got = window_stat_correlation(self.v_band, self.spec, k, np.asarray(k2))
+        want = [per_pair_correlation(self.v_band, self.spec, k, int(j)) for j in k2]
+        assert got.shape == (len(want),)
+        assert np.array_equal(got, want)
+        assert [window_stat_correlation(self.v_band, self.spec, k, int(j)) for j in k2] == want
+
+    def test_each_window_inverted_and_each_variance_computed_once(self, monkeypatch):
+        from smoothdiff import windows
+
+        calls = {"inverse": 0, "quad": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(windows, "_direct_inverse", counted("inverse", windows._direct_inverse))
+        monkeypatch.setattr(windows, "cov_quadratic_forms", counted("quad", windows.cov_quadratic_forms))
+        window_stat_correlation(self.v_band, self.spec, 8, 8 + np.arange(11))
+        # 11 windows; 11 variances and 10 covariances between distinct windows
+        assert calls == {"inverse": 11, "quad": 21}
+
+    def test_vector_checks_the_farthest_pair(self):
+        band = band_form(random_spd(np.random.default_rng(3), 30), 6)
+        assert np.all(np.isfinite(window_stat_correlation(band, self.spec, 10, np.array([10, 13]))))
+        with pytest.raises(ParameterError, match="does not reach offset 7"):
+            window_stat_correlation(band, self.spec, 10, np.array([10, 14, 12]))
+        with pytest.raises(ParameterError, match="window indices must lie in"):
+            window_stat_correlation(band, self.spec, 10, np.array([10, 27]))
