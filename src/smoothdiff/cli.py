@@ -608,7 +608,8 @@ def cmd_diagnose(args) -> int:
     else:
         spec, fits = load_model(args.model)
         max_lag = min(args.max_lag, spec.n_regions - 1)
-        anchor = spec.n_regions // 2 - max_lag // 2
+        # centred, but no later than the last anchor whose farthest lag is a window
+        anchor = min(spec.n_regions // 2 - max_lag // 2, spec.n_regions - 1 - max_lag)
         # the 2w x 2w blocks of V1 + V2 lie within max_lag + degree of the diagonal
         reach = max_lag + spec.degree
         band1, band2 = covariance_bands(fits, reach)

@@ -7,7 +7,7 @@ grid (`select_lambda`) and then treated as fixed, or given (`fit_stratum`).
 The spline coefficients c and fixed effects beta (columns X, p >= 0) solve
 [[A, Zx], [Zx', X'WX]] [c; beta] = [Z'Wu; X'Wu] with Zx = Z'WX, and
 A = Z'WZ + lambda S exists only as its upper band. One banded Cholesky
-solve (LAPACK pbtrf/pbtrs) of A on [Z'Wu | Zx] gives c0 and V; the p x p
+solve (LAPACK dpbsv) of A on [Z'Wu | Zx] gives c0 and V; the p x p
 Schur complement S_x = X'WX - Zx'V = LL' gives beta, and c = c0 - V beta.
 `_grid_systems` solves a lambda grid in lockstep: a block of lambdas
 advances together with every per-observation array laid out as (block, n),
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.lapack import dpbtrf as _pbtrf, dpbtrs as _pbtrs
+from scipy.linalg.lapack import dpbsv as _pbsv, dpbtrf as _pbtrf
 from scipy.special import expit
 
 from .basis import (
@@ -250,27 +250,30 @@ def _band_solve(
     (k, m, c) stack of c right-hand sides each, or one shared (m, c).
     Returns (ab, factors, sols, errors): A's upper bands, their upper
     Cholesky factors and the solutions, stacked over the block, and per
-    system None or the NumericalError of a system that is not positive
-    definite (its factor is then meaningless and its solutions zero). Each
-    system is factored and solved by LAPACK pbtrf/pbtrs on its own, so its
-    result does not depend on the rest of the block; one finiteness check
-    covers the block, as scipy's wrappers check each.
+    system None or the NumericalError of a system that has a non-finite
+    entry in A or its right-hand sides, or is not positive definite (its
+    factor is then meaningless and its solutions zero). Each system is
+    factored and solved by one LAPACK dpbsv call (pbtrf then pbtrs) on its
+    own, so its result does not depend on the rest of the block.
     """
-    ab = lams[:, None, None] * penalty_band
-    ab[:, ab.shape[1] - gram.shape[-2] :] += gram
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite system fails below
+        ab = lams[:, None, None] * penalty_band
+        ab[:, ab.shape[1] - gram.shape[-2] :] += gram
     rhs = np.broadcast_to(rhs, (lams.size, *rhs.shape[-2:]))
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
+    finite = np.isfinite(ab).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
     factors = np.empty_like(ab)
     sols = np.zeros(rhs.shape)
     errors = [None] * lams.size
     for j in range(lams.size):
-        factor, info = _pbtrf(ab[j])
+        if not finite[j]:
+            errors[j] = NumericalError(f"penalized system at lambda {float(lams[j])!r} has non-finite entries")
+            continue
+        factor, sol, info = _pbsv(ab[j], rhs[j])
         if info:
             errors[j] = _not_positive_definite(info)
             continue
         factors[j] = factor
-        sols[j] = _pbtrs(factor, rhs[j])[0]
+        sols[j] = sol
     return ab, factors, sols, errors
 
 
@@ -378,21 +381,37 @@ def _check_identifiable(dm: DesignMatrix, X: np.ndarray, order: int) -> None:
             )
 
 
-def _dispersion(data: StratumData, deviance: float, edf: float) -> float:
-    """RSS / (n - edf) for a Gaussian fit (0 for an exact fit that exhausts n); 1 for a binomial one."""
+def _dispersion(data: StratumData, deviance: float, edf: float, yss: float) -> float:
+    """RSS / (n - edf) for a Gaussian fit, 1 for a binomial one.
+
+    0 for a rounding-level RSS (`_flushed`, given y'y as `yss`) or an exact
+    fit that exhausts n.
+    """
     if data.family == "binomial":
         return 1.0
+    if _flushed(data, deviance, yss):
+        return 0.0
     denom = data.n - edf
     if denom > 0:
         return deviance / denom
-    if deviance <= 1e-12 * (float(data.y @ data.y) + 1.0):
+    if deviance <= 1e-12 * (yss + 1.0):
         return 0.0  # saturated interpolation
     raise NumericalError(f"effective degrees of freedom {edf:.2f} exhaust the sample size {data.n}")
 
 
-def _binomial_deviance(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Deviance of 0/1 outcomes, one per row of mu: the saturated terms y log y vanish."""
-    return 2.0 * np.sum(-np.log(np.where(y > 0, mu, 1.0 - mu)), axis=-1)
+def _binomial_deviance(y: np.ndarray, mu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Deviance of 0/1 outcomes, one per row of mu: the saturated terms y log y vanish.
+
+    2 sum -log|mu + (y - 1)|, branch-free and exactly the terms -log mu
+    where y = 1 and -log(1 - mu) where y = 0: mu + 0 is mu, and mu - 1 is
+    -(1 - mu) bit for bit, as IEEE subtraction rounds sign-symmetrically.
+    `out`, shaped like mu and possibly mu itself, holds the terms.
+    """
+    terms = np.add(mu, y - 1.0, out=out)
+    np.abs(terms, out=terms)
+    np.log(terms, out=terms)
+    np.negative(terms, out=terms)
+    return 2.0 * np.sum(terms, axis=-1)
 
 
 def _start(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -471,7 +490,9 @@ def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarra
     Every per-observation array is (live, n), one row per lambda still
     iterating. A lambda leaves the block when it converges, fails to
     factor, diverges or runs out of iterations, keeping its own deviance
-    trace and error; the first iteration's weights are shared by all.
+    trace and error; the first iteration's weights are shared by all. The
+    weights, working response and deviance terms of each step are written
+    into three buffers allocated once per block, viewed at mu's shape.
     """
     y, X = data.y, data.X
     mu, eta, start = _start(y)
@@ -479,36 +500,47 @@ def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarra
     traces = [[start] for _ in lams]
     out: list = [None] * lams.size
     live = np.arange(lams.size)
+    buffers = np.empty((3, lams.size * data.n))
     for n_iter in range(1, MAX_IRLS_ITER + 1):
-        w = np.clip(mu * (1.0 - mu), 1e-10, None)
-        u = eta + (y - mu) / w
+        w, u = (buf[: mu.size].reshape(mu.shape) for buf in buffers[:2])
+        np.subtract(1.0, mu, out=w)
+        np.multiply(mu, w, out=w)
+        np.maximum(w, 1e-10, out=w)
+        np.subtract(y, mu, out=u)
+        np.divide(u, w, out=u)
+        np.add(eta, u, out=u)
         gram = dm.gram_band(w)
         gram = np.broadcast_to(gram, (live.size, *gram.shape[-2:]))
         zr, xr = _cross_products(dm, X, u, w)
         ab, factors, sols, errors = _band_solve(penalty_band, lams[live], gram, zr)
         coefs, betas, borders = _eliminate_border(sols, zr, xr, errors)
-        for j, error in enumerate(errors):
-            if error is not None:
-                out[live[j]] = error
-        ok = np.flatnonzero([e is None for e in errors])
-        live, deviance, gram, ab, factors, coefs, betas, borders = (
-            a[ok] for a in (live, deviance, gram, ab, factors, coefs, betas, borders)
-        )
+        if any(e is not None for e in errors):
+            for j, error in enumerate(errors):
+                if error is not None:
+                    out[live[j]] = error
+            ok = np.flatnonzero([e is None for e in errors])
+            live, deviance, gram, ab, factors, coefs, betas, borders = (
+                a[ok] for a in (live, deviance, gram, ab, factors, coefs, betas, borders)
+            )
         eta = _predict(dm, X, coefs, betas)
-        diverged = np.max(np.abs(eta), axis=1) > ETA_DIVERGENCE
+        diverged = np.maximum(eta.max(axis=1), -eta.min(axis=1)) > ETA_DIVERGENCE
         mu = expit(eta)
-        new_deviance = _binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12))
+        terms = buffers[2, : mu.size].reshape(mu.shape)
+        new_deviance = _binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12, out=terms), out=terms)
         converged = _converged(new_deviance, deviance) & ~diverged
-        for j, i in enumerate(live):
-            traces[i].append(float(new_deviance[j]))
+        for j, (i, dev) in enumerate(zip(live.tolist(), new_deviance.tolist())):
+            traces[i].append(dev)
             if diverged[j]:
                 out[i] = NumericalError("linear predictor diverged (complete or quasi-complete separation)")
             elif converged[j]:
                 out[i] = _BandSystem(
-                    float(lams[i]), coefs[j], betas[j], traces[i][-1], gram[j], ab[j], factors[j], borders[j], n_iter
+                    float(lams[i]), coefs[j], betas[j], dev, gram[j], ab[j], factors[j], borders[j], n_iter
                 )
         going = ~(diverged | converged)
-        live, deviance, eta, mu = live[going], new_deviance[going], eta[going], mu[going]
+        if going.all():
+            deviance = new_deviance
+        else:
+            live, deviance, eta, mu = live[going], new_deviance[going], eta[going], mu[going]
         if not live.size:
             return out
     for i in live:
@@ -566,9 +598,9 @@ def _selected_inverses(systems: list[_BandSystem], penalty_band: np.ndarray):
     ]
 
 
-def _band_fit(data: StratumData, system: _BandSystem, band: np.ndarray, edf: float) -> StratumFit:
-    """The fit of a solved system, given its unit-dispersion covariance band and its edf."""
-    dispersion = _dispersion(data, system.deviance, edf)
+def _band_fit(data: StratumData, system: _BandSystem, band: np.ndarray, edf: float, yss: float) -> StratumFit:
+    """The fit of a solved system, given its unit-dispersion covariance band, its edf and y'y (`yss`)."""
+    dispersion = _dispersion(data, system.deviance, edf, yss)
     return StratumFit(
         coef=system.coef,
         beta=system.beta,
@@ -598,11 +630,12 @@ def _grid_fits(dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: Penalt
     solved = _grid_systems(dm, data, penalty_band, lams)
     systems = [s for s in solved if isinstance(s, _BandSystem)]
     selected = iter(_selected_inverses(systems, penalty_band) if systems else [])
+    yss = float(data.y @ data.y)
     out = []
     for result in solved:
         if isinstance(result, _BandSystem):
             try:
-                result = _band_fit(data, *next(selected))
+                result = _band_fit(data, *next(selected), yss)
             except NumericalError as exc:
                 result = exc
         out.append(result)
@@ -638,10 +671,14 @@ def default_lambda_grid(dm: DesignMatrix, pen: PenaltyMatrix, n_grid: int = 40) 
     return np.geomspace(1e-4 * scale, 1e4 * scale, n_grid)
 
 
+def _flushed(data: StratumData, deviance: float, yss: float) -> bool:
+    """Whether a deviance is a Gaussian fit's rounding-level residual, at most 1e-16 y'y (`yss`): an exact fit."""
+    return data.family == "gaussian" and deviance <= 1e-16 * max(yss, 1e-300)
+
+
 def _gcv_score(data: StratumData, deviance: float, edf: float, yss: float) -> float:
     """n * deviance / (n - edf)^2, with rounding-level Gaussian deviance read as zero."""
-    flushed = data.family == "gaussian" and deviance <= 1e-16 * max(yss, 1e-300)
-    dev = 0.0 if flushed else deviance
+    dev = 0.0 if _flushed(data, deviance, yss) else deviance
     return data.n * dev / (data.n - edf) ** 2
 
 

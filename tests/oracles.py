@@ -28,6 +28,13 @@ generalized eigensolve that scored the Gaussian grid, and
 A fit holds its covariance only as bands; `dense_covariance` is the dense
 m x m matrix they are bands of, which fits once carried as `fit.cov`.
 
+`smoothdiff.fitting._binomial_block` steps IRLS in preallocated buffers,
+with the branch-free deviance and one LAPACK `dpbsv` per system.
+`binomial_block_by_where` and `band_solve_by_pbtrf` are the forms it
+replaced: fresh arrays in every step, the deviance through
+`np.where(y > 0, mu, 1 - mu)`, and `pbtrf` then `pbtrs` per system. Every
+field and message of the new kernel must equal theirs bit for bit.
+
 `smoothdiff.cli.read_stratum_csv` parses the data rows with `np.loadtxt`;
 `read_stratum_csv_by_float` is the `csv` reader with one `float()` per field
 that it replaced, and must give the same columns bit for bit.
@@ -41,6 +48,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.special import expit
 
 from smoothdiff import fitting
@@ -275,6 +283,86 @@ def per_lambda_band_solve(dm, data, penalty_band, lam):
         f"IRLS failed to converge in {fitting.MAX_IRLS_ITER} iterations; "
         f"deviance trace tail {trace[-4:]}"
     )
+
+
+def binomial_deviance_by_where(y, mu):
+    """Deviance of 0/1 outcomes, one per row of mu, choosing mu or 1 - mu by the mask y > 0."""
+    return 2.0 * np.sum(-np.log(np.where(y > 0, mu, 1.0 - mu)), axis=-1)
+
+
+def band_solve_by_pbtrf(penalty_band, lams, gram, rhs):
+    """`fitting._band_solve` as pbtrf then pbtrs per system, one finiteness check for the block.
+
+    A non-finite entry anywhere in the block raises ValueError.
+    """
+    ab = lams[:, None, None] * penalty_band
+    ab[:, ab.shape[1] - gram.shape[-2] :] += gram
+    rhs = np.broadcast_to(rhs, (lams.size, *rhs.shape[-2:]))
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    factors = np.empty_like(ab)
+    sols = np.zeros(rhs.shape)
+    errors = [None] * lams.size
+    for j in range(lams.size):
+        factor, info = dpbtrf(ab[j])
+        if info:
+            errors[j] = fitting._not_positive_definite(info)
+            continue
+        factors[j] = factor
+        sols[j] = dpbtrs(factor, rhs[j])[0]
+    return ab, factors, sols, errors
+
+
+def binomial_block_by_where(dm, data, penalty_band, lams):
+    """`fitting._binomial_block` allocating every step afresh, with `binomial_deviance_by_where`
+    and `band_solve_by_pbtrf`; reads `fitting.MAX_IRLS_ITER` at call time.
+    """
+    y, X = data.y, data.X
+    mu = (y + 0.5) / 2.0
+    eta = np.log(mu / (1.0 - mu))
+    start = float(binomial_deviance_by_where(y, mu))
+    deviance = np.full(lams.size, start)
+    traces = [[start] for _ in lams]
+    out = [None] * lams.size
+    live = np.arange(lams.size)
+    for n_iter in range(1, fitting.MAX_IRLS_ITER + 1):
+        w = np.clip(mu * (1.0 - mu), 1e-10, None)
+        u = eta + (y - mu) / w
+        gram = dm.gram_band(w)
+        gram = np.broadcast_to(gram, (live.size, *gram.shape[-2:]))
+        zr, xr = fitting._cross_products(dm, X, u, w)
+        ab, factors, sols, errors = band_solve_by_pbtrf(penalty_band, lams[live], gram, zr)
+        coefs, betas, borders = fitting._eliminate_border(sols, zr, xr, errors)
+        for j, error in enumerate(errors):
+            if error is not None:
+                out[live[j]] = error
+        ok = np.flatnonzero([e is None for e in errors])
+        live, deviance, gram, ab, factors, coefs, betas, borders = (
+            a[ok] for a in (live, deviance, gram, ab, factors, coefs, betas, borders)
+        )
+        eta = fitting._predict(dm, X, coefs, betas)
+        diverged = np.max(np.abs(eta), axis=1) > fitting.ETA_DIVERGENCE
+        mu = expit(eta)
+        new_deviance = binomial_deviance_by_where(y, np.clip(mu, 1e-12, 1.0 - 1e-12))
+        converged = fitting._converged(new_deviance, deviance) & ~diverged
+        for j, i in enumerate(live):
+            traces[i].append(float(new_deviance[j]))
+            if diverged[j]:
+                out[i] = NumericalError("linear predictor diverged (complete or quasi-complete separation)")
+            elif converged[j]:
+                out[i] = fitting._BandSystem(
+                    float(lams[i]), coefs[j], betas[j], traces[i][-1], gram[j], ab[j], factors[j], borders[j], n_iter
+                )
+        going = ~(diverged | converged)
+        live, deviance, eta, mu = live[going], new_deviance[going], eta[going], mu[going]
+        if not live.size:
+            return out
+    for i in live:
+        tail = traces[i][-4:]
+        out[i] = NumericalError(
+            f"IRLS failed to converge in {fitting.MAX_IRLS_ITER} iterations; deviance trace tail {tail}"
+        )
+    return out
 
 
 def read_stratum_csv_by_float(path, stratum_col=None):

@@ -33,6 +33,13 @@ def load_script(name):
     return module
 
 
+def gait_csv(tmp_path, n=500):
+    """A `synth_gait` two-stratum CSV on the domain [0, 100]."""
+    path = tmp_path / "gait.csv"
+    load_script("demo_analysis").synth_gait(str(path), n=n, seed=4)
+    return path
+
+
 def make_pair(seed=42, m_delta=2.0, family="gaussian", n=700):
     scn = SimScenario(
         n_nonzero=4,
@@ -341,6 +348,27 @@ class TestAnalyze:
             ]
         )
         assert rc == 3
+
+    def test_overflowing_lambda_exits_3_naming_it(self, tmp_path, capsys):
+        # lambda S overflows to inf: the fit fails at that lambda, without a traceback
+        rc = main(["analyze", "--data", str(gait_csv(tmp_path)), "--basis-dim", "15", "--domain", "0", "100",
+                   "--lambda", "1e308", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "penalized system at lambda 1e+308 has non-finite entries" in err
+        assert "Traceback" not in err and "Warning" not in err
+
+    def test_zero_residual_variance_exits_3(self, tmp_path, capsys):
+        # two identical constant strata: a rounding-level deviance is an exact fit,
+        # whose zero dispersion the window tests reject rather than report discoveries
+        rng = np.random.default_rng(30)
+        path = tmp_path / "const.csv"
+        rows = ["y,z,stratum"] + [f"1.0,{float(z)!r},{s}" for s in (1, 2) for z in rng.uniform(0, 1, 200)]
+        path.write_text("\n".join(rows) + "\n")
+        rc = main(["analyze", "--data", str(path), "--basis-dim", "10", "--domain", "0", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "covariance is not positive definite" in capsys.readouterr().err
 
     def test_gait_like_annotation_semantics(self, tmp_path):
         # two double-peak curves differing in the valley; region bars must be
@@ -816,6 +844,28 @@ class TestDiagnose:
         assert rc == 2
         assert f"--max-lag must be non-negative, got {lag}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fit_args, lag_args, anchor, lags",
+        [
+            # the default --max-lag 12 is clamped to n_regions - 1, so the anchor is window 0
+            (["--basis-dim", "15"], [], 0, 12),
+            (["--basis-dim", "10", "--degree", "0"], [], 0, 10),
+            # unclamped, the anchor is centred: 117 // 2 - 10 // 2
+            (["--basis-dim", "120"], ["--max-lag", "10"], 53, 11),
+        ],
+    )
+    def test_model_mode_last_lag_reads_the_last_window(self, tmp_path, fit_args, lag_args, anchor, lags):
+        out = tmp_path / "out"
+        rc = main(["analyze", "--data", str(gait_csv(tmp_path, n=2000)), "--domain", "0", "100", *fit_args,
+                   "--out", str(out)])
+        assert rc == 0
+        diag = tmp_path / "diag"
+        assert main(["diagnose", "--model", str(out / "fits.json"), *lag_args, "--out", str(diag)]) == 0
+        payload = json.loads((diag / "diagnostics.json").read_text())
+        assert payload["anchor_window"] == anchor
+        assert [lag for lag, _ in payload["correlations"]] == list(range(lags))
+        assert payload["correlations"][0][1] == pytest.approx(1.0)
 
     def test_model_mode_zero_max_lag_reports_lag_zero(self, tmp_path):
         model = self._model_file(tmp_path)

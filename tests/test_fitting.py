@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    band_solve_by_pbtrf,
+    binomial_block_by_where,
+    binomial_deviance_by_where,
     demmler_reinsch_edfs,
     dense_covariance,
     dense_design,
@@ -407,6 +410,17 @@ class TestBandedIrls:
                 y[i : i + 1], mu[i : i + 1]
             )
 
+    def test_branch_free_deviance_bitwise_equal_to_mask_form(self):
+        # one row per system, as the IRLS block passes it, written in place
+        rng = np.random.default_rng(27)
+        y = (rng.random(4000) < 0.3).astype(float)
+        mu = np.clip(rng.uniform(0, 1, (16, 4000)) ** 3, 1e-12, 1.0 - 1e-12)
+        mu[:, :4] = [1e-12, 1.0 - 1e-12, 0.5, np.nextafter(1.0, 0.0)]
+        want = binomial_deviance_by_where(y, mu)
+        assert np.array_equal(_binomial_deviance(y, mu), want)
+        buf = mu.copy()
+        assert np.array_equal(_binomial_deviance(y, buf, out=buf), want)
+
 
 def dense_block_fit(data, spec, pen, lam):
     """(beta, coef, cov, edf, deviance, n_iter) from the dense block solve with fixed effects.
@@ -463,7 +477,7 @@ def per_iteration_bordered_irls(data, spec, pen, lam):
         mu = expit(eta)
         new_deviance = float(_binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12)))
         system = fitting._BandSystem(lam, coef, beta, new_deviance, gram, ab[0], factors[0], border, n_iter)
-        fit = fitting._band_fit(data, *fitting._selected_inverses([system], penalty_band)[0])
+        fit = fitting._band_fit(data, *fitting._selected_inverses([system], penalty_band)[0], float(data.y @ data.y))
         if fitting._converged(new_deviance, deviance):
             return fit
         deviance = new_deviance
@@ -1154,7 +1168,9 @@ def assert_matches_per_lambda_oracle(data, spec, pen, grid):
         no_border = np.zeros((spec.m, 0))
         ref = fitting._BandSystem(float(lam), coef, np.zeros(0), deviance, gram, ab, factor, no_border, n_iter)
         [(_, sigma, edf), (_, ref_sigma, ref_edf)] = fitting._selected_inverses([got, ref], penalty_band)
-        fit, ref_fit = fitting._band_fit(data, got, sigma, edf), fitting._band_fit(data, ref, ref_sigma, ref_edf)
+        yss = float(data.y @ data.y)
+        fit = fitting._band_fit(data, got, sigma, edf, yss)
+        ref_fit = fitting._band_fit(data, ref, ref_sigma, ref_edf, yss)
         assert_close(fit.coef, ref_fit.coef)
         assert_close(fit.cov_band, ref_fit.cov_band, atol=np.max(np.abs(ref_sigma)) * slack / (data.n - ref_edf))
         assert fit.edf == pytest.approx(ref_fit.edf, rel=1e-12, abs=0.0)
@@ -1212,6 +1228,21 @@ def short_support_stratum():
     return StratumData(y=(rng.random(200) < 0.5).astype(float), z=rng.uniform(0, 0.3, 200), family="binomial")
 
 
+def assert_systems_bitwise_equal(got, want):
+    """Two lists of `_BandSystem`s or NumericalErrors with every field and message equal bit for bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        if isinstance(b, NumericalError):
+            assert str(a) == str(b)
+            continue
+        for name in ("lam", "deviance", "n_iter"):
+            assert getattr(a, name) == getattr(b, name), name
+        for name in ("coef", "beta", "gram", "precision_band", "factor", "border"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
 class TestFailureParity:
     """A failing lambda leaves every other lambda of its block as it is alone, bit for bit."""
 
@@ -1221,16 +1252,13 @@ class TestFailureParity:
         penalty_band = fitting._penalty_band(spec, pen)
         together = fitting._grid_systems(dm, data, penalty_band, grid)
         alone = [fitting._grid_systems(dm, data, penalty_band, grid[i : i + 1])[0] for i in range(grid.size)]
-        for a, b in zip(together, alone):
-            assert type(a) is type(b)
-            if isinstance(b, NumericalError):
-                assert str(a) == str(b)
-                continue
-            for name in ("lam", "deviance", "n_iter"):
-                assert getattr(a, name) == getattr(b, name), name
-            for name in ("coef", "beta", "gram", "precision_band", "factor", "border"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert_systems_bitwise_equal(together, alone)
         return [failure_cause(str(s)) if isinstance(s, NumericalError) else None for s in together]
+
+    def test_non_finite_system_fails_its_lambda_only(self):
+        data, spec, pen = binomial_fixture(*BINOMIAL_FIXTURES[0])
+        causes = self.together_and_alone(data, spec, pen, np.asarray([0.5, 1e308, 5.0]))
+        assert causes == [None, "other", None]
 
     def test_not_positive_definite(self, setup):
         spec, pen = setup
@@ -1293,3 +1321,90 @@ class TestFailureParity:
             np.testing.assert_allclose(json.loads("[" + trace), json.loads("[" + ref_trace), rtol=1e-12)
         else:
             assert message == ref_message
+
+
+class TestKernelOracle:
+    """The IRLS block and band solve against the forms they replaced (`binomial_block_by_where`,
+    `band_solve_by_pbtrf`): every system's fields and every message equal bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(data, spec, pen, grid, monkeypatch):
+        dm = design_matrix(spec, data.z)
+        penalty_band = fitting._penalty_band(spec, pen)
+        got = fitting._grid_systems(dm, data, penalty_band, grid)
+        with monkeypatch.context() as patched:
+            patched.setattr(fitting, "_band_solve", band_solve_by_pbtrf)
+            patched.setattr(fitting, "_binomial_block", binomial_block_by_where)
+            want = fitting._grid_systems(dm, data, penalty_band, grid)
+        assert_systems_bitwise_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("name, n_replicates", [("tableS1", 3), ("fig8", 2), ("table2a", 2)])
+    def test_preset_strata(self, name, n_replicates, monkeypatch):
+        strata, spec, pen = preset_strata(name, n_replicates)
+        for data in strata:
+            grid = default_lambda_grid(design_matrix(spec, data.z), pen)
+            self.assert_matches_oracle(data, spec, pen, grid, monkeypatch)
+
+    @pytest.mark.parametrize("max_iter", [1, 5, None])
+    def test_failing_strata(self, setup, max_iter, monkeypatch):
+        if max_iter is not None:
+            monkeypatch.setattr(fitting, "MAX_IRLS_ITER", max_iter)
+        spec, pen = setup
+        grid = np.geomspace(1e-7, 1e3, 16)
+        separating = self.assert_matches_oracle(separating_stratum(), spec, pen, grid, monkeypatch)
+        grid = np.asarray([0.0, 0.01, 0.5, 5.0])
+        short = self.assert_matches_oracle(short_support_stratum(), spec, pen, grid, monkeypatch)
+        causes = {failure_cause(str(s)) for s in separating + short if isinstance(s, NumericalError)}
+        # the separating stratum diverges only after more than 5 iterations
+        assert causes == {"not_positive_definite", "separation" if max_iter is None else "irls_nonconvergence"}
+
+    def test_two_fixed_effects(self, monkeypatch):
+        data, spec, pen = fixed_effect_fixture(25, 3, 62, "binomial", p=2)
+        grid = default_lambda_grid(design_matrix(spec, data.z), pen)
+        systems = self.assert_matches_oracle(data, spec, pen, grid, monkeypatch)
+        assert all(isinstance(s, fitting._BandSystem) for s in systems)
+
+    def test_band_solve_fails_each_non_finite_system_alone(self):
+        m = 12
+        spec, pen = make_basis(0.0, 1.0, m, 2), difference_penalty(m, 2)
+        penalty_band = fitting._penalty_band(spec, pen)
+        rng = np.random.default_rng(28)
+        gram = design_matrix(spec, rng.uniform(0, 1, 200)).gram_band(rng.uniform(0.1, 1.0, 200))
+        rhs = rng.normal(size=(4, m, 2))
+        rhs[2, 5, 1] = np.nan
+        lams = np.asarray([0.5, 1e308, 2.0, 3.0])
+        ab, factors, sols, errors = fitting._band_solve(penalty_band, lams, gram, rhs)
+        assert [str(e) if e else None for e in errors] == [
+            None,
+            "penalized system at lambda 1e+308 has non-finite entries",
+            "penalized system at lambda 2.0 has non-finite entries",
+            None,
+        ]
+        keep = [0, 3]
+        ref_ab, ref_factors, ref_sols, ref_errors = band_solve_by_pbtrf(penalty_band, lams[keep], gram, rhs[keep])
+        assert ref_errors == [None, None]
+        for got, want in zip((ab, factors, sols), (ref_ab, ref_factors, ref_sols)):
+            assert np.array_equal(got[keep], want)
+        assert not sols[[1, 2]].any()
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            band_solve_by_pbtrf(penalty_band, lams, gram, rhs)
+
+    def test_non_finite_lambda_fails_fit_and_is_skipped_by_select(self):
+        data, spec, pen = gaussian_fixture(*GAUSSIAN_FIXTURES[1])
+        with pytest.raises(NumericalError, match=r"penalized system at lambda 1e\+308 has non-finite entries"):
+            fit_stratum(data, spec, pen, 1e308)
+        assert select_lambda(data, spec, pen, grid=[1e308, 0.5]).lam == 0.5
+
+
+class TestZeroResidualVariance:
+    def test_rounding_level_deviance_gives_zero_dispersion(self, setup):
+        spec, pen = setup
+        z = np.random.default_rng(29).uniform(0, 1, 200)
+        data = StratumData(y=np.ones(200), z=z)
+        fit = fit_stratum(data, spec, pen, 1.0)
+        assert 0.0 < fit.deviance <= 1e-16 * 200
+        assert fit.dispersion == 0.0 and not fit.cov_band.any()
+        # the window Cholesky rejects the zero covariance of two such fits
+        with pytest.raises(NumericalError, match="covariance is not positive definite"):
+            window_statistics(fit, fit, spec)
