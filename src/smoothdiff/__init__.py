@@ -37,7 +37,6 @@ from .tdp import (
 from .toeplitz import (
     DecayDiagnostics,
     PentaParams,
-    QuadFormProblem,
     TridiagFactor,
     build_pentadiagonal,
     cov_quadratic_forms,
@@ -49,7 +48,6 @@ from .windows import (
     WindowTestSeries,
     sliding_inverses,
     window_stat_correlation,
-    window_stat_covariance,
     window_statistics,
     window_test_series,
 )

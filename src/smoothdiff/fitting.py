@@ -360,43 +360,52 @@ def _warn_small_sample(data: StratumData, spec: BasisSpec) -> None:
         )
 
 
-def _check_identifiable(dm: DesignMatrix, X: np.ndarray, order: int) -> None:
-    """Raise ParameterError naming the first fixed-effect column whose coefficient is not identified.
+def _check_identifiable(dm: DesignMatrix, X: np.ndarray, order: int) -> bool:
+    """Whether the data identify the smooth's unpenalized part; ParameterError for an unidentified fixed effect.
 
-    beta is identified unless some Xa equals Zc with Sc = 0: c in the null
-    space N of the order-q difference penalty, the polynomials of degree
-    < q in the coefficient index. The diagonal of the QR factor of [ZN | X]
-    holds each column's residual on ZN and the columns before it.
+    The penalty leaves free the null space N of the order-q difference
+    penalty, the polynomials of degree < q in the coefficient index. The
+    diagonal of the QR factor of [ZN | X] holds each column's residual on
+    the columns before it. Unless the q residuals of ZN all exceed
+    IDENTIFIABLE_REL_TOL times their largest, ZN is short of rank q and
+    A = Z'WZ + lambda S is singular at every lambda, as when every z is one
+    value. beta is identified unless some Xa equals Zc with Sc = 0.
     """
+    null = np.vander(np.linspace(-1.0, 1.0, dm.m), order, increasing=True)
+    r = np.linalg.qr(np.hstack([dm.predict(null.T).T, X]), mode="r")
+    diag = np.abs(np.diagonal(r))
     if X.shape[1]:
-        null = np.vander(np.linspace(-1.0, 1.0, dm.m), order, increasing=True)
-        r = np.linalg.qr(np.hstack([dm.predict(null.T).T, X]), mode="r")
-        diag, resid = np.abs(np.diagonal(r))[order:], np.zeros(X.shape[1])
-        resid[: diag.size] = diag
+        resid = np.zeros(X.shape[1])
+        resid[: diag[order:].size] = diag[order:]
         rel = resid / np.maximum(np.linalg.norm(X, axis=0), 1e-300)
         for k in np.flatnonzero(rel < IDENTIFIABLE_REL_TOL)[:1]:
             raise ParameterError(
                 f"fixed-effect column {k + 1} is not identified: its relative residual on the unpenalized "
                 f"part of the smooth and the columns before it is {rel[k]:.2e}, below {IDENTIFIABLE_REL_TOL:g}"
             )
+    smooth = diag[:order]
+    return smooth.size == order and bool(smooth.min() > IDENTIFIABLE_REL_TOL * smooth.max())
+
+
+def _sum_of_squares(data: StratumData) -> float:
+    """y'y, the scale of the rounding-level deviance (`_flushed`); a ParameterError when it overflows."""
+    with np.errstate(over="ignore"):
+        yss = float(data.y @ data.y)
+    if not np.isfinite(yss):
+        raise ParameterError("the sum of squared outcomes y'y overflows; rescale y")
+    return yss
 
 
 def _dispersion(data: StratumData, deviance: float, edf: float, yss: float) -> float:
     """RSS / (n - edf) for a Gaussian fit, 1 for a binomial one.
 
-    0 for a rounding-level RSS (`_flushed`, given y'y as `yss`) or an exact
-    fit that exhausts n.
+    0 for a rounding-level RSS (`_flushed`, given y'y as `yss`).
     """
     if data.family == "binomial":
         return 1.0
     if _flushed(data, deviance, yss):
         return 0.0
-    denom = data.n - edf
-    if denom > 0:
-        return deviance / denom
-    if deviance <= 1e-12 * (yss + 1.0):
-        return 0.0  # saturated interpolation
-    raise NumericalError(f"effective degrees of freedom {edf:.2f} exhaust the sample size {data.n}")
+    return deviance / (data.n - edf)
 
 
 def _binomial_deviance(y: np.ndarray, mu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -599,7 +608,16 @@ def _selected_inverses(systems: list[_BandSystem], penalty_band: np.ndarray):
 
 
 def _band_fit(data: StratumData, system: _BandSystem, band: np.ndarray, edf: float, yss: float) -> StratumFit:
-    """The fit of a solved system, given its unit-dispersion covariance band, its edf and y'y (`yss`)."""
+    """The fit of a solved system, given its unit-dispersion covariance band, its edf and y'y (`yss`).
+
+    A fit with less than one residual degree of freedom, n - edf < 1, fails:
+    its dispersion and GCV score would divide by that remainder.
+    """
+    if data.n - edf < 1.0:
+        raise NumericalError(
+            f"effective degrees of freedom {edf:.6g} leave less than one residual degree of freedom "
+            f"at sample size {data.n}"
+        )
     dispersion = _dispersion(data, system.deviance, edf, yss)
     return StratumFit(
         coef=system.coef,
@@ -616,21 +634,27 @@ def _band_fit(data: StratumData, system: _BandSystem, band: np.ndarray, edf: flo
     )
 
 
-def _grid_fits(dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, lams: np.ndarray) -> list:
-    """The fit at each lambda, or the NumericalError that lambda's fit raised.
+def _grid_fits(
+    dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, lams: np.ndarray, yss: float
+) -> list:
+    """The fit at each lambda, or the NumericalError that lambda's fit raised; `yss` is y'y.
 
     `_grid_systems` solves every lambda (a Gaussian one by one banded solve,
     a binomial one by IRLS) for its coefficients and deviance only; then one
     `selected_inverse_band` call over all their factors gives every edf and
-    covariance band. A lambda also fails where its edf exhausts n without
-    an exact fit.
+    covariance band. A lambda also fails where n - edf < 1 (`_band_fit`),
+    and every lambda fails where the data do not identify the smooth.
     """
-    _check_identifiable(dm, data.X, pen.order)
+    if not _check_identifiable(dm, data.X, pen.order):
+        singular = NumericalError(
+            f"penalized system is not positive definite at any lambda: the data do not identify "
+            f"the polynomials of degree < {pen.order} that the penalty leaves free"
+        )
+        return [singular] * lams.size
     penalty_band = _penalty_band(spec, pen)
     solved = _grid_systems(dm, data, penalty_band, lams)
     systems = [s for s in solved if isinstance(s, _BandSystem)]
     selected = iter(_selected_inverses(systems, penalty_band) if systems else [])
-    yss = float(data.y @ data.y)
     out = []
     for result in solved:
         if isinstance(result, _BandSystem):
@@ -653,8 +677,9 @@ def fit_stratum(
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ParameterError(f"smoothing parameter must be finite and >= 0, got {float(lam)!r}")
+    yss = _sum_of_squares(data)
     _warn_small_sample(data, spec)
-    [fit] = _grid_fits(design_matrix(spec, data.z), data, spec, pen, np.asarray([float(lam)]))
+    [fit] = _grid_fits(design_matrix(spec, data.z), data, spec, pen, np.asarray([float(lam)]), yss)
     if isinstance(fit, NumericalError):
         raise fit
     return fit
@@ -696,6 +721,7 @@ def select_lambda(
     selected value (`fit.lam`), which is then held fixed downstream; it
     equals `fit_stratum` at that value.
     """
+    yss = _sum_of_squares(data)
     dm = design_matrix(spec, data.z)
     if grid is None:
         grid = default_lambda_grid(dm, pen)
@@ -703,9 +729,8 @@ def select_lambda(
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
         raise ParameterError("lambda grid must be a non-empty vector of finite positive values")
     _warn_small_sample(data, spec)
-    yss = float(data.y @ data.y)
     best, best_score = None, np.inf
-    for fit in _grid_fits(dm, data, spec, pen, np.sort(grid)):
+    for fit in _grid_fits(dm, data, spec, pen, np.sort(grid), yss):
         if isinstance(fit, NumericalError):
             continue
         score = _gcv_score(data, fit.deviance, fit.edf, yss)

@@ -26,7 +26,6 @@ from .errors import DomainError, ParameterError
 __all__ = [
     "PentaParams",
     "TridiagFactor",
-    "QuadFormProblem",
     "DecayDiagnostics",
     "build_pentadiagonal",
     "factor_pentadiagonal",
@@ -87,54 +86,6 @@ class TridiagFactor:
         out[idx[:-1], idx[:-1] + 1] = self.off
         out[idx[:-1] + 1, idx[:-1]] = self.off
         return out
-
-
-@dataclass(frozen=True)
-class QuadFormProblem:
-    """Covariance of x'Ax and y'By for jointly Gaussian zero-mean (x, y)."""
-
-    A: np.ndarray
-    B: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        dx, dy = A.shape[0], B.shape[0]
-        if A.shape != (dx, dx) or B.shape != (dy, dy):
-            raise ParameterError("A and B must be square")
-        if sigma.shape != (dx + dy, dx + dy):
-            raise ParameterError(
-                f"joint covariance must be {(dx + dy, dx + dy)}, got {sigma.shape}"
-            )
-        if not np.allclose(A, A.T) or not np.allclose(B, B.T):
-            raise ParameterError("A and B must be symmetric")
-        if not np.allclose(sigma, sigma.T):
-            raise ParameterError("joint covariance must be symmetric")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "sigma", sigma)
-
-    @property
-    def d_x(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def d_y(self) -> int:
-        return self.B.shape[0]
-
-    @property
-    def sigma_xx(self) -> np.ndarray:
-        return self.sigma[: self.d_x, : self.d_x]
-
-    @property
-    def sigma_xy(self) -> np.ndarray:
-        return self.sigma[: self.d_x, self.d_x :]
-
-    @property
-    def sigma_yy(self) -> np.ndarray:
-        return self.sigma[self.d_x :, self.d_x :]
 
 
 @dataclass(frozen=True)
@@ -228,13 +179,14 @@ def decay_rate(params: PentaParams, n: int | None = None, n_lags: int = 12) -> D
     )
 
 
-def cov_quadratic_forms(problem: QuadFormProblem) -> float:
-    """Covariance of the quadratic forms x'Ax and y'By.
+def cov_quadratic_forms(a: np.ndarray, b: np.ndarray, sigma_xy: np.ndarray) -> np.ndarray:
+    """Covariance of the quadratic forms x'Ax and y'By, (x, y) jointly Gaussian with mean zero.
 
-    The quartic expectation splits into pair-partitions; the one that pairs
-    x with x and y with y is the product of the means, and the two that mix
+    `a` and `b` are symmetric and `sigma_xy` = Cov(x, y); each may be a stack
+    of matrices, broadcast against the others over the leading axes. The
+    quartic expectation splits into pair-partitions; the one that pairs x
+    with x and y with y is the product of the means, and the two that mix
     the blocks are equal for symmetric A and B:
-    Cov = 2 tr(A S_xy B S_yx) = 2 * sum((A S_xy) o (S_xy B)).
+    Cov = 2 tr(A S_xy B S_yx) = 2 * sum((A S_xy) o (S_xy B)) over the last two axes.
     """
-    sxy = problem.sigma_xy
-    return 2.0 * float(np.sum((problem.A @ sxy) * (sxy @ problem.B)))
+    return 2.0 * np.sum((a @ sigma_xy) * (sigma_xy @ b), axis=(-2, -1))

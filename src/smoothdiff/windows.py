@@ -8,12 +8,11 @@ freedom. One kernel computes T: it factors every block in one batched
 Cholesky call and takes T_k = ||L_k^{-1} d_k||^2. `window_statistics` reads
 the blocks from the fits' covariance bands, `window_test_series` from a
 dense matrix.
-The covariance of two statistics, which the dependence diagnostics report,
-is read from the 2w x 2w block of V1 + V2 on both windows. That block lies
-within lag + degree of the diagonal, so it is gathered from V's band to
-that offset, as the w x w blocks are from V's band to offset degree.
-`window_stat_correlation` takes a vector of windows and inverts each
-window and computes each variance once for all of them.
+The dependence diagnostics report the correlation of one statistic with
+each of a vector of others (`window_stat_correlation`). Each covariance
+needs the two windows' blocks and the w x w cross block between them, which
+lies within lag + degree of the diagonal, so all are gathered from V's band
+to that offset; the windows share the batched factorization of T's kernel.
 
 `sliding_inverses` is the incremental scheme of the method: each window's
 inverse comes from its predecessor's by deleting the leading row/column and
@@ -32,7 +31,7 @@ from scipy.stats import chi2
 from .basis import BasisSpec
 from .errors import NumericalError, ParameterError
 from .fitting import StratumFit
-from .toeplitz import QuadFormProblem, cov_quadratic_forms
+from .toeplitz import cov_quadratic_forms
 
 __all__ = [
     "WindowTestSeries",
@@ -40,7 +39,6 @@ __all__ = [
     "sliding_inverses",
     "window_test_series",
     "window_statistics",
-    "window_stat_covariance",
     "window_stat_correlation",
 ]
 
@@ -140,16 +138,21 @@ def sliding_inverses(
     return SlidingInverses(inverses=inverses, n_factorizations=n_fact)
 
 
+def _cholesky(blocks: np.ndarray, windows) -> np.ndarray:
+    """Cholesky factors of the stacked w x w blocks of `windows`, by one batched call."""
+    try:
+        return np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        # The batched call does not say which block failed; name the first.
+        for k, block in zip(windows, blocks):
+            _direct_inverse(block, k)
+        raise
+
+
 def _window_series(spec: BasisSpec, delta: np.ndarray, blocks: np.ndarray) -> WindowTestSeries:
     """Statistics, p-values and regions from the stacked w x w window blocks V_k."""
     w = spec.degree + 1
-    try:
-        chol = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        # The batched call does not say which block failed; name the first.
-        for k, block in enumerate(blocks):
-            _direct_inverse(block, k)
-        raise
+    chol = _cholesky(blocks, range(spec.n_regions))
     d = delta[np.arange(spec.n_regions)[:, None] + np.arange(w)]
     z = np.empty_like(d)
     for i in range(w):
@@ -213,58 +216,28 @@ def _check_pairs(v_band: np.ndarray, spec: BasisSpec, k: int, k2: np.ndarray) ->
         )
 
 
-def _stat_covariance(v_band: np.ndarray, spec: BasisSpec, k: int, k2: int, precisions: dict) -> float:
-    """Cov(T_k, T_k2) from the 2w x 2w block of V on both windows.
-
-    `precisions` caches each window's symmetrized inverse by window index,
-    so that a window shared by several pairs is inverted once.
-    """
-    w = spec.degree + 1
-    idx = np.r_[k : k + w, k2 : k2 + w]
-    sigma = _band_entries(v_band, idx[:, None], idx[None, :])
-    for j, block in ((k, sigma[:w, :w]), (k2, sigma[w:, w:])):
-        if j not in precisions:
-            inv = _direct_inverse(block, j)
-            precisions[j] = 0.5 * (inv + inv.T)
-    problem = QuadFormProblem(A=precisions[k], B=precisions[k2], sigma=sigma)
-    return cov_quadratic_forms(problem)
-
-
-def window_stat_covariance(v_band: np.ndarray, spec: BasisSpec, k: int, k2: int) -> float:
-    """Covariance of the window statistics T_k and T_k2 under the fitted model.
+def window_stat_correlation(v_band: np.ndarray, spec: BasisSpec, k: int, k2: np.ndarray) -> np.ndarray:
+    """Corr(T_k, T_j) under the fitted model for every window index j of the vector `k2`.
 
     `v_band` is the upper band of V = V1 + V2, the summed covariance of the
-    two fits, to an offset of at least |k - k2| + degree. The
+    two fits, to an offset of at least max |k - k2| + degree. The
     coefficient-difference windows are jointly Gaussian with covariance
-    blocks drawn from V, and each statistic is a quadratic form in its
-    window precision, so the quadratic-form covariance identity applies.
-    Only the 2w x 2w block of V on the two windows is gathered.
+    blocks drawn from V, and T_j is a quadratic form in its window precision
+    P_j = V_j^{-1}, so Cov(T_k, T_j) = 2 tr(P_k V_kj P_j V_jk)
+    (`cov_quadratic_forms`). The w x w windows V_j and cross blocks V_kj are
+    each gathered by one `_band_entries` call, the windows factored by one
+    batched Cholesky, and every covariance and every variance come from one
+    stacked `cov_quadratic_forms` call each.
     """
-    _check_pairs(v_band, spec, k, np.asarray(k2))
-    return _stat_covariance(v_band, spec, k, k2, {})
-
-
-def window_stat_correlation(v_band: np.ndarray, spec: BasisSpec, k: int, k2):
-    """Correlation of T_k and T_k2 implied by window_stat_covariance.
-
-    `k2` is one window index (a float is returned) or a vector of them (an
-    array, one correlation per entry). Each distinct window is inverted once
-    and each variance computed once, so the vector form equals the scalar
-    one entry by entry, bit for bit.
-    """
-    others = np.ravel(k2)
-    _check_pairs(v_band, spec, k, others)
-    precisions: dict = {}
-    variances: dict = {}
-
-    def variance(j: int) -> float:
-        if j not in variances:
-            variances[j] = _stat_covariance(v_band, spec, j, j, precisions)
-        return variances[j]
-
-    corr = [
-        (variance(k) if j == k else _stat_covariance(v_band, spec, k, j, precisions))
-        / np.sqrt(variance(k) * variance(j))
-        for j in others.tolist()
-    ]
-    return corr[0] if np.ndim(k2) == 0 else np.array(corr)
+    k2 = np.asarray(k2)
+    _check_pairs(v_band, spec, k, k2)
+    windows = np.r_[k, k2]
+    rows = windows[:, None] + np.arange(spec.degree + 1)
+    blocks = _band_entries(v_band, rows[:, :, None], rows[:, None, :])
+    half = np.linalg.solve(_cholesky(blocks, windows), np.eye(rows.shape[1]))
+    inv = np.swapaxes(half, 1, 2) @ half
+    precisions = 0.5 * (inv + np.swapaxes(inv, 1, 2))
+    variances = cov_quadratic_forms(precisions, precisions, blocks)
+    cross = _band_entries(v_band, rows[0, :, None], rows[1:, None, :])
+    covariances = cov_quadratic_forms(precisions[0], precisions[1:], cross)
+    return covariances / np.sqrt(variances[0] * variances[1:])

@@ -1,10 +1,18 @@
 """Alternative forms of library quantities, kept as oracles for the library's one.
 
 `smoothdiff.toeplitz.cov_quadratic_forms` computes the covariance of two
-Gaussian quadratic forms as a trace; the Hadamard/Kronecker double sum and
-the Frobenius form below are the paper's other two expressions of it. The
-closed-form tridiagonal Toeplitz inverse is checked against numeric
-inversion by acceptance criterion 7.
+Gaussian quadratic forms as a trace, over stacks of matrices; the
+Hadamard/Kronecker double sum and the Frobenius form below are the paper's
+other two expressions of it, each on one `QuadFormProblem`. The closed-form
+tridiagonal Toeplitz inverse is checked against numeric inversion by
+acceptance criterion 7.
+
+`smoothdiff.windows.window_stat_correlation` gathers, factors and reduces
+every window of a correlation vector in one batched pass.
+`window_stat_covariance` and `per_pair_correlation` are the per-pair path it
+replaced: each pair's 2w x 2w block gathered and both windows inverted on
+their own, and one `trace_form` per covariance. The batched kernel must
+equal them bit for bit, non-positive-definite messages included.
 
 The weighted design products of `smoothdiff.basis.DesignMatrix` go through
 cached sparse operators; the `bincount` loops below are the per-pair,
@@ -44,6 +52,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -54,7 +63,62 @@ from scipy.special import expit
 from smoothdiff import fitting
 from smoothdiff.basis import expand_band
 from smoothdiff.errors import DomainError, NumericalError, ParameterError
-from smoothdiff.toeplitz import QuadFormProblem, TridiagFactor
+from smoothdiff.toeplitz import TridiagFactor
+from smoothdiff.windows import _band_entries, _check_pairs, _direct_inverse
+
+
+@dataclass(frozen=True)
+class QuadFormProblem:
+    """Covariance of x'Ax and y'By for jointly Gaussian zero-mean (x, y)."""
+
+    A: np.ndarray
+    B: np.ndarray
+    sigma: np.ndarray
+
+    def __post_init__(self):
+        A = np.asarray(self.A, dtype=float)
+        B = np.asarray(self.B, dtype=float)
+        sigma = np.asarray(self.sigma, dtype=float)
+        dx, dy = A.shape[0], B.shape[0]
+        if A.shape != (dx, dx) or B.shape != (dy, dy):
+            raise ParameterError("A and B must be square")
+        if sigma.shape != (dx + dy, dx + dy):
+            raise ParameterError(
+                f"joint covariance must be {(dx + dy, dx + dy)}, got {sigma.shape}"
+            )
+        if not np.allclose(A, A.T) or not np.allclose(B, B.T):
+            raise ParameterError("A and B must be symmetric")
+        if not np.allclose(sigma, sigma.T):
+            raise ParameterError("joint covariance must be symmetric")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "sigma", sigma)
+
+    @property
+    def d_x(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def d_y(self) -> int:
+        return self.B.shape[0]
+
+    @property
+    def sigma_xx(self) -> np.ndarray:
+        return self.sigma[: self.d_x, : self.d_x]
+
+    @property
+    def sigma_xy(self) -> np.ndarray:
+        return self.sigma[: self.d_x, self.d_x :]
+
+    @property
+    def sigma_yy(self) -> np.ndarray:
+        return self.sigma[self.d_x :, self.d_x :]
+
+
+def trace_form(problem: QuadFormProblem) -> float:
+    """Covariance of x'Ax and y'By as 2 * sum((A S_xy) o (S_xy B)), on one problem."""
+    sxy = problem.sigma_xy
+    return 2.0 * float(np.sum((problem.A @ sxy) * (sxy @ problem.B)))
 
 
 def kronecker_double_sum(problem: QuadFormProblem) -> float:
@@ -385,3 +449,26 @@ def read_stratum_csv_by_float(path, stratum_col=None):
     if stratum_col is not None:
         strata = np.array([row[column[stratum_col]].strip() for row in rows])
     return values[0], values[1], X, strata
+
+
+def window_stat_covariance(v_band, spec, k, k2) -> float:
+    """Cov(T_k, T_k2) from the 2w x 2w block of V = V1 + V2 on both windows.
+
+    `v_band` is V's upper band to an offset of at least |k - k2| + degree;
+    each window is inverted on its own, window k first.
+    """
+    _check_pairs(v_band, spec, k, np.asarray(k2))
+    w = spec.degree + 1
+    idx = np.r_[k : k + w, k2 : k2 + w]
+    sigma = _band_entries(v_band, idx[:, None], idx[None, :])
+    precisions = [_direct_inverse(block, j) for j, block in ((k, sigma[:w, :w]), (k2, sigma[w:, w:]))]
+    a, b = (0.5 * (inv + inv.T) for inv in precisions)
+    return trace_form(QuadFormProblem(A=a, B=b, sigma=sigma))
+
+
+def per_pair_correlation(v_band, spec, k, k2) -> float:
+    """Corr(T_k, T_k2) from three separate `window_stat_covariance` calls, each inverting its own windows."""
+    cov = window_stat_covariance(v_band, spec, k, k2)
+    var1 = window_stat_covariance(v_band, spec, k, k)
+    var2 = window_stat_covariance(v_band, spec, k2, k2)
+    return cov / np.sqrt(var1 * var2)

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from oracles import frobenius_form, kronecker_double_sum, tridiag_toeplitz_inverse
+from oracles import QuadFormProblem, frobenius_form, kronecker_double_sum, tridiag_toeplitz_inverse
 from smoothdiff.cli import main
 from smoothdiff.simulate import SimScenario, exact_model_error_rates, run_scenario
 from smoothdiff.tdp import PValueFamily, closed_testing_oracle, phi_alpha
 from smoothdiff.toeplitz import (
     PentaParams,
-    QuadFormProblem,
     build_pentadiagonal,
     cov_quadratic_forms,
     decay_rate,
@@ -299,7 +298,7 @@ class TestCriterion8QuadFormCovariance:
             rb = rng.normal(size=(d_y, d_y))
             rs = rng.normal(size=(d_x + d_y, d_x + d_y + 2))
             problem = QuadFormProblem(A=ra @ ra.T, B=rb @ rb.T, sigma=rs @ rs.T)
-            trace = cov_quadratic_forms(problem)
+            trace = float(cov_quadratic_forms(problem.A, problem.B, problem.sigma_xy))
             for oracle in (kronecker_double_sum(problem), frobenius_form(problem)):
                 worst_rel = max(worst_rel, abs(trace - oracle) / max(abs(oracle), 1e-300))
 

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import dense_covariance, dense_design, pointwise_variance, read_stratum_csv_by_float
+from oracles import (
+    dense_covariance,
+    dense_design,
+    per_pair_correlation,
+    pointwise_variance,
+    read_stratum_csv_by_float,
+)
 
 from smoothdiff import simulate
 from smoothdiff.basis import band_form, design_matrix, difference_penalty, make_basis
@@ -21,7 +27,7 @@ from smoothdiff.cli import (
 from smoothdiff.fitting import StratumData, covariance_bands, select_lambda
 from smoothdiff.simulate import SimScenario, gen_coefficients, gen_stratum, replicate_rng
 from smoothdiff.tdp import threshold_regions
-from smoothdiff.windows import window_stat_correlation, window_statistics
+from smoothdiff.windows import window_statistics
 
 
 def load_script(name):
@@ -369,6 +375,69 @@ class TestAnalyze:
                    "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "covariance is not positive definite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.parametrize("n, flags", [(2, ["--basis-dim", "16", "--degree", "0"]), (3, ["--basis-dim", "10"])])
+    def test_less_than_one_residual_df_exits_3(self, tmp_path, capsys, family, n, flags):
+        # every grid lambda leaves n - edf < 1 and fails; with 2 rows this was a
+        # ZeroDivisionError, with 3 rows a bound of 1.000 from edf 2.99999
+        path = tmp_path / "few.csv"
+        z = np.linspace(0.2, 0.8, n)
+        rows = ["y,z,stratum"] + [f"{float(i % 2)!r},{float(zi)!r},{s}" for s in (1, 2) for i, zi in enumerate(z)]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.warns(UserWarning, match="does not exceed basis dimension"):
+            rc = main(["analyze", "--data", str(path), *flags, "--domain", "0", "1", "--family", family,
+                       "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "no smoothing parameter candidate could be fit" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_fixed_lambda_with_less_than_one_residual_df_exits_3(self, tmp_path, capsys, family):
+        # y = 0, 1, 0 along z: no line separates it, so binomial IRLS converges, at edf in (2, 3)
+        path = tmp_path / "few.csv"
+        rows = ["y,z,stratum"] + [f"{y},{z},{s}" for s in (1, 2) for y, z in ((0.0, 0.2), (1.0, 0.5), (0.0, 0.8))]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.warns(UserWarning, match="does not exceed basis dimension"):
+            rc = main(["analyze", "--data", str(path), "--basis-dim", "10", "--domain", "0", "1",
+                       "--family", family, "--lambda", "1", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "less than one residual degree of freedom at sample size 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.filterwarnings("ignore:sample size n=")
+    def test_single_z_value_exits_3(self, tmp_path, capsys, family):
+        # every z is 0.5: Z'WZ + lambda S is singular at every lambda (a linear trend through
+        # one point is free); the binomial fit of stratum 2 once passed with edf -7.8 and a NaN curve band
+        rng = np.random.default_rng(339)
+        path = tmp_path / "one_z.csv"
+        rows = ["y,z,stratum"]
+        for label, n in ((1, 3), (2, 84)):
+            rows += [f"{float(y)!r},0.5,{label}" for y in rng.integers(0, 2, size=n)]
+        path.write_text("\n".join(rows) + "\n")
+        flags = ["analyze", "--data", str(path), "--basis-dim", "9", "--degree", "4", "--domain", "0", "1",
+                 "--family", family]
+        assert main([*flags, "--out", str(tmp_path / "o")]) == 3
+        assert "no smoothing parameter candidate could be fit" in capsys.readouterr().err
+        assert main([*flags, "--lambda", "1", "--out", str(tmp_path / "o")]) == 3
+        assert "the data do not identify the polynomials of degree < 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_sum_of_squares_exits_2_naming_the_stratum(self, tmp_path, capsys):
+        # an infinite y'y made every deviance read as an exact fit (window 0 not positive definite)
+        rng = np.random.default_rng(32)
+        path = tmp_path / "huge.csv"
+        rows = ["y,z,stratum"] + [
+            f"{1e300 if s == 2 and i == 7 else float(rng.normal())!r},{float(rng.uniform())!r},{s}"
+            for s in (1, 2) for i in range(100)
+        ]
+        path.write_text("\n".join(rows) + "\n")
+        rc = main(["analyze", "--data", str(path), "--basis-dim", "10", "--domain", "0", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "stratum 2: the sum of squared outcomes y'y overflows" in err
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_gait_like_annotation_semantics(self, tmp_path):
         # two double-peak curves differing in the valley; region bars must be
@@ -943,7 +1012,7 @@ def write_format_1(model, fits, path):
 
 
 def per_lag_correlation_table(model_path, max_lag) -> bytes:
-    """correlation_table.csv from one widening per fit and one scalar correlation per lag."""
+    """correlation_table.csv from one widening per fit and the per-pair oracle's correlation per lag."""
     spec, fits = load_model(str(model_path))
     max_lag = min(max_lag, spec.n_regions - 1)
     anchor = spec.n_regions // 2 - max_lag // 2
@@ -951,7 +1020,7 @@ def per_lag_correlation_table(model_path, max_lag) -> bytes:
     v_band = fits[0].covariance_band(reach) + fits[1].covariance_band(reach)
     lines = ["lag,correlation"]
     for lag in range(max_lag + 1):
-        lines.append(f"{lag},{float(window_stat_correlation(v_band, spec, anchor, anchor + lag))!r}")
+        lines.append(f"{lag},{float(per_pair_correlation(v_band, spec, anchor, anchor + lag))!r}")
     return ("\n".join(lines) + "\n").encode()
 
 

@@ -70,16 +70,29 @@ class TestFitGaussian:
         assert np.allclose(fit.coef, 0.0)
         assert fit.beta.size == 0
 
+    def test_overflowing_sum_of_squares_is_an_input_error(self, setup):
+        spec, pen = setup
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=60)
+        y[7] = 1e300  # finite, but y'y overflows
+        data = StratumData(y=y, z=rng.uniform(0, 1, 60))
+        with pytest.raises(ParameterError, match="y'y overflows"):
+            select_lambda(data, spec, pen)
+        with pytest.raises(ParameterError, match="y'y overflows"):
+            fit_stratum(data, spec, pen, 1.0)
+
     def test_orthonormal_design_ols(self):
-        # degree-0 basis with one unit sample per cell: Z has orthonormal columns
+        # degree-0 basis with two unit samples per cell: Z'Z = 2I, so OLS gives Z'y / 2
         spec = make_basis(0.0, 1.0, 4, 0)
         pen = difference_penalty(4, 2)
-        z = np.asarray([0.1, 0.3, 0.6, 0.9])
-        y = np.asarray([2.0, -1.0, 0.5, 3.0])
-        with pytest.warns(UserWarning):
-            fit = fit_stratum(StratumData(y=y, z=z), spec, pen, 0.0)
+        z = np.asarray([0.1, 0.15, 0.3, 0.4, 0.6, 0.7, 0.9, 0.95])
+        y = np.asarray([2.0, 1.0, -1.0, 0.0, 0.5, 1.5, 3.0, 2.0])
+        fit = fit_stratum(StratumData(y=y, z=z), spec, pen, 0.0)
         zt_y = dense_design(design_matrix(spec, z)).T @ y
-        assert np.allclose(fit.coef, zt_y)
+        assert np.allclose(fit.coef, zt_y / 2)
+        # one sample per cell interpolates: edf = n leaves no residual degree of freedom
+        with pytest.warns(UserWarning), pytest.raises(NumericalError, match="less than one residual degree"):
+            fit_stratum(StratumData(y=y[::2], z=z[::2]), spec, pen, 0.0)
 
     def test_matches_dense_reference_solve(self, setup):
         spec, pen = setup
@@ -668,7 +681,7 @@ def batched_gcv_path(data, spec, pen, grid):
     dm = design_matrix(spec, data.z)
     yss = float(data.y @ data.y)
     path = []
-    for fit in fitting._grid_fits(dm, data, spec, pen, np.sort(grid)):
+    for fit in fitting._grid_fits(dm, data, spec, pen, np.sort(grid), yss):
         if isinstance(fit, NumericalError):
             continue
         dev = 0.0 if fit.deviance <= 1e-16 * max(yss, 1e-300) else fit.deviance
@@ -1169,6 +1182,11 @@ def assert_matches_per_lambda_oracle(data, spec, pen, grid):
         ref = fitting._BandSystem(float(lam), coef, np.zeros(0), deviance, gram, ab, factor, no_border, n_iter)
         [(_, sigma, edf), (_, ref_sigma, ref_edf)] = fitting._selected_inverses([got, ref], penalty_band)
         yss = float(data.y @ data.y)
+        if data.n - ref_edf < 1:  # less than one residual df: the fit fails at this lambda
+            assert edf == pytest.approx(ref_edf, rel=1e-12, abs=0.0)
+            with pytest.raises(NumericalError, match="less than one residual degree of freedom"):
+                fitting._band_fit(data, got, sigma, edf, yss)
+            continue
         fit = fitting._band_fit(data, got, sigma, edf, yss)
         ref_fit = fitting._band_fit(data, ref, ref_sigma, ref_edf, yss)
         assert_close(fit.coef, ref_fit.coef)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import frobenius_form, kronecker_double_sum, tridiag_toeplitz_inverse
+from oracles import QuadFormProblem, frobenius_form, kronecker_double_sum, trace_form, tridiag_toeplitz_inverse
 from smoothdiff.errors import DomainError, ParameterError
 from smoothdiff.toeplitz import (
     PentaParams,
-    QuadFormProblem,
     TridiagFactor,
     build_pentadiagonal,
     cov_quadratic_forms,
@@ -138,6 +137,11 @@ def mc_cov(problem, n_draws, seed):
     return prods.mean(), prods.std(ddof=1) / math.sqrt(n_draws)
 
 
+def quad_cov(problem):
+    """The library's covariance of the problem's two quadratic forms."""
+    return cov_quadratic_forms(problem.A, problem.B, problem.sigma_xy)
+
+
 def random_psd_problem(rng, d_x=None, d_y=None):
     d_x = d_x or int(rng.integers(1, 6))
     d_y = d_y or int(rng.integers(1, 6))
@@ -153,20 +157,20 @@ class TestQuadFormCovariance:
             [[np.eye(2), np.zeros((2, 3))], [np.zeros((3, 2)), 2 * np.eye(3)]]
         )
         problem = QuadFormProblem(A=np.eye(2), B=np.eye(3), sigma=sigma)
-        assert cov_quadratic_forms(problem) == 0.0
+        assert quad_cov(problem) == 0.0
 
     def test_classical_fourth_moment_identity(self):
         s2 = 1.7
         problem = QuadFormProblem(
             A=np.asarray([[1.0]]), B=np.asarray([[1.0]]), sigma=np.full((2, 2), s2)
         )
-        assert cov_quadratic_forms(problem) == pytest.approx(2 * s2**2)
+        assert quad_cov(problem) == pytest.approx(2 * s2**2)
 
     def test_double_sum_equals_frobenius_form(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             problem = random_psd_problem(rng)
-            trace = cov_quadratic_forms(problem)
+            trace = quad_cov(problem)
             assert trace == pytest.approx(kronecker_double_sum(problem), rel=1e-10, abs=1e-12)
             assert trace == pytest.approx(frobenius_form(problem), rel=1e-10, abs=1e-12)
 
@@ -180,7 +184,7 @@ class TestQuadFormCovariance:
             rb = rng.normal(size=(d_y, d_y))
             rs = rng.normal(size=(d_x + d_y, d_x + d_y + 2))
             problem = QuadFormProblem(A=ra + ra.T, B=rb + rb.T, sigma=rs @ rs.T)
-            assert cov_quadratic_forms(problem) == pytest.approx(
+            assert quad_cov(problem) == pytest.approx(
                 kronecker_double_sum(problem), rel=1e-10, abs=1e-10
             )
 
@@ -188,7 +192,7 @@ class TestQuadFormCovariance:
         rng = np.random.default_rng(19)
         for trial in range(5):
             problem = random_psd_problem(rng)
-            exact = cov_quadratic_forms(problem)
+            exact = quad_cov(problem)
             est, se = mc_cov(problem, 400_000, seed=100 + trial)
             assert abs(est - exact) < 4 * se, f"trial {trial}"
 
@@ -201,14 +205,14 @@ class TestQuadFormCovariance:
             swapped = QuadFormProblem(
                 A=problem.B, B=problem.A, sigma=problem.sigma[np.ix_(perm, perm)]
             )
-            assert cov_quadratic_forms(swapped) == pytest.approx(
-                cov_quadratic_forms(problem), rel=1e-10, abs=1e-12
+            assert quad_cov(swapped) == pytest.approx(
+                quad_cov(problem), rel=1e-10, abs=1e-12
             )
 
     def test_nonnegative_for_psd(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
-            assert cov_quadratic_forms(random_psd_problem(rng)) >= 0.0
+            assert quad_cov(random_psd_problem(rng)) >= 0.0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ParameterError):
@@ -223,9 +227,20 @@ class TestQuadFormCovariance:
     @settings(max_examples=30, deadline=None)
     def test_frobenius_equivalence_property(self, seed):
         problem = random_psd_problem(np.random.default_rng(seed))
-        assert cov_quadratic_forms(problem) == pytest.approx(
+        assert quad_cov(problem) == pytest.approx(
             frobenius_form(problem), rel=1e-9, abs=1e-12
         )
-        assert cov_quadratic_forms(problem) == pytest.approx(
+        assert quad_cov(problem) == pytest.approx(
             kronecker_double_sum(problem), rel=1e-9, abs=1e-12
         )
+
+    def test_stack_equals_each_problem_bitwise(self):
+        rng = np.random.default_rng(37)
+        for d_x, d_y in [(1, 1), (2, 3), (4, 4)]:
+            problems = [random_psd_problem(rng, d_x, d_y) for _ in range(9)]
+            a, b, sxy = (np.stack([getattr(p, f) for p in problems]) for f in ("A", "B", "sigma_xy"))
+            want = [trace_form(p) for p in problems]
+            assert np.array_equal(cov_quadratic_forms(a, b, sxy), want)
+            # an unstacked A is broadcast against the stacks
+            broadcast = cov_quadratic_forms(a[0], b, sxy)
+            assert np.array_equal(broadcast, [trace_form(QuadFormProblem(a[0], p.B, p.sigma)) for p in problems])

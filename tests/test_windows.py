@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import dense_covariance
+from oracles import QuadFormProblem, dense_covariance, per_pair_correlation, trace_form, window_stat_covariance
 from scipy.special import expit
 from scipy.stats import chi2, kstest
 
@@ -9,12 +9,10 @@ from smoothdiff.basis import BasisSpec, band_form, difference_penalty, make_basi
 from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import StratumData, StratumFit, fit_stratum, select_lambda
 from smoothdiff.simulate import failure_cause
-from smoothdiff.toeplitz import QuadFormProblem, cov_quadratic_forms
 from smoothdiff.windows import (
     _direct_inverse,
     sliding_inverses,
     window_stat_correlation,
-    window_stat_covariance,
     window_statistics,
     window_test_series,
 )
@@ -257,7 +255,7 @@ def full_sum_stat_covariance(cov1, cov2, spec, k, k2):
     a = _direct_inverse(vsum[sl1, sl1], k)
     b = _direct_inverse(vsum[sl2, sl2], k2)
     problem = QuadFormProblem(A=0.5 * (a + a.T), B=0.5 * (b + b.T), sigma=0.5 * (sigma + sigma.T))
-    return cov_quadratic_forms(problem)
+    return trace_form(problem)
 
 
 class TestWindowStatisticsFromBands:
@@ -362,7 +360,7 @@ class TestWindowStatCovariance:
         anchor = 18
         lags = np.arange(0, 9)
         v_band = 2.0 * fit.covariance_band(lags[-1] + spec.degree)
-        corr = [window_stat_correlation(v_band, spec, anchor, anchor + l) for l in lags]
+        corr = window_stat_correlation(v_band, spec, anchor, anchor + lags)
         assert corr[0] == pytest.approx(1.0)
         assert all(np.diff(corr) < 0)
         logc = np.log(np.maximum(corr[1:], 1e-300))
@@ -371,14 +369,6 @@ class TestWindowStatCovariance:
         ss_tot = np.sum((logc - logc.mean()) ** 2)
         assert slope < 0
         assert 1 - ss_res / ss_tot > 0.9
-
-
-def per_pair_correlation(v_band, spec, k, k2):
-    """Corr(T_k, T_k2) from three separate window_stat_covariance calls, each inverting its own windows."""
-    cov = window_stat_covariance(v_band, spec, k, k2)
-    var1 = window_stat_covariance(v_band, spec, k, k)
-    var2 = window_stat_covariance(v_band, spec, k2, k2)
-    return cov / np.sqrt(var1 * var2)
 
 
 class TestWindowStatCorrelationVector:
@@ -393,12 +383,13 @@ class TestWindowStatCorrelationVector:
         want = [per_pair_correlation(self.v_band, self.spec, k, int(j)) for j in k2]
         assert got.shape == (len(want),)
         assert np.array_equal(got, want)
-        assert [window_stat_correlation(self.v_band, self.spec, k, int(j)) for j in k2] == want
+        assert [window_stat_correlation(self.v_band, self.spec, k, np.array([j]))[0] for j in k2] == want
 
-    def test_each_window_inverted_and_each_variance_computed_once(self, monkeypatch):
+    @pytest.mark.parametrize("n_lags", [1, 2, 11, 27])
+    def test_one_batched_factorization_and_two_quadratic_form_calls(self, monkeypatch, n_lags):
         from smoothdiff import windows
 
-        calls = {"inverse": 0, "quad": 0}
+        calls = {"cholesky": 0, "quad": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -406,11 +397,11 @@ class TestWindowStatCorrelationVector:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(windows, "_direct_inverse", counted("inverse", windows._direct_inverse))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         monkeypatch.setattr(windows, "cov_quadratic_forms", counted("quad", windows.cov_quadratic_forms))
-        window_stat_correlation(self.v_band, self.spec, 8, 8 + np.arange(11))
-        # 11 windows; 11 variances and 10 covariances between distinct windows
-        assert calls == {"inverse": 11, "quad": 21}
+        got = window_stat_correlation(self.v_band, self.spec, 0, np.arange(n_lags))
+        assert got.shape == (n_lags,)
+        assert calls["cholesky"] == 1 and calls["quad"] <= 2
 
     def test_vector_checks_the_farthest_pair(self):
         band = band_form(random_spd(np.random.default_rng(3), 30), 6)
@@ -419,3 +410,53 @@ class TestWindowStatCorrelationVector:
             window_stat_correlation(band, self.spec, 10, np.array([10, 14, 12]))
         with pytest.raises(ParameterError, match="window indices must lie in"):
             window_stat_correlation(band, self.spec, 10, np.array([10, 27]))
+
+
+def assert_equals_per_pair(v_band, spec, k, k2):
+    """window_stat_correlation equals the per-pair oracle bit for bit, or raises its message."""
+    try:
+        want = np.array([per_pair_correlation(v_band, spec, k, int(j)) for j in k2])
+    except NumericalError as exc:
+        with pytest.raises(NumericalError) as got:
+            window_stat_correlation(v_band, spec, k, k2)
+        assert str(got.value) == str(exc)
+        return False
+    assert np.array_equal(window_stat_correlation(v_band, spec, k, k2), want), (k, k2)
+    return True
+
+
+class TestWindowStatCorrelationEqualsPerPair:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_random_bands(self, degree):
+        rng = np.random.default_rng(60 + degree)
+        n_failed = 0
+        for _ in range(60):
+            m = int(rng.integers(degree + 2, 30))
+            spec = make_basis(0.0, 1.0, m, degree)
+            r = rng.normal(size=(m, m + 2))
+            v = r @ r.T
+            if rng.random() < 0.25:  # an indefinite window somewhere
+                j = int(rng.integers(0, m))
+                v[j, j] = -1.0
+            k = int(rng.integers(0, spec.n_regions))
+            # any order, before and after k, with repeats
+            k2 = rng.integers(0, spec.n_regions, size=int(rng.integers(1, 9)))
+            reach = int(np.max(np.abs(k - k2))) + degree
+            n_failed += not assert_equals_per_pair(band_form(v, int(rng.integers(reach, m))), spec, k, k2)
+        assert 0 < n_failed < 60
+
+    @pytest.mark.parametrize("preset", ["table1a", "tableS1"])
+    def test_preset_strata(self, preset):
+        from smoothdiff.cli import _TABLE_SCENARIOS
+        from smoothdiff.simulate import gen_coefficients, gen_stratum, replicate_rng
+
+        scenario = _TABLE_SCENARIOS[preset]
+        spec = scenario.basis()
+        pen = difference_penalty(scenario.m, scenario.penalty_order)
+        rng = replicate_rng(scenario.seed, 0)
+        coefs = gen_coefficients(scenario, rng)[:2]
+        fits = [select_lambda(gen_stratum(c, scenario, rng, spec), spec, pen) for c in coefs]
+        max_lag = 10
+        v_band = sum(f.covariance_band(max_lag + spec.degree) for f in fits)
+        for anchor in range(spec.n_regions - max_lag):
+            assert assert_equals_per_pair(v_band, spec, anchor, anchor + np.arange(max_lag + 1))
