@@ -49,7 +49,6 @@ from .windows import (
     sliding_inverses,
     window_stat_correlation,
     window_statistics,
-    window_test_series,
 )
 
 __version__ = "0.1.0"

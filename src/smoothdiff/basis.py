@@ -255,6 +255,7 @@ def band_form(a: np.ndarray, bandwidth: int) -> np.ndarray:
     return ab
 
 
+# Only `crossprod` calls this, for perfbench/spans.py's wrapper of it.
 def expand_band(band: np.ndarray) -> np.ndarray:
     """Dense symmetric matrix from its upper band storage."""
     u, m = band.shape[0] - 1, band.shape[1]

@@ -186,15 +186,6 @@ def load_strata(config: AnalysisConfig) -> tuple[StratumData, StratumData]:
     return out[0], out[1]
 
 
-def write_stratum_csv(path: str, data1: StratumData, data2: StratumData) -> None:
-    """Dump two strata to the analyze input format (full float precision)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("y,z,stratum\n")
-        for label, data in (("1", data1), ("2", data2)):
-            for yi, zi in zip(data.y, data.z):
-                fh.write(f"{float(yi)!r},{float(zi)!r},{label}\n")
-
-
 def _fit_payload(fit: StratumFit, lam_source: str) -> dict:
     return {
         "lambda": fit.lam,
@@ -303,9 +294,9 @@ def cmd_analyze(config: AnalysisConfig) -> int:
     with open(os.path.join(config.out, "curves.csv"), "w", encoding="utf-8") as fh:
         fh.write("z,fit1,lo1,hi1,fit2,lo2,hi2\n")
         cols = []
-        for fit in fits:
+        for fit, band in zip(fits, covariance_bands(fits, spec.degree)):
             center = dm.predict(fit.coef)
-            se = np.sqrt(band_pointwise_variance(dm, fit.covariance_band(spec.degree)))
+            se = np.sqrt(band_pointwise_variance(dm, band))
             cols.append((center, center - BAND_MULTIPLIER * se, center + BAND_MULTIPLIER * se))
         for i, z in enumerate(grid):
             row = [repr(float(z))]

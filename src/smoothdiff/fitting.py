@@ -27,10 +27,9 @@ Cholesky factors and returns the (b+1)-band of every A^{-1} at once: the
 whole lambda grid in one call, or the single lambda of `fit_stratum`. A
 fit keeps the covariance band (`cov_band`), A's band (`precision_band`)
 and B (`border`), and holds its covariance in no other form: a wider band
-(`covariance_band`) comes from the same recurrence on A's band padded
-with zero rows, which is exact, as an entry inside the padded width reads
-only entries inside it. `covariance_bands` widens several fits in one
-recurrence.
+comes from the same recurrence on A's band padded with zero rows, which is
+exact, as an entry inside the padded width reads only entries inside it.
+`covariance_bands` widens any number of fits in one recurrence.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .errors import NumericalError, ParameterError
 __all__ = [
     "StratumData",
     "StratumFit",
-    "band_covariance",
     "covariance_bands",
     "fit_stratum",
     "select_lambda",
@@ -139,10 +137,6 @@ class StratumFit:
     precision_band: np.ndarray | None = None
     border: np.ndarray | None = field(default=None, repr=False)
 
-    def covariance_band(self, bandwidth: int) -> np.ndarray:
-        """Upper band of the posterior covariance to offset `bandwidth` (`covariance_bands` of this fit alone)."""
-        return covariance_bands([self], bandwidth)[0]
-
 
 def covariance_bands(fits: list[StratumFit], bandwidth: int) -> list[np.ndarray]:
     """Upper band of each fit's posterior covariance to offset `bandwidth`.
@@ -166,6 +160,7 @@ def covariance_bands(fits: list[StratumFit], bandwidth: int) -> list[np.ndarray]
     return [band[band.shape[0] - 1 - bandwidth :] for band in bands]
 
 
+# No library path calls this; perfbench/spans.py wraps it by attribute.
 def penalized_inverse(ab: np.ndarray) -> np.ndarray:
     """Inverse of an SPD system from its upper band, which may span the whole matrix."""
     try:
@@ -340,17 +335,6 @@ def _predict(dm: DesignMatrix, X: np.ndarray, coefs: np.ndarray, betas: np.ndarr
     return eta
 
 
-def band_covariance(band: np.ndarray, dispersion: float) -> np.ndarray:
-    """Dense covariance dispersion * A^{-1}, symmetrized, from A's upper band storage.
-
-    The band is a fit's `precision_band`. Only the exact-model reference
-    (`simulate.representative_covariance`) calls it, to draw from the dense
-    covariance of a fit without fixed effects.
-    """
-    cov = dispersion * penalized_inverse(band)
-    return 0.5 * (cov + cov.T)
-
-
 def _warn_small_sample(data: StratumData, spec: BasisSpec) -> None:
     if data.n <= spec.m:
         warnings.warn(
@@ -388,11 +372,14 @@ def _check_identifiable(dm: DesignMatrix, X: np.ndarray, order: int) -> bool:
 
 
 def _sum_of_squares(data: StratumData) -> float:
-    """y'y, the scale of the rounding-level deviance (`_flushed`); a ParameterError when it overflows."""
+    """y'y, the scale of the rounding-level deviance (`_flushed`); a ParameterError when it
+    overflows, or falls below the normal range with some y non-zero (every fit would read as exact)."""
     with np.errstate(over="ignore"):
         yss = float(data.y @ data.y)
     if not np.isfinite(yss):
         raise ParameterError("the sum of squared outcomes y'y overflows; rescale y")
+    if yss < np.finfo(float).tiny and np.any(data.y != 0):
+        raise ParameterError("the sum of squared outcomes y'y underflows; rescale y")
     return yss
 
 

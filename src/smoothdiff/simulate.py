@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.special import expit
 
 from .basis import BasisSpec, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
-from .fitting import StratumData, band_covariance, select_lambda
+from .fitting import StratumData, StratumFit, select_lambda
 from .tdp import TdpReport, phi_alpha, threshold_regions
-from .windows import window_statistics, window_test_series
+from .windows import window_statistics
 
 __all__ = [
     "SimScenario",
@@ -35,7 +36,7 @@ __all__ = [
     "gen_coefficients",
     "gen_stratum",
     "run_replicate",
-    "representative_covariance",
+    "representative_fit",
     "exact_model_error_rates",
     "run_scenario",
     "outcome_to_json",
@@ -79,6 +80,8 @@ class SimScenario:
             raise ParameterError(f"seed = {self.seed!r} must lie in [0, 2**64)")
         if self.family not in ("gaussian", "binomial"):
             raise ParameterError(f"unknown family {self.family!r}")
+        if self.family == "gaussian" and not self.noise_var > 0:
+            raise ParameterError(f"noise_var = {self.noise_var!r} must be positive for a Gaussian family")
         if any(not 0 < a < 1 for a in self.alphas):
             raise ParameterError("alpha levels must lie in (0, 1)")
         if any(not 0 < t <= 1 for t in self.thresholds):
@@ -340,17 +343,28 @@ EXACT_MODEL_CASES = (
 )
 
 
-def representative_covariance() -> tuple[BasisSpec, np.ndarray]:
-    """V1 + V2 from one fitted stratum of the reference Gaussian scenario."""
+def representative_fit() -> tuple[BasisSpec, StratumFit]:
+    """The basis and one fitted stratum of the reference Gaussian scenario."""
     seed = 99
     scenario = SimScenario(n_nonzero=15, alphas=(0.1,), n_replicates=1, seed=seed)
     spec = scenario.basis()
     pen = difference_penalty(scenario.m, scenario.penalty_order)
     rng = replicate_rng(seed, 0)
     b_base, _, _ = gen_coefficients(scenario, rng)
-    data = gen_stratum(b_base, scenario, rng, spec)
-    fit = select_lambda(data, spec, pen)
-    return spec, 2.0 * band_covariance(fit.precision_band, fit.dispersion)
+    return spec, select_lambda(gen_stratum(b_base, scenario, rng, spec), spec, pen)
+
+
+def _reversed_factor(band: np.ndarray) -> np.ndarray:
+    """Upper band of R, PAP = R'R with P the reversal, from A's upper band: PAP's d-th
+    superdiagonal is A's reversed."""
+    u = band.shape[0] - 1
+    reversed_band = np.zeros_like(band)
+    for d in range(u + 1):
+        reversed_band[u - d, d:] = band[u - d, d:][::-1]
+    factor, info = dpbtrf(reversed_band)
+    if info:
+        raise NumericalError(f"reference precision is not positive definite (leading minor {info})")
+    return factor
 
 
 def exact_model_error_rates(
@@ -358,16 +372,21 @@ def exact_model_error_rates(
 ) -> dict[tuple[int, float, float], tuple[float, float, int]]:
     """Type-1 error of the TDP selection when the window tests hold exactly.
 
-    Bypasses fitting: each replicate draws the coefficient difference from
-    the Gaussian model the window tests assume (planted difference plus
-    N(0, V1 + V2) noise with a representative fitted covariance), so every
-    chi-square null is exact. Regions are chosen by `threshold_regions` and
-    scored as in `run_replicate`. Covers the (n_nonzero, alphas, thresholds)
-    cases of EXACT_MODEL_CASES; the result maps (n_nonzero, alpha, tau) to
+    Bypasses fitting: each replicate draws the coefficient difference as
+    planted difference plus L z, L the lower Cholesky factor of V = V1 + V2
+    = 2 phi A^{-1} of a representative fit, so every chi-square null is
+    exact. With PAP = R'R, P the reversal, L = sqrt(2 phi) P R^{-1} P: one
+    banded triangular solve per draw (Rue & Held 2005, sections 2.3-2.4).
+    `window_statistics` reads V from the fit's covariance band, given the
+    draw and zeros as the two fits' coefficients. Regions are chosen by
+    `threshold_regions` and scored as in `run_replicate`. Covers the cases
+    of EXACT_MODEL_CASES; the result maps (n_nonzero, alpha, tau) to
     (error rate, Monte Carlo se, replicate count).
     """
-    spec, v = representative_covariance()
-    half = np.linalg.cholesky(v)
+    spec, fit = representative_fit()
+    factor = _reversed_factor(fit.precision_band)
+    scale = np.sqrt(2.0 * fit.dispersion)
+    null = replace(fit, coef=np.zeros(spec.m))
     rates = {}
     for n_nonzero, alphas, thresholds in EXACT_MODEL_CASES:
         scenario = SimScenario(
@@ -381,8 +400,9 @@ def exact_model_error_rates(
         rng = np.random.default_rng(seed + n_nonzero)
         for _ in range(n_replicates):
             b_base, b_alt, k_set = gen_coefficients(scenario, rng)
-            d_hat = (b_alt - b_base) + half @ rng.normal(size=scenario.m)
-            series = window_test_series(spec, d_hat, v)
+            noise = dtbtrs(factor, rng.normal(size=(scenario.m, 1))[::-1])[0][::-1, 0]
+            d_hat = (b_alt - b_base) + scale * noise
+            series = window_statistics(replace(fit, coef=d_hat), null, spec)
             truth_cells = _truth_cells(spec, k_set[b_alt[k_set] != b_base[k_set]])
             for alpha in scenario.alphas:
                 report = threshold_regions(series, alpha, scenario.thresholds)

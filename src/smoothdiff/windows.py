@@ -4,10 +4,9 @@ Knot-defined region k depends on the w = degree+1 adjacent coefficients
 k..k+degree. Its statistic is T_k = d_k' V_k^{-1} d_k, the quadratic form of
 the coefficient-difference window d_k against the w x w diagonal block V_k
 of the summed covariance V1 + V2, referred to a chi-square with w degrees of
-freedom. One kernel computes T: it factors every block in one batched
-Cholesky call and takes T_k = ||L_k^{-1} d_k||^2. `window_statistics` reads
-the blocks from the fits' covariance bands, `window_test_series` from a
-dense matrix.
+freedom. `window_statistics` reads the blocks from the fits' covariance
+bands, factors every block in one batched Cholesky call and takes
+T_k = ||L_k^{-1} d_k||^2.
 The dependence diagnostics report the correlation of one statistic with
 each of a vector of others (`window_stat_correlation`). Each covariance
 needs the two windows' blocks and the w x w cross block between them, which
@@ -30,14 +29,13 @@ from scipy.stats import chi2
 
 from .basis import BasisSpec
 from .errors import NumericalError, ParameterError
-from .fitting import StratumFit
+from .fitting import StratumFit, covariance_bands
 from .toeplitz import cov_quadratic_forms
 
 __all__ = [
     "WindowTestSeries",
     "SlidingInverses",
     "sliding_inverses",
-    "window_test_series",
     "window_statistics",
     "window_stat_correlation",
 ]
@@ -89,6 +87,7 @@ def _direct_inverse(block: np.ndarray, k: int) -> np.ndarray:
     return half.T @ half
 
 
+# No analysis calls this; perfbench/spans.py wraps it by attribute.
 def sliding_inverses(
     v: np.ndarray,
     w: int,
@@ -162,18 +161,6 @@ def _window_series(spec: BasisSpec, delta: np.ndarray, blocks: np.ndarray) -> Wi
     return WindowTestSeries(spec=spec, T=t, p=chi2.sf(t, df=w), regions=regions)
 
 
-def window_test_series(spec: BasisSpec, delta: np.ndarray, v: np.ndarray) -> WindowTestSeries:
-    """Statistics, chi-square p-values and regions of every window of `delta`.
-
-    The w x w diagonal blocks V_k of `v` are stacked and factored by one
-    batched Cholesky call, V_k = L_k L_k'; forward substitution over the w
-    rows, all windows at once, gives z_k = L_k^{-1} d_k and T_k = ||z_k||^2.
-    p-values use the chi-square survival function with w degrees of freedom.
-    """
-    idx = np.arange(spec.n_regions)[:, None] + np.arange(spec.degree + 1)
-    return _window_series(spec, delta, v[idx[:, :, None], idx[:, None, :]])
-
-
 def _band_entries(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """V[rows, cols] (broadcast index arrays) from the upper band of symmetric V.
 
@@ -192,12 +179,15 @@ def window_statistics(
     """Quadratic-form statistics and chi-square p-values for every region.
 
     T_k = d_k' (V1_k + V2_k)^{-1} d_k over the coefficient-difference windows
-    d_k of width w = degree+1, as in `window_test_series`. The blocks are
-    read from the sum of the fits' covariance bands to offset degree, so
-    no m x m matrix is formed.
+    d_k of width w = degree+1. The blocks are read from the sum of the fits'
+    covariance bands to offset degree, so no m x m matrix is formed; the
+    w x w blocks V_k are stacked and factored by one batched Cholesky call,
+    V_k = L_k L_k', and forward substitution over the w rows, all windows
+    at once, gives z_k = L_k^{-1} d_k and T_k = ||z_k||^2. p-values use the
+    chi-square survival function with w degrees of freedom.
     """
     m = spec.m
-    bands = [f.covariance_band(spec.degree) for f in (fit1, fit2)]
+    bands = covariance_bands([fit1, fit2], spec.degree)
     if any(f.coef.size != m or b.shape[1] != m for f, b in zip((fit1, fit2), bands)):
         raise ParameterError("fits do not match the basis dimension")
     idx = np.arange(spec.n_regions)[:, None] + np.arange(spec.degree + 1)
@@ -207,6 +197,8 @@ def window_statistics(
 
 def _check_pairs(v_band: np.ndarray, spec: BasisSpec, k: int, k2: np.ndarray) -> None:
     n_windows = spec.n_regions
+    if not k2.size:
+        raise ParameterError("the vector of other windows k2 is empty")
     if not (0 <= k < n_windows and np.all((0 <= k2) & (k2 < n_windows))):
         raise ParameterError(f"window indices must lie in [0, {n_windows})")
     reach = int(np.max(np.abs(k - k2))) + spec.degree

@@ -35,6 +35,10 @@ generalized eigensolve that scored the Gaussian grid, and
 `pointwise_variance` the dense diag(D cov D') that the curves used.
 A fit holds its covariance only as bands; `dense_covariance` is the dense
 m x m matrix they are bands of, which fits once carried as `fit.cov`.
+`band_covariance` is the dense dispersion * A^{-1} whose Cholesky factor the
+exact-model reference drew from before it drew from A's band, and
+`window_test_series` the window statistics with the blocks gathered from a
+dense V rather than from the fits' bands.
 
 `smoothdiff.fitting._binomial_block` steps IRLS in preallocated buffers,
 with the branch-free deviance and one LAPACK `dpbsv` per system.
@@ -64,7 +68,7 @@ from smoothdiff import fitting
 from smoothdiff.basis import expand_band
 from smoothdiff.errors import DomainError, NumericalError, ParameterError
 from smoothdiff.toeplitz import TridiagFactor
-from smoothdiff.windows import _band_entries, _check_pairs, _direct_inverse
+from smoothdiff.windows import _band_entries, _check_pairs, _direct_inverse, _window_series
 
 
 @dataclass(frozen=True)
@@ -283,10 +287,22 @@ def demmler_reinsch_edfs(gram, S, grid):
     return np.asarray([float(np.sum(mu / (mu + (lam / scale) * (1.0 - mu)))) for lam in grid])
 
 
+def band_covariance(band, dispersion) -> np.ndarray:
+    """Dense covariance dispersion * A^{-1}, symmetrized, from A's upper band storage."""
+    cov = dispersion * scipy.linalg.solveh_banded(band, np.eye(band.shape[1]))
+    return 0.5 * (cov + cov.T)
+
+
 def dense_covariance(fit) -> np.ndarray:
     """A fit's dense posterior covariance dispersion * (A^{-1} + BB'), from its precision band and border."""
-    cov = fitting.band_covariance(fit.precision_band, fit.dispersion)
+    cov = band_covariance(fit.precision_band, fit.dispersion)
     return cov + fit.dispersion * (fit.border @ fit.border.T)
+
+
+def window_test_series(spec, delta, v):
+    """Window statistics, p-values and regions of `delta` against the w x w diagonal blocks of a dense V."""
+    idx = np.arange(spec.n_regions)[:, None] + np.arange(spec.degree + 1)
+    return _window_series(spec, delta, v[idx[:, :, None], idx[:, None, :]])
 
 
 def pointwise_variance(design, cov):

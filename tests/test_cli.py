@@ -14,7 +14,7 @@ from oracles import (
     read_stratum_csv_by_float,
 )
 
-from smoothdiff import simulate
+from smoothdiff import basis, fitting, simulate
 from smoothdiff.basis import band_form, design_matrix, difference_penalty, make_basis
 from smoothdiff.cli import (
     CURVE_GRID_POINTS,
@@ -22,10 +22,16 @@ from smoothdiff.cli import (
     load_model,
     main,
     read_stratum_csv,
-    write_stratum_csv,
 )
 from smoothdiff.fitting import StratumData, covariance_bands, select_lambda
-from smoothdiff.simulate import SimScenario, gen_coefficients, gen_stratum, replicate_rng
+from smoothdiff.simulate import (
+    SimScenario,
+    exact_model_error_rates,
+    gen_coefficients,
+    gen_stratum,
+    replicate_rng,
+    run_replicate,
+)
 from smoothdiff.tdp import threshold_regions
 from smoothdiff.windows import window_statistics
 
@@ -37,6 +43,15 @@ def load_script(name):
     module = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(module)
     return module
+
+
+def write_stratum_csv(path, data1, data2):
+    """Dump two strata to the analyze input format (full float precision)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("y,z,stratum\n")
+        for label, data in (("1", data1), ("2", data2)):
+            for yi, zi in zip(data.y, data.z):
+                fh.write(f"{float(yi)!r},{float(zi)!r},{label}\n")
 
 
 def gait_csv(tmp_path, n=500):
@@ -329,7 +344,7 @@ class TestAnalyze:
         pen = difference_penalty(20, 2)
         dm = design_matrix(spec, np.linspace(0.0, 1.0, CURVE_GRID_POINTS))
         fit = select_lambda(data1, spec, pen)
-        got = band_pointwise_variance(dm, fit.covariance_band(degree))
+        got = band_pointwise_variance(dm, covariance_bands([fit], degree)[0])
         np.testing.assert_allclose(got, pointwise_variance(dense_design(dm), dense_covariance(fit)), rtol=1e-12)
 
     def test_numerical_failure_exits_3(self, tmp_path):
@@ -437,6 +452,24 @@ class TestAnalyze:
         assert rc == 2
         err = capsys.readouterr().err
         assert "stratum 2: the sum of squared outcomes y'y overflows" in err
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("scale, rc", [(1.0, 0), (1e-150, 0), (1e-160, 2), (1e-300, 2)])
+    def test_underflowing_sum_of_squares_exits_2(self, tmp_path, capsys, scale, rc):
+        # y'y below the normal range made every deviance read as an exact fit: exit 3,
+        # "window 0 covariance is not positive definite"; at 1e-300 y'y is exactly 0
+        rng = np.random.default_rng(33)
+        path = tmp_path / "tiny.csv"
+        rows = ["y,z,stratum"]
+        for s in (1, 2):
+            z = rng.uniform(0, 1, 200)
+            y = scale * (np.sin(5 * z) + rng.normal(0, 0.3, z.size))
+            rows += [f"{float(yi)!r},{float(zi)!r},{s}" for yi, zi in zip(y, z)]
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["analyze", "--data", str(path), "--basis-dim", "10", "--domain", "0", "1",
+                     "--out", str(tmp_path / "o")]) == rc
+        err = capsys.readouterr().err
+        assert ("stratum 1: the sum of squared outcomes y'y underflows; rescale y" in err) == bool(rc)
         assert "Traceback" not in err and "Warning" not in err
 
     def test_gait_like_annotation_semantics(self, tmp_path):
@@ -678,6 +711,7 @@ class TestSimulate:
             ("m_delta_sweep = 0 1 2", [], None, "m_delta_sweep = (0.0, 1.0, 2.0) must be two"),
             ("noise_var = -1", [], None, "noise_var = -1.0 must be finite"),
             ("noise_var = nan", [], None, "noise_var = nan must be finite"),
+            ("noise_var = 0", [], None, "noise_var = 0.0 must be positive for a Gaussian family"),
             ("m_delta = nan", [], None, "m_delta = nan must be finite"),
             ("sigma_b2 = nan", [], None, "sigma_b2 = nan must be finite"),
         ],
@@ -997,7 +1031,7 @@ def check_model_file(path) -> int:
 def assert_covariance_bands_bitwise_equal(loaded, direct, m):
     # from the fit's own band up to the full width, as diagnose widens them
     for width in range(m):
-        assert np.array_equal(loaded.covariance_band(width), direct.covariance_band(width)), width
+        assert np.array_equal(covariance_bands([loaded], width)[0], covariance_bands([direct], width)[0]), width
 
 
 def write_format_1(model, fits, path):
@@ -1017,7 +1051,7 @@ def per_lag_correlation_table(model_path, max_lag) -> bytes:
     max_lag = min(max_lag, spec.n_regions - 1)
     anchor = spec.n_regions // 2 - max_lag // 2
     reach = max_lag + spec.degree
-    v_band = fits[0].covariance_band(reach) + fits[1].covariance_band(reach)
+    v_band = sum(covariance_bands([fit], reach)[0] for fit in fits)
     lines = ["lag,correlation"]
     for lag in range(max_lag + 1):
         lines.append(f"{lag},{float(per_pair_correlation(v_band, spec, anchor, anchor + lag))!r}")
@@ -1089,7 +1123,7 @@ class TestModelFile:
             cov = dense_covariance(fit)
             for width in (2, 8, 19):
                 np.testing.assert_allclose(
-                    fit.covariance_band(width), band_form(cov, width), rtol=0.0, atol=1e-12 * np.max(np.abs(cov))
+                    covariance_bands([fit], width)[0], band_form(cov, width), rtol=0.0, atol=1e-12 * np.max(np.abs(cov))
                 )
         diag = tmp_path / "diag"
         assert main(["diagnose", "--model", str(tmp_path / "out" / "fits.json"), "--out", str(diag)]) == 0
@@ -1113,7 +1147,7 @@ class TestModelFile:
         for width in range(spec.degree, spec.m):
             both = covariance_bands(fits, width)
             for band, fit in zip(both, fits):
-                assert np.array_equal(band, fit.covariance_band(width)), width
+                assert np.array_equal(band, covariance_bands([fit], width)[0]), width
         table, _ = diagnose_files(path, tmp_path / "diag")
         assert table == per_lag_correlation_table(path, 6)
 
@@ -1204,3 +1238,20 @@ class TestModelFile:
         assert main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")]) == 2
         err = capsys.readouterr().err
         assert "bad.json" in err and problem in err
+
+
+def test_no_library_path_forms_a_dense_inverse_or_expansion(tmp_path, monkeypatch):
+    # the exact-model reference, a replicate of either family and an analyze +
+    # diagnose session read every covariance from bands
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense m x m path ran")
+
+    monkeypatch.setattr(fitting, "penalized_inverse", dense)
+    monkeypatch.setattr(basis, "expand_band", dense)
+    assert exact_model_error_rates(5, 0)
+    for family in ("gaussian", "binomial"):
+        scn, _, _ = make_pair(family=family)
+        assert not run_replicate(scn, 0).failed
+    _, data1, data2 = make_pair(seed=13, n=800)
+    analyze_to(tmp_path / "out", data1, data2)
+    diagnose_files(tmp_path / "out" / "fits.json", tmp_path / "diag")

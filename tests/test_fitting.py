@@ -11,6 +11,7 @@ from oracles import (
     binomial_block_by_where,
     binomial_deviance_by_where,
     demmler_reinsch_edfs,
+    band_covariance,
     dense_covariance,
     dense_design,
     dense_inverse_edf,
@@ -27,7 +28,6 @@ from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import (
     StratumData,
     _binomial_deviance,
-    band_covariance,
     covariance_bands,
     default_lambda_grid,
     fit_stratum,
@@ -397,7 +397,7 @@ class TestBandedIrls:
         fit = fit_stratum(data, spec, pen, 0.5)
         # neither the fit nor its windows, nor a band wider than the fit's, inverts A
         window_statistics(fit, fit, spec)
-        fit.covariance_band(spec.m - 1)
+        covariance_bands([fit], spec.m - 1)
         assert calls == []
 
     def test_not_positive_definite_iteration_raises(self, setup):
@@ -802,7 +802,7 @@ class TestGaussianGcvPath:
             warnings.simplefilter("ignore", UserWarning)
             fit = select_lambda(data, spec, pen)
         window_statistics(fit, fit, spec)
-        fit.covariance_band(spec.m - 1)
+        covariance_bands([fit], spec.m - 1)
         assert calls == []
 
     @pytest.mark.parametrize("fixture", GAUSSIAN_FIXTURES)
@@ -904,7 +904,7 @@ class TestPrecisionBand:
         cov = dense_covariance(fit)
         b = fit.cov_band.shape[0] - 1
         for width in range(0, spec.m + 2):
-            band = fit.covariance_band(width)
+            band = covariance_bands([fit], width)[0]
             assert band.shape == (width + 1, spec.m)
             assert_close(band, band_form(cov, width), rtol=1e-12)
             if width <= b:  # read from the fit's own band
@@ -920,7 +920,7 @@ class TestPrecisionBand:
         fits.append(replace(fits[0], cov_band=band_form(dense_covariance(fits[0]), 29), precision_band=None))
         for width in range(0, spec.m):
             for band, fit in zip(covariance_bands(fits, width), fits):
-                assert np.array_equal(band, fit.covariance_band(width)), width
+                assert np.array_equal(band, covariance_bands([fit], width)[0]), width
 
 
 def penalized_factors(m, degree, order, lams, seed=0):

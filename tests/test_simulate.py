@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from oracles import dense_covariance
 from scipy.stats import chi2, chisquare
 
 from smoothdiff import fitting
@@ -21,7 +22,7 @@ from smoothdiff.simulate import (
     gen_stratum,
     outcome_to_json,
     replicate_rng,
-    representative_covariance,
+    representative_fit,
     run_replicate,
     run_scenario,
     table_csv_lines,
@@ -122,7 +123,8 @@ class TestGenCoefficients:
 
 class TestGenStratum:
     def test_noiseless_gaussian_lies_on_linear_predictor(self):
-        scn = small_scenario(noise_var=0.0)
+        # a Gaussian scenario needs noise_var > 0; noise of sd 1e-15 is below allclose's tolerance
+        scn = small_scenario(noise_var=1e-30)
         spec = scn.basis()
         rng = replicate_rng(3, 0)
         coefs = rng.normal(size=scn.m)
@@ -131,7 +133,7 @@ class TestGenStratum:
         assert np.allclose(data.y, eta)
 
     def test_constant_coefficients_give_constant_predictor(self):
-        scn = small_scenario(noise_var=0.0)
+        scn = small_scenario(noise_var=1e-30)
         spec = scn.basis()
         data = gen_stratum(np.full(scn.m, 1.7), scn, replicate_rng(4, 0), spec)
         assert np.allclose(data.y, 1.7)
@@ -269,6 +271,12 @@ class TestRunScenario:
         with pytest.raises(ParameterError):
             small_scenario(alphas=(1.5,))
 
+    def test_zero_noise_variance_rejected_for_gaussian_only(self):
+        # a noiseless Gaussian scenario fits every replicate exactly: error rate 1.000 in every cell
+        with pytest.raises(ParameterError, match="noise_var = 0.0 must be positive for a Gaussian family"):
+            small_scenario(noise_var=0.0)
+        assert small_scenario(noise_var=0.0, family="binomial").noise_var == 0.0
+
 
 class TestExactModelErrorRates:
     def test_matches_descending_prefix_and_window_truth_oracle(self):
@@ -277,7 +285,8 @@ class TestExactModelErrorRates:
         # coefficient; drawn from the same generator stream
         n_reps, seed = 20, 7
         rates = exact_model_error_rates(n_reps, seed)
-        spec, v = representative_covariance()
+        spec, fit = representative_fit()
+        v = 2.0 * dense_covariance(fit)
         half = np.linalg.cholesky(v)
         w = spec.degree + 1
         n_windows = spec.n_regions

@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import QuadFormProblem, dense_covariance, per_pair_correlation, trace_form, window_stat_covariance
+from oracles import (
+    QuadFormProblem,
+    dense_covariance,
+    per_pair_correlation,
+    trace_form,
+    window_stat_covariance,
+    window_test_series,
+)
 from scipy.special import expit
 from scipy.stats import chi2, kstest
 
 from smoothdiff.basis import BasisSpec, band_form, difference_penalty, make_basis
 from smoothdiff.errors import NumericalError, ParameterError
-from smoothdiff.fitting import StratumData, StratumFit, fit_stratum, select_lambda
+from smoothdiff.fitting import StratumData, StratumFit, covariance_bands, fit_stratum, select_lambda
 from smoothdiff.simulate import failure_cause
 from smoothdiff.windows import (
     _direct_inverse,
     sliding_inverses,
     window_stat_correlation,
     window_statistics,
-    window_test_series,
 )
 
 
@@ -359,7 +365,7 @@ class TestWindowStatCovariance:
         fit = fit_stratum(StratumData(y=y, z=z), spec, pen, 1.0)
         anchor = 18
         lags = np.arange(0, 9)
-        v_band = 2.0 * fit.covariance_band(lags[-1] + spec.degree)
+        v_band = 2.0 * covariance_bands([fit], lags[-1] + spec.degree)[0]
         corr = window_stat_correlation(v_band, spec, anchor, anchor + lags)
         assert corr[0] == pytest.approx(1.0)
         assert all(np.diff(corr) < 0)
@@ -411,6 +417,13 @@ class TestWindowStatCorrelationVector:
         with pytest.raises(ParameterError, match="window indices must lie in"):
             window_stat_correlation(band, self.spec, 10, np.array([10, 27]))
 
+    @pytest.mark.parametrize("k2", [[], np.array([], dtype=int)])
+    def test_empty_vector_is_a_parameter_error(self, k2):
+        # numpy's zero-size reduction ValueError before
+        band = band_form(random_spd(np.random.default_rng(3), 30), 6)
+        with pytest.raises(ParameterError, match="the vector of other windows k2 is empty"):
+            window_stat_correlation(band, self.spec, 10, k2)
+
 
 def assert_equals_per_pair(v_band, spec, k, k2):
     """window_stat_correlation equals the per-pair oracle bit for bit, or raises its message."""
@@ -457,6 +470,6 @@ class TestWindowStatCorrelationEqualsPerPair:
         coefs = gen_coefficients(scenario, rng)[:2]
         fits = [select_lambda(gen_stratum(c, scenario, rng, spec), spec, pen) for c in coefs]
         max_lag = 10
-        v_band = sum(f.covariance_band(max_lag + spec.degree) for f in fits)
+        v_band = sum(covariance_bands(fits, max_lag + spec.degree))
         for anchor in range(spec.n_regions - max_lag):
             assert assert_equals_per_pair(v_band, spec, anchor, anchor + np.arange(max_lag + 1))
