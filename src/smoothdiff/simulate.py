@@ -182,18 +182,21 @@ def clumped_indices(m: int, k: int, nu: float, rng: np.random.Generator) -> np.n
         raise ParameterError(f"number of indices k={k} must lie strictly between 0 and m={m}")
     if nu < 1:
         raise ParameterError("clumping factor must be at least 1")
+    # Weights kept incrementally: 0 once chosen, nu for an unchosen neighbour
+    # of a chosen index, 1 otherwise.
+    weights = np.ones(m)
     chosen = np.zeros(m, dtype=bool)
     for _ in range(k):
-        weights = np.ones(m)
-        idx = np.flatnonzero(chosen)
-        if idx.size:
-            adjacent = np.zeros(m, dtype=bool)
-            adjacent[idx[idx > 0] - 1] = True
-            adjacent[idx[idx < m - 1] + 1] = True
-            weights[adjacent] = nu
-            weights[chosen] = 0.0
-        pick = rng.choice(m, p=weights / weights.sum())
+        # The draw of rng.choice(m, p=weights / weights.sum()), step for step,
+        # so the indices and the generator state match it bit for bit.
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        pick = int(cdf.searchsorted(rng.random(), side="right"))
         chosen[pick] = True
+        weights[pick] = 0.0
+        for j in (pick - 1, pick + 1):
+            if 0 <= j < m and not chosen[j]:
+                weights[j] = nu
     return np.flatnonzero(chosen)
 
 

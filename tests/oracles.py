@@ -50,6 +50,11 @@ field and message of the new kernel must equal theirs bit for bit.
 `smoothdiff.cli.read_stratum_csv` parses the data rows with `np.loadtxt`;
 `read_stratum_csv_by_float` is the `csv` reader with one `float()` per field
 that it replaced, and must give the same columns bit for bit.
+
+`smoothdiff.simulate.clumped_indices` keeps its weights incrementally and
+draws each index from their cumulative sum as `Generator.choice` does;
+`clumped_indices_by_choice` is the loop it replaced, one `rng.choice` per
+index, which it must match in the indices and in the generator state after.
 """
 
 from __future__ import annotations
@@ -488,3 +493,20 @@ def per_pair_correlation(v_band, spec, k, k2) -> float:
     var1 = window_stat_covariance(v_band, spec, k, k)
     var2 = window_stat_covariance(v_band, spec, k2, k2)
     return cov / np.sqrt(var1 * var2)
+
+
+def clumped_indices_by_choice(m, k, nu, rng) -> np.ndarray:
+    """k clumped indices drawn by one `rng.choice` per index, the m weights rebuilt each time."""
+    chosen = np.zeros(m, dtype=bool)
+    for _ in range(k):
+        weights = np.ones(m)
+        idx = np.flatnonzero(chosen)
+        if idx.size:
+            adjacent = np.zeros(m, dtype=bool)
+            adjacent[idx[idx > 0] - 1] = True
+            adjacent[idx[idx < m - 1] + 1] = True
+            weights[adjacent] = nu
+            weights[chosen] = 0.0
+        pick = rng.choice(m, p=weights / weights.sum())
+        chosen[pick] = True
+    return np.flatnonzero(chosen)

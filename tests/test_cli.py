@@ -14,7 +14,7 @@ from oracles import (
     read_stratum_csv_by_float,
 )
 
-from smoothdiff import basis, fitting, simulate
+from smoothdiff import basis, cli, fitting, simulate
 from smoothdiff.basis import band_form, design_matrix, difference_penalty, make_basis
 from smoothdiff.cli import (
     CURVE_GRID_POINTS,
@@ -1255,3 +1255,30 @@ def test_no_library_path_forms_a_dense_inverse_or_expansion(tmp_path, monkeypatc
     _, data1, data2 = make_pair(seed=13, n=800)
     analyze_to(tmp_path / "out", data1, data2)
     diagnose_files(tmp_path / "out" / "fits.json", tmp_path / "diag")
+
+
+def test_cached_parser_leaks_no_value_between_calls(monkeypatch):
+    # main parses with one parser per process; every call must see exactly
+    # what a freshly built parser gives for its own argv
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    seen = []
+    monkeypatch.setattr(cli, "_analysis_config", seen.append)
+    monkeypatch.setattr(cli, "cmd_analyze", lambda config: 0)
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(args) or 0)
+    monkeypatch.setattr(cli, "cmd_diagnose", lambda args: seen.append(args) or 0)
+    runs = [
+        ["analyze", "--data", "a.csv", "--basis-dim", "40", "--tdp", "0.9", "0.5", "--lambda", "2"],
+        ["simulate", "--preset", "tableS1", "--threads", "1", "--seed", "7", "--out", "s"],
+        ["diagnose", "--model", "fits.json", "--max-lag", "3"],
+        ["analyze", "--stratum1", "a.csv", "--stratum2", "b.csv"],
+        ["simulate", "--scenario", "x.scn"],
+        ["diagnose", "--epsilon", "1", "--theta", "0.2", "--lambda-p", "0.1"],
+    ]
+    for argv in runs:
+        assert main(argv) == 0
+        assert vars(seen[-1]) == vars(cli.build_parser().parse_args(argv))
+    assert len(seen) == len(runs)
+    assert cli._parser() is cli._parser()
+    assert seen[4].threads == (os.cpu_count() or 1) and seen[4].seed is None
+    assert seen[3].lam is None and seen[3].tdp is None and seen[3].basis_dim is None
+    assert seen[5].model is None and seen[5].max_lag == 12

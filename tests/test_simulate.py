@@ -3,7 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from oracles import dense_covariance
+from hypothesis import given, settings, strategies as st
+from oracles import clumped_indices_by_choice, dense_covariance
 from scipy.stats import chi2, chisquare
 
 from smoothdiff import fitting
@@ -81,6 +82,23 @@ class TestClumpedIndices:
             [adjacent_pairs(clumped_indices(60, 8, 6.0, rng)) for _ in range(draws)]
         )
         assert clumped > plain + 0.5
+
+    @given(
+        m=st.integers(2, 300),
+        frac=st.floats(0.0, 1.0),
+        nu=st.one_of(
+            st.sampled_from([1.0, 1.5, 6.0, 1e3, 1e12]),
+            st.floats(1.0, 50.0),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_indices_and_generator_state_match_one_choice_per_index(self, m, frac, nu, seed):
+        k = 1 + int(frac * (m - 2))
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = clumped_indices(m, k, nu, rng)
+        assert np.array_equal(out, clumped_indices_by_choice(m, k, nu, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_invalid_arguments(self):
         rng = np.random.default_rng(3)

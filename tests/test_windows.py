@@ -9,7 +9,7 @@ from oracles import (
     window_stat_covariance,
     window_test_series,
 )
-from scipy.special import expit
+from scipy.special import chdtrc, expit
 from scipy.stats import chi2, kstest
 
 from smoothdiff.basis import BasisSpec, band_form, difference_penalty, make_basis
@@ -250,6 +250,17 @@ class TestChiSquareTail:
                 exact = float(mpmath.gammainc(df / 2, t / 2, mpmath.inf, regularized=True))
                 ours = float(chi2.sf(t, df=df))
                 assert abs(ours - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4])
+    def test_chdtrc_is_chi2_sf_bit_for_bit(self, df):
+        # the window p-value function against scipy.stats, from zero through
+        # the subnormals, a deep tail (T = 1e3, p ~ 1e-216), tails that
+        # underflow to p = 0 and the largest double to inf and NaN; a sum of
+        # squares never reaches T < 0
+        t = np.array([0.0, 5e-324, 1e-300, 1e-8, 1.0, 1e3, 1e4, 1e308, np.inf, np.nan])
+        p = chdtrc(df, t)
+        assert 0.0 < p[5] < 1e-200 and p[6] == 0.0
+        assert np.array_equal(p, chi2.sf(t, df=df), equal_nan=True)
 
 
 def full_sum_stat_covariance(cov1, cov2, spec, k, k2):
