@@ -168,10 +168,8 @@ class DesignMatrix:
             self._xtx = out
         return out
 
-    def rhs(self, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """Z' diag(w) y for a vector y, or for each column of an n x p matrix y."""
-        if weights is not None:
-            y = weights * y if y.ndim == 1 else weights[:, None] * y
+    def rhs(self, y: np.ndarray) -> np.ndarray:
+        """Z'y for a vector y, or for each column of an n x p matrix y; callers weight y."""
         _, rhs_op = self._operators()
         per_offset = (rhs_op @ y).reshape(self.width, self.m, *y.shape[1:])
         out = np.zeros(per_offset.shape[1:])

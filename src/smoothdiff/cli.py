@@ -241,6 +241,9 @@ def cmd_analyze(config: AnalysisConfig) -> int:
                 fits.append(select_lambda(data, spec, pen))
         except ParameterError as exc:
             raise ParameterError(f"stratum {i}: {exc}") from exc
+        except NumericalError as exc:  # when no lambda could be fit, name the last one's cause
+            cause = f": {exc.__cause__}" if exc.__cause__ is not None else ""
+            raise NumericalError(f"{exc}{cause}") from exc
     source = "gcv" if config.lam is None else "fixed"
     series = window_statistics(fits[0], fits[1], spec)
     report = threshold_regions(series, config.alpha, config.tdp)
@@ -736,15 +739,12 @@ def main(argv: list[str] | None = None) -> int:
             if args.seed is None and SEED_ENV_VAR in os.environ:
                 args.seed = _default_seed()
             return cmd_simulate(args)
-        if args.command == "diagnose":
-            if args.model is None and None in (args.epsilon, args.theta, args.lambda_p):
-                raise ParameterError(
-                    "diagnose needs either --model or all of --epsilon/--theta/--lambda-p"
-                )
-            if args.max_lag < 0:
-                raise ParameterError(f"--max-lag must be non-negative, got {args.max_lag}")
-            return cmd_diagnose(args)
-        raise ParameterError(f"unknown command {args.command!r}")
+        # diagnose: the parser admits no other command
+        if args.model is None and None in (args.epsilon, args.theta, args.lambda_p):
+            raise ParameterError("diagnose needs either --model or all of --epsilon/--theta/--lambda-p")
+        if args.max_lag < 0:
+            raise ParameterError(f"--max-lag must be non-negative, got {args.max_lag}")
+        return cmd_diagnose(args)
     except ParameterError as exc:
         print(f"smoothdiff: input error: {exc}", file=sys.stderr)
         return 2

@@ -704,7 +704,8 @@ def select_lambda(
 
     GCV is n * deviance / (n - edf)^2. Deviance at the rounding level is
     treated as an exact fit, so ties resolve toward the heaviest smoothing.
-    A grid point whose fit fails is skipped. Returns the fit computed at the
+    A grid point whose fit fails is skipped; when every one fails, the error
+    is raised from the largest lambda's. Returns the fit computed at the
     selected value (`fit.lam`), which is then held fixed downstream; it
     equals `fit_stratum` at that value.
     """
@@ -716,13 +717,12 @@ def select_lambda(
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
         raise ParameterError("lambda grid must be a non-empty vector of finite positive values")
     _warn_small_sample(data, spec)
-    best, best_score = None, np.inf
+    best, best_score, failure = None, np.inf, None
     for fit in _grid_fits(dm, data, spec, pen, np.sort(grid), yss):
         if isinstance(fit, NumericalError):
-            continue
-        score = _gcv_score(data, fit.deviance, fit.edf, yss)
-        if score <= best_score:
+            failure = fit
+        elif (score := _gcv_score(data, fit.deviance, fit.edf, yss)) <= best_score:
             best, best_score = fit, score
     if best is None:
-        raise NumericalError("no smoothing parameter candidate could be fit")
+        raise NumericalError("no smoothing parameter candidate could be fit") from failure
     return best

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dtbtrs
@@ -22,7 +22,7 @@ from .basis import BasisSpec, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
 from .fitting import StratumData, StratumFit, select_lambda
 from .tdp import TdpReport, phi_alpha, threshold_regions
-from .windows import window_statistics
+from .windows import WindowTestSeries, window_statistics
 
 __all__ = [
     "SimScenario",
@@ -88,6 +88,8 @@ class SimScenario:
             raise ParameterError("TDP thresholds must lie in (0, 1]")
         if self.n_replicates < 1:
             raise ParameterError("replicate count must be at least 1")
+        if self.n_per_stratum < 1:
+            raise ParameterError(f"n_per_stratum = {self.n_per_stratum!r} must be at least 1")
         object.__setattr__(self, "domain", (float(self.domain[0]), float(self.domain[1])))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(
@@ -124,9 +126,9 @@ class ReplicateRecord:
     index: int
     m_delta: float
     true_indices: tuple[int, ...]
-    p_values: tuple[float, ...]
-    regions: tuple[RegionOutcome, ...]
-    truth_region_tdp: dict
+    p_values: tuple[float, ...] = ()
+    regions: tuple[RegionOutcome, ...] = ()
+    truth_region_tdp: dict = field(default_factory=dict)
     failed: bool = False
     message: str = ""
 
@@ -248,15 +250,7 @@ def _truth_cells(spec: BasisSpec, nonzero: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _selected_cells(spec: BasisSpec, windows) -> np.ndarray:
-    cells = np.zeros(spec.n_regions, dtype=bool)
-    cells[[int(k) for k in windows]] = True
-    return cells
-
-
-def _score_regions(
-    report: TdpReport, spec: BasisSpec, truth_cells: np.ndarray
-) -> list[RegionOutcome]:
+def _score_regions(report: TdpReport, truth_cells: np.ndarray) -> list[RegionOutcome]:
     """Score each selected region of one TDP report against the planted truth.
 
     Cell k is true iff window k holds a planted coefficient, so counting
@@ -269,10 +263,8 @@ def _score_regions(
         if rec.windows:
             # Uniform knot cells: Lebesgue-measure ratios reduce to exact
             # integer cell-count ratios, keeping the error comparison sharp.
-            sel = _selected_cells(spec, rec.windows)
-            sel_count = int(sel.sum())
-            inter_count = int((sel & truth_cells).sum())
-            empirical = inter_count / sel_count
+            inter_count = int(truth_cells[list(rec.windows)].sum())
+            empirical = inter_count / len(rec.windows)
             coverage = inter_count / truth_count if truth_count > 0 else None
             error = int(rec.phi > inter_count)
         else:
@@ -280,17 +272,30 @@ def _score_regions(
             coverage = 0.0 if truth_count > 0 else None
             error = 0
         outcomes.append(
-            RegionOutcome(
-                alpha=report.alpha,
-                tau=rec.tau,
-                n_windows=len(rec.windows),
-                bound=rec.bound,
-                empirical_tdp=empirical,
-                truth_coverage=coverage,
-                error=error,
-            )
+            RegionOutcome(report.alpha, rec.tau, len(rec.windows), rec.bound, empirical, coverage, error)
         )
     return outcomes
+
+
+def _score_series(
+    series: WindowTestSeries, scenario: SimScenario, planted: np.ndarray
+) -> tuple[list[RegionOutcome], dict]:
+    """Scored regions of every (alpha, threshold) cell and the truth-region bound per alpha.
+
+    `planted` holds the indices of the coefficients that differ between the
+    strata. Window k holds coefficients k..k+degree, so it holds a planted
+    one exactly when cell k is true.
+    """
+    truth_cells = _truth_cells(series.spec, planted)
+    truth_windows = np.flatnonzero(truth_cells)
+    regions = []
+    truth_region_tdp = {}
+    for alpha in scenario.alphas:
+        report = threshold_regions(series, alpha, scenario.thresholds)
+        if truth_windows.size:
+            truth_region_tdp[alpha] = phi_alpha(report.family, truth_windows) / truth_windows.size
+        regions.extend(_score_regions(report, truth_cells))
+    return regions, truth_region_tdp
 
 
 def run_replicate(scenario: SimScenario, index: int) -> ReplicateRecord:
@@ -302,41 +307,15 @@ def run_replicate(scenario: SimScenario, index: int) -> ReplicateRecord:
     b_base, b_alt, k_set = gen_coefficients(scenario, rng, m_delta)
     data_base = gen_stratum(b_base, scenario, rng, spec)
     data_alt = gen_stratum(b_alt, scenario, rng, spec)
+    true_indices = tuple(int(j) for j in k_set)
     try:
         fits = [select_lambda(data, spec, pen) for data in (data_alt, data_base)]
         series = window_statistics(fits[0], fits[1], spec)
     except NumericalError as exc:
-        return ReplicateRecord(
-            index=index,
-            m_delta=m_delta,
-            true_indices=tuple(int(j) for j in k_set),
-            p_values=(),
-            regions=(),
-            truth_region_tdp={},
-            failed=True,
-            message=str(exc),
-        )
-
-    nonzero = k_set[b_alt[k_set] != b_base[k_set]]
-    truth_cells = _truth_cells(spec, nonzero)
-    # Window k holds coefficients k..k+degree, so it holds a planted one
-    # exactly when cell k is true.
-    truth_windows = np.flatnonzero(truth_cells)
-
-    regions = []
-    truth_region_tdp = {}
-    for alpha in scenario.alphas:
-        report = threshold_regions(series, alpha, scenario.thresholds)
-        if truth_windows.size:
-            truth_region_tdp[alpha] = phi_alpha(report.family, truth_windows) / truth_windows.size
-        regions.extend(_score_regions(report, spec, truth_cells))
+        return ReplicateRecord(index, m_delta, true_indices, failed=True, message=str(exc))
+    regions, truth_region_tdp = _score_series(series, scenario, np.flatnonzero(b_alt != b_base))
     return ReplicateRecord(
-        index=index,
-        m_delta=m_delta,
-        true_indices=tuple(int(j) for j in k_set),
-        p_values=tuple(float(p) for p in series.p),
-        regions=tuple(regions),
-        truth_region_tdp=truth_region_tdp,
+        index, m_delta, true_indices, tuple(float(p) for p in series.p), tuple(regions), truth_region_tdp
     )
 
 
@@ -381,8 +360,8 @@ def exact_model_error_rates(
     exact. With PAP = R'R, P the reversal, L = sqrt(2 phi) P R^{-1} P: one
     banded triangular solve per draw (Rue & Held 2005, sections 2.3-2.4).
     `window_statistics` reads V from the fit's covariance band, given the
-    draw and zeros as the two fits' coefficients. Regions are chosen by
-    `threshold_regions` and scored as in `run_replicate`. Covers the cases
+    draw and zeros as the two fits' coefficients; the series is scored and
+    tallied by `run_replicate`'s and `run_scenario`'s code. Covers the cases
     of EXACT_MODEL_CASES; the result maps (n_nonzero, alpha, tau) to
     (error rate, Monte Carlo se, replicate count).
     """
@@ -393,26 +372,17 @@ def exact_model_error_rates(
     rates = {}
     for n_nonzero, alphas, thresholds in EXACT_MODEL_CASES:
         scenario = SimScenario(
-            n_nonzero=n_nonzero,
-            alphas=alphas,
-            thresholds=thresholds,
-            n_replicates=n_replicates,
-            seed=seed,
+            n_nonzero=n_nonzero, alphas=alphas, thresholds=thresholds, n_replicates=n_replicates, seed=seed
         )
-        errors = {(a, t): [] for a in scenario.alphas for t in scenario.thresholds}
         rng = np.random.default_rng(seed + n_nonzero)
+        scored = []
         for _ in range(n_replicates):
-            b_base, b_alt, k_set = gen_coefficients(scenario, rng)
+            b_base, b_alt, _ = gen_coefficients(scenario, rng)
             noise = dtbtrs(factor, rng.normal(size=(scenario.m, 1))[::-1])[0][::-1, 0]
-            d_hat = (b_alt - b_base) + scale * noise
-            series = window_statistics(replace(fit, coef=d_hat), null, spec)
-            truth_cells = _truth_cells(spec, k_set[b_alt[k_set] != b_base[k_set]])
-            for alpha in scenario.alphas:
-                report = threshold_regions(series, alpha, scenario.thresholds)
-                for region in _score_regions(report, spec, truth_cells):
-                    errors[(alpha, region.tau)].append(float(region.error))
-        for (alpha, tau), values in errors.items():
-            rates[(n_nonzero, alpha, tau)] = _cell_stats(values)
+            series = window_statistics(replace(fit, coef=(b_alt - b_base) + scale * noise), null, spec)
+            scored.append(_score_series(series, scenario, np.flatnonzero(b_alt != b_base))[0])
+        error_table, _ = _tally(scenario, scored)
+        rates.update(((n_nonzero, alpha, tau), cell) for (alpha, tau), cell in error_table.items())
     return rates
 
 
@@ -426,28 +396,27 @@ def _cell_stats(values: list[float]) -> tuple[float, float, int]:
     return mean, se, n
 
 
+def _tally(scenario: SimScenario, scored) -> tuple[dict, dict]:
+    """Error and empirical-TDP tables, (alpha, tau) -> (mean, Monte Carlo se, count), in one
+    pass over the scored regions of every replicate."""
+    errors = {(a, t): [] for a in scenario.alphas for t in scenario.thresholds}
+    tdps = {cell: [] for cell in errors}
+    for regions in scored:
+        for region in regions:
+            errors[(region.alpha, region.tau)].append(float(region.error))
+            if region.empirical_tdp is not None:
+                tdps[(region.alpha, region.tau)].append(region.empirical_tdp)
+    return tuple({cell: _cell_stats(values) for cell, values in t.items()} for t in (errors, tdps))
+
+
 def _aggregate(scenario: SimScenario, records: list[ReplicateRecord]) -> SimOutcome:
-    ok = [r for r in records if not r.failed]
-    error_table = {}
-    tdp_table = {}
-    for alpha in scenario.alphas:
-        for tau in scenario.thresholds:
-            errors = []
-            tdps = []
-            for rec in ok:
-                for region in rec.regions:
-                    if region.alpha == alpha and region.tau == tau:
-                        errors.append(float(region.error))
-                        if region.empirical_tdp is not None:
-                            tdps.append(region.empirical_tdp)
-            error_table[(alpha, tau)] = _cell_stats(errors)
-            tdp_table[(alpha, tau)] = _cell_stats(tdps)
+    error_table, tdp_table = _tally(scenario, (r.regions for r in records if not r.failed))
     return SimOutcome(
         scenario=scenario,
         records=tuple(records),
         error_table=error_table,
         tdp_table=tdp_table,
-        n_failed=len(records) - len(ok),
+        n_failed=sum(r.failed for r in records),
     )
 
 

@@ -148,12 +148,6 @@ class TdpReport:
     def h(self) -> int:
         return self.family.h
 
-    def record(self, tau: float) -> RegionRecord:
-        for rec in self.records:
-            if rec.tau == tau:
-                return rec
-        raise ParameterError(f"no record for threshold {tau}")
-
 
 def _prefix_phi(family: PValueFamily, order: np.ndarray) -> np.ndarray:
     """phi of the first s entries of `order` (ascending p) for s = 1..n.

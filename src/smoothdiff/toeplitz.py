@@ -1,6 +1,7 @@
 """Banded-Toeplitz and quadratic-form kernels behind the dependence diagnostics.
 
-A pentadiagonal Toeplitz matrix with corner deficits factors into two real
+A pentadiagonal Toeplitz matrix whose two corner diagonal entries are
+reduced by its second off-diagonal `lam_p` factors into two real
 tridiagonal Toeplitz matrices (`factor_pentadiagonal`). The inverse of each
 factor decays off the diagonal at the rate arcosh(diag / (2 off))
 (`TridiagFactor.psi`), and `decay_rate` compares the slower of the two rates
@@ -40,23 +41,17 @@ class PentaParams:
 
     Diagonal `eps`, first off-diagonal `theta`, second off-diagonal `lam_p`
     (named to avoid the smoothing parameter), and the two corner diagonal
-    entries reduced by `zeta1`, `zeta2`. `n` is the dimension.
+    entries reduced by `lam_p`. `n` is the dimension.
     """
 
     eps: float
     theta: float
     lam_p: float
     n: int
-    zeta1: float | None = None
-    zeta2: float | None = None
 
     def __post_init__(self):
         if self.n < 3:
             raise ParameterError("pentadiagonal dimension must be at least 3")
-        if self.zeta1 is None:
-            object.__setattr__(self, "zeta1", self.lam_p)
-        if self.zeta2 is None:
-            object.__setattr__(self, "zeta2", self.lam_p)
 
     @property
     def discriminant(self) -> float:
@@ -92,11 +87,8 @@ class TridiagFactor:
 class DecayDiagnostics:
     """Predicted and empirically fitted off-diagonal decay of the inverse."""
 
-    psi_1: float
-    psi_2: float
     psi_min: float
     empirical_rate: float
-    n_lags: int
 
 
 def build_pentadiagonal(params: PentaParams) -> np.ndarray:
@@ -109,8 +101,8 @@ def build_pentadiagonal(params: PentaParams) -> np.ndarray:
     out[idx[:-1] + 1, idx[:-1]] = params.theta
     out[idx[:-2], idx[:-2] + 2] = params.lam_p
     out[idx[:-2] + 2, idx[:-2]] = params.lam_p
-    out[0, 0] -= params.zeta1
-    out[n - 1, n - 1] -= params.zeta2
+    out[0, 0] -= params.lam_p
+    out[n - 1, n - 1] -= params.lam_p
     return out
 
 
@@ -124,8 +116,6 @@ def factor_pentadiagonal(params: PentaParams) -> tuple[TridiagFactor, TridiagFac
     """
     if params.lam_p == 0.0:
         raise DomainError("factorization requires a non-zero second off-diagonal")
-    if not (params.zeta1 == params.lam_p and params.zeta2 == params.lam_p):
-        raise ParameterError("factorization requires corner deficits equal to the second off-diagonal")
     disc = params.discriminant
     if disc <= 0.0:
         raise DomainError(
@@ -145,24 +135,21 @@ def factor_pentadiagonal(params: PentaParams) -> tuple[TridiagFactor, TridiagFac
     return z1, z2
 
 
-def decay_rate(params: PentaParams, n: int | None = None, n_lags: int = 12) -> DecayDiagnostics:
+def decay_rate(params: PentaParams) -> DecayDiagnostics:
     """Predicted off-diagonal decay rate min_i psi_i, plus an empirical slope check.
 
     The empirical rate is the least-squares slope of -log|inv(P)[r, r+lag]|
-    against lag, averaged over middle rows of the numerically inverted matrix.
+    against lag = 1..12, averaged over middle rows of the numerically
+    inverted matrix.
     """
-    if n is None:
-        n = params.n
+    n = params.n
     z1, z2 = factor_pentadiagonal(params)
     psi_1, psi_2 = z1.psi, z2.psi
     if psi_1 is None or psi_2 is None:
         raise DomainError("decay rate requires pi_i > 2*lam_p for both factors")
-    dense = build_pentadiagonal(
-        PentaParams(eps=params.eps, theta=params.theta, lam_p=params.lam_p, n=n)
-    )
-    inv = np.linalg.inv(dense)
+    inv = np.linalg.inv(build_pentadiagonal(params))
     row_lo, row_hi = n // 3, 2 * n // 3
-    lags = np.arange(1, min(n_lags, n - row_hi) + 1)
+    lags = np.arange(1, min(12, n - row_hi) + 1)
     log_mags = []
     for r in range(row_lo, row_hi):
         vals = np.abs(inv[r, r + lags])
@@ -170,13 +157,7 @@ def decay_rate(params: PentaParams, n: int | None = None, n_lags: int = 12) -> D
             log_mags.append(np.log(vals))
     mean_log = np.mean(log_mags, axis=0)
     slope = np.polyfit(lags, mean_log, 1)[0]
-    return DecayDiagnostics(
-        psi_1=psi_1,
-        psi_2=psi_2,
-        psi_min=min(psi_1, psi_2),
-        empirical_rate=-float(slope),
-        n_lags=len(lags),
-    )
+    return DecayDiagnostics(psi_min=min(psi_1, psi_2), empirical_rate=-float(slope))
 
 
 def cov_quadratic_forms(a: np.ndarray, b: np.ndarray, sigma_xy: np.ndarray) -> np.ndarray:

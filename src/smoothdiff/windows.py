@@ -57,10 +57,6 @@ class WindowTestSeries:
     regions: np.ndarray
 
     @property
-    def width(self) -> int:
-        return self.spec.degree + 1
-
-    @property
     def n_windows(self) -> int:
         return self.T.size
 

@@ -55,6 +55,11 @@ that it replaced, and must give the same columns bit for bit.
 draws each index from their cumulative sum as `Generator.choice` does;
 `clumped_indices_by_choice` is the loop it replaced, one `rng.choice` per
 index, which it must match in the indices and in the generator state after.
+
+`smoothdiff.simulate` tallies the scored regions of every replicate into the
+error and TDP tables in one pass. `aggregate_by_cell_scan` is the scan it
+replaced, which went over every record once per (alpha, tau) cell, and
+whose tables the tally must equal cell for cell and in key order.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.special import expit
 
-from smoothdiff import fitting
+from smoothdiff import fitting, simulate
 from smoothdiff.basis import expand_band
 from smoothdiff.errors import DomainError, NumericalError, ParameterError
 from smoothdiff.toeplitz import TridiagFactor
@@ -354,7 +359,7 @@ def per_lambda_band_solve(dm, data, penalty_band, lam):
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         u = eta + (y - mu) / w
         gram = dm.gram_band(w)
-        ab, factor, coef = _banded_solve(gram, penalty_band, lam, dm.rhs(u, w))
+        ab, factor, coef = _banded_solve(gram, penalty_band, lam, dm.rhs(w * u))
         eta = predict_by_einsum(dm, coef)
         if np.max(np.abs(eta)) > fitting.ETA_DIVERGENCE:
             raise NumericalError("linear predictor diverged (complete or quasi-complete separation)")
@@ -510,3 +515,21 @@ def clumped_indices_by_choice(m, k, nu, rng) -> np.ndarray:
         pick = rng.choice(m, p=weights / weights.sum())
         chosen[pick] = True
     return np.flatnonzero(chosen)
+
+
+def aggregate_by_cell_scan(scenario, records) -> tuple[dict, dict]:
+    """(error table, TDP table) with every non-failed record scanned once per (alpha, tau) cell."""
+    ok = [r for r in records if not r.failed]
+    error_table, tdp_table = {}, {}
+    for alpha in scenario.alphas:
+        for tau in scenario.thresholds:
+            errors, tdps = [], []
+            for rec in ok:
+                for region in rec.regions:
+                    if region.alpha == alpha and region.tau == tau:
+                        errors.append(float(region.error))
+                        if region.empirical_tdp is not None:
+                            tdps.append(region.empirical_tdp)
+            error_table[(alpha, tau)] = simulate._cell_stats(errors)
+            tdp_table[(alpha, tau)] = simulate._cell_stats(tdps)
+    return error_table, tdp_table

@@ -254,16 +254,20 @@ class TestGramBand:
 
 
 def assert_matches_bincount_oracles(dm, rng):
-    """gram_band and rhs (vector and matrix) equal the bincount loops bit for bit."""
+    """gram_band and rhs (vector and matrix) equal the bincount loops bit for bit.
+
+    rhs takes right-hand sides its caller has weighted; the oracles weight their own.
+    """
     w = rng.uniform(1e-3, 0.25, dm.n)
     y = rng.normal(size=dm.n)
     x = rng.normal(size=(dm.n, 3))
     for weights in (None, w):
         assert np.array_equal(dm.gram_band(weights), gram_band_by_pair_bincount(dm, weights))
-        assert np.array_equal(dm.rhs(y, weights), rhs_by_offset_bincount(dm, y, weights))
-        assert np.array_equal(dm.rhs(x, weights), cross_with_by_column_bincount(dm, x, weights))
+        wy, wx = (y, x) if weights is None else (weights * y, weights[:, None] * x)
+        assert np.array_equal(dm.rhs(wy), rhs_by_offset_bincount(dm, y, weights))
+        assert np.array_equal(dm.rhs(wx), cross_with_by_column_bincount(dm, x, weights))
         # a column-major right-hand side gives the same sums
-        assert np.array_equal(dm.rhs(np.asfortranarray(x), weights), cross_with_by_column_bincount(dm, x, weights))
+        assert np.array_equal(dm.rhs(np.asfortranarray(wx)), cross_with_by_column_bincount(dm, x, weights))
     # a stack of weight, right-hand-side or coefficient vectors gives each
     # vector's result bit for bit, whatever the stack's size
     stack = rng.uniform(1e-3, 0.25, (3, dm.n))
@@ -327,8 +331,8 @@ class TestSparseOperators:
         w = rng.uniform(0.1, 1.0, 300)
         for _ in range(3):
             dm.gram_band(w)
-            dm.rhs(rng.normal(size=300), w)
-            dm.rhs(rng.normal(size=(300, 2)), w)
+            dm.rhs(w * rng.normal(size=300))
+            dm.rhs(w[:, None] * rng.normal(size=(300, 2)))
         dm.crossprod()
         assert calls == [20]
 

@@ -395,7 +395,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("n, flags", [(2, ["--basis-dim", "16", "--degree", "0"]), (3, ["--basis-dim", "10"])])
     def test_less_than_one_residual_df_exits_3(self, tmp_path, capsys, family, n, flags):
         # every grid lambda leaves n - edf < 1 and fails; with 2 rows this was a
-        # ZeroDivisionError, with 3 rows a bound of 1.000 from edf 2.99999
+        # ZeroDivisionError, with 3 rows a bound of 1.000 from edf 2.99999. The
+        # message adds the largest lambda's cause, which for two binomial rows
+        # is separation.
         path = tmp_path / "few.csv"
         z = np.linspace(0.2, 0.8, n)
         rows = ["y,z,stratum"] + [f"{float(i % 2)!r},{float(zi)!r},{s}" for s in (1, 2) for i, zi in enumerate(z)]
@@ -404,7 +406,12 @@ class TestAnalyze:
             rc = main(["analyze", "--data", str(path), *flags, "--domain", "0", "1", "--family", family,
                        "--out", str(tmp_path / "o")])
         assert rc == 3
-        assert "no smoothing parameter candidate could be fit" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no smoothing parameter candidate could be fit: " in err
+        if family == "binomial" and n == 2:
+            assert "linear predictor diverged (complete or quasi-complete separation)" in err
+        else:
+            assert f"leave less than one residual degree of freedom at sample size {n}" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
@@ -727,6 +734,18 @@ class TestSimulate:
         assert problem in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["-5", "0"])
+    def test_sample_size_below_one_exits_2(self, tmp_path, capsys, n):
+        # -5 was a traceback from rng.uniform; 0 failed only inside the first replicate
+        scenario = tmp_path / "bad.scn"
+        scenario.write_text(TINY_SCENARIO.replace("n_per_stratum = 500", f"n_per_stratum = {n}"))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", str(scenario), "--threads", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"smoothdiff: input error: n_per_stratum = {n} must be at least 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
         out = tmp_path / "sim"
@@ -758,14 +777,7 @@ class TestSimulate:
             if index not in messages:
                 return rec
             return simulate.ReplicateRecord(
-                index=index,
-                m_delta=rec.m_delta,
-                true_indices=rec.true_indices,
-                p_values=(),
-                regions=(),
-                truth_region_tdp={},
-                failed=True,
-                message=messages[index],
+                index, rec.m_delta, rec.true_indices, failed=True, message=messages[index]
             )
 
         monkeypatch.setattr(simulate, "run_replicate", failing)

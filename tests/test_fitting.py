@@ -325,7 +325,7 @@ def full_inverse_irls(data, spec, pen, lam):
         u = eta + (y - mu) / w
         ztz = dm.crossprod(w)
         ainv = penalized_inverse(band_form(ztz + lam * penalty_matrix(pen), bandwidth))
-        coef = ainv @ dm.rhs(u, w)
+        coef = ainv @ dm.rhs(w * u)
         edf = float(np.sum(ainv * ztz))
         eta = dm.predict(coef)
         if np.max(np.abs(eta)) > fitting.ETA_DIVERGENCE:

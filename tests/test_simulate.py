@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import clumped_indices_by_choice, dense_covariance
+from oracles import aggregate_by_cell_scan, clumped_indices_by_choice, dense_covariance
 from scipy.stats import chi2, chisquare
 
 from smoothdiff import fitting
@@ -15,7 +15,10 @@ from smoothdiff.tdp import PValueFamily, phi_alpha
 from smoothdiff.simulate import (
     EXACT_MODEL_CASES,
     FAILURE_CAUSES,
+    RegionOutcome,
+    ReplicateRecord,
     SimScenario,
+    _aggregate,
     clumped_indices,
     exact_model_error_rates,
     failure_cause,
@@ -288,12 +291,69 @@ class TestRunScenario:
             small_scenario(nu=0.5)
         with pytest.raises(ParameterError):
             small_scenario(alphas=(1.5,))
+        for n in (-5, 0):
+            with pytest.raises(ParameterError, match=f"n_per_stratum = {n} must be at least 1"):
+                small_scenario(n_per_stratum=n)
 
     def test_zero_noise_variance_rejected_for_gaussian_only(self):
         # a noiseless Gaussian scenario fits every replicate exactly: error rate 1.000 in every cell
         with pytest.raises(ParameterError, match="noise_var = 0.0 must be positive for a Gaussian family"):
             small_scenario(noise_var=0.0)
         assert small_scenario(noise_var=0.0, family="binomial").noise_var == 0.0
+
+
+def assert_tables_equal(got, want):
+    """Same cells in the same order, each (mean, se, n) tuple equal, NaN matching NaN."""
+    assert list(got) == list(want)
+    for cell, values in want.items():
+        assert len(got[cell]) == len(values)
+        assert all(a == b or (a != a and b != b) for a, b in zip(got[cell], values)), cell
+
+
+def random_records(scenario, n_records, rng):
+    """Hand-made records: some failed, the rest with a scored region per (alpha, tau) of the
+    scenario, duplicated alphas included, and selections that are often empty."""
+    records = []
+    for index in range(n_records):
+        if rng.random() < 0.25:
+            records.append(ReplicateRecord(index, 0.0, (1,), failed=True, message="separation"))
+            continue
+        regions = []
+        for alpha in scenario.alphas:
+            for tau in scenario.thresholds:
+                size = int(rng.integers(0, 4))
+                empirical = int(rng.integers(0, size + 1)) / size if size else None
+                error = int(rng.integers(0, 2)) if size else 0
+                regions.append(RegionOutcome(alpha, tau, size, 0.5, empirical, None, error))
+        records.append(ReplicateRecord(index, 0.0, (1,), (0.5,), tuple(regions), {}))
+    return records
+
+
+class TestTally:
+    """The one-pass tally equals the replaced per-cell scan (`aggregate_by_cell_scan`)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n_records", [1, 2, 9])
+    def test_hand_made_records(self, seed, n_records):
+        scenario = small_scenario(alphas=(0.1, 0.2, 0.1), thresholds=(0.9, 0.5, 0.9), n_replicates=n_records)
+        records = random_records(scenario, n_records, np.random.default_rng(seed))
+        outcome = _aggregate(scenario, records)
+        want_errors, want_tdps = aggregate_by_cell_scan(scenario, records)
+        assert_tables_equal(outcome.error_table, want_errors)
+        assert_tables_equal(outcome.tdp_table, want_tdps)
+        assert outcome.n_failed == sum(r.failed for r in records)
+
+    def test_replicates_with_duplicated_alpha_failures_and_empty_selections(self):
+        # no effect at the sweep's start leaves most selections empty
+        scenario = small_scenario(alphas=(0.2, 0.1, 0.2), m_delta_sweep=(0.0, 2.0), n_replicates=5)
+        records = [run_replicate(scenario, i) for i in range(scenario.n_replicates)]
+        records[1] = ReplicateRecord(1, records[1].m_delta, records[1].true_indices, failed=True, message="x")
+        assert any(r.n_windows == 0 for rec in records for r in rec.regions)
+        assert any(r.n_windows > 0 for rec in records for r in rec.regions)
+        outcome = _aggregate(scenario, records)
+        want_errors, want_tdps = aggregate_by_cell_scan(scenario, records)
+        assert_tables_equal(outcome.error_table, want_errors)
+        assert_tables_equal(outcome.tdp_table, want_tdps)
 
 
 class TestExactModelErrorRates:

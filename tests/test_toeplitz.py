@@ -60,11 +60,6 @@ class TestFactorization:
         with pytest.raises(DomainError):
             factor_pentadiagonal(PentaParams(eps=5.0, theta=4.0, lam_p=0.0, n=5))
 
-    def test_mismatched_corners_rejected(self):
-        params = PentaParams(eps=5.0, theta=4.0, lam_p=1.0, n=5, zeta1=0.5, zeta2=1.0)
-        with pytest.raises(ParameterError):
-            factor_pentadiagonal(params)
-
 
 class TestTridiagInverse:
     def test_scalar_case(self):
