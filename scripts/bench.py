@@ -28,6 +28,12 @@ the change's median is no worse than the parent's by more than the
 BENCHMARK.json bound, and unresolved when either side's interquartile
 range exceeds the bound (relative to its median).
 
+Run both sides of `--parent` from sibling copies, two directories in one
+parent directory: the location of a checkout alone moves small analyze
+timings. One tree in its own checkout against the same files copied beside
+the parent read as a 1.5% `throughput_per_s` loss on `analyze_m120`, in
+0 of 10 pairs. The script warns on stderr when the two are not siblings.
+
 Either way the script exits 1 when any run fails the correctness gate.
 """
 
@@ -137,7 +143,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--label", help="name of this point; the file is BENCH_<label>.json")
-    mode.add_argument("--parent", help="checkout to compare with in alternating pairs")
+    mode.add_argument(
+        "--parent",
+        help="checkout to compare with in alternating pairs; a sibling of --repo (same parent directory), "
+        "since a checkout's location alone moves small timings",
+    )
     parser.add_argument("--repo", default=ROOT, help="checkout whose perfbench/run.py and src/ are measured")
     parser.add_argument("--pairs", type=int, default=10, help="number of pairs (with --parent)")
     parser.add_argument("--workload", choices=WORKLOADS, help="workload to compare (with --parent)")
@@ -149,6 +159,10 @@ def main(argv=None) -> int:
             parser.error("--parent needs --workload and at least one pair")
         if args.claim is not None and args.claim not in end_to_end_metrics(args.repo):
             parser.error(f"--claim must name an end-to-end metric of BENCHMARK.json, got {args.claim!r}")
+        homes = {os.path.dirname(os.path.realpath(path)) for path in (args.parent, args.repo)}
+        if len(homes) > 1:
+            print(f"warning: --parent {args.parent} and --repo {args.repo} are not in one directory; "
+                  "a checkout's location alone can move small timings", file=sys.stderr)
         return 0 if compare_pairs(args.parent, args.repo, args.workload, args.pairs, args.seed, args.claim) else 1
 
     record = {

@@ -7,7 +7,6 @@ from .basis import (
     PenaltyMatrix,
     design_matrix,
     difference_penalty,
-    eval_basis,
     make_basis,
 )
 from .errors import DomainError, NumericalError, ParameterError
@@ -29,9 +28,7 @@ from .simulate import (
 from .tdp import (
     PValueFamily,
     TdpReport,
-    closed_testing_oracle,
     phi_alpha,
-    simes_test,
     threshold_regions,
 )
 from .toeplitz import (

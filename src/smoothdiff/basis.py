@@ -18,9 +18,7 @@ __all__ = [
     "DesignMatrix",
     "PenaltyMatrix",
     "make_basis",
-    "eval_basis",
     "design_matrix",
-    "band_form",
     "expand_band",
     "difference_penalty",
 ]
@@ -56,12 +54,6 @@ class BasisSpec:
         if not 0 <= k < self.n_regions:
             raise ParameterError(f"region index {k} outside [0, {self.n_regions})")
         return float(self.knots[self.degree + k]), float(self.knots[self.degree + k + 1])
-
-    def basis_support(self, j: int) -> tuple[float, float]:
-        """Support interval of basis function j."""
-        if not 0 <= j < self.m:
-            raise ParameterError(f"basis index {j} outside [0, {self.m})")
-        return float(self.knots[j]), float(self.knots[j + self.degree + 1])
 
     def basis_support_cells(self, j: int) -> tuple[int, int]:
         """Half-open range of elementary knot cells covered by basis function j."""
@@ -244,15 +236,6 @@ class PenaltyMatrix:
         return self.band.shape[1]
 
 
-def band_form(a: np.ndarray, bandwidth: int) -> np.ndarray:
-    """Upper band storage of a symmetric banded matrix for solveh_banded."""
-    m = a.shape[0]
-    ab = np.zeros((bandwidth + 1, m))
-    for off in range(bandwidth + 1):
-        ab[bandwidth - off, off:] = np.diagonal(a, off)
-    return ab
-
-
 # Only `crossprod` calls this, for perfbench/spans.py's wrapper of it.
 def expand_band(band: np.ndarray) -> np.ndarray:
     """Dense symmetric matrix from its upper band storage."""
@@ -310,21 +293,8 @@ def _nonzero_basis(spec: BasisSpec, z: np.ndarray, mu: np.ndarray) -> np.ndarray
     return vals
 
 
-def eval_basis(spec: BasisSpec, z: float) -> np.ndarray:
-    """All m basis functions at a single point; zeros outside the domain."""
-    if not np.isfinite(z):
-        raise ParameterError(f"non-finite evaluation point {z!r}")
-    out = np.zeros(spec.m)
-    if z < spec.z_lo or z > spec.z_hi:
-        return out
-    za = np.asarray([float(z)])
-    mu = _find_spans(spec, za)
-    out[mu[0] - spec.degree : mu[0] + 1] = _nonzero_basis(spec, za, mu)[0]
-    return out
-
-
 def design_matrix(spec: BasisSpec, z: np.ndarray) -> DesignMatrix:
-    """Basis expansion of a covariate vector; rows match eval_basis per sample."""
+    """Basis expansion of a covariate vector; the row of a sample outside the domain is zero."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or z.size == 0:
         raise ParameterError("covariate vector must be one-dimensional and non-empty")

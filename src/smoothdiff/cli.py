@@ -4,7 +4,8 @@
 precision band of A = Z'WZ + lambda S and the fixed-effect border B.
 `diagnose --model` reads them back and widens each fit's covariance band to
 the offset its correlation table reads, so no m x m covariance is formed
-on either side. Files of formats 1 and 2 still load.
+on either side. A format-2 file loads when every stratum stores its
+precision band; a stratum holding a dense covariance exits 2.
 
 Exit codes: 0 success, 2 input/configuration error, 3 numerical error.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dpbtrf
 
-from .basis import DesignMatrix, band_form, design_matrix, difference_penalty, make_basis
+from .basis import DesignMatrix, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
 from .fitting import StratumData, StratumFit, covariance_bands, fit_stratum, select_lambda
 from .simulate import (
@@ -40,9 +41,10 @@ SEED_ENV_VAR = "SMOOTHDIFF_SEED"
 CURVE_GRID_POINTS = 201
 BAND_MULTIPLIER = 1.96
 # fits.json layout: 3 stores each stratum's `precision_band` and `border`
-# (p rows of m numbers); 2 stored `precision_band` without fixed effects and
-# the dense `cov` with them; 1 (no "format" key) the dense `cov` of every
-# stratum.
+# (p rows of m numbers). Format 2 stored `precision_band` for a stratum
+# without fixed effects, which still loads, and a dense `cov` for one with
+# them; format 1 (no "format" key) a dense `cov` for every stratum. A dense
+# `cov` no longer loads.
 MODEL_FORMAT = 3
 
 
@@ -485,43 +487,40 @@ def _model_matrix(path: str, value, where: str) -> np.ndarray:
 def _model_bands(path: str, entry: dict, i: int, m: int, p: int) -> dict:
     """The covariance fields of strata[i]'s StratumFit.
 
-    A band stratum gives its `precision_band`, checked positive definite by
-    one Cholesky factorization, and its `border` (p rows of m numbers; it
-    may be absent when p = 0, as in format 2). A dense `cov` (format 1, or
-    format 2 with fixed effects) is read as a full-width covariance band.
+    A stratum gives its `precision_band`, checked positive definite by one
+    Cholesky factorization, and its `border` (p rows of m numbers; it may be
+    absent when p = 0, as in format 2). A stratum that holds a dense `cov`
+    instead was written before format 3 and is refused.
     """
-    if "precision_band" in entry:
-        where = f"strata[{i}].'precision_band'"
-        band = _model_matrix(path, entry["precision_band"], where)
-        if band.ndim != 2 or band.shape[0] < 1 or band.shape[1] != m:
-            raise ParameterError(
-                f"{path}: {where} has shape {band.shape}, expected (rows >= 1, m={m})"
-            )
-        minor = dpbtrf(band)[1]
-        if minor:
-            raise ParameterError(f"{path}: {where} is not positive definite (leading minor {minor})")
-        border = np.zeros((0, m))
-        if p or "border" in entry:
-            where = f"strata[{i}].'border'"
-            border = _model_matrix(path, _model_field(path, entry, "border", f"strata[{i}]."), where)
-            if border.shape == (0,):
-                border = border.reshape(0, m)
-            if border.shape != (p, m):
-                raise ParameterError(f"{path}: {where} has shape {border.shape}, expected (p={p}, m={m})")
-        return {"precision_band": band, "border": border.T}
-    if "cov" in entry:
-        where = f"strata[{i}].'cov'"
-        cov = _model_matrix(path, entry["cov"], where)
-        if cov.shape != (m, m):
-            raise ParameterError(f"{path}: {where} does not match basis dimension m={m}")
-        return {"cov_band": band_form(cov, m - 1)}
-    raise ParameterError(
-        f"{path}: model file lacks key strata[{i}].'precision_band' (or strata[{i}].'cov')"
-    )
+    if "precision_band" not in entry and "cov" in entry:
+        raise ParameterError(
+            f"{path}: strata[{i}] holds a dense 'cov', which model format {MODEL_FORMAT} replaced with bands; "
+            "re-run `smoothdiff analyze` to rewrite the file"
+        )
+    where = f"strata[{i}].'precision_band'"
+    band = _model_matrix(path, _model_field(path, entry, "precision_band", f"strata[{i}]."), where)
+    if band.ndim != 2 or band.shape[0] < 1 or band.shape[1] != m:
+        raise ParameterError(f"{path}: {where} has shape {band.shape}, expected (rows >= 1, m={m})")
+    minor = dpbtrf(band)[1]
+    if minor:
+        raise ParameterError(f"{path}: {where} is not positive definite (leading minor {minor})")
+    border = np.zeros((0, m))
+    if p or "border" in entry:
+        where = f"strata[{i}].'border'"
+        border = _model_matrix(path, _model_field(path, entry, "border", f"strata[{i}]."), where)
+        if border.shape == (0,):
+            border = border.reshape(0, m)
+        if border.shape != (p, m):
+            raise ParameterError(f"{path}: {where} has shape {border.shape}, expected (p={p}, m={m})")
+    return {"precision_band": band, "border": border.T}
 
 
 def load_model(path: str):
-    """Basis and the two stratum fits from an analyze fits.json (format 1, 2 or 3)."""
+    """Basis and the two stratum fits from an analyze fits.json whose strata store bands (format 2 or 3).
+
+    The format is checked after the strata, so that a file of format 1, which
+    has no "format" key, is refused by its first stratum's dense `cov`.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             model = json.load(fh)
@@ -532,9 +531,6 @@ def load_model(path: str):
     strata = _model_field(path, model, "strata", "")
     if not isinstance(strata, list) or len(strata) != 2:
         raise ParameterError(f"{path}: 'strata' must list exactly 2 fits")
-    fmt = model.get("format", 1)
-    if fmt not in (1, 2, MODEL_FORMAT):
-        raise ParameterError(f"{path}: unknown model format {fmt!r} (expected 1, 2 or {MODEL_FORMAT})")
     try:
         spec = make_basis(float(domain[0]), float(domain[1]), int(m), int(degree))
         fits = []
@@ -568,6 +564,9 @@ def load_model(path: str):
         raise
     except (TypeError, ValueError, IndexError) as exc:
         raise ParameterError(f"{path}: malformed model file ({exc})") from exc
+    fmt = model.get("format")
+    if fmt not in (2, MODEL_FORMAT):
+        raise ParameterError(f"{path}: unknown model format {fmt!r} (expected 2 or {MODEL_FORMAT})")
     return spec, fits
 
 

@@ -70,6 +70,8 @@ IDENTIFIABLE_REL_TOL = 1e-8
 # S_x is a difference of Gram entries, and a column the spline reproduces (x = z
 # at lambda = 0, degree 2) leaves pivots of 1e-8 to 7e-8 of that norm.
 SCHUR_PIVOT_REL_TOL = 1e-6
+# Points of the log-spaced smoothing-parameter grid that `select_lambda` scores.
+LAMBDA_GRID_POINTS = 40
 
 
 @dataclass(frozen=True)
@@ -121,8 +123,8 @@ class StratumFit:
     unit-dispersion precision A = Z'WZ + lambda S that the fit factored,
     `border` the m x p matrix B of the fixed effects (m x 0 without any),
     and `cov_band` the upper band of the posterior covariance
-    dispersion * (A^{-1} + BB'), to A's half-bandwidth for a fit, to any
-    width for one read from a model file (None when only A's band is kept).
+    dispersion * (A^{-1} + BB') to A's half-bandwidth (None for a fit read
+    from a model file, which keeps only A's band and B).
     """
 
     coef: np.ndarray
@@ -677,10 +679,10 @@ def _grid_scale(gram_band: np.ndarray, penalty_band: np.ndarray) -> float:
     return float(gram_band[-1].sum()) / float(penalty_band[-1].sum())
 
 
-def default_lambda_grid(dm: DesignMatrix, pen: PenaltyMatrix, n_grid: int = 40) -> np.ndarray:
-    """Log-spaced grid spanning [1e-4, 1e4] times tr(Z'Z)/tr(S)."""
+def default_lambda_grid(dm: DesignMatrix, pen: PenaltyMatrix) -> np.ndarray:
+    """Ascending log-spaced grid spanning [1e-4, 1e4] times tr(Z'Z)/tr(S)."""
     scale = _grid_scale(dm.gram_band(), pen.band)
-    return np.geomspace(1e-4 * scale, 1e4 * scale, n_grid)
+    return np.geomspace(1e-4 * scale, 1e4 * scale, LAMBDA_GRID_POINTS)
 
 
 def _flushed(data: StratumData, deviance: float, yss: float) -> bool:
@@ -694,13 +696,8 @@ def _gcv_score(data: StratumData, deviance: float, edf: float, yss: float) -> fl
     return data.n * dev / (data.n - edf) ** 2
 
 
-def select_lambda(
-    data: StratumData,
-    spec: BasisSpec,
-    pen: PenaltyMatrix,
-    grid: np.ndarray | None = None,
-) -> StratumFit:
-    """Fit at the smoothing parameter minimizing GCV over a log-spaced grid.
+def select_lambda(data: StratumData, spec: BasisSpec, pen: PenaltyMatrix) -> StratumFit:
+    """Fit at the smoothing parameter minimizing GCV over `default_lambda_grid`.
 
     GCV is n * deviance / (n - edf)^2. Deviance at the rounding level is
     treated as an exact fit, so ties resolve toward the heaviest smoothing.
@@ -711,14 +708,9 @@ def select_lambda(
     """
     yss = _sum_of_squares(data)
     dm = design_matrix(spec, data.z)
-    if grid is None:
-        grid = default_lambda_grid(dm, pen)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
-        raise ParameterError("lambda grid must be a non-empty vector of finite positive values")
     _warn_small_sample(data, spec)
     best, best_score, failure = None, np.inf, None
-    for fit in _grid_fits(dm, data, spec, pen, np.sort(grid), yss):
+    for fit in _grid_fits(dm, data, spec, pen, default_lambda_grid(dm, pen), yss):
         if isinstance(fit, NumericalError):
             failure = fit
         elif (score := _gcv_score(data, fit.deviance, fit.edf, yss)) <= best_score:

@@ -278,28 +278,23 @@ def _score_regions(report: TdpReport, truth_cells: np.ndarray) -> list[RegionOut
 
 
 def _score_series(
-    series: WindowTestSeries, scenario: SimScenario, planted: np.ndarray
-) -> tuple[list[RegionOutcome], dict]:
-    """Scored regions of every (alpha, threshold) cell and the truth-region bound per alpha.
+    series: WindowTestSeries, scenario: SimScenario, truth_cells: np.ndarray
+) -> tuple[list[RegionOutcome], list[TdpReport]]:
+    """Scored regions of every (alpha, threshold) cell, and the TDP report per alpha.
 
-    `planted` holds the indices of the coefficients that differ between the
-    strata. Window k holds coefficients k..k+degree, so it holds a planted
-    one exactly when cell k is true.
+    Cell k is true (`_truth_cells`) iff window k holds a coefficient that
+    differs between the strata: window k holds coefficients k..k+degree.
     """
-    truth_cells = _truth_cells(series.spec, planted)
-    truth_windows = np.flatnonzero(truth_cells)
-    regions = []
-    truth_region_tdp = {}
-    for alpha in scenario.alphas:
-        report = threshold_regions(series, alpha, scenario.thresholds)
-        if truth_windows.size:
-            truth_region_tdp[alpha] = phi_alpha(report.family, truth_windows) / truth_windows.size
-        regions.extend(_score_regions(report, truth_cells))
-    return regions, truth_region_tdp
+    reports = [threshold_regions(series, alpha, scenario.thresholds) for alpha in scenario.alphas]
+    return [outcome for report in reports for outcome in _score_regions(report, truth_cells)], reports
 
 
 def run_replicate(scenario: SimScenario, index: int) -> ReplicateRecord:
-    """Generate, fit and score one replicate; failures are recorded, not raised."""
+    """Generate, fit and score one replicate; failures are recorded, not raised.
+
+    Besides the scored regions, the record holds per alpha the TDP bound of
+    the truth region, the set of windows holding a planted difference.
+    """
     rng = replicate_rng(scenario.seed, index)
     m_delta = scenario.m_delta_at(index)
     spec = scenario.basis()
@@ -313,7 +308,13 @@ def run_replicate(scenario: SimScenario, index: int) -> ReplicateRecord:
         series = window_statistics(fits[0], fits[1], spec)
     except NumericalError as exc:
         return ReplicateRecord(index, m_delta, true_indices, failed=True, message=str(exc))
-    regions, truth_region_tdp = _score_series(series, scenario, np.flatnonzero(b_alt != b_base))
+    truth_cells = _truth_cells(spec, np.flatnonzero(b_alt != b_base))
+    regions, reports = _score_series(series, scenario, truth_cells)
+    truth_windows = np.flatnonzero(truth_cells)
+    truth_region_tdp = {}
+    if truth_windows.size:
+        for report in reports:
+            truth_region_tdp[report.alpha] = phi_alpha(report.family, truth_windows) / truth_windows.size
     return ReplicateRecord(
         index, m_delta, true_indices, tuple(float(p) for p in series.p), tuple(regions), truth_region_tdp
     )
@@ -380,7 +381,8 @@ def exact_model_error_rates(
             b_base, b_alt, _ = gen_coefficients(scenario, rng)
             noise = dtbtrs(factor, rng.normal(size=(scenario.m, 1))[::-1])[0][::-1, 0]
             series = window_statistics(replace(fit, coef=(b_alt - b_base) + scale * noise), null, spec)
-            scored.append(_score_series(series, scenario, np.flatnonzero(b_alt != b_base))[0])
+            truth_cells = _truth_cells(spec, np.flatnonzero(b_alt != b_base))
+            scored.append(_score_series(series, scenario, truth_cells)[0])
         error_table, _ = _tally(scenario, scored)
         rates.update(((n_nonzero, alpha, tau), cell) for (alpha, tau), cell in error_table.items())
     return rates

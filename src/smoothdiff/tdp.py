@@ -5,9 +5,9 @@ Simes test leaves standing, h, found in O(n log n)); every query set R then
 gets a lower confidence bound on its number of true discoveries in
 O(|R| log |R|), simultaneously valid at level alpha over all R. The bounds of
 all prefixes of the p-value order, which is all that region selection needs,
-come from one sort and one linear sweep. A brute-force closed-testing
-evaluator over the full power set doubles as the correctness oracle for small
-families.
+come from one sort and one linear sweep. The brute-force closed-testing
+evaluator over the full power set, the definition this shortcut must match,
+is kept with the tests (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ __all__ = [
     "PValueFamily",
     "RegionRecord",
     "TdpReport",
-    "simes_test",
     "phi_alpha",
     "threshold_regions",
-    "closed_testing_oracle",
 ]
 
 
@@ -51,16 +49,6 @@ class PValueFamily:
     @property
     def n(self) -> int:
         return self.p.size
-
-
-def simes_test(pvals: np.ndarray, alpha: float) -> bool:
-    """True iff the Simes test rejects the intersection hypothesis of the set."""
-    pvals = np.asarray(pvals, dtype=float)
-    if pvals.size == 0:
-        raise ParameterError("Simes test is undefined on an empty set")
-    n = pvals.size
-    ordered = np.sort(pvals)
-    return bool(np.any(ordered <= np.arange(1, n + 1) * alpha / n))
 
 
 def _h_alpha(p: np.ndarray, alpha: float) -> int:
@@ -214,43 +202,3 @@ def threshold_regions(series, alpha: float, thresholds) -> TdpReport:
         )
     return TdpReport(family=family, records=tuple(records))
 
-
-def closed_testing_oracle(family: PValueFamily, region: np.ndarray) -> int:
-    """Definitional TDP bound via full power-set closed testing (small n only).
-
-    Evaluates the Simes local test on every non-empty subset, closes under
-    supersets, and returns #R minus the largest subset of R not rejected by
-    the closed procedure. Exponential in n; guarded at n <= 20.
-    """
-    n = family.n
-    if n > 20:
-        raise ParameterError("closed-testing oracle is limited to n <= 20")
-    region = _as_index_set(region, n)
-    # Relabel the hypotheses by ascending p: bit b of a mask is then the b-th
-    # smallest p, and a set's members, read from the lowest bit up, come in
-    # the order the Simes test sorts them.
-    order = np.argsort(family.p, kind="stable")
-    ordered = family.p[order]
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
-    masks = np.arange(1 << n, dtype=np.int64)
-    members = [(masks >> b & 1).astype(bool) for b in range(n)]
-    size = np.sum(members, axis=0)
-    divisor = np.maximum(size, 1)
-
-    local_reject = np.zeros(masks.size, dtype=bool)
-    rank = np.zeros(masks.size, dtype=np.int64)
-    for b in range(n):
-        rank += members[b]
-        local_reject |= members[b] & (ordered[b] <= (rank * family.alpha) / divisor)
-
-    # Close under supersets: rejected iff every superset's local test rejects.
-    closed = local_reject
-    for b in range(n):
-        without = masks[~members[b]]
-        closed[without] &= closed[without | 1 << b]
-
-    region_mask = int(np.sum(1 << position[region]))
-    # Largest surviving subset of R; the empty set always survives.
-    inside = (masks & ~region_mask) == 0
-    return int(region.size - size[inside & ~closed].max())

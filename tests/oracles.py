@@ -60,6 +60,17 @@ index, which it must match in the indices and in the generator state after.
 error and TDP tables in one pass. `aggregate_by_cell_scan` is the scan it
 replaced, which went over every record once per (alpha, tau) cell, and
 whose tables the tally must equal cell for cell and in key order.
+
+`smoothdiff.tdp` bounds the true discoveries of every set by the
+Goeman-Solari shortcut. `simes_test` and `closed_testing_oracle` are the
+definitions it must match: the Simes local test of one intersection
+hypothesis, and closed testing over the full power set (Hommel 1986).
+
+`band_form` is the band storage of a dense symmetric matrix, which model
+files of formats 1 and 2 read from their dense covariances. `eval_basis`
+evaluates all m basis functions at one point, the row `design_matrix`
+stores compactly, and `basis_support` is basis function j's support
+interval, whose cells `BasisSpec.basis_support_cells` gives.
 """
 
 from __future__ import annotations
@@ -75,8 +86,9 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.special import expit
 
 from smoothdiff import fitting, simulate
-from smoothdiff.basis import expand_band
+from smoothdiff.basis import _find_spans, _nonzero_basis, expand_band
 from smoothdiff.errors import DomainError, NumericalError, ParameterError
+from smoothdiff.tdp import PValueFamily, _as_index_set
 from smoothdiff.toeplitz import TridiagFactor
 from smoothdiff.windows import _band_entries, _check_pairs, _direct_inverse, _window_series
 
@@ -533,3 +545,83 @@ def aggregate_by_cell_scan(scenario, records) -> tuple[dict, dict]:
             error_table[(alpha, tau)] = simulate._cell_stats(errors)
             tdp_table[(alpha, tau)] = simulate._cell_stats(tdps)
     return error_table, tdp_table
+
+
+def simes_test(pvals: np.ndarray, alpha: float) -> bool:
+    """True iff the Simes test rejects the intersection hypothesis of the set."""
+    pvals = np.asarray(pvals, dtype=float)
+    if pvals.size == 0:
+        raise ParameterError("Simes test is undefined on an empty set")
+    n = pvals.size
+    ordered = np.sort(pvals)
+    return bool(np.any(ordered <= np.arange(1, n + 1) * alpha / n))
+
+
+def closed_testing_oracle(family: PValueFamily, region: np.ndarray) -> int:
+    """Definitional TDP bound via full power-set closed testing (small n only).
+
+    Evaluates the Simes local test on every non-empty subset, closes under
+    supersets, and returns #R minus the largest subset of R not rejected by
+    the closed procedure. Exponential in n; guarded at n <= 20.
+    """
+    n = family.n
+    if n > 20:
+        raise ParameterError("closed-testing oracle is limited to n <= 20")
+    region = _as_index_set(region, n)
+    # Relabel the hypotheses by ascending p: bit b of a mask is then the b-th
+    # smallest p, and a set's members, read from the lowest bit up, come in
+    # the order the Simes test sorts them.
+    order = np.argsort(family.p, kind="stable")
+    ordered = family.p[order]
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    masks = np.arange(1 << n, dtype=np.int64)
+    members = [(masks >> b & 1).astype(bool) for b in range(n)]
+    size = np.sum(members, axis=0)
+    divisor = np.maximum(size, 1)
+
+    local_reject = np.zeros(masks.size, dtype=bool)
+    rank = np.zeros(masks.size, dtype=np.int64)
+    for b in range(n):
+        rank += members[b]
+        local_reject |= members[b] & (ordered[b] <= (rank * family.alpha) / divisor)
+
+    # Close under supersets: rejected iff every superset's local test rejects.
+    closed = local_reject
+    for b in range(n):
+        without = masks[~members[b]]
+        closed[without] &= closed[without | 1 << b]
+
+    region_mask = int(np.sum(1 << position[region]))
+    # Largest surviving subset of R; the empty set always survives.
+    inside = (masks & ~region_mask) == 0
+    return int(region.size - size[inside & ~closed].max())
+
+
+def band_form(a: np.ndarray, bandwidth: int) -> np.ndarray:
+    """Upper band storage of a symmetric banded matrix for solveh_banded."""
+    m = a.shape[0]
+    ab = np.zeros((bandwidth + 1, m))
+    for off in range(bandwidth + 1):
+        ab[bandwidth - off, off:] = np.diagonal(a, off)
+    return ab
+
+
+def eval_basis(spec, z: float) -> np.ndarray:
+    """All m basis functions at a single point; zeros outside the domain."""
+    if not np.isfinite(z):
+        raise ParameterError(f"non-finite evaluation point {z!r}")
+    out = np.zeros(spec.m)
+    if z < spec.z_lo or z > spec.z_hi:
+        return out
+    za = np.asarray([float(z)])
+    mu = _find_spans(spec, za)
+    out[mu[0] - spec.degree : mu[0] + 1] = _nonzero_basis(spec, za, mu)[0]
+    return out
+
+
+def basis_support(spec, j: int) -> tuple[float, float]:
+    """Support interval of basis function j."""
+    if not 0 <= j < spec.m:
+        raise ParameterError(f"basis index {j} outside [0, {spec.m})")
+    return float(spec.knots[j]), float(spec.knots[j + spec.degree + 1])

@@ -11,10 +11,16 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from oracles import QuadFormProblem, frobenius_form, kronecker_double_sum, tridiag_toeplitz_inverse
+from oracles import (
+    QuadFormProblem,
+    closed_testing_oracle,
+    frobenius_form,
+    kronecker_double_sum,
+    tridiag_toeplitz_inverse,
+)
 from smoothdiff.cli import main
 from smoothdiff.simulate import SimScenario, exact_model_error_rates, run_scenario
-from smoothdiff.tdp import PValueFamily, closed_testing_oracle, phi_alpha
+from smoothdiff.tdp import PValueFamily, phi_alpha
 from smoothdiff.toeplitz import (
     PentaParams,
     build_pentadiagonal,

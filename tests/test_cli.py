@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import (
+    band_form,
     dense_covariance,
     dense_design,
     per_pair_correlation,
@@ -15,7 +16,7 @@ from oracles import (
 )
 
 from smoothdiff import basis, cli, fitting, simulate
-from smoothdiff.basis import band_form, design_matrix, difference_penalty, make_basis
+from smoothdiff.basis import design_matrix, difference_penalty, make_basis
 from smoothdiff.cli import (
     CURVE_GRID_POINTS,
     band_pointwise_variance,
@@ -1031,10 +1032,6 @@ def diagnose_files(model_path, out):
     return [(out / name).read_bytes() for name in ("correlation_table.csv", "diagnostics.json")]
 
 
-def correlations(table: bytes) -> np.ndarray:
-    return np.loadtxt(table.decode().splitlines()[1:], delimiter=",")[:, 1]
-
-
 def check_model_file(path) -> int:
     """scripts/check_model_file.py's exit code on `path`."""
     return load_script("check_model_file").main([str(path)])
@@ -1104,18 +1101,33 @@ class TestModelFile:
             numbers = sum(np.size(v) for v in entry.values() if not isinstance(v, str))
             assert numbers <= 5 * m
 
-    def test_dense_format_1_file_gives_identical_diagnostics(self, tmp_path):
-        # the dense file's table reads band_form(cov) and the band file's a
-        # widened selected inverse: two inverses of one fit, equal to rounding
+    def test_dense_format_1_file_exits_2(self, tmp_path, capsys):
+        # a format-1 file has no "format" key and stores every stratum's dense
+        # cov, which no longer loads: the message names the file and the stratum
         _, data1, data2 = make_pair(seed=13, n=800)
         model = analyze_to(tmp_path / "out", data1, data2)
-        path3 = tmp_path / "out" / "fits.json"
-        path1 = write_format_1(model, load_model(str(path3))[1], tmp_path / "dense.json")
-        dense, banded = diagnose_files(path1, tmp_path / "d1"), diagnose_files(path3, tmp_path / "d2")
-        np.testing.assert_allclose(correlations(dense[0]), correlations(banded[0]), rtol=1e-12, atol=0.0)
-        # one file gives the same bytes every time
-        assert diagnose_files(path3, tmp_path / "d3") == banded
-        assert diagnose_files(path1, tmp_path / "d4") == dense
+        path = write_format_1(model, load_model(str(tmp_path / "out" / "fits.json"))[1], tmp_path / "dense.json")
+        assert main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")]) == 2
+        err = capsys.readouterr().err
+        assert "dense.json: strata[0] holds a dense 'cov'" in err
+        assert "re-run `smoothdiff analyze`" in err and "Traceback" not in err
+        assert not (tmp_path / "diag" / "correlation_table.csv").exists()
+
+    def test_format_2_fixed_effect_stratum_with_dense_cov_exits_2(self, tmp_path, capsys):
+        # format 2 stored a fixed-effect stratum's dense cov; stratum 0 stays a
+        # band here, so the message must name stratum 1
+        model, _ = analyze_fixed_effect_to(tmp_path / "out")
+        _, fits = load_model(str(tmp_path / "out" / "fits.json"))
+        model["format"] = 2
+        entry = model["strata"][1]
+        del entry["precision_band"], entry["border"]
+        entry["cov"] = [[float(v) for v in row] for row in dense_covariance(fits[1])]
+        path = tmp_path / "format2.json"
+        path.write_text(json.dumps(model))
+        assert main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")]) == 2
+        err = capsys.readouterr().err
+        assert "format2.json: strata[1] holds a dense 'cov'" in err
+        assert "re-run `smoothdiff analyze`" in err and "Traceback" not in err
 
     def test_fixed_effect_strata_store_band_and_border(self, tmp_path):
         model, strata = analyze_fixed_effect_to(tmp_path / "out")
@@ -1141,21 +1153,17 @@ class TestModelFile:
         assert main(["diagnose", "--model", str(tmp_path / "out" / "fits.json"), "--out", str(diag)]) == 0
         assert (diag / "correlation_table.csv").exists()
 
-    @pytest.mark.parametrize("kind", ["plain", "fixed_effect", "dense_format_1"])
+    @pytest.mark.parametrize("kind", ["plain", "fixed_effect"])
     def test_one_call_widening_and_vector_correlations_match_per_fit_and_per_lag(self, tmp_path, kind):
         if kind == "fixed_effect":
             analyze_fixed_effect_to(tmp_path / "out")
         else:
             _, data1, data2 = make_pair(seed=13, n=800)
-            model = analyze_to(tmp_path / "out", data1, data2)
+            analyze_to(tmp_path / "out", data1, data2)
         path = tmp_path / "out" / "fits.json"
-        if kind == "dense_format_1":
-            path = write_format_1(model, load_model(str(path))[1], tmp_path / "dense.json")
         spec, fits = load_model(str(path))
-        if kind == "dense_format_1":  # held wide enough: sliced, not widened
-            assert fits[0].border is None and fits[0].cov_band.shape == (spec.m, spec.m)
-        else:
-            assert fits[0].border.shape == (spec.m, int(kind == "fixed_effect"))
+        assert fits[0].cov_band is None
+        assert fits[0].border.shape == (spec.m, int(kind == "fixed_effect"))
         for width in range(spec.degree, spec.m):
             both = covariance_bands(fits, width)
             for band, fit in zip(both, fits):
@@ -1179,7 +1187,7 @@ class TestModelFile:
         path.write_text(json.dumps(model))
         assert check_model_file(path) == 1
         assert "format 2" in capsys.readouterr().err
-        assert main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")]) == 0
+        assert main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")]) == 2
 
     def test_constant_fixed_effect_column_exits_2(self, tmp_path, capsys):
         _, data1, data2 = make_pair(seed=13, n=800)
@@ -1211,10 +1219,11 @@ class TestModelFile:
             ("border", lambda border: [border[0], border[0][:-1]], "is not a numeric matrix"),
             ("border", lambda border: [border[0][:5] + [float("nan")] + border[0][6:]], "non-finite"),
             ("border", None, "lacks key strata[0].'border'"),
+            ("precision_band", None, "lacks key strata[0].'precision_band'"),
         ],
         ids=[
             "columns", "no_rows", "ragged", "nan", "inf", "not_pd",
-            "border_columns", "border_rows", "border_ragged", "border_nan", "no_border",
+            "border_columns", "border_rows", "border_ragged", "border_nan", "no_border", "no_band",
         ],
     )
     def test_bad_precision_band_exits_2(self, tmp_path, capsys, key, corrupt, problem):
@@ -1222,7 +1231,8 @@ class TestModelFile:
         entry = model["strata"][0]
         if corrupt is None:
             # a hand-edited format-2 band stratum with fixed effects: no border
-            # would drop BB' from the covariance
+            # would drop BB' from the covariance; with neither band nor dense
+            # cov the missing band is named, not the retired cov
             model["format"] = 2
             del entry[key]
         else:
@@ -1237,6 +1247,8 @@ class TestModelFile:
         "key, value, problem",
         [
             ("format", 4, "unknown model format 4"),
+            ("format", 1, "unknown model format 1 (expected 2 or 3)"),
+            ("format", None, "unknown model format None (expected 2 or 3)"),
             ("dispersion", float("nan"), "strata[1].'dispersion' = nan"),
             ("dispersion", -1.0, "strata[1].'dispersion' = -1.0"),
         ],

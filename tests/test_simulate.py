@@ -440,14 +440,14 @@ class TestFailureCause:
         message = raised_message(sliding_inverses, np.zeros((6, 6)), 3)
         assert failure_cause(message) == "not_positive_definite"
 
-    def test_no_lambda_candidate(self, basis):
+    def test_no_lambda_candidate(self, basis, monkeypatch):
         spec, pen = basis
+        monkeypatch.setattr(fitting, "default_lambda_grid", lambda dm, pen: np.asarray([0.1, 1.0]))
         gaussian = StratumData(y=np.ones(30), z=np.full(30, 2.0))  # outside the domain
-        grid = np.asarray([0.1, 1.0])
-        message = raised_message(select_lambda, gaussian, spec, pen, grid)
+        message = raised_message(select_lambda, gaussian, spec, pen)
         assert failure_cause(message) == "no_lambda_candidate"
         separated = StratumData(y=np.ones(200), z=np.linspace(0, 1, 200), family="binomial")
-        message = raised_message(select_lambda, separated, spec, pen, grid)
+        message = raised_message(select_lambda, separated, spec, pen)
         assert failure_cause(message) == "no_lambda_candidate"
 
     def test_other(self):

@@ -1,4 +1,5 @@
 """Start-up budget: importing the library and its CLI loads no heavy scipy subpackage.
+Also the public surface: the library exports only what the pipeline runs.
 
 `scipy.stats` alone pulls in stats, optimize, integrate, interpolate, ndimage,
 spatial and fft, about half of a CLI call's start-up time and a third of its
@@ -7,9 +8,17 @@ simulate pool and its workers) would pay for it. The import runs in a fresh inte
 this one has loaded `scipy.stats` for the test oracles.
 """
 
+import importlib
 import json
 import subprocess
 import sys
+from types import ModuleType
+
+import smoothdiff
+
+MODULES = ("basis", "fitting", "simulate", "tdp", "toeplitz", "windows")
+# the paper's alternative forms and the helpers only tests use live in tests/oracles.py
+ORACLE_FORMS = ("closed_testing_oracle", "simes_test", "eval_basis", "band_form")
 
 HEAVY = (
     "scipy.stats",
@@ -32,3 +41,16 @@ def test_import_loads_no_heavy_scipy_subpackage():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert json.loads(out) == []
+
+
+def test_public_names_resolve_and_exclude_the_oracle_forms():
+    exported = set()
+    for name in MODULES:
+        module = importlib.import_module(f"smoothdiff.{name}")
+        for member in module.__all__:
+            assert hasattr(module, member), f"smoothdiff.{name}.__all__ names missing {member}"
+        exported.update(module.__all__)
+        assert not [f for f in ORACLE_FORMS if hasattr(module, f)], name
+    package = {k for k, v in vars(smoothdiff).items() if not k.startswith("_") and not isinstance(v, ModuleType)}
+    assert package - {"DomainError", "NumericalError", "ParameterError"} <= exported
+    assert not hasattr(smoothdiff.BasisSpec, "basis_support")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import closed_testing_oracle, simes_test
 from smoothdiff import tdp
 from smoothdiff.basis import make_basis
 from smoothdiff.errors import ParameterError
@@ -9,9 +10,7 @@ from smoothdiff.tdp import (
     PValueFamily,
     _h_alpha,
     _prefix_phi,
-    closed_testing_oracle,
     phi_alpha,
-    simes_test,
     threshold_regions,
 )
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
     QuadFormProblem,
+    band_form,
     dense_covariance,
     per_pair_correlation,
     trace_form,
@@ -12,7 +13,7 @@ from oracles import (
 from scipy.special import chdtrc, expit
 from scipy.stats import chi2, kstest
 
-from smoothdiff.basis import BasisSpec, band_form, difference_penalty, make_basis
+from smoothdiff.basis import BasisSpec, difference_penalty, make_basis
 from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import StratumData, StratumFit, covariance_bands, fit_stratum, select_lambda
 from smoothdiff.simulate import failure_cause
