@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -27,12 +28,7 @@ from scipy.linalg.lapack import dpbtrf
 from .basis import DesignMatrix, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
 from .fitting import StratumData, StratumFit, covariance_bands, fit_stratum, select_lambda
-from .simulate import (
-    SimScenario,
-    outcome_to_json,
-    run_scenario,
-    table_csv_lines,
-)
+from .simulate import SimScenario, outcome_to_json, run_scenario
 from .tdp import threshold_regions
 from .toeplitz import PentaParams, build_pentadiagonal, decay_rate, factor_pentadiagonal
 from .windows import window_stat_correlation, window_statistics
@@ -71,31 +67,55 @@ class AnalysisConfig:
         taus = tuple(sorted({float(t) for t in self.tdp}, reverse=True))
         if any(not 0 < t <= 1 for t in taus):
             raise ParameterError("TDP thresholds must lie in (0, 1]")
+        if not taus:
+            raise ParameterError("tdp must list at least one TDP threshold")
         if self.lam is not None and not (np.isfinite(self.lam) and self.lam >= 0):
             raise ParameterError(f"smoothing parameter must be finite and >= 0, got {float(self.lam)!r}")
+        if self.domain is not None:
+            if len(self.domain) != 2:
+                raise ParameterError(f"domain = {tuple(self.domain)!r} must be two values, LO and HI")
+            object.__setattr__(self, "domain", (float(self.domain[0]), float(self.domain[1])))
         object.__setattr__(self, "tdp", taus)
 
 
-def _parse_kv_file(path: str) -> dict[str, str]:
-    """Flat key = value configuration text; '#' starts a comment."""
-    out: dict[str, str] = {}
+def _read_settings(path: str, parsers: dict, kind: str) -> dict:
+    """A `kind` ("config" or "scenario") file of `key = value` lines, each value read by `parsers[key]`."""
+    settings = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
+            for lineno, line in enumerate(fh, 1):
+                text = line.split("#", 1)[0].strip()  # '#' starts a comment
+                if not text:
                     continue
-                if "=" not in line:
-                    raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-                key, value = line.split("=", 1)
-                out[key.strip()] = value.strip()
-    except OSError as exc:
-        raise ParameterError(f"cannot read config file {path}: {exc}") from exc
-    return out
+                if "=" not in text:
+                    raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
+                key, value = (part.strip() for part in text.split("=", 1))
+                if key not in parsers:
+                    raise ParameterError(f"{path}: unknown {kind} key {key!r}")
+                try:
+                    settings[key] = parsers[key](value)
+                except ValueError as exc:
+                    raise ParameterError(f"{path}: bad value for {key!r}: {value!r}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read {kind} file {path}: {exc}") from exc
+    return settings
 
 
 def _float_tuple(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """`header`, then a line per row of Python ints and floats (`.tolist()`): each by `repr`, None as empty."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else repr(v) for v in row) + "\n")
+
+
+def _write_json(path: str, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
 
 
 def read_stratum_csv(path: str, stratum_col: str | None = None):
@@ -198,10 +218,10 @@ def _fit_payload(fit: StratumFit, lam_source: str) -> dict:
         "deviance": fit.deviance,
         "family": fit.family,
         "n_obs": fit.n_obs,
-        "coef": [float(c) for c in fit.coef],
-        "beta": [float(b) for b in fit.beta],
-        "precision_band": [[float(v) for v in row] for row in fit.precision_band],
-        "border": [[float(v) for v in col] for col in fit.border.T],
+        "coef": fit.coef.tolist(),
+        "beta": fit.beta.tolist(),
+        "precision_band": fit.precision_band.tolist(),
+        "border": fit.border.T.tolist(),
     }
 
 
@@ -257,21 +277,17 @@ def cmd_analyze(config: AnalysisConfig) -> int:
             "degree": spec.degree,
             "m": spec.m,
             "domain": [spec.z_lo, spec.z_hi],
-            "knots": [float(k) for k in spec.knots],
+            "knots": spec.knots.tolist(),
         },
         "alpha": config.alpha,
         "strata": [_fit_payload(f, source) for f in fits],
     }
-    with open(os.path.join(config.out, "fits.json"), "w", encoding="utf-8") as fh:
-        json.dump(fits_payload, fh, sort_keys=True, indent=1)
-
-    with open(os.path.join(config.out, "windows.csv"), "w", encoding="utf-8") as fh:
-        fh.write("k,region_lo,region_hi,T,p\n")
-        for k in range(series.n_windows):
-            lo, hi = series.regions[k]
-            fh.write(
-                f"{k},{float(lo)!r},{float(hi)!r},{float(series.T[k])!r},{float(series.p[k])!r}\n"
-            )
+    _write_json(os.path.join(config.out, "fits.json"), fits_payload)
+    _write_csv(
+        os.path.join(config.out, "windows.csv"),
+        "k,region_lo,region_hi,T,p",
+        zip(range(series.n_windows), *series.regions.T.tolist(), series.T.tolist(), series.p.tolist()),
+    )
 
     regions_payload = {
         "alpha": config.alpha,
@@ -287,28 +303,21 @@ def cmd_analyze(config: AnalysisConfig) -> int:
             for rec in report.records
         ],
     }
-    with open(os.path.join(config.out, "regions.json"), "w", encoding="utf-8") as fh:
-        json.dump(regions_payload, fh, sort_keys=True, indent=1)
-    with open(os.path.join(config.out, "regions.csv"), "w", encoding="utf-8") as fh:
-        fh.write("tdp_threshold,interval_lo,interval_hi,tdp_lower_bound,alpha\n")
-        for rec in report.records:
-            for lo, hi in rec.intervals:
-                fh.write(f"{rec.tau!r},{lo!r},{hi!r},{rec.bound!r},{config.alpha!r}\n")
+    _write_json(os.path.join(config.out, "regions.json"), regions_payload)
+    _write_csv(
+        os.path.join(config.out, "regions.csv"),
+        "tdp_threshold,interval_lo,interval_hi,tdp_lower_bound,alpha",
+        ((rec.tau, lo, hi, rec.bound, config.alpha) for rec in report.records for lo, hi in rec.intervals),
+    )
 
     grid = np.linspace(spec.z_lo, spec.z_hi, CURVE_GRID_POINTS)
     dm = design_matrix(spec, grid)
-    with open(os.path.join(config.out, "curves.csv"), "w", encoding="utf-8") as fh:
-        fh.write("z,fit1,lo1,hi1,fit2,lo2,hi2\n")
-        cols = []
-        for fit, band in zip(fits, covariance_bands(fits, spec.degree)):
-            center = dm.predict(fit.coef)
-            se = np.sqrt(band_pointwise_variance(dm, band))
-            cols.append((center, center - BAND_MULTIPLIER * se, center + BAND_MULTIPLIER * se))
-        for i, z in enumerate(grid):
-            row = [repr(float(z))]
-            for center, lo, hi in cols:
-                row += [repr(float(center[i])), repr(float(lo[i])), repr(float(hi[i]))]
-            fh.write(",".join(row) + "\n")
+    cols = [grid]
+    for fit, band in zip(fits, covariance_bands(fits, spec.degree)):
+        center = dm.predict(fit.coef)
+        se = np.sqrt(band_pointwise_variance(dm, band))
+        cols += [center, center - BAND_MULTIPLIER * se, center + BAND_MULTIPLIER * se]
+    _write_csv(os.path.join(config.out, "curves.csv"), "z,fit1,lo1,hi1,fit2,lo2,hi2", np.column_stack(cols).tolist())
 
     for rec in report.records:
         ivals = ", ".join(f"[{lo:.4g}, {hi:.4g}]" for lo, hi in rec.intervals) or "(none)"
@@ -380,38 +389,10 @@ _SCENARIO_FIELD_PARSERS = {
 
 def load_scenario(path: str) -> SimScenario:
     """SimScenario from a flat key = value file."""
-    raw = _parse_kv_file(path)
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in _SCENARIO_FIELD_PARSERS:
-            raise ParameterError(f"{path}: unknown scenario key {key!r}")
-        try:
-            kwargs[key] = _SCENARIO_FIELD_PARSERS[key](value)
-        except ValueError as exc:
-            raise ParameterError(f"{path}: bad value for {key!r}: {value!r}") from exc
+    kwargs = _read_settings(path, _SCENARIO_FIELD_PARSERS, "scenario")
     if "n_nonzero" not in kwargs:
         raise ParameterError(f"{path}: scenario requires n_nonzero")
     return SimScenario(**kwargs)
-
-
-def _write_sweep_csv(path: str, outcome) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            "replicate,m_delta,alpha,tdp_threshold,n_windows,bound,"
-            "empirical_tdp,truth_coverage,truth_region_tdp\n"
-        )
-        for rec in outcome.records:
-            if rec.failed:
-                continue
-            for region in rec.regions:
-                emp = "" if region.empirical_tdp is None else repr(region.empirical_tdp)
-                covg = "" if region.truth_coverage is None else repr(region.truth_coverage)
-                truth_tdp = rec.truth_region_tdp.get(region.alpha)
-                tr = "" if truth_tdp is None else repr(truth_tdp)
-                fh.write(
-                    f"{rec.index},{rec.m_delta!r},{region.alpha!r},{region.tau!r},"
-                    f"{region.n_windows},{region.bound!r},{emp},{covg},{tr}\n"
-                )
 
 
 def cmd_simulate(args) -> int:
@@ -445,10 +426,21 @@ def cmd_simulate(args) -> int:
     with open(os.path.join(args.out, f"{name}_outcome.json"), "w", encoding="utf-8") as fh:
         fh.write(outcome_to_json(outcome))
     for label, table in (("error", outcome.error_table), ("tdp", outcome.tdp_table)):
-        with open(os.path.join(args.out, f"{name}_{label}_table.csv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(table_csv_lines(table)) + "\n")
+        _write_csv(
+            os.path.join(args.out, f"{name}_{label}_table.csv"),
+            "alpha,tdp_threshold,value,n_replicates,mc_se",
+            ((alpha, tau, value, n, se) for (alpha, tau), (value, se, n) in sorted(table.items())),
+        )
     if scenario.m_delta_sweep is not None:
-        _write_sweep_csv(os.path.join(args.out, f"{name}_curves.csv"), outcome)
+        _write_csv(
+            os.path.join(args.out, f"{name}_curves.csv"),
+            "replicate,m_delta,alpha,tdp_threshold,n_windows,bound,empirical_tdp,truth_coverage,truth_region_tdp",
+            (
+                (rec.index, rec.m_delta, r.alpha, r.tau, r.n_windows, r.bound,
+                 r.empirical_tdp, r.truth_coverage, rec.truth_region_tdp.get(r.alpha))
+                for rec in outcome.records if not rec.failed for r in rec.regions
+            ),
+        )
 
     table = outcome.tdp_table if name.startswith("table2") or name == "tableS1" else outcome.error_table
     kind = "mean empirical TDP" if table is outcome.tdp_table else "type 1 error"
@@ -608,17 +600,12 @@ def cmd_diagnose(args) -> int:
         reach = max_lag + spec.degree
         band1, band2 = covariance_bands(fits, reach)
         corr = window_stat_correlation(band1 + band2, spec, anchor, anchor + np.arange(max_lag + 1))
-        rows = [(lag, float(c)) for lag, c in enumerate(corr)]
-        path = os.path.join(args.out, "correlation_table.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("lag,correlation\n")
-            for lag, corr in rows:
-                fh.write(f"{lag},{corr!r}\n")
+        rows = list(enumerate(corr.tolist()))
+        _write_csv(os.path.join(args.out, "correlation_table.csv"), "lag,correlation", rows)
         payload = {"anchor_window": anchor, "correlations": [list(r) for r in rows]}
         for lag, corr in rows:
             print(f"lag={lag}: corr={corr:.6f}")
-    with open(os.path.join(args.out, "diagnostics.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+    _write_json(os.path.join(args.out, "diagnostics.json"), payload)
     return 0
 
 
@@ -693,33 +680,13 @@ _CONFIG_FIELD_PARSERS = {
 
 
 def _analysis_config(args) -> AnalysisConfig:
-    settings: dict = {}
-    if args.config is not None:
-        raw = _parse_kv_file(args.config)
-        for key, value in raw.items():
-            if key not in _CONFIG_FIELD_PARSERS:
-                raise ParameterError(f"{args.config}: unknown config key {key!r}")
-            try:
-                settings["lam" if key == "lambda" else key] = _CONFIG_FIELD_PARSERS[key](value)
-            except ValueError as exc:
-                raise ParameterError(f"{args.config}: bad value for {key!r}: {value!r}") from exc
-    flag_map = {
-        "stratum1": args.stratum1,
-        "stratum2": args.stratum2,
-        "data": args.data,
-        "stratum_col": args.stratum_col,
-        "family": args.family,
-        "basis_dim": args.basis_dim,
-        "degree": args.degree,
-        "domain": tuple(args.domain) if args.domain else None,
-        "alpha": args.alpha,
-        "tdp": tuple(args.tdp) if args.tdp else None,
-        "lam": args.lam,
-        "out": args.out,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            settings[key] = value
+    """The analyze settings: each flag given overrides the config file's value for its field."""
+    settings = {} if args.config is None else _read_settings(args.config, _CONFIG_FIELD_PARSERS, "config")
+    if "lambda" in settings:
+        settings["lam"] = settings.pop("lambda")
+    for f in dataclasses.fields(AnalysisConfig):  # each argparse dest is its field's name
+        if (value := getattr(args, f.name)) is not None:
+            settings[f.name] = value
     return AnalysisConfig(**settings)
 
 

@@ -682,6 +682,8 @@ def _grid_scale(gram_band: np.ndarray, penalty_band: np.ndarray) -> float:
 def default_lambda_grid(dm: DesignMatrix, pen: PenaltyMatrix) -> np.ndarray:
     """Ascending log-spaced grid spanning [1e-4, 1e4] times tr(Z'Z)/tr(S)."""
     scale = _grid_scale(dm.gram_band(), pen.band)
+    if not scale > 0:  # tr(Z'Z) = 0: every row of Z is zero
+        raise ParameterError("no observation lies inside the basis domain, so the lambda grid has no scale")
     return np.geomspace(1e-4 * scale, 1e4 * scale, LAMBDA_GRID_POINTS)
 
 

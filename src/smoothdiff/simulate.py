@@ -40,7 +40,6 @@ __all__ = [
     "exact_model_error_rates",
     "run_scenario",
     "outcome_to_json",
-    "table_csv_lines",
 ]
 
 
@@ -82,6 +81,11 @@ class SimScenario:
             raise ParameterError(f"unknown family {self.family!r}")
         if self.family == "gaussian" and not self.noise_var > 0:
             raise ParameterError(f"noise_var = {self.noise_var!r} must be positive for a Gaussian family")
+        if len(self.domain) != 2:
+            raise ParameterError(f"domain = {tuple(self.domain)!r} must be two values, LO and HI")
+        for name in ("alphas", "thresholds"):
+            if not getattr(self, name):
+                raise ParameterError(f"{name} must list at least one value")
         if any(not 0 < a < 1 for a in self.alphas):
             raise ParameterError("alpha levels must lie in (0, 1)")
         if any(not 0 < t <= 1 for t in self.thresholds):
@@ -422,14 +426,21 @@ def _aggregate(scenario: SimScenario, records: list[ReplicateRecord]) -> SimOutc
     )
 
 
+REPLICATES_PER_TASK = 8  # replicates sent to a pool worker at a time
+
+
 def run_scenario(scenario: SimScenario, threads: int = 1) -> SimOutcome:
-    """Run every replicate and aggregate; identical output for any thread count."""
+    """Run every replicate and aggregate; identical output for any thread count.
+
+    A pool starts all its workers at its first task, so it gets at most one per chunk.
+    """
     indices = list(range(scenario.n_replicates))
-    if threads <= 1:
+    workers = min(threads, -(-len(indices) // REPLICATES_PER_TASK))
+    if workers <= 1:
         records = [run_replicate(scenario, i) for i in indices]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_replicate, [scenario] * len(indices), indices, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(run_replicate, [scenario] * len(indices), indices, chunksize=REPLICATES_PER_TASK))
     records.sort(key=lambda r: r.index)
     if all(r.failed for r in records):
         raise NumericalError("every replicate failed; first message: " + records[0].message)
@@ -463,11 +474,3 @@ def outcome_to_json(outcome: SimOutcome) -> str:
         "replicates": [_jsonable(asdict(r)) for r in outcome.records],
     }
     return json.dumps(payload, sort_keys=True, indent=1)
-
-
-def table_csv_lines(table: dict) -> list[str]:
-    """CSV rows (alpha, tdp_threshold, value, n_replicates, mc_se) for one table."""
-    lines = ["alpha,tdp_threshold,value,n_replicates,mc_se"]
-    for (alpha, tau), (value, se, n) in sorted(table.items()):
-        lines.append(f"{alpha!r},{tau!r},{value!r},{n},{se!r}")
-    return lines

@@ -379,10 +379,11 @@ def simulate_outputs(out_dir, preset, replicates, threads):
 
 
 class TestCriterion10Determinism:
+    # 9 replicates are two chunks of the pool, so --threads 2 runs two workers
     def test_preset_bit_identical_across_runs_and_threads(self, tmp_path):
-        first = simulate_outputs(tmp_path / "a", "table2a", 6, 1)
-        second = simulate_outputs(tmp_path / "b", "table2a", 6, 1)
-        threaded = simulate_outputs(tmp_path / "c", "table2a", 6, 2)
+        first = simulate_outputs(tmp_path / "a", "table2a", 9, 1)
+        second = simulate_outputs(tmp_path / "b", "table2a", 9, 1)
+        threaded = simulate_outputs(tmp_path / "c", "table2a", 9, 2)
         report(
             "criterion 10 (determinism)",
             first == second == threaded,
@@ -391,9 +392,9 @@ class TestCriterion10Determinism:
 
     def test_binomial_preset_bit_identical_across_runs_and_threads(self, tmp_path):
         # tableS1 fits every stratum by the lockstep binomial grid
-        first = simulate_outputs(tmp_path / "a", "tableS1", 4, 1)
-        second = simulate_outputs(tmp_path / "b", "tableS1", 4, 1)
-        threaded = simulate_outputs(tmp_path / "c", "tableS1", 4, 2)
+        first = simulate_outputs(tmp_path / "a", "tableS1", 9, 1)
+        second = simulate_outputs(tmp_path / "b", "tableS1", 9, 1)
+        threaded = simulate_outputs(tmp_path / "c", "tableS1", 9, 2)
         report(
             "criterion 10 (binomial determinism)",
             first == second == threaded,

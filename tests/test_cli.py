@@ -301,6 +301,58 @@ class TestAnalyze:
         assert "stratum" not in err  # a setting of the run, not of one stratum
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "setting, problem",
+        [
+            ("domain = 0 0.5 1", "domain = (0.0, 0.5, 1.0) must be two values"),
+            ("domain = 0", "domain = (0.0,) must be two values"),
+            ("tdp =", "tdp must list at least one TDP threshold"),
+        ],
+    )
+    def test_bad_config_field_exits_2(self, tmp_path, capsys, setting, problem):
+        scn, data1, data2 = make_pair(seed=5)
+        path = tmp_path / "d.csv"
+        write_stratum_csv(path, data1, data2)
+        out = tmp_path / "o"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {path}\nbasis_dim = 20\ndegree = 2\n{setting}\nout = {out}\n")
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_config_key_writes_the_files_its_flags_write(self, tmp_path):
+        scn, data1, data2 = make_pair(seed=9)
+        data_path = tmp_path / "d.csv"
+        write_stratum_csv(data_path, data1, data2)
+        data_path.write_text(data_path.read_text().replace("stratum", "group", 1))
+        s1, s2 = tmp_path / "s1.csv", tmp_path / "s2.csv"  # unread: --data takes precedence
+        settings = {
+            "stratum1": str(s1),
+            "stratum2": str(s2),
+            "data": str(data_path),
+            "stratum_col": "group",
+            "family": "gaussian",
+            "basis_dim": "18",
+            "degree": "2",
+            "domain": "0 1",
+            "alpha": "0.2",
+            "tdp": "0.5 0.8",
+            "lambda": "0.75",
+        }
+        assert set(settings) | {"out"} == set(cli._CONFIG_FIELD_PARSERS)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()) + f"out = {tmp_path / 'cfg'}\n")
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        flags = []
+        for key, value in settings.items():
+            flags += ["--" + key.replace("_", "-"), *value.split()]
+        assert main(["analyze", *flags, "--out", str(tmp_path / "flags")]) == 0
+        names = sorted(os.listdir(tmp_path / "flags"))
+        assert names == sorted(os.listdir(tmp_path / "cfg"))
+        assert len(names) == 5
+        for name in names:
+            assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes(), name
+
     def test_seed_config_key_is_unknown(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("basis_dim = 20\nseed = 3\n")
@@ -722,6 +774,10 @@ class TestSimulate:
             ("noise_var = 0", [], None, "noise_var = 0.0 must be positive for a Gaussian family"),
             ("m_delta = nan", [], None, "m_delta = nan must be finite"),
             ("sigma_b2 = nan", [], None, "sigma_b2 = nan must be finite"),
+            ("domain = 0 1 2", [], None, "domain = (0.0, 1.0, 2.0) must be two values"),
+            ("domain = 5", [], None, "domain = (5.0,) must be two values"),
+            ("alphas =", [], None, "alphas must list at least one value"),
+            ("thresholds =", [], None, "thresholds must list at least one value"),
         ],
     )
     def test_bad_scenario_field_exits_2(self, tmp_path, capsys, monkeypatch, setting, flags, env, problem):
@@ -1279,6 +1335,16 @@ def test_no_library_path_forms_a_dense_inverse_or_expansion(tmp_path, monkeypatc
     _, data1, data2 = make_pair(seed=13, n=800)
     analyze_to(tmp_path / "out", data1, data2)
     diagnose_files(tmp_path / "out" / "fits.json", tmp_path / "diag")
+
+
+@pytest.mark.parametrize("command, option, kind", [("analyze", "--config", "config"), ("simulate", "--scenario", "scenario")])
+def test_undecodable_settings_file_exits_2(tmp_path, capsys, command, option, kind):
+    settings = tmp_path / "bad.txt"
+    settings.write_bytes(b"m = \xff\n")
+    out = tmp_path / "o"
+    assert main([command, option, str(settings), "--out", str(out)]) == 2
+    assert f"cannot read {kind} file {settings}: 'utf-8' codec can't decode" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cached_parser_leaks_no_value_between_calls(monkeypatch):

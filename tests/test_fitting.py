@@ -624,6 +624,12 @@ class TestSelectLambda:
         grid = default_lambda_grid(design_matrix(spec, z), pen)
         assert select_lambda(data, spec, pen).lam == pytest.approx(grid[-1])
 
+    def test_no_observation_inside_the_domain_is_a_parameter_error(self):
+        # tr(Z'Z) = 0 leaves the lambda grid without a scale
+        data = StratumData(y=np.ones(30), z=np.full(30, 2.0))
+        with pytest.raises(ParameterError, match="no observation lies inside the basis domain"):
+            select_lambda(data, make_basis(0, 1, 8, 2), difference_penalty(8, 2))
+
     def test_degenerate_grid_returns_the_value(self, setup, monkeypatch):
         spec, pen = setup
         rng = np.random.default_rng(13)

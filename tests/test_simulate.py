@@ -1,3 +1,5 @@
+import os
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import aggregate_by_cell_scan, clumped_indices_by_choice, dense_covariance
 from scipy.stats import chi2, chisquare
 
-from smoothdiff import fitting
+from smoothdiff import cli, fitting, simulate
 from smoothdiff.basis import design_matrix, difference_penalty, make_basis
 from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import StratumData, fit_stratum, select_lambda
@@ -29,7 +31,6 @@ from smoothdiff.simulate import (
     representative_fit,
     run_replicate,
     run_scenario,
-    table_csv_lines,
 )
 from smoothdiff.windows import sliding_inverses
 
@@ -250,21 +251,64 @@ class TestRunScenario:
         assert outcome_to_json(a) == outcome_to_json(b)
 
     def test_thread_count_does_not_change_output(self):
-        scn = small_scenario(n_replicates=4)
+        scn = small_scenario(n_replicates=2 * simulate.REPLICATES_PER_TASK + 1)  # three chunks, two workers
         serial = run_scenario(scn, threads=1)
         parallel = run_scenario(scn, threads=2)
         assert outcome_to_json(serial) == outcome_to_json(parallel)
+
+    @pytest.mark.parametrize(
+        "threads, n_replicates, workers",
+        [(1, 32, None), (5000, 4, None), (5000, 8, None), (5000, 9, 2), (2, 32, 2), (5000, 32, 4), (3, 17, 3)],
+    )
+    def test_pool_has_at_most_one_worker_per_chunk(self, monkeypatch, threads, n_replicates, workers):
+        # a fake pool records its size and maps in this process, so nothing forks
+        pools, pids = [], set()
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                assert chunksize == simulate.REPLICATES_PER_TASK
+                return map(fn, *iterables)
+
+        def record(scenario, index):
+            pids.add(os.getpid())
+            return ReplicateRecord(index, scenario.m_delta, ())
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(simulate, "run_replicate", record)
+        out = run_scenario(small_scenario(n_replicates=n_replicates), threads=threads)
+        assert [r.index for r in out.records] == list(range(n_replicates))
+        assert pools == ([] if workers is None else [workers])
+        assert pids == {os.getpid()}
 
     def test_sweep_varies_effect_size_linearly(self):
         scn = small_scenario(n_replicates=5, m_delta_sweep=(0.0, 2.0))
         out = run_scenario(scn)
         assert [r.m_delta for r in out.records] == [0.0, 0.5, 1.0, 1.5, 2.0]
 
-    def test_aggregate_tables_have_all_cells(self):
+    def test_aggregate_tables_have_all_cells(self, tmp_path):
         scn = small_scenario(n_replicates=3, alphas=(0.1, 0.2))
         out = run_scenario(scn)
         assert set(out.error_table) == {(a, t) for a in (0.1, 0.2) for t in (0.9, 0.7, 0.5)}
-        csv_lines = table_csv_lines(out.error_table)
+        scenario_file = tmp_path / "small.scn"
+        scenario_file.write_text(
+            "".join(
+                f"{key} = {' '.join(map(str, value)) if isinstance(value, tuple) else value}\n"
+                for key, value in asdict(scn).items()
+                if value is not None
+            )
+        )
+        assert cli.load_scenario(str(scenario_file)) == scn
+        assert cli.main(["simulate", "--scenario", str(scenario_file), "--threads", "1", "--out", str(tmp_path)]) == 0
+        csv_lines = (tmp_path / "small_error_table.csv").read_text().splitlines()
         assert csv_lines[0] == "alpha,tdp_threshold,value,n_replicates,mc_se"
         assert len(csv_lines) == 7
 
