@@ -79,8 +79,11 @@ class AnalysisConfig:
 
 
 def _read_settings(path: str, parsers: dict, kind: str) -> dict:
-    """A `kind` ("config" or "scenario") file of `key = value` lines, each value read by `parsers[key]`."""
-    settings = {}
+    """A `kind` ("config" or "scenario") file of `key = value` lines, each value read by `parsers[key]`.
+
+    A key given twice is an error naming both lines.
+    """
+    settings, first_line = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -92,6 +95,11 @@ def _read_settings(path: str, parsers: dict, kind: str) -> dict:
                 key, value = (part.strip() for part in text.split("=", 1))
                 if key not in parsers:
                     raise ParameterError(f"{path}: unknown {kind} key {key!r}")
+                if key in first_line:
+                    raise ParameterError(
+                        f"{path}:{lineno}: {kind} key {key!r} repeats the one on line {first_line[key]}"
+                    )
+                first_line[key] = lineno
                 try:
                     settings[key] = parsers[key](value)
                 except ValueError as exc:
@@ -114,8 +122,9 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def _write_json(path: str, payload) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=1)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write(text)
 
 
 def read_stratum_csv(path: str, stratum_col: str | None = None):
@@ -402,10 +411,6 @@ def cmd_simulate(args) -> int:
         scenario = load_scenario(args.scenario)
         name = os.path.splitext(os.path.basename(args.scenario))[0]
     else:
-        if args.preset not in _TABLE_SCENARIOS:
-            raise ParameterError(
-                f"unknown preset {args.preset!r}; available: {', '.join(sorted(_TABLE_SCENARIOS))}"
-            )
         scenario = _TABLE_SCENARIOS[args.preset]
         name = args.preset
     overrides = {}

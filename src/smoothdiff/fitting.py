@@ -41,7 +41,6 @@ import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dpbsv as _pbsv, dpbtrf as _pbtrf
-from scipy.special import expit
 
 from .basis import (
     BasisSpec,
@@ -400,16 +399,33 @@ def _dispersion(data: StratumData, deviance: float, edf: float, yss: float) -> f
 def _binomial_deviance(y: np.ndarray, mu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Deviance of 0/1 outcomes, one per row of mu: the saturated terms y log y vanish.
 
-    2 sum -log|mu + (y - 1)|, branch-free and exactly the terms -log mu
+    -2 sum log|mu + (y - 1)|, branch-free and exactly the terms -log mu
     where y = 1 and -log(1 - mu) where y = 0: mu + 0 is mu, and mu - 1 is
     -(1 - mu) bit for bit, as IEEE subtraction rounds sign-symmetrically.
-    `out`, shaped like mu and possibly mu itself, holds the terms.
+    Summing the logs and negating after equals summing their negations,
+    for the same reason. `out`, shaped like mu and possibly mu itself,
+    holds the terms.
     """
     terms = np.add(mu, y - 1.0, out=out)
     np.abs(terms, out=terms)
     np.log(terms, out=terms)
-    np.negative(terms, out=terms)
-    return 2.0 * np.sum(terms, axis=-1)
+    return -2.0 * np.sum(terms, axis=-1)
+
+
+def _logistic(eta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-eta)) written into `out`, shaped like eta.
+
+    numpy's vectorized exp rounds differently from the libm exp behind
+    scipy's expit, so this is within 4 ulp of expit, not equal to it; it is
+    0 and 1 exactly where exp(-eta) overflows and underflows, as expit is.
+    Each element is computed alone, so a row's values do not depend on the
+    rows beside it.
+    """
+    np.negative(eta, out=out)
+    with np.errstate(over="ignore"):  # exp(-eta) = inf gives mu = 0
+        np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(1.0, out, out=out)
 
 
 def _start(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -489,8 +505,9 @@ def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarra
     iterating. A lambda leaves the block when it converges, fails to
     factor, diverges or runs out of iterations, keeping its own deviance
     trace and error; the first iteration's weights are shared by all. The
-    weights, working response and deviance terms of each step are written
-    into three buffers allocated once per block, viewed at mu's shape.
+    weights, working response, mean and deviance terms of each step are
+    written into four buffers allocated once per block, viewed at mu's
+    shape.
     """
     y, X = data.y, data.X
     mu, eta, start = _start(y)
@@ -498,7 +515,7 @@ def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarra
     traces = [[start] for _ in lams]
     out: list = [None] * lams.size
     live = np.arange(lams.size)
-    buffers = np.empty((3, lams.size * data.n))
+    buffers = np.empty((4, lams.size * data.n))
     for n_iter in range(1, MAX_IRLS_ITER + 1):
         w, u = (buf[: mu.size].reshape(mu.shape) for buf in buffers[:2])
         np.subtract(1.0, mu, out=w)
@@ -522,8 +539,8 @@ def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarra
             )
         eta = _predict(dm, X, coefs, betas)
         diverged = np.maximum(eta.max(axis=1), -eta.min(axis=1)) > ETA_DIVERGENCE
-        mu = expit(eta)
-        terms = buffers[2, : mu.size].reshape(mu.shape)
+        mu = _logistic(eta, buffers[2, : eta.size].reshape(eta.shape))
+        terms = buffers[3, : mu.size].reshape(mu.shape)
         new_deviance = _binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12, out=terms), out=terms)
         converged = _converged(new_deviance, deviance) & ~diverged
         for j, (i, dev) in enumerate(zip(live.tolist(), new_deviance.tolist())):

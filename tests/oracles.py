@@ -45,7 +45,10 @@ with the branch-free deviance and one LAPACK `dpbsv` per system.
 `binomial_block_by_where` and `band_solve_by_pbtrf` are the forms it
 replaced: fresh arrays in every step, the deviance through
 `np.where(y > 0, mu, 1 - mu)`, and `pbtrf` then `pbtrs` per system. Every
-field and message of the new kernel must equal theirs bit for bit.
+field and message of the new kernel must equal theirs bit for bit. The
+oracle takes its mean from the library's `fitting._logistic`, as the kernel
+does: that logistic is within 4 ulp of scipy's `expit`, not equal to it, and
+is checked against `expit` on its own.
 
 `smoothdiff.cli.read_stratum_csv` parses the data rows with `np.loadtxt`;
 `read_stratum_csv_by_float` is the `csv` reader with one `float()` per field
@@ -444,7 +447,7 @@ def binomial_block_by_where(dm, data, penalty_band, lams):
         )
         eta = fitting._predict(dm, X, coefs, betas)
         diverged = np.max(np.abs(eta), axis=1) > fitting.ETA_DIVERGENCE
-        mu = expit(eta)
+        mu = fitting._logistic(eta, np.empty_like(eta))
         new_deviance = binomial_deviance_by_where(y, np.clip(mu, 1e-12, 1.0 - 1e-12))
         converged = fitting._converged(new_deviance, deviance) & ~diverged
         for j, i in enumerate(live):

@@ -353,6 +353,14 @@ class TestAnalyze:
         for name in names:
             assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes(), name
 
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"alpha = 0.1\n# a comment\nbasis_dim = 20\nalpha = 0.2\nout = {out}\n")
+        assert main(["analyze", "--config", str(config), "--data", "d.csv"]) == 2
+        assert f"{config}:4: config key 'alpha' repeats the one on line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_config_key_is_unknown(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("basis_dim = 20\nseed = 3\n")
@@ -782,13 +790,21 @@ class TestSimulate:
     )
     def test_bad_scenario_field_exits_2(self, tmp_path, capsys, monkeypatch, setting, flags, env, problem):
         scenario = tmp_path / "bad.scn"
-        scenario.write_text(TINY_SCENARIO.replace("seed = 5", setting))
+        scenario.write_text(scenario_with(setting))
         if env is not None:
             monkeypatch.setenv("SMOOTHDIFF_SEED", env)
         out = tmp_path / "sim"
         argv = ["simulate", "--scenario", str(scenario), "--threads", "1", "--out", str(out)]
         assert main(argv + flags) == 2
         assert problem in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_scenario_key_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "bad.scn"
+        scenario.write_text(TINY_SCENARIO + "alphas = 0.2\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", str(scenario), "--threads", "1", "--out", str(out)]) == 2
+        assert f"{scenario}:13: scenario key 'alphas' repeats the one on line 9" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("n", ["-5", "0"])
@@ -859,6 +875,18 @@ TINY_SCENARIO = (
     "sigma_b2 = 0.4\nnoise_var = 0.3\nm_delta = 1.5\ndomain = 0 1\n"
     "alphas = 0.1\nthresholds = 0.9 0.5\nn_replicates = 5\nseed = 5\n"
 )
+
+
+def scenario_with(setting):
+    """`TINY_SCENARIO` with the line of `setting`'s key replaced by it, or `setting` added after."""
+    key = setting.split("=", 1)[0].strip()
+    lines = TINY_SCENARIO.splitlines()
+    keys = [line.split("=", 1)[0].strip() for line in lines]
+    if key in keys:
+        lines[keys.index(key)] = setting
+    else:
+        lines.append(setting)
+    return "\n".join(lines) + "\n"
 
 
 class TestDiagnose:

@@ -37,6 +37,7 @@ from smoothdiff.fitting import (
     selected_inverse_band,
 )
 from smoothdiff.simulate import failure_cause, gen_coefficients, gen_stratum, replicate_rng
+from smoothdiff.tdp import threshold_regions
 from smoothdiff.windows import window_statistics
 
 
@@ -486,7 +487,7 @@ def per_iteration_bordered_irls(data, spec, pen, lam):
         [coef], [beta], [border] = fitting._eliminate_border(sols, zr, xr, errors)
         assert errors == [None]
         eta = fitting._predict(dm, data.X, coef[None], beta[None])[0]
-        mu = expit(eta)
+        mu = fitting._logistic(eta, np.empty_like(eta))
         new_deviance = float(_binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12)))
         system = fitting._BandSystem(lam, coef, beta, new_deviance, gram, ab[0], factors[0], border, n_iter)
         fit = fitting._band_fit(data, *fitting._selected_inverses([system], penalty_band)[0], float(data.y @ data.y))
@@ -1314,6 +1315,16 @@ class TestFailureParity:
         causes = self.together_and_alone(separating_stratum(), spec, pen, np.geomspace(1e-7, 1e2, 10))
         assert causes == ["separation"] * 4 + [None] * 6
 
+    def test_stratum_size_off_the_vector_width(self, setup):
+        # n = 203 and 12 * 203 are not multiples of 8, so an element of the
+        # logistic falls in a vector's tail alone but not in the block
+        spec, pen = setup
+        rng = np.random.default_rng(31)
+        z = rng.uniform(0, 1, 203)
+        data = StratumData(y=(rng.random(203) < expit(1.5 * np.sin(5 * z))).astype(float), z=z, family="binomial")
+        causes = self.together_and_alone(data, spec, pen, np.geomspace(1e-4, 1e3, 12))
+        assert causes == [None] * 12
+
     @pytest.mark.parametrize("max_iter", [1, 5])
     def test_irls_nonconvergence(self, setup, max_iter, monkeypatch):
         # the separating stratum needs 4 to 10 iterations across this grid
@@ -1422,6 +1433,49 @@ class TestKernelOracle:
             fit_stratum(data, spec, pen, 1e308)
         use_lambda_grid(monkeypatch, [0.5, 1e308])
         assert select_lambda(data, spec, pen).lam == 0.5
+
+
+class TestLogistic:
+    """`fitting._logistic` is within 4 ulp of scipy's expit; swapping it in moves no selection."""
+
+    def test_within_four_ulp_of_expit(self):
+        eta = np.linspace(-40.0, 40.0, 400_001)
+        got = fitting._logistic(eta, np.empty_like(eta))
+        want = expit(eta)
+        assert np.max(np.abs(got - want) / np.spacing(want)) <= 4.0
+
+    def test_saturates_as_expit_without_warning(self):
+        eta = np.asarray([-800.0, -745.0, 745.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fitting._logistic(eta, np.empty_like(eta))
+        assert np.array_equal(got, expit(eta))
+        assert np.array_equal(got, [0.0, 0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("name", ["tableS1", "fig8"])
+    def test_preset_selection_matches_expit(self, name, monkeypatch):
+        # the same lambda, iteration count and TDP window sets; coefficients to rounding
+        scenario = _TABLE_SCENARIOS[name]
+        strata, spec, pen = preset_strata(name, 2)
+
+        def selected(data):
+            fit = select_lambda(data, spec, pen)
+            dm = design_matrix(spec, data.z)
+            [system] = fitting._grid_systems(dm, data, fitting._penalty_band(spec, pen), np.asarray([fit.lam]))
+            return fit, system.n_iter
+
+        got = [selected(data) for data in strata]
+        with monkeypatch.context() as patched:
+            patched.setattr(fitting, "_logistic", lambda eta, out: expit(eta, out=out))
+            want = [selected(data) for data in strata]
+        for (fit, n_iter), (ref, ref_n_iter) in zip(got, want):
+            assert fit.lam == ref.lam and n_iter == ref_n_iter
+            assert_close(fit.coef, ref.coef)
+        for k in range(0, len(strata), 2):  # the two strata of one replicate
+            series = [window_statistics(fits[k][0], fits[k + 1][0], spec) for fits in (got, want)]
+            for alpha in scenario.alphas:
+                windows = [[r.windows for r in threshold_regions(s, alpha, scenario.thresholds).records] for s in series]
+                assert windows[0] == windows[1]
 
 
 class TestZeroResidualVariance:
