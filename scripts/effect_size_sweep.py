@@ -1,48 +1,43 @@
 #!/usr/bin/env python3
 """Sweep the minimum effect size and summarize TDP behavior in bins.
 
-Reproduces the effect-size curve experiments: empirical TDP of the selected
-regions, the bound estimated on the truly different region, and how much of
-the truth each region covers, each binned over the sweep for plotting.
+Reproduces the effect-size curve experiments (the `fig5`, `fig6` and `fig8`
+presets): empirical TDP of the selected regions, the bound estimated on the
+truly different region, and how much of the truth each region covers, each
+binned over the preset's sweep range for plotting.
 """
 
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from smoothdiff.simulate import SimScenario, run_scenario
+from smoothdiff.cli import PRESETS
+from smoothdiff.simulate import run_scenario
+
+SWEEPS = sorted(name for name, scenario in PRESETS.items() if scenario.m_delta_sweep is not None)
 
 
 def run(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--family", choices=["gaussian", "binomial"], default="gaussian")
-    parser.add_argument("--nonzero", type=int, default=15)
-    parser.add_argument("--replicates", type=int, default=1000)
-    parser.add_argument("--alpha", type=float, default=0.2)
-    parser.add_argument("--max-effect", type=float, default=None)
+    parser.add_argument("--preset", choices=SWEEPS, default="fig5")
+    parser.add_argument("--replicates", type=int, default=None, help="override the preset's replicate count")
     parser.add_argument("--bins", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=20260810)
+    parser.add_argument("--seed", type=int, default=None, help="override the preset's seed")
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default="sweep_summary.csv")
     args = parser.parse_args(argv)
 
-    top = args.max_effect if args.max_effect is not None else (2.5 if args.family == "gaussian" else 9.0)
-    scenario = SimScenario(
-        n_nonzero=args.nonzero,
-        family=args.family,
-        sigma_delta2=0.05,
-        alphas=(args.alpha,),
-        m_delta_sweep=(0.0, top),
-        n_replicates=args.replicates,
-        seed=args.seed,
-    )
+    overrides = {"n_replicates": args.replicates, "seed": args.seed}
+    scenario = replace(PRESETS[args.preset], **{k: v for k, v in overrides.items() if v is not None})
+    (alpha,) = scenario.alphas
     outcome = run_scenario(scenario, threads=args.threads)
     good = [r for r in outcome.records if not r.failed]
     print(f"{len(good)} replicates ({outcome.n_failed} failed)")
 
-    edges = np.linspace(0.0, top, args.bins + 1)
+    edges = np.linspace(*scenario.m_delta_sweep, args.bins + 1)
     rows = []
     for tau in scenario.thresholds:
         for b in range(args.bins):
@@ -60,7 +55,7 @@ def run(argv=None):
                 for reg in r.regions
                 if reg.tau == tau and reg.truth_coverage is not None
             ]
-            truth_tdp = [r.truth_region_tdp.get(args.alpha) for r in in_bin if r.truth_region_tdp]
+            truth_tdp = [r.truth_region_tdp.get(alpha) for r in in_bin if r.truth_region_tdp]
             rows.append(
                 {
                     "tdp_threshold": tau,

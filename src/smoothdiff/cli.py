@@ -4,8 +4,7 @@
 precision band of A = Z'WZ + lambda S and the fixed-effect border B.
 `diagnose --model` reads them back and widens each fit's covariance band to
 the offset its correlation table reads, so no m x m covariance is formed
-on either side. A format-2 file loads when every stratum stores its
-precision band; a stratum holding a dense covariance exits 2.
+on either side. A file of any other format exits 2.
 
 Exit codes: 0 success, 2 input/configuration error, 3 numerical error.
 """
@@ -36,11 +35,7 @@ from .windows import window_stat_correlation, window_statistics
 SEED_ENV_VAR = "SMOOTHDIFF_SEED"
 CURVE_GRID_POINTS = 201
 BAND_MULTIPLIER = 1.96
-# fits.json layout: 3 stores each stratum's `precision_band` and `border`
-# (p rows of m numbers). Format 2 stored `precision_band` for a stratum
-# without fixed effects, which still loads, and a dense `cov` for one with
-# them; format 1 (no "format" key) a dense `cov` for every stratum. A dense
-# `cov` no longer loads.
+# fits.json layout: each stratum's `precision_band` and `border` (p rows of m numbers)
 MODEL_FORMAT = 3
 
 
@@ -334,7 +329,8 @@ def cmd_analyze(config: AnalysisConfig) -> int:
     return 0
 
 
-_TABLE_SCENARIOS = {
+# the paper's studies: `simulate --preset NAME` and scripts/effect_size_sweep.py run these
+PRESETS = {
     "table1a": SimScenario(
         n_nonzero=15, alphas=(0.1, 0.2, 0.3), n_replicates=2000, seed=20260810
     ),
@@ -372,8 +368,8 @@ _TABLE_SCENARIOS = {
         seed=20260810,
     ),
 }
-_TABLE_SCENARIOS["table2a"] = _TABLE_SCENARIOS["table1a"]
-_TABLE_SCENARIOS["table2b"] = _TABLE_SCENARIOS["table1b"]
+PRESETS["table2a"] = PRESETS["table1a"]
+PRESETS["table2b"] = PRESETS["table1b"]
 
 _SCENARIO_FIELD_PARSERS = {
     "n_nonzero": int,
@@ -411,7 +407,7 @@ def cmd_simulate(args) -> int:
         scenario = load_scenario(args.scenario)
         name = os.path.splitext(os.path.basename(args.scenario))[0]
     else:
-        scenario = _TABLE_SCENARIOS[args.preset]
+        scenario = PRESETS[args.preset]
         name = args.preset
     overrides = {}
     if args.replicates is not None:
@@ -485,15 +481,8 @@ def _model_bands(path: str, entry: dict, i: int, m: int, p: int) -> dict:
     """The covariance fields of strata[i]'s StratumFit.
 
     A stratum gives its `precision_band`, checked positive definite by one
-    Cholesky factorization, and its `border` (p rows of m numbers; it may be
-    absent when p = 0, as in format 2). A stratum that holds a dense `cov`
-    instead was written before format 3 and is refused.
+    Cholesky factorization, and its `border` (p rows of m numbers).
     """
-    if "precision_band" not in entry and "cov" in entry:
-        raise ParameterError(
-            f"{path}: strata[{i}] holds a dense 'cov', which model format {MODEL_FORMAT} replaced with bands; "
-            "re-run `smoothdiff analyze` to rewrite the file"
-        )
     where = f"strata[{i}].'precision_band'"
     band = _model_matrix(path, _model_field(path, entry, "precision_band", f"strata[{i}]."), where)
     if band.ndim != 2 or band.shape[0] < 1 or band.shape[1] != m:
@@ -501,23 +490,17 @@ def _model_bands(path: str, entry: dict, i: int, m: int, p: int) -> dict:
     minor = dpbtrf(band)[1]
     if minor:
         raise ParameterError(f"{path}: {where} is not positive definite (leading minor {minor})")
-    border = np.zeros((0, m))
-    if p or "border" in entry:
-        where = f"strata[{i}].'border'"
-        border = _model_matrix(path, _model_field(path, entry, "border", f"strata[{i}]."), where)
-        if border.shape == (0,):
-            border = border.reshape(0, m)
-        if border.shape != (p, m):
-            raise ParameterError(f"{path}: {where} has shape {border.shape}, expected (p={p}, m={m})")
+    where = f"strata[{i}].'border'"
+    border = _model_matrix(path, _model_field(path, entry, "border", f"strata[{i}]."), where)
+    if border.shape == (0,):
+        border = border.reshape(0, m)
+    if border.shape != (p, m):
+        raise ParameterError(f"{path}: {where} has shape {border.shape}, expected (p={p}, m={m})")
     return {"precision_band": band, "border": border.T}
 
 
 def load_model(path: str):
-    """Basis and the two stratum fits from an analyze fits.json whose strata store bands (format 2 or 3).
-
-    The format is checked after the strata, so that a file of format 1, which
-    has no "format" key, is refused by its first stratum's dense `cov`.
-    """
+    """Basis and the two stratum fits from a fits.json that analyze wrote (format 3)."""
     try:
         with open(path, encoding="utf-8") as fh:
             model = json.load(fh)
@@ -528,6 +511,12 @@ def load_model(path: str):
     strata = _model_field(path, model, "strata", "")
     if not isinstance(strata, list) or len(strata) != 2:
         raise ParameterError(f"{path}: 'strata' must list exactly 2 fits")
+    fmt = model.get("format")
+    if fmt != MODEL_FORMAT:
+        raise ParameterError(
+            f"{path}: unknown model format {fmt!r} (expected {MODEL_FORMAT}); "
+            "re-run `smoothdiff analyze` to rewrite the file"
+        )
     try:
         spec = make_basis(float(domain[0]), float(domain[1]), int(m), int(degree))
         fits = []
@@ -561,9 +550,6 @@ def load_model(path: str):
         raise
     except (TypeError, ValueError, IndexError) as exc:
         raise ParameterError(f"{path}: malformed model file ({exc})") from exc
-    fmt = model.get("format")
-    if fmt not in (2, MODEL_FORMAT):
-        raise ParameterError(f"{path}: unknown model format {fmt!r} (expected 2 or {MODEL_FORMAT})")
     return spec, fits
 
 
@@ -592,7 +578,11 @@ def cmd_diagnose(args) -> int:
             diag = decay_rate(params)
             payload["psi_min"] = diag.psi_min
             payload["empirical_decay_rate"] = diag.empirical_rate
-            summary += f" psi_min={diag.psi_min:.6f} empirical={diag.empirical_rate:.6f}"
+            summary += f" psi_min={diag.psi_min:.6f}"
+            if diag.empirical_rate is None:
+                summary += " (empirical decay rate undefined: fewer than two lags with non-zero inverse entries)"
+            else:
+                summary += f" empirical={diag.empirical_rate:.6f}"
         else:
             summary += " (decay rate undefined: some pi_i <= 2*lam_p)"
         print(summary)
@@ -648,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simulate", help="run a simulation preset or scenario file")
     group = ps.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=sorted(_TABLE_SCENARIOS), help="named preset")
+    group.add_argument("--preset", choices=sorted(PRESETS), help="named preset")
     group.add_argument("--scenario", help="flat key = value scenario file")
     ps.add_argument("--replicates", type=int)
     ps.add_argument("--alpha", type=float)

@@ -50,12 +50,16 @@ class PentaParams:
     n: int
 
     def __post_init__(self):
+        for name in ("eps", "theta", "lam_p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n < 3:
             raise ParameterError("pentadiagonal dimension must be at least 3")
 
     @property
     def discriminant(self) -> float:
-        return self.theta**2 - 4.0 * self.lam_p * (self.eps - 2.0 * self.lam_p)
+        """theta^2 - 4 lam_p (eps - 2 lam_p); +-inf when it overflows."""
+        return self.theta * self.theta - 4.0 * self.lam_p * (self.eps - 2.0 * self.lam_p)
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ class DecayDiagnostics:
     """Predicted and empirically fitted off-diagonal decay of the inverse."""
 
     psi_min: float
-    empirical_rate: float
+    empirical_rate: float | None
 
 
 def build_pentadiagonal(params: PentaParams) -> np.ndarray:
@@ -117,6 +121,8 @@ def factor_pentadiagonal(params: PentaParams) -> tuple[TridiagFactor, TridiagFac
     if params.lam_p == 0.0:
         raise DomainError("factorization requires a non-zero second off-diagonal")
     disc = params.discriminant
+    if not math.isfinite(disc):
+        raise DomainError(f"theta^2 - 4*lam_p*(eps - 2*lam_p) overflows to {disc!r}")
     if disc <= 0.0:
         raise DomainError(
             "factorization requires theta^2 - 4*lam_p*(eps - 2*lam_p) > 0, "
@@ -127,6 +133,8 @@ def factor_pentadiagonal(params: PentaParams) -> tuple[TridiagFactor, TridiagFac
     pi_2 = params.theta / 2.0 - root / 2.0
     z1 = TridiagFactor(off=params.lam_p, diag=pi_1, n=params.n)
     z2 = TridiagFactor(off=1.0, diag=pi_2 / params.lam_p, n=params.n)
+    if not math.isfinite(z2.diag):
+        raise DomainError(f"factor diagonal pi_2/lam_p = {pi_2!r}/{params.lam_p!r} overflows")
     product = z1.dense() @ z2.dense()
     target = build_pentadiagonal(params)
     scale = max(abs(params.eps), abs(params.theta), abs(params.lam_p), 1.0)
@@ -140,7 +148,9 @@ def decay_rate(params: PentaParams) -> DecayDiagnostics:
 
     The empirical rate is the least-squares slope of -log|inv(P)[r, r+lag]|
     against lag = 1..12, averaged over middle rows of the numerically
-    inverted matrix.
+    inverted matrix whose entries at those lags are non-zero. It is None
+    when no slope can be fitted: the dimension leaves a single lag, or
+    every row's entries underflow to zero.
     """
     n = params.n
     z1, z2 = factor_pentadiagonal(params)
@@ -155,6 +165,8 @@ def decay_rate(params: PentaParams) -> DecayDiagnostics:
         vals = np.abs(inv[r, r + lags])
         if np.all(vals > 0):
             log_mags.append(np.log(vals))
+    if lags.size < 2 or not log_mags:
+        return DecayDiagnostics(psi_min=min(psi_1, psi_2), empirical_rate=None)
     mean_log = np.mean(log_mags, axis=0)
     slope = np.polyfit(lags, mean_log, 1)[0]
     return DecayDiagnostics(psi_min=min(psi_1, psi_2), empirical_rate=-float(slope))

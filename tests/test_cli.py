@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from smoothdiff import basis, cli, fitting, simulate
 from smoothdiff.basis import design_matrix, difference_penalty, make_basis
 from smoothdiff.cli import (
     CURVE_GRID_POINTS,
+    PRESETS,
     band_pointwise_variance,
     load_model,
     main,
@@ -935,6 +937,47 @@ class TestDiagnose:
     def test_missing_parameters_exit_2(self, tmp_path):
         assert main(["diagnose", "--epsilon", "5", "--out", str(tmp_path / "d")]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["--epsilon=nan", "--theta=4", "--lambda-p=1"], "eps must be finite, got nan"),
+            (["--epsilon=5", "--theta=inf", "--lambda-p=1"], "theta must be finite, got inf"),
+            (["--epsilon=5", "--theta=4", "--lambda-p=-inf"], "lam_p must be finite, got -inf"),
+        ],
+    )
+    def test_non_finite_parameter_exits_2_naming_it(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "d"
+        assert main(["diagnose", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {field}" in err and "Traceback" not in err
+        assert not (out / "diagnostics.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--epsilon=1", "--theta=5", "--lambda-p=1e200"], ["--epsilon=1", "--theta=1e200", "--lambda-p=1"]],
+        ids=["lambda_p", "theta"],
+    )
+    def test_overflowing_discriminant_exits_3_naming_it(self, tmp_path, capsys, argv):
+        assert main(["diagnose", *argv, "--out", str(tmp_path / "d")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical error: theta^2 - 4*lam_p*(eps - 2*lam_p) overflows to inf" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--epsilon=8.1", "--theta=5", "--lambda-p=1", "--dim=3"],  # a single lag
+            ["--epsilon=2e60", "--theta=3e30", "--lambda-p=1"],  # entries beyond lag 1 underflow
+        ],
+        ids=["dim_3", "underflow"],
+    )
+    def test_decay_slope_without_two_lags_is_null(self, tmp_path, capsys, argv):
+        out = tmp_path / "d"
+        assert main(["diagnose", *argv, "--out", str(out)]) == 0
+        assert "(empirical decay rate undefined: fewer than two lags" in capsys.readouterr().out
+        payload = json.loads((out / "diagnostics.json").read_text())
+        assert payload["empirical_decay_rate"] is None
+        assert payload["psi_min"] == min(payload["psi"])
+
     def test_model_mode_correlation_decays(self, tmp_path):
         scn, data1, data2 = make_pair(seed=13, n=2500)
         p = tmp_path / "d.csv"
@@ -1012,6 +1055,7 @@ class TestDiagnose:
             (("strata",), "'strata'"),
             (("basis", "m"), "basis.'m'"),
             (("strata", 1, "precision_band"), "strata[1].'precision_band'"),
+            (("strata", 1, "border"), "strata[1].'border'"),  # required also without fixed effects
         ],
     )
     def test_model_mode_missing_key_exits_2(self, tmp_path, capsys, drop, key):
@@ -1116,26 +1160,13 @@ def diagnose_files(model_path, out):
     return [(out / name).read_bytes() for name in ("correlation_table.csv", "diagnostics.json")]
 
 
-def check_model_file(path) -> int:
-    """scripts/check_model_file.py's exit code on `path`."""
-    return load_script("check_model_file").main([str(path)])
+ABSENT = object()  # a model-file key deleted rather than set
 
 
 def assert_covariance_bands_bitwise_equal(loaded, direct, m):
     # from the fit's own band up to the full width, as diagnose widens them
     for width in range(m):
         assert np.array_equal(covariance_bands([loaded], width)[0], covariance_bands([direct], width)[0]), width
-
-
-def write_format_1(model, fits, path):
-    """`model` (a fits.json dict) rewritten as a format-1 file holding each fit's dense cov; its path."""
-    model = json.loads(json.dumps(model))
-    del model["format"]
-    for entry, fit in zip(model["strata"], fits):
-        del entry["precision_band"], entry["border"]
-        entry["cov"] = [[float(v) for v in row] for row in dense_covariance(fit)]
-    path.write_text(json.dumps(model, sort_keys=True, indent=1))
-    return path
 
 
 def per_lag_correlation_table(model_path, max_lag) -> bytes:
@@ -1155,19 +1186,12 @@ class TestModelFile:
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_loaded_cov_is_bitwise_the_fit_cov(self, tmp_path, family):
         scn, data1, data2 = make_pair(seed=7, family=family)
-        model = analyze_to(tmp_path / "out", data1, data2, family=family)
+        analyze_to(tmp_path / "out", data1, data2, family=family)
         spec, loaded = load_model(str(tmp_path / "out" / "fits.json"))
-        # the same fits as a format-2 file, which has no border key
-        model["format"] = 2
-        for entry in model["strata"]:
-            del entry["border"]
-        (tmp_path / "format2.json").write_text(json.dumps(model))
-        _, loaded2 = load_model(str(tmp_path / "format2.json"))
         pen = difference_penalty(scn.m, scn.penalty_order)
-        for data, fit, fit2 in zip((data1, data2), loaded, loaded2):
+        for data, fit in zip((data1, data2), loaded):
             direct = select_lambda(data, spec, pen)
             assert_covariance_bands_bitwise_equal(fit, direct, spec.m)
-            assert_covariance_bands_bitwise_equal(fit2, direct, spec.m)
             assert np.array_equal(fit.precision_band, direct.precision_band)
             assert np.array_equal(fit.border, direct.border)
             assert np.array_equal(fit.coef, direct.coef)
@@ -1184,34 +1208,6 @@ class TestModelFile:
             assert band.shape == (3, m)  # bandwidth max(degree 2, penalty order 2)
             numbers = sum(np.size(v) for v in entry.values() if not isinstance(v, str))
             assert numbers <= 5 * m
-
-    def test_dense_format_1_file_exits_2(self, tmp_path, capsys):
-        # a format-1 file has no "format" key and stores every stratum's dense
-        # cov, which no longer loads: the message names the file and the stratum
-        _, data1, data2 = make_pair(seed=13, n=800)
-        model = analyze_to(tmp_path / "out", data1, data2)
-        path = write_format_1(model, load_model(str(tmp_path / "out" / "fits.json"))[1], tmp_path / "dense.json")
-        assert main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")]) == 2
-        err = capsys.readouterr().err
-        assert "dense.json: strata[0] holds a dense 'cov'" in err
-        assert "re-run `smoothdiff analyze`" in err and "Traceback" not in err
-        assert not (tmp_path / "diag" / "correlation_table.csv").exists()
-
-    def test_format_2_fixed_effect_stratum_with_dense_cov_exits_2(self, tmp_path, capsys):
-        # format 2 stored a fixed-effect stratum's dense cov; stratum 0 stays a
-        # band here, so the message must name stratum 1
-        model, _ = analyze_fixed_effect_to(tmp_path / "out")
-        _, fits = load_model(str(tmp_path / "out" / "fits.json"))
-        model["format"] = 2
-        entry = model["strata"][1]
-        del entry["precision_band"], entry["border"]
-        entry["cov"] = [[float(v) for v in row] for row in dense_covariance(fits[1])]
-        path = tmp_path / "format2.json"
-        path.write_text(json.dumps(model))
-        assert main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")]) == 2
-        err = capsys.readouterr().err
-        assert "format2.json: strata[1] holds a dense 'cov'" in err
-        assert "re-run `smoothdiff analyze`" in err and "Traceback" not in err
 
     def test_fixed_effect_strata_store_band_and_border(self, tmp_path):
         model, strata = analyze_fixed_effect_to(tmp_path / "out")
@@ -1255,24 +1251,6 @@ class TestModelFile:
         table, _ = diagnose_files(path, tmp_path / "diag")
         assert table == per_lag_correlation_table(path, 6)
 
-    def test_check_model_file_script(self, tmp_path, capsys):
-        _, data1, data2 = make_pair(seed=7)
-        analyze_to(tmp_path / "plain", data1, data2)
-        assert check_model_file(tmp_path / "plain" / "fits.json") == 0
-        model, _ = analyze_fixed_effect_to(tmp_path / "fixed")
-        assert check_model_file(tmp_path / "fixed" / "fits.json") == 0
-        # the format-2 form of a fixed-effect stratum: its dense covariance
-        _, fits = load_model(str(tmp_path / "fixed" / "fits.json"))
-        model["format"] = 2
-        for entry, fit in zip(model["strata"], fits):
-            del entry["precision_band"], entry["border"]
-            entry["cov"] = [[float(v) for v in row] for row in dense_covariance(fit)]
-        path = tmp_path / "format2.json"
-        path.write_text(json.dumps(model))
-        assert check_model_file(path) == 1
-        assert "format 2" in capsys.readouterr().err
-        assert main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")]) == 2
-
     def test_constant_fixed_effect_column_exits_2(self, tmp_path, capsys):
         _, data1, data2 = make_pair(seed=13, n=800)
         rng = np.random.default_rng(5)
@@ -1314,10 +1292,7 @@ class TestModelFile:
         model, _ = analyze_fixed_effect_to(tmp_path / "out")
         entry = model["strata"][0]
         if corrupt is None:
-            # a hand-edited format-2 band stratum with fixed effects: no border
-            # would drop BB' from the covariance; with neither band nor dense
-            # cov the missing band is named, not the retired cov
-            model["format"] = 2
+            # a stratum without its border would drop BB' from the covariance
             del entry[key]
         else:
             entry[key] = corrupt(entry[key])
@@ -1330,22 +1305,33 @@ class TestModelFile:
     @pytest.mark.parametrize(
         "key, value, problem",
         [
-            ("format", 4, "unknown model format 4"),
-            ("format", 1, "unknown model format 1 (expected 2 or 3)"),
-            ("format", None, "unknown model format None (expected 2 or 3)"),
-            ("dispersion", float("nan"), "strata[1].'dispersion' = nan"),
-            ("dispersion", -1.0, "strata[1].'dispersion' = -1.0"),
+            # format 1 had no "format" key; formats 1 and 2 stored dense covariances
+            ("format", ABSENT, "bad.json: unknown model format None (expected 3)"),
+            ("format", 1, "bad.json: unknown model format 1 (expected 3)"),
+            ("format", 2, "bad.json: unknown model format 2 (expected 3)"),
+            ("format", None, "bad.json: unknown model format None (expected 3)"),
+            ("format", 4, "bad.json: unknown model format 4 (expected 3)"),
+            ("dispersion", float("nan"), "bad.json: strata[1].'dispersion' = nan"),
+            ("dispersion", -1.0, "bad.json: strata[1].'dispersion' = -1.0"),
         ],
+        ids=["format_absent", "format_1", "format_2", "format_null", "format_4", "dispersion_nan", "dispersion_negative"],
     )
     def test_bad_model_field_exits_2(self, tmp_path, capsys, key, value, problem):
         _, data1, data2 = make_pair(seed=13, n=800)
         model = analyze_to(tmp_path / "out", data1, data2)
-        (model if key == "format" else model["strata"][1])[key] = value
+        node = model if key == "format" else model["strata"][1]
+        if value is ABSENT:
+            del node[key]
+        else:
+            node[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(model))
         assert main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")]) == 2
         err = capsys.readouterr().err
-        assert "bad.json" in err and problem in err
+        assert problem in err and "Traceback" not in err
+        if key == "format":
+            assert "re-run `smoothdiff analyze` to rewrite the file" in err
+        assert not (tmp_path / "diag" / "correlation_table.csv").exists()
 
 
 def test_no_library_path_forms_a_dense_inverse_or_expansion(tmp_path, monkeypatch):
@@ -1373,6 +1359,42 @@ def test_undecodable_settings_file_exits_2(tmp_path, capsys, command, option, ki
     assert main([command, option, str(settings), "--out", str(out)]) == 2
     assert f"cannot read {kind} file {settings}: 'utf-8' codec can't decode" in capsys.readouterr().err
     assert not out.exists()
+
+
+SWEEP_HEADER = [
+    "tdp_threshold", "effect_lo", "effect_hi", "n",
+    "mean_empirical_tdp", "mean_truth_coverage", "mean_truth_region_bound",
+]
+
+
+@pytest.mark.parametrize("name, seed", [("fig5", None), ("fig6", 7), ("fig8", None)])
+def test_effect_size_sweep_runs_its_preset(tmp_path, monkeypatch, name, seed):
+    sweep = load_script("effect_size_sweep")
+    assert sweep.SWEEPS == ["fig5", "fig6", "fig8"]
+    scenarios = []
+
+    def run_scenario(scenario, threads):
+        scenarios.append(scenario)
+        return simulate.run_scenario(scenario, threads=threads)
+
+    monkeypatch.setattr(sweep, "run_scenario", run_scenario)
+    out = tmp_path / "sweep.csv"
+    argv = ["--preset", name, "--replicates", "4", "--bins", "2", "--out", str(out)]
+    assert sweep.run(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+    expected = replace(PRESETS[name], n_replicates=4, **({} if seed is None else {"seed": seed}))
+    assert scenarios == [expected]
+    lines = out.read_text().splitlines()
+    assert lines[0].split(",") == SWEEP_HEADER
+    rows = [dict(zip(SWEEP_HEADER, line.split(","))) for line in lines[1:]]
+    edges = np.linspace(*expected.m_delta_sweep, 3)
+    assert [(float(r["tdp_threshold"]), float(r["effect_lo"]), float(r["effect_hi"])) for r in rows] == [
+        (tau, edges[b], edges[b + 1]) for tau in expected.thresholds for b in range(2)
+    ]
+    for tau in expected.thresholds:  # every replicate's effect lies in one bin
+        assert sum(int(r["n"]) for r in rows if float(r["tdp_threshold"]) == tau) == 4
+    for r in rows:
+        for key in SWEEP_HEADER[4:]:
+            assert r[key] == "" or 0.0 <= float(r[key]) <= 1.0
 
 
 def test_cached_parser_leaks_no_value_between_calls(monkeypatch):

@@ -24,7 +24,7 @@ from scipy.special import expit, xlogy
 
 from smoothdiff import fitting
 from smoothdiff.basis import design_matrix, difference_penalty, expand_band, make_basis
-from smoothdiff.cli import _TABLE_SCENARIOS, main
+from smoothdiff.cli import PRESETS, main
 from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import (
     StratumData,
@@ -1147,7 +1147,7 @@ class TestNoDenseCovariance:
 
 def preset_strata(name, n_replicates):
     """Both strata of the first replicates of a simulate preset, with its basis and penalty."""
-    scenario = _TABLE_SCENARIOS[name]
+    scenario = PRESETS[name]
     spec = scenario.basis()
     pen = difference_penalty(scenario.m, scenario.penalty_order)
     strata = []
@@ -1455,7 +1455,7 @@ class TestLogistic:
     @pytest.mark.parametrize("name", ["tableS1", "fig8"])
     def test_preset_selection_matches_expit(self, name, monkeypatch):
         # the same lambda, iteration count and TDP window sets; coefficients to rounding
-        scenario = _TABLE_SCENARIOS[name]
+        scenario = PRESETS[name]
         strata, spec, pen = preset_strata(name, 2)
 
         def selected(data):

@@ -60,6 +60,23 @@ class TestFactorization:
         with pytest.raises(DomainError):
             factor_pentadiagonal(PentaParams(eps=5.0, theta=4.0, lam_p=0.0, n=5))
 
+    @pytest.mark.parametrize("field", ["eps", "theta", "lam_p"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, field, value):
+        values = {"eps": 5.0, "theta": 4.0, "lam_p": 1.0, field: value}
+        with pytest.raises(ParameterError, match=f"^{field} must be finite, got {value!r}$"):
+            PentaParams(**values, n=5)
+
+    @pytest.mark.parametrize("eps, theta, lam_p", [(1.0, 5.0, 1e200), (1.0, 1e200, 1.0), (-1e300, 1.0, 1e10)])
+    def test_overflowing_discriminant_rejected(self, eps, theta, lam_p):
+        with pytest.raises(DomainError, match="overflows to inf"):
+            factor_pentadiagonal(PentaParams(eps=eps, theta=theta, lam_p=lam_p, n=5))
+
+    def test_overflowing_factor_diagonal_rejected(self):
+        # pi_2 = -1e10 is finite, pi_2 / lam_p is not
+        with pytest.raises(DomainError, match="factor diagonal pi_2/lam_p .* overflows"):
+            factor_pentadiagonal(PentaParams(eps=1.0, theta=-1e10, lam_p=1e-300, n=5))
+
 
 class TestTridiagInverse:
     def test_scalar_case(self):
@@ -114,6 +131,18 @@ class TestDecayRate:
         base = PentaParams(eps=8.1, theta=5.0, lam_p=1.0, n=40)
         scaled = PentaParams(eps=3 * 8.1, theta=3 * 5.0, lam_p=3.0, n=40)
         assert decay_rate(base).psi_min == pytest.approx(decay_rate(scaled).psi_min)
+
+    def test_no_slope_through_a_single_lag(self):
+        # at n = 3 the middle row reaches lag 1 only
+        diag = decay_rate(PentaParams(eps=8.1, theta=5.0, lam_p=1.0, n=3))
+        assert diag.empirical_rate is None
+        assert diag.psi_min == decay_rate(PentaParams(eps=8.1, theta=5.0, lam_p=1.0, n=60)).psi_min
+
+    def test_no_slope_when_entries_underflow(self):
+        # psi_min = ln(1e30): the inverse is zero beyond lag 1 in every row
+        diag = decay_rate(PentaParams(eps=2e60, theta=3e30, lam_p=1.0, n=60))
+        assert diag.empirical_rate is None
+        assert diag.psi_min == pytest.approx(math.acosh(5e29))
 
     def test_rate_undefined_raises(self):
         # valid factorization but pi_2 < 2*lam: no real decay rate

@@ -472,10 +472,10 @@ class TestWindowStatCorrelationEqualsPerPair:
 
     @pytest.mark.parametrize("preset", ["table1a", "tableS1"])
     def test_preset_strata(self, preset):
-        from smoothdiff.cli import _TABLE_SCENARIOS
+        from smoothdiff.cli import PRESETS
         from smoothdiff.simulate import gen_coefficients, gen_stratum, replicate_rng
 
-        scenario = _TABLE_SCENARIOS[preset]
+        scenario = PRESETS[preset]
         spec = scenario.basis()
         pen = difference_penalty(scenario.m, scenario.penalty_order)
         rng = replicate_rng(scenario.seed, 0)
