@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from smoothdiff.cli import PRESETS
+from smoothdiff.errors import ParameterError
 from smoothdiff.simulate import run_scenario
 
 SWEEPS = sorted(name for name, scenario in PRESETS.items() if scenario.m_delta_sweep is not None)
@@ -29,11 +30,17 @@ def run(argv=None):
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default="sweep_summary.csv")
     args = parser.parse_args(argv)
+    for flag in ("bins", "threads"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be at least 1, got {getattr(args, flag)}")
 
     overrides = {"n_replicates": args.replicates, "seed": args.seed}
-    scenario = replace(PRESETS[args.preset], **{k: v for k, v in overrides.items() if v is not None})
+    try:
+        scenario = replace(PRESETS[args.preset], **{k: v for k, v in overrides.items() if v is not None})
+        outcome = run_scenario(scenario, threads=args.threads)
+    except ParameterError as exc:
+        parser.error(str(exc))
     (alpha,) = scenario.alphas
-    outcome = run_scenario(scenario, threads=args.threads)
     good = [r for r in outcome.records if not r.failed]
     print(f"{len(good)} replicates ({outcome.n_failed} failed)")
 

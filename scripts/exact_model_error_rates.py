@@ -13,6 +13,7 @@ which the acceptance suite calls too.
 import argparse
 import sys
 
+from smoothdiff.errors import ParameterError
 from smoothdiff.simulate import EXACT_MODEL_CASES, exact_model_error_rates
 
 
@@ -22,7 +23,10 @@ def run(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
-    rates = exact_model_error_rates(args.replicates, args.seed)
+    try:
+        rates = exact_model_error_rates(args.replicates, args.seed)
+    except ParameterError as exc:
+        parser.error(str(exc))
     for nz, _, _ in EXACT_MODEL_CASES:
         print(f"{nz}/120 planted differences, exact model, {args.replicates} replicates:")
         for (case, alpha, tau), (mean, se, _) in sorted(rates.items()):

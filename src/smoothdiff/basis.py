@@ -49,12 +49,6 @@ class BasisSpec:
         """The n_regions + 1 distinct knot values partitioning the domain."""
         return self.knots[self.degree : self.m + 1]
 
-    def region(self, k: int) -> tuple[float, float]:
-        """Covariate interval whose fitted values depend on coefficients k..k+degree."""
-        if not 0 <= k < self.n_regions:
-            raise ParameterError(f"region index {k} outside [0, {self.n_regions})")
-        return float(self.knots[self.degree + k]), float(self.knots[self.degree + k + 1])
-
     def basis_support_cells(self, j: int) -> tuple[int, int]:
         """Half-open range of elementary knot cells covered by basis function j."""
         lo = max(j - self.degree, 0)

@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -271,7 +272,8 @@ def cmd_analyze(config: AnalysisConfig) -> int:
             cause = f": {exc.__cause__}" if exc.__cause__ is not None else ""
             raise NumericalError(f"{exc}{cause}") from exc
     source = "gcv" if config.lam is None else "fixed"
-    series = window_statistics(fits[0], fits[1], spec)
+    bands = covariance_bands(fits, spec.degree)
+    series = window_statistics(fits[0].coef - fits[1].coef, bands[0] + bands[1], spec)
     report = threshold_regions(series, config.alpha, config.tdp)
 
     os.makedirs(config.out, exist_ok=True)
@@ -287,10 +289,11 @@ def cmd_analyze(config: AnalysisConfig) -> int:
         "strata": [_fit_payload(f, source) for f in fits],
     }
     _write_json(os.path.join(config.out, "fits.json"), fits_payload)
+    edges = spec.breakpoints.tolist()
     _write_csv(
         os.path.join(config.out, "windows.csv"),
         "k,region_lo,region_hi,T,p",
-        zip(range(series.n_windows), *series.regions.T.tolist(), series.T.tolist(), series.p.tolist()),
+        zip(range(series.n_windows), edges[:-1], edges[1:], series.T.tolist(), series.p.tolist()),
     )
 
     regions_payload = {
@@ -317,7 +320,7 @@ def cmd_analyze(config: AnalysisConfig) -> int:
     grid = np.linspace(spec.z_lo, spec.z_hi, CURVE_GRID_POINTS)
     dm = design_matrix(spec, grid)
     cols = [grid]
-    for fit, band in zip(fits, covariance_bands(fits, spec.degree)):
+    for fit, band in zip(fits, bands):
         center = dm.predict(fit.coef)
         se = np.sqrt(band_pointwise_variance(dm, band))
         cols += [center, center - BAND_MULTIPLIER * se, center + BAND_MULTIPLIER * se]
@@ -655,6 +658,10 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--model", help="fits.json from analyze")
     pd.add_argument("--max-lag", type=int, default=12)
     pd.add_argument("--out", default="smoothdiff_out")
+    # read a negative number in exponent form (-1e3, -2.5e-4) as a value, as
+    # Python 3.13's argparse does; 3.11's takes it for an unknown option
+    for p in (parser, pa, ps, pd):
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     return parser
 
 

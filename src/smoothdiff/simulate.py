@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dtbtrs
@@ -20,7 +20,7 @@ from scipy.special import expit
 
 from .basis import BasisSpec, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
-from .fitting import StratumData, StratumFit, select_lambda
+from .fitting import StratumData, StratumFit, covariance_bands, select_lambda
 from .tdp import TdpReport, phi_alpha, threshold_regions
 from .windows import WindowTestSeries, window_statistics
 
@@ -309,7 +309,8 @@ def run_replicate(scenario: SimScenario, index: int) -> ReplicateRecord:
     true_indices = tuple(int(j) for j in k_set)
     try:
         fits = [select_lambda(data, spec, pen) for data in (data_alt, data_base)]
-        series = window_statistics(fits[0], fits[1], spec)
+        bands = covariance_bands(fits, spec.degree)
+        series = window_statistics(fits[0].coef - fits[1].coef, bands[0] + bands[1], spec)
     except NumericalError as exc:
         return ReplicateRecord(index, m_delta, true_indices, failed=True, message=str(exc))
     truth_cells = _truth_cells(spec, np.flatnonzero(b_alt != b_base))
@@ -364,16 +365,16 @@ def exact_model_error_rates(
     = 2 phi A^{-1} of a representative fit, so every chi-square null is
     exact. With PAP = R'R, P the reversal, L = sqrt(2 phi) P R^{-1} P: one
     banded triangular solve per draw (Rue & Held 2005, sections 2.3-2.4).
-    `window_statistics` reads V from the fit's covariance band, given the
-    draw and zeros as the two fits' coefficients; the series is scored and
-    tallied by `run_replicate`'s and `run_scenario`'s code. Covers the cases
+    `window_statistics` takes each draw as the coefficient difference and
+    the band of V, formed once; the series is scored and tallied by
+    `run_replicate`'s and `run_scenario`'s code. Covers the cases
     of EXACT_MODEL_CASES; the result maps (n_nonzero, alpha, tau) to
     (error rate, Monte Carlo se, replicate count).
     """
     spec, fit = representative_fit()
     factor = _reversed_factor(fit.precision_band)
     scale = np.sqrt(2.0 * fit.dispersion)
-    null = replace(fit, coef=np.zeros(spec.m))
+    v_band = 2.0 * covariance_bands([fit], spec.degree)[0]
     rates = {}
     for n_nonzero, alphas, thresholds in EXACT_MODEL_CASES:
         scenario = SimScenario(
@@ -384,7 +385,7 @@ def exact_model_error_rates(
         for _ in range(n_replicates):
             b_base, b_alt, _ = gen_coefficients(scenario, rng)
             noise = dtbtrs(factor, rng.normal(size=(scenario.m, 1))[::-1])[0][::-1, 0]
-            series = window_statistics(replace(fit, coef=(b_alt - b_base) + scale * noise), null, spec)
+            series = window_statistics((b_alt - b_base) + scale * noise, v_band, spec)
             truth_cells = _truth_cells(spec, np.flatnonzero(b_alt != b_base))
             scored.append(_score_series(series, scenario, truth_cells)[0])
         error_table, _ = _tally(scenario, scored)

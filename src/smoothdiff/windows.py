@@ -4,13 +4,13 @@ Knot-defined region k depends on the w = degree+1 adjacent coefficients
 k..k+degree. Its statistic is T_k = d_k' V_k^{-1} d_k, the quadratic form of
 the coefficient-difference window d_k against the w x w diagonal block V_k
 of the summed covariance V1 + V2, referred to a chi-square with w degrees of
-freedom. `window_statistics` reads the blocks from the fits' covariance
-bands, factors every block in one batched Cholesky call and takes
-T_k = ||L_k^{-1} d_k||^2. Its p-value is p_k = Q(w/2, T_k/2), the
-regularized upper incomplete gamma, from `scipy.special.chdtrc`: the
-function `scipy.stats.chi2.sf` evaluates, without importing `scipy.stats`,
-which would be about half of the CLI's start-up time and a third of its
-memory.
+freedom. Its inputs are d and the upper band of V alone, so this module knows
+no fit: `window_statistics` gathers the blocks from V's band, factors every
+block in one batched Cholesky call and takes T_k = ||L_k^{-1} d_k||^2. Its
+p-value is p_k = Q(w/2, T_k/2), the regularized upper incomplete gamma,
+from `scipy.special.chdtrc`: the function `scipy.stats.chi2.sf` evaluates,
+without importing `scipy.stats`, which would be about half of the CLI's
+start-up time and a third of its memory.
 The dependence diagnostics report the correlation of one statistic with
 each of a vector of others (`window_stat_correlation`). Each covariance
 needs the two windows' blocks and the w x w cross block between them, which
@@ -33,7 +33,6 @@ from scipy.special import chdtrc
 
 from .basis import BasisSpec
 from .errors import NumericalError, ParameterError
-from .fitting import StratumFit, covariance_bands
 from .toeplitz import cov_quadratic_forms
 
 __all__ = [
@@ -49,12 +48,11 @@ REANCHOR_EVERY = 64
 
 @dataclass(frozen=True)
 class WindowTestSeries:
-    """Sliding-window statistics, their p-values, and the tested regions."""
+    """Sliding-window statistics and their p-values; window k tests region k of `spec`."""
 
     spec: BasisSpec
     T: np.ndarray
     p: np.ndarray
-    regions: np.ndarray
 
     @property
     def n_windows(self) -> int:
@@ -149,7 +147,7 @@ def _cholesky(blocks: np.ndarray, windows) -> np.ndarray:
 
 
 def _window_series(spec: BasisSpec, delta: np.ndarray, blocks: np.ndarray) -> WindowTestSeries:
-    """Statistics, p-values and regions from the stacked w x w window blocks V_k."""
+    """Statistics and p-values from the stacked w x w window blocks V_k."""
     w = spec.degree + 1
     chol = _cholesky(blocks, range(spec.n_regions))
     d = delta[np.arange(spec.n_regions)[:, None] + np.arange(w)]
@@ -157,10 +155,9 @@ def _window_series(spec: BasisSpec, delta: np.ndarray, blocks: np.ndarray) -> Wi
     for i in range(w):
         z[:, i] = (d[:, i] - np.sum(chol[:, i, :i] * z[:, :i], axis=1)) / chol[:, i, i]
     t = np.sum(z * z, axis=1)
-    regions = np.column_stack((spec.breakpoints[:-1], spec.breakpoints[1:]))
     # chdtrc equals chi2.sf bit for bit for T >= 0 and NaN; they differ only at
     # T < 0 (chdtrc NaN, chi2.sf 1), which a sum of squares cannot reach.
-    return WindowTestSeries(spec=spec, T=t, p=chdtrc(w, t), regions=regions)
+    return WindowTestSeries(spec=spec, T=t, p=chdtrc(w, t))
 
 
 def _band_entries(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -173,28 +170,32 @@ def _band_entries(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nd
     return band[u - np.abs(rows - cols), np.maximum(rows, cols)]
 
 
-def window_statistics(
-    fit1: StratumFit,
-    fit2: StratumFit,
-    spec: BasisSpec,
-) -> WindowTestSeries:
+def _check_band(spec: BasisSpec, v_band: np.ndarray, reach: int) -> None:
+    """Raise unless `v_band` is an upper band over m columns that reaches offset `reach`."""
+    if v_band.ndim != 2 or v_band.shape[1] != spec.m or v_band.shape[0] <= reach:
+        raise ParameterError(
+            f"covariance band of shape {v_band.shape} does not reach offset {reach} at m={spec.m}"
+        )
+
+
+def window_statistics(delta: np.ndarray, v_band: np.ndarray, spec: BasisSpec) -> WindowTestSeries:
     """Quadratic-form statistics and chi-square p-values for every region.
 
-    T_k = d_k' (V1_k + V2_k)^{-1} d_k over the coefficient-difference windows
-    d_k of width w = degree+1. The blocks are read from the sum of the fits'
-    covariance bands to offset degree, so no m x m matrix is formed; the
-    w x w blocks V_k are stacked and factored by one batched Cholesky call,
-    V_k = L_k L_k', and forward substitution over the w rows, all windows
-    at once, gives z_k = L_k^{-1} d_k and T_k = ||z_k||^2. p-values use the
-    chi-square survival function with w degrees of freedom.
+    T_k = d_k' V_k^{-1} d_k over the windows d_k of width w = degree+1 of the
+    coefficient difference `delta`. `v_band` is the upper band of V = V1 + V2,
+    the summed covariance of the two fits, to an offset of at least degree,
+    so no m x m matrix is formed; the w x w blocks V_k are gathered from it,
+    stacked and factored by one batched Cholesky call, V_k = L_k L_k', and
+    forward substitution over the w rows, all windows at once, gives
+    z_k = L_k^{-1} d_k and T_k = ||z_k||^2. p-values use the chi-square
+    survival function with w degrees of freedom.
     """
-    m = spec.m
-    bands = covariance_bands([fit1, fit2], spec.degree)
-    if any(f.coef.size != m or b.shape[1] != m for f, b in zip((fit1, fit2), bands)):
-        raise ParameterError("fits do not match the basis dimension")
+    if delta.shape != (spec.m,):
+        raise ParameterError(f"coefficient difference of shape {delta.shape} does not match m={spec.m}")
+    _check_band(spec, v_band, spec.degree)
     idx = np.arange(spec.n_regions)[:, None] + np.arange(spec.degree + 1)
-    blocks = _band_entries(bands[0] + bands[1], idx[:, :, None], idx[:, None, :])
-    return _window_series(spec, fit1.coef - fit2.coef, blocks)
+    blocks = _band_entries(v_band, idx[:, :, None], idx[:, None, :])
+    return _window_series(spec, delta, blocks)
 
 
 def _check_pairs(v_band: np.ndarray, spec: BasisSpec, k: int, k2: np.ndarray) -> None:
@@ -203,11 +204,7 @@ def _check_pairs(v_band: np.ndarray, spec: BasisSpec, k: int, k2: np.ndarray) ->
         raise ParameterError("the vector of other windows k2 is empty")
     if not (0 <= k < n_windows and np.all((0 <= k2) & (k2 < n_windows))):
         raise ParameterError(f"window indices must lie in [0, {n_windows})")
-    reach = int(np.max(np.abs(k - k2))) + spec.degree
-    if v_band.shape[1] != spec.m or v_band.shape[0] <= reach:
-        raise ParameterError(
-            f"covariance band of shape {v_band.shape} does not reach offset {reach} at m={spec.m}"
-        )
+    _check_band(spec, v_band, int(np.max(np.abs(k - k2))) + spec.degree)
 
 
 def window_stat_correlation(v_band: np.ndarray, spec: BasisSpec, k: int, k2: np.ndarray) -> np.ndarray:

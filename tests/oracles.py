@@ -38,7 +38,7 @@ m x m matrix they are bands of, which fits once carried as `fit.cov`.
 `band_covariance` is the dense dispersion * A^{-1} whose Cholesky factor the
 exact-model reference drew from before it drew from A's band, and
 `window_test_series` the window statistics with the blocks gathered from a
-dense V rather than from the fits' bands.
+dense V rather than from V's band.
 
 `smoothdiff.fitting._binomial_block` steps IRLS in preallocated buffers,
 with the branch-free deviance and one LAPACK `dpbsv` per system.
@@ -69,11 +69,12 @@ Goeman-Solari shortcut. `simes_test` and `closed_testing_oracle` are the
 definitions it must match: the Simes local test of one intersection
 hypothesis, and closed testing over the full power set (Hommel 1986).
 
-`band_form` is the band storage of a dense symmetric matrix, which model
-files of formats 1 and 2 read from their dense covariances. `eval_basis`
-evaluates all m basis functions at one point, the row `design_matrix`
-stores compactly, and `basis_support` is basis function j's support
-interval, whose cells `BasisSpec.basis_support_cells` gives.
+`band_form` is the band storage of a dense symmetric matrix, which the
+tests build covariance and precision bands with. `eval_basis` evaluates all
+m basis functions at one point, the row `design_matrix` stores compactly,
+`basis_support` is basis function j's support interval, whose cells
+`BasisSpec.basis_support_cells` gives, and `region` is window k's covariate
+interval, which `windows.csv` writes from `BasisSpec.breakpoints`.
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ def dense_covariance(fit) -> np.ndarray:
 
 
 def window_test_series(spec, delta, v):
-    """Window statistics, p-values and regions of `delta` against the w x w diagonal blocks of a dense V."""
+    """Window statistics and p-values of `delta` against the w x w diagonal blocks of a dense V."""
     idx = np.arange(spec.n_regions)[:, None] + np.arange(spec.degree + 1)
     return _window_series(spec, delta, v[idx[:, :, None], idx[:, None, :]])
 
@@ -628,3 +629,10 @@ def basis_support(spec, j: int) -> tuple[float, float]:
     if not 0 <= j < spec.m:
         raise ParameterError(f"basis index {j} outside [0, {spec.m})")
     return float(spec.knots[j]), float(spec.knots[j + spec.degree + 1])
+
+
+def region(spec, k: int) -> tuple[float, float]:
+    """Covariate interval whose fitted values depend on coefficients k..k+degree."""
+    if not 0 <= k < spec.n_regions:
+        raise ParameterError(f"region index {k} outside [0, {spec.n_regions})")
+    return float(spec.knots[spec.degree + k]), float(spec.knots[spec.degree + k + 1])

@@ -11,6 +11,7 @@ from oracles import (
     eval_basis,
     gram_band_by_pair_bincount,
     predict_by_einsum,
+    region,
     rhs_by_offset_bincount,
 )
 from smoothdiff import basis
@@ -58,9 +59,24 @@ class TestMakeBasis:
         # m=5, d=2: breakpoints at 0, 1/3, 2/3, 1 giving 3 regions
         spec = make_basis(0.0, 1.0, 5, 2)
         assert spec.n_regions == 3
-        assert spec.region(0) == (0.0, pytest.approx(1 / 3))
-        assert spec.region(1) == (pytest.approx(1 / 3), pytest.approx(2 / 3))
-        assert spec.region(2) == (pytest.approx(2 / 3), 1.0)
+        assert region(spec, 0) == (0.0, pytest.approx(1 / 3))
+        assert region(spec, 1) == (pytest.approx(1 / 3), pytest.approx(2 / 3))
+        assert region(spec, 2) == (pytest.approx(2 / 3), 1.0)
+
+    @given(
+        m=st.integers(2, 200),
+        degree=st.integers(0, 5),
+        lo=st.floats(-1e3, 1e3),
+        width=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_breakpoints_bound_each_region_bitwise(self, m, degree, lo, width):
+        # windows.csv writes region k as breakpoints k and k + 1
+        if m < degree + 2:
+            return
+        spec = make_basis(lo, lo + width, m, degree)
+        edges = spec.breakpoints.tolist()
+        assert list(zip(edges[:-1], edges[1:])) == [region(spec, k) for k in range(spec.n_regions)]
 
     def test_knot_count_follows_open_uniform_convention(self):
         spec = make_basis(-2.0, 7.0, 9, 3)

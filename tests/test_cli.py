@@ -14,6 +14,7 @@ from oracles import (
     per_pair_correlation,
     pointwise_variance,
     read_stratum_csv_by_float,
+    region,
 )
 
 from smoothdiff import basis, cli, fitting, simulate
@@ -117,7 +118,7 @@ class TestAnalyze:
         spec = scn.basis()
         pen = difference_penalty(scn.m, scn.penalty_order)
         fits = [select_lambda(d, spec, pen) for d in (data1, data2)]
-        series = window_statistics(fits[0], fits[1], spec)
+        series = window_statistics(fits[0].coef - fits[1].coef, sum(covariance_bands(fits, spec.degree)), spec)
         report = threshold_regions(series, 0.1, (0.9, 0.7, 0.5))
 
         path = tmp_path / "dump.csv"
@@ -150,6 +151,15 @@ class TestAnalyze:
         row0 = windows_csv[1].split(",")
         assert float(row0[3]) == series.T[0]
         assert float(row0[4]) == series.p[0]
+
+    def test_windows_csv_regions_are_the_oracle_regions(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["analyze", "--data", str(gait_csv(tmp_path)), "--basis-dim", "37", "--domain", "0", "100"]
+        assert main(argv + ["--out", str(out)]) == 0
+        spec = load_model(str(out / "fits.json"))[0]
+        rows = [line.split(",") for line in (out / "windows.csv").read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(spec.n_regions))
+        assert [(float(r[1]), float(r[2])) for r in rows] == [region(spec, k) for k in range(spec.n_regions)]
 
     def test_two_file_input_mode(self, tmp_path):
         scn, data1, data2 = make_pair(seed=15)
@@ -1422,3 +1432,74 @@ def test_cached_parser_leaks_no_value_between_calls(monkeypatch):
     assert seen[4].threads == (os.cpu_count() or 1) and seen[4].seed is None
     assert seen[3].lam is None and seen[3].tdp is None and seen[3].basis_dim is None
     assert seen[5].model is None and seen[5].max_lag == 12
+
+
+def exit_code(argv):
+    """`main`'s exit code, argparse's SystemExit included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, spelled",
+    [
+        ("diagnose --epsilon 5 --theta -1e3 --lambda-p 1", "diagnose --epsilon 5 --theta=-1e3 --lambda-p 1"),
+        ("diagnose --epsilon 5 --theta -2.5e-4 --lambda-p 1", "diagnose --epsilon 5 --theta=-2.5e-4 --lambda-p 1"),
+        ("analyze --lambda -2.5e-4", "analyze --lambda=-2.5e-4"),
+        ("analyze --lambda -1E3", "analyze --lambda=-1E3"),
+        ("analyze --domain -2.5e-4 1e2", "analyze --domain -0.00025 100"),
+        ("simulate --preset table1a --alpha -1e-1", "simulate --preset table1a --alpha=-1e-1"),
+    ],
+)
+def test_negative_value_in_exponent_form_reaches_the_program(tmp_path, capsys, argv, spelled):
+    # argparse before Python 3.13 reads `-1e3` as an unknown option ("expected one argument");
+    # each argv must run as its spelling that argparse has always read as a value
+    common = {
+        "analyze": ["--data", str(gait_csv(tmp_path)), "--basis-dim", "20"],
+        "diagnose": [],
+        "simulate": ["--replicates", "1", "--threads", "1"],
+    }[argv.split()[0]]
+    results = []
+    for args in (argv, spelled):
+        code = exit_code(args.split() + common + ["--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results[0] == results[1]
+    assert "expected" not in results[0][2]
+
+
+def test_table_suite_runs_the_six_studies_at_their_own_seeds(monkeypatch):
+    suite = load_script("run_table_suite")
+    calls = []
+    monkeypatch.setattr(suite, "cli_main", lambda argv: calls.append(argv) or 0)
+    assert suite.run(["--replicates", "4", "--out", "o"]) == 0
+    presets = [argv[argv.index("--preset") + 1] for argv in calls]
+    assert presets == ["table1a", "table1b", "tableS1", "fig5", "fig6", "fig8"]
+    assert not any("--seed" in argv for argv in calls)
+    calls.clear()
+    assert suite.run(["--presets", "fig8", "--seed", "7"]) == 0
+    [argv] = calls
+    assert argv[argv.index("--seed") + 1] == "7" and "--replicates" not in argv
+
+
+@pytest.mark.parametrize(
+    "script, argv, message",
+    [
+        ("effect_size_sweep", ["--bins", "0"], "--bins must be at least 1, got 0"),
+        ("effect_size_sweep", ["--bins", "-3"], "--bins must be at least 1, got -3"),
+        ("effect_size_sweep", ["--threads", "0"], "--threads must be at least 1, got 0"),
+        ("effect_size_sweep", ["--replicates", "0"], "replicate count must be at least 1"),
+        ("effect_size_sweep", ["--seed", "-1"], "seed = -1 must lie in [0, 2**64)"),
+        ("exact_model_error_rates", ["--replicates", "0"], "replicate count must be at least 1"),
+    ],
+)
+def test_script_rejects_bad_argument_with_exit_2(tmp_path, capsys, script, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        load_script(script).run(argv + (["--out", str(tmp_path / "s.csv")] if script == "effect_size_sweep" else []))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(f"error: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "s.csv").exists()

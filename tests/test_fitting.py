@@ -396,7 +396,7 @@ class TestBandedIrls:
         monkeypatch.setattr(fitting, "penalized_inverse", counting)
         fit = fit_stratum(data, spec, pen, 0.5)
         # neither the fit nor its windows, nor a band wider than the fit's, inverts A
-        window_statistics(fit, fit, spec)
+        window_statistics(np.zeros(spec.m), 2.0 * covariance_bands([fit], spec.degree)[0], spec)
         covariance_bands([fit], spec.m - 1)
         assert calls == []
 
@@ -810,7 +810,7 @@ class TestGaussianGcvPath:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             fit = select_lambda(data, spec, pen)
-        window_statistics(fit, fit, spec)
+        window_statistics(np.zeros(spec.m), 2.0 * covariance_bands([fit], spec.degree)[0], spec)
         covariance_bands([fit], spec.m - 1)
         assert calls == []
 
@@ -1064,7 +1064,7 @@ class TestNoDenseCovariance:
         def run():
             pen = difference_penalty(m, 2)
             fits = [select_lambda(data, spec, pen) for data in strata]
-            window_statistics(fits[0], fits[1], spec)
+            window_statistics(fits[0].coef - fits[1].coef, sum(covariance_bands(fits, spec.degree)), spec)
 
         assert self.traced_peak(run) < 8 * m * m
 
@@ -1103,7 +1103,7 @@ class TestNoDenseCovariance:
         def run():
             pen = difference_penalty(m, 2)
             fits = [select_lambda(data, spec, pen) for data in strata]
-            window_statistics(fits[0], fits[1], spec)
+            window_statistics(fits[0].coef - fits[1].coef, sum(covariance_bands(fits, spec.degree)), spec)
 
         assert self.traced_peak(run) < 8 * m * m
 
@@ -1472,7 +1472,10 @@ class TestLogistic:
             assert fit.lam == ref.lam and n_iter == ref_n_iter
             assert_close(fit.coef, ref.coef)
         for k in range(0, len(strata), 2):  # the two strata of one replicate
-            series = [window_statistics(fits[k][0], fits[k + 1][0], spec) for fits in (got, want)]
+            series = [
+                window_statistics(f1.coef - f2.coef, sum(covariance_bands([f1, f2], spec.degree)), spec)
+                for (f1, _), (f2, _) in (fits[k : k + 2] for fits in (got, want))
+            ]
             for alpha in scenario.alphas:
                 windows = [[r.windows for r in threshold_regions(s, alpha, scenario.thresholds).records] for s in series]
                 assert windows[0] == windows[1]
@@ -1488,4 +1491,4 @@ class TestZeroResidualVariance:
         assert fit.dispersion == 0.0 and not fit.cov_band.any()
         # the window Cholesky rejects the zero covariance of two such fits
         with pytest.raises(NumericalError, match="covariance is not positive definite"):
-            window_statistics(fit, fit, spec)
+            window_statistics(np.zeros(spec.m), 2.0 * covariance_bands([fit], spec.degree)[0], spec)

@@ -1,5 +1,6 @@
 """Start-up budget: importing the library and its CLI loads no heavy scipy subpackage.
-Also the public surface: the library exports only what the pipeline runs.
+Also the public surface: the library exports only what the pipeline runs, and
+the window tests depend on no fit.
 
 `scipy.stats` alone pulls in stats, optimize, integrate, interpolate, ndimage,
 spatial and fft, about half of a CLI call's start-up time and a third of its
@@ -8,6 +9,7 @@ simulate pool and its workers) would pay for it. The import runs in a fresh inte
 this one has loaded `scipy.stats` for the test oracles.
 """
 
+import ast
 import importlib
 import json
 import subprocess
@@ -18,7 +20,7 @@ import smoothdiff
 
 MODULES = ("basis", "fitting", "simulate", "tdp", "toeplitz", "windows")
 # the paper's alternative forms and the helpers only tests use live in tests/oracles.py
-ORACLE_FORMS = ("closed_testing_oracle", "simes_test", "eval_basis", "band_form")
+ORACLE_FORMS = ("closed_testing_oracle", "simes_test", "eval_basis", "band_form", "region")
 
 HEAVY = (
     "scipy.stats",
@@ -54,3 +56,20 @@ def test_public_names_resolve_and_exclude_the_oracle_forms():
     package = {k for k, v in vars(smoothdiff).items() if not k.startswith("_") and not isinstance(v, ModuleType)}
     assert package - {"DomainError", "NumericalError", "ParameterError"} <= exported
     assert not hasattr(smoothdiff.BasisSpec, "basis_support")
+    assert not hasattr(smoothdiff.BasisSpec, "region")
+
+
+def test_windows_imports_nothing_from_fitting():
+    # the window tests take the coefficient difference and V's band, not fits
+    import smoothdiff.windows
+
+    with open(smoothdiff.windows.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update("." * node.level + alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not {name for name in imported if name.split(".")[-1] == "fitting"}

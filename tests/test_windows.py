@@ -15,7 +15,7 @@ from scipy.stats import chi2, kstest
 
 from smoothdiff.basis import BasisSpec, difference_penalty, make_basis
 from smoothdiff.errors import NumericalError, ParameterError
-from smoothdiff.fitting import StratumData, StratumFit, covariance_bands, fit_stratum, select_lambda
+from smoothdiff.fitting import StratumData, covariance_bands, fit_stratum, select_lambda
 from smoothdiff.simulate import failure_cause
 from smoothdiff.windows import (
     _direct_inverse,
@@ -30,21 +30,6 @@ def random_spd(rng, m, diag_boost=None):
     v = a @ a.T
     v += (diag_boost if diag_boost is not None else m) * np.eye(m)
     return v
-
-
-def make_fit(coef, cov, m):
-    """A fit holding the full-width band of `cov`, as one read from a dense model file."""
-    return StratumFit(
-        coef=np.asarray(coef, dtype=float),
-        beta=np.zeros(0),
-        lam=1.0,
-        dispersion=1.0,
-        edf=float(m),
-        family="gaussian",
-        deviance=0.0,
-        n_obs=100,
-        cov_band=band_form(np.asarray(cov, dtype=float), m - 1),
-    )
 
 
 def full_band(*covs):
@@ -139,30 +124,14 @@ class TestWindowTestSeries:
             assert series.T[k] == pytest.approx(d @ sliding[k] @ d, rel=1e-10, abs=1e-300)
         assert np.array_equal(series.p, chi2.sf(series.T, df=w))
 
-    @given(
-        m=st.integers(2, 200),
-        degree=st.integers(0, 5),
-        lo=st.floats(-1e3, 1e3),
-        width=st.floats(1e-3, 1e3),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_regions_equal_spec_regions_bitwise(self, m, degree, lo, width):
-        if m < degree + 2:
-            return
-        spec = make_basis(lo, lo + width, m, degree)
-        series = window_test_series(spec, np.zeros(m), np.eye(m))
-        expected = np.asarray([spec.region(k) for k in range(spec.n_regions)])
-        assert np.array_equal(series.regions, expected)
-
     @pytest.mark.parametrize("bad, first", [([8], 6), ([3, 9], 1), ([0], 0), ([11], 9)])
     def test_indefinite_covariance_names_first_bad_window(self, bad, first):
         # width 3 over 12 coefficients: window k covers k..k+2
         spec = make_basis(0.0, 1.0, 12, 2)
         cov = 0.5 * np.eye(12)
         cov[bad, bad] = -0.5
-        fit = make_fit(np.zeros(12), cov, 12)
         with pytest.raises(NumericalError) as exc:
-            window_statistics(fit, fit, spec)
+            window_statistics(np.zeros(12), full_band(cov, cov), spec)
         message = str(exc.value)
         assert message == f"window {first} covariance is not positive definite"
         assert failure_cause(message) == "not_positive_definite"
@@ -174,10 +143,7 @@ class TestWindowStatistics:
         self.rng = np.random.default_rng(5)
 
     def test_identical_fits_give_zero_statistics(self):
-        coef = self.rng.normal(size=12)
-        cov = random_spd(self.rng, 12)
-        fit = make_fit(coef, cov, 12)
-        series = window_statistics(fit, fit, self.spec)
+        series = window_statistics(np.zeros(12), full_band(random_spd(self.rng, 12)), self.spec)
         assert np.allclose(series.T, 0.0)
         assert np.allclose(series.p, 1.0)
 
@@ -185,42 +151,39 @@ class TestWindowStatistics:
         cov = 0.5 * np.eye(12)
         delta = np.zeros(12)
         delta[0] = 1.0
-        f1 = make_fit(delta, cov, 12)
-        f2 = make_fit(np.zeros(12), cov, 12)
-        series = window_statistics(f1, f2, self.spec)
+        series = window_statistics(delta, full_band(cov, cov), self.spec)
         # first window difference is (1,0,0) against unit total covariance
         assert series.T[0] == pytest.approx(1.0)
         assert series.p[0] == pytest.approx(float(chi2.sf(1.0, df=3)))
 
     def test_scale_invariance(self):
-        coef1 = self.rng.normal(size=12)
-        coef2 = self.rng.normal(size=12)
+        delta = self.rng.normal(size=12)
         cov = random_spd(self.rng, 12)
-        base = window_statistics(make_fit(coef1, cov, 12), make_fit(coef2, cov, 12), self.spec)
+        base = window_statistics(delta, full_band(cov, cov), self.spec)
         c = 3.7
-        scaled = window_statistics(
-            make_fit(c * coef1, c**2 * cov, 12), make_fit(c * coef2, c**2 * cov, 12), self.spec
-        )
+        scaled = window_statistics(c * delta, full_band(c**2 * cov, c**2 * cov), self.spec)
         assert np.allclose(base.T, scaled.T, rtol=1e-10)
 
     def test_swap_symmetry(self):
-        f1 = make_fit(self.rng.normal(size=12), random_spd(self.rng, 12), 12)
-        f2 = make_fit(self.rng.normal(size=12), random_spd(self.rng, 12), 12)
-        a = window_statistics(f1, f2, self.spec)
-        b = window_statistics(f2, f1, self.spec)
+        delta = self.rng.normal(size=12)
+        v_band = full_band(random_spd(self.rng, 12), random_spd(self.rng, 12))
+        a = window_statistics(delta, v_band, self.spec)
+        b = window_statistics(-delta, v_band, self.spec)
         assert np.allclose(a.T, b.T, rtol=1e-12)
 
-    def test_region_intervals_match_spec(self):
-        f = make_fit(np.zeros(12), np.eye(12), 12)
-        series = window_statistics(f, f, self.spec)
-        for k in range(series.n_windows):
-            assert tuple(series.regions[k]) == self.spec.region(k)
-
-    def test_dimension_mismatch_rejected(self):
-        f_small = make_fit(np.zeros(8), np.eye(8), 8)
-        f_big = make_fit(np.zeros(12), np.eye(12), 12)
-        with pytest.raises(ParameterError):
-            window_statistics(f_small, f_big, self.spec)
+    @pytest.mark.parametrize(
+        "delta, v_band, message",
+        [
+            (np.zeros(8), full_band(np.eye(12)), r"coefficient difference of shape \(8,\) does not match m=12"),
+            (np.zeros((12, 1)), full_band(np.eye(12)), r"shape \(12, 1\) does not match m=12"),
+            (np.zeros(12), full_band(np.eye(8)), r"shape \(8, 8\) does not reach offset 2 at m=12"),
+            (np.zeros(12), band_form(np.eye(12), 1), r"shape \(2, 12\) does not reach offset 2 at m=12"),
+            (np.zeros(12), np.ones(12), r"shape \(12,\) does not reach offset 2 at m=12"),
+        ],
+    )
+    def test_dimension_mismatch_rejected(self, delta, v_band, message):
+        with pytest.raises(ParameterError, match=message):
+            window_statistics(delta, v_band, self.spec)
 
     def test_null_pvalues_uniform_in_gaussian_theory(self):
         # draw coefficient differences exactly from the assumed normal model:
@@ -229,14 +192,12 @@ class TestWindowStatistics:
         spec = make_basis(0.0, 1.0, 40, 3)
         cov = random_spd(rng, 40, diag_boost=8.0)
         half = np.linalg.cholesky(cov)
+        v_band = full_band(cov, cov)
         pooled = []
         for _ in range(300):
             c1 = half @ rng.normal(size=40)
             c2 = half @ rng.normal(size=40)
-            series = window_statistics(
-                make_fit(c1, cov, 40), make_fit(c2, cov, 40), spec
-            )
-            pooled.append(series.p)
+            pooled.append(window_statistics(c1 - c2, v_band, spec).p)
         stat = kstest(np.concatenate(pooled), "uniform").statistic
         assert stat < 0.02
 
@@ -277,7 +238,7 @@ def full_sum_stat_covariance(cov1, cov2, spec, k, k2):
 
 
 class TestWindowStatisticsFromBands:
-    """window_statistics reads the w x w blocks from the fits' covariance bands."""
+    """window_statistics reads the w x w blocks from the band of V = V1 + V2."""
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -295,24 +256,20 @@ class TestWindowStatisticsFromBands:
             else:
                 y = (rng.random(z.size) < expit(eta)).astype(float)
             fits.append(select_lambda(StratumData(y=y, z=z, family=family), spec, pen))
-        got = window_statistics(fits[0], fits[1], spec)
-        ref = window_test_series(spec, fits[0].coef - fits[1].coef, dense_covariance(fits[0]) + dense_covariance(fits[1]))
+        delta = fits[0].coef - fits[1].coef
+        got = window_statistics(delta, sum(covariance_bands(fits, degree)), spec)
+        ref = window_test_series(spec, delta, dense_covariance(fits[0]) + dense_covariance(fits[1]))
         np.testing.assert_allclose(got.T, ref.T, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got.p, ref.p, rtol=1e-12, atol=0.0)
-        assert np.array_equal(got.regions, ref.regions)
 
     @pytest.mark.parametrize("bad, first", [([8], 6), ([3, 9], 1), ([0], 0), ([11], 9)])
     def test_indefinite_band_names_the_dense_first_block(self, bad, first):
         spec = make_basis(0.0, 1.0, 12, 2)
         cov = 0.5 * np.eye(12)
         cov[bad, bad] = -0.5
-        # a band wider than the windows need, as a fit with b > degree holds
-        fit = StratumFit(
-            coef=np.zeros(12), beta=np.zeros(0), lam=1.0, dispersion=1.0, edf=12.0,
-            family="gaussian", deviance=0.0, n_obs=100, cov_band=band_form(cov, 3),
-        )
+        # a band wider than the windows need
         with pytest.raises(NumericalError) as from_band:
-            window_statistics(fit, fit, spec)
+            window_statistics(np.zeros(12), band_form(cov + cov, 3), spec)
         with pytest.raises(NumericalError) as from_dense:
             window_test_series(spec, np.zeros(12), cov + cov)
         assert str(from_band.value) == str(from_dense.value)
