@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from smoothdiff.cli import PRESETS
+from smoothdiff.simulate import PRESETS
 from smoothdiff.errors import ParameterError
 from smoothdiff.simulate import run_scenario
 

@@ -13,6 +13,7 @@ import sys
 import time
 
 from smoothdiff.cli import main as cli_main
+from smoothdiff.simulate import PRESET_ALIASES, PRESETS
 
 
 def run(argv=None):
@@ -24,7 +25,7 @@ def run(argv=None):
     parser.add_argument(
         "--presets",
         nargs="+",
-        default=["table1a", "table1b", "tableS1", "fig5", "fig6", "fig8"],
+        default=[name for name in PRESETS if name not in PRESET_ALIASES],
         help="presets to run (table2a/table2b share runs with table1a/table1b)",
     )
     args = parser.parse_args(argv)

@@ -182,6 +182,15 @@ def _pairs(width: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(width) for b in range(a, width)]
 
 
+def _span_order(start: np.ndarray, m: int) -> np.ndarray:
+    """The stable sort of the compact rows' first columns, each in [0, m).
+
+    Below m = 2^16 it sorts 16-bit keys, which numpy sorts by radix, to the
+    same permutation.
+    """
+    return np.argsort(start.astype(np.uint16) if m <= 1 << 16 else start, kind="stable")
+
+
 def _sparse_operators(values: np.ndarray, start: np.ndarray, m: int) -> tuple:
     """(G, R): the weight-independent CSR operators behind `gram_band` and `rhs`.
 
@@ -194,7 +203,7 @@ def _sparse_operators(values: np.ndarray, start: np.ndarray, m: int) -> tuple:
     for bit.
     """
     width = values.shape[1]
-    order = np.argsort(start, kind="stable")
+    order = _span_order(start, m)
     per_start = np.bincount(start, minlength=m)
     vals = values[order]
 
@@ -262,9 +271,21 @@ def make_basis(z_lo: float, z_hi: float, m: int, degree: int) -> BasisSpec:
 
 
 def _find_spans(spec: BasisSpec, z: np.ndarray) -> np.ndarray:
-    """Knot span index mu per point: knots[mu] <= z < knots[mu+1], clamped to valid spans."""
-    mu = np.searchsorted(spec.knots, z, side="right") - 1
-    return np.clip(mu, spec.degree, spec.m - 1)
+    """Knot span index mu per point: knots[mu] <= z < knots[mu+1], clamped to valid spans.
+
+    On `make_basis`'s uniform grid of spacing h the span is
+    floor((z - z_lo) / h) + degree. Rounding can put that quotient one span
+    off either way, so one comparison with the knots each way corrects it.
+    z is clipped to the domain before dividing, so no quotient overflows
+    and every cast is in range; the clamp treats points outside alike.
+    """
+    d, m, knots = spec.degree, spec.m, spec.knots
+    h = (spec.z_hi - spec.z_lo) / (m - d)
+    mu = ((np.clip(z, spec.z_lo, spec.z_hi) - spec.z_lo) / h).astype(np.intp) + d
+    np.minimum(mu, m - 1, out=mu)
+    mu -= knots[mu] > z
+    mu += knots[mu + 1] <= z
+    return np.clip(mu, d, m - 1)
 
 
 def _nonzero_basis(spec: BasisSpec, z: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dpbtrf
 from .basis import DesignMatrix, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
 from .fitting import StratumData, StratumFit, covariance_bands, fit_stratum, select_lambda
-from .simulate import SimScenario, outcome_to_json, run_scenario
+from .simulate import PRESETS, SimScenario, outcome_to_json, run_scenario
 from .tdp import threshold_regions
 from .toeplitz import PentaParams, build_pentadiagonal, decay_rate, factor_pentadiagonal
 from .windows import window_stat_correlation, window_statistics
@@ -259,18 +259,19 @@ def cmd_analyze(config: AnalysisConfig) -> int:
                 f"[{spec.z_lo!r}, {spec.z_hi!r}], the first z = {float(data.z[outside[0]])!r}"
             )
 
-    fits = []
-    for i, data in enumerate((data1, data2), 1):
-        try:  # a fixed-effect column that is not identified is found per stratum
-            if config.lam is not None:
-                fits.append(fit_stratum(data, spec, pen, config.lam))
-            else:
-                fits.append(select_lambda(data, spec, pen))
-        except ParameterError as exc:
-            raise ParameterError(f"stratum {i}: {exc}") from exc
-        except NumericalError as exc:  # when no lambda could be fit, name the last one's cause
-            cause = f": {exc.__cause__}" if exc.__cause__ is not None else ""
-            raise NumericalError(f"{exc}{cause}") from exc
+    try:
+        if config.lam is None:  # an input error names its stratum
+            fits = select_lambda([data1, data2], spec, pen)
+        else:
+            fits = []
+            for i, data in enumerate((data1, data2), 1):
+                try:  # a fixed-effect column that is not identified is found per stratum
+                    fits.append(fit_stratum(data, spec, pen, config.lam))
+                except ParameterError as exc:
+                    raise ParameterError(f"stratum {i}: {exc}") from exc
+    except NumericalError as exc:  # when no lambda could be fit, name the last one's cause
+        cause = f": {exc.__cause__}" if exc.__cause__ is not None else ""
+        raise NumericalError(f"{exc}{cause}") from exc
     source = "gcv" if config.lam is None else "fixed"
     bands = covariance_bands(fits, spec.degree)
     series = window_statistics(fits[0].coef - fits[1].coef, bands[0] + bands[1], spec)
@@ -331,48 +332,6 @@ def cmd_analyze(config: AnalysisConfig) -> int:
         print(f"tdp>={rec.tau}: bound={rec.bound:.3f} windows={len(rec.windows)} intervals={ivals}")
     return 0
 
-
-# the paper's studies: `simulate --preset NAME` and scripts/effect_size_sweep.py run these
-PRESETS = {
-    "table1a": SimScenario(
-        n_nonzero=15, alphas=(0.1, 0.2, 0.3), n_replicates=2000, seed=20260810
-    ),
-    "table1b": SimScenario(
-        n_nonzero=30, alphas=(0.1, 0.2, 0.3), n_replicates=1000, seed=20260810
-    ),
-    "tableS1": SimScenario(
-        n_nonzero=20,
-        family="binomial",
-        m_delta=6.0,
-        alphas=(0.1, 0.2, 0.3),
-        n_replicates=1000,
-        seed=20260810,
-    ),
-    "fig5": SimScenario(
-        n_nonzero=15,
-        alphas=(0.2,),
-        m_delta_sweep=(0.0, 2.5),
-        n_replicates=1000,
-        seed=20260810,
-    ),
-    "fig6": SimScenario(
-        n_nonzero=30,
-        alphas=(0.2,),
-        m_delta_sweep=(0.0, 2.5),
-        n_replicates=1000,
-        seed=20260810,
-    ),
-    "fig8": SimScenario(
-        n_nonzero=20,
-        family="binomial",
-        alphas=(0.2,),
-        m_delta_sweep=(0.0, 9.0),
-        n_replicates=1000,
-        seed=20260810,
-    ),
-}
-PRESETS["table2a"] = PRESETS["table1a"]
-PRESETS["table2b"] = PRESETS["table1b"]
 
 _SCENARIO_FIELD_PARSERS = {
     "n_nonzero": int,

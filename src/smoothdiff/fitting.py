@@ -2,7 +2,8 @@
 
 Gaussian outcomes are fit by penalized least squares, binary outcomes by
 penalized IRLS. The smoothing parameter is chosen by GCV on a log-spaced
-grid (`select_lambda`) and then treated as fixed, or given (`fit_stratum`).
+grid (`select_lambda`, for all strata of an analysis at once) and then
+treated as fixed, or given (`fit_stratum`).
 
 The spline coefficients c and fixed effects beta (columns X, p >= 0) solve
 [[A, Zx], [Zx', X'WX]] [c; beta] = [Z'Wu; X'Wu] with Zx = Z'WX, and
@@ -14,8 +15,10 @@ advances together with every per-observation array laid out as (block, n),
 so one CSR product gives every weight vector's Gram band, right-hand sides
 or linear predictor. A binomial lambda leaves the block when its IRLS
 converges or fails, keeping its own error; a Gaussian fit is the same solve
-done once, with w = 1. `fit_stratum` is the driver on a one-point grid, and
-no lambda's result depends on its block.
+done once, with w = 1. No lambda's result depends on its block. `_fit_grids`
+solves each stratum's grid so, then selects the inverses of every grid at
+once; `select_lambda` scores each grid and `fit_stratum` runs the same
+driver on a one-point grid.
 
 The posterior covariance of c is dispersion * (A^{-1} + BB'), the border
 B = V L^{-T} (Woodbury on the Schur complement of X'WX). Everything a fit
@@ -23,9 +26,9 @@ reads from it lies within A's half-bandwidth b = max(degree, penalty order)
 of the diagonal: the edf, the window blocks of the covariance and the
 pointwise variances of the curves. So no inverse is formed.
 `selected_inverse_band` runs the Takahashi recurrence over a stack of
-Cholesky factors and returns the (b+1)-band of every A^{-1} at once: the
-whole lambda grid in one call, or the single lambda of `fit_stratum`. A
-fit keeps the covariance band (`cov_band`), A's band (`precision_band`)
+Cholesky factors and returns the (b+1)-band of every A^{-1} at once: every
+lambda of both strata's grids in one call, or the single lambda of
+`fit_stratum`. A fit keeps the covariance band (`cov_band`), A's band (`precision_band`)
 and B (`border`), and holds its covariance in no other form: a wider band
 comes from the same recurrence on A's band padded with zero rows, which is
 exact, as an entry inside the padded width reads only entries inside it.
@@ -35,6 +38,7 @@ exact, as an entry inside the padded width reads only entries inside it.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,6 +195,8 @@ def selected_inverse_band(factors: np.ndarray) -> np.ndarray:
     of numpy calls per row. The band is held symmetrically, row i storing
     Sigma[i, i-b..i+b], so that every row's block is one strided view.
     Each system's result does not depend on the others in the stack.
+    Each working array is released once read, so a stack passed in no other
+    reference is not held beside the band store.
     """
     n_sys, rows, m = factors.shape
     b = rows - 1
@@ -200,6 +206,7 @@ def selected_inverse_band(factors: np.ndarray) -> np.ndarray:
     reach = min(b, m - 1)  # offsets past the matrix stay zero
     for d in range(1, reach + 1):
         ratios[: m - d, d - 1] = (-factors[:, b - d, d:] / diag[:, : m - d]).T
+    del factors, diag
     # Rows past m stay zero, as do the ratios that point there.
     store = np.zeros((m + b + 1, 2 * b + 1, n_sys))
     s_row, s_col, s_sys = store.strides
@@ -214,6 +221,7 @@ def selected_inverse_band(factors: np.ndarray) -> np.ndarray:
         right[i] = s
         below[i] = s
         centre[i] = inv_sq[i] + (r * s).sum(axis=0)
+    ratios = inv_sq = r = s = None  # the loop's views of the ratios hold them too
     out = np.zeros((n_sys, b + 1, m))
     for d in range(reach + 1):
         out[:, b - d, d:] = store[: m - d, b + d].T
@@ -442,10 +450,11 @@ def _converged(new_deviance, deviance):
 class _BandSystem:
     """A fit solved at `lam` up to its selected inverse.
 
-    `gram` is the band of Z'WZ at convergence, `precision_band` that of A,
-    `factor` A's Cholesky factor and `border` the m x p matrix B of the
-    fixed effects; `n_iter` counts the solves (1 for a Gaussian fit, the
-    IRLS iterations for a binomial one).
+    `gram` is the band of Z'WZ at convergence, `factor` the Cholesky factor
+    of A = Z'WZ + lam S and `border` the m x p matrix B of the fixed
+    effects; `n_iter` counts the solves (1 for a Gaussian fit, the IRLS
+    iterations for a binomial one). A's band is summed again for the one
+    fit that keeps it (`_precision_band`), so a grid holds no band of it.
     """
 
     lam: float
@@ -453,7 +462,6 @@ class _BandSystem:
     beta: np.ndarray
     deviance: float
     gram: np.ndarray
-    precision_band: np.ndarray
     factor: np.ndarray
     border: np.ndarray
     n_iter: int
@@ -488,13 +496,13 @@ def _gaussian_block(
     dm: DesignMatrix, data: StratumData, penalty_band: np.ndarray, lams: np.ndarray, gram, zr, xr
 ) -> list:
     """Penalized least squares at each lambda: one solve with w = 1, Z'Z, Z'[y | X] and X'[y | X] shared."""
-    ab, factors, sols, out = _band_solve(penalty_band, lams, gram, zr)
+    _, factors, sols, out = _band_solve(penalty_band, lams, gram, zr)
     coefs, betas, borders = _eliminate_border(sols, zr, xr, out)
     ok = np.flatnonzero([e is None for e in out])
     resid = data.y - _predict(dm, data.X, coefs[ok], betas[ok])
     deviance = np.sum(resid * resid, axis=1)
     for j, dev in zip(ok, deviance):
-        out[j] = _BandSystem(float(lams[j]), coefs[j], betas[j], float(dev), gram, ab[j], factors[j], borders[j], 1)
+        out[j] = _BandSystem(float(lams[j]), coefs[j], betas[j], float(dev), gram, factors[j], borders[j], 1)
     return out
 
 
@@ -507,7 +515,8 @@ def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarra
     trace and error; the first iteration's weights are shared by all. The
     weights, working response, mean and deviance terms of each step are
     written into four buffers allocated once per block, viewed at mu's
-    shape.
+    shape. A converged system keeps copies of its rows, not views that
+    would hold the whole iteration's stacks.
     """
     y, X = data.y, data.X
     mu, eta, start = _start(y)
@@ -527,15 +536,15 @@ def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarra
         gram = dm.gram_band(w)
         gram = np.broadcast_to(gram, (live.size, *gram.shape[-2:]))
         zr, xr = _cross_products(dm, X, u, w)
-        ab, factors, sols, errors = _band_solve(penalty_band, lams[live], gram, zr)
+        _, factors, sols, errors = _band_solve(penalty_band, lams[live], gram, zr)
         coefs, betas, borders = _eliminate_border(sols, zr, xr, errors)
         if any(e is not None for e in errors):
             for j, error in enumerate(errors):
                 if error is not None:
                     out[live[j]] = error
             ok = np.flatnonzero([e is None for e in errors])
-            live, deviance, gram, ab, factors, coefs, betas, borders = (
-                a[ok] for a in (live, deviance, gram, ab, factors, coefs, betas, borders)
+            live, deviance, gram, factors, coefs, betas, borders = (
+                a[ok] for a in (live, deviance, gram, factors, coefs, betas, borders)
             )
         eta = _predict(dm, X, coefs, betas)
         diverged = np.maximum(eta.max(axis=1), -eta.min(axis=1)) > ETA_DIVERGENCE
@@ -548,9 +557,8 @@ def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarra
             if diverged[j]:
                 out[i] = NumericalError("linear predictor diverged (complete or quasi-complete separation)")
             elif converged[j]:
-                out[i] = _BandSystem(
-                    float(lams[i]), coefs[j], betas[j], dev, gram[j], ab[j], factors[j], borders[j], n_iter
-                )
+                coef, beta, gram_j, factor, border = (a[j].copy() for a in (coefs, betas, gram, factors, borders))
+                out[i] = _BandSystem(float(lams[i]), coef, beta, dev, gram_j, factor, border, n_iter)
         going = ~(diverged | converged)
         if going.all():
             deviance = new_deviance
@@ -595,35 +603,46 @@ def _unit_covariance_band(precision_bands: np.ndarray, borders: list, bandwidth:
     return selected_inverse_band(np.stack(factors)) + np.stack(outer)
 
 
-def _selected_inverses(systems: list[_BandSystem], penalty_band: np.ndarray):
-    """(system, unit-dispersion covariance band, edf) per solved system.
+def _selected_inverses(systems: list[_BandSystem], penalty_band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, edf): the band of every A^{-1} and every edf of a list of solved systems, stacked in order.
 
-    One `selected_inverse_band` call gives the band sigma of every A^{-1}.
-    The covariance band is sigma + R, R the band of BB', and, as
-    tr(A^{-1} A) = m, edf = p + tr(sigma Z'WZ) - lambda tr(R S).
+    One `selected_inverse_band` call gives every sigma and one `_band_trace`
+    every tr(sigma Z'WZ). A system with fixed effects adds R, the band of BB',
+    to its covariance band (`_covariance_band`), and as tr(A^{-1} A) = m,
+    edf = p + tr(sigma Z'WZ) - lambda tr(R S); the systems are grouped by p
+    for R, since the strata of one analysis may have different columns.
     """
     sigma = selected_inverse_band(np.stack([s.factor for s in systems]))
-    if not systems[0].beta.size:  # no border: R = 0
-        return [(s, sig, float(_band_trace(sig, s.gram))) for s, sig in zip(systems, sigma)]
-    outer = _border_bands(np.stack([s.border for s in systems]), sigma.shape[1] - 1)
-    border_traces = _band_trace(outer, penalty_band)
-    return [
-        (s, band, s.beta.size + float(_band_trace(sig, s.gram)) - s.lam * float(trace))
-        for s, sig, band, trace in zip(systems, sigma, sigma + outer, border_traces)
-    ]
+    edf = _band_trace(sigma, np.stack([s.gram for s in systems]))
+    groups: dict[int, list[int]] = {}
+    for k, s in enumerate(systems):
+        if s.beta.size:  # no border: R = 0
+            groups.setdefault(s.beta.size, []).append(k)
+    for p, group in groups.items():
+        outer = _border_bands(np.stack([systems[k].border for k in group]), sigma.shape[1] - 1)
+        lams = np.asarray([systems[k].lam for k in group])
+        edf[group] = p + edf[group] - lams * _band_trace(outer, penalty_band)
+    return sigma, edf
 
 
-def _band_fit(data: StratumData, system: _BandSystem, band: np.ndarray, edf: float, yss: float) -> StratumFit:
-    """The fit of a solved system, given its unit-dispersion covariance band, its edf and y'y (`yss`).
+def _covariance_band(system: _BandSystem, sigma: np.ndarray) -> np.ndarray:
+    """The unit-dispersion covariance band sigma + R of a solved system, R the band of BB'."""
+    if not system.beta.size:
+        return sigma
+    return sigma + _border_bands(system.border[None], sigma.shape[0] - 1)[0]
 
-    A fit with less than one residual degree of freedom, n - edf < 1, fails:
-    its dispersion and GCV score would divide by that remainder.
-    """
-    if data.n - edf < 1.0:
-        raise NumericalError(
-            f"effective degrees of freedom {edf:.6g} leave less than one residual degree of freedom "
-            f"at sample size {data.n}"
-        )
+
+def _precision_band(system: _BandSystem, penalty_band: np.ndarray) -> np.ndarray:
+    """A's upper band, lam S + Z'WZ, summed as `_band_solve` sums it."""
+    ab = system.lam * penalty_band
+    ab[ab.shape[0] - system.gram.shape[0] :] += system.gram
+    return ab
+
+
+def _band_fit(
+    data: StratumData, system: _BandSystem, band: np.ndarray, edf: float, yss: float, penalty_band: np.ndarray
+) -> StratumFit:
+    """The fit of a solved system, given its unit-dispersion covariance band, its edf, y'y (`yss`) and S's band."""
     dispersion = _dispersion(data, system.deviance, edf, yss)
     return StratumFit(
         coef=system.coef,
@@ -635,41 +654,112 @@ def _band_fit(data: StratumData, system: _BandSystem, band: np.ndarray, edf: flo
         deviance=system.deviance,
         n_obs=data.n,
         cov_band=dispersion * band,
-        precision_band=system.precision_band,
+        precision_band=_precision_band(system, penalty_band),
         border=system.border,
     )
 
 
-def _grid_fits(
-    dm: DesignMatrix, data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, lams: np.ndarray, yss: float
-) -> list:
-    """The fit at each lambda, or the NumericalError that lambda's fit raised; `yss` is y'y.
+@dataclass(frozen=True)
+class _Grid:
+    """One stratum's lambda grid, solved: `solved` holds each lambda's `_BandSystem`
+    or the NumericalError its fit raised.
+
+    `error` is the ParameterError that stopped the stratum's set-up. `yss`
+    (y'y) is None when that was y'y itself, which comes before the
+    small-sample warning.
+    """
+
+    data: StratumData
+    yss: float | None
+    solved: list = field(default_factory=list)
+    error: ParameterError | None = None
+
+
+def _solve_grid(
+    data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, penalty_band: np.ndarray, lams: np.ndarray | None
+) -> _Grid:
+    """Set up one stratum and solve its ascending lambda grid, `lams` or else `default_lambda_grid`.
 
     `_grid_systems` solves every lambda (a Gaussian one by one banded solve,
-    a binomial one by IRLS) for its coefficients and deviance only; then one
-    `selected_inverse_band` call over all their factors gives every edf and
-    covariance band. A lambda also fails where n - edf < 1 (`_band_fit`),
-    and every lambda fails where the data do not identify the smooth.
+    a binomial one by IRLS) for its coefficients and deviance only, and
+    every lambda fails where the data do not identify the smooth.
     """
-    if not _check_identifiable(dm, data.X, pen.order):
+    try:
+        yss = _sum_of_squares(data)
+    except ParameterError as exc:
+        return _Grid(data, None, error=exc)
+    try:
+        dm = design_matrix(spec, data.z)
+        lams = default_lambda_grid(dm, pen) if lams is None else lams
+        identified = _check_identifiable(dm, data.X, pen.order)
+    except ParameterError as exc:
+        return _Grid(data, yss, error=exc)
+    if not identified:
         singular = NumericalError(
             f"penalized system is not positive definite at any lambda: the data do not identify "
             f"the polynomials of degree < {pen.order} that the penalty leaves free"
         )
-        return [singular] * lams.size
+        return _Grid(data, yss, [singular] * lams.size)
+    return _Grid(data, yss, _grid_systems(dm, data, penalty_band, lams))
+
+
+def _fit_grids(
+    strata: Sequence[StratumData], spec: BasisSpec, pen: PenaltyMatrix, lams: np.ndarray | None = None
+) -> list:
+    """(grid, sigma, edf) per stratum, in order, up to the first whose set-up fails.
+
+    Each stratum's grid is solved on its own (`_solve_grid`); then one
+    `selected_inverse_band` call over every solved system of every grid
+    gives each grid's stack of sigma and its edf per lambda, NaN where the
+    lambda's fit failed. A stratum whose set-up fails stops the strata
+    after it from being set up.
+    """
     penalty_band = _penalty_band(spec, pen)
-    solved = _grid_systems(dm, data, penalty_band, lams)
-    systems = [s for s in solved if isinstance(s, _BandSystem)]
-    selected = iter(_selected_inverses(systems, penalty_band) if systems else [])
-    out = []
-    for result in solved:
-        if isinstance(result, _BandSystem):
-            try:
-                result = _band_fit(data, *next(selected), yss)
-            except NumericalError as exc:
-                result = exc
-        out.append(result)
+    grids = []
+    for data in strata:
+        grids.append(_solve_grid(data, spec, pen, penalty_band, lams))
+        if grids[-1].error is not None:
+            break
+    systems = [s for grid in grids for s in grid.solved if isinstance(s, _BandSystem)]
+    sigma, edf = _selected_inverses(systems, penalty_band) if systems else (np.empty(0), np.empty(0))
+    out, start = [], 0
+    for grid in grids:
+        solved = _solved(grid)
+        stop = start + int(solved.sum())
+        grid_edf = np.full(solved.size, np.nan)
+        grid_edf[solved] = edf[start:stop]
+        out.append((grid, sigma[start:stop], grid_edf))
+        start = stop
     return out
+
+
+def _solved(grid: _Grid) -> np.ndarray:
+    """Whether each grid point's system solved."""
+    return np.asarray([isinstance(s, _BandSystem) for s in grid.solved], dtype=bool)
+
+
+def _failed(grid: _Grid, edf: np.ndarray) -> np.ndarray:
+    """Whether each grid point fails: its system did not solve, or its fit leaves n - edf < 1."""
+    return ~_solved(grid) | (grid.data.n - edf < 1.0)
+
+
+def _chosen_fit(grid: _Grid, sigma: np.ndarray, edf: np.ndarray, j: int, penalty_band: np.ndarray) -> StratumFit:
+    """The fit at grid point j, which solved with n - edf >= 1; `sigma` stacks the grid's solved points."""
+    system = grid.solved[j]
+    band = _covariance_band(system, sigma[int(_solved(grid)[:j].sum())])
+    return _band_fit(grid.data, system, band, float(edf[j]), grid.yss, penalty_band)
+
+
+def _point_error(grid: _Grid, edf: np.ndarray, j: int) -> NumericalError:
+    """The error of failing grid point j: its fit's own, or less than one residual degree of
+    freedom, n - edf < 1, by which its dispersion and GCV score would divide."""
+    result = grid.solved[j]
+    if isinstance(result, NumericalError):
+        return result
+    return NumericalError(
+        f"effective degrees of freedom {float(edf[j]):.6g} leave less than one residual degree of freedom "
+        f"at sample size {grid.data.n}"
+    )
 
 
 def fit_stratum(
@@ -683,12 +773,14 @@ def fit_stratum(
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ParameterError(f"smoothing parameter must be finite and >= 0, got {float(lam)!r}")
-    yss = _sum_of_squares(data)
-    _warn_small_sample(data, spec)
-    [fit] = _grid_fits(design_matrix(spec, data.z), data, spec, pen, np.asarray([float(lam)]), yss)
-    if isinstance(fit, NumericalError):
-        raise fit
-    return fit
+    [(grid, sigma, edf)] = _fit_grids([data], spec, pen, np.asarray([float(lam)]))
+    if grid.yss is not None:
+        _warn_small_sample(data, spec)
+    if grid.error is not None:
+        raise grid.error
+    if _failed(grid, edf)[0]:
+        raise _point_error(grid, edf, 0)
+    return _chosen_fit(grid, sigma, edf, 0, _penalty_band(spec, pen))
 
 
 def _grid_scale(gram_band: np.ndarray, penalty_band: np.ndarray) -> float:
@@ -704,36 +796,66 @@ def default_lambda_grid(dm: DesignMatrix, pen: PenaltyMatrix) -> np.ndarray:
     return np.geomspace(1e-4 * scale, 1e4 * scale, LAMBDA_GRID_POINTS)
 
 
-def _flushed(data: StratumData, deviance: float, yss: float) -> bool:
-    """Whether a deviance is a Gaussian fit's rounding-level residual, at most 1e-16 y'y (`yss`): an exact fit."""
-    return data.family == "gaussian" and deviance <= 1e-16 * max(yss, 1e-300)
+def _flushed(data: StratumData, deviance, yss: float):
+    """Whether a deviance (or each of an array of them) is a Gaussian fit's rounding-level
+    residual, at most 1e-16 y'y (`yss`): an exact fit."""
+    return (data.family == "gaussian") & (deviance <= 1e-16 * max(yss, 1e-300))
 
 
-def _gcv_score(data: StratumData, deviance: float, edf: float, yss: float) -> float:
-    """n * deviance / (n - edf)^2, with rounding-level Gaussian deviance read as zero."""
-    dev = 0.0 if _flushed(data, deviance, yss) else deviance
-    return data.n * dev / (data.n - edf) ** 2
+def _gcv_scores(data: StratumData, deviance: np.ndarray, edf: np.ndarray, yss: float) -> np.ndarray:
+    """n * deviance / (n - edf)^2 per grid point, with rounding-level Gaussian deviance read as zero.
 
-
-def select_lambda(data: StratumData, spec: BasisSpec, pen: PenaltyMatrix) -> StratumFit:
-    """Fit at the smoothing parameter minimizing GCV over `default_lambda_grid`.
-
-    GCV is n * deviance / (n - edf)^2. Deviance at the rounding level is
-    treated as an exact fit, so ties resolve toward the heaviest smoothing.
-    A grid point whose fit fails is skipped; when every one fails, the error
-    is raised from the largest lambda's. Returns the fit computed at the
-    selected value (`fit.lam`), which is then held fixed downstream; it
-    equals `fit_stratum` at that value.
+    `float_power` squares through libm's pow, as Python's float ** does. A
+    point that failed, or leaves n - edf < 1, scores whatever the division
+    gives; `_gcv_choice` skips it.
     """
-    yss = _sum_of_squares(data)
-    dm = design_matrix(spec, data.z)
-    _warn_small_sample(data, spec)
-    best, best_score, failure = None, np.inf, None
-    for fit in _grid_fits(dm, data, spec, pen, default_lambda_grid(dm, pen), yss):
-        if isinstance(fit, NumericalError):
-            failure = fit
-        elif (score := _gcv_score(data, fit.deviance, fit.edf, yss)) <= best_score:
-            best, best_score = fit, score
-    if best is None:
-        raise NumericalError("no smoothing parameter candidate could be fit") from failure
-    return best
+    dev = np.where(_flushed(data, deviance, yss), 0.0, deviance)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return data.n * dev / np.float_power(data.n - edf, 2)
+
+
+def _gcv_choice(grid: _Grid, edf: np.ndarray) -> int:
+    """Index of the grid point minimizing GCV, ties going to the larger lambda.
+
+    A point whose fit failed or leaves n - edf < 1 is skipped; when every
+    one is, the error is raised from the last failing point's.
+    """
+    deviance = np.asarray([s.deviance if isinstance(s, _BandSystem) else np.nan for s in grid.solved])
+    failed = _failed(grid, edf)
+    scores = _gcv_scores(grid.data, deviance, edf, grid.yss)
+    candidate = ~failed & (scores <= np.inf)
+    if not candidate.any():
+        failures = np.flatnonzero(failed)
+        cause = _point_error(grid, edf, int(failures[-1])) if failures.size else None
+        raise NumericalError("no smoothing parameter candidate could be fit") from cause
+    best = scores[candidate].min()
+    return int(np.flatnonzero(candidate & (scores == best))[-1])
+
+
+def select_lambda(strata: Sequence[StratumData], spec: BasisSpec, pen: PenaltyMatrix) -> list[StratumFit]:
+    """Each stratum's fit at the smoothing parameter minimizing GCV over its `default_lambda_grid`.
+
+    `strata` are the StratumData of one analysis, sharing the basis and
+    penalty; the fits come back in their order. GCV is n * deviance /
+    (n - edf)^2. Deviance at the rounding level is treated as an exact fit,
+    so ties resolve toward the heaviest smoothing. A grid point whose fit
+    fails is skipped; when every one fails, the error is raised from the
+    largest lambda's. Each fit is the one computed at the selected value
+    (`fit.lam`), which is then held fixed downstream; it equals
+    `fit_stratum` at that value. Every grid is solved first and one
+    selected inversion serves them all; the warnings and errors are then
+    raised stratum by stratum, as fitting the strata one after another
+    would raise them. With several strata, an input error names its
+    stratum by position, from 1.
+    """
+    penalty_band = _penalty_band(spec, pen)
+    fits = []
+    for i, (grid, sigma, edf) in enumerate(_fit_grids(strata, spec, pen), 1):
+        if grid.yss is not None:
+            _warn_small_sample(grid.data, spec)
+        if grid.error is not None:
+            if len(strata) == 1:
+                raise grid.error
+            raise ParameterError(f"stratum {i}: {grid.error}") from grid.error
+        fits.append(_chosen_fit(grid, sigma, edf, _gcv_choice(grid, edf), penalty_band))
+    return fits

@@ -26,6 +26,8 @@ from .windows import WindowTestSeries, window_statistics
 
 __all__ = [
     "SimScenario",
+    "PRESETS",
+    "PRESET_ALIASES",
     "RegionOutcome",
     "ReplicateRecord",
     "SimOutcome",
@@ -110,6 +112,50 @@ class SimScenario:
         if self.n_replicates == 1:
             return float(lo)
         return float(lo + (hi - lo) * index / (self.n_replicates - 1))
+
+
+# The paper's studies: `simulate --preset NAME`, scripts/run_table_suite.py and
+# scripts/effect_size_sweep.py run these. The aliases name the same scenario.
+PRESETS = {
+    "table1a": SimScenario(
+        n_nonzero=15, alphas=(0.1, 0.2, 0.3), n_replicates=2000, seed=20260810
+    ),
+    "table1b": SimScenario(
+        n_nonzero=30, alphas=(0.1, 0.2, 0.3), n_replicates=1000, seed=20260810
+    ),
+    "tableS1": SimScenario(
+        n_nonzero=20,
+        family="binomial",
+        m_delta=6.0,
+        alphas=(0.1, 0.2, 0.3),
+        n_replicates=1000,
+        seed=20260810,
+    ),
+    "fig5": SimScenario(
+        n_nonzero=15,
+        alphas=(0.2,),
+        m_delta_sweep=(0.0, 2.5),
+        n_replicates=1000,
+        seed=20260810,
+    ),
+    "fig6": SimScenario(
+        n_nonzero=30,
+        alphas=(0.2,),
+        m_delta_sweep=(0.0, 2.5),
+        n_replicates=1000,
+        seed=20260810,
+    ),
+    "fig8": SimScenario(
+        n_nonzero=20,
+        family="binomial",
+        alphas=(0.2,),
+        m_delta_sweep=(0.0, 9.0),
+        n_replicates=1000,
+        seed=20260810,
+    ),
+}
+PRESET_ALIASES = {"table2a": "table1a", "table2b": "table1b"}
+PRESETS.update({alias: PRESETS[name] for alias, name in PRESET_ALIASES.items()})
 
 
 @dataclass(frozen=True)
@@ -308,7 +354,7 @@ def run_replicate(scenario: SimScenario, index: int) -> ReplicateRecord:
     data_alt = gen_stratum(b_alt, scenario, rng, spec)
     true_indices = tuple(int(j) for j in k_set)
     try:
-        fits = [select_lambda(data, spec, pen) for data in (data_alt, data_base)]
+        fits = select_lambda([data_alt, data_base], spec, pen)
         bands = covariance_bands(fits, spec.degree)
         series = window_statistics(fits[0].coef - fits[1].coef, bands[0] + bands[1], spec)
     except NumericalError as exc:
@@ -339,7 +385,8 @@ def representative_fit() -> tuple[BasisSpec, StratumFit]:
     pen = difference_penalty(scenario.m, scenario.penalty_order)
     rng = replicate_rng(seed, 0)
     b_base, _, _ = gen_coefficients(scenario, rng)
-    return spec, select_lambda(gen_stratum(b_base, scenario, rng, spec), spec, pen)
+    [fit] = select_lambda([gen_stratum(b_base, scenario, rng, spec)], spec, pen)
+    return spec, fit
 
 
 def _reversed_factor(band: np.ndarray) -> np.ndarray:

@@ -69,6 +69,16 @@ Goeman-Solari shortcut. `simes_test` and `closed_testing_oracle` are the
 definitions it must match: the Simes local test of one intersection
 hypothesis, and closed testing over the full power set (Hommel 1986).
 
+`smoothdiff.basis._find_spans` finds each point's knot span by arithmetic on
+the uniform grid, and `_span_order` sorts the spans on 16-bit keys;
+`find_spans_by_search` and `span_order_by_int64_sort` are the binary search
+of the knots and the stable sort of int64 keys they replaced, which they must
+match exactly.
+
+`smoothdiff.fitting.select_lambda` scores every grid point's GCV as one array
+expression per stratum; `gcv_choice_by_loop` is the per-lambda loop it
+replaced, which must pick the same point, or fail from the same cause.
+
 `band_form` is the band storage of a dense symmetric matrix, which the
 tests build covariance and precision bands with. `eval_basis` evaluates all
 m basis functions at one point, the row `design_matrix` stores compactly,
@@ -90,7 +100,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.special import expit
 
 from smoothdiff import fitting, simulate
-from smoothdiff.basis import _find_spans, _nonzero_basis, expand_band
+from smoothdiff.basis import _nonzero_basis, expand_band
 from smoothdiff.errors import DomainError, NumericalError, ParameterError
 from smoothdiff.tdp import PValueFamily, _as_index_set
 from smoothdiff.toeplitz import TridiagFactor
@@ -437,14 +447,14 @@ def binomial_block_by_where(dm, data, penalty_band, lams):
         gram = dm.gram_band(w)
         gram = np.broadcast_to(gram, (live.size, *gram.shape[-2:]))
         zr, xr = fitting._cross_products(dm, X, u, w)
-        ab, factors, sols, errors = band_solve_by_pbtrf(penalty_band, lams[live], gram, zr)
+        _, factors, sols, errors = band_solve_by_pbtrf(penalty_band, lams[live], gram, zr)
         coefs, betas, borders = fitting._eliminate_border(sols, zr, xr, errors)
         for j, error in enumerate(errors):
             if error is not None:
                 out[live[j]] = error
         ok = np.flatnonzero([e is None for e in errors])
-        live, deviance, gram, ab, factors, coefs, betas, borders = (
-            a[ok] for a in (live, deviance, gram, ab, factors, coefs, betas, borders)
+        live, deviance, gram, factors, coefs, betas, borders = (
+            a[ok] for a in (live, deviance, gram, factors, coefs, betas, borders)
         )
         eta = fitting._predict(dm, X, coefs, betas)
         diverged = np.max(np.abs(eta), axis=1) > fitting.ETA_DIVERGENCE
@@ -457,7 +467,7 @@ def binomial_block_by_where(dm, data, penalty_band, lams):
                 out[i] = NumericalError("linear predictor diverged (complete or quasi-complete separation)")
             elif converged[j]:
                 out[i] = fitting._BandSystem(
-                    float(lams[i]), coefs[j], betas[j], traces[i][-1], gram[j], ab[j], factors[j], borders[j], n_iter
+                    float(lams[i]), coefs[j], betas[j], traces[i][-1], gram[j], factors[j], borders[j], n_iter
                 )
         going = ~(diverged | converged)
         live, deviance, eta, mu = live[going], new_deviance[going], eta[going], mu[going]
@@ -611,6 +621,46 @@ def band_form(a: np.ndarray, bandwidth: int) -> np.ndarray:
     return ab
 
 
+def find_spans_by_search(spec, z: np.ndarray) -> np.ndarray:
+    """Knot span index mu per point, knots[mu] <= z < knots[mu+1], by binary search, clamped to valid spans."""
+    mu = np.searchsorted(spec.knots, z, side="right") - 1
+    return np.clip(mu, spec.degree, spec.m - 1)
+
+
+def span_order_by_int64_sort(start: np.ndarray, m: int) -> np.ndarray:
+    """The stable sort of the compact rows' first columns on int64 keys."""
+    return np.argsort(start.astype(np.int64), kind="stable")
+
+
+def gcv_choice_by_loop(data, solved, edf, yss):
+    """(index, failure) of the per-lambda GCV loop over one grid.
+
+    `solved` holds each point's solved system (anything with a `deviance`)
+    or its NumericalError, `edf` each solved point's edf. A point fails on
+    its own error or with n - edf < 1; the others score n * dev / (n - edf)**2
+    in Python floats, rounding-level Gaussian deviance read as zero, and the
+    last point at or below the running best wins. `index` is None when no
+    point scores, and `failure` is the last failing point's error.
+    """
+    best, best_score, failure = None, np.inf, None
+    for j, (result, e) in enumerate(zip(solved, edf)):
+        if isinstance(result, NumericalError):
+            failure = result
+            continue
+        e = float(e)
+        if data.n - e < 1.0:
+            failure = NumericalError(
+                f"effective degrees of freedom {e:.6g} leave less than one residual degree of freedom "
+                f"at sample size {data.n}"
+            )
+            continue
+        flushed = data.family == "gaussian" and result.deviance <= 1e-16 * max(yss, 1e-300)
+        dev = 0.0 if flushed else result.deviance
+        if (score := data.n * dev / (data.n - e) ** 2) <= best_score:
+            best, best_score = j, score
+    return best, failure
+
+
 def eval_basis(spec, z: float) -> np.ndarray:
     """All m basis functions at a single point; zeros outside the domain."""
     if not np.isfinite(z):
@@ -619,7 +669,7 @@ def eval_basis(spec, z: float) -> np.ndarray:
     if z < spec.z_lo or z > spec.z_hi:
         return out
     za = np.asarray([float(z)])
-    mu = _find_spans(spec, za)
+    mu = find_spans_by_search(spec, za)
     out[mu[0] - spec.degree : mu[0] + 1] = _nonzero_basis(spec, za, mu)[0]
     return out
 

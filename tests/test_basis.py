@@ -11,8 +11,10 @@ from oracles import (
     eval_basis,
     gram_band_by_pair_bincount,
     predict_by_einsum,
+    find_spans_by_search,
     region,
     rhs_by_offset_bincount,
+    span_order_by_int64_sort,
 )
 from smoothdiff import basis
 from smoothdiff.basis import (
@@ -92,6 +94,37 @@ class TestMakeBasis:
     def test_invalid_parameters(self, m, d, lo, hi):
         with pytest.raises(ParameterError):
             make_basis(lo, hi, m, d)
+
+
+class TestFindSpans:
+    """Spans by arithmetic on the uniform grid equal the binary search of the knots."""
+
+    @given(
+        lo=st.floats(-1e6, 1e6),
+        width=st.floats(1e-6, 1e6),
+        m_extra=st.integers(2, 400),
+        degree=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_binary_search(self, lo, width, m_extra, degree, seed):
+        spec = make_basis(lo, lo + width, degree + m_extra, degree)
+        rng = np.random.default_rng(seed)
+        knots = spec.knots
+        z = np.concatenate([
+            rng.uniform(spec.z_lo, spec.z_hi, 2000),
+            knots,
+            np.nextafter(knots, -np.inf),
+            np.nextafter(knots, np.inf),
+            [spec.z_lo - width, spec.z_hi + width, 1e300, -1e300, np.finfo(float).max, -np.finfo(float).max],
+        ])
+        assert np.array_equal(basis._find_spans(spec, z), find_spans_by_search(spec, z))
+
+    @pytest.mark.parametrize("m, degree", [(120, 3), (500, 3), (2000, 3), (4, 0), (9, 2)])
+    def test_many_points(self, m, degree):
+        spec = make_basis(0.0, 100.0, m, degree)
+        z = np.random.default_rng(m).uniform(-1.0, 101.0, 200_000)
+        assert np.array_equal(basis._find_spans(spec, z), find_spans_by_search(spec, z))
 
 
 class TestEvalBasis:
@@ -352,6 +385,21 @@ class TestSparseOperators:
             dm.rhs(w[:, None] * rng.normal(size=(300, 2)))
         dm.crossprod()
         assert calls == [20]
+
+    @pytest.mark.parametrize("m, n", [(8, 50), (123, 4000), (500, 10000), (70000, 3000)])
+    def test_operators_equal_the_int64_sort_ones(self, m, n, monkeypatch):
+        # the 16-bit radix sort gives the int64 stable sort's permutation, so the same operators;
+        # m = 70000 sorts the int64 keys
+        spec = make_basis(0.0, 1.0, m, 3)
+        rng = np.random.default_rng(m)
+        dm = design_matrix(spec, rng.uniform(-0.05, 1.05, n))
+        got = basis._sparse_operators(dm.values, dm.start, m)
+        monkeypatch.setattr(basis, "_span_order", span_order_by_int64_sort)
+        want = basis._sparse_operators(dm.values, dm.start, m)
+        for g, w in zip(got, want):
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(g, name), getattr(w, name)), name
+            assert g.shape == w.shape
 
     def test_predict_only_builds_no_operator(self, monkeypatch):
         def fail(*args):

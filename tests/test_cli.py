@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +22,6 @@ from smoothdiff import basis, cli, fitting, simulate
 from smoothdiff.basis import design_matrix, difference_penalty, make_basis
 from smoothdiff.cli import (
     CURVE_GRID_POINTS,
-    PRESETS,
     band_pointwise_variance,
     load_model,
     main,
@@ -29,6 +29,7 @@ from smoothdiff.cli import (
 )
 from smoothdiff.fitting import StratumData, covariance_bands, select_lambda
 from smoothdiff.simulate import (
+    PRESETS,
     SimScenario,
     exact_model_error_rates,
     gen_coefficients,
@@ -117,7 +118,7 @@ class TestAnalyze:
         scn, data1, data2 = make_pair(seed=7)
         spec = scn.basis()
         pen = difference_penalty(scn.m, scn.penalty_order)
-        fits = [select_lambda(d, spec, pen) for d in (data1, data2)]
+        fits = select_lambda([data1, data2], spec, pen)
         series = window_statistics(fits[0].coef - fits[1].coef, sum(covariance_bands(fits, spec.degree)), spec)
         report = threshold_regions(series, 0.1, (0.9, 0.7, 0.5))
 
@@ -416,7 +417,7 @@ class TestAnalyze:
         spec = make_basis(0.0, 1.0, 20, degree)
         pen = difference_penalty(20, 2)
         dm = design_matrix(spec, np.linspace(0.0, 1.0, CURVE_GRID_POINTS))
-        fit = select_lambda(data1, spec, pen)
+        [fit] = select_lambda([data1], spec, pen)
         got = band_pointwise_variance(dm, covariance_bands([fit], degree)[0])
         np.testing.assert_allclose(got, pointwise_variance(dense_design(dm), dense_covariance(fit)), rtol=1e-12)
 
@@ -1200,7 +1201,7 @@ class TestModelFile:
         spec, loaded = load_model(str(tmp_path / "out" / "fits.json"))
         pen = difference_penalty(scn.m, scn.penalty_order)
         for data, fit in zip((data1, data2), loaded):
-            direct = select_lambda(data, spec, pen)
+            [direct] = select_lambda([data], spec, pen)
             assert_covariance_bands_bitwise_equal(fit, direct, spec.m)
             assert np.array_equal(fit.precision_band, direct.precision_band)
             assert np.array_equal(fit.border, direct.border)
@@ -1230,7 +1231,7 @@ class TestModelFile:
         spec, loaded = load_model(str(tmp_path / "out" / "fits.json"))
         pen = difference_penalty(20, 2)
         for data, fit in zip(strata, loaded):
-            direct = select_lambda(data, spec, pen)
+            [direct] = select_lambda([data], spec, pen)
             assert np.array_equal(fit.border, direct.border)
             assert_covariance_bands_bitwise_equal(fit, direct, spec.m)
             # the bands are of dispersion * (A^{-1} + BB')
@@ -1503,3 +1504,105 @@ def test_script_rejects_bad_argument_with_exit_2(tmp_path, capsys, script, argv,
     assert err.rstrip().endswith(f"error: {message}")
     assert "Traceback" not in err
     assert not (tmp_path / "s.csv").exists()
+
+
+def few_rows_csv(path, strata):
+    """A two-stratum CSV from {label: (y, z)} on [0, 1]."""
+    rows = ["y,z,stratum"]
+    for label, (y, z) in strata.items():
+        rows += [f"{float(yi)!r},{float(zi)!r},{label}" for yi, zi in zip(y, z)]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+FEW = ([0.0, 1.0, 0.0], [0.2, 0.5, 0.8])  # 3 rows: every lambda leaves n - edf < 1 at m = 10
+
+
+def eight_rows(huge=False):
+    z = np.linspace(0.05, 0.95, 8)
+    y = np.sin(5 * z)
+    if huge:
+        y[3] = 1e300  # y'y overflows
+    return y, z
+
+
+class TestFailingStratum:
+    """Both strata's grids are solved before either is scored, yet the warnings and the
+    error are those of fitting stratum 1 and then stratum 2."""
+
+    @staticmethod
+    def run(tmp_path, strata, *flags):
+        path = few_rows_csv(tmp_path / "few.csv", strata)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["analyze", "--data", str(path), "--basis-dim", "10", "--domain", "0", "1", *flags,
+                       "--out", str(tmp_path / "o")])
+        sizes = [re.search(r"n=(\d+)", str(w.message)).group(1) for w in caught if w.category is UserWarning]
+        return rc, sizes
+
+    @pytest.mark.parametrize("flags", [[], ["--lambda", "1"]])
+    def test_failing_stratum_1_stops_before_stratum_2_warns(self, tmp_path, capsys, flags):
+        rc, sizes = self.run(tmp_path, {1: FEW, 2: eight_rows()}, *flags)
+        assert (rc, sizes) == (3, ["3"])
+        err = capsys.readouterr().err
+        assert "less than one residual degree of freedom at sample size 3" in err
+        assert ("no smoothing parameter candidate could be fit: " in err) == (not flags)
+
+    @pytest.mark.parametrize("flags", [[], ["--lambda", "1"]])
+    def test_failing_stratum_2_after_both_warn(self, tmp_path, capsys, flags):
+        rc, sizes = self.run(tmp_path, {1: eight_rows(), 2: FEW}, *flags)
+        assert (rc, sizes) == (3, ["8", "3"])
+        assert "less than one residual degree of freedom at sample size 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--lambda", "1"]])
+    def test_failing_stratum_1_hides_an_input_error_of_stratum_2(self, tmp_path, capsys, flags):
+        rc, sizes = self.run(tmp_path, {1: FEW, 2: eight_rows(huge=True)}, *flags)
+        assert (rc, sizes) == (3, ["3"])
+        err = capsys.readouterr().err
+        assert "smoothdiff: numerical error: " in err and "stratum 2" not in err
+
+    @pytest.mark.parametrize("flags", [[], ["--lambda", "1"]])
+    def test_input_error_of_stratum_1_comes_before_any_warning(self, tmp_path, capsys, flags):
+        rc, sizes = self.run(tmp_path, {1: eight_rows(huge=True), 2: FEW}, *flags)
+        assert (rc, sizes) == (2, [])
+        assert "smoothdiff: input error: stratum 1: the sum of squared outcomes y'y overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--lambda", "1"]])
+    def test_input_error_of_stratum_2_after_stratum_1_warns(self, tmp_path, capsys, flags):
+        rc, sizes = self.run(tmp_path, {1: eight_rows(), 2: eight_rows(huge=True)}, *flags)
+        assert (rc, sizes) == (2, ["8"])
+        assert "smoothdiff: input error: stratum 2: the sum of squared outcomes y'y overflows" in capsys.readouterr().err
+
+
+def counting_selected_inverses(monkeypatch):
+    """Record the stack size of every `fitting.selected_inverse_band` call."""
+    calls = []
+    real = fitting.selected_inverse_band
+
+    def counting(factors):
+        calls.append(factors.shape[0])
+        return real(factors)
+
+    monkeypatch.setattr(fitting, "selected_inverse_band", counting)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["gaussian", "binomial"])
+def test_one_selected_inverse_per_analyze(tmp_path, monkeypatch, family):
+    scn, data1, data2 = make_pair(seed=5, family=family)
+    path = tmp_path / "pair.csv"
+    write_stratum_csv(path, data1, data2)
+    calls = counting_selected_inverses(monkeypatch)
+    argv = ["analyze", "--data", str(path), "--basis-dim", "20", "--degree", "2", "--domain", "0", "1",
+            "--family", family, "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    # one call for both strata's 40-point grids, and none for the window blocks
+    assert calls == [80]
+
+
+@pytest.mark.parametrize("family", ["gaussian", "binomial"])
+def test_one_selected_inverse_per_replicate(monkeypatch, family):
+    scenario = SimScenario(n_nonzero=4, m=20, n_per_stratum=600, family=family, alphas=(0.1,), n_replicates=1)
+    calls = counting_selected_inverses(monkeypatch)
+    assert not run_replicate(scenario, 0).failed
+    assert len(calls) == 1 and calls[0] <= 80

@@ -16,6 +16,7 @@ from oracles import (
     dense_covariance,
     dense_design,
     dense_inverse_edf,
+    gcv_choice_by_loop,
     penalty_matrix,
     per_lambda_band_solve,
     solve_penalized_per_iteration,
@@ -24,7 +25,7 @@ from scipy.special import expit, xlogy
 
 from smoothdiff import fitting
 from smoothdiff.basis import design_matrix, difference_penalty, expand_band, make_basis
-from smoothdiff.cli import PRESETS, main
+from smoothdiff.cli import main
 from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import (
     StratumData,
@@ -36,7 +37,7 @@ from smoothdiff.fitting import (
     select_lambda,
     selected_inverse_band,
 )
-from smoothdiff.simulate import failure_cause, gen_coefficients, gen_stratum, replicate_rng
+from smoothdiff.simulate import PRESETS, failure_cause, gen_coefficients, gen_stratum, replicate_rng
 from smoothdiff.tdp import threshold_regions
 from smoothdiff.windows import window_statistics
 
@@ -84,7 +85,7 @@ class TestFitGaussian:
         y[7] = 1e300  # finite, but y'y overflows
         data = StratumData(y=y, z=rng.uniform(0, 1, 60))
         with pytest.raises(ParameterError, match="y'y overflows"):
-            select_lambda(data, spec, pen)
+            select_lambda([data], spec, pen)
         with pytest.raises(ParameterError, match="y'y overflows"):
             fit_stratum(data, spec, pen, 1.0)
 
@@ -169,7 +170,7 @@ class TestFitGaussian:
         y = np.cos(4 * z) + rng.normal(0, 0.3, 60)
         for family, outcome in (("gaussian", y), ("binomial", (y > 0.5).astype(float))):
             data = StratumData(y=outcome, z=z, family=family, X=np.ones((60, 1)))
-            for fit in (lambda: fit_stratum(data, spec, pen, 0.4), lambda: select_lambda(data, spec, pen)):
+            for fit in (lambda: fit_stratum(data, spec, pen, 0.4), lambda: select_lambda([data], spec, pen)[0]):
                 with pytest.raises(ParameterError, match="fixed-effect column 1 is not identified"):
                     fit()
 
@@ -383,7 +384,7 @@ class TestBandedIrls:
     @pytest.mark.parametrize("fixture", BINOMIAL_FIXTURES)
     def test_select_lambda_picks_the_same_grid_point(self, fixture):
         data, spec, pen = binomial_fixture(*fixture)
-        assert select_lambda(data, spec, pen).lam == full_inverse_gcv_lambda(data, spec, pen)
+        assert select_lambda([data], spec, pen)[0].lam == full_inverse_gcv_lambda(data, spec, pen)
 
     def test_one_inverse_per_fit(self, monkeypatch):
         data, spec, pen = binomial_fixture(*BINOMIAL_FIXTURES[0])
@@ -483,14 +484,16 @@ def per_iteration_bordered_irls(data, spec, pen, lam):
         u = eta + (y - mu) / w
         gram = dm.gram_band(w)
         zr, xr = fitting._cross_products(dm, data.X, u, w)
-        ab, factors, sols, errors = fitting._band_solve(penalty_band, np.asarray([lam]), gram, zr)
+        _, factors, sols, errors = fitting._band_solve(penalty_band, np.asarray([lam]), gram, zr)
         [coef], [beta], [border] = fitting._eliminate_border(sols, zr, xr, errors)
         assert errors == [None]
         eta = fitting._predict(dm, data.X, coef[None], beta[None])[0]
         mu = fitting._logistic(eta, np.empty_like(eta))
         new_deviance = float(_binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12)))
-        system = fitting._BandSystem(lam, coef, beta, new_deviance, gram, ab[0], factors[0], border, n_iter)
-        fit = fitting._band_fit(data, *fitting._selected_inverses([system], penalty_band)[0], float(data.y @ data.y))
+        system = fitting._BandSystem(lam, coef, beta, new_deviance, gram, factors[0], border, n_iter)
+        [sigma], [edf] = fitting._selected_inverses([system], penalty_band)
+        band = fitting._covariance_band(system, sigma)
+        fit = fitting._band_fit(data, system, band, float(edf), float(data.y @ data.y), penalty_band)
         if fitting._converged(new_deviance, deviance):
             return fit
         deviance = new_deviance
@@ -550,7 +553,7 @@ class TestFixedEffectIrls:
             score = data.n * deviance / (data.n - edf) ** 2
             if score <= best_score:
                 best_lam, best_score = float(lam), score
-        assert select_lambda(data, spec, pen).lam == best_lam
+        assert select_lambda([data], spec, pen)[0].lam == best_lam
 
 
 class TestStratumDataValidation:
@@ -590,7 +593,7 @@ class TestSelectLambda:
             x = np.random.default_rng(25).normal(size=(data.n, 1))
             y = data.y + 0.5 * x[:, 0] if data.family == "gaussian" else data.y
             data = StratumData(y=y, z=data.z, family=data.family, X=x)
-        fit = select_lambda(data, spec, pen)
+        [fit] = select_lambda([data], spec, pen)
         assert_fits_bitwise_equal(fit, fit_stratum(data, spec, pen, fit.lam))
 
     def test_small_sample_warns_once(self, setup):
@@ -599,7 +602,7 @@ class TestSelectLambda:
         data = StratumData(y=np.sin(3 * z), z=z)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            select_lambda(data, spec, pen)
+            select_lambda([data], spec, pen)
         user = [w for w in caught if issubclass(w.category, UserWarning)]
         assert len(user) == 1
         assert "sample size" in str(user[0].message)
@@ -610,7 +613,7 @@ class TestSelectLambda:
         selected = []
         for _ in range(100):
             data = StratumData(y=rng.normal(0, 1, 120), z=rng.uniform(0, 1, 120))
-            selected.append(select_lambda(data, spec, pen).lam)
+            selected.append(select_lambda([data], spec, pen)[0].lam)
         grid = default_lambda_grid(design_matrix(spec, np.linspace(0, 1, 120)), pen)
         top_decade = grid[-1] / 10
         assert np.median(selected) >= top_decade
@@ -623,26 +626,26 @@ class TestSelectLambda:
         z = np.linspace(0, 1, 90)
         data = StratumData(y=np.full(90, 2.5), z=z)
         grid = default_lambda_grid(design_matrix(spec, z), pen)
-        assert select_lambda(data, spec, pen).lam == pytest.approx(grid[-1])
+        assert select_lambda([data], spec, pen)[0].lam == pytest.approx(grid[-1])
 
     def test_no_observation_inside_the_domain_is_a_parameter_error(self):
         # tr(Z'Z) = 0 leaves the lambda grid without a scale
         data = StratumData(y=np.ones(30), z=np.full(30, 2.0))
         with pytest.raises(ParameterError, match="no observation lies inside the basis domain"):
-            select_lambda(data, make_basis(0, 1, 8, 2), difference_penalty(8, 2))
+            select_lambda([data], make_basis(0, 1, 8, 2), difference_penalty(8, 2))
 
     def test_degenerate_grid_returns_the_value(self, setup, monkeypatch):
         spec, pen = setup
         rng = np.random.default_rng(13)
         data = random_gaussian_data(rng)
         use_lambda_grid(monkeypatch, [0.37])
-        assert select_lambda(data, spec, pen).lam == 0.37
+        assert select_lambda([data], spec, pen)[0].lam == 0.37
 
     def test_deterministic(self, setup):
         spec, pen = setup
         rng = np.random.default_rng(14)
         data = random_gaussian_data(rng, n=200)
-        assert select_lambda(data, spec, pen).lam == select_lambda(data, spec, pen).lam
+        assert select_lambda([data], spec, pen)[0].lam == select_lambda([data], spec, pen)[0].lam
 
     def test_binomial_selection_runs(self, setup):
         spec, pen = setup
@@ -650,7 +653,7 @@ class TestSelectLambda:
         n = 600
         z = rng.uniform(0, 1, n)
         y = (rng.random(n) < expit(np.sin(5 * z))).astype(float)
-        fit = select_lambda(StratumData(y=y, z=z, family="binomial"), spec, pen)
+        [fit] = select_lambda([StratumData(y=y, z=z, family="binomial")], spec, pen)
         assert fit.lam > 0
 
 
@@ -685,14 +688,15 @@ def path_argmin(path):
 
 def batched_gcv_path(data, spec, pen, grid):
     """The same (lam, deviance, edf, score) path from the batched grid, one selected inversion for all points."""
-    dm = design_matrix(spec, data.z)
     yss = float(data.y @ data.y)
+    [(solved, _, edf)] = fitting._fit_grids([data], spec, pen, np.sort(grid))
     path = []
-    for fit in fitting._grid_fits(dm, data, spec, pen, np.sort(grid), yss):
-        if isinstance(fit, NumericalError):
+    for system, e in zip(solved.solved, edf):
+        if isinstance(system, NumericalError) or data.n - e < 1.0:
             continue
-        dev = 0.0 if fit.deviance <= 1e-16 * max(yss, 1e-300) else fit.deviance
-        path.append((fit.lam, dev, fit.edf, fitting._gcv_score(data, fit.deviance, fit.edf, yss)))
+        dev = 0.0 if system.deviance <= 1e-16 * max(yss, 1e-300) else system.deviance
+        [score] = fitting._gcv_scores(data, np.asarray([system.deviance]), np.asarray([e]), yss)
+        path.append((system.lam, dev, float(e), float(score)))
     return path
 
 
@@ -753,7 +757,7 @@ class TestGaussianGcvPath:
         assert_paths_match(batched_gcv_path(data, spec, pen, grid), ref, data)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            assert select_lambda(data, spec, pen).lam == path_argmin(ref)
+            assert select_lambda([data], spec, pen)[0].lam == path_argmin(ref)
 
     def test_constant_outcome_flushes_every_point(self):
         data, spec, pen = gaussian_fixture(*GAUSSIAN_FIXTURES[5])
@@ -769,7 +773,7 @@ class TestGaussianGcvPath:
         use_lambda_grid(monkeypatch, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            assert select_lambda(data, spec, pen).lam == 0.37
+            assert select_lambda([data], spec, pen)[0].lam == 0.37
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -795,7 +799,7 @@ class TestGaussianGcvPath:
         data = StratumData(y=np.ones(30), z=np.full(30, 2.0))
         use_lambda_grid(monkeypatch, [0.1, 1.0])
         with pytest.raises(NumericalError, match="no smoothing parameter candidate"):
-            select_lambda(data, spec, pen)
+            select_lambda([data], spec, pen)
 
     @pytest.mark.parametrize("fixture", [GAUSSIAN_FIXTURES[1], GAUSSIAN_FIXTURES[6]])
     def test_one_inverse_per_select_lambda(self, fixture, monkeypatch):
@@ -809,7 +813,7 @@ class TestGaussianGcvPath:
         monkeypatch.setattr(fitting, "penalized_inverse", counting)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            fit = select_lambda(data, spec, pen)
+            [fit] = select_lambda([data], spec, pen)
         window_statistics(np.zeros(spec.m), 2.0 * covariance_bands([fit], spec.degree)[0], spec)
         covariance_bands([fit], spec.m - 1)
         assert calls == []
@@ -828,7 +832,7 @@ class TestGaussianGcvPath:
         monkeypatch.setattr(fitting, "_band_solve", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            fit = select_lambda(data, spec, pen)
+            [fit] = select_lambda([data], spec, pen)
         # one solve per grid point; without fixed effects the grid's solve at
         # the chosen lambda is the fit's coef, and nothing refits
         grid = default_lambda_grid(design_matrix(spec, data.z), pen)
@@ -865,7 +869,7 @@ class TestPrecisionBand:
         data, spec, pen = self.fixture(family, m, degree)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fit = select_lambda(data, spec, pen)
+            [fit] = select_lambda([data], spec, pen)
         bandwidth = max(degree, pen.order)
         assert fit.precision_band.shape == (bandwidth + 1, m)
         band = np.asarray(json_round_trip(fit.precision_band.tolist()))
@@ -1012,9 +1016,12 @@ class TestGridEdf:
     def test_binomial_edf_matches_dense_inverse(self, fixture):
         data, spec, pen = binomial_fixture(*fixture)
         grid = default_lambda_grid(design_matrix(spec, data.z), pen)
-        selected = fitting._selected_inverses(grid_systems(data, spec, pen, grid), fitting._penalty_band(spec, pen))
-        for system, _, edf in selected:
-            assert edf == pytest.approx(dense_inverse_edf(system.precision_band, system.gram), rel=1e-13, abs=0.0)
+        penalty_band = fitting._penalty_band(spec, pen)
+        systems = grid_systems(data, spec, pen, grid)
+        _, edfs = fitting._selected_inverses(systems, penalty_band)
+        for system, edf in zip(systems, edfs):
+            ab = fitting._precision_band(system, penalty_band)
+            assert edf == pytest.approx(dense_inverse_edf(ab, system.gram), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("fixture", GAUSSIAN_FIXTURES)
     def test_gaussian_edf_matches_demmler_reinsch(self, fixture):
@@ -1022,7 +1029,7 @@ class TestGridEdf:
         dm = design_matrix(spec, data.z)
         grid = default_lambda_grid(dm, pen)
         systems = grid_systems(data, spec, pen, grid)
-        edfs = [edf for _, _, edf in fitting._selected_inverses(systems, fitting._penalty_band(spec, pen))]
+        _, edfs = fitting._selected_inverses(systems, fitting._penalty_band(spec, pen))
         np.testing.assert_allclose(edfs, demmler_reinsch_edfs(dm.crossprod(), penalty_matrix(pen), grid), rtol=1e-10, atol=0.0)
 
 
@@ -1063,7 +1070,7 @@ class TestNoDenseCovariance:
 
         def run():
             pen = difference_penalty(m, 2)
-            fits = [select_lambda(data, spec, pen) for data in strata]
+            fits = select_lambda(strata, spec, pen)
             window_statistics(fits[0].coef - fits[1].coef, sum(covariance_bands(fits, spec.degree)), spec)
 
         assert self.traced_peak(run) < 8 * m * m
@@ -1086,7 +1093,7 @@ class TestNoDenseCovariance:
         data = StratumData(y=(rng.random(n) < expit(np.sin(5 * z))).astype(float), z=z, family="binomial")
 
         def run():
-            select_lambda(data, spec, difference_penalty(m, 2))
+            select_lambda([data], spec, difference_penalty(m, 2))
 
         assert self.traced_peak(run) < 8 * m * m
 
@@ -1102,7 +1109,7 @@ class TestNoDenseCovariance:
 
         def run():
             pen = difference_penalty(m, 2)
-            fits = [select_lambda(data, spec, pen) for data in strata]
+            fits = select_lambda(strata, spec, pen)
             window_statistics(fits[0].coef - fits[1].coef, sum(covariance_bands(fits, spec.degree)), spec)
 
         assert self.traced_peak(run) < 8 * m * m
@@ -1188,16 +1195,16 @@ def assert_matches_per_lambda_oracle(data, spec, pen, grid):
         assert isinstance(got, fitting._BandSystem)
         assert got.n_iter == n_iter
         no_border = np.zeros((spec.m, 0))
-        ref = fitting._BandSystem(float(lam), coef, np.zeros(0), deviance, gram, ab, factor, no_border, n_iter)
-        [(_, sigma, edf), (_, ref_sigma, ref_edf)] = fitting._selected_inverses([got, ref], penalty_band)
+        ref = fitting._BandSystem(float(lam), coef, np.zeros(0), deviance, gram, factor, no_border, n_iter)
+        assert np.array_equal(fitting._precision_band(ref, penalty_band), ab)
+        (sigma, ref_sigma), (edf, ref_edf) = fitting._selected_inverses([got, ref], penalty_band)
         yss = float(data.y @ data.y)
         if data.n - ref_edf < 1:  # less than one residual df: the fit fails at this lambda
             assert edf == pytest.approx(ref_edf, rel=1e-12, abs=0.0)
-            with pytest.raises(NumericalError, match="less than one residual degree of freedom"):
-                fitting._band_fit(data, got, sigma, edf, yss)
+            assert data.n - edf < 1
             continue
-        fit = fitting._band_fit(data, got, sigma, edf, yss)
-        ref_fit = fitting._band_fit(data, ref, ref_sigma, ref_edf, yss)
+        fit = fitting._band_fit(data, got, sigma, float(edf), yss, penalty_band)
+        ref_fit = fitting._band_fit(data, ref, ref_sigma, float(ref_edf), yss, penalty_band)
         assert_close(fit.coef, ref_fit.coef)
         assert_close(fit.cov_band, ref_fit.cov_band, atol=np.max(np.abs(ref_sigma)) * slack / (data.n - ref_edf))
         assert fit.edf == pytest.approx(ref_fit.edf, rel=1e-12, abs=0.0)
@@ -1237,7 +1244,7 @@ class TestLockstepGrid:
             return real(dm, data, penalty_band, lams)
 
         monkeypatch.setattr(fitting, "_binomial_block", recording)
-        select_lambda(strata[0], spec, pen)
+        select_lambda(strata[:1], spec, pen)
         assert sizes == [16, 16, 8]
 
 
@@ -1265,7 +1272,7 @@ def assert_systems_bitwise_equal(got, want):
             continue
         for name in ("lam", "deviance", "n_iter"):
             assert getattr(a, name) == getattr(b, name), name
-        for name in ("coef", "beta", "gram", "precision_band", "factor", "border"):
+        for name in ("coef", "beta", "gram", "factor", "border"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and np.array_equal(x, y), name
 
@@ -1432,7 +1439,7 @@ class TestKernelOracle:
         with pytest.raises(NumericalError, match=r"penalized system at lambda 1e\+308 has non-finite entries"):
             fit_stratum(data, spec, pen, 1e308)
         use_lambda_grid(monkeypatch, [0.5, 1e308])
-        assert select_lambda(data, spec, pen).lam == 0.5
+        assert select_lambda([data], spec, pen)[0].lam == 0.5
 
 
 class TestLogistic:
@@ -1459,7 +1466,7 @@ class TestLogistic:
         strata, spec, pen = preset_strata(name, 2)
 
         def selected(data):
-            fit = select_lambda(data, spec, pen)
+            [fit] = select_lambda([data], spec, pen)
             dm = design_matrix(spec, data.z)
             [system] = fitting._grid_systems(dm, data, fitting._penalty_band(spec, pen), np.asarray([fit.lam]))
             return fit, system.n_iter
@@ -1492,3 +1499,128 @@ class TestZeroResidualVariance:
         # the window Cholesky rejects the zero covariance of two such fits
         with pytest.raises(NumericalError, match="covariance is not positive definite"):
             window_statistics(np.zeros(spec.m), 2.0 * covariance_bands([fit], spec.degree)[0], spec)
+
+
+def joint_pair(case):
+    """Two strata on one basis: Gaussian, binomial, with fixed effects, or with a different p each."""
+    if case in ("gaussian", "binomial"):
+        spec = make_basis(0.0, 1.0, 20, 3)
+        pen = difference_penalty(20, 2)
+        strata = []
+        for seed in (71, 72):
+            rng = np.random.default_rng(seed)
+            z = rng.uniform(0, 1, 900)
+            eta = 1.5 * np.sin(5 * z + seed)
+            y = eta + rng.normal(0, 0.5, z.size) if case == "gaussian" else (rng.random(z.size) < expit(eta)) * 1.0
+            strata.append(StratumData(y=y, z=z, family=case))
+        return strata, spec, pen
+    family, ps = {"fixed_effect": ("binomial", (2, 2)), "different_p": ("gaussian", (1, 2))}[case]
+    pairs = [fixed_effect_fixture(25, 3, seed, family, p) for seed, p in zip((62, 64), ps)]
+    return [data for data, _, _ in pairs], pairs[0][1], pairs[0][2]
+
+
+class TestJointSelection:
+    """One selected inversion for every stratum's grid gives each stratum the fit it gets alone."""
+
+    @pytest.mark.parametrize("case", ["gaussian", "binomial", "fixed_effect", "different_p"])
+    def test_equals_one_stratum_selection_bitwise(self, case):
+        strata, spec, pen = joint_pair(case)
+        alone = [select_lambda([data], spec, pen)[0] for data in strata]
+        for order in ((0, 1), (1, 0)):
+            joint = select_lambda([strata[i] for i in order], spec, pen)
+            for fit, i in zip(joint, order):
+                assert_fits_bitwise_equal(fit, alone[i])
+
+    def test_one_selected_inverse_for_both_grids(self, monkeypatch):
+        strata, spec, pen = joint_pair("different_p")
+        calls = []
+        real = fitting.selected_inverse_band
+        monkeypatch.setattr(fitting, "selected_inverse_band", lambda f: calls.append(f.shape[0]) or real(f))
+        select_lambda(strata, spec, pen)
+        assert calls == [80]
+
+    def test_fixed_lambda_equals_the_joint_choice(self):
+        strata, spec, pen = joint_pair("fixed_effect")
+        for fit, data in zip(select_lambda(strata, spec, pen), strata):
+            assert_fits_bitwise_equal(fit, fit_stratum(data, spec, pen, fit.lam))
+
+    def test_input_error_names_its_stratum(self, setup):
+        spec, pen = setup
+        rng = np.random.default_rng(3)
+        good = random_gaussian_data(rng)
+        y = rng.normal(size=60)
+        y[7] = 1e300
+        bad = StratumData(y=y, z=rng.uniform(0, 1, 60))
+        with pytest.raises(ParameterError, match=r"^stratum 2: the sum of squared outcomes y'y overflows"):
+            select_lambda([good, bad], spec, pen)
+        with pytest.raises(ParameterError, match=r"^the sum of squared outcomes y'y overflows"):
+            select_lambda([bad], spec, pen)
+
+
+class FakeSystem(fitting._BandSystem):
+    """A solved grid point that carries only what GCV reads."""
+
+    def __init__(self, deviance):
+        super().__init__(0.0, None, np.zeros(0), deviance, None, None, None, 1)
+
+
+DEVIANCES = [0.0, 1e-30, 0.5, 1.0, 1.0, 2.0, np.inf, np.nan]
+EDFS = [0.5, 2.0, 2.0, 3.0, 7.5, 9.0, 9.5, 10.0, 12.0]
+
+
+class TestVectorGcv:
+    """`_gcv_choice` against the per-lambda loop it replaced (`gcv_choice_by_loop`)."""
+
+    @staticmethod
+    def assert_same_choice(data, points, yss):
+        solved = [p if isinstance(p, NumericalError) else FakeSystem(p[0]) for p in points]
+        edf = np.asarray([np.nan if isinstance(p, NumericalError) else p[1] for p in points])
+        grid = fitting._Grid(data, yss, solved)
+        index, failure = gcv_choice_by_loop(data, solved, edf, yss)
+        if index is not None:
+            assert fitting._gcv_choice(grid, edf) == index
+            return
+        with pytest.raises(NumericalError, match="^no smoothing parameter candidate could be fit$") as exc:
+            fitting._gcv_choice(grid, edf)
+        cause = exc.value.__cause__
+        assert (cause is None) == (failure is None)
+        if failure is not None:
+            assert type(cause) is type(failure) and str(cause) == str(failure)
+            if any(p is failure for p in points):
+                assert cause is failure
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from(["gaussian", "binomial"]),
+        n=st.integers(2, 12),
+        yss=st.sampled_from([1e-10, 1.0, 1e14]),
+        points=st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(DEVIANCES), st.sampled_from(EDFS)),
+                st.sampled_from(["diverged", "singular"]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_matches_the_loop(self, family, n, yss, points):
+        data = StratumData(y=np.arange(n) % 2 * 1.0, z=np.linspace(0, 1, n), family=family)
+        points = [NumericalError(f"point {j} {p}") if isinstance(p, str) else p for j, p in enumerate(points)]
+        self.assert_same_choice(data, points, yss)
+
+    def test_ties_go_to_the_larger_lambda(self):
+        data = StratumData(y=np.zeros(20), z=np.linspace(0, 1, 20))
+        points = [(1.0, 3.0), (0.0, 5.0), (1e-30, 4.0), (0.0, 9.0), (2.0, 3.0)]
+        self.assert_same_choice(data, points, 1.0)
+        grid = fitting._Grid(data, 1.0, [FakeSystem(d) for d, _ in points])
+        assert fitting._gcv_choice(grid, np.asarray([e for _, e in points])) == 3
+
+    def test_less_than_one_residual_df_is_skipped(self):
+        data = StratumData(y=np.zeros(10), z=np.linspace(0, 1, 10))
+        self.assert_same_choice(data, [(1.0, 9.5), (2.0, 3.0), (0.5, 9.5)], 1.0)
+
+    def test_no_candidate_is_caused_by_the_last_failure(self):
+        data = StratumData(y=np.zeros(10), z=np.linspace(0, 1, 10))
+        diverged = NumericalError("linear predictor diverged (complete or quasi-complete separation)")
+        for points in ([diverged, (1.0, 9.5)], [(1.0, 9.5), diverged], [diverged], [(np.nan, 2.0)]):
+            self.assert_same_choice(data, points, 1.0)

@@ -488,10 +488,10 @@ class TestFailureCause:
         spec, pen = basis
         monkeypatch.setattr(fitting, "default_lambda_grid", lambda dm, pen: np.asarray([0.1, 1.0]))
         gaussian = StratumData(y=np.ones(30), z=np.full(30, 2.0))  # outside the domain
-        message = raised_message(select_lambda, gaussian, spec, pen)
+        message = raised_message(select_lambda, [gaussian], spec, pen)
         assert failure_cause(message) == "no_lambda_candidate"
         separated = StratumData(y=np.ones(200), z=np.linspace(0, 1, 200), family="binomial")
-        message = raised_message(select_lambda, separated, spec, pen)
+        message = raised_message(select_lambda, [separated], spec, pen)
         assert failure_cause(message) == "no_lambda_candidate"
 
     def test_other(self):

@@ -255,7 +255,7 @@ class TestWindowStatisticsFromBands:
                 y = eta + rng.normal(0, 0.4, z.size)
             else:
                 y = (rng.random(z.size) < expit(eta)).astype(float)
-            fits.append(select_lambda(StratumData(y=y, z=z, family=family), spec, pen))
+            fits += select_lambda([StratumData(y=y, z=z, family=family)], spec, pen)
         delta = fits[0].coef - fits[1].coef
         got = window_statistics(delta, sum(covariance_bands(fits, degree)), spec)
         ref = window_test_series(spec, delta, dense_covariance(fits[0]) + dense_covariance(fits[1]))
@@ -429,7 +429,7 @@ class TestWindowStatCorrelationEqualsPerPair:
 
     @pytest.mark.parametrize("preset", ["table1a", "tableS1"])
     def test_preset_strata(self, preset):
-        from smoothdiff.cli import PRESETS
+        from smoothdiff.simulate import PRESETS
         from smoothdiff.simulate import gen_coefficients, gen_stratum, replicate_rng
 
         scenario = PRESETS[preset]
@@ -437,7 +437,7 @@ class TestWindowStatCorrelationEqualsPerPair:
         pen = difference_penalty(scenario.m, scenario.penalty_order)
         rng = replicate_rng(scenario.seed, 0)
         coefs = gen_coefficients(scenario, rng)[:2]
-        fits = [select_lambda(gen_stratum(c, scenario, rng, spec), spec, pen) for c in coefs]
+        fits = select_lambda([gen_stratum(c, scenario, rng, spec) for c in coefs], spec, pen)
         max_lag = 10
         v_band = sum(covariance_bands(fits, max_lag + spec.degree))
         for anchor in range(spec.n_regions - max_lag):
