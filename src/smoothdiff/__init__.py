@@ -13,7 +13,6 @@ from .errors import DomainError, NumericalError, ParameterError
 from .fitting import (
     StratumData,
     StratumFit,
-    fit_stratum,
     select_lambda,
 )
 from .simulate import (

@@ -255,7 +255,9 @@ def make_basis(z_lo: float, z_hi: float, m: int, degree: int) -> BasisSpec:
     """Build a uniform B-spline basis of dimension m and the given degree.
 
     Interior knots are equally spaced over the domain and the boundary knots
-    are repeated degree+1 times, giving m - degree knot-defined regions.
+    are repeated degree+1 times, giving m - degree knot-defined regions. A
+    domain whose width overflows, or whose breakpoints do not rise in steps
+    of at least the smallest normal float, is rejected.
     """
     if not (np.isfinite(z_lo) and np.isfinite(z_hi)) or z_lo >= z_hi:
         raise ParameterError(f"degenerate domain [{z_lo}, {z_hi}]")
@@ -263,7 +265,15 @@ def make_basis(z_lo: float, z_hi: float, m: int, degree: int) -> BasisSpec:
         raise ParameterError("degree must be non-negative")
     if m < degree + 2:
         raise ParameterError(f"basis dimension m={m} must be at least degree+2={degree + 2}")
+    where = f"domain [{z_lo}, {z_hi}] cannot hold a basis of m={m}, degree {degree}"
+    if not np.isfinite(float(z_hi) - float(z_lo)):  # Python floats overflow to inf without a warning
+        raise ParameterError(f"{where}: its width overflows")
     breakpoints = np.linspace(z_lo, z_hi, m - degree + 1)
+    step = float(np.diff(breakpoints).min())
+    if not step >= np.finfo(float).tiny:  # de Boor's scheme divides by the steps
+        raise ParameterError(
+            f"{where}: its {breakpoints.size} breakpoints are not strictly increasing in normal steps (smallest {step!r})"
+        )
     knots = np.concatenate(
         [np.full(degree, z_lo), breakpoints, np.full(degree, z_hi)]
     )

@@ -27,7 +27,7 @@ from scipy.linalg.lapack import dpbtrf
 
 from .basis import DesignMatrix, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
-from .fitting import StratumData, StratumFit, covariance_bands, fit_stratum, select_lambda
+from .fitting import StratumData, StratumFit, covariance_bands, select_lambda
 from .simulate import PRESETS, SimScenario, outcome_to_json, run_scenario
 from .tdp import threshold_regions
 from .toeplitz import PentaParams, build_pentadiagonal, decay_rate, factor_pentadiagonal
@@ -259,16 +259,8 @@ def cmd_analyze(config: AnalysisConfig) -> int:
                 f"[{spec.z_lo!r}, {spec.z_hi!r}], the first z = {float(data.z[outside[0]])!r}"
             )
 
-    try:
-        if config.lam is None:  # an input error names its stratum
-            fits = select_lambda([data1, data2], spec, pen)
-        else:
-            fits = []
-            for i, data in enumerate((data1, data2), 1):
-                try:  # a fixed-effect column that is not identified is found per stratum
-                    fits.append(fit_stratum(data, spec, pen, config.lam))
-                except ParameterError as exc:
-                    raise ParameterError(f"stratum {i}: {exc}") from exc
+    try:  # an input error names its stratum
+        fits = select_lambda([data1, data2], spec, pen, config.lam)
     except NumericalError as exc:  # when no lambda could be fit, name the last one's cause
         cause = f": {exc.__cause__}" if exc.__cause__ is not None else ""
         raise NumericalError(f"{exc}{cause}") from exc

@@ -2,8 +2,8 @@
 
 Gaussian outcomes are fit by penalized least squares, binary outcomes by
 penalized IRLS. The smoothing parameter is chosen by GCV on a log-spaced
-grid (`select_lambda`, for all strata of an analysis at once) and then
-treated as fixed, or given (`fit_stratum`).
+grid and then treated as fixed, or given; `select_lambda` fits all strata
+of an analysis either way.
 
 The spline coefficients c and fixed effects beta (columns X, p >= 0) solve
 [[A, Zx], [Zx', X'WX]] [c; beta] = [Z'Wu; X'Wu] with Zx = Z'WX, and
@@ -15,10 +15,11 @@ advances together with every per-observation array laid out as (block, n),
 so one CSR product gives every weight vector's Gram band, right-hand sides
 or linear predictor. A binomial lambda leaves the block when its IRLS
 converges or fails, keeping its own error; a Gaussian fit is the same solve
-done once, with w = 1. No lambda's result depends on its block. `_fit_grids`
-solves each stratum's grid so, then selects the inverses of every grid at
-once; `select_lambda` scores each grid and `fit_stratum` runs the same
-driver on a one-point grid.
+done once, with w = 1. No lambda's result depends on its block.
+`_fit_grids` sets up and solves each stratum's grid so in turn, raising
+an input error at once, then selects the inverses of every grid together;
+`select_lambda` chooses each stratum's point, and a given lambda is a
+one-point grid.
 
 The posterior covariance of c is dispersion * (A^{-1} + BB'), the border
 B = V L^{-T} (Woodbury on the Schur complement of X'WX). Everything a fit
@@ -27,11 +28,11 @@ of the diagonal: the edf, the window blocks of the covariance and the
 pointwise variances of the curves. So no inverse is formed.
 `selected_inverse_band` runs the Takahashi recurrence over a stack of
 Cholesky factors and returns the (b+1)-band of every A^{-1} at once: every
-lambda of both strata's grids in one call, or the single lambda of
-`fit_stratum`. A fit keeps the covariance band (`cov_band`), A's band (`precision_band`)
-and B (`border`), and holds its covariance in no other form: a wider band
-comes from the same recurrence on A's band padded with zero rows, which is
-exact, as an entry inside the padded width reads only entries inside it.
+lambda of both strata's grids in one call. A fit keeps the covariance band
+(`cov_band`), A's band (`precision_band`) and B (`border`), and holds its
+covariance in no other form: a wider band comes from the same recurrence on
+A's band padded with zero rows, which is exact, as an entry inside the
+padded width reads only entries inside it.
 `covariance_bands` widens any number of fits in one recurrence.
 """
 
@@ -58,7 +59,6 @@ __all__ = [
     "StratumData",
     "StratumFit",
     "covariance_bands",
-    "fit_stratum",
     "select_lambda",
     "selected_inverse_band",
 ]
@@ -342,15 +342,6 @@ def _predict(dm: DesignMatrix, X: np.ndarray, coefs: np.ndarray, betas: np.ndarr
     for j in range(X.shape[1]):
         eta += betas[:, j : j + 1] * X[:, j]
     return eta
-
-
-def _warn_small_sample(data: StratumData, spec: BasisSpec) -> None:
-    if data.n <= spec.m:
-        warnings.warn(
-            f"sample size n={data.n} does not exceed basis dimension m={spec.m}; "
-            "the fit may be poorly determined",
-            stacklevel=3,
-        )
 
 
 def _check_identifiable(dm: DesignMatrix, X: np.ndarray, order: int) -> bool:
@@ -662,17 +653,11 @@ def _band_fit(
 @dataclass(frozen=True)
 class _Grid:
     """One stratum's lambda grid, solved: `solved` holds each lambda's `_BandSystem`
-    or the NumericalError its fit raised.
-
-    `error` is the ParameterError that stopped the stratum's set-up. `yss`
-    (y'y) is None when that was y'y itself, which comes before the
-    small-sample warning.
-    """
+    or the NumericalError its fit raised; `yss` is y'y."""
 
     data: StratumData
-    yss: float | None
-    solved: list = field(default_factory=list)
-    error: ParameterError | None = None
+    yss: float
+    solved: list
 
 
 def _solve_grid(
@@ -680,21 +665,21 @@ def _solve_grid(
 ) -> _Grid:
     """Set up one stratum and solve its ascending lambda grid, `lams` or else `default_lambda_grid`.
 
-    `_grid_systems` solves every lambda (a Gaussian one by one banded solve,
-    a binomial one by IRLS) for its coefficients and deviance only, and
-    every lambda fails where the data do not identify the smooth.
+    The set-up checks y'y, warns when n <= m, then builds the design matrix,
+    the grid and the fixed-effect check; a ParameterError of any of them
+    raises. `_grid_systems` solves every lambda (a Gaussian one by one
+    banded solve, a binomial one by IRLS) for its coefficients and deviance
+    only, and every lambda fails where the data do not identify the smooth.
     """
-    try:
-        yss = _sum_of_squares(data)
-    except ParameterError as exc:
-        return _Grid(data, None, error=exc)
-    try:
-        dm = design_matrix(spec, data.z)
-        lams = default_lambda_grid(dm, pen) if lams is None else lams
-        identified = _check_identifiable(dm, data.X, pen.order)
-    except ParameterError as exc:
-        return _Grid(data, yss, error=exc)
-    if not identified:
+    yss = _sum_of_squares(data)
+    if data.n <= spec.m:  # stacklevel 4: the caller of `select_lambda`
+        warnings.warn(
+            f"sample size n={data.n} does not exceed basis dimension m={spec.m}; the fit may be poorly determined",
+            stacklevel=4,
+        )
+    dm = design_matrix(spec, data.z)
+    lams = default_lambda_grid(dm, pen) if lams is None else lams
+    if not _check_identifiable(dm, data.X, pen.order):
         singular = NumericalError(
             f"penalized system is not positive definite at any lambda: the data do not identify "
             f"the polynomials of degree < {pen.order} that the penalty leaves free"
@@ -704,22 +689,28 @@ def _solve_grid(
 
 
 def _fit_grids(
-    strata: Sequence[StratumData], spec: BasisSpec, pen: PenaltyMatrix, lams: np.ndarray | None = None
+    strata: Sequence[StratumData],
+    spec: BasisSpec,
+    pen: PenaltyMatrix,
+    penalty_band: np.ndarray,
+    lams: np.ndarray | None = None,
 ) -> list:
-    """(grid, sigma, edf) per stratum, in order, up to the first whose set-up fails.
+    """(grid, sigma, edf) per stratum, in order.
 
-    Each stratum's grid is solved on its own (`_solve_grid`); then one
-    `selected_inverse_band` call over every solved system of every grid
-    gives each grid's stack of sigma and its edf per lambda, NaN where the
-    lambda's fit failed. A stratum whose set-up fails stops the strata
-    after it from being set up.
+    Each stratum is set up and its grid solved in turn (`_solve_grid`); an
+    input error raises at once, naming its stratum by position, from 1,
+    when there are several. Then one `selected_inverse_band` call over every
+    solved system of every grid gives each grid's stack of sigma and its
+    edf per lambda, NaN where the lambda's fit failed.
     """
-    penalty_band = _penalty_band(spec, pen)
     grids = []
-    for data in strata:
-        grids.append(_solve_grid(data, spec, pen, penalty_band, lams))
-        if grids[-1].error is not None:
-            break
+    for i, data in enumerate(strata, 1):
+        try:
+            grids.append(_solve_grid(data, spec, pen, penalty_band, lams))
+        except ParameterError as exc:
+            if len(strata) == 1:
+                raise
+            raise ParameterError(f"stratum {i}: {exc}") from exc
     systems = [s for grid in grids for s in grid.solved if isinstance(s, _BandSystem)]
     sigma, edf = _selected_inverses(systems, penalty_band) if systems else (np.empty(0), np.empty(0))
     out, start = [], 0
@@ -760,27 +751,6 @@ def _point_error(grid: _Grid, edf: np.ndarray, j: int) -> NumericalError:
         f"effective degrees of freedom {float(edf[j]):.6g} leave less than one residual degree of freedom "
         f"at sample size {grid.data.n}"
     )
-
-
-def fit_stratum(
-    data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, lam: float
-) -> StratumFit:
-    """Penalized fit of one stratum at a fixed smoothing parameter.
-
-    Least squares for Gaussian outcomes, logistic IRLS for binary ones.
-    This is the grid driver on a one-point grid, so it raises the error
-    that `select_lambda` skips that point for.
-    """
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ParameterError(f"smoothing parameter must be finite and >= 0, got {float(lam)!r}")
-    [(grid, sigma, edf)] = _fit_grids([data], spec, pen, np.asarray([float(lam)]))
-    if grid.yss is not None:
-        _warn_small_sample(data, spec)
-    if grid.error is not None:
-        raise grid.error
-    if _failed(grid, edf)[0]:
-        raise _point_error(grid, edf, 0)
-    return _chosen_fit(grid, sigma, edf, 0, _penalty_band(spec, pen))
 
 
 def _grid_scale(gram_band: np.ndarray, penalty_band: np.ndarray) -> float:
@@ -832,30 +802,35 @@ def _gcv_choice(grid: _Grid, edf: np.ndarray) -> int:
     return int(np.flatnonzero(candidate & (scores == best))[-1])
 
 
-def select_lambda(strata: Sequence[StratumData], spec: BasisSpec, pen: PenaltyMatrix) -> list[StratumFit]:
-    """Each stratum's fit at the smoothing parameter minimizing GCV over its `default_lambda_grid`.
+def select_lambda(
+    strata: Sequence[StratumData], spec: BasisSpec, pen: PenaltyMatrix, lam: float | None = None
+) -> list[StratumFit]:
+    """Each stratum's fit at the given smoothing parameter `lam`, or else at the one minimizing
+    GCV over its `default_lambda_grid`.
 
     `strata` are the StratumData of one analysis, sharing the basis and
     penalty; the fits come back in their order. GCV is n * deviance /
     (n - edf)^2. Deviance at the rounding level is treated as an exact fit,
     so ties resolve toward the heaviest smoothing. A grid point whose fit
     fails is skipped; when every one fails, the error is raised from the
-    largest lambda's. Each fit is the one computed at the selected value
-    (`fit.lam`), which is then held fixed downstream; it equals
-    `fit_stratum` at that value. Every grid is solved first and one
-    selected inversion serves them all; the warnings and errors are then
-    raised stratum by stratum, as fitting the strata one after another
-    would raise them. With several strata, an input error names its
-    stratum by position, from 1.
+    largest lambda's. A given `lam` is a one-point grid, whose failure
+    raises its own error. Each fit is the one computed at its lambda
+    (`fit.lam`), which is then held fixed downstream.
+
+    Each stratum is set up and its grid solved in turn, and an input error
+    (ParameterError) raises at once, naming its stratum by position, from 1,
+    when there are several; so every stratum's input error and warning
+    comes before any stratum's fitting failure. One selected inversion then
+    serves every grid, and each stratum's point is chosen in order.
     """
+    if lam is not None and not (np.isfinite(lam) and lam >= 0):
+        raise ParameterError(f"smoothing parameter must be finite and >= 0, got {float(lam)!r}")
+    lams = None if lam is None else np.asarray([float(lam)])
     penalty_band = _penalty_band(spec, pen)
     fits = []
-    for i, (grid, sigma, edf) in enumerate(_fit_grids(strata, spec, pen), 1):
-        if grid.yss is not None:
-            _warn_small_sample(grid.data, spec)
-        if grid.error is not None:
-            if len(strata) == 1:
-                raise grid.error
-            raise ParameterError(f"stratum {i}: {grid.error}") from grid.error
-        fits.append(_chosen_fit(grid, sigma, edf, _gcv_choice(grid, edf), penalty_band))
+    for grid, sigma, edf in _fit_grids(strata, spec, pen, penalty_band, lams):
+        j = _gcv_choice(grid, edf) if lam is None else 0
+        if _failed(grid, edf)[j]:  # only a given lambda's point; GCV skips failing ones
+            raise _point_error(grid, edf, j)
+        fits.append(_chosen_fit(grid, sigma, edf, j, penalty_band))
     return fits

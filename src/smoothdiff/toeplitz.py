@@ -34,6 +34,8 @@ __all__ = [
     "cov_quadratic_forms",
 ]
 
+MAX_DIM = 2000  # the largest `PentaParams.n`
+
 
 @dataclass(frozen=True)
 class PentaParams:
@@ -41,7 +43,9 @@ class PentaParams:
 
     Diagonal `eps`, first off-diagonal `theta`, second off-diagonal `lam_p`
     (named to avoid the smoothing parameter), and the two corner diagonal
-    entries reduced by `lam_p`. `n` is the dimension.
+    entries reduced by `lam_p`. `n` is the dimension, from 3 to MAX_DIM =
+    2000: the diagnostics form several dense n x n matrices and invert one,
+    about 0.2 GB and a second at n = 2000.
     """
 
     eps: float
@@ -55,6 +59,11 @@ class PentaParams:
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n < 3:
             raise ParameterError("pentadiagonal dimension must be at least 3")
+        if self.n > MAX_DIM:
+            raise ParameterError(
+                f"pentadiagonal dimension {self.n} exceeds {MAX_DIM}: the diagnostics form dense n x n matrices; "
+                "lower --dim"
+            )
 
     @property
     def discriminant(self) -> float:

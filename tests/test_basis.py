@@ -95,6 +95,28 @@ class TestMakeBasis:
         with pytest.raises(ParameterError):
             make_basis(lo, hi, m, d)
 
+    @pytest.mark.parametrize(
+        "lo, hi, problem",
+        [
+            (-1e308, 1e308, "its width overflows"),
+            (0.0, 5e-322, "its 118 breakpoints are not strictly increasing"),  # the spacing underflows
+            (1e10, 10000000000.00001, "its 118 breakpoints are not strictly increasing"),  # 6 distinct values
+            (0.0, 1e-320, "its 118 breakpoints are not strictly increasing in normal steps (smallest 8.4e-323)"),
+        ],
+    )
+    def test_domain_whose_breakpoints_do_not_separate(self, lo, hi, problem):
+        with pytest.raises(ParameterError) as exc:
+            make_basis(lo, hi, 120, 3)
+        assert str(exc.value).startswith(f"domain [{lo}, {hi}] cannot hold a basis of m=120, degree 3: {problem}")
+
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 7e307), (0.0, 3e-306), (1e10, 1e10 + 1e-3)])
+    def test_extreme_domain_that_separates_is_a_partition_of_unity(self, lo, hi):
+        spec = make_basis(lo, hi, 120, 3)
+        z = np.linspace(lo, hi, 501)
+        values = design_matrix(spec, z).predict(np.eye(120)).T
+        assert values.min() >= 0.0
+        np.testing.assert_allclose(values.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
 
 class TestFindSpans:
     """Spans by arithmetic on the uniform grid equal the binary search of the knots."""

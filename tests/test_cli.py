@@ -292,6 +292,23 @@ class TestAnalyze:
         assert json.loads((out / "fits.json").read_text())["basis"]["domain"] == [float(lo), float(hi)]
 
     @pytest.mark.parametrize(
+        "lo, hi, problem",
+        [
+            ("-1e308", "1e308", "its width overflows"),
+            ("0", "5e-322", "its 118 breakpoints are not strictly increasing"),
+            ("1e10", "10000000000.00001", "its 118 breakpoints are not strictly increasing"),
+        ],
+    )
+    def test_domain_whose_breakpoints_do_not_separate_exits_2(self, tmp_path, capsys, lo, hi, problem):
+        z = np.repeat([float(lo), float(hi)], 10)  # every z lies inside
+        path = few_rows_csv(tmp_path / "d.csv", {1: (np.sin(np.arange(20.0)), z), 2: (np.cos(np.arange(20.0)), z)})
+        argv = ["analyze", "--data", str(path), "--basis-dim", "120", "--domain", lo, hi, "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"input error: domain [{float(lo)}, {float(hi)}] cannot hold a basis of m=120, degree 3: {problem}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "flags, config, value",
         [
             (["--lambda", "nan"], "", "nan"),
@@ -797,6 +814,9 @@ class TestSimulate:
             ("sigma_b2 = nan", [], None, "sigma_b2 = nan must be finite"),
             ("domain = 0 1 2", [], None, "domain = (0.0, 1.0, 2.0) must be two values"),
             ("domain = 5", [], None, "domain = (5.0,) must be two values"),
+            ("domain = -1e308 1e308", [], None, "domain [-1e+308, 1e+308] cannot hold a basis of m=20, degree 2"),
+            ("domain = 0 5e-322", [], None, "domain [0.0, 5e-322] cannot hold a basis of m=20, degree 2"),
+            ("domain = 1e10 10000000000.00001", [], None, "domain [10000000000.0, 10000000000.00001] cannot hold"),
             ("alphas =", [], None, "alphas must list at least one value"),
             ("thresholds =", [], None, "thresholds must list at least one value"),
         ],
@@ -961,6 +981,19 @@ class TestDiagnose:
         assert main(["diagnose", *argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"input error: {field}" in err and "Traceback" not in err
+        assert not (out / "diagnostics.json").exists()
+
+    def test_dimension_above_the_ceiling_exits_2_naming_dim(self, tmp_path, capsys, monkeypatch):
+        def dense(*args):
+            raise AssertionError("a dense matrix was built")
+
+        # the ceiling is checked before any n x n matrix is built
+        monkeypatch.setattr(cli, "factor_pentadiagonal", dense)
+        monkeypatch.setattr(cli, "build_pentadiagonal", dense)
+        out = tmp_path / "d"
+        assert main(["diagnose", "--epsilon=20", "--theta=10", "--lambda-p=1", "--dim=1000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input error: pentadiagonal dimension 1000000 exceeds 2000" in err and "--dim" in err
         assert not (out / "diagnostics.json").exists()
 
     @pytest.mark.parametrize(
@@ -1527,8 +1560,8 @@ def eight_rows(huge=False):
 
 
 class TestFailingStratum:
-    """Both strata's grids are solved before either is scored, yet the warnings and the
-    error are those of fitting stratum 1 and then stratum 2."""
+    """Each stratum is set up and solved in turn, and both before either is scored: every
+    stratum's warning and input error comes before any stratum's fitting failure."""
 
     @staticmethod
     def run(tmp_path, strata, *flags):
@@ -1541,9 +1574,9 @@ class TestFailingStratum:
         return rc, sizes
 
     @pytest.mark.parametrize("flags", [[], ["--lambda", "1"]])
-    def test_failing_stratum_1_stops_before_stratum_2_warns(self, tmp_path, capsys, flags):
+    def test_failing_stratum_1_fails_after_both_warn(self, tmp_path, capsys, flags):
         rc, sizes = self.run(tmp_path, {1: FEW, 2: eight_rows()}, *flags)
-        assert (rc, sizes) == (3, ["3"])
+        assert (rc, sizes) == (3, ["3", "8"])
         err = capsys.readouterr().err
         assert "less than one residual degree of freedom at sample size 3" in err
         assert ("no smoothing parameter candidate could be fit: " in err) == (not flags)
@@ -1555,11 +1588,12 @@ class TestFailingStratum:
         assert "less than one residual degree of freedom at sample size 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [[], ["--lambda", "1"]])
-    def test_failing_stratum_1_hides_an_input_error_of_stratum_2(self, tmp_path, capsys, flags):
+    def test_input_error_of_stratum_2_comes_before_failing_stratum_1(self, tmp_path, capsys, flags):
         rc, sizes = self.run(tmp_path, {1: FEW, 2: eight_rows(huge=True)}, *flags)
-        assert (rc, sizes) == (3, ["3"])
+        assert (rc, sizes) == (2, ["3"])
         err = capsys.readouterr().err
-        assert "smoothdiff: numerical error: " in err and "stratum 2" not in err
+        assert "smoothdiff: input error: stratum 2: the sum of squared outcomes y'y overflows" in err
+        assert "numerical error" not in err
 
     @pytest.mark.parametrize("flags", [[], ["--lambda", "1"]])
     def test_input_error_of_stratum_1_comes_before_any_warning(self, tmp_path, capsys, flags):
@@ -1572,6 +1606,19 @@ class TestFailingStratum:
         rc, sizes = self.run(tmp_path, {1: eight_rows(), 2: eight_rows(huge=True)}, *flags)
         assert (rc, sizes) == (2, ["8"])
         assert "smoothdiff: input error: stratum 2: the sum of squared outcomes y'y overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", [None, 1.0])
+def test_small_sample_warning_names_the_caller_of_select_lambda(tmp_path, lam):
+    path = few_rows_csv(tmp_path / "eight.csv", {1: eight_rows(), 2: eight_rows()})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        main(["analyze", "--data", str(path), "--basis-dim", "10", "--domain", "0", "1",
+              *([] if lam is None else ["--lambda", str(lam)]), "--out", str(tmp_path / "o")])
+        y, z = eight_rows()
+        select_lambda([StratumData(y=y, z=z)], make_basis(0.0, 1.0, 10, 3), difference_penalty(10), lam)
+    small = [w.filename for w in caught if "does not exceed basis dimension" in str(w.message)]
+    assert small == [cli.__file__, cli.__file__, __file__]
 
 
 def counting_selected_inverses(monkeypatch):
@@ -1587,17 +1634,18 @@ def counting_selected_inverses(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("flags, stack", [([], 80), (["--lambda", "1"], 2)], ids=["gcv", "lambda"])
 @pytest.mark.parametrize("family", ["gaussian", "binomial"])
-def test_one_selected_inverse_per_analyze(tmp_path, monkeypatch, family):
+def test_one_selected_inverse_per_analyze(tmp_path, monkeypatch, family, flags, stack):
     scn, data1, data2 = make_pair(seed=5, family=family)
     path = tmp_path / "pair.csv"
     write_stratum_csv(path, data1, data2)
     calls = counting_selected_inverses(monkeypatch)
     argv = ["analyze", "--data", str(path), "--basis-dim", "20", "--degree", "2", "--domain", "0", "1",
-            "--family", family, "--out", str(tmp_path / "o")]
+            "--family", family, *flags, "--out", str(tmp_path / "o")]
     assert main(argv) == 0
-    # one call for both strata's 40-point grids, and none for the window blocks
-    assert calls == [80]
+    # one call for both strata's 40-point grids, or their given lambda, and none for the window blocks
+    assert calls == [stack]
 
 
 @pytest.mark.parametrize("family", ["gaussian", "binomial"])

@@ -32,7 +32,6 @@ from smoothdiff.fitting import (
     _binomial_deviance,
     covariance_bands,
     default_lambda_grid,
-    fit_stratum,
     penalized_inverse,
     select_lambda,
     selected_inverse_band,
@@ -74,7 +73,7 @@ class TestFitGaussian:
         spec, pen = setup
         rng = np.random.default_rng(0)
         data = StratumData(y=np.zeros(40), z=rng.uniform(0, 1, 40))
-        fit = fit_stratum(data, spec, pen, 1.0)
+        fit = select_lambda([data], spec, pen, 1.0)[0]
         assert np.allclose(fit.coef, 0.0)
         assert fit.beta.size == 0
 
@@ -87,7 +86,7 @@ class TestFitGaussian:
         with pytest.raises(ParameterError, match="y'y overflows"):
             select_lambda([data], spec, pen)
         with pytest.raises(ParameterError, match="y'y overflows"):
-            fit_stratum(data, spec, pen, 1.0)
+            select_lambda([data], spec, pen, 1.0)[0]
 
     def test_orthonormal_design_ols(self):
         # degree-0 basis with two unit samples per cell: Z'Z = 2I, so OLS gives Z'y / 2
@@ -95,19 +94,19 @@ class TestFitGaussian:
         pen = difference_penalty(4, 2)
         z = np.asarray([0.1, 0.15, 0.3, 0.4, 0.6, 0.7, 0.9, 0.95])
         y = np.asarray([2.0, 1.0, -1.0, 0.0, 0.5, 1.5, 3.0, 2.0])
-        fit = fit_stratum(StratumData(y=y, z=z), spec, pen, 0.0)
+        fit = select_lambda([StratumData(y=y, z=z)], spec, pen, 0.0)[0]
         zt_y = dense_design(design_matrix(spec, z)).T @ y
         assert np.allclose(fit.coef, zt_y / 2)
         # one sample per cell interpolates: edf = n leaves no residual degree of freedom
         with pytest.warns(UserWarning), pytest.raises(NumericalError, match="less than one residual degree"):
-            fit_stratum(StratumData(y=y[::2], z=z[::2]), spec, pen, 0.0)
+            select_lambda([StratumData(y=y[::2], z=z[::2])], spec, pen, 0.0)[0]
 
     def test_matches_dense_reference_solve(self, setup):
         spec, pen = setup
         rng = np.random.default_rng(1)
         data = random_gaussian_data(rng)
         lam = 0.7
-        fit = fit_stratum(data, spec, pen, lam)
+        fit = select_lambda([data], spec, pen, lam)[0]
         zd = dense_design(design_matrix(spec, data.z))
         a = zd.T @ zd + lam * penalty_matrix(pen)
         ref = np.linalg.solve(a, zd.T @ data.y)
@@ -118,7 +117,7 @@ class TestFitGaussian:
         rng = np.random.default_rng(2)
         data = random_gaussian_data(rng, with_x=True)
         lam = 0.5
-        fit = fit_stratum(data, spec, pen, lam)
+        fit = select_lambda([data], spec, pen, lam)[0]
         zd = dense_design(design_matrix(spec, data.z))
         m_full = np.hstack([data.X, zd])
         penalty = np.zeros((10, 10))
@@ -134,7 +133,8 @@ class TestFitGaussian:
         spec, pen = setup
         rng = np.random.default_rng(3)
         for _ in range(10):
-            cov = dense_covariance(fit_stratum(random_gaussian_data(rng), spec, pen, float(rng.uniform(0.01, 5))))
+            [fit] = select_lambda([random_gaussian_data(rng)], spec, pen, float(rng.uniform(0.01, 5)))
+            cov = dense_covariance(fit)
             assert np.max(np.abs(cov - cov.T)) < 1e-10
             np.linalg.cholesky(cov)
 
@@ -143,7 +143,7 @@ class TestFitGaussian:
         rng = np.random.default_rng(4)
         data = random_gaussian_data(rng)
         lam = 0.9
-        fit = fit_stratum(data, spec, pen, lam)
+        fit = select_lambda([data], spec, pen, lam)[0]
         base = gaussian_objective(data, spec, pen, lam, fit.beta, fit.coef)
         for j in range(spec.m):
             for sign in (-1.0, 1.0):
@@ -157,7 +157,7 @@ class TestFitGaussian:
         data = random_gaussian_data(rng)
         roughness = [
             float(f.coef @ penalty_matrix(pen) @ f.coef)
-            for f in (fit_stratum(data, spec, pen, lam) for lam in (0.01, 0.1, 1.0, 10.0))
+            for f in (select_lambda([data], spec, pen, lam)[0] for lam in (0.01, 0.1, 1.0, 10.0))
         ]
         assert all(roughness[i + 1] <= roughness[i] + 1e-12 for i in range(3))
 
@@ -170,7 +170,7 @@ class TestFitGaussian:
         y = np.cos(4 * z) + rng.normal(0, 0.3, 60)
         for family, outcome in (("gaussian", y), ("binomial", (y > 0.5).astype(float))):
             data = StratumData(y=outcome, z=z, family=family, X=np.ones((60, 1)))
-            for fit in (lambda: fit_stratum(data, spec, pen, 0.4), lambda: select_lambda([data], spec, pen)[0]):
+            for fit in (lambda: select_lambda([data], spec, pen, 0.4)[0], lambda: select_lambda([data], spec, pen)[0]):
                 with pytest.raises(ParameterError, match="fixed-effect column 1 is not identified"):
                     fit()
 
@@ -181,7 +181,7 @@ class TestFitGaussian:
         x = rng.normal(size=(80, 2))
         data = StratumData(y=np.sin(5 * z) + rng.normal(0, 0.3, 80), z=z, X=np.column_stack([x, x[:, 0]]))
         with pytest.raises(ParameterError, match="fixed-effect column 3 is not identified"):
-            fit_stratum(data, spec, pen, 0.4)
+            select_lambda([data], spec, pen, 0.4)[0]
 
     def test_nearly_linear_column_is_identified(self, setup):
         # x = z is linear in z but not in the coefficients: the clamped
@@ -190,7 +190,7 @@ class TestFitGaussian:
         rng = np.random.default_rng(24)
         z = rng.uniform(0, 1, 300)
         data = StratumData(y=np.sin(5 * z) + rng.normal(0, 0.3, 300), z=z, X=z[:, None])
-        assert np.isfinite(fit_stratum(data, spec, pen, 0.4).beta).all()
+        assert np.isfinite(select_lambda([data], spec, pen, 0.4)[0].beta).all()
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_spline_reproduced_column_at_lambda_zero_is_not_positive_definite(self, family):
@@ -204,8 +204,8 @@ class TestFitGaussian:
         outcome = y if family == "gaussian" else (rng.uniform(size=300) < expit(y)).astype(float)
         data = StratumData(y=outcome, z=z, family=family, X=z[:, None])
         with pytest.raises(NumericalError, match="not positive definite"):
-            fit_stratum(data, spec, pen, 0.0)
-        assert np.isfinite(fit_stratum(data, spec, pen, 0.4).beta).all()
+            select_lambda([data], spec, pen, 0.0)[0]
+        assert np.isfinite(select_lambda([data], spec, pen, 0.4)[0].beta).all()
 
     def test_banded_and_dense_paths_agree(self):
         rng = np.random.default_rng(7)
@@ -231,26 +231,26 @@ class TestFitGaussian:
         data = StratumData(y=np.asarray([1.0, 2.0]), z=np.asarray([0.2, 0.8]))
         with pytest.raises(NumericalError):
             with pytest.warns(UserWarning):
-                fit_stratum(data, spec, pen, 0.0)
+                select_lambda([data], spec, pen, 0.0)[0]
 
     def test_negative_lambda_rejected(self, setup):
         spec, pen = setup
         data = StratumData(y=np.zeros(30), z=np.linspace(0, 1, 30))
         with pytest.raises(ParameterError):
-            fit_stratum(data, spec, pen, -1.0)
+            select_lambda([data], spec, pen, -1.0)[0]
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
     def test_non_finite_lambda_rejected(self, setup, lam):
         spec, pen = setup
         data = StratumData(y=np.zeros(30), z=np.linspace(0, 1, 30))
         with pytest.raises(ParameterError, match=f"got {lam!r}"):
-            fit_stratum(data, spec, pen, lam)
+            select_lambda([data], spec, pen, lam)[0]
 
     def test_small_sample_warns(self, setup):
         spec, pen = setup
         data = StratumData(y=np.zeros(5), z=np.linspace(0, 1, 5))
         with pytest.warns(UserWarning, match="sample size"):
-            fit_stratum(data, spec, pen, 1.0)
+            select_lambda([data], spec, pen, 1.0)[0]
 
 
 class TestFitBinomial:
@@ -261,7 +261,7 @@ class TestFitBinomial:
             y=np.ones(200), z=rng.uniform(0, 1, 200), family="binomial"
         )
         with pytest.raises(NumericalError, match="separation|diverged"):
-            fit_stratum(data, spec, pen, 0.5)
+            select_lambda([data], spec, pen, 0.5)[0]
 
     def test_constant_half_probability_recovers_flat_logit(self, setup):
         spec, pen = setup
@@ -272,7 +272,7 @@ class TestFitBinomial:
             z=rng.uniform(0, 1, n),
             family="binomial",
         )
-        fit = fit_stratum(data, spec, pen, 1.0)
+        fit = select_lambda([data], spec, pen, 1.0)[0]
         eta = design_matrix(spec, data.z).predict(fit.coef)
         assert np.max(np.abs(eta)) < 0.25
 
@@ -284,7 +284,7 @@ class TestFitBinomial:
         eta_true = 1.2 * np.sin(5 * z)
         y = (rng.random(n) < expit(eta_true)).astype(float)
         lam = 0.8
-        fit = fit_stratum(StratumData(y=y, z=z, family="binomial"), spec, pen, lam)
+        fit = select_lambda([StratumData(y=y, z=z, family="binomial")], spec, pen, lam)[0]
         dm = design_matrix(spec, z)
         mu = expit(dm.predict(fit.coef))
         score = dense_design(dm).T @ (y - mu) - lam * penalty_matrix(pen) @ fit.coef
@@ -296,7 +296,7 @@ class TestFitBinomial:
         n = 500
         z = rng.uniform(0, 1, n)
         y = (rng.random(n) < 0.5).astype(float)
-        fit = fit_stratum(StratumData(y=y, z=z, family="binomial"), spec, pen, 2.0)
+        fit = select_lambda([StratumData(y=y, z=z, family="binomial")], spec, pen, 2.0)[0]
         assert fit.dispersion == 1.0
         np.linalg.cholesky(dense_covariance(fit))
 
@@ -373,7 +373,7 @@ class TestBandedIrls:
     @pytest.mark.parametrize("lam", [1e-3, 0.5, 50.0])
     def test_matches_full_inverse_irls(self, fixture, lam):
         data, spec, pen = binomial_fixture(*fixture)
-        fit = fit_stratum(data, spec, pen, lam)
+        fit = select_lambda([data], spec, pen, lam)[0]
         coef, cov, edf, deviance = full_inverse_irls(data, spec, pen, lam)
         # relative to the largest entry, so near-zero entries do not dominate
         np.testing.assert_allclose(fit.coef, coef, rtol=1e-10, atol=1e-10 * np.max(np.abs(coef)))
@@ -395,7 +395,7 @@ class TestBandedIrls:
             return penalized_inverse(ab)
 
         monkeypatch.setattr(fitting, "penalized_inverse", counting)
-        fit = fit_stratum(data, spec, pen, 0.5)
+        fit = select_lambda([data], spec, pen, 0.5)[0]
         # neither the fit nor its windows, nor a band wider than the fit's, inverts A
         window_statistics(np.zeros(spec.m), 2.0 * covariance_bands([fit], spec.degree)[0], spec)
         covariance_bands([fit], spec.m - 1)
@@ -409,7 +409,7 @@ class TestBandedIrls:
         z = rng.uniform(0, 0.3, 200)
         data = StratumData(y=(rng.random(200) < 0.5).astype(float), z=z, family="binomial")
         with pytest.raises(NumericalError, match="not positive definite"):
-            fit_stratum(data, spec, pen, 0.0)
+            select_lambda([data], spec, pen, 0.0)[0]
 
     def test_deviance_bitwise_equal_to_xlogy_form(self):
         rng = np.random.default_rng(21)
@@ -522,7 +522,7 @@ class TestFixedEffectIrls:
     @pytest.mark.parametrize("lam", [1e-3, 0.5, 50.0])
     def test_bit_identical_to_per_iteration_path(self, m, degree, seed, lam):
         data, spec, pen = fixed_effect_fixture(m, degree, seed)
-        fit = fit_stratum(data, spec, pen, lam)
+        fit = select_lambda([data], spec, pen, lam)[0]
         assert_fits_bitwise_equal(fit, per_iteration_bordered_irls(data, spec, pen, lam))
 
     @pytest.mark.parametrize("family,p", [("gaussian", 1), ("gaussian", 2), ("binomial", 1), ("binomial", 2)])
@@ -530,7 +530,7 @@ class TestFixedEffectIrls:
     @pytest.mark.parametrize("lam", [1e-3, 0.5, 50.0])
     def test_matches_dense_block_oracle(self, m, degree, seed, lam, family, p):
         data, spec, pen = fixed_effect_fixture(m, degree, seed, family, p)
-        fit = fit_stratum(data, spec, pen, lam)
+        fit = select_lambda([data], spec, pen, lam)[0]
         beta, coef, cov, edf, deviance, n_iter = dense_block_fit(data, spec, pen, lam)
         assert_close(fit.beta, beta, rtol=1e-10)
         assert_close(fit.coef, coef, rtol=1e-10)
@@ -594,7 +594,7 @@ class TestSelectLambda:
             y = data.y + 0.5 * x[:, 0] if data.family == "gaussian" else data.y
             data = StratumData(y=y, z=data.z, family=data.family, X=x)
         [fit] = select_lambda([data], spec, pen)
-        assert_fits_bitwise_equal(fit, fit_stratum(data, spec, pen, fit.lam))
+        assert_fits_bitwise_equal(fit, select_lambda([data], spec, pen, fit.lam)[0])
 
     def test_small_sample_warns_once(self, setup):
         spec, pen = setup
@@ -669,7 +669,7 @@ def full_fit_gcv_path(data, spec, pen, grid):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # some fixtures have n <= m
-                fit = fit_stratum(data, spec, pen, float(lam))
+                fit = select_lambda([data], spec, pen, float(lam))[0]
         except NumericalError:
             continue
         dev = 0.0 if fit.deviance <= 1e-16 * max(yss, 1e-300) else fit.deviance
@@ -689,7 +689,9 @@ def path_argmin(path):
 def batched_gcv_path(data, spec, pen, grid):
     """The same (lam, deviance, edf, score) path from the batched grid, one selected inversion for all points."""
     yss = float(data.y @ data.y)
-    [(solved, _, edf)] = fitting._fit_grids([data], spec, pen, np.sort(grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # some fixtures have n <= m
+        [(solved, _, edf)] = fitting._fit_grids([data], spec, pen, fitting._penalty_band(spec, pen), np.sort(grid))
     path = []
     for system, e in zip(solved.solved, edf):
         if isinstance(system, NumericalError) or data.n - e < 1.0:
@@ -892,7 +894,7 @@ class TestPrecisionBand:
         else:
             y = (rng.random(z.size) < expit(np.sin(5 * z))).astype(float)
         data = StratumData(y=y, z=z, family=family, X=rng.normal(size=(300, 1)))
-        fit = fit_stratum(data, spec, pen, 0.5)
+        fit = select_lambda([data], spec, pen, 0.5)[0]
         # Cov(coef) = dispersion * (A - Zx (X'WX)^{-1} Zx')^{-1}, W at convergence
         zd, X = dense_design(design_matrix(spec, z)), data.X
         w = np.ones(z.size)
@@ -913,7 +915,7 @@ class TestPrecisionBand:
         data, spec, pen = self.fixture(family, 30, 2)
         rng = np.random.default_rng(6 + p)
         data = StratumData(y=data.y, z=data.z, family=family, X=rng.normal(size=(data.n, p)))
-        fit = fit_stratum(data, spec, pen, 0.5)
+        fit = select_lambda([data], spec, pen, 0.5)[0]
         cov = dense_covariance(fit)
         b = fit.cov_band.shape[0] - 1
         for width in range(0, spec.m + 2):
@@ -927,9 +929,9 @@ class TestPrecisionBand:
         data, spec, pen = self.fixture("gaussian", 30, 2)
         rng = np.random.default_rng(9)
         bordered = StratumData(y=data.y, z=data.z, X=rng.normal(size=(data.n, 2)))
-        fits = [fit_stratum(data, spec, pen, 0.5), fit_stratum(bordered, spec, pen, 2.0)]
+        fits = [select_lambda([data], spec, pen, 0.5)[0], select_lambda([bordered], spec, pen, 2.0)[0]]
         # a band of another shape (penalty order 3), and a covariance band held at full width: sliced, not widened
-        fits.append(fit_stratum(data, spec, difference_penalty(30, 3), 1.0))
+        fits.append(select_lambda([data], spec, difference_penalty(30, 3), 1.0)[0])
         fits.append(replace(fits[0], cov_band=band_form(dense_covariance(fits[0]), 29), precision_band=None))
         for width in range(0, spec.m):
             for band, fit in zip(covariance_bands(fits, width), fits):
@@ -1082,7 +1084,7 @@ class TestNoDenseCovariance:
         rng = np.random.default_rng(42)
         z = rng.uniform(0, 1, n)
         data = StratumData(y=(rng.random(n) < expit(np.sin(5 * z))).astype(float), z=z, family="binomial")
-        assert self.traced_peak(lambda: fit_stratum(data, spec, pen, 1.0)) < 8 * m * m
+        assert self.traced_peak(lambda: select_lambda([data], spec, pen, 1.0)[0]) < 8 * m * m
 
     def test_binomial_select_at_m2000(self):
         # the grid advances 3 lambdas at a time here; all 40 at once would hold twice the bound
@@ -1147,7 +1149,7 @@ class TestNoDenseCovariance:
 
         def run():
             with pytest.raises(NumericalError, match=r"not positive definite \(leading minor \d+\)"):
-                fit_stratum(data, spec, difference_penalty(m, 2), 0.0)
+                select_lambda([data], spec, difference_penalty(m, 2), 0.0)[0]
 
         assert self.traced_peak(run) < 8 * m * m
 
@@ -1346,7 +1348,7 @@ class TestFailureParity:
         "stratum, lam, max_iter",
         [(short_support_stratum, 0.0, 100), (separating_stratum, 1e-7, 100), (separating_stratum, 0.5, 1)],
     )
-    def test_fit_stratum_raises_the_per_lambda_message(self, setup, stratum, lam, max_iter, monkeypatch):
+    def test_given_lambda_raises_the_per_lambda_message(self, setup, stratum, lam, max_iter, monkeypatch):
         monkeypatch.setattr(fitting, "MAX_IRLS_ITER", max_iter)
         spec, pen = setup
         data = stratum()
@@ -1354,7 +1356,7 @@ class TestFailureParity:
         with pytest.raises(NumericalError) as ref:
             per_lambda_band_solve(dm, data, fitting._penalty_band(spec, pen), lam)
         with pytest.raises(NumericalError) as got:
-            fit_stratum(data, spec, pen, lam)
+            select_lambda([data], spec, pen, lam)[0]
         message, ref_message = str(got.value), str(ref.value)
         assert failure_cause(message) == failure_cause(ref_message)
         # the deviance trace of a non-converged fit agrees to rounding
@@ -1437,7 +1439,7 @@ class TestKernelOracle:
     def test_non_finite_lambda_fails_fit_and_is_skipped_by_select(self, monkeypatch):
         data, spec, pen = gaussian_fixture(*GAUSSIAN_FIXTURES[1])
         with pytest.raises(NumericalError, match=r"penalized system at lambda 1e\+308 has non-finite entries"):
-            fit_stratum(data, spec, pen, 1e308)
+            select_lambda([data], spec, pen, 1e308)[0]
         use_lambda_grid(monkeypatch, [0.5, 1e308])
         assert select_lambda([data], spec, pen)[0].lam == 0.5
 
@@ -1493,7 +1495,7 @@ class TestZeroResidualVariance:
         spec, pen = setup
         z = np.random.default_rng(29).uniform(0, 1, 200)
         data = StratumData(y=np.ones(200), z=z)
-        fit = fit_stratum(data, spec, pen, 1.0)
+        fit = select_lambda([data], spec, pen, 1.0)[0]
         assert 0.0 < fit.deviance <= 1e-16 * 200
         assert fit.dispersion == 0.0 and not fit.cov_band.any()
         # the window Cholesky rejects the zero covariance of two such fits
@@ -1542,7 +1544,7 @@ class TestJointSelection:
     def test_fixed_lambda_equals_the_joint_choice(self):
         strata, spec, pen = joint_pair("fixed_effect")
         for fit, data in zip(select_lambda(strata, spec, pen), strata):
-            assert_fits_bitwise_equal(fit, fit_stratum(data, spec, pen, fit.lam))
+            assert_fits_bitwise_equal(fit, select_lambda([data], spec, pen, fit.lam)[0])
 
     def test_input_error_names_its_stratum(self, setup):
         spec, pen = setup

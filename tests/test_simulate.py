@@ -12,7 +12,7 @@ from scipy.stats import chi2, chisquare
 from smoothdiff import cli, fitting, simulate
 from smoothdiff.basis import design_matrix, difference_penalty, make_basis
 from smoothdiff.errors import NumericalError, ParameterError
-from smoothdiff.fitting import StratumData, fit_stratum, select_lambda
+from smoothdiff.fitting import StratumData, select_lambda
 from smoothdiff.tdp import PValueFamily, phi_alpha
 from smoothdiff.simulate import (
     EXACT_MODEL_CASES,
@@ -464,14 +464,14 @@ class TestFailureCause:
     def test_separation(self, basis):
         spec, pen = basis
         data = StratumData(y=np.ones(200), z=np.linspace(0, 1, 200), family="binomial")
-        assert failure_cause(raised_message(fit_stratum, data, spec, pen, 0.5)) == "separation"
+        assert failure_cause(raised_message(select_lambda, [data], spec, pen, 0.5)) == "separation"
 
     def test_irls_nonconvergence(self, basis, monkeypatch):
         spec, pen = basis
         monkeypatch.setattr(fitting, "MAX_IRLS_ITER", 1)
         rng = np.random.default_rng(1)
         data = binary_stratum(rng.uniform(0, 1, 300), rng)
-        message = raised_message(fit_stratum, data, spec, pen, 0.5)
+        message = raised_message(select_lambda, [data], spec, pen, 0.5)
         assert failure_cause(message) == "irls_nonconvergence"
 
     def test_not_positive_definite(self, basis):
@@ -479,7 +479,7 @@ class TestFailureCause:
         spec, pen = basis
         rng = np.random.default_rng(2)
         data = binary_stratum(rng.uniform(0, 0.3, 200), rng)
-        message = raised_message(fit_stratum, data, spec, pen, 0.0)
+        message = raised_message(select_lambda, [data], spec, pen, 0.0)
         assert failure_cause(message) == "not_positive_definite"
         message = raised_message(sliding_inverses, np.zeros((6, 6)), 3)
         assert failure_cause(message) == "not_positive_definite"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import QuadFormProblem, frobenius_form, kronecker_double_sum, trace_form, tridiag_toeplitz_inverse
 from smoothdiff.errors import DomainError, ParameterError
 from smoothdiff.toeplitz import (
+    MAX_DIM,
     PentaParams,
     TridiagFactor,
     build_pentadiagonal,
@@ -66,6 +67,11 @@ class TestFactorization:
         values = {"eps": 5.0, "theta": 4.0, "lam_p": 1.0, field: value}
         with pytest.raises(ParameterError, match=f"^{field} must be finite, got {value!r}$"):
             PentaParams(**values, n=5)
+
+    def test_dimension_above_the_ceiling_rejected(self):
+        assert PentaParams(eps=5.0, theta=4.0, lam_p=1.0, n=MAX_DIM).n == MAX_DIM
+        with pytest.raises(ParameterError, match=f"^pentadiagonal dimension {MAX_DIM + 1} exceeds {MAX_DIM}: "):
+            PentaParams(eps=5.0, theta=4.0, lam_p=1.0, n=MAX_DIM + 1)
 
     @pytest.mark.parametrize("eps, theta, lam_p", [(1.0, 5.0, 1e200), (1.0, 1e200, 1.0), (-1e300, 1.0, 1e10)])
     def test_overflowing_discriminant_rejected(self, eps, theta, lam_p):

@@ -15,7 +15,7 @@ from scipy.stats import chi2, kstest
 
 from smoothdiff.basis import BasisSpec, difference_penalty, make_basis
 from smoothdiff.errors import NumericalError, ParameterError
-from smoothdiff.fitting import StratumData, covariance_bands, fit_stratum, select_lambda
+from smoothdiff.fitting import StratumData, covariance_bands, select_lambda
 from smoothdiff.simulate import failure_cause
 from smoothdiff.windows import (
     _direct_inverse,
@@ -331,7 +331,7 @@ class TestWindowStatCovariance:
         rng = np.random.default_rng(8)
         z = rng.uniform(0, 1, 3000)
         y = np.sin(5 * z) + rng.normal(0, 0.4, 3000)
-        fit = fit_stratum(StratumData(y=y, z=z), spec, pen, 1.0)
+        fit = select_lambda([StratumData(y=y, z=z)], spec, pen, 1.0)[0]
         anchor = 18
         lags = np.arange(0, 9)
         v_band = 2.0 * covariance_bands([fit], lags[-1] + spec.degree)[0]
