@@ -2,9 +2,9 @@
 
 `analyze` writes each stratum's fit to fits.json as bands (format 3): the
 precision band of A = Z'WZ + lambda S and the fixed-effect border B.
-`diagnose --model` reads them back and widens each fit's covariance band to
-the offset its correlation table reads, so no m x m covariance is formed
-on either side. A file of any other format exits 2.
+`diagnose --model` reads them back and solves each fit's band for the one
+block of the covariance that its correlation table reads, so no m x m
+covariance is formed on either side. A file of any other format exits 2.
 
 Exit codes: 0 success, 2 input/configuration error, 3 numerical error.
 """
@@ -27,10 +27,10 @@ from scipy.linalg.lapack import dpbtrf
 
 from .basis import DesignMatrix, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
-from .fitting import StratumData, StratumFit, covariance_bands, select_lambda
+from .fitting import StratumData, StratumFit, covariance_block, select_lambda
 from .simulate import PRESETS, SimScenario, outcome_to_json, run_scenario
 from .tdp import threshold_regions
-from .toeplitz import PentaParams, build_pentadiagonal, decay_rate, factor_pentadiagonal
+from .toeplitz import PentaParams, diagnose_pentadiagonal
 from .windows import window_stat_correlation, window_statistics
 
 SEED_ENV_VAR = "SMOOTHDIFF_SEED"
@@ -232,8 +232,8 @@ def _fit_payload(fit: StratumFit, lam_source: str) -> dict:
 
 def band_pointwise_variance(dm: DesignMatrix, band: np.ndarray) -> np.ndarray:
     """Variance of each fitted value, the diagonal of Z V Z', from the
-    compact rows of Z and V's upper band to offset degree (width - 1)."""
-    u = dm.width - 1
+    compact rows of Z and V's upper band to an offset of at least degree (width - 1)."""
+    u = band.shape[0] - 1
     out = np.zeros(dm.n)
     for a in range(dm.width):
         for b in range(a, dm.width):
@@ -265,8 +265,7 @@ def cmd_analyze(config: AnalysisConfig) -> int:
         cause = f": {exc.__cause__}" if exc.__cause__ is not None else ""
         raise NumericalError(f"{exc}{cause}") from exc
     source = "gcv" if config.lam is None else "fixed"
-    bands = covariance_bands(fits, spec.degree)
-    series = window_statistics(fits[0].coef - fits[1].coef, bands[0] + bands[1], spec)
+    series = window_statistics(fits[0].coef - fits[1].coef, fits[0].cov_band + fits[1].cov_band, spec)
     report = threshold_regions(series, config.alpha, config.tdp)
 
     os.makedirs(config.out, exist_ok=True)
@@ -313,9 +312,9 @@ def cmd_analyze(config: AnalysisConfig) -> int:
     grid = np.linspace(spec.z_lo, spec.z_hi, CURVE_GRID_POINTS)
     dm = design_matrix(spec, grid)
     cols = [grid]
-    for fit, band in zip(fits, bands):
+    for fit in fits:
         center = dm.predict(fit.coef)
-        se = np.sqrt(band_pointwise_variance(dm, band))
+        se = np.sqrt(band_pointwise_variance(dm, fit.cov_band))
         cols += [center, center - BAND_MULTIPLIER * se, center + BAND_MULTIPLIER * se]
     _write_csv(os.path.join(config.out, "curves.csv"), "z,fit1,lo1,hi1,fit2,lo2,hi2", np.column_stack(cols).tolist())
 
@@ -512,10 +511,7 @@ def cmd_diagnose(args) -> int:
     payload = {}
     if args.model is None:
         params = PentaParams(eps=args.epsilon, theta=args.theta, lam_p=args.lambda_p, n=args.dim)
-        z1, z2 = factor_pentadiagonal(params)
-        residual = float(
-            np.max(np.abs(z1.dense() @ z2.dense() - build_pentadiagonal(params)))
-        )
+        z1, z2, residual, diag = diagnose_pentadiagonal(params)
         payload = {
             "epsilon": args.epsilon,
             "theta": args.theta,
@@ -528,8 +524,7 @@ def cmd_diagnose(args) -> int:
             "reconstruction_residual": residual,
         }
         summary = f"residual={residual:.3e}"
-        if z1.psi is not None and z2.psi is not None:
-            diag = decay_rate(params)
+        if diag is not None:
             payload["psi_min"] = diag.psi_min
             payload["empirical_decay_rate"] = diag.empirical_rate
             summary += f" psi_min={diag.psi_min:.6f}"
@@ -545,10 +540,9 @@ def cmd_diagnose(args) -> int:
         max_lag = min(args.max_lag, spec.n_regions - 1)
         # centred, but no later than the last anchor whose farthest lag is a window
         anchor = min(spec.n_regions // 2 - max_lag // 2, spec.n_regions - 1 - max_lag)
-        # the 2w x 2w blocks of V1 + V2 lie within max_lag + degree of the diagonal
-        reach = max_lag + spec.degree
-        band1, band2 = covariance_bands(fits, reach)
-        corr = window_stat_correlation(band1 + band2, spec, anchor, anchor + np.arange(max_lag + 1))
+        # windows anchor..anchor + max_lag read V1 + V2 on their coefficients alone
+        block = covariance_block(fits, anchor + np.arange(max_lag + spec.degree + 1))
+        corr = window_stat_correlation(block, spec.degree, 0, np.arange(max_lag + 1))
         rows = list(enumerate(corr.tolist()))
         _write_csv(os.path.join(args.out, "correlation_table.csv"), "lag,correlation", rows)
         payload = {"anchor_window": anchor, "correlations": [list(r) for r in rows]}

@@ -30,10 +30,10 @@ pointwise variances of the curves. So no inverse is formed.
 Cholesky factors and returns the (b+1)-band of every A^{-1} at once: every
 lambda of both strata's grids in one call. A fit keeps the covariance band
 (`cov_band`), A's band (`precision_band`) and B (`border`), and holds its
-covariance in no other form: a wider band comes from the same recurrence on
-A's band padded with zero rows, which is exact, as an entry inside the
-padded width reads only entries inside it.
-`covariance_bands` widens any number of fits in one recurrence.
+covariance in no other form. `covariance_block` gives the dense block of
+the summed covariance on a few coefficients, which the correlation table
+of `diagnose` reads, from one banded solve per fit against their unit
+vectors.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.lapack import dpbsv as _pbsv, dpbtrf as _pbtrf
+from scipy.linalg.lapack import dpbsv as _pbsv, dpbtrf as _pbtrf, dpbtrs as _pbtrs
 
 from .basis import (
     BasisSpec,
@@ -58,7 +58,7 @@ from .errors import NumericalError, ParameterError
 __all__ = [
     "StratumData",
     "StratumFit",
-    "covariance_bands",
+    "covariance_block",
     "select_lambda",
     "selected_inverse_band",
 ]
@@ -143,26 +143,27 @@ class StratumFit:
     border: np.ndarray | None = field(default=None, repr=False)
 
 
-def covariance_bands(fits: list[StratumFit], bandwidth: int) -> list[np.ndarray]:
-    """Upper band of each fit's posterior covariance to offset `bandwidth`.
+def covariance_block(fits: Sequence[StratumFit], cols: np.ndarray) -> np.ndarray:
+    """The dense block sum_f dispersion_f * (A_f^{-1} + B_f B_f')[cols, cols] of the fits' summed covariance.
 
-    A fit whose `cov_band` is that wide is sliced. The others are widened
-    from `precision_band` and `border` without forming an m x m matrix, all
-    fits whose precision bands share a shape in one `_unit_covariance_band`
-    call; each band is the one the fit would get alone.
+    Per fit, one Cholesky factorization of its `precision_band` (LAPACK
+    dpbtrf) and one solve (dpbtrs) against the unit vectors of `cols`: rows
+    `cols` of the solution are A^{-1}[cols, cols]. Entry (i, j), i <= j, is
+    taken from column j's solve and mirrored, as a band holds it. The cost
+    is O(m b |cols|) per fit, and no band wider than A's is formed.
     """
-    bands = [f.cov_band for f in fits]
-    groups: dict[tuple, list[int]] = {}
-    for i, band in enumerate(bands):
-        if band is None or band.shape[0] <= bandwidth:
-            groups.setdefault(fits[i].precision_band.shape, []).append(i)
-    for group in groups.values():
-        unit = _unit_covariance_band(
-            np.stack([fits[i].precision_band for i in group]), [fits[i].border for i in group], bandwidth
-        )
-        for i, u in zip(group, unit):
-            bands[i] = fits[i].dispersion * u
-    return [band[band.shape[0] - 1 - bandwidth :] for band in bands]
+    cols = np.asarray(cols)
+    unit = np.zeros((fits[0].precision_band.shape[1], cols.size), order="F")
+    unit[cols, np.arange(cols.size)] = 1.0
+    out = np.zeros((cols.size, cols.size))
+    for fit in fits:
+        factor, info = _pbtrf(fit.precision_band)
+        if info:
+            raise _not_positive_definite(info)
+        inv = _pbtrs(factor, unit)[0][cols]
+        border = fit.border[cols]
+        out += fit.dispersion * (np.triu(inv) + np.triu(inv, 1).T + border @ border.T)
+    return out
 
 
 # No library path calls this; perfbench/spans.py wraps it by attribute.
@@ -570,28 +571,6 @@ def _border_bands(borders: np.ndarray, b: int) -> np.ndarray:
     for d in range(min(b, m - 1) + 1):
         out[:, b - d, d:] = np.sum(borders[:, : m - d] * borders[:, d:], axis=-1)
     return out
-
-
-def _unit_covariance_band(precision_bands: np.ndarray, borders: list, bandwidth: int) -> np.ndarray:
-    """The upper bands of A^{-1} + BB' to offset max(bandwidth, b) for a (k, b+1, m) stack of A's bands.
-
-    Each band of A padded with zero rows to that width is factored again,
-    and one `selected_inverse_band` call over the k factors, each zero
-    outside its A's band, is exact at the padded width. `borders` holds
-    each system's m x p border B.
-    """
-    k, rows, m = precision_bands.shape
-    width = max(bandwidth, rows - 1)
-    padded = np.zeros((k, width + 1, m))
-    padded[:, width + 1 - rows :] = precision_bands
-    factors = []
-    for band in padded:
-        factor, info = _pbtrf(band)
-        if info:
-            raise _not_positive_definite(info)
-        factors.append(factor)
-    outer = [_border_bands(border[None], width)[0] for border in borders]
-    return selected_inverse_band(np.stack(factors)) + np.stack(outer)
 
 
 def _selected_inverses(systems: list[_BandSystem], penalty_band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from scipy.special import expit
 
 from .basis import BasisSpec, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
-from .fitting import StratumData, StratumFit, covariance_bands, select_lambda
+from .fitting import StratumData, StratumFit, select_lambda
 from .tdp import TdpReport, phi_alpha, threshold_regions
 from .windows import WindowTestSeries, window_statistics
 
@@ -355,8 +355,7 @@ def run_replicate(scenario: SimScenario, index: int) -> ReplicateRecord:
     true_indices = tuple(int(j) for j in k_set)
     try:
         fits = select_lambda([data_alt, data_base], spec, pen)
-        bands = covariance_bands(fits, spec.degree)
-        series = window_statistics(fits[0].coef - fits[1].coef, bands[0] + bands[1], spec)
+        series = window_statistics(fits[0].coef - fits[1].coef, fits[0].cov_band + fits[1].cov_band, spec)
     except NumericalError as exc:
         return ReplicateRecord(index, m_delta, true_indices, failed=True, message=str(exc))
     truth_cells = _truth_cells(spec, np.flatnonzero(b_alt != b_base))
@@ -421,7 +420,7 @@ def exact_model_error_rates(
     spec, fit = representative_fit()
     factor = _reversed_factor(fit.precision_band)
     scale = np.sqrt(2.0 * fit.dispersion)
-    v_band = 2.0 * covariance_bands([fit], spec.degree)[0]
+    v_band = 2.0 * fit.cov_band
     rates = {}
     for n_nonzero, alphas, thresholds in EXACT_MODEL_CASES:
         scenario = SimScenario(

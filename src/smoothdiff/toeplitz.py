@@ -5,7 +5,8 @@ reduced by its second off-diagonal `lam_p` factors into two real
 tridiagonal Toeplitz matrices (`factor_pentadiagonal`). The inverse of each
 factor decays off the diagonal at the rate arcosh(diag / (2 off))
 (`TridiagFactor.psi`), and `decay_rate` compares the slower of the two rates
-with the decay of the numerically inverted matrix. The covariance between
+with the decay of the numerically inverted matrix; `diagnose_pentadiagonal`
+gives both from one dense matrix, product and inverse. The covariance between
 Gaussian quadratic forms built from overlapping coefficient windows
 (`cov_quadratic_forms`) inherits that decay.
 
@@ -31,6 +32,7 @@ __all__ = [
     "build_pentadiagonal",
     "factor_pentadiagonal",
     "decay_rate",
+    "diagnose_pentadiagonal",
     "cov_quadratic_forms",
 ]
 
@@ -119,13 +121,10 @@ def build_pentadiagonal(params: PentaParams) -> np.ndarray:
     return out
 
 
-def factor_pentadiagonal(params: PentaParams) -> tuple[TridiagFactor, TridiagFactor]:
-    """Split the pentadiagonal matrix into two real tridiagonal Toeplitz factors.
+def _split(params: PentaParams, target: np.ndarray) -> tuple[TridiagFactor, TridiagFactor, float]:
+    """The two factors of `factor_pentadiagonal` and max |Z1 Z2 - target| of their dense product.
 
-    The factor diagonals pi_1, pi_2 are theta/2 +- sqrt(disc)/2 with
-    disc = theta^2 - 4 lam_p (eps - 2 lam_p); the first factor has bands
-    (lam_p, pi_1, lam_p) and the second (1, pi_2/lam_p, 1). The product is
-    verified against the dense matrix before returning.
+    `target` is the dense matrix; the residual must be at rounding level.
     """
     if params.lam_p == 0.0:
         raise DomainError("factorization requires a non-zero second off-diagonal")
@@ -144,29 +143,33 @@ def factor_pentadiagonal(params: PentaParams) -> tuple[TridiagFactor, TridiagFac
     z2 = TridiagFactor(off=1.0, diag=pi_2 / params.lam_p, n=params.n)
     if not math.isfinite(z2.diag):
         raise DomainError(f"factor diagonal pi_2/lam_p = {pi_2!r}/{params.lam_p!r} overflows")
-    product = z1.dense() @ z2.dense()
-    target = build_pentadiagonal(params)
+    diff = z1.dense() @ z2.dense()
+    diff -= target
+    residual = float(np.max(np.abs(diff, out=diff)))
     scale = max(abs(params.eps), abs(params.theta), abs(params.lam_p), 1.0)
-    if not np.allclose(product, target, atol=1e-9 * scale, rtol=0.0):
+    if not residual <= 1e-9 * scale:  # NaN fails too
         raise DomainError("tridiagonal factor product failed to reconstruct the matrix")
-    return z1, z2
+    return z1, z2, residual
 
 
-def decay_rate(params: PentaParams) -> DecayDiagnostics:
-    """Predicted off-diagonal decay rate min_i psi_i, plus an empirical slope check.
+def factor_pentadiagonal(params: PentaParams) -> tuple[TridiagFactor, TridiagFactor]:
+    """Split the pentadiagonal matrix into two real tridiagonal Toeplitz factors.
 
-    The empirical rate is the least-squares slope of -log|inv(P)[r, r+lag]|
-    against lag = 1..12, averaged over middle rows of the numerically
-    inverted matrix whose entries at those lags are non-zero. It is None
-    when no slope can be fitted: the dimension leaves a single lag, or
-    every row's entries underflow to zero.
+    The factor diagonals pi_1, pi_2 are theta/2 +- sqrt(disc)/2 with
+    disc = theta^2 - 4 lam_p (eps - 2 lam_p); the first factor has bands
+    (lam_p, pi_1, lam_p) and the second (1, pi_2/lam_p, 1). The product is
+    verified against the dense matrix before returning.
     """
-    n = params.n
-    z1, z2 = factor_pentadiagonal(params)
+    return _split(params, build_pentadiagonal(params))[:2]
+
+
+def _decay(z1: TridiagFactor, z2: TridiagFactor, target: np.ndarray) -> DecayDiagnostics:
+    """`decay_rate` of the dense matrix `target` from its two factors."""
     psi_1, psi_2 = z1.psi, z2.psi
     if psi_1 is None or psi_2 is None:
         raise DomainError("decay rate requires pi_i > 2*lam_p for both factors")
-    inv = np.linalg.inv(build_pentadiagonal(params))
+    n = target.shape[0]
+    inv = np.linalg.inv(target)
     row_lo, row_hi = n // 3, 2 * n // 3
     lags = np.arange(1, min(12, n - row_hi) + 1)
     log_mags = []
@@ -179,6 +182,28 @@ def decay_rate(params: PentaParams) -> DecayDiagnostics:
     mean_log = np.mean(log_mags, axis=0)
     slope = np.polyfit(lags, mean_log, 1)[0]
     return DecayDiagnostics(psi_min=min(psi_1, psi_2), empirical_rate=-float(slope))
+
+
+def decay_rate(params: PentaParams) -> DecayDiagnostics:
+    """Predicted off-diagonal decay rate min_i psi_i, plus an empirical slope check.
+
+    The empirical rate is the least-squares slope of -log|inv(P)[r, r+lag]|
+    against lag = 1..12, averaged over middle rows of the numerically
+    inverted matrix whose entries at those lags are non-zero. It is None
+    when no slope can be fitted: the dimension leaves a single lag, or
+    every row's entries underflow to zero.
+    """
+    target = build_pentadiagonal(params)
+    return _decay(*_split(params, target)[:2], target)
+
+
+def diagnose_pentadiagonal(params: PentaParams) -> tuple[TridiagFactor, TridiagFactor, float, DecayDiagnostics | None]:
+    """(z1, z2, residual, decay): `factor_pentadiagonal`'s factors, max |Z1 Z2 - P|, and
+    `decay_rate`'s result, or None when some pi_i <= 2 lam_p leaves a rate undefined."""
+    target = build_pentadiagonal(params)
+    z1, z2, residual = _split(params, target)
+    decay = None if z1.psi is None or z2.psi is None else _decay(z1, z2, target)
+    return z1, z2, residual, decay
 
 
 def cov_quadratic_forms(a: np.ndarray, b: np.ndarray, sigma_xy: np.ndarray) -> np.ndarray:

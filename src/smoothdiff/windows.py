@@ -13,9 +13,9 @@ without importing `scipy.stats`, which would be about half of the CLI's
 start-up time and a third of its memory.
 The dependence diagnostics report the correlation of one statistic with
 each of a vector of others (`window_stat_correlation`). Each covariance
-needs the two windows' blocks and the w x w cross block between them, which
-lies within lag + degree of the diagonal, so all are gathered from V's band
-to that offset; the windows share the batched factorization of T's kernel.
+needs the two windows' blocks and the w x w cross block between them, all
+read from a dense block of V on the coefficients the windows cover; the
+windows share the batched factorization of T's kernel.
 
 `sliding_inverses` is the incremental scheme of the method: each window's
 inverse comes from its predecessor's by deleting the leading row/column and
@@ -198,37 +198,35 @@ def window_statistics(delta: np.ndarray, v_band: np.ndarray, spec: BasisSpec) ->
     return _window_series(spec, delta, blocks)
 
 
-def _check_pairs(v_band: np.ndarray, spec: BasisSpec, k: int, k2: np.ndarray) -> None:
-    n_windows = spec.n_regions
-    if not k2.size:
-        raise ParameterError("the vector of other windows k2 is empty")
-    if not (0 <= k < n_windows and np.all((0 <= k2) & (k2 < n_windows))):
-        raise ParameterError(f"window indices must lie in [0, {n_windows})")
-    _check_band(spec, v_band, int(np.max(np.abs(k - k2))) + spec.degree)
-
-
-def window_stat_correlation(v_band: np.ndarray, spec: BasisSpec, k: int, k2: np.ndarray) -> np.ndarray:
+def window_stat_correlation(v_block: np.ndarray, degree: int, k: int, k2: np.ndarray) -> np.ndarray:
     """Corr(T_k, T_j) under the fitted model for every window index j of the vector `k2`.
 
-    `v_band` is the upper band of V = V1 + V2, the summed covariance of the
-    two fits, to an offset of at least max |k - k2| + degree. The
-    coefficient-difference windows are jointly Gaussian with covariance
+    `v_block` is the dense block of V = V1 + V2, the summed covariance of the
+    two fits, on consecutive coefficients; window j covers its rows
+    j..j+degree, so windows are numbered from the block's first coefficient.
+    The coefficient-difference windows are jointly Gaussian with covariance
     blocks drawn from V, and T_j is a quadratic form in its window precision
     P_j = V_j^{-1}, so Cov(T_k, T_j) = 2 tr(P_k V_kj P_j V_jk)
     (`cov_quadratic_forms`). The w x w windows V_j and cross blocks V_kj are
-    each gathered by one `_band_entries` call, the windows factored by one
+    each gathered by one indexing of the block, the windows factored by one
     batched Cholesky, and every covariance and every variance come from one
     stacked `cov_quadratic_forms` call each.
     """
     k2 = np.asarray(k2)
-    _check_pairs(v_band, spec, k, k2)
+    if v_block.ndim != 2 or v_block.shape[0] != v_block.shape[1]:
+        raise ParameterError(f"covariance block of shape {v_block.shape} is not square")
+    n_windows = v_block.shape[0] - degree
+    if not k2.size:
+        raise ParameterError("the vector of other windows k2 is empty")
+    if not (0 <= k < n_windows and np.all((0 <= k2) & (k2 < n_windows))):
+        raise ParameterError(f"window indices must lie in [0, {n_windows})")
     windows = np.r_[k, k2]
-    rows = windows[:, None] + np.arange(spec.degree + 1)
-    blocks = _band_entries(v_band, rows[:, :, None], rows[:, None, :])
+    rows = windows[:, None] + np.arange(degree + 1)
+    blocks = v_block[rows[:, :, None], rows[:, None, :]]
     half = np.linalg.solve(_cholesky(blocks, windows), np.eye(rows.shape[1]))
     inv = np.swapaxes(half, 1, 2) @ half
     precisions = 0.5 * (inv + np.swapaxes(inv, 1, 2))
     variances = cov_quadratic_forms(precisions, precisions, blocks)
-    cross = _band_entries(v_band, rows[0, :, None], rows[1:, None, :])
+    cross = v_block[rows[0, :, None], rows[1:, None, :]]
     covariances = cov_quadratic_forms(precisions[0], precisions[1:], cross)
     return covariances / np.sqrt(variances[0] * variances[1:])

@@ -8,11 +8,13 @@ tridiagonal Toeplitz inverse is checked against numeric inversion by
 acceptance criterion 7.
 
 `smoothdiff.windows.window_stat_correlation` gathers, factors and reduces
-every window of a correlation vector in one batched pass.
-`window_stat_covariance` and `per_pair_correlation` are the per-pair path it
-replaced: each pair's 2w x 2w block gathered and both windows inverted on
-their own, and one `trace_form` per covariance. The batched kernel must
-equal them bit for bit, non-positive-definite messages included.
+every window of a correlation vector in one batched pass, from a dense
+block of V. `window_stat_covariance` and `per_pair_correlation` are the
+per-pair path it replaced, on V's band: each pair's 2w x 2w block gathered
+and both windows inverted on their own, and one `trace_form` per
+covariance. Given the same numbers as a block (`expand_band` of the band),
+the batched kernel must equal them bit for bit, non-positive-definite
+messages included.
 
 The weighted design products of `smoothdiff.basis.DesignMatrix` go through
 cached sparse operators; the `bincount` loops below are the per-pair,
@@ -35,6 +37,11 @@ generalized eigensolve that scored the Gaussian grid, and
 `pointwise_variance` the dense diag(D cov D') that the curves used.
 A fit holds its covariance only as bands; `dense_covariance` is the dense
 m x m matrix they are bands of, which fits once carried as `fit.cov`.
+`smoothdiff.fitting.covariance_block` solves each fit's precision band for
+the dense block of the summed covariance that `diagnose --model` reads;
+`covariance_bands` is the widening it replaced, which pads each precision
+band with zero rows to the block's offset and runs the selected-inverse
+recurrence over all m rows of the padded factors.
 `band_covariance` is the dense dispersion * A^{-1} whose Cholesky factor the
 exact-model reference drew from before it drew from A's band, and
 `window_test_series` the window statistics with the blocks gathered from a
@@ -104,7 +111,7 @@ from smoothdiff.basis import _nonzero_basis, expand_band
 from smoothdiff.errors import DomainError, NumericalError, ParameterError
 from smoothdiff.tdp import PValueFamily, _as_index_set
 from smoothdiff.toeplitz import TridiagFactor
-from smoothdiff.windows import _band_entries, _check_pairs, _direct_inverse, _window_series
+from smoothdiff.windows import _band_entries, _check_band, _direct_inverse, _window_series
 
 
 @dataclass(frozen=True)
@@ -335,6 +342,51 @@ def dense_covariance(fit) -> np.ndarray:
     return cov + fit.dispersion * (fit.border @ fit.border.T)
 
 
+def covariance_bands(fits, bandwidth: int) -> list[np.ndarray]:
+    """Upper band of each fit's posterior covariance to offset `bandwidth`.
+
+    A fit whose `cov_band` is that wide is sliced. The others are widened
+    from `precision_band` and `border` without forming an m x m matrix, all
+    fits whose precision bands share a shape in one `unit_covariance_band`
+    call; each band is the one the fit would get alone.
+    """
+    bands = [f.cov_band for f in fits]
+    groups: dict[tuple, list[int]] = {}
+    for i, band in enumerate(bands):
+        if band is None or band.shape[0] <= bandwidth:
+            groups.setdefault(fits[i].precision_band.shape, []).append(i)
+    for group in groups.values():
+        unit = unit_covariance_band(
+            np.stack([fits[i].precision_band for i in group]), [fits[i].border for i in group], bandwidth
+        )
+        for i, u in zip(group, unit):
+            bands[i] = fits[i].dispersion * u
+    return [band[band.shape[0] - 1 - bandwidth :] for band in bands]
+
+
+def unit_covariance_band(precision_bands: np.ndarray, borders: list, bandwidth: int) -> np.ndarray:
+    """The upper bands of A^{-1} + BB' to offset max(bandwidth, b) for a (k, b+1, m) stack of A's bands.
+
+    Each band of A padded with zero rows to that width is factored again,
+    and one `selected_inverse_band` call over the k factors, each zero
+    outside its A's band, is exact at the padded width: an entry within the
+    padded width reads only entries within it. `borders` holds each
+    system's m x p border B.
+    """
+    k, rows, m = precision_bands.shape
+    width = max(bandwidth, rows - 1)
+    padded = np.zeros((k, width + 1, m))
+    padded[:, width + 1 - rows :] = precision_bands
+    factors = []
+    for band in padded:
+        factor, info = dpbtrf(band)
+        if info:
+            raise fitting._not_positive_definite(info)
+        factors.append(factor)
+    outer = [fitting._border_bands(border[None], width)[0] for border in borders]
+    return fitting.selected_inverse_band(np.stack(factors)) + np.stack(outer)
+
+
 def window_test_series(spec, delta, v):
     """Window statistics and p-values of `delta` against the w x w diagonal blocks of a dense V."""
     idx = np.arange(spec.n_regions)[:, None] + np.arange(spec.degree + 1)
@@ -503,13 +555,23 @@ def read_stratum_csv_by_float(path, stratum_col=None):
     return values[0], values[1], X, strata
 
 
+def check_pairs(v_band, spec, k, k2) -> None:
+    """The band form's checks of a correlation vector: k2 non-empty, every window in range, the band wide enough."""
+    n_windows = spec.n_regions
+    if not k2.size:
+        raise ParameterError("the vector of other windows k2 is empty")
+    if not (0 <= k < n_windows and np.all((0 <= k2) & (k2 < n_windows))):
+        raise ParameterError(f"window indices must lie in [0, {n_windows})")
+    _check_band(spec, v_band, int(np.max(np.abs(k - k2))) + spec.degree)
+
+
 def window_stat_covariance(v_band, spec, k, k2) -> float:
     """Cov(T_k, T_k2) from the 2w x 2w block of V = V1 + V2 on both windows.
 
     `v_band` is V's upper band to an offset of at least |k - k2| + degree;
     each window is inverted on its own, window k first.
     """
-    _check_pairs(v_band, spec, k, np.asarray(k2))
+    check_pairs(v_band, spec, k, np.asarray(k2))
     w = spec.degree + 1
     idx = np.r_[k : k + w, k2 : k2 + w]
     sigma = _band_entries(v_band, idx[:, None], idx[None, :])

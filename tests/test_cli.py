@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from oracles import (
     band_form,
+    covariance_bands,
     dense_covariance,
     dense_design,
     per_pair_correlation,
@@ -27,7 +28,7 @@ from smoothdiff.cli import (
     main,
     read_stratum_csv,
 )
-from smoothdiff.fitting import StratumData, covariance_bands, select_lambda
+from smoothdiff.fitting import StratumData, covariance_block, select_lambda
 from smoothdiff.simulate import (
     PRESETS,
     SimScenario,
@@ -437,6 +438,8 @@ class TestAnalyze:
         [fit] = select_lambda([data1], spec, pen)
         got = band_pointwise_variance(dm, covariance_bands([fit], degree)[0])
         np.testing.assert_allclose(got, pointwise_variance(dense_design(dm), dense_covariance(fit)), rtol=1e-12)
+        # the fit's own band, wider than degree below order 2, reads the same entries
+        assert np.array_equal(band_pointwise_variance(dm, fit.cov_band), got)
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # binomial fit on perfectly separated outcomes diverges
@@ -988,8 +991,7 @@ class TestDiagnose:
             raise AssertionError("a dense matrix was built")
 
         # the ceiling is checked before any n x n matrix is built
-        monkeypatch.setattr(cli, "factor_pentadiagonal", dense)
-        monkeypatch.setattr(cli, "build_pentadiagonal", dense)
+        monkeypatch.setattr(cli, "diagnose_pentadiagonal", dense)
         out = tmp_path / "d"
         assert main(["diagnose", "--epsilon=20", "--theta=10", "--lambda-p=1", "--dim=1000000", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -1213,17 +1215,21 @@ def assert_covariance_bands_bitwise_equal(loaded, direct, m):
         assert np.array_equal(covariance_bands([loaded], width)[0], covariance_bands([direct], width)[0]), width
 
 
-def per_lag_correlation_table(model_path, max_lag) -> bytes:
-    """correlation_table.csv from one widening per fit and the per-pair oracle's correlation per lag."""
+def assert_covariance_blocks_bitwise_equal(loaded, direct, m):
+    # every block diagnose can read, from one column to all m
+    for q in range(1, m + 1):
+        for cols in (np.arange(q), np.arange(m - q, m)):
+            assert np.array_equal(covariance_block(loaded, cols), covariance_block(direct, cols)), q
+
+
+def per_lag_correlations(model_path, max_lag) -> tuple[int, list[float]]:
+    """(anchor, correlation per lag) of diagnose --model from one widening per fit and the per-pair oracle."""
     spec, fits = load_model(str(model_path))
     max_lag = min(max_lag, spec.n_regions - 1)
-    anchor = spec.n_regions // 2 - max_lag // 2
+    anchor = min(spec.n_regions // 2 - max_lag // 2, spec.n_regions - 1 - max_lag)
     reach = max_lag + spec.degree
     v_band = sum(covariance_bands([fit], reach)[0] for fit in fits)
-    lines = ["lag,correlation"]
-    for lag in range(max_lag + 1):
-        lines.append(f"{lag},{float(per_pair_correlation(v_band, spec, anchor, anchor + lag))!r}")
-    return ("\n".join(lines) + "\n").encode()
+    return anchor, [float(per_pair_correlation(v_band, spec, anchor, anchor + lag)) for lag in range(max_lag + 1)]
 
 
 class TestModelFile:
@@ -1236,6 +1242,7 @@ class TestModelFile:
         for data, fit in zip((data1, data2), loaded):
             [direct] = select_lambda([data], spec, pen)
             assert_covariance_bands_bitwise_equal(fit, direct, spec.m)
+            assert_covariance_blocks_bitwise_equal([fit], [direct], spec.m)
             assert np.array_equal(fit.precision_band, direct.precision_band)
             assert np.array_equal(fit.border, direct.border)
             assert np.array_equal(fit.coef, direct.coef)
@@ -1267,6 +1274,7 @@ class TestModelFile:
             [direct] = select_lambda([data], spec, pen)
             assert np.array_equal(fit.border, direct.border)
             assert_covariance_bands_bitwise_equal(fit, direct, spec.m)
+            assert_covariance_blocks_bitwise_equal([fit], [direct], spec.m)
             # the bands are of dispersion * (A^{-1} + BB')
             cov = dense_covariance(fit)
             for width in (2, 8, 19):
@@ -1292,8 +1300,15 @@ class TestModelFile:
             both = covariance_bands(fits, width)
             for band, fit in zip(both, fits):
                 assert np.array_equal(band, covariance_bands([fit], width)[0]), width
-        table, _ = diagnose_files(path, tmp_path / "diag")
-        assert table == per_lag_correlation_table(path, 6)
+        # a centred anchor, and the largest lag, where an even count of windows clamps the anchor
+        for max_lag in (6, 100):
+            out = tmp_path / f"diag{max_lag}"
+            assert main(["diagnose", "--model", str(path), "--max-lag", str(max_lag), "--out", str(out)]) == 0
+            diagnostics = json.loads((out / "diagnostics.json").read_text())
+            anchor, want = per_lag_correlations(path, max_lag)
+            assert diagnostics["anchor_window"] == anchor
+            got = [corr for _, corr in diagnostics["correlations"]]
+            assert len(got) == len(want) and np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
     def test_constant_fixed_effect_column_exits_2(self, tmp_path, capsys):
         _, data1, data2 = make_pair(seed=13, n=800)
@@ -1646,6 +1661,17 @@ def test_one_selected_inverse_per_analyze(tmp_path, monkeypatch, family, flags, 
     assert main(argv) == 0
     # one call for both strata's 40-point grids, or their given lambda, and none for the window blocks
     assert calls == [stack]
+
+
+def test_diagnose_model_runs_no_selected_inverse(tmp_path, monkeypatch):
+    _, data1, data2 = make_pair(seed=5)
+    analyze_to(tmp_path / "out", data1, data2)
+    calls = counting_selected_inverses(monkeypatch)
+    for max_lag in ("0", "6", "1000"):
+        argv = ["diagnose", "--model", str(tmp_path / "out" / "fits.json"), "--max-lag", max_lag, "--out", str(tmp_path / "d")]
+        assert main(argv) == 0
+    # the correlation table's block comes from one banded solve per fit
+    assert calls == []
 
 
 @pytest.mark.parametrize("family", ["gaussian", "binomial"])

@@ -11,6 +11,7 @@ from oracles import (
     band_solve_by_pbtrf,
     binomial_block_by_where,
     binomial_deviance_by_where,
+    covariance_bands,
     demmler_reinsch_edfs,
     band_covariance,
     dense_covariance,
@@ -30,7 +31,7 @@ from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import (
     StratumData,
     _binomial_deviance,
-    covariance_bands,
+    covariance_block,
     default_lambda_grid,
     penalized_inverse,
     select_lambda,
@@ -396,9 +397,9 @@ class TestBandedIrls:
 
         monkeypatch.setattr(fitting, "penalized_inverse", counting)
         fit = select_lambda([data], spec, pen, 0.5)[0]
-        # neither the fit nor its windows, nor a band wider than the fit's, inverts A
-        window_statistics(np.zeros(spec.m), 2.0 * covariance_bands([fit], spec.degree)[0], spec)
-        covariance_bands([fit], spec.m - 1)
+        # neither the fit nor its windows, nor a covariance block however large, inverts A
+        window_statistics(np.zeros(spec.m), 2.0 * fit.cov_band, spec)
+        covariance_block([fit], np.arange(spec.m))
         assert calls == []
 
     def test_not_positive_definite_iteration_raises(self, setup):
@@ -816,8 +817,8 @@ class TestGaussianGcvPath:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             [fit] = select_lambda([data], spec, pen)
-        window_statistics(np.zeros(spec.m), 2.0 * covariance_bands([fit], spec.degree)[0], spec)
-        covariance_bands([fit], spec.m - 1)
+        window_statistics(np.zeros(spec.m), 2.0 * fit.cov_band, spec)
+        covariance_block([fit], np.arange(spec.m))
         assert calls == []
 
     @pytest.mark.parametrize("fixture", GAUSSIAN_FIXTURES)
@@ -936,6 +937,52 @@ class TestPrecisionBand:
         for width in range(0, spec.m):
             for band, fit in zip(covariance_bands(fits, width), fits):
                 assert np.array_equal(band, covariance_bands([fit], width)[0]), width
+
+
+def bordered_fit(m, degree, order, p, seed, lam=0.5):
+    """A Gaussian fit at a given lambda with p random fixed-effect columns."""
+    spec = make_basis(0.0, 1.0, m, degree)
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0, 1, 300)
+    data = StratumData(y=np.sin(5 * z) + rng.normal(0, 0.4, z.size), z=z, X=rng.normal(size=(z.size, p)))
+    return select_lambda([data], spec, difference_penalty(m, order), lam)[0]
+
+
+class TestCovarianceBlock:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_matches_dense_inverse(self, degree, order, p):
+        # from the smallest basis, where one block spans the whole matrix, up
+        smallest = max(degree + 2, order + 1)
+        for m in sorted({smallest, 9, 31}):
+            fits = [bordered_fit(m, degree, order, p, seed=m), bordered_fit(m, degree, order, 1, seed=m + 1, lam=2.0)]
+            cov = sum(dense_covariance(fit) for fit in fits)
+            for lags in sorted({0, min(2, m - degree - 1), m - degree - 1}):
+                q = lags + degree + 1
+                # the first anchor's block and the last one's
+                for cols in (np.arange(q), np.arange(m - q, m)):
+                    block = covariance_block(fits, cols)
+                    ref = cov[np.ix_(cols, cols)]
+                    assert block.shape == (q, q)
+                    assert np.array_equal(block, block.T)
+                    assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref)), (m, cols)
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_matches_the_widened_bands_it_replaced(self, p):
+        fits = [bordered_fit(40, 3, 2, p, seed=3), bordered_fit(40, 3, 2, 0, seed=4, lam=3.0)]
+        reach = 10 + 3
+        v_band = sum(covariance_bands(fits, reach))
+        for anchor in (0, 13, 26):
+            cols = anchor + np.arange(reach + 1)
+            ref = expand_band(v_band)[np.ix_(cols, cols)]
+            assert np.max(np.abs(covariance_block(fits, cols) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_not_positive_definite_band_raises(self):
+        fit = bordered_fit(12, 3, 2, 0, seed=5)
+        bad = replace(fit, precision_band=-fit.precision_band)
+        with pytest.raises(NumericalError, match=r"not positive definite \(leading minor 1\)"):
+            covariance_block([fit, bad], np.arange(4))
 
 
 def penalized_factors(m, degree, order, lams, seed=0):

@@ -13,6 +13,7 @@ from smoothdiff.toeplitz import (
     build_pentadiagonal,
     cov_quadratic_forms,
     decay_rate,
+    diagnose_pentadiagonal,
     factor_pentadiagonal,
 )
 
@@ -155,6 +156,53 @@ class TestDecayRate:
         params = PentaParams(eps=4.0, theta=4.0, lam_p=1.0, n=20)
         with pytest.raises(DomainError):
             decay_rate(params)
+
+
+class TestDiagnosePentadiagonal:
+    @pytest.mark.parametrize(
+        "eps, theta, lam_p, n",
+        [(8.1, 5.0, 1.0, 60), (5.0, 4.0, 1.0, 40), (8.1, 5.0, 1.0, 3), (2e60, 3e30, 1.0, 60), (4.0, 4.0, 1.0, 20)],
+        ids=["defined", "psi_undefined", "single_lag", "underflow", "rate_undefined"],
+    )
+    def test_equals_the_separate_calls_bitwise(self, eps, theta, lam_p, n):
+        params = PentaParams(eps=eps, theta=theta, lam_p=lam_p, n=n)
+        z1, z2, residual, decay = diagnose_pentadiagonal(params)
+        assert (z1, z2) == factor_pentadiagonal(params)
+        assert residual == float(np.max(np.abs(z1.dense() @ z2.dense() - build_pentadiagonal(params))))
+        if decay is None:
+            with pytest.raises(DomainError, match="decay rate requires"):
+                decay_rate(params)
+        else:
+            assert decay == decay_rate(params)
+
+    def test_one_matrix_one_product_one_inverse(self, monkeypatch):
+        from smoothdiff import toeplitz
+
+        calls = {"build": 0, "dense": 0, "inv": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(toeplitz, "build_pentadiagonal", counted("build", toeplitz.build_pentadiagonal))
+        monkeypatch.setattr(TridiagFactor, "dense", counted("dense", TridiagFactor.dense))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        assert diagnose_pentadiagonal(PentaParams(eps=8.1, theta=5.0, lam_p=1.0, n=60))[3] is not None
+        assert calls == {"build": 1, "dense": 2, "inv": 1}
+
+    @pytest.mark.parametrize(
+        "eps, theta, message",
+        [(50.0, 1.0, r"theta\^2 - 4\*lam_p"), (3.0, 1e8, "failed to reconstruct the matrix")],
+        ids=["discriminant", "reconstruction"],
+    )
+    def test_failed_split_raises_as_factor_pentadiagonal(self, eps, theta, message):
+        # theta = 1e8: pi_2 cancels to 0, and the product's diagonal misses eps by 1
+        params = PentaParams(eps=eps, theta=theta, lam_p=1.0, n=5)
+        for split in (diagnose_pentadiagonal, factor_pentadiagonal):
+            with pytest.raises(DomainError, match=message):
+                split(params)
 
 
 def mc_cov(problem, n_draws, seed):

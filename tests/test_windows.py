@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     QuadFormProblem,
     band_form,
+    covariance_bands,
     dense_covariance,
     per_pair_correlation,
     trace_form,
@@ -13,9 +14,9 @@ from oracles import (
 from scipy.special import chdtrc, expit
 from scipy.stats import chi2, kstest
 
-from smoothdiff.basis import BasisSpec, difference_penalty, make_basis
+from smoothdiff.basis import BasisSpec, difference_penalty, expand_band, make_basis
 from smoothdiff.errors import NumericalError, ParameterError
-from smoothdiff.fitting import StratumData, covariance_bands, select_lambda
+from smoothdiff.fitting import StratumData, covariance_block, select_lambda
 from smoothdiff.simulate import failure_cause
 from smoothdiff.windows import (
     _direct_inverse,
@@ -334,8 +335,8 @@ class TestWindowStatCovariance:
         fit = select_lambda([StratumData(y=y, z=z)], spec, pen, 1.0)[0]
         anchor = 18
         lags = np.arange(0, 9)
-        v_band = 2.0 * covariance_bands([fit], lags[-1] + spec.degree)[0]
-        corr = window_stat_correlation(v_band, spec, anchor, anchor + lags)
+        block = covariance_block([fit, fit], anchor + np.arange(lags[-1] + spec.degree + 1))
+        corr = window_stat_correlation(block, spec.degree, 0, lags)
         assert corr[0] == pytest.approx(1.0)
         assert all(np.diff(corr) < 0)
         logc = np.log(np.maximum(corr[1:], 1e-300))
@@ -351,14 +352,15 @@ class TestWindowStatCorrelationVector:
         self.spec = make_basis(0.0, 1.0, 30, 3)
         rng = np.random.default_rng(21)
         self.v_band = full_band(random_spd(rng, 30), random_spd(rng, 30))
+        self.v_block = expand_band(self.v_band)
 
     @pytest.mark.parametrize("k, k2", [(12, np.arange(12, 23)), (5, [9, 0, 5, 9, 26, 2])])
     def test_vector_equals_per_pair_loop_bitwise(self, k, k2):
-        got = window_stat_correlation(self.v_band, self.spec, k, np.asarray(k2))
+        got = window_stat_correlation(self.v_block, 3, k, np.asarray(k2))
         want = [per_pair_correlation(self.v_band, self.spec, k, int(j)) for j in k2]
         assert got.shape == (len(want),)
         assert np.array_equal(got, want)
-        assert [window_stat_correlation(self.v_band, self.spec, k, np.array([j]))[0] for j in k2] == want
+        assert [window_stat_correlation(self.v_block, 3, k, np.array([j]))[0] for j in k2] == want
 
     @pytest.mark.parametrize("n_lags", [1, 2, 11, 27])
     def test_one_batched_factorization_and_two_quadratic_form_calls(self, monkeypatch, n_lags):
@@ -374,36 +376,40 @@ class TestWindowStatCorrelationVector:
 
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         monkeypatch.setattr(windows, "cov_quadratic_forms", counted("quad", windows.cov_quadratic_forms))
-        got = window_stat_correlation(self.v_band, self.spec, 0, np.arange(n_lags))
+        got = window_stat_correlation(self.v_block, 3, 0, np.arange(n_lags))
         assert got.shape == (n_lags,)
         assert calls["cholesky"] == 1 and calls["quad"] <= 2
 
     def test_vector_checks_the_farthest_pair(self):
-        band = band_form(random_spd(np.random.default_rng(3), 30), 6)
-        assert np.all(np.isfinite(window_stat_correlation(band, self.spec, 10, np.array([10, 13]))))
-        with pytest.raises(ParameterError, match="does not reach offset 7"):
-            window_stat_correlation(band, self.spec, 10, np.array([10, 14, 12]))
-        with pytest.raises(ParameterError, match="window indices must lie in"):
-            window_stat_correlation(band, self.spec, 10, np.array([10, 27]))
+        # a block on 14 coefficients at degree 3 holds windows 0..10
+        block = self.v_block[10:24, 10:24]
+        assert np.all(np.isfinite(window_stat_correlation(block, 3, 0, np.array([0, 10]))))
+        with pytest.raises(ParameterError, match=r"window indices must lie in \[0, 11\)"):
+            window_stat_correlation(block, 3, 0, np.array([0, 11, 2]))
+        with pytest.raises(ParameterError, match=r"window indices must lie in \[0, 11\)"):
+            window_stat_correlation(block, 3, -1, np.array([0]))
+        with pytest.raises(ParameterError, match=r"covariance block of shape \(14, 13\) is not square"):
+            window_stat_correlation(block[:, :13], 3, 0, np.array([0]))
 
     @pytest.mark.parametrize("k2", [[], np.array([], dtype=int)])
     def test_empty_vector_is_a_parameter_error(self, k2):
         # numpy's zero-size reduction ValueError before
-        band = band_form(random_spd(np.random.default_rng(3), 30), 6)
         with pytest.raises(ParameterError, match="the vector of other windows k2 is empty"):
-            window_stat_correlation(band, self.spec, 10, k2)
+            window_stat_correlation(self.v_block, 3, 10, k2)
 
 
 def assert_equals_per_pair(v_band, spec, k, k2):
-    """window_stat_correlation equals the per-pair oracle bit for bit, or raises its message."""
+    """window_stat_correlation on the band's numbers as a block equals the per-pair
+    oracle on the band bit for bit, or raises its message."""
+    v_block = expand_band(v_band)
     try:
         want = np.array([per_pair_correlation(v_band, spec, k, int(j)) for j in k2])
     except NumericalError as exc:
         with pytest.raises(NumericalError) as got:
-            window_stat_correlation(v_band, spec, k, k2)
+            window_stat_correlation(v_block, spec.degree, k, k2)
         assert str(got.value) == str(exc)
         return False
-    assert np.array_equal(window_stat_correlation(v_band, spec, k, k2), want), (k, k2)
+    assert np.array_equal(window_stat_correlation(v_block, spec.degree, k, k2), want), (k, k2)
     return True
 
 
