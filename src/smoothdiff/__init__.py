@@ -34,10 +34,8 @@ from .toeplitz import (
     DecayDiagnostics,
     PentaParams,
     TridiagFactor,
-    build_pentadiagonal,
     cov_quadratic_forms,
-    decay_rate,
-    factor_pentadiagonal,
+    diagnose_pentadiagonal,
 )
 from .windows import (
     SlidingInverses,

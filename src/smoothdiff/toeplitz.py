@@ -1,19 +1,20 @@
 """Banded-Toeplitz and quadratic-form kernels behind the dependence diagnostics.
 
-A pentadiagonal Toeplitz matrix whose two corner diagonal entries are
+A pentadiagonal Toeplitz matrix P whose two corner diagonal entries are
 reduced by its second off-diagonal `lam_p` factors into two real
-tridiagonal Toeplitz matrices (`factor_pentadiagonal`). The inverse of each
-factor decays off the diagonal at the rate arcosh(diag / (2 off))
-(`TridiagFactor.psi`), and `decay_rate` compares the slower of the two rates
-with the decay of the numerically inverted matrix; `diagnose_pentadiagonal`
-gives both from one dense matrix, product and inverse. The covariance between
+tridiagonal Toeplitz matrices. The inverse of each factor decays off the
+diagonal at the rate arcosh(diag / (2 off)) (`TridiagFactor.psi`), and the
+slower of the two rates bounds the decay of P's inverse (Demko, Moss & Smith
+1984). `diagnose_pentadiagonal` gives the factors, their residual and both
+rates from P's three scalars and five diagonals: the residual in closed
+form, the empirical slope from one banded solve. The covariance between
 Gaussian quadratic forms built from overlapping coefficient windows
 (`cov_quadratic_forms`) inherits that decay.
 
 Each quantity has one closed form here. The paper's alternative forms (the
 closed-form tridiagonal inverse, the Hadamard double sum and the Frobenius
-form of the quadratic-form covariance) are the test oracles in
-`tests/oracles.py`.
+form of the quadratic-form covariance) and the dense matrix, product and
+inverse are the test oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DomainError, ParameterError
 
@@ -29,9 +31,6 @@ __all__ = [
     "PentaParams",
     "TridiagFactor",
     "DecayDiagnostics",
-    "build_pentadiagonal",
-    "factor_pentadiagonal",
-    "decay_rate",
     "diagnose_pentadiagonal",
     "cov_quadratic_forms",
 ]
@@ -46,8 +45,8 @@ class PentaParams:
     Diagonal `eps`, first off-diagonal `theta`, second off-diagonal `lam_p`
     (named to avoid the smoothing parameter), and the two corner diagonal
     entries reduced by `lam_p`. `n` is the dimension, from 3 to MAX_DIM =
-    2000: the diagnostics form several dense n x n matrices and invert one,
-    about 0.2 GB and a second at n = 2000.
+    2000: the decay slope solves for n/3 columns of the inverse, an n x n/3
+    block of about 11 MB at n = 2000.
     """
 
     eps: float
@@ -63,8 +62,8 @@ class PentaParams:
             raise ParameterError("pentadiagonal dimension must be at least 3")
         if self.n > MAX_DIM:
             raise ParameterError(
-                f"pentadiagonal dimension {self.n} exceeds {MAX_DIM}: the diagnostics form dense n x n matrices; "
-                "lower --dim"
+                f"pentadiagonal dimension {self.n} exceeds {MAX_DIM}: the decay slope solves for n/3 columns "
+                "of the inverse; lower --dim"
             )
 
     @property
@@ -89,14 +88,6 @@ class TridiagFactor:
             return None
         return math.acosh(ratio)
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        idx = np.arange(self.n)
-        out[idx, idx] = self.diag
-        out[idx[:-1], idx[:-1] + 1] = self.off
-        out[idx[:-1] + 1, idx[:-1]] = self.off
-        return out
-
 
 @dataclass(frozen=True)
 class DecayDiagnostics:
@@ -106,27 +97,17 @@ class DecayDiagnostics:
     empirical_rate: float | None
 
 
-def build_pentadiagonal(params: PentaParams) -> np.ndarray:
-    """Dense realization of the pentadiagonal matrix."""
-    n = params.n
-    out = np.zeros((n, n))
-    idx = np.arange(n)
-    out[idx, idx] = params.eps
-    out[idx[:-1], idx[:-1] + 1] = params.theta
-    out[idx[:-1] + 1, idx[:-1]] = params.theta
-    out[idx[:-2], idx[:-2] + 2] = params.lam_p
-    out[idx[:-2] + 2, idx[:-2]] = params.lam_p
-    out[0, 0] -= params.lam_p
-    out[n - 1, n - 1] -= params.lam_p
-    return out
+def _split(params: PentaParams) -> tuple[TridiagFactor, TridiagFactor, float]:
+    """The two factors and max |Z1 Z2 - P|, which must be at rounding level.
 
-
-def _split(params: PentaParams, target: np.ndarray) -> tuple[TridiagFactor, TridiagFactor, float]:
-    """The two factors of `factor_pentadiagonal` and max |Z1 Z2 - target| of their dense product.
-
-    `target` is the dense matrix; the residual must be at rounding level.
+    The factor diagonals pi_1, pi_2 are the roots theta/2 +- sqrt(disc)/2 of
+    x^2 - theta x + lam_p (eps - 2 lam_p), disc = theta^2 - 4 lam_p (eps - 2 lam_p);
+    the first factor has bands (lam_p, pi_1, lam_p) and the second
+    (1, pi_2/lam_p, 1). The root of theta's sign is formed directly and the other
+    from the product pi_1 pi_2 = lam_p (eps - 2 lam_p), so neither cancels.
     """
-    if params.lam_p == 0.0:
+    eps, theta, lam = params.eps, params.theta, params.lam_p
+    if lam == 0.0:
         raise DomainError("factorization requires a non-zero second off-diagonal")
     disc = params.discriminant
     if not math.isfinite(disc):
@@ -137,73 +118,68 @@ def _split(params: PentaParams, target: np.ndarray) -> tuple[TridiagFactor, Trid
             f"got {disc:.6g}"
         )
     root = math.sqrt(disc)
-    pi_1 = params.theta / 2.0 + root / 2.0
-    pi_2 = params.theta / 2.0 - root / 2.0
-    z1 = TridiagFactor(off=params.lam_p, diag=pi_1, n=params.n)
-    z2 = TridiagFactor(off=1.0, diag=pi_2 / params.lam_p, n=params.n)
+    if theta >= 0.0:
+        pi_1 = theta / 2.0 + root / 2.0
+        num, den = eps - 2.0 * lam, pi_1  # = pi_2 / lam_p, as pi_1 pi_2 = lam_p (eps - 2 lam_p)
+    else:
+        pi_2 = theta / 2.0 - root / 2.0
+        pi_1 = lam * ((eps - 2.0 * lam) / pi_2)
+        num, den = pi_2, lam
+    z1 = TridiagFactor(off=lam, diag=pi_1, n=params.n)
+    z2 = TridiagFactor(off=1.0, diag=num / den, n=params.n)
     if not math.isfinite(z2.diag):
-        raise DomainError(f"factor diagonal pi_2/lam_p = {pi_2!r}/{params.lam_p!r} overflows")
-    diff = z1.dense() @ z2.dense()
-    diff -= target
-    residual = float(np.max(np.abs(diff, out=diff)))
-    scale = max(abs(params.eps), abs(params.theta), abs(params.lam_p), 1.0)
+        raise DomainError(f"factor diagonal pi_2/lam_p = {num!r}/{den!r} overflows")
+    if z1.psi == math.inf:
+        raise DomainError(f"decay ratio pi_1/(2*lam_p) = {pi_1!r}/(2*{lam!r}) overflows")
+    # Z1 Z2 is Toeplitz but for its two corner diagonal entries, which miss one a*b term
+    a, d1, b, d2 = z1.off, z1.diag, z2.off, z2.diag
+    diffs = [d1 * d2 + a * b - (eps - lam), a * b + d1 * d2 + a * b - eps, d1 * b + a * d2 - theta, a * b - lam]
+    residual = float(np.max(np.abs(diffs)))  # np.max, unlike max, keeps a NaN
+    scale = max(abs(eps), abs(theta), abs(lam), 1.0)
     if not residual <= 1e-9 * scale:  # NaN fails too
         raise DomainError("tridiagonal factor product failed to reconstruct the matrix")
     return z1, z2, residual
 
 
-def factor_pentadiagonal(params: PentaParams) -> tuple[TridiagFactor, TridiagFactor]:
-    """Split the pentadiagonal matrix into two real tridiagonal Toeplitz factors.
+def _empirical_rate(params: PentaParams) -> float | None:
+    """Least-squares slope of -log|inv(P)[r, r + lag]| against lag = 1..12.
 
-    The factor diagonals pi_1, pi_2 are theta/2 +- sqrt(disc)/2 with
-    disc = theta^2 - 4 lam_p (eps - 2 lam_p); the first factor has bands
-    (lam_p, pi_1, lam_p) and the second (1, pi_2/lam_p, 1). The product is
-    verified against the dense matrix before returning.
+    Averaged over the middle rows r = n/3 .. 2n/3 - 1 whose entries at those
+    lags are non-zero; P is symmetric, so row r at r + lag is column r, which one
+    banded LU solve against the unit vectors of those rows gives. P is negative
+    definite when lam_p < 0, so the solver is the general one. None when no slope
+    can be fitted: the dimension leaves a single lag, or every row's entries
+    underflow to zero.
     """
-    return _split(params, build_pentadiagonal(params))[:2]
-
-
-def _decay(z1: TridiagFactor, z2: TridiagFactor, target: np.ndarray) -> DecayDiagnostics:
-    """`decay_rate` of the dense matrix `target` from its two factors."""
-    psi_1, psi_2 = z1.psi, z2.psi
-    if psi_1 is None or psi_2 is None:
-        raise DomainError("decay rate requires pi_i > 2*lam_p for both factors")
-    n = target.shape[0]
-    inv = np.linalg.inv(target)
+    n, eps, theta, lam = params.n, params.eps, params.theta, params.lam_p
     row_lo, row_hi = n // 3, 2 * n // 3
     lags = np.arange(1, min(12, n - row_hi) + 1)
-    log_mags = []
-    for r in range(row_lo, row_hi):
-        vals = np.abs(inv[r, r + lags])
-        if np.all(vals > 0):
-            log_mags.append(np.log(vals))
-    if lags.size < 2 or not log_mags:
-        return DecayDiagnostics(psi_min=min(psi_1, psi_2), empirical_rate=None)
-    mean_log = np.mean(log_mags, axis=0)
-    slope = np.polyfit(lags, mean_log, 1)[0]
-    return DecayDiagnostics(psi_min=min(psi_1, psi_2), empirical_rate=-float(slope))
-
-
-def decay_rate(params: PentaParams) -> DecayDiagnostics:
-    """Predicted off-diagonal decay rate min_i psi_i, plus an empirical slope check.
-
-    The empirical rate is the least-squares slope of -log|inv(P)[r, r+lag]|
-    against lag = 1..12, averaged over middle rows of the numerically
-    inverted matrix whose entries at those lags are non-zero. It is None
-    when no slope can be fitted: the dimension leaves a single lag, or
-    every row's entries underflow to zero.
-    """
-    target = build_pentadiagonal(params)
-    return _decay(*_split(params, target)[:2], target)
+    if lags.size < 2:
+        return None
+    band = np.zeros((5, n))  # solve_banded's layout: band[2 + i - j, j] = P[i, j]
+    band[0, 2:] = band[4, :-2] = lam
+    band[1, 1:] = band[3, :-1] = theta
+    band[2] = eps
+    band[2, [0, -1]] -= lam
+    k = np.arange(row_hi - row_lo)
+    unit = np.zeros((n, k.size), order="F")  # Fortran order: LAPACK solves it in place
+    unit[row_lo + k, k] = 1.0
+    inv_cols = scipy.linalg.solve_banded((2, 2), band, unit, overwrite_b=True)
+    vals = np.abs(inv_cols[(row_lo + k)[:, None] + lags, k[:, None]])
+    log_mags = np.log(vals[np.all(vals > 0, axis=1)])
+    if not log_mags.size:
+        return None
+    return -float(np.polyfit(lags, np.mean(log_mags, axis=0), 1)[0])
 
 
 def diagnose_pentadiagonal(params: PentaParams) -> tuple[TridiagFactor, TridiagFactor, float, DecayDiagnostics | None]:
-    """(z1, z2, residual, decay): `factor_pentadiagonal`'s factors, max |Z1 Z2 - P|, and
-    `decay_rate`'s result, or None when some pi_i <= 2 lam_p leaves a rate undefined."""
-    target = build_pentadiagonal(params)
-    z1, z2, residual = _split(params, target)
-    decay = None if z1.psi is None or z2.psi is None else _decay(z1, z2, target)
-    return z1, z2, residual, decay
+    """(z1, z2, residual, decay): P's two tridiagonal factors, max |Z1 Z2 - P|, and the
+    predicted rate min_i psi_i with its empirical slope, or None when some
+    pi_i <= 2 lam_p leaves a rate undefined. Raises DomainError when P does not split."""
+    z1, z2, residual = _split(params)
+    if z1.psi is None or z2.psi is None:
+        return z1, z2, residual, None
+    return z1, z2, residual, DecayDiagnostics(psi_min=min(z1.psi, z2.psi), empirical_rate=_empirical_rate(params))
 
 
 def cov_quadratic_forms(a: np.ndarray, b: np.ndarray, sigma_xy: np.ndarray) -> np.ndarray:

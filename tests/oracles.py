@@ -7,6 +7,14 @@ other two expressions of it, each on one `QuadFormProblem`. The closed-form
 tridiagonal Toeplitz inverse is checked against numeric inversion by
 acceptance criterion 7.
 
+`smoothdiff.toeplitz.diagnose_pentadiagonal` reads the pentadiagonal P and
+its two tridiagonal factors only through their scalars and bands.
+`build_pentadiagonal` and `tridiag_dense` are the dense matrices it no
+longer forms; `dense_product_residual` is max |Z1 Z2 - P| of their dense
+product, and `dense_inverse_rate` the empirical decay slope read from the
+numerically inverted P, the two forms its closed-form residual and banded
+solve replaced.
+
 `smoothdiff.windows.window_stat_correlation` gathers, factors and reduces
 every window of a correlation vector in one batched pass, from a dense
 block of V. `window_stat_covariance` and `per_pair_correlation` are the
@@ -110,7 +118,7 @@ from smoothdiff import fitting, simulate
 from smoothdiff.basis import _nonzero_basis, expand_band
 from smoothdiff.errors import DomainError, NumericalError, ParameterError
 from smoothdiff.tdp import PValueFamily, _as_index_set
-from smoothdiff.toeplitz import TridiagFactor
+from smoothdiff.toeplitz import PentaParams, TridiagFactor
 from smoothdiff.windows import _band_entries, _check_band, _direct_inverse, _window_series
 
 
@@ -234,6 +242,57 @@ def tridiag_toeplitz_inverse(factor: TridiagFactor, n: int | None = None) -> np.
     log_mag = log_fwd[lo - 1] + log_bwd[hi - 1] - log_scale
     signs = np.where((hi - lo) % 2 == 0, 1.0, -1.0)
     return signs * np.exp(log_mag) / factor.off
+
+
+def tridiag_dense(factor: TridiagFactor) -> np.ndarray:
+    """Dense realization of a tridiagonal Toeplitz factor."""
+    out = np.zeros((factor.n, factor.n))
+    idx = np.arange(factor.n)
+    out[idx, idx] = factor.diag
+    out[idx[:-1], idx[:-1] + 1] = factor.off
+    out[idx[:-1] + 1, idx[:-1]] = factor.off
+    return out
+
+
+def build_pentadiagonal(params: PentaParams) -> np.ndarray:
+    """Dense realization of the pentadiagonal matrix."""
+    n = params.n
+    out = np.zeros((n, n))
+    idx = np.arange(n)
+    out[idx, idx] = params.eps
+    out[idx[:-1], idx[:-1] + 1] = params.theta
+    out[idx[:-1] + 1, idx[:-1]] = params.theta
+    out[idx[:-2], idx[:-2] + 2] = params.lam_p
+    out[idx[:-2] + 2, idx[:-2]] = params.lam_p
+    out[0, 0] -= params.lam_p
+    out[n - 1, n - 1] -= params.lam_p
+    return out
+
+
+def dense_product_residual(z1: TridiagFactor, z2: TridiagFactor, params: PentaParams) -> float:
+    """max |Z1 Z2 - P| of the dense product."""
+    return float(np.max(np.abs(tridiag_dense(z1) @ tridiag_dense(z2) - build_pentadiagonal(params))))
+
+
+def dense_inverse_rate(params: PentaParams) -> float | None:
+    """Least-squares slope of -log|inv(P)[r, r+lag]| against lag = 1..12 on the inverted P.
+
+    Averaged over rows n/3 .. 2n/3 - 1 whose entries at those lags are
+    non-zero; None when the dimension leaves a single lag or every row's
+    entries underflow.
+    """
+    n = params.n
+    inv = np.linalg.inv(build_pentadiagonal(params))
+    row_lo, row_hi = n // 3, 2 * n // 3
+    lags = np.arange(1, min(12, n - row_hi) + 1)
+    log_mags = []
+    for r in range(row_lo, row_hi):
+        vals = np.abs(inv[r, r + lags])
+        if np.all(vals > 0):
+            log_mags.append(np.log(vals))
+    if lags.size < 2 or not log_mags:
+        return None
+    return -float(np.polyfit(lags, np.mean(log_mags, axis=0), 1)[0])
 
 
 def gram_band_by_pair_bincount(dm, weights=None) -> np.ndarray:

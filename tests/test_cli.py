@@ -990,7 +990,7 @@ class TestDiagnose:
         def dense(*args):
             raise AssertionError("a dense matrix was built")
 
-        # the ceiling is checked before any n x n matrix is built
+        # the ceiling is checked before the diagnostics run
         monkeypatch.setattr(cli, "diagnose_pentadiagonal", dense)
         out = tmp_path / "d"
         assert main(["diagnose", "--epsilon=20", "--theta=10", "--lambda-p=1", "--dim=1000000", "--out", str(out)]) == 2
@@ -1007,6 +1007,39 @@ class TestDiagnose:
         assert main(["diagnose", *argv, "--out", str(tmp_path / "d")]) == 3
         err = capsys.readouterr().err
         assert "numerical error: theta^2 - 4*lam_p*(eps - 2*lam_p) overflows to inf" in err
+
+    @pytest.mark.parametrize("theta", [1e8, 1e9])
+    def test_small_root_does_not_cancel(self, tmp_path, theta):
+        # theta/2 - sqrt(disc)/2 gave pi_2 = 0.0 at 1e9 and failed the split's check at 1e8
+        out = tmp_path / "d"
+        assert main(["diagnose", "--epsilon=3", f"--theta={theta!r}", "--lambda-p=1", "--out", str(out)]) == 0
+        payload = json.loads((out / "diagnostics.json").read_text())
+        assert payload["pi"] == pytest.approx([theta, 1.0 / theta], rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--epsilon=-3.12e150", "--theta=5.71e68", "--lambda-p=5.01e-280"], ["--epsilon=1e11", "--theta=1e10", "--lambda-p=1e-300"]],
+    )
+    def test_overflowing_decay_ratio_exits_3_naming_it(self, tmp_path, capsys, argv):
+        out = tmp_path / "d"
+        assert main(["diagnose", *argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical error: decay ratio pi_1/(2*lam_p) = " in err and "Traceback" not in err
+        assert not (out / "diagnostics.json").exists()
+
+    def test_tiny_scale_rates_follow_the_vieta_root(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        argv = ["--epsilon=7.40e-144", "--theta=7.43e-158", "--lambda-p=7.77e-196", "--dim=29"]
+        assert main(["diagnose", *argv, "--out", str(out)]) == 0
+        payload = json.loads((out / "diagnostics.json").read_text())
+        assert payload["psi_min"] == pytest.approx(32.2321, abs=1e-4)
+        assert payload["empirical_decay_rate"] == pytest.approx(payload["psi_min"], rel=1e-9)
+        # eps - 2 lam_p < 0 puts pi_2 on the wrong side of 2 lam_p
+        argv = ["--epsilon=4.83e-299", "--theta=5.89e-162", "--lambda-p=6.33e-258", "--dim=28"]
+        assert main(["diagnose", *argv, "--out", str(out)]) == 0
+        assert "(decay rate undefined: some pi_i <= 2*lam_p)" in capsys.readouterr().out
+        payload = json.loads((out / "diagnostics.json").read_text())
+        assert payload["psi_min"] is None and payload["empirical_decay_rate"] is None
 
     @pytest.mark.parametrize(
         "argv",

@@ -20,7 +20,17 @@ import smoothdiff
 
 MODULES = ("basis", "fitting", "simulate", "tdp", "toeplitz", "windows")
 # the paper's alternative forms and the helpers only tests use live in tests/oracles.py
-ORACLE_FORMS = ("closed_testing_oracle", "simes_test", "eval_basis", "band_form", "region")
+ORACLE_FORMS = (
+    "closed_testing_oracle",
+    "simes_test",
+    "eval_basis",
+    "band_form",
+    "region",
+    "build_pentadiagonal",
+    "tridiag_dense",
+    "dense_product_residual",
+    "dense_inverse_rate",
+)
 
 HEAVY = (
     "scipy.stats",
@@ -57,6 +67,7 @@ def test_public_names_resolve_and_exclude_the_oracle_forms():
     assert package - {"DomainError", "NumericalError", "ParameterError"} <= exported
     assert not hasattr(smoothdiff.BasisSpec, "basis_support")
     assert not hasattr(smoothdiff.BasisSpec, "region")
+    assert not hasattr(smoothdiff.TridiagFactor, "dense")
 
 
 def test_windows_imports_nothing_from_fitting():

@@ -1,20 +1,29 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from oracles import QuadFormProblem, frobenius_form, kronecker_double_sum, trace_form, tridiag_toeplitz_inverse
+from oracles import (
+    QuadFormProblem,
+    build_pentadiagonal,
+    dense_inverse_rate,
+    dense_product_residual,
+    frobenius_form,
+    kronecker_double_sum,
+    trace_form,
+    tridiag_dense,
+    tridiag_toeplitz_inverse,
+)
 from smoothdiff.errors import DomainError, ParameterError
 from smoothdiff.toeplitz import (
     MAX_DIM,
     PentaParams,
     TridiagFactor,
-    build_pentadiagonal,
     cov_quadratic_forms,
-    decay_rate,
     diagnose_pentadiagonal,
-    factor_pentadiagonal,
 )
 
 
@@ -29,13 +38,21 @@ def random_valid_params(rng, n=40):
     return PentaParams(eps=eps, theta=theta, lam_p=lam, n=n)
 
 
+def factors(params):
+    return diagnose_pentadiagonal(params)[:2]
+
+
+def decay_of(params):
+    return diagnose_pentadiagonal(params)[3]
+
+
 class TestFactorization:
     def test_hand_checked_example(self):
         params = PentaParams(eps=5.0, theta=4.0, lam_p=1.0, n=5)
-        z1, z2 = factor_pentadiagonal(params)
+        z1, z2 = factors(params)
         assert z1.diag == pytest.approx(3.0)
         assert z2.diag == pytest.approx(1.0)
-        product = z1.dense() @ z2.dense()
+        product = tridiag_dense(z1) @ tridiag_dense(z2)
         target = build_pentadiagonal(params)
         assert target[0, 0] == 4.0  # eps - lam corner
         assert np.max(np.abs(product - target)) < 1e-12
@@ -44,23 +61,23 @@ class TestFactorization:
         rng = np.random.default_rng(11)
         for _ in range(100):
             params = random_valid_params(rng)
-            z1, z2 = factor_pentadiagonal(params)
-            resid = np.max(np.abs(z1.dense() @ z2.dense() - build_pentadiagonal(params)))
+            z1, z2 = factors(params)
+            resid = dense_product_residual(z1, z2, params)
             scale = max(abs(params.eps), 1.0)
             assert resid < 1e-12 * scale
 
     def test_zero_discriminant_rejected(self):
         # theta^2 - 4*lam*(eps-2*lam) = 16 - 16 = 0: boundary excluded
         with pytest.raises(DomainError):
-            factor_pentadiagonal(PentaParams(eps=6.0, theta=4.0, lam_p=1.0, n=5))
+            diagnose_pentadiagonal(PentaParams(eps=6.0, theta=4.0, lam_p=1.0, n=5))
 
     def test_negative_discriminant_rejected(self):
         with pytest.raises(DomainError):
-            factor_pentadiagonal(PentaParams(eps=50.0, theta=1.0, lam_p=1.0, n=5))
+            diagnose_pentadiagonal(PentaParams(eps=50.0, theta=1.0, lam_p=1.0, n=5))
 
     def test_zero_off_diagonal_rejected(self):
         with pytest.raises(DomainError):
-            factor_pentadiagonal(PentaParams(eps=5.0, theta=4.0, lam_p=0.0, n=5))
+            diagnose_pentadiagonal(PentaParams(eps=5.0, theta=4.0, lam_p=0.0, n=5))
 
     @pytest.mark.parametrize("field", ["eps", "theta", "lam_p"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -77,12 +94,26 @@ class TestFactorization:
     @pytest.mark.parametrize("eps, theta, lam_p", [(1.0, 5.0, 1e200), (1.0, 1e200, 1.0), (-1e300, 1.0, 1e10)])
     def test_overflowing_discriminant_rejected(self, eps, theta, lam_p):
         with pytest.raises(DomainError, match="overflows to inf"):
-            factor_pentadiagonal(PentaParams(eps=eps, theta=theta, lam_p=lam_p, n=5))
+            diagnose_pentadiagonal(PentaParams(eps=eps, theta=theta, lam_p=lam_p, n=5))
 
     def test_overflowing_factor_diagonal_rejected(self):
         # pi_2 = -1e10 is finite, pi_2 / lam_p is not
         with pytest.raises(DomainError, match="factor diagonal pi_2/lam_p .* overflows"):
-            factor_pentadiagonal(PentaParams(eps=1.0, theta=-1e10, lam_p=1e-300, n=5))
+            diagnose_pentadiagonal(PentaParams(eps=1.0, theta=-1e10, lam_p=1e-300, n=5))
+
+    @pytest.mark.parametrize("eps, theta, lam_p", [(-3.12e150, 5.71e68, 5.01e-280), (1e11, 1e10, 1e-300)])
+    def test_overflowing_decay_ratio_rejected(self, eps, theta, lam_p):
+        # pi_1 is finite, pi_1 / (2 lam_p) is not: psi_1 would read inf
+        with pytest.raises(DomainError, match=r"^decay ratio pi_1/\(2\*lam_p\) = .* overflows$"):
+            diagnose_pentadiagonal(PentaParams(eps=eps, theta=theta, lam_p=lam_p, n=5))
+
+    @pytest.mark.parametrize("theta", [1e8, 1e9])
+    def test_small_root_does_not_cancel(self, theta):
+        # theta/2 - sqrt(disc)/2 cancels to 0 or near it here; pi_1 pi_2 = lam_p (eps - 2 lam_p) = 1
+        params = PentaParams(eps=3.0, theta=theta, lam_p=1.0, n=5)
+        z1, z2, residual, decay = diagnose_pentadiagonal(params)
+        assert [z1.diag, z2.diag * params.lam_p] == pytest.approx([theta, 1.0 / theta], rel=1e-15)
+        assert residual <= 1e-15 * theta and decay is None
 
 
 class TestTridiagInverse:
@@ -93,14 +124,14 @@ class TestTridiagInverse:
     def test_matches_numeric_inversion(self):
         factor = TridiagFactor(off=1.0, diag=3.0, n=10)
         closed = tridiag_toeplitz_inverse(factor)
-        numeric = np.linalg.inv(factor.dense())
+        numeric = np.linalg.inv(tridiag_dense(factor))
         err = np.max(np.abs(closed - numeric)) / np.max(np.abs(numeric))
         assert err < 1e-8
 
     def test_scaled_factor_matches_numeric(self):
         factor = TridiagFactor(off=0.7, diag=2.9, n=25)
         closed = tridiag_toeplitz_inverse(factor)
-        numeric = np.linalg.inv(factor.dense())
+        numeric = np.linalg.inv(tridiag_dense(factor))
         assert np.max(np.abs(closed - numeric)) < 1e-8 * np.max(np.abs(numeric))
 
     def test_sign_alternation(self):
@@ -111,7 +142,7 @@ class TestTridiagInverse:
     def test_large_dimension_no_overflow(self):
         factor = TridiagFactor(off=1.0, diag=12.0, n=200)
         closed = tridiag_toeplitz_inverse(factor)
-        numeric = np.linalg.inv(factor.dense())
+        numeric = np.linalg.inv(tridiag_dense(factor))
         assert np.max(np.abs(closed - numeric)) < 1e-8 * np.max(np.abs(numeric))
         assert np.all(np.isfinite(closed))
 
@@ -123,86 +154,110 @@ class TestTridiagInverse:
 class TestDecayRate:
     def test_root_formula_example(self):
         params = PentaParams(eps=8.1, theta=5.0, lam_p=1.0, n=60)
-        z1, z2 = factor_pentadiagonal(params)
+        z1, z2 = factors(params)
         assert z1.diag == pytest.approx(2.5 + math.sqrt(0.6) / 2)
         assert z2.diag == pytest.approx(2.5 - math.sqrt(0.6) / 2)
-        diag = decay_rate(params)
+        diag = decay_of(params)
         assert diag.psi_min == pytest.approx(math.acosh((2.5 - math.sqrt(0.6) / 2) / 2))
 
     def test_empirical_slope_matches_minimum_rate(self):
         params = PentaParams(eps=8.1, theta=5.0, lam_p=1.0, n=60)
-        diag = decay_rate(params)
+        diag = decay_of(params)
         assert diag.empirical_rate == pytest.approx(diag.psi_min, rel=0.10)
 
     def test_scale_invariance_of_rate(self):
         base = PentaParams(eps=8.1, theta=5.0, lam_p=1.0, n=40)
         scaled = PentaParams(eps=3 * 8.1, theta=3 * 5.0, lam_p=3.0, n=40)
-        assert decay_rate(base).psi_min == pytest.approx(decay_rate(scaled).psi_min)
+        assert decay_of(base).psi_min == pytest.approx(decay_of(scaled).psi_min)
 
     def test_no_slope_through_a_single_lag(self):
         # at n = 3 the middle row reaches lag 1 only
-        diag = decay_rate(PentaParams(eps=8.1, theta=5.0, lam_p=1.0, n=3))
+        diag = decay_of(PentaParams(eps=8.1, theta=5.0, lam_p=1.0, n=3))
         assert diag.empirical_rate is None
-        assert diag.psi_min == decay_rate(PentaParams(eps=8.1, theta=5.0, lam_p=1.0, n=60)).psi_min
+        assert diag.psi_min == decay_of(PentaParams(eps=8.1, theta=5.0, lam_p=1.0, n=60)).psi_min
 
     def test_no_slope_when_entries_underflow(self):
         # psi_min = ln(1e30): the inverse is zero beyond lag 1 in every row
-        diag = decay_rate(PentaParams(eps=2e60, theta=3e30, lam_p=1.0, n=60))
+        diag = decay_of(PentaParams(eps=2e60, theta=3e30, lam_p=1.0, n=60))
         assert diag.empirical_rate is None
         assert diag.psi_min == pytest.approx(math.acosh(5e29))
 
-    def test_rate_undefined_raises(self):
+    def test_rate_undefined_is_none(self):
         # valid factorization but pi_2 < 2*lam: no real decay rate
         params = PentaParams(eps=4.0, theta=4.0, lam_p=1.0, n=20)
-        with pytest.raises(DomainError):
-            decay_rate(params)
+        z1, z2, _, decay = diagnose_pentadiagonal(params)
+        assert decay is None and z1.psi is not None and z2.psi is None
+
+    def test_tiny_scale_rate_is_the_vieta_root(self):
+        # disc = theta^2 underflows to a subnormal, so theta/2 - sqrt(disc)/2 is rounding
+        # noise; pi_2 / lam_p = (eps - 2 lam_p) / pi_1 ~ 1e14 gives psi_2 = ln(1e14) = 32.23
+        diag = decay_of(PentaParams(eps=7.40e-144, theta=7.43e-158, lam_p=7.77e-196, n=29))
+        assert diag.psi_min == pytest.approx(32.2321, abs=1e-4)
+        assert diag.empirical_rate == pytest.approx(diag.psi_min, rel=1e-9)
+
+    def test_tiny_scale_rate_undefined_by_the_sign_of_eps_minus_2_lam_p(self):
+        # eps - 2 lam_p < 0, so pi_2 / lam_p = (eps - 2 lam_p) / pi_1 <= 0 and psi_2 is undefined
+        params = PentaParams(eps=4.83e-299, theta=5.89e-162, lam_p=6.33e-258, n=28)
+        z1, z2, _, decay = diagnose_pentadiagonal(params)
+        assert z2.diag <= 0.0 and z2.psi is None and decay is None
+
+
+PENTA_SETS = {
+    "defined": (8.1, 5.0, 1.0, 60),
+    "psi_undefined": (5.0, 4.0, 1.0, 40),
+    "single_lag": (8.1, 5.0, 1.0, 3),
+    "underflow": (2e60, 3e30, 1.0, 60),
+    "rate_undefined": (4.0, 4.0, 1.0, 20),
+    **{f"eps8.1_n{n}": (8.1, 5.0, 1.0, n) for n in (4, 5, 37, 2000)},
+    **{f"eps20_n{n}": (20.0, 10.0, 1.0, n) for n in (3, 4, 5, 37, 60, 2000)},
+    **{f"negative_definite_n{n}": (-8.1, -5.0, -1.0, n) for n in (3, 4, 5, 37, 60)},
+}
+
+
+def assert_matches_dense_oracles(params):
+    """The banded residual and slope against the dense product and inverse, at tolerances fixed in advance."""
+    z1, z2, residual, decay = diagnose_pentadiagonal(params)
+    scale = max(abs(params.eps), abs(params.theta), abs(params.lam_p), 1.0)
+    assert abs(residual - dense_product_residual(z1, z2, params)) <= 1e-14 * scale
+    if decay is None:
+        assert z1.psi is None or z2.psi is None
+        return
+    assert decay.psi_min == min(z1.psi, z2.psi)
+    dense = dense_inverse_rate(params)
+    assert (decay.empirical_rate is None) == (dense is None)
+    if dense is not None:
+        assert decay.empirical_rate == pytest.approx(dense, rel=1e-12)
 
 
 class TestDiagnosePentadiagonal:
-    @pytest.mark.parametrize(
-        "eps, theta, lam_p, n",
-        [(8.1, 5.0, 1.0, 60), (5.0, 4.0, 1.0, 40), (8.1, 5.0, 1.0, 3), (2e60, 3e30, 1.0, 60), (4.0, 4.0, 1.0, 20)],
-        ids=["defined", "psi_undefined", "single_lag", "underflow", "rate_undefined"],
-    )
-    def test_equals_the_separate_calls_bitwise(self, eps, theta, lam_p, n):
-        params = PentaParams(eps=eps, theta=theta, lam_p=lam_p, n=n)
-        z1, z2, residual, decay = diagnose_pentadiagonal(params)
-        assert (z1, z2) == factor_pentadiagonal(params)
-        assert residual == float(np.max(np.abs(z1.dense() @ z2.dense() - build_pentadiagonal(params))))
-        if decay is None:
-            with pytest.raises(DomainError, match="decay rate requires"):
-                decay_rate(params)
-        else:
-            assert decay == decay_rate(params)
+    @pytest.mark.parametrize("eps, theta, lam_p, n", list(PENTA_SETS.values()), ids=list(PENTA_SETS))
+    def test_matches_the_dense_oracles(self, eps, theta, lam_p, n):
+        assert_matches_dense_oracles(PentaParams(eps=eps, theta=theta, lam_p=lam_p, n=n))
 
-    def test_one_matrix_one_product_one_inverse(self, monkeypatch):
-        from smoothdiff import toeplitz
+    def test_matches_the_dense_oracles_over_random_parameters(self):
+        rng = np.random.default_rng(41)
+        for i in range(100):
+            assert_matches_dense_oracles(random_valid_params(rng, n=(3, 4, 5, 37, 60)[i % 5]))
 
-        calls = {"build": 0, "dense": 0, "inv": 0}
+    def test_no_dense_matrix_and_no_inverse(self, monkeypatch):
+        def inv(*args):
+            raise AssertionError("a dense inverse was formed")
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        monkeypatch.setattr(scipy.linalg, "inv", inv)
+        n = MAX_DIM
+        tracemalloc.start()
+        try:
+            decay = diagnose_pentadiagonal(PentaParams(eps=20.0, theta=10.0, lam_p=1.0, n=n))[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decay.empirical_rate is not None
+        assert peak < 8 * n * n  # one dense n x n float64 matrix
 
-        monkeypatch.setattr(toeplitz, "build_pentadiagonal", counted("build", toeplitz.build_pentadiagonal))
-        monkeypatch.setattr(TridiagFactor, "dense", counted("dense", TridiagFactor.dense))
-        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
-        assert diagnose_pentadiagonal(PentaParams(eps=8.1, theta=5.0, lam_p=1.0, n=60))[3] is not None
-        assert calls == {"build": 1, "dense": 2, "inv": 1}
-
-    @pytest.mark.parametrize(
-        "eps, theta, message",
-        [(50.0, 1.0, r"theta\^2 - 4\*lam_p"), (3.0, 1e8, "failed to reconstruct the matrix")],
-        ids=["discriminant", "reconstruction"],
-    )
-    def test_failed_split_raises_as_factor_pentadiagonal(self, eps, theta, message):
-        # theta = 1e8: pi_2 cancels to 0, and the product's diagonal misses eps by 1
-        params = PentaParams(eps=eps, theta=theta, lam_p=1.0, n=5)
-        for split in (diagnose_pentadiagonal, factor_pentadiagonal):
-            with pytest.raises(DomainError, match=message):
-                split(params)
+    def test_failed_split_raises(self):
+        with pytest.raises(DomainError, match=r"theta\^2 - 4\*lam_p"):
+            diagnose_pentadiagonal(PentaParams(eps=50.0, theta=1.0, lam_p=1.0, n=5))
 
 
 def mc_cov(problem, n_draws, seed):
