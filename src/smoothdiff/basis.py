@@ -79,14 +79,17 @@ class DesignMatrix:
     """Basis expansion of a covariate sample.
 
     Rows are stored compactly: row i has the degree+1 potentially non-zero
-    values `values[i]` starting at column `start[i]`. `gram_band` and `rhs`
-    go through weight-free CSR operators built on first use, and `predict`
-    through the CSR form of Z, also built on first use, so a predict-only
-    expansion builds only that.
-    Each kernel takes a stack of vectors in one product and gives every
-    vector's result bit for bit as it would alone: a CSR product sums each
-    output entry over the row's stored entries in order, whatever the number
-    of vectors.
+    values `values[i]` starting at column `start[i]`. A product used once
+    takes one `bincount` per coefficient pair, or per offset and column: the
+    unweighted `gram_band` and `rhs`. IRLS's weighted products, `gram_band(w)`
+    and `weighted_rhs`, go through weight-free CSR operators that the first
+    of them builds, and `predict` through the CSR form of Z, built on first
+    use; so a Gaussian fit builds no IRLS operator.
+    A CSR product sums each output entry over the row's stored samples in
+    ascending order from zero, the order in which `bincount` accumulates, so
+    both kernels give the same sums bit for bit. Each CSR kernel takes a
+    stack of vectors in one product and gives every vector's result bit for
+    bit as it would alone, whatever the number of vectors.
     """
 
     z: np.ndarray
@@ -123,16 +126,23 @@ class DesignMatrix:
         """Z' diag(w) Z in upper band storage (solveh_banded layout).
 
         Row `width - 1 - k` holds the k-th superdiagonal, right-aligned, so
-        the main diagonal is the last row. One matvec gives every pair's
-        band row; they are added in pair order. A (k, n) stack of weight
-        vectors gives the (k, width, m) stack of their bands. The unweighted
-        band is computed once and shared, read-only.
+        the main diagonal is the last row; each pair's band row is added in
+        pair order. The unweighted band takes one `bincount` per pair, is
+        computed once and shared, read-only. Weights go through one product
+        with the CSR operator G: a (k, n) stack of weight vectors gives the
+        (k, width, m) stack of their bands.
         """
         if weights is not None:
             return self._gram_bands(weights)
         if self._gram is None:
-            self._gram = self._gram_bands(np.ones(self.n))
-            self._gram.setflags(write=False)
+            w, m = self.width, self.m
+            band = np.zeros((w, m))
+            for a, b in _pairs(w):
+                band[w - 1 - (b - a)] += np.bincount(
+                    self.start + b, weights=self.values[:, a] * self.values[:, b], minlength=m
+                )
+            band.setflags(write=False)
+            self._gram = band
         return self._gram
 
     def _gram_bands(self, weights: np.ndarray) -> np.ndarray:
@@ -155,9 +165,27 @@ class DesignMatrix:
         return out
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
-        """Z'y for a vector y, or for each column of an n x p matrix y; callers weight y."""
+        """Z'y for a vector y, or for each column of an n x c matrix y.
+
+        One `bincount` per offset within the compact rows and column, the
+        offsets added in order.
+        """
+        cols = y[:, None] if y.ndim == 1 else y
+        out = np.zeros((self.m, cols.shape[1]))
+        for a in range(self.width):
+            at = self.start + a
+            for j in range(cols.shape[1]):
+                out[:, j] += np.bincount(at, weights=self.values[:, a] * cols[:, j], minlength=self.m)
+        return out[:, 0] if y.ndim == 1 else out
+
+    def weighted_rhs(self, wy: np.ndarray) -> np.ndarray:
+        """Z'y for each column of IRLS's n x c stack of columns, which its caller has weighted.
+
+        One product with the CSR operator R gives every offset's sums; they
+        are added in offset order, as `rhs` adds them.
+        """
         _, rhs_op = self._operators()
-        per_offset = (rhs_op @ y).reshape(self.width, self.m, *y.shape[1:])
+        per_offset = (rhs_op @ wy).reshape(self.width, self.m, *wy.shape[1:])
         out = np.zeros(per_offset.shape[1:])
         for part in per_offset:
             out += part
@@ -192,7 +220,7 @@ def _span_order(start: np.ndarray, m: int) -> np.ndarray:
 
 
 def _sparse_operators(values: np.ndarray, start: np.ndarray, m: int) -> tuple:
-    """(G, R): the weight-independent CSR operators behind `gram_band` and `rhs`.
+    """(G, R): the weight-independent CSR operators behind the weighted `gram_band` and `weighted_rhs`.
 
     Row k*m + j of G holds pair k's products `values[:, a] * values[:, b]`
     at the samples with `start + b == j`; row a*m + j of R holds

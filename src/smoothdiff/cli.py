@@ -130,7 +130,8 @@ def read_stratum_csv(path: str, stratum_col: str | None = None):
     over the used columns: `"` quotes a field, blank lines are skipped,
     other columns are ignored and `#` is not a comment. Returns
     (y, z, X, strata): X holds the x_* columns (None without any) and strata
-    the stripped labels of `stratum_col` (None when it is None).
+    the labels of `stratum_col` as read, an object array of str (None when
+    it is None); `load_strata` strips them.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -166,8 +167,7 @@ def read_stratum_csv(path: str, stratum_col: str | None = None):
         raise ParameterError(f"cannot read {path}: {exc}") from exc
     values = [np.ascontiguousarray(table[f"c{j}"]) for j in range(len(numeric))]
     X = np.column_stack(values[2:]) if x_cols else None
-    strata = None if label is None else np.char.strip(table["label"].astype(str))
-    return values[0], values[1], X, strata
+    return values[0], values[1], X, None if label is None else table["label"]
 
 
 def _first_row_error(path, numeric, label, stratum_col, parse_error) -> ParameterError:
@@ -193,14 +193,24 @@ def _first_row_error(path, numeric, label, stratum_col, parse_error) -> Paramete
 
 
 def load_strata(config: AnalysisConfig) -> tuple[StratumData, StratumData]:
+    """The two strata of `--data`, split by their stripped labels in sorted order, or the two stratum files.
+
+    Each distinct raw label is stripped once (`astype(str)`, which drops
+    trailing NULs, then `np.char.strip`), and a stratum's rows are the
+    union of the masks of the raw labels that strip to its label.
+    """
     if config.data is not None:
-        y, z, X, strata = read_stratum_csv(config.data, config.stratum_col)
-        labels = sorted(set(strata.tolist()))
+        y, z, X, raw = read_stratum_csv(config.data, config.stratum_col)
+        distinct = list(set(raw.tolist()))
+        stripped = np.char.strip(np.asarray(distinct, dtype=object).astype(str)).tolist()
+        labels = sorted(set(stripped))
         if len(labels) != 2:
             raise ParameterError(
                 f"{config.data}: expected exactly 2 stratum labels, found {labels}"
             )
-        groups = [strata == lab for lab in labels]
+        groups = [np.zeros(raw.size, dtype=bool) for _ in labels]
+        for value, lab in zip(distinct, stripped):  # a bare str operand would lose its trailing NULs
+            groups[labels.index(lab)] |= raw == np.array(value, dtype=object)
         return tuple(
             StratumData(y=y[g], z=z[g], family=config.family, X=None if X is None else X[g])
             for g in groups

@@ -12,10 +12,13 @@ solve (LAPACK dpbsv) of A on [Z'Wu | Zx] gives c0 and V; the p x p
 Schur complement S_x = X'WX - Zx'V = LL' gives beta, and c = c0 - V beta.
 `_grid_systems` solves a lambda grid in lockstep: a block of lambdas
 advances together with every per-observation array laid out as (block, n),
-so one CSR product gives every weight vector's Gram band, right-hand sides
-or linear predictor. A binomial lambda leaves the block when its IRLS
-converges or fails, keeping its own error; a Gaussian fit is the same solve
-done once, with w = 1. No lambda's result depends on its block.
+so one CSR product gives every IRLS weight vector's Gram band, right-hand
+sides or linear predictor. A binomial lambda leaves the block when its IRLS
+converges or fails, keeping its own error. A Gaussian fit is the same solve
+done once, with W = I: its Gram band and Z'[y | X] are the design matrix's
+unweighted `bincount` products, formed once per stratum and shared by the
+grid, so it builds no IRLS operator. No lambda's result depends on its
+block.
 `_fit_grids` sets up and solves each stratum's grid so in turn, raising
 an input error at once, then selects the inverses of every grid together;
 `select_lambda` chooses each stratum's point, and a given lambda is a
@@ -324,16 +327,21 @@ def _eliminate_border(sols: np.ndarray, zr: np.ndarray, xr: np.ndarray, errors: 
     return (c0 - borders @ g)[..., 0], (inv_t @ g)[..., 0], borders
 
 
-def _cross_products(dm: DesignMatrix, X: np.ndarray, u: np.ndarray, w: np.ndarray) -> tuple:
+def _cross_products(dm: DesignMatrix, X: np.ndarray, u: np.ndarray, w: np.ndarray | None = None) -> tuple:
     """(Z'W[u | X], X'W[u | X]), W = diag(w): (m, 1+p) and (p, 1+p) for (n,) u and w, stacked for (k, n).
 
-    One CSR product forms the Z' side of every stacked column.
+    Without w (a Gaussian fit, W = I) the Z' side is `DesignMatrix.rhs`'s
+    `bincount` per column; with it, one CSR product (`weighted_rhs`) forms
+    the Z' side of every stacked column.
     """
+    if w is None:
+        cols = np.column_stack([u, X])
+        return dm.rhs(cols), X.T @ cols
     lead, (n, p) = u.shape[:-1], X.shape
     cols = np.empty((*lead, n, 1 + p))
     np.multiply(w, u, out=cols[..., 0])
     np.multiply(w[..., None], X, out=cols[..., 1:])
-    zr = dm.rhs(np.moveaxis(cols, -2, 0).reshape(n, -1)).reshape(dm.m, *lead, 1 + p)
+    zr = dm.weighted_rhs(np.moveaxis(cols, -2, 0).reshape(n, -1)).reshape(dm.m, *lead, 1 + p)
     return np.moveaxis(zr, 0, -2), X.T @ cols
 
 
@@ -477,7 +485,7 @@ def _grid_systems(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarray,
     size = max(1, _BLOCK_VALUES // data.n)
     blocks = [lams[i : i + size] for i in range(0, lams.size, size)]
     if data.family == "gaussian":
-        shared = dm.gram_band(), *_cross_products(dm, data.X, data.y, np.ones(data.n))
+        shared = dm.gram_band(), *_cross_products(dm, data.X, data.y)
         solved = [_gaussian_block(dm, data, penalty_band, block, *shared) for block in blocks]
     else:
         solved = [_binomial_block(dm, data, penalty_band, block) for block in blocks]
@@ -612,8 +620,24 @@ def _precision_band(system: _BandSystem, penalty_band: np.ndarray) -> np.ndarray
 def _band_fit(
     data: StratumData, system: _BandSystem, band: np.ndarray, edf: float, yss: float, penalty_band: np.ndarray
 ) -> StratumFit:
-    """The fit of a solved system, given its unit-dispersion covariance band, its edf, y'y (`yss`) and S's band."""
-    dispersion = _dispersion(data, system.deviance, edf, yss)
+    """The fit of a solved system, given its unit-dispersion covariance band, its edf, y'y (`yss`) and S's band.
+
+    A NumericalError naming lambda and the quantity when the coefficients,
+    deviance, dispersion or covariance band are not finite, as when a huge
+    dispersion times the band overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite quantity raises below
+        dispersion = _dispersion(data, system.deviance, edf, yss)
+        cov_band = dispersion * band
+    quantities = (
+        ("coefficients", np.concatenate([system.coef, system.beta])),
+        ("deviance", system.deviance),
+        ("dispersion", dispersion),
+        ("covariance band", cov_band),
+    )
+    for name, value in quantities:
+        if not np.isfinite(value).all():
+            raise NumericalError(f"fit at lambda {system.lam!r} has a non-finite {name}")
     return StratumFit(
         coef=system.coef,
         beta=system.beta,
@@ -623,7 +647,7 @@ def _band_fit(
         family=data.family,
         deviance=system.deviance,
         n_obs=data.n,
-        cov_band=dispersion * band,
+        cov_band=cov_band,
         precision_band=_precision_band(system, penalty_band),
         border=system.border,
     )

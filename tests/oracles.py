@@ -27,8 +27,11 @@ messages included.
 The weighted design products of `smoothdiff.basis.DesignMatrix` go through
 cached sparse operators; the `bincount` loops below are the per-pair,
 per-offset and per-column forms they replaced, which they must match bit
-for bit. `dense_design`, `difference_matrix` and `penalty_matrix` are the
-dense Z, D and S = D'D that the library no longer forms.
+for bit, and the forms its unweighted products take. A Gaussian stratum
+once took its Gram band and Z'[y | X] from those operators with w = 1;
+`gaussian_systems_by_operators` is that path. `dense_design`,
+`difference_matrix` and `penalty_matrix` are the dense Z, D and S = D'D
+that the library no longer forms.
 `solve_penalized_per_iteration` is the dense (m + p)-square block solve
 with fixed effects that the bordered band solve replaced; it formed the
 covariance and edf in every IRLS iteration.
@@ -67,7 +70,9 @@ is checked against `expit` on its own.
 
 `smoothdiff.cli.read_stratum_csv` parses the data rows with `np.loadtxt`;
 `read_stratum_csv_by_float` is the `csv` reader with one `float()` per field
-that it replaced, and must give the same columns bit for bit.
+that it replaced, and must give the same columns bit for bit. The oracle
+strips each label; the library returns labels as read, and
+`smoothdiff.cli.load_strata` strips each distinct one.
 
 `smoothdiff.simulate.clumped_indices` keeps its weights incrementally and
 draws each index from their cumulative sum as `Generator.choice` does;
@@ -510,6 +515,13 @@ def per_lambda_band_solve(dm, data, penalty_band, lam):
         f"IRLS failed to converge in {fitting.MAX_IRLS_ITER} iterations; "
         f"deviance trace tail {trace[-4:]}"
     )
+
+
+def gaussian_systems_by_operators(dm, data, penalty_band, lams):
+    """A Gaussian stratum's `_BandSystem`s with Z'Z and Z'[y | X] from the CSR operators at w = 1."""
+    ones = np.ones(data.n)
+    shared = dm.gram_band(ones), *fitting._cross_products(dm, data.X, data.y, ones)
+    return fitting._gaussian_block(dm, data, penalty_band, lams, *shared)
 
 
 def binomial_deviance_by_where(y, mu):

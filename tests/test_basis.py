@@ -326,9 +326,9 @@ class TestGramBand:
 
 
 def assert_matches_bincount_oracles(dm, rng):
-    """gram_band and rhs (vector and matrix) equal the bincount loops bit for bit.
+    """gram_band, rhs and weighted_rhs (vector and matrix) equal the bincount loops bit for bit.
 
-    rhs takes right-hand sides its caller has weighted; the oracles weight their own.
+    weighted_rhs takes right-hand sides its caller has weighted; the oracles weight their own.
     """
     w = rng.uniform(1e-3, 0.25, dm.n)
     y = rng.normal(size=dm.n)
@@ -336,16 +336,18 @@ def assert_matches_bincount_oracles(dm, rng):
     for weights in (None, w):
         assert np.array_equal(dm.gram_band(weights), gram_band_by_pair_bincount(dm, weights))
         wy, wx = (y, x) if weights is None else (weights * y, weights[:, None] * x)
-        assert np.array_equal(dm.rhs(wy), rhs_by_offset_bincount(dm, y, weights))
-        assert np.array_equal(dm.rhs(wx), cross_with_by_column_bincount(dm, x, weights))
-        # a column-major right-hand side gives the same sums
-        assert np.array_equal(dm.rhs(np.asfortranarray(wx)), cross_with_by_column_bincount(dm, x, weights))
+        for rhs in (dm.rhs, dm.weighted_rhs):
+            assert np.array_equal(rhs(wy), rhs_by_offset_bincount(dm, y, weights))
+            assert np.array_equal(rhs(wx), cross_with_by_column_bincount(dm, x, weights))
+            # a column-major right-hand side gives the same sums
+            assert np.array_equal(rhs(np.asfortranarray(wx)), cross_with_by_column_bincount(dm, x, weights))
     # a stack of weight, right-hand-side or coefficient vectors gives each
     # vector's result bit for bit, whatever the stack's size
     stack = rng.uniform(1e-3, 0.25, (3, dm.n))
     assert np.array_equal(dm.gram_band(stack), [dm.gram_band(v) for v in stack])
     assert np.array_equal(dm.gram_band(stack[:1]), dm.gram_band(stack[0])[None])
-    assert np.array_equal(dm.rhs(x), np.stack([dm.rhs(c) for c in x.T], axis=1))
+    for rhs in (dm.rhs, dm.weighted_rhs):
+        assert np.array_equal(rhs(x), np.stack([rhs(c) for c in x.T], axis=1))
     coefs = rng.normal(size=(3, dm.m))
     assert np.array_equal(dm.predict(coefs), [dm.predict(c) for c in coefs])
     assert np.array_equal(dm.predict(coefs[:1]), dm.predict(coefs[0])[None])
@@ -403,10 +405,39 @@ class TestSparseOperators:
         w = rng.uniform(0.1, 1.0, 300)
         for _ in range(3):
             dm.gram_band(w)
-            dm.rhs(w * rng.normal(size=300))
-            dm.rhs(w[:, None] * rng.normal(size=(300, 2)))
+            dm.weighted_rhs(w * rng.normal(size=300))
+            dm.weighted_rhs(w[:, None] * rng.normal(size=(300, 2)))
         dm.crossprod()
         assert calls == [20]
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    @pytest.mark.parametrize("m_extra,n", [(2, 2000), (117, 4000), (60, 25)])
+    def test_unweighted_kernels_equal_the_operators(self, d, m_extra, n, monkeypatch):
+        # the unweighted Gram band and rhs take `bincount` and build no operator, and equal
+        # G @ 1 and R @ [y | X] summed over the offsets, bit for bit
+        spec = make_basis(0.0, 1.0, d + m_extra, d)
+        rng = np.random.default_rng(60 + d)
+        dm = design_matrix(spec, rng.uniform(-0.05, 1.05, n))
+        yx = rng.normal(size=(n, 3))
+
+        def fail(*args):
+            raise AssertionError("operator built by an unweighted product")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(basis, "_sparse_operators", fail)
+            band, zyx, zy = dm.gram_band(), dm.rhs(yx), dm.rhs(yx[:, 0])
+        gram_op, rhs_op = basis._sparse_operators(dm.values, dm.start, dm.m)
+        per_pair = gram_op @ np.ones(n)
+        want = np.zeros((dm.width, dm.m))
+        for k, (a, b) in enumerate(basis._pairs(dm.width)):
+            want[dm.width - 1 - (b - a)] += per_pair[k * dm.m : (k + 1) * dm.m]
+        assert np.array_equal(band, want)
+        per_offset = (rhs_op @ yx).reshape(dm.width, dm.m, 3)
+        want = np.zeros((dm.m, 3))
+        for part in per_offset:
+            want += part
+        assert np.array_equal(zyx, want)
+        assert np.array_equal(zy, want[:, 0])
 
     @pytest.mark.parametrize("m, n", [(8, 50), (123, 4000), (500, 10000), (70000, 3000)])
     def test_operators_equal_the_int64_sort_ones(self, m, n, monkeypatch):

@@ -17,6 +17,7 @@ from oracles import (
     dense_covariance,
     dense_design,
     dense_inverse_edf,
+    gaussian_systems_by_operators,
     gcv_choice_by_loop,
     penalty_matrix,
     per_lambda_band_solve,
@@ -24,7 +25,7 @@ from oracles import (
 )
 from scipy.special import expit, xlogy
 
-from smoothdiff import fitting
+from smoothdiff import basis, fitting
 from smoothdiff.basis import design_matrix, difference_penalty, expand_band, make_basis
 from smoothdiff.cli import main
 from smoothdiff.errors import NumericalError, ParameterError
@@ -1491,6 +1492,62 @@ class TestKernelOracle:
         assert select_lambda([data], spec, pen)[0].lam == 0.5
 
 
+class TestGaussianBincountProducts:
+    """A Gaussian stratum takes Z'Z and Z'[y | X] by `bincount`, building no IRLS operator, and every
+    system equals the operator path's (`gaussian_systems_by_operators`) bit for bit."""
+
+    @staticmethod
+    def assert_matches_operators(data, spec, pen):
+        dm = design_matrix(spec, data.z)
+        penalty_band = fitting._penalty_band(spec, pen)
+        grid = default_lambda_grid(dm, pen)
+        got = fitting._grid_systems(dm, data, penalty_band, grid)
+        assert dm._ops is None
+        # the grid's scale from the operator's band gives the same grid
+        scale = fitting._grid_scale(dm.gram_band(np.ones(data.n)), pen.band)
+        assert np.array_equal(grid, np.geomspace(1e-4 * scale, 1e4 * scale, fitting.LAMBDA_GRID_POINTS))
+        want = gaussian_systems_by_operators(dm, data, penalty_band, grid)
+        assert_systems_bitwise_equal(got, want)
+        assert all(isinstance(s, fitting._BandSystem) for s in got)
+
+    @pytest.mark.parametrize("name", ["table1a", "table1b", "fig5"])
+    def test_preset_strata(self, name):
+        strata, spec, pen = preset_strata(name, 2)
+        for data in strata:
+            self.assert_matches_operators(data, spec, pen)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_fixed_effect_stratum(self, p):
+        self.assert_matches_operators(*fixed_effect_fixture(25, 3, 62, "gaussian", p=p))
+
+    @pytest.mark.parametrize("with_x", [False, True])
+    @pytest.mark.parametrize("lam", [None, 0.3])
+    def test_select_lambda_builds_no_operator(self, with_x, lam, monkeypatch):
+        def fail(*args):
+            raise AssertionError("IRLS operator built by a Gaussian fit")
+
+        monkeypatch.setattr(basis, "_sparse_operators", fail)
+        rng = np.random.default_rng(31)
+        strata = [random_gaussian_data(rng, n=300, with_x=with_x) for _ in range(2)]
+        spec, pen = make_basis(0.0, 1.0, 12, 3), difference_penalty(12, 2)
+        fits = select_lambda(strata, spec, pen, lam)
+        assert [f.beta.size for f in fits] == [2 * with_x] * 2
+        assert all(np.isfinite(f.cov_band).all() for f in fits)
+
+    def test_binomial_builds_operators_once_per_stratum(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        real = basis._sparse_operators
+        monkeypatch.setattr(basis, "_sparse_operators", counting)
+        strata, spec, pen = preset_strata("tableS1", 1)
+        select_lambda(strata, spec, pen)
+        assert calls == [spec.m, spec.m]
+
+
 class TestLogistic:
     """`fitting._logistic` is within 4 ulp of scipy's expit; swapping it in moves no selection."""
 
@@ -1548,6 +1605,57 @@ class TestZeroResidualVariance:
         # the window Cholesky rejects the zero covariance of two such fits
         with pytest.raises(NumericalError, match="covariance is not positive definite"):
             window_statistics(np.zeros(spec.m), 2.0 * covariance_bands([fit], spec.degree)[0], spec)
+
+
+def overflowing_strata():
+    """Two strata of y ~ 1e10 N(0, 1) with no row in the first knot cell of an m = 12 cubic basis
+    on [0, 1]: at lambda 1e-289 the dispersion, about 1.07e20, times the covariance band overflows."""
+    rng = np.random.default_rng(0)
+    strata = []
+    for _ in range(2):
+        z = rng.uniform(0.2, 1.0, 200)
+        strata.append(StratumData(y=1e10 * rng.normal(size=200), z=z))
+    return strata
+
+
+class TestNonFiniteFit:
+    """A fit whose coefficients, deviance, dispersion or covariance band is not finite raises,
+    naming lambda and the quantity."""
+
+    def test_overflowing_covariance_band_raises(self):
+        spec, pen = make_basis(0.0, 1.0, 12, 3), difference_penalty(12, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"^fit at lambda 1e-289 has a non-finite covariance band$"):
+                select_lambda(overflowing_strata(), spec, pen, 1e-289)
+            # at a larger lambda the same strata fit
+            fits = select_lambda(overflowing_strata(), spec, pen, 1e-3)
+        assert all(np.isfinite(f.cov_band).all() for f in fits)
+
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("coef", np.nan, "coefficients"),
+            ("beta", np.inf, "coefficients"),
+            ("deviance", np.inf, "deviance"),
+            ("deviance", 1e308, "dispersion"),  # over n - edf = 0.5
+            ("deviance", 1e300, "covariance band"),
+        ],
+    )
+    def test_each_quantity_named(self, field, value, name):
+        data, spec, pen = fixed_effect_fixture(8, 2, 61, "gaussian", p=1)
+        penalty_band = fitting._penalty_band(spec, pen)
+        system = fitting._grid_systems(design_matrix(spec, data.z), data, penalty_band, np.asarray([0.5]))[0]
+        old = getattr(system, field)
+        bad = replace(system, **{field: value if np.isscalar(old) else np.full_like(old, value)})
+        sigma = np.full_like(penalty_band, 1e10)
+        edf, yss = data.n - 0.5, float(data.y @ data.y)
+        fit = fitting._band_fit(data, system, sigma, edf, yss, penalty_band)
+        assert np.isfinite(fit.cov_band).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=rf"^fit at lambda 0.5 has a non-finite {name}$"):
+                fitting._band_fit(data, bad, sigma, edf, yss, penalty_band)
 
 
 def joint_pair(case):
