@@ -5,7 +5,9 @@ By default runs the six studies: the tables' presets (table1a, table1b,
 tableS1) and the effect-size figures' (fig5, fig6, fig8). Full-scale runs
 match the published settings (2000/1000 replicates); pass --replicates for a
 faster pass. Each preset runs at its own seed unless --seed overrides it.
-Results land in --out as JSON + CSV and the headline numbers print to stdout.
+Results land in --out as JSON + CSV and the headline numbers print to stdout;
+each sweep study's binned effect-size summary (`<preset>_sweep.csv`) comes
+with its run, so no study runs twice.
 """
 
 import argparse

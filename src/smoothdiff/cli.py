@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dpbtrf
 from .basis import DesignMatrix, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
 from .fitting import StratumData, StratumFit, covariance_block, select_lambda
-from .simulate import PRESETS, SimScenario, outcome_to_json, run_scenario
+from .simulate import PRESETS, SimScenario, outcome_to_json, run_scenario, sweep_summary
 from .tdp import threshold_regions
 from .toeplitz import PentaParams, diagnose_pentadiagonal
 from .windows import window_stat_correlation, window_statistics
@@ -404,6 +404,11 @@ def cmd_simulate(args) -> int:
                  r.empirical_tdp, r.truth_coverage, rec.truth_region_tdp.get(r.alpha))
                 for rec in outcome.records if not rec.failed for r in rec.regions
             ),
+        )
+        _write_csv(
+            os.path.join(args.out, f"{name}_sweep.csv"),
+            "alpha,tdp_threshold,effect_lo,effect_hi,n,mean_empirical_tdp,mean_truth_coverage,mean_truth_region_bound",
+            sweep_summary(outcome),
         )
 
     table = outcome.tdp_table if name.startswith("table2") or name == "tableS1" else outcome.error_table

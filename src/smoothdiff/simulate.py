@@ -41,6 +41,8 @@ __all__ = [
     "representative_fit",
     "exact_model_error_rates",
     "run_scenario",
+    "SWEEP_BINS",
+    "sweep_summary",
     "outcome_to_json",
 ]
 
@@ -97,10 +99,9 @@ class SimScenario:
         if self.n_per_stratum < 1:
             raise ParameterError(f"n_per_stratum = {self.n_per_stratum!r} must be at least 1")
         object.__setattr__(self, "domain", (float(self.domain[0]), float(self.domain[1])))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(
-            self, "thresholds", tuple(sorted((float(t) for t in self.thresholds), reverse=True))
-        )
+        # a repeated level would count each replicate twice in its cell
+        object.__setattr__(self, "alphas", tuple(dict.fromkeys(float(a) for a in self.alphas)))
+        object.__setattr__(self, "thresholds", tuple(sorted({float(t) for t in self.thresholds}, reverse=True)))
 
     def basis(self) -> BasisSpec:
         return make_basis(self.domain[0], self.domain[1], self.m, self.degree)
@@ -114,8 +115,8 @@ class SimScenario:
         return float(lo + (hi - lo) * index / (self.n_replicates - 1))
 
 
-# The paper's studies: `simulate --preset NAME`, scripts/run_table_suite.py and
-# scripts/effect_size_sweep.py run these. The aliases name the same scenario.
+# The paper's studies: `simulate --preset NAME` and scripts/run_table_suite.py
+# run these. The aliases name the same scenario.
 PRESETS = {
     "table1a": SimScenario(
         n_nonzero=15, alphas=(0.1, 0.2, 0.3), n_replicates=2000, seed=20260810
@@ -492,6 +493,45 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimOutcome:
     if all(r.failed for r in records):
         raise NumericalError("every replicate failed; first message: " + records[0].message)
     return _aggregate(scenario, records)
+
+
+SWEEP_BINS = 10  # equal-width bins of a sweep summary over the scenario's m_delta_sweep
+
+
+def sweep_summary(outcome: SimOutcome) -> list[tuple]:
+    """Binned effect-size curves of a sweep scenario, a row per (alpha, tau, bin).
+
+    A row is (alpha, tau, effect_lo, effect_hi, n, mean empirical TDP, mean
+    truth coverage, mean truth-region bound at alpha): n counts the
+    non-failed replicates whose m_delta lies in [effect_lo, effect_hi), the
+    last bin closed, and each mean, None when it has no value, is over
+    those replicates in record order.
+    """
+    edges = np.linspace(*outcome.scenario.m_delta_sweep, SWEEP_BINS + 1).tolist()
+    binned = [[] for _ in range(SWEEP_BINS)]
+    for rec in outcome.records:
+        if rec.failed:
+            continue
+        for b, records in enumerate(binned):
+            if edges[b] <= rec.m_delta < edges[b + 1] or (b == SWEEP_BINS - 1 and rec.m_delta == edges[b + 1]):
+                records.append(rec)
+                break
+
+    def mean(values):
+        return float(np.mean(values)) if values else None
+
+    rows = []
+    for alpha in outcome.scenario.alphas:
+        for tau in outcome.scenario.thresholds:
+            for b, records in enumerate(binned):
+                regions = [reg for rec in records for reg in rec.regions if reg.alpha == alpha and reg.tau == tau]
+                rows.append((
+                    alpha, tau, edges[b], edges[b + 1], len(records),
+                    mean([reg.empirical_tdp for reg in regions if reg.empirical_tdp is not None]),
+                    mean([reg.truth_coverage for reg in regions if reg.truth_coverage is not None]),
+                    mean([rec.truth_region_tdp[alpha] for rec in records if rec.truth_region_tdp]),
+                ))
+    return rows
 
 
 def _jsonable(value):

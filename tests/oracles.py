@@ -83,6 +83,10 @@ index, which it must match in the indices and in the generator state after.
 error and TDP tables in one pass. `aggregate_by_cell_scan` is the scan it
 replaced, which went over every record once per (alpha, tau) cell, and
 whose tables the tally must equal cell for cell and in key order.
+`smoothdiff.simulate.sweep_summary` bins each replicate once;
+`sweep_summary_by_bin_scan` is the loop of the sweep script it replaced,
+which scanned every replicate once per (tau, bin), its regions filtered by
+their alpha as well. Its rows must equal the library's bit for bit.
 
 `smoothdiff.tdp` bounds the true discoveries of every set by the
 Goeman-Solari shortcut. `simes_test` and `closed_testing_oracle` are the
@@ -692,6 +696,39 @@ def aggregate_by_cell_scan(scenario, records) -> tuple[dict, dict]:
             error_table[(alpha, tau)] = simulate._cell_stats(errors)
             tdp_table[(alpha, tau)] = simulate._cell_stats(tdps)
     return error_table, tdp_table
+
+
+def sweep_summary_by_bin_scan(outcome, bins) -> list[tuple]:
+    """Rows of the sweep summary, the non-failed replicates scanned once per (alpha, tau, bin)."""
+    scenario = outcome.scenario
+    good = [r for r in outcome.records if not r.failed]
+    edges = np.linspace(*scenario.m_delta_sweep, bins + 1)
+    rows = []
+    for alpha in scenario.alphas:
+        for tau in scenario.thresholds:
+            for b in range(bins):
+                lo, hi = edges[b], edges[b + 1]
+                in_bin = [r for r in good if lo <= r.m_delta < hi or (b == bins - 1 and r.m_delta == hi)]
+                emp = [
+                    reg.empirical_tdp
+                    for r in in_bin
+                    for reg in r.regions
+                    if reg.alpha == alpha and reg.tau == tau and reg.empirical_tdp is not None
+                ]
+                covg = [
+                    reg.truth_coverage
+                    for r in in_bin
+                    for reg in r.regions
+                    if reg.alpha == alpha and reg.tau == tau and reg.truth_coverage is not None
+                ]
+                truth_tdp = [r.truth_region_tdp.get(alpha) for r in in_bin if r.truth_region_tdp]
+                rows.append((
+                    alpha, tau, float(lo), float(hi), len(in_bin),
+                    float(np.mean(emp)) if emp else None,
+                    float(np.mean(covg)) if covg else None,
+                    float(np.mean(truth_tdp)) if truth_tdp else None,
+                ))
+    return rows
 
 
 def simes_test(pvals: np.ndarray, alpha: float) -> bool:

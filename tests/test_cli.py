@@ -17,6 +17,7 @@ from oracles import (
     pointwise_variance,
     read_stratum_csv_by_float,
     region,
+    sweep_summary_by_bin_scan,
 )
 
 from smoothdiff import basis, cli, fitting, simulate
@@ -804,6 +805,7 @@ class TestSimulate:
         table = (out / "table2a_tdp_table.csv").read_text().splitlines()
         assert table[0] == "alpha,tdp_threshold,value,n_replicates,mc_se"
         assert "mean empirical TDP" in capsys.readouterr().out
+        assert not (out / "table2a_sweep.csv").exists()  # no sweep, no summary
 
     def test_sweep_scenario_writes_curves_file(self, tmp_path):
         scenario = tmp_path / "sweep.scn"
@@ -819,6 +821,51 @@ class TestSimulate:
         assert lines[0].startswith("replicate,m_delta,alpha,tdp_threshold")
         effects = sorted({float(line.split(",")[1]) for line in lines[1:]})
         assert effects == [0.0, 1.0, 2.0]
+
+    def test_sweep_summary_has_rows_per_alpha(self, tmp_path, monkeypatch):
+        # each alpha's rows read its own regions and truth-region bounds; a failed replicate is in no bin
+        scenario = tmp_path / "sweep.scn"
+        scenario.write_text(scenario_with("alphas = 0.3 0.1") + "m_delta_sweep = 0 2\n")
+        real = simulate.run_replicate
+
+        def failing(scn, index):
+            rec = real(scn, index)
+            return replace(rec, failed=True, message="x") if index == 3 else rec
+
+        monkeypatch.setattr(simulate, "run_replicate", failing)
+        outcomes = captured_outcomes(monkeypatch)
+        out = tmp_path / "out"
+        argv = ["simulate", "--scenario", str(scenario), "--replicates", "12", "--threads", "1", "--out", str(out)]
+        assert main(argv) == 0
+        [outcome] = outcomes
+        assert outcome.scenario.alphas == (0.3, 0.1) and outcome.n_effective == 11
+        assert_sweep_summary(out / "sweep_sweep.csv", outcome)
+        rows = [line.split(",") for line in (out / "sweep_sweep.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0.3"] * 20 + ["0.1"] * 20
+        assert [row[7] for row in rows[:10]] != [row[7] for row in rows[20:30]]
+
+    def test_repeated_levels_count_each_replicate_once(self, tmp_path, capsys):
+        # a repeated alpha counted every replicate twice in its cells and printed its row twice,
+        # and a repeated --tdp printed its column twice
+        runs = {}
+        for name, alphas, taus in (("once", "0.1", ["0.5"]), ("twice", "0.1 0.1", ["0.5", "0.5"])):
+            scenario = tmp_path / f"{name}.scn"
+            scenario.write_text(
+                "n_nonzero = 3\nm = 15\ndegree = 2\nn_per_stratum = 400\nsigma_b2 = 0.4\n"
+                "noise_var = 0.3\nm_delta = 1.5\ndomain = 0 1\nn_replicates = 6\nseed = 5\n"
+                f"alphas = {alphas}\n"
+            )
+            out = tmp_path / name
+            argv = ["simulate", "--scenario", str(scenario), "--tdp", *taus, "--threads", "1", "--out", str(out)]
+            assert main(argv) == 0
+            outcome = json.loads((out / f"{name}_outcome.json").read_text())
+            runs[name] = (
+                [(out / f"{name}_{kind}_table.csv").read_bytes() for kind in ("error", "tdp")],
+                {key: outcome[key] for key in ("error_table", "tdp_table")},
+                capsys.readouterr().out.replace(name, "NAME"),
+            )
+        assert runs["twice"] == runs["once"]
+        assert b",6," in runs["once"][0][0]
 
     def test_env_seed_used_as_default(self, tmp_path, monkeypatch):
         scenario = tmp_path / "tiny.scn"
@@ -856,6 +903,7 @@ class TestSimulate:
             ("domain = 1e10 10000000000.00001", [], None, "domain [10000000000.0, 10000000000.00001] cannot hold"),
             ("alphas =", [], None, "alphas must list at least one value"),
             ("thresholds =", [], None, "thresholds must list at least one value"),
+            ("n_replicates = 5", ["--replicates", "0"], None, "replicate count must be at least 1"),
         ],
     )
     def test_bad_scenario_field_exits_2(self, tmp_path, capsys, monkeypatch, setting, flags, env, problem):
@@ -1487,40 +1535,145 @@ def test_undecodable_settings_file_exits_2(tmp_path, capsys, command, option, ki
     assert not out.exists()
 
 
+def invariance_strata(family, with_x):
+    """Two strata of a planted pair at m = 120 on [0, 10], with one fixed-effect column or none."""
+    scn = SimScenario(
+        n_nonzero=15, family=family, n_per_stratum=1000 if family == "gaussian" else 2000, n_replicates=1, seed=8
+    )
+    spec = scn.basis()
+    rng = replicate_rng(scn.seed, 0)
+    b_base, b_alt, _ = gen_coefficients(scn, rng)
+    strata = [gen_stratum(b, scn, rng, spec) for b in (b_alt, b_base)]
+    if with_x:
+        for i, data in enumerate(strata):
+            x = rng.normal(size=(data.n, 1))
+            y = data.y + 0.3 * x[:, 0] if family == "gaussian" else data.y
+            strata[i] = StratumData(y=y, z=data.z, family=family, X=x)
+    return strata
+
+
+def write_strata_csv(path, strata, labels=None, y_scale=1.0):
+    """The strata's rows as y,z[,stratum][,x_a], strata[i]'s labelled labels[i], each y times y_scale."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("y,z" + (",stratum" if labels else "") + (",x_a" if strata[0].X.shape[1] else "") + "\n")
+        for i, data in enumerate(strata):
+            for row in range(data.n):
+                fields = [repr(float(data.y[row]) * y_scale), repr(float(data.z[row]))]
+                fields += ([labels[i]] if labels else []) + [repr(float(x)) for x in data.X[row]]
+                fh.write(",".join(fields) + "\n")
+    return path
+
+
+def analyze_invariance(out, strata, swap=None, y_scale=1.0):
+    """analyze at m = 120 with strata[0] as stratum 1 and each y times y_scale. swap="labels" labels
+    strata[0]'s rows 2 and strata[1]'s 1 in the --data file; swap="files" passes strata[1] as --stratum1."""
+    if swap == "files":
+        paths = [write_strata_csv(out.parent / f"{out.name}{i}.csv", [d], y_scale=y_scale) for i, d in enumerate(strata)]
+        inputs = ["--stratum1", str(paths[1]), "--stratum2", str(paths[0])]
+    else:
+        labels = ("2", "1") if swap == "labels" else ("1", "2")
+        inputs = ["--data", str(write_strata_csv(out.parent / f"{out.name}.csv", strata, labels, y_scale))]
+    assert main(["analyze", *inputs, "--basis-dim", "120", "--family", strata[0].family, "--out", str(out)]) == 0
+    return out
+
+
+def curve_rows(out):
+    return [[float(v) for v in line.split(",")] for line in (out / "curves.csv").read_text().splitlines()[1:]]
+
+
+SELECTION_FILES = ("windows.csv", "regions.json", "regions.csv")
+
+
+class TestInvariance:
+    """Metamorphic relations of analyze: exact, so a step that treats the strata or the scale of y
+    differently breaks them (Chen et al. 2018)."""
+
+    @pytest.mark.parametrize("swap", ["labels", "files"])
+    @pytest.mark.parametrize("with_x", [False, True])
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_exchanging_the_strata_exchanges_the_fits(self, tmp_path, capsys, family, with_x, swap):
+        # each system's solve is independent of its stack, V1 + V2 commutes, and d -> -d leaves every T
+        strata = invariance_strata(family, with_x)
+        a = analyze_invariance(tmp_path / "a", strata)
+        b = analyze_invariance(tmp_path / "b", strata, swap=swap)
+        for name in SELECTION_FILES:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        regions = json.loads((a / "regions.json").read_text())["regions"]
+        assert any(rec["windows"] for rec in regions)
+        fits_a, fits_b = (json.loads((out / "fits.json").read_text()) for out in (a, b))
+        assert fits_b["strata"] == fits_a["strata"][::-1]
+        assert {k: v for k, v in fits_b.items() if k != "strata"} == {k: v for k, v in fits_a.items() if k != "strata"}
+        assert curve_rows(b) == [row[:1] + row[4:] + row[1:4] for row in curve_rows(a)]
+
+    @pytest.mark.parametrize("k", [-3, -1, 1, 3])
+    @pytest.mark.parametrize("with_x", [False, True])
+    def test_gaussian_fit_is_equivariant_in_the_scale_of_y(self, tmp_path, capsys, with_x, k):
+        # y -> 2^k y is exact, the lambda grid's scale does not involve y, and every
+        # comparison against y is relative, so the fits scale and nothing else moves
+        strata = invariance_strata("gaussian", with_x)
+        a = analyze_invariance(tmp_path / "a", strata)
+        b = analyze_invariance(tmp_path / "b", strata, y_scale=2.0**k)
+        for name in SELECTION_FILES:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        fits_a, fits_b = (json.loads((out / "fits.json").read_text()) for out in (a, b))
+        for fit_a, fit_b in zip(fits_a["strata"], fits_b["strata"]):
+            for key in ("lambda", "edf", "precision_band", "border", "n_obs"):
+                assert fit_b[key] == fit_a[key], key
+            for key in ("coef", "beta"):
+                assert fit_b[key] == [v * 2.0**k for v in fit_a[key]], key
+            for key in ("dispersion", "deviance"):
+                assert fit_b[key] == fit_a[key] * 4.0**k, key
+        assert curve_rows(b) == [row[:1] + [v * 2.0**k for v in row[1:]] for row in curve_rows(a)]
+
+
 SWEEP_HEADER = [
-    "tdp_threshold", "effect_lo", "effect_hi", "n",
+    "alpha", "tdp_threshold", "effect_lo", "effect_hi", "n",
     "mean_empirical_tdp", "mean_truth_coverage", "mean_truth_region_bound",
 ]
 
 
-@pytest.mark.parametrize("name, seed", [("fig5", None), ("fig6", 7), ("fig8", None)])
-def test_effect_size_sweep_runs_its_preset(tmp_path, monkeypatch, name, seed):
-    sweep = load_script("effect_size_sweep")
-    assert sweep.SWEEPS == ["fig5", "fig6", "fig8"]
-    scenarios = []
+def captured_outcomes(monkeypatch) -> list:
+    """The outcomes of the scenarios `simulate` runs, appended as it runs them."""
+    outcomes = []
 
     def run_scenario(scenario, threads):
-        scenarios.append(scenario)
-        return simulate.run_scenario(scenario, threads=threads)
+        outcomes.append(simulate.run_scenario(scenario, threads=threads))
+        return outcomes[-1]
 
-    monkeypatch.setattr(sweep, "run_scenario", run_scenario)
-    out = tmp_path / "sweep.csv"
-    argv = ["--preset", name, "--replicates", "4", "--bins", "2", "--out", str(out)]
-    assert sweep.run(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
-    expected = replace(PRESETS[name], n_replicates=4, **({} if seed is None else {"seed": seed}))
-    assert scenarios == [expected]
-    lines = out.read_text().splitlines()
+    monkeypatch.setattr(cli, "run_scenario", run_scenario)
+    return outcomes
+
+
+def assert_sweep_summary(path, outcome):
+    """`path` holds the oracle's rows for `outcome` bit for bit: one per (alpha, tau, bin) in scenario
+    order over 10 equal bins of the sweep, each (alpha, tau)'s counts summing to the replicates that
+    did not fail, and each mean in [0, 1] or empty."""
+    scenario = outcome.scenario
+    lines = path.read_text().splitlines()
     assert lines[0].split(",") == SWEEP_HEADER
+    want = sweep_summary_by_bin_scan(outcome, 10)
+    assert lines[1:] == [",".join("" if v is None else repr(v) for v in row) for row in want]
     rows = [dict(zip(SWEEP_HEADER, line.split(","))) for line in lines[1:]]
-    edges = np.linspace(*expected.m_delta_sweep, 3)
-    assert [(float(r["tdp_threshold"]), float(r["effect_lo"]), float(r["effect_hi"])) for r in rows] == [
-        (tau, edges[b], edges[b + 1]) for tau in expected.thresholds for b in range(2)
-    ]
-    for tau in expected.thresholds:  # every replicate's effect lies in one bin
-        assert sum(int(r["n"]) for r in rows if float(r["tdp_threshold"]) == tau) == 4
+    keys = [tuple(float(r[key]) for key in SWEEP_HEADER[:4]) for r in rows]
+    edges = np.linspace(*scenario.m_delta_sweep, 11)
+    cells = [(alpha, tau) for alpha in scenario.alphas for tau in scenario.thresholds]
+    assert keys == [(alpha, tau, edges[b], edges[b + 1]) for alpha, tau in cells for b in range(10)]
+    for cell in cells:  # every replicate's effect lies in one bin
+        assert sum(int(r["n"]) for r, key in zip(rows, keys) if key[:2] == cell) == outcome.n_effective
     for r in rows:
-        for key in SWEEP_HEADER[4:]:
+        for key in SWEEP_HEADER[5:]:
             assert r[key] == "" or 0.0 <= float(r[key]) <= 1.0
+
+
+@pytest.mark.parametrize("name, seed", [("fig5", None), ("fig6", 7), ("fig8", None)])
+def test_sweep_preset_writes_its_binned_summary(tmp_path, monkeypatch, name, seed):
+    assert [n for n, scn in PRESETS.items() if scn.m_delta_sweep is not None] == ["fig5", "fig6", "fig8"]
+    outcomes = captured_outcomes(monkeypatch)
+    argv = ["simulate", "--preset", name, "--replicates", "8", "--threads", "1", "--out", str(tmp_path)]
+    assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+    [outcome] = outcomes
+    assert outcome.scenario == replace(PRESETS[name], n_replicates=8, **({} if seed is None else {"seed": seed}))
+    assert_sweep_summary(tmp_path / f"{name}_sweep.csv", outcome)
 
 
 def test_cached_parser_leaks_no_value_between_calls(monkeypatch):
@@ -1600,25 +1753,13 @@ def test_table_suite_runs_the_six_studies_at_their_own_seeds(monkeypatch):
     assert argv[argv.index("--seed") + 1] == "7" and "--replicates" not in argv
 
 
-@pytest.mark.parametrize(
-    "script, argv, message",
-    [
-        ("effect_size_sweep", ["--bins", "0"], "--bins must be at least 1, got 0"),
-        ("effect_size_sweep", ["--bins", "-3"], "--bins must be at least 1, got -3"),
-        ("effect_size_sweep", ["--threads", "0"], "--threads must be at least 1, got 0"),
-        ("effect_size_sweep", ["--replicates", "0"], "replicate count must be at least 1"),
-        ("effect_size_sweep", ["--seed", "-1"], "seed = -1 must lie in [0, 2**64)"),
-        ("exact_model_error_rates", ["--replicates", "0"], "replicate count must be at least 1"),
-    ],
-)
-def test_script_rejects_bad_argument_with_exit_2(tmp_path, capsys, script, argv, message):
+def test_exact_model_script_rejects_zero_replicates_with_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
-        load_script(script).run(argv + (["--out", str(tmp_path / "s.csv")] if script == "effect_size_sweep" else []))
+        load_script("exact_model_error_rates").run(["--replicates", "0"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.rstrip().endswith(f"error: {message}")
+    assert err.rstrip().endswith("error: replicate count must be at least 1")
     assert "Traceback" not in err
-    assert not (tmp_path / "s.csv").exists()
 
 
 def few_rows_csv(path, strata):

@@ -356,7 +356,7 @@ def assert_tables_equal(got, want):
 
 def random_records(scenario, n_records, rng):
     """Hand-made records: some failed, the rest with a scored region per (alpha, tau) of the
-    scenario, duplicated alphas included, and selections that are often empty."""
+    scenario, and selections that are often empty."""
     records = []
     for index in range(n_records):
         if rng.random() < 0.25:
@@ -379,7 +379,9 @@ class TestTally:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("n_records", [1, 2, 9])
     def test_hand_made_records(self, seed, n_records):
+        # a scenario keeps the first of each repeated level, so no repeat reaches the tally
         scenario = small_scenario(alphas=(0.1, 0.2, 0.1), thresholds=(0.9, 0.5, 0.9), n_replicates=n_records)
+        assert (scenario.alphas, scenario.thresholds) == ((0.1, 0.2), (0.9, 0.5))
         records = random_records(scenario, n_records, np.random.default_rng(seed))
         outcome = _aggregate(scenario, records)
         want_errors, want_tdps = aggregate_by_cell_scan(scenario, records)
@@ -390,6 +392,7 @@ class TestTally:
     def test_replicates_with_duplicated_alpha_failures_and_empty_selections(self):
         # no effect at the sweep's start leaves most selections empty
         scenario = small_scenario(alphas=(0.2, 0.1, 0.2), m_delta_sweep=(0.0, 2.0), n_replicates=5)
+        assert scenario.alphas == (0.2, 0.1)
         records = [run_replicate(scenario, i) for i in range(scenario.n_replicates)]
         records[1] = ReplicateRecord(1, records[1].m_delta, records[1].true_indices, failed=True, message="x")
         assert any(r.n_windows == 0 for rec in records for r in rec.regions)
