@@ -261,15 +261,7 @@ def cmd_analyze(config: AnalysisConfig) -> int:
         z_hi = max(data1.z.max(), data2.z.max())
     spec = make_basis(z_lo, z_hi, config.basis_dim, config.degree)
     pen = difference_penalty(config.basis_dim)
-    for i, data in enumerate((data1, data2), 1):
-        outside = np.flatnonzero((data.z < spec.z_lo) | (data.z > spec.z_hi))
-        if outside.size:
-            raise ParameterError(
-                f"stratum {i}: {outside.size} rows have z outside the domain "
-                f"[{spec.z_lo!r}, {spec.z_hi!r}], the first z = {float(data.z[outside[0]])!r}"
-            )
-
-    try:  # an input error names its stratum
+    try:  # an input error, such as z outside the domain, names its stratum
         fits = select_lambda([data1, data2], spec, pen, config.lam)
     except NumericalError as exc:  # when no lambda could be fit, name the last one's cause
         cause = f": {exc.__cause__}" if exc.__cause__ is not None else ""

@@ -19,10 +19,9 @@ done once, with W = I: its Gram band and Z'[y | X] are the design matrix's
 unweighted `bincount` products, formed once per stratum and shared by the
 grid, so it builds no IRLS operator. No lambda's result depends on its
 block.
-`_fit_grids` sets up and solves each stratum's grid so in turn, raising
-an input error at once, then selects the inverses of every grid together;
-`select_lambda` chooses each stratum's point, and a given lambda is a
-one-point grid.
+`select_lambda` sets up and solves each stratum's grid so in turn, raising
+an input error at once, selects the inverses of every grid together and
+chooses each stratum's point; a given lambda is a one-point grid.
 
 The posterior covariance of c is dispersion * (A^{-1} + BB'), the border
 B = V L^{-T} (Woodbury on the Schur complement of X'WX). Everything a fit
@@ -653,32 +652,30 @@ def _band_fit(
     )
 
 
-@dataclass(frozen=True)
-class _Grid:
-    """One stratum's lambda grid, solved: `solved` holds each lambda's `_BandSystem`
-    or the NumericalError its fit raised; `yss` is y'y."""
-
-    data: StratumData
-    yss: float
-    solved: list
-
-
 def _solve_grid(
     data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, penalty_band: np.ndarray, lams: np.ndarray | None
-) -> _Grid:
-    """Set up one stratum and solve its ascending lambda grid, `lams` or else `default_lambda_grid`.
+) -> tuple[float, list]:
+    """(yss, solved): one stratum's y'y and, per lambda of its ascending grid (`lams`, or else
+    `default_lambda_grid`), its `_BandSystem` or the NumericalError its fit raised.
 
-    The set-up checks y'y, warns when n <= m, then builds the design matrix,
+    The set-up checks that every z lies in the basis domain (where its row
+    is not zero) and y'y, warns when n <= m, then builds the design matrix,
     the grid and the fixed-effect check; a ParameterError of any of them
     raises. `_grid_systems` solves every lambda (a Gaussian one by one
     banded solve, a binomial one by IRLS) for its coefficients and deviance
     only, and every lambda fails where the data do not identify the smooth.
     """
+    outside = np.flatnonzero((data.z < spec.z_lo) | (data.z > spec.z_hi))
+    if outside.size:
+        raise ParameterError(
+            f"{outside.size} rows have z outside the domain "
+            f"[{spec.z_lo!r}, {spec.z_hi!r}], the first z = {float(data.z[outside[0]])!r}"
+        )
     yss = _sum_of_squares(data)
-    if data.n <= spec.m:  # stacklevel 4: the caller of `select_lambda`
+    if data.n <= spec.m:  # stacklevel 3: the caller of `select_lambda`
         warnings.warn(
             f"sample size n={data.n} does not exceed basis dimension m={spec.m}; the fit may be poorly determined",
-            stacklevel=4,
+            stacklevel=3,
         )
     dm = design_matrix(spec, data.z)
     lams = default_lambda_grid(dm, pen) if lams is None else lams
@@ -687,72 +684,24 @@ def _solve_grid(
             f"penalized system is not positive definite at any lambda: the data do not identify "
             f"the polynomials of degree < {pen.order} that the penalty leaves free"
         )
-        return _Grid(data, yss, [singular] * lams.size)
-    return _Grid(data, yss, _grid_systems(dm, data, penalty_band, lams))
+        return yss, [singular] * lams.size
+    return yss, _grid_systems(dm, data, penalty_band, lams)
 
 
-def _fit_grids(
-    strata: Sequence[StratumData],
-    spec: BasisSpec,
-    pen: PenaltyMatrix,
-    penalty_band: np.ndarray,
-    lams: np.ndarray | None = None,
-) -> list:
-    """(grid, sigma, edf) per stratum, in order.
-
-    Each stratum is set up and its grid solved in turn (`_solve_grid`); an
-    input error raises at once, naming its stratum by position, from 1,
-    when there are several. Then one `selected_inverse_band` call over every
-    solved system of every grid gives each grid's stack of sigma and its
-    edf per lambda, NaN where the lambda's fit failed.
-    """
-    grids = []
-    for i, data in enumerate(strata, 1):
-        try:
-            grids.append(_solve_grid(data, spec, pen, penalty_band, lams))
-        except ParameterError as exc:
-            if len(strata) == 1:
-                raise
-            raise ParameterError(f"stratum {i}: {exc}") from exc
-    systems = [s for grid in grids for s in grid.solved if isinstance(s, _BandSystem)]
-    sigma, edf = _selected_inverses(systems, penalty_band) if systems else (np.empty(0), np.empty(0))
-    out, start = [], 0
-    for grid in grids:
-        solved = _solved(grid)
-        stop = start + int(solved.sum())
-        grid_edf = np.full(solved.size, np.nan)
-        grid_edf[solved] = edf[start:stop]
-        out.append((grid, sigma[start:stop], grid_edf))
-        start = stop
-    return out
+def _failed(data: StratumData, points: list) -> np.ndarray:
+    """Whether each grid point (system, sigma, edf) fails: its system did not solve, or its fit leaves n - edf < 1."""
+    return np.asarray([not isinstance(s, _BandSystem) or data.n - e < 1.0 for s, _, e in points], dtype=bool)
 
 
-def _solved(grid: _Grid) -> np.ndarray:
-    """Whether each grid point's system solved."""
-    return np.asarray([isinstance(s, _BandSystem) for s in grid.solved], dtype=bool)
-
-
-def _failed(grid: _Grid, edf: np.ndarray) -> np.ndarray:
-    """Whether each grid point fails: its system did not solve, or its fit leaves n - edf < 1."""
-    return ~_solved(grid) | (grid.data.n - edf < 1.0)
-
-
-def _chosen_fit(grid: _Grid, sigma: np.ndarray, edf: np.ndarray, j: int, penalty_band: np.ndarray) -> StratumFit:
-    """The fit at grid point j, which solved with n - edf >= 1; `sigma` stacks the grid's solved points."""
-    system = grid.solved[j]
-    band = _covariance_band(system, sigma[int(_solved(grid)[:j].sum())])
-    return _band_fit(grid.data, system, band, float(edf[j]), grid.yss, penalty_band)
-
-
-def _point_error(grid: _Grid, edf: np.ndarray, j: int) -> NumericalError:
-    """The error of failing grid point j: its fit's own, or less than one residual degree of
-    freedom, n - edf < 1, by which its dispersion and GCV score would divide."""
-    result = grid.solved[j]
+def _point_error(data: StratumData, point: tuple) -> NumericalError:
+    """The error of a failing grid point (system, sigma, edf): its fit's own, or less than one
+    residual degree of freedom, n - edf < 1, by which its dispersion and GCV score would divide."""
+    result, _, edf = point
     if isinstance(result, NumericalError):
         return result
     return NumericalError(
-        f"effective degrees of freedom {float(edf[j]):.6g} leave less than one residual degree of freedom "
-        f"at sample size {grid.data.n}"
+        f"effective degrees of freedom {float(edf):.6g} leave less than one residual degree of freedom "
+        f"at sample size {data.n}"
     )
 
 
@@ -762,10 +711,8 @@ def _grid_scale(gram_band: np.ndarray, penalty_band: np.ndarray) -> float:
 
 
 def default_lambda_grid(dm: DesignMatrix, pen: PenaltyMatrix) -> np.ndarray:
-    """Ascending log-spaced grid spanning [1e-4, 1e4] times tr(Z'Z)/tr(S)."""
+    """Ascending log-spaced grid spanning [1e-4, 1e4] times tr(Z'Z)/tr(S) (> 0: rows in the domain sum to 1)."""
     scale = _grid_scale(dm.gram_band(), pen.band)
-    if not scale > 0:  # tr(Z'Z) = 0: every row of Z is zero
-        raise ParameterError("no observation lies inside the basis domain, so the lambda grid has no scale")
     return np.geomspace(1e-4 * scale, 1e4 * scale, LAMBDA_GRID_POINTS)
 
 
@@ -787,19 +734,19 @@ def _gcv_scores(data: StratumData, deviance: np.ndarray, edf: np.ndarray, yss: f
         return data.n * dev / np.float_power(data.n - edf, 2)
 
 
-def _gcv_choice(grid: _Grid, edf: np.ndarray) -> int:
-    """Index of the grid point minimizing GCV, ties going to the larger lambda.
+def _gcv_choice(data: StratumData, yss: float, points: list) -> int:
+    """Index of the grid point (system, sigma, edf) minimizing GCV, ties going to the larger lambda.
 
     A point whose fit failed or leaves n - edf < 1 is skipped; when every
     one is, the error is raised from the last failing point's.
     """
-    deviance = np.asarray([s.deviance if isinstance(s, _BandSystem) else np.nan for s in grid.solved])
-    failed = _failed(grid, edf)
-    scores = _gcv_scores(grid.data, deviance, edf, grid.yss)
+    deviance = np.asarray([s.deviance if isinstance(s, _BandSystem) else np.nan for s, _, _ in points])
+    failed = _failed(data, points)
+    scores = _gcv_scores(data, deviance, np.asarray([e for _, _, e in points], dtype=float), yss)
     candidate = ~failed & (scores <= np.inf)
     if not candidate.any():
         failures = np.flatnonzero(failed)
-        cause = _point_error(grid, edf, int(failures[-1])) if failures.size else None
+        cause = _point_error(data, points[failures[-1]]) if failures.size else None
         raise NumericalError("no smoothing parameter candidate could be fit") from cause
     best = scores[candidate].min()
     return int(np.flatnonzero(candidate & (scores == best))[-1])
@@ -820,20 +767,34 @@ def select_lambda(
     raises its own error. Each fit is the one computed at its lambda
     (`fit.lam`), which is then held fixed downstream.
 
-    Each stratum is set up and its grid solved in turn, and an input error
-    (ParameterError) raises at once, naming its stratum by position, from 1,
-    when there are several; so every stratum's input error and warning
-    comes before any stratum's fitting failure. One selected inversion then
-    serves every grid, and each stratum's point is chosen in order.
+    Each stratum is set up and its grid solved in turn (`_solve_grid`); an
+    input error (ParameterError), such as z outside the basis domain, raises
+    at once, naming its stratum by position, from 1, when there are several.
+    So every stratum's input error and warning comes before any stratum's
+    fitting failure. One selected inversion over every grid's solved systems
+    then gives each point, in order, its (sigma, edf), or (None, NaN) where
+    its fit failed, and each stratum's point is chosen.
     """
     if lam is not None and not (np.isfinite(lam) and lam >= 0):
         raise ParameterError(f"smoothing parameter must be finite and >= 0, got {float(lam)!r}")
     lams = None if lam is None else np.asarray([float(lam)])
     penalty_band = _penalty_band(spec, pen)
+    grids = []
+    for i, data in enumerate(strata, 1):
+        try:
+            grids.append((data, *_solve_grid(data, spec, pen, penalty_band, lams)))
+        except ParameterError as exc:
+            if len(strata) == 1:
+                raise
+            raise ParameterError(f"stratum {i}: {exc}") from exc
+    systems = [s for _, _, solved in grids for s in solved if isinstance(s, _BandSystem)]
+    inverses = zip(*_selected_inverses(systems, penalty_band)) if systems else None
     fits = []
-    for grid, sigma, edf in _fit_grids(strata, spec, pen, penalty_band, lams):
-        j = _gcv_choice(grid, edf) if lam is None else 0
-        if _failed(grid, edf)[j]:  # only a given lambda's point; GCV skips failing ones
-            raise _point_error(grid, edf, j)
-        fits.append(_chosen_fit(grid, sigma, edf, j, penalty_band))
+    for data, yss, solved in grids:
+        points = [(s, *next(inverses)) if isinstance(s, _BandSystem) else (s, None, np.nan) for s in solved]
+        j = _gcv_choice(data, yss, points) if lam is None else 0
+        if _failed(data, points)[j]:  # only a given lambda's point; GCV skips failing ones
+            raise _point_error(data, points[j])
+        system, sigma, edf = points[j]
+        fits.append(_band_fit(data, system, _covariance_band(system, sigma), float(edf), yss, penalty_band))
     return fits

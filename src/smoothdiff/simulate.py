@@ -79,6 +79,8 @@ class SimScenario:
         sweep = self.m_delta_sweep
         if sweep is not None and (len(sweep) != 2 or not all(np.isfinite(v) and v >= 0 for v in sweep)):
             raise ParameterError(f"m_delta_sweep = {sweep!r} must be two finite non-negative values")
+        if sweep is not None and sweep[0] > sweep[1]:
+            raise ParameterError(f"m_delta_sweep = {sweep!r} must run from LO up to HI")
         if not 0 <= self.seed < 2**64:
             raise ParameterError(f"seed = {self.seed!r} must lie in [0, 2**64)")
         if self.family not in ("gaussian", "binomial"):
@@ -112,6 +114,8 @@ class SimScenario:
         lo, hi = self.m_delta_sweep
         if self.n_replicates == 1:
             return float(lo)
+        if index == self.n_replicates - 1:  # lo + (hi - lo) * 1.0 can miss hi by an ulp
+            return float(hi)
         return float(lo + (hi - lo) * index / (self.n_replicates - 1))
 
 

@@ -844,6 +844,17 @@ class TestSimulate:
         assert [row[0] for row in rows] == ["0.3"] * 20 + ["0.1"] * 20
         assert [row[7] for row in rows[:10]] != [row[7] for row in rows[20:30]]
 
+    def test_sweep_summary_counts_the_last_replicate(self, tmp_path, monkeypatch):
+        # the last replicate's effect was 0.9000000000000001, outside every bin of 0.3 .. 0.9
+        scenario = tmp_path / "sweep.scn"
+        scenario.write_text(scenario_with("n_replicates = 4") + "m_delta_sweep = 0.3 0.9\n")
+        outcomes = captured_outcomes(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(scenario), "--threads", "1", "--out", str(out)]) == 0
+        [outcome] = outcomes
+        assert [r.m_delta for r in outcome.records][-1] == 0.9 and outcome.n_effective == 4
+        assert_sweep_summary(out / "sweep_sweep.csv", outcome)
+
     def test_repeated_levels_count_each_replicate_once(self, tmp_path, capsys):
         # a repeated alpha counted every replicate twice in its cells and printed its row twice,
         # and a repeated --tdp printed its column twice
@@ -904,6 +915,7 @@ class TestSimulate:
             ("alphas =", [], None, "alphas must list at least one value"),
             ("thresholds =", [], None, "thresholds must list at least one value"),
             ("n_replicates = 5", ["--replicates", "0"], None, "replicate count must be at least 1"),
+            ("m_delta_sweep = 2 0", [], None, "m_delta_sweep = (2.0, 0.0) must run from LO up to HI"),
         ],
     )
     def test_bad_scenario_field_exits_2(self, tmp_path, capsys, monkeypatch, setting, flags, env, problem):
@@ -1823,6 +1835,15 @@ class TestFailingStratum:
         rc, sizes = self.run(tmp_path, {1: eight_rows(huge=True), 2: FEW}, *flags)
         assert (rc, sizes) == (2, [])
         assert "smoothdiff: input error: stratum 1: the sum of squared outcomes y'y overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--lambda", "1"]])
+    def test_domain_error_of_stratum_2_after_stratum_1_warns(self, tmp_path, capsys, flags):
+        # select_lambda checks the domain as it sets up each stratum, so stratum 1 warns first
+        y, z = eight_rows()
+        rc, sizes = self.run(tmp_path, {1: eight_rows(), 2: (y, np.append(z[:-1], 1.5))}, *flags)
+        assert (rc, sizes) == (2, ["8"])
+        message = "stratum 2: 1 rows have z outside the domain [0.0, 1.0], the first z = 1.5"
+        assert f"smoothdiff: input error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [[], ["--lambda", "1"]])
     def test_input_error_of_stratum_2_after_stratum_1_warns(self, tmp_path, capsys, flags):

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -631,10 +632,33 @@ class TestSelectLambda:
         assert select_lambda([data], spec, pen)[0].lam == pytest.approx(grid[-1])
 
     def test_no_observation_inside_the_domain_is_a_parameter_error(self):
-        # tr(Z'Z) = 0 leaves the lambda grid without a scale
         data = StratumData(y=np.ones(30), z=np.full(30, 2.0))
-        with pytest.raises(ParameterError, match="no observation lies inside the basis domain"):
+        message = "30 rows have z outside the domain [0.0, 1.0], the first z = 2.0"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             select_lambda([data], make_basis(0, 1, 8, 2), difference_penalty(8, 2))
+
+    def test_z_outside_the_domain_is_a_parameter_error(self):
+        # such a row was fit as a zero basis row: 40 of 400 z moved past the
+        # domain took the dispersion from 0.0101 to 0.0749, with no error
+        spec, pen = make_basis(0, 1, 20, 3), difference_penalty(20, 2)
+        rng = np.random.default_rng(8)
+        z = rng.uniform(0, 1, 400)
+        y = np.sin(6 * z) + rng.normal(0, 0.1, z.size)
+        inside = StratumData(y=y, z=z)
+        select_lambda([inside], spec, pen)
+        shifted = z.copy()
+        shifted[::10] += 1.0
+        outside = StratumData(y=y, z=shifted)
+        first = float(shifted[np.flatnonzero(shifted > 1.0)[0]])
+        message = f"40 rows have z outside the domain [0.0, 1.0], the first z = {first!r}"
+        for lam in (None, 0.5):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                select_lambda([outside], spec, pen, lam)
+            with pytest.raises(ParameterError, match=f"^stratum 2: {re.escape(message)}$"):
+                select_lambda([inside, outside], spec, pen, lam)
+        below = StratumData(y=y, z=z - 1.0 + 1e-3)
+        with pytest.raises(ParameterError, match=r"^stratum 1: \d+ rows have z outside the domain"):
+            select_lambda([below, inside], spec, pen)
 
     def test_degenerate_grid_returns_the_value(self, setup, monkeypatch):
         spec, pen = setup
@@ -691,12 +715,15 @@ def path_argmin(path):
 def batched_gcv_path(data, spec, pen, grid):
     """The same (lam, deviance, edf, score) path from the batched grid, one selected inversion for all points."""
     yss = float(data.y @ data.y)
+    penalty_band = fitting._penalty_band(spec, pen)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # some fixtures have n <= m
-        [(solved, _, edf)] = fitting._fit_grids([data], spec, pen, fitting._penalty_band(spec, pen), np.sort(grid))
+        _, solved = fitting._solve_grid(data, spec, pen, penalty_band, np.sort(grid))
+    systems = [s for s in solved if not isinstance(s, NumericalError)]
+    edf = fitting._selected_inverses(systems, penalty_band)[1] if systems else []
     path = []
-    for system, e in zip(solved.solved, edf):
-        if isinstance(system, NumericalError) or data.n - e < 1.0:
+    for system, e in zip(systems, edf):
+        if data.n - e < 1.0:
             continue
         dev = 0.0 if system.deviance <= 1e-16 * max(yss, 1e-300) else system.deviance
         [score] = fitting._gcv_scores(data, np.asarray([system.deviance]), np.asarray([e]), yss)
@@ -798,9 +825,9 @@ class TestGaussianGcvPath:
         assert_paths_match(path, full_fit_gcv_path(data, spec, pen, grid), data)
 
     def test_singular_system_has_no_candidate(self, setup, monkeypatch):
-        # every row outside the basis domain: Z'Z = 0, so no lambda can be fit
+        # one z value: ZN is short of rank, so no lambda can be fit
         spec, pen = setup
-        data = StratumData(y=np.ones(30), z=np.full(30, 2.0))
+        data = StratumData(y=np.ones(30), z=np.full(30, 0.5))
         use_lambda_grid(monkeypatch, [0.1, 1.0])
         with pytest.raises(NumericalError, match="no smoothing parameter candidate"):
             select_lambda([data], spec, pen)
@@ -1688,6 +1715,21 @@ class TestJointSelection:
             for fit, i in zip(joint, order):
                 assert_fits_bitwise_equal(fit, alone[i])
 
+    def test_failing_points_before_the_choice_keep_each_point_its_inverse(self, monkeypatch):
+        # A 1e308 point overflows A's band and fails, so it takes no inverse from the stack:
+        # failing points lie before each chosen point in its own grid, and before stratum 2's in stratum 1's.
+        strata, spec, pen = joint_pair("gaussian")
+        grid = np.insert(default_lambda_grid(design_matrix(spec, strata[0].z), pen)[::4], [0, 1, 2, 3], 1e308)
+        use_lambda_grid(monkeypatch, grid)
+        penalty_band = fitting._penalty_band(spec, pen)
+        for data in strata:
+            _, solved = fitting._solve_grid(data, spec, pen, penalty_band, grid)
+            assert [isinstance(s, NumericalError) for s in solved] == list(grid == 1e308)
+        fits = select_lambda(strata, spec, pen)
+        for fit, data in zip(fits, strata):
+            assert np.flatnonzero(grid == fit.lam)[0] > np.flatnonzero(grid == 1e308)[-1]
+            assert_fits_bitwise_equal(fit, select_lambda([data], spec, pen, fit.lam)[0])
+
     def test_one_selected_inverse_for_both_grids(self, monkeypatch):
         strata, spec, pen = joint_pair("different_p")
         calls = []
@@ -1730,15 +1772,16 @@ class TestVectorGcv:
 
     @staticmethod
     def assert_same_choice(data, points, yss):
-        solved = [p if isinstance(p, NumericalError) else FakeSystem(p[0]) for p in points]
-        edf = np.asarray([np.nan if isinstance(p, NumericalError) else p[1] for p in points])
-        grid = fitting._Grid(data, yss, solved)
+        triples = [
+            (p, None, np.nan) if isinstance(p, NumericalError) else (FakeSystem(p[0]), None, p[1]) for p in points
+        ]
+        solved, _, edf = zip(*triples)
         index, failure = gcv_choice_by_loop(data, solved, edf, yss)
         if index is not None:
-            assert fitting._gcv_choice(grid, edf) == index
+            assert fitting._gcv_choice(data, yss, triples) == index
             return
         with pytest.raises(NumericalError, match="^no smoothing parameter candidate could be fit$") as exc:
-            fitting._gcv_choice(grid, edf)
+            fitting._gcv_choice(data, yss, triples)
         cause = exc.value.__cause__
         assert (cause is None) == (failure is None)
         if failure is not None:
@@ -1769,8 +1812,7 @@ class TestVectorGcv:
         data = StratumData(y=np.zeros(20), z=np.linspace(0, 1, 20))
         points = [(1.0, 3.0), (0.0, 5.0), (1e-30, 4.0), (0.0, 9.0), (2.0, 3.0)]
         self.assert_same_choice(data, points, 1.0)
-        grid = fitting._Grid(data, 1.0, [FakeSystem(d) for d, _ in points])
-        assert fitting._gcv_choice(grid, np.asarray([e for _, e in points])) == 3
+        assert fitting._gcv_choice(data, 1.0, [(FakeSystem(d), None, e) for d, e in points]) == 3
 
     def test_less_than_one_residual_df_is_skipped(self):
         data = StratumData(y=np.zeros(10), z=np.linspace(0, 1, 10))

@@ -293,6 +293,8 @@ class TestRunScenario:
         scn = small_scenario(n_replicates=5, m_delta_sweep=(0.0, 2.0))
         out = run_scenario(scn)
         assert [r.m_delta for r in out.records] == [0.0, 0.5, 1.0, 1.5, 2.0]
+        # the last replicate takes HI exactly: 0.3 + 0.6 * 1.0 is 0.9000000000000001, past the last bin
+        assert small_scenario(n_replicates=4, m_delta_sweep=(0.3, 0.9)).m_delta_at(3) == 0.9
 
     def test_aggregate_tables_have_all_cells(self, tmp_path):
         scn = small_scenario(n_replicates=3, alphas=(0.1, 0.2))
@@ -490,7 +492,7 @@ class TestFailureCause:
     def test_no_lambda_candidate(self, basis, monkeypatch):
         spec, pen = basis
         monkeypatch.setattr(fitting, "default_lambda_grid", lambda dm, pen: np.asarray([0.1, 1.0]))
-        gaussian = StratumData(y=np.ones(30), z=np.full(30, 2.0))  # outside the domain
+        gaussian = StratumData(y=np.ones(30), z=np.full(30, 0.5))  # one z value: ZN is short of rank
         message = raised_message(select_lambda, [gaussian], spec, pen)
         assert failure_cause(message) == "no_lambda_candidate"
         separated = StratumData(y=np.ones(200), z=np.linspace(0, 1, 200), family="binomial")
