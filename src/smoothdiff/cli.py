@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import re
+import stat
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -38,6 +39,8 @@ CURVE_GRID_POINTS = 201
 BAND_MULTIPLIER = 1.96
 # fits.json layout: each stratum's `precision_band` and `border` (p rows of m numbers)
 MODEL_FORMAT = 3
+# the name extensions that numpy's loadtxt decompresses (numpy.lib._datasource)
+_DECOMPRESSED = (".bz2", ".gz", ".xz", ".lzma")
 
 
 @dataclass(frozen=True)
@@ -110,11 +113,14 @@ def _float_tuple(text: str) -> tuple[float, ...]:
 
 
 def _write_csv(path: str, header: str, rows) -> None:
-    """`header`, then a line per row of Python ints and floats (`.tolist()`): each by `repr`, None as empty."""
+    """`header`, then a line per row of Python ints and floats (`.tolist()`): each by `repr`, None as empty.
+
+    The file's text is built whole and written once.
+    """
+    lines = [header]
+    lines += [",".join(["" if v is None else repr(v) for v in row]) for row in rows]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else repr(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(path: str, payload) -> None:
@@ -126,16 +132,21 @@ def _write_json(path: str, payload) -> None:
 def read_stratum_csv(path: str, stratum_col: str | None = None):
     """Read a 'y,z[,stratum][,x_*]' CSV into columns.
 
-    The header is parsed by `csv`, the data rows by one `np.loadtxt` pass
-    over the used columns: `"` quotes a field, blank lines are skipped,
-    other columns are ignored and `#` is not a comment. Returns
-    (y, z, X, strata): X holds the x_* columns (None without any) and strata
-    the labels of `stratum_col` as read, an object array of str (None when
-    it is None); `load_strata` strips them.
+    The header is parsed by `csv` from the open file, the data rows by one
+    `np.loadtxt` pass over the used columns: `"` quotes a field, blank lines
+    are skipped, other columns are ignored and `#` is not a comment. A
+    regular file is parsed from its path, past the header's physical lines,
+    by numpy's chunked reader (with universal newlines, so a CR or CRLF
+    inside a quoted label reads as LF). A pipe, a FIFO or a name that numpy
+    would decompress (`*.gz`, ...) is parsed from the open file, line by
+    line. Returns (y, z, X, strata): X holds the x_* columns (None without
+    any) and strata the labels of `stratum_col` as read, an object array of
+    str (None when it is None); `load_strata` strips them.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
+            reader = csv.reader(fh)
+            header = next(reader, None)
             if header is None:
                 raise ParameterError(f"{path}: empty file (header row required)")
             fields = [f.strip() for f in header]
@@ -148,21 +159,27 @@ def read_stratum_csv(path: str, stratum_col: str | None = None):
             dtype = [(f"c{j}", "f8") for j in range(len(numeric))]
             if label is not None:
                 dtype.append(("label", "O"))
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            # numpy reads a str path in chunks and an open file line by line; "./" keeps a
+            # relative name such as "http://host/x" from being taken for a URL
+            source, skip = fh, 0
+            if regular and os.path.splitext(path)[1] not in _DECOMPRESSED:
+                source, skip = os.path.join(os.curdir, path), reader.line_num
             try:
                 with warnings.catch_warnings():  # a header-only file is reported below
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                     table = np.loadtxt(
-                        fh, delimiter=",", quotechar='"', comments=None, ndmin=1,
-                        usecols=numeric if label is None else [*numeric, label], dtype=dtype,
+                        source, delimiter=",", quotechar='"', comments=None, ndmin=1, skiprows=skip,
+                        encoding="utf-8", usecols=numeric if label is None else [*numeric, label], dtype=dtype,
                     )
             except UnicodeDecodeError:
                 raise
             except ValueError as exc:
-                raise _first_row_error(path, numeric, label, stratum_col, exc) from exc
+                raise _first_row_error(path, regular, numeric, label, stratum_col, exc) from exc
             if not table.size:
                 raise ParameterError(f"{path}: no data rows")
             if stratum_col is not None and label is None:
-                raise _first_row_error(path, numeric, label, stratum_col, None)
+                raise _first_row_error(path, regular, numeric, label, stratum_col, None)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
     values = [np.ascontiguousarray(table[f"c{j}"]) for j in range(len(numeric))]
@@ -170,13 +187,20 @@ def read_stratum_csv(path: str, stratum_col: str | None = None):
     return values[0], values[1], X, None if label is None else table["label"]
 
 
-def _first_row_error(path, numeric, label, stratum_col, parse_error) -> ParameterError:
+def _first_row_error(path, regular, numeric, label, stratum_col, parse_error) -> ParameterError:
     """The error of the first malformed data row (rows numbered from 2, blank lines skipped).
 
-    The rows are read again by `csv`, each field converted by `float()`. A
-    row that `float()` accepts and numpy does not (such as '1_000') leaves
-    numpy's own message, `parse_error`.
+    A regular file's rows are read again by `csv`, each field converted by
+    `float()`. A row that `float()` accepts and numpy does not (such as
+    '1_000') leaves numpy's own message, `parse_error`. Any other input was
+    read once and is never opened again (a FIFO's second open waits for a
+    new writer): its error is `parse_error`, or with none its header's
+    missing stratum column.
     """
+    if not regular:
+        if parse_error is None:
+            return ParameterError(f"{path}: header has no stratum column {stratum_col!r}")
+        return ParameterError(f"{path}: unreadable data ({parse_error})")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)

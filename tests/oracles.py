@@ -73,6 +73,9 @@ is checked against `expit` on its own.
 that it replaced, and must give the same columns bit for bit. The oracle
 strips each label; the library returns labels as read, and
 `smoothdiff.cli.load_strata` strips each distinct one.
+`smoothdiff.cli._write_csv` builds a file's text whole and writes it once;
+`write_csv_by_row` is the writer it replaced, one write per row, whose bytes
+it must equal.
 
 `smoothdiff.simulate.clumped_indices` keeps its weights incrementally and
 draws each index from their cumulative sum as `Generator.choice` does;
@@ -628,6 +631,14 @@ def read_stratum_csv_by_float(path, stratum_col=None):
     if stratum_col is not None:
         strata = np.array([row[column[stratum_col]].strip() for row in rows])
     return values[0], values[1], X, strata
+
+
+def write_csv_by_row(path, header, rows) -> None:
+    """`header`, then a line per row, each value by `repr` and None as empty, written row by row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else repr(v) for v in row) + "\n")
 
 
 def check_pairs(v_band, spec, k, k2) -> None:

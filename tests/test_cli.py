@@ -1,7 +1,12 @@
+import contextlib
 import importlib.util
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +23,7 @@ from oracles import (
     read_stratum_csv_by_float,
     region,
     sweep_summary_by_bin_scan,
+    write_csv_by_row,
 )
 
 from smoothdiff import basis, cli, fitting, simulate
@@ -29,6 +35,7 @@ from smoothdiff.cli import (
     main,
     read_stratum_csv,
 )
+from smoothdiff.errors import ParameterError
 from smoothdiff.fitting import StratumData, covariance_block, select_lambda
 from smoothdiff.simulate import (
     PRESETS,
@@ -695,9 +702,13 @@ def csv_case(case, rng, n=200):
         cols["stratum"] = labels
     names = list(cols)
     rows = [[cols[c][i] for c in names] for i in range(n)]
+    if case == "two_line_header":  # the header's last field quoted, holding a newline
+        names[-1] = f'"{names[-1]}\n"'
     end = "\n"
     if case == "crlf":
         end = "\r\n"
+    elif case == "cr":
+        end = "\r"
     elif case == "quoted":
         rows = [[f'"{v}"' for v in row] for row in rows]
     elif case == "spaced":
@@ -724,22 +735,101 @@ def assert_same_columns(got, want):
         assert got[3].tolist() == want[3].tolist()
 
 
+@contextlib.contextmanager
+def alarm_after(seconds):
+    """Raise TimeoutError in the block's blocking call once `seconds` have passed (main thread only)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still blocked after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def loadtxt_sources(monkeypatch) -> list:
+    """The first argument of each `np.loadtxt` call, appended as it is made."""
+    sources, loadtxt = [], np.loadtxt
+
+    def recording(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    return sources
+
+
 class TestCsvReader:
     """read_stratum_csv parses data rows with numpy; the csv + float() reader is its oracle."""
 
     @pytest.mark.parametrize(
         "case",
         ["plain", "no_stratum", "x_columns", "crlf", "quoted", "spaced", "extra_columns",
-         "stratum_first", "word_labels", "blank_lines"],
+         "stratum_first", "word_labels", "blank_lines", "two_line_header", "cr", "large"],
     )
-    def test_columns_bitwise_equal_to_float_reader(self, tmp_path, case):
-        content, col = csv_case(case, np.random.default_rng(len(case)))
+    def test_columns_bitwise_equal_to_float_reader(self, tmp_path, monkeypatch, case):
+        # "large" is read by numpy in several chunks
+        content, col = csv_case(case, np.random.default_rng(len(case)), n=40000 if case == "large" else 200)
+        assert case != "large" or len(content) > 2**20
         path = tmp_path / "d.csv"
         path.write_bytes(content)
+        sources = loadtxt_sources(monkeypatch)
         got = read_stratum_csv(str(path), col)
+        assert [type(source) for source in sources] == [str]  # a regular file is parsed from its path
         if case == "spaced":  # labels come back as read; load_strata strips them
             got = (*got[:3], np.char.strip(got[3].astype(str)))
         assert_same_columns(got, read_stratum_csv_by_float(path, col))
+
+    @pytest.mark.parametrize("case", ["plain", "crlf"])
+    def test_fifo_gives_the_regular_files_columns_from_its_open_file(self, tmp_path, monkeypatch, case):
+        content, col = csv_case(case, np.random.default_rng(len(case)))
+        path, fifo = tmp_path / "d.csv", tmp_path / "fifo"
+        path.write_bytes(content)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(content,), daemon=True)
+        writer.start()
+        sources = loadtxt_sources(monkeypatch)
+        with alarm_after(60):  # a second open of the FIFO would wait for a writer that never comes
+            got = read_stratum_csv(str(fifo), col)
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert len(sources) == 1 and sources[0].name == str(fifo)  # the open file, read once
+        assert_same_columns(got, read_stratum_csv(str(path), col))
+
+    def test_plain_file_with_a_compressed_name_reads_from_its_open_file(self, tmp_path, monkeypatch):
+        # numpy would take "d.csv.gz" for gzip data and fail
+        content, col = csv_case("plain", np.random.default_rng(5))
+        path = tmp_path / "d.csv.gz"
+        path.write_bytes(content)
+        sources = loadtxt_sources(monkeypatch)
+        got = read_stratum_csv(str(path), col)
+        assert len(sources) == 1 and sources[0].name == str(path)
+        assert_same_columns(got, read_stratum_csv_by_float(path, col))
+
+    def test_url_like_relative_name_reads_its_own_file(self, tmp_path, monkeypatch):
+        # numpy takes "http://host/d.csv" for a URL and reads a local "host/d.csv" in its place
+        monkeypatch.chdir(tmp_path)
+        content, col = csv_case("plain", np.random.default_rng(6))
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "d.csv").write_bytes(content)
+        (tmp_path / "host").mkdir()
+        (tmp_path / "host" / "d.csv").write_bytes(csv_case("plain", np.random.default_rng(7))[0])
+        got = read_stratum_csv("http://host/d.csv", col)
+        assert_same_columns(got, read_stratum_csv_by_float("http://host/d.csv", col))
+
+    def test_undecodable_byte_past_the_first_megabyte_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"y,z,stratum\n" + b"1.5,0.25,1\n2.5,0.75,2\n" * 50000 + b"1,0.5,\xff\n")
+        with pytest.raises(ParameterError, match="cannot read") as exc:
+            read_stratum_csv(str(bad), "stratum")
+        assert isinstance(exc.value.__cause__, UnicodeDecodeError)  # raised by numpy's reader
+        assert main(["analyze", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff" in err and "Traceback" not in err
 
     def test_synth_gait_file_bitwise_equal_to_float_reader(self, tmp_path):
         path = tmp_path / "gait.csv"
@@ -763,6 +853,45 @@ class TestCsvReader:
             warnings.simplefilter("error")
             assert main(["analyze", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "bad.csv: no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"y,z,stratum\n1,0.5,1\n1_000,0.6,2\n",
+             "unreadable data (could not convert string '1_000' to float64 at row 1, column 1"),
+            (b"y,z\n1,0.5\n1,0.6\n", "header has no stratum column 'stratum'"),
+        ],
+    )
+    def test_malformed_fifo_exits_2_without_opening_it_again(self, tmp_path, content, message):
+        # a FIFO's second open waits for a new writer: the error must come from the one read,
+        # and the command runs in a subprocess so that a regression fails instead of hanging
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        argv = [sys.executable, "-m", "smoothdiff.cli", "analyze", "--data", str(fifo), "--out", str(tmp_path / "o")]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        threading.Thread(target=fifo.write_bytes, args=(content,), daemon=True).start()
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            pytest.fail("analyze waited on its FIFO")
+        assert proc.returncode == 2
+        assert f"{fifo}: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[1, None, -0.0, 0.0, float("nan"), float("inf"), float("-inf")]],
+        [[None, None], [0.1, 1e300], [-7, 5e-324], [2**70, -2.5e-8]],
+    ],
+)
+def test_write_csv_bytes_equal_to_per_row_writer(tmp_path, rows):
+    cli._write_csv(str(tmp_path / "a.csv"), "h1,h2", iter(rows))
+    write_csv_by_row(str(tmp_path / "b.csv"), "h1,h2", iter(rows))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestSimulate:
@@ -1564,27 +1693,29 @@ def invariance_strata(family, with_x):
     return strata
 
 
-def write_strata_csv(path, strata, labels=None, y_scale=1.0):
-    """The strata's rows as y,z[,stratum][,x_a], strata[i]'s labelled labels[i], each y times y_scale."""
+def write_strata_csv(path, strata, labels=None, y_scale=1.0, x_scale=1.0):
+    """The strata's rows as y,z[,stratum][,x_a], strata[i]'s labelled labels[i], each y times y_scale
+    and each x times x_scale."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("y,z" + (",stratum" if labels else "") + (",x_a" if strata[0].X.shape[1] else "") + "\n")
         for i, data in enumerate(strata):
             for row in range(data.n):
                 fields = [repr(float(data.y[row]) * y_scale), repr(float(data.z[row]))]
-                fields += ([labels[i]] if labels else []) + [repr(float(x)) for x in data.X[row]]
+                fields += ([labels[i]] if labels else []) + [repr(float(x) * x_scale) for x in data.X[row]]
                 fh.write(",".join(fields) + "\n")
     return path
 
 
-def analyze_invariance(out, strata, swap=None, y_scale=1.0):
-    """analyze at m = 120 with strata[0] as stratum 1 and each y times y_scale. swap="labels" labels
-    strata[0]'s rows 2 and strata[1]'s 1 in the --data file; swap="files" passes strata[1] as --stratum1."""
+def analyze_invariance(out, strata, swap=None, y_scale=1.0, x_scale=1.0):
+    """analyze at m = 120 with strata[0] as stratum 1 and each y times y_scale, each x times x_scale.
+    swap="labels" labels strata[0]'s rows 2 and strata[1]'s 1 in the --data file; swap="files"
+    passes strata[1] as --stratum1."""
     if swap == "files":
         paths = [write_strata_csv(out.parent / f"{out.name}{i}.csv", [d], y_scale=y_scale) for i, d in enumerate(strata)]
         inputs = ["--stratum1", str(paths[1]), "--stratum2", str(paths[0])]
     else:
         labels = ("2", "1") if swap == "labels" else ("1", "2")
-        inputs = ["--data", str(write_strata_csv(out.parent / f"{out.name}.csv", strata, labels, y_scale))]
+        inputs = ["--data", str(write_strata_csv(out.parent / f"{out.name}.csv", strata, labels, y_scale, x_scale))]
     assert main(["analyze", *inputs, "--basis-dim", "120", "--family", strata[0].family, "--out", str(out)]) == 0
     return out
 
@@ -1636,6 +1767,21 @@ class TestInvariance:
             for key in ("dispersion", "deviance"):
                 assert fit_b[key] == fit_a[key] * 4.0**k, key
         assert curve_rows(b) == [row[:1] + [v * 2.0**k for v in row[1:]] for row in curve_rows(a)]
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_fit_is_equivariant_in_the_scale_of_a_fixed_effect(self, tmp_path, capsys, family):
+        # x -> 2x is exact and every step is linear in x, so beta halves; the border B = V L^-T keeps
+        # its value, as V and L both double, and nothing else moves
+        strata = invariance_strata(family, with_x=True)
+        a = analyze_invariance(tmp_path / "a", strata)
+        b = analyze_invariance(tmp_path / "b", strata, x_scale=2.0)
+        for name in (*SELECTION_FILES, "curves.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        fits_a, fits_b = (json.loads((out / "fits.json").read_text()) for out in (a, b))
+        assert {k: v for k, v in fits_b.items() if k != "strata"} == {k: v for k, v in fits_a.items() if k != "strata"}
+        for fit_a, fit_b in zip(fits_a["strata"], fits_b["strata"]):
+            assert fit_b["beta"] == [v / 2.0 for v in fit_a["beta"]]
+            assert {k: v for k, v in fit_b.items() if k != "beta"} == {k: v for k, v in fit_a.items() if k != "beta"}
 
 
 SWEEP_HEADER = [
