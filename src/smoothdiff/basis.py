@@ -55,23 +55,23 @@ class BasisSpec:
         hi = min(j + 1, self.n_regions)
         return lo, hi
 
-    def cells_to_intervals(self, cells: np.ndarray) -> list[tuple[float, float]]:
-        """Merge a boolean mask over elementary cells into disjoint covariate intervals."""
-        cells = np.asarray(cells, dtype=bool)
-        if cells.shape != (self.n_regions,):
-            raise ParameterError("cell mask length must equal the number of regions")
+    def window_intervals(self, windows) -> list[tuple[float, float]]:
+        """The disjoint covariate intervals covered by a set of windows, in ascending order.
+
+        Window k annotates its knot-defined region, the cell between
+        breakpoints k and k + 1: that cell is exactly where the fitted
+        difference depends on the window's coefficients, so area TDP matches
+        hypothesis-count TDP. Each run k..j of consecutive windows becomes
+        (breakpoints[k], breakpoints[j + 1]). `windows` must be strictly
+        ascending indices into the n_regions windows.
+        """
+        k = np.asarray(windows, dtype=int)
+        if k.ndim != 1 or np.any(np.diff(k, prepend=-1, append=self.n_regions) <= 0):
+            raise ParameterError(f"windows must be strictly ascending indices below {self.n_regions}")
+        # a run starts at k[i] iff gap[i], and ends there iff gap[i + 1]
+        gap = np.diff(k, prepend=-2, append=self.n_regions + 1) > 1
         bp = self.breakpoints
-        out: list[tuple[float, float]] = []
-        start = None
-        for i, on in enumerate(cells):
-            if on and start is None:
-                start = i
-            elif not on and start is not None:
-                out.append((float(bp[start]), float(bp[i])))
-                start = None
-        if start is not None:
-            out.append((float(bp[start]), float(bp[-1])))
-        return out
+        return list(zip(bp[k[gap[:-1]]].tolist(), bp[k[gap[1:]] + 1].tolist()))
 
 
 @dataclass
@@ -96,7 +96,6 @@ class DesignMatrix:
     values: np.ndarray
     start: np.ndarray
     m: int
-    _xtx: np.ndarray | None = field(default=None, repr=False)
     _cols: np.ndarray | None = field(default=None, repr=False)
     _ops: tuple | None = field(default=None, repr=False)
     _gram: np.ndarray | None = field(default=None, repr=False)
@@ -157,12 +156,7 @@ class DesignMatrix:
     # No library path calls this; perfbench/spans.py wraps it by attribute.
     def crossprod(self, weights: np.ndarray | None = None) -> np.ndarray:
         """Z' diag(w) Z as a dense m x m matrix: the expansion of `gram_band`."""
-        if weights is None and self._xtx is not None:
-            return self._xtx
-        out = expand_band(self.gram_band(weights))
-        if weights is None:
-            self._xtx = out
-        return out
+        return expand_band(self.gram_band(weights))
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
         """Z'y for a vector y, or for each column of an n x c matrix y.

@@ -137,14 +137,17 @@ def read_stratum_csv(path: str, stratum_col: str | None = None):
     are skipped, other columns are ignored and `#` is not a comment. A
     regular file is parsed from its path, past the header's physical lines,
     by numpy's chunked reader (with universal newlines, so a CR or CRLF
-    inside a quoted label reads as LF). A pipe, a FIFO or a name that numpy
+    inside a quoted field reads as LF: `load_strata` rejects a label that
+    holds a line break). A pipe, a FIFO or a name that numpy
     would decompress (`*.gz`, ...) is parsed from the open file, line by
     line. Returns (y, z, X, strata): X holds the x_* columns (None without
     any) and strata the labels of `stratum_col` as read, an object array of
     str (None when it is None); `load_strata` strips them.
     """
+    regular = False
     try:
         with open(path, newline="", encoding="utf-8") as fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -159,7 +162,6 @@ def read_stratum_csv(path: str, stratum_col: str | None = None):
             dtype = [(f"c{j}", "f8") for j in range(len(numeric))]
             if label is not None:
                 dtype.append(("label", "O"))
-            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             # numpy reads a str path in chunks and an open file line by line; "./" keeps a
             # relative name such as "http://host/x" from being taken for a URL
             source, skip = fh, 0
@@ -180,11 +182,26 @@ def read_stratum_csv(path: str, stratum_col: str | None = None):
                 raise ParameterError(f"{path}: no data rows")
             if stratum_col is not None and label is None:
                 raise _first_row_error(path, regular, numeric, label, stratum_col, None)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"cannot read {path}: {_located(path, exc) if regular else exc}") from exc
+    except (OSError, csv.Error) as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
     values = [np.ascontiguousarray(table[f"c{j}"]) for j in range(len(numeric))]
     X = np.column_stack(values[2:]) if x_cols else None
     return values[0], values[1], X, None if label is None else table["label"]
+
+
+def _located(path: str, exc: UnicodeDecodeError) -> UnicodeDecodeError:
+    """A regular file's decode error `exc` as decoding its bytes whole raises it, placed by the offset in the file
+    rather than in a decoder's chunk."""
+    try:
+        with open(path, "rb") as fh:
+            fh.read().decode("utf-8")
+    except UnicodeDecodeError as whole:
+        return whole
+    except OSError:  # gone since it was read: `exc` as it is
+        pass
+    return exc
 
 
 def _first_row_error(path, regular, numeric, label, stratum_col, parse_error) -> ParameterError:
@@ -221,11 +238,16 @@ def load_strata(config: AnalysisConfig) -> tuple[StratumData, StratumData]:
 
     Each distinct raw label is stripped once (`astype(str)`, which drops
     trailing NULs, then `np.char.strip`), and a stratum's rows are the
-    union of the masks of the raw labels that strip to its label.
+    union of the masks of the raw labels that strip to its label. A label holding
+    a line break is an error: a regular file and a pipe read one inside quotes differently.
     """
     if config.data is not None:
         y, z, X, raw = read_stratum_csv(config.data, config.stratum_col)
         distinct = list(set(raw.tolist()))
+        broken = {value for value in distinct if "\r" in value or "\n" in value}
+        if broken:  # named by its first row
+            first = next(value for value in raw.tolist() if value in broken)
+            raise ParameterError(f"{config.data}: stratum label {first!r} holds a line break")
         stripped = np.char.strip(np.asarray(distinct, dtype=object).astype(str)).tolist()
         labels = sorted(set(stripped))
         if len(labels) != 2:
@@ -292,7 +314,8 @@ def cmd_analyze(config: AnalysisConfig) -> int:
         raise NumericalError(f"{exc}{cause}") from exc
     source = "gcv" if config.lam is None else "fixed"
     series = window_statistics(fits[0].coef - fits[1].coef, fits[0].cov_band + fits[1].cov_band, spec)
-    report = threshold_regions(series, config.alpha, config.tdp)
+    report = threshold_regions(series.p, config.alpha, config.tdp)
+    regions = [(rec, spec.window_intervals(rec.windows)) for rec in report.records]
 
     os.makedirs(config.out, exist_ok=True)
     fits_payload = {
@@ -323,16 +346,16 @@ def cmd_analyze(config: AnalysisConfig) -> int:
                 "windows": list(rec.windows),
                 "phi": rec.phi,
                 "tdp_lower_bound": rec.bound,
-                "intervals": [list(iv) for iv in rec.intervals],
+                "intervals": [list(iv) for iv in ivals],
             }
-            for rec in report.records
+            for rec, ivals in regions
         ],
     }
     _write_json(os.path.join(config.out, "regions.json"), regions_payload)
     _write_csv(
         os.path.join(config.out, "regions.csv"),
         "tdp_threshold,interval_lo,interval_hi,tdp_lower_bound,alpha",
-        ((rec.tau, lo, hi, rec.bound, config.alpha) for rec in report.records for lo, hi in rec.intervals),
+        ((rec.tau, lo, hi, rec.bound, config.alpha) for rec, ivals in regions for lo, hi in ivals),
     )
 
     grid = np.linspace(spec.z_lo, spec.z_hi, CURVE_GRID_POINTS)
@@ -344,9 +367,9 @@ def cmd_analyze(config: AnalysisConfig) -> int:
         cols += [center, center - BAND_MULTIPLIER * se, center + BAND_MULTIPLIER * se]
     _write_csv(os.path.join(config.out, "curves.csv"), "z,fit1,lo1,hi1,fit2,lo2,hi2", np.column_stack(cols).tolist())
 
-    for rec in report.records:
-        ivals = ", ".join(f"[{lo:.4g}, {hi:.4g}]" for lo, hi in rec.intervals) or "(none)"
-        print(f"tdp>={rec.tau}: bound={rec.bound:.3f} windows={len(rec.windows)} intervals={ivals}")
+    for rec, ivals in regions:
+        text = ", ".join(f"[{lo:.4g}, {hi:.4g}]" for lo, hi in ivals) or "(none)"
+        print(f"tdp>={rec.tau}: bound={rec.bound:.3f} windows={len(rec.windows)} intervals={text}")
     return 0
 
 
@@ -584,9 +607,8 @@ def cmd_diagnose(args) -> int:
 
 
 def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+    """The seed in SMOOTHDIFF_SEED, which `main` reads only when it is set."""
+    raw = os.environ[SEED_ENV_VAR]
     try:
         return int(raw)
     except ValueError as exc:

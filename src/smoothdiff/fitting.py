@@ -581,13 +581,14 @@ def _border_bands(borders: np.ndarray, b: int) -> np.ndarray:
 
 
 def _selected_inverses(systems: list[_BandSystem], penalty_band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma, edf): the band of every A^{-1} and every edf of a list of solved systems, stacked in order.
+    """(sigma, edf): the unit-dispersion covariance band and the edf of each solved system, stacked in order.
 
-    One `selected_inverse_band` call gives every sigma and one `_band_trace`
-    every tr(sigma Z'WZ). A system with fixed effects adds R, the band of BB',
-    to its covariance band (`_covariance_band`), and as tr(A^{-1} A) = m,
-    edf = p + tr(sigma Z'WZ) - lambda tr(R S); the systems are grouped by p
-    for R, since the strata of one analysis may have different columns.
+    One `selected_inverse_band` call gives every band of A^{-1} and one
+    `_band_trace` every tr(A^{-1} Z'WZ). A system with fixed effects has
+    covariance band A^{-1} + R, R the band of BB', and as tr(A^{-1} A) = m,
+    edf = p + tr(A^{-1} Z'WZ) - lambda tr(R S); the systems are grouped by p
+    for R, since the strata of one analysis may have different columns, and
+    each group's R is added to its bands once its edf has used it.
     """
     sigma = selected_inverse_band(np.stack([s.factor for s in systems]))
     edf = _band_trace(sigma, np.stack([s.gram for s in systems]))
@@ -599,14 +600,8 @@ def _selected_inverses(systems: list[_BandSystem], penalty_band: np.ndarray) -> 
         outer = _border_bands(np.stack([systems[k].border for k in group]), sigma.shape[1] - 1)
         lams = np.asarray([systems[k].lam for k in group])
         edf[group] = p + edf[group] - lams * _band_trace(outer, penalty_band)
+        sigma[group] += outer
     return sigma, edf
-
-
-def _covariance_band(system: _BandSystem, sigma: np.ndarray) -> np.ndarray:
-    """The unit-dispersion covariance band sigma + R of a solved system, R the band of BB'."""
-    if not system.beta.size:
-        return sigma
-    return sigma + _border_bands(system.border[None], sigma.shape[0] - 1)[0]
 
 
 def _precision_band(system: _BandSystem, penalty_band: np.ndarray) -> np.ndarray:
@@ -796,5 +791,5 @@ def select_lambda(
         if _failed(data, points)[j]:  # only a given lambda's point; GCV skips failing ones
             raise _point_error(data, points[j])
         system, sigma, edf = points[j]
-        fits.append(_band_fit(data, system, _covariance_band(system, sigma), float(edf), yss, penalty_band))
+        fits.append(_band_fit(data, system, sigma, float(edf), yss, penalty_band))
     return fits

@@ -340,7 +340,7 @@ def _score_series(
     Cell k is true (`_truth_cells`) iff window k holds a coefficient that
     differs between the strata: window k holds coefficients k..k+degree.
     """
-    reports = [threshold_regions(series, alpha, scenario.thresholds) for alpha in scenario.alphas]
+    reports = [threshold_regions(series.p, alpha, scenario.thresholds) for alpha in scenario.alphas]
     return [outcome for report in reports for outcome in _score_regions(report, truth_cells)], reports
 
 
@@ -493,7 +493,6 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimOutcome:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_replicate, [scenario] * len(indices), indices, chunksize=REPLICATES_PER_TASK))
-    records.sort(key=lambda r: r.index)
     if all(r.failed for r in records):
         raise NumericalError("every replicate failed; first message: " + records[0].message)
     return _aggregate(scenario, records)

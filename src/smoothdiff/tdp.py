@@ -8,6 +8,10 @@ all prefixes of the p-value order, which is all that region selection needs,
 come from one sort and one linear sweep. The brute-force closed-testing
 evaluator over the full power set, the definition this shortcut must match,
 is kept with the tests (`tests/oracles.py`).
+
+The layer takes the p-values alone: a selected set is a tuple of indices
+into them, and what a window covers on the covariate axis is left to the
+basis whose knot grid labels it.
 """
 
 from __future__ import annotations
@@ -118,7 +122,6 @@ class RegionRecord:
     windows: tuple[int, ...]
     phi: int
     bound: float
-    intervals: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -157,22 +160,23 @@ def _prefix_phi(family: PValueFamily, order: np.ndarray) -> np.ndarray:
     return np.maximum(from_full, partial)
 
 
-def threshold_regions(series, alpha: float, thresholds) -> TdpReport:
+def threshold_regions(p, alpha: float, thresholds) -> TdpReport:
     """Largest hypothesis sets whose TDP lower bound clears each threshold.
 
-    Candidates are prefixes of the windows ordered by ascending p-value
-    (ties by window index): the bound depends on a set only through how many
-    of its scaled p-values fall under each u*alpha cutoff, so swapping any
-    member for one with a smaller p-value can never lower it, and the best
-    set of each size is a prefix. One sweep gives phi of every prefix
-    (`_prefix_phi`), and each threshold takes the largest size s with
-    phi >= tau * s. Thresholds are processed in descending order; all
+    `p` holds one p-value per hypothesis (window); a record's `windows` are
+    indices into it. Candidates are prefixes of the hypotheses ordered by
+    ascending p-value (ties by index): the bound depends on a set only
+    through how many of its scaled p-values fall under each u*alpha cutoff,
+    so swapping any member for one with a smaller p-value can never lower
+    it, and the best set of each size is a prefix. One sweep gives phi of
+    every prefix (`_prefix_phi`), and each threshold takes the largest size
+    s with phi >= tau * s. Thresholds are processed in descending order; all
     reported bounds are simultaneously valid at level alpha.
     """
     taus = sorted(set(float(t) for t in thresholds), reverse=True)
     if any(not 0.0 < t <= 1.0 for t in taus):
         raise ParameterError("thresholds must lie in (0, 1]")
-    family = PValueFamily(p=series.p, alpha=alpha)
+    family = PValueFamily(p=p, alpha=alpha)
     order = np.lexsort((np.arange(family.n), family.p))
     prefix_phi = _prefix_phi(family, order)
     sizes = np.arange(1, family.n + 1)
@@ -180,25 +184,10 @@ def threshold_regions(series, alpha: float, thresholds) -> TdpReport:
     for tau in taus:
         clears = np.flatnonzero(prefix_phi >= tau * sizes)
         if clears.size == 0:
-            records.append(RegionRecord(tau=tau, windows=(), phi=0, bound=0.0, intervals=()))
+            records.append(RegionRecord(tau=tau, windows=(), phi=0, bound=0.0))
             continue
         size = int(clears[-1]) + 1
         phi = int(prefix_phi[size - 1])
         windows = tuple(sorted(int(k) for k in order[:size]))
-        # Window k annotates its knot-defined region (one elementary cell):
-        # that cell is exactly where the fitted difference depends on the
-        # window's coefficients, so area TDP matches hypothesis-count TDP.
-        spec = series.spec
-        cells = np.zeros(spec.n_regions, dtype=bool)
-        cells[list(windows)] = True
-        records.append(
-            RegionRecord(
-                tau=tau,
-                windows=windows,
-                phi=phi,
-                bound=phi / size,
-                intervals=tuple(spec.cells_to_intervals(cells)),
-            )
-        )
+        records.append(RegionRecord(tau=tau, windows=windows, phi=phi, bound=phi / size))
     return TdpReport(family=family, records=tuple(records))
-

@@ -5,7 +5,8 @@ k..k+degree. Its statistic is T_k = d_k' V_k^{-1} d_k, the quadratic form of
 the coefficient-difference window d_k against the w x w diagonal block V_k
 of the summed covariance V1 + V2, referred to a chi-square with w degrees of
 freedom. Its inputs are d and the upper band of V alone, so this module knows
-no fit: `window_statistics` gathers the blocks from V's band, factors every
+no fit, and its result holds T and p alone, all that the TDP layer reads.
+`window_statistics` gathers the blocks from V's band, factors every
 block in one batched Cholesky call and takes T_k = ||L_k^{-1} d_k||^2. Its
 p-value is p_k = Q(w/2, T_k/2), the regularized upper incomplete gamma,
 from `scipy.special.chdtrc`: the function `scipy.stats.chi2.sf` evaluates,
@@ -48,9 +49,8 @@ REANCHOR_EVERY = 64
 
 @dataclass(frozen=True)
 class WindowTestSeries:
-    """Sliding-window statistics and their p-values; window k tests region k of `spec`."""
+    """Sliding-window statistics and their p-values; window k tests knot-defined region k."""
 
-    spec: BasisSpec
     T: np.ndarray
     p: np.ndarray
 
@@ -157,7 +157,7 @@ def _window_series(spec: BasisSpec, delta: np.ndarray, blocks: np.ndarray) -> Wi
     t = np.sum(z * z, axis=1)
     # chdtrc equals chi2.sf bit for bit for T >= 0 and NaN; they differ only at
     # T < 0 (chdtrc NaN, chi2.sf 1), which a sum of squares cannot reach.
-    return WindowTestSeries(spec=spec, T=t, p=chdtrc(w, t))
+    return WindowTestSeries(T=t, p=chdtrc(w, t))
 
 
 def _band_entries(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

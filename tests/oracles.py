@@ -112,6 +112,9 @@ m basis functions at one point, the row `design_matrix` stores compactly,
 `basis_support` is basis function j's support interval, whose cells
 `BasisSpec.basis_support_cells` gives, and `region` is window k's covariate
 interval, which `windows.csv` writes from `BasisSpec.breakpoints`.
+`BasisSpec.window_intervals` merges a window set's runs of consecutive
+windows into intervals; `cells_to_intervals` is the scan over a boolean mask
+of the elementary cells it replaced, whose floats it must equal.
 """
 
 from __future__ import annotations
@@ -860,6 +863,25 @@ def basis_support(spec, j: int) -> tuple[float, float]:
     if not 0 <= j < spec.m:
         raise ParameterError(f"basis index {j} outside [0, {spec.m})")
     return float(spec.knots[j]), float(spec.knots[j + spec.degree + 1])
+
+
+def cells_to_intervals(spec, cells) -> list[tuple[float, float]]:
+    """Merge a boolean mask over elementary cells into disjoint covariate intervals, one cell at a time."""
+    cells = np.asarray(cells, dtype=bool)
+    if cells.shape != (spec.n_regions,):
+        raise ParameterError("cell mask length must equal the number of regions")
+    bp = spec.breakpoints
+    out: list[tuple[float, float]] = []
+    start = None
+    for i, on in enumerate(cells):
+        if on and start is None:
+            start = i
+        elif not on and start is not None:
+            out.append((float(bp[start]), float(bp[i])))
+            start = None
+    if start is not None:
+        out.append((float(bp[start]), float(bp[-1])))
+    return out
 
 
 def region(spec, k: int) -> tuple[float, float]:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     band_form,
     basis_support,
+    cells_to_intervals,
     cross_with_by_column_bincount,
     dense_design,
     difference_matrix,
@@ -292,8 +293,6 @@ class TestGramBand:
         dm = design_matrix(spec, z)
         assert np.array_equal(dm.crossprod(w), crossprod_by_m2_bincount(dm, w))
         assert np.array_equal(dm.crossprod(), crossprod_by_m2_bincount(dm))
-        # the cached unweighted product is the same array on the second call
-        assert dm.crossprod() is dm.crossprod()
 
     @pytest.mark.parametrize("d", [0, 1, 3])
     def test_band_rows_are_the_superdiagonals(self, d):
@@ -518,12 +517,35 @@ class TestDifferencePenalty:
 
 
 class TestCellGeometry:
-    def test_cells_to_intervals_merges_runs(self):
+    def test_window_intervals_merge_runs(self):
         spec = make_basis(0.0, 1.0, 8, 2)
-        cells = np.array([1, 1, 0, 1, 0, 0], dtype=bool)
-        ivals = spec.cells_to_intervals(cells)
+        ivals = spec.window_intervals((0, 1, 3))
         bp = spec.breakpoints
         assert ivals == [(bp[0], bp[2]), (bp[3], bp[4])]
+
+    @given(
+        n_regions=st.integers(2, 60),
+        degree=st.integers(0, 3),
+        seed=st.integers(0, 10_000),
+        density=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_window_intervals_equal_the_cell_scan(self, n_regions, degree, seed, density):
+        spec = make_basis(-2.0, 3.0, n_regions + degree, degree)
+        cells = np.random.default_rng(seed).uniform(size=n_regions) < density
+        n = spec.n_regions
+        masks = [cells, np.zeros(n, bool), np.ones(n, bool)]  # any set, empty, all windows
+        for k in (0, n - 1, seed % n):  # single windows: the first, the last, one inside
+            masks.append(np.arange(n) == k)
+        for mask in masks:
+            windows = tuple(int(k) for k in np.flatnonzero(mask))
+            assert spec.window_intervals(windows) == cells_to_intervals(spec, mask)
+
+    @pytest.mark.parametrize("windows", [(1, 0), (2, 2), (-1, 0), (0, 6), (6,), ((0, 1),)])
+    def test_window_intervals_reject_unsorted_or_out_of_range_sets(self, windows):
+        spec = make_basis(0.0, 1.0, 8, 2)  # windows 0..5
+        with pytest.raises(ParameterError, match="strictly ascending indices below 6"):
+            spec.window_intervals(windows)
 
     def test_basis_support_cells_match_support_interval(self):
         spec = make_basis(0.0, 1.0, 9, 3)

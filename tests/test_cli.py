@@ -129,7 +129,7 @@ class TestAnalyze:
         pen = difference_penalty(scn.m, scn.penalty_order)
         fits = select_lambda([data1, data2], spec, pen)
         series = window_statistics(fits[0].coef - fits[1].coef, sum(covariance_bands(fits, spec.degree)), spec)
-        report = threshold_regions(series, 0.1, (0.9, 0.7, 0.5))
+        report = threshold_regions(series.p, 0.1, (0.9, 0.7, 0.5))
 
         path = tmp_path / "dump.csv"
         write_stratum_csv(path, data1, data2)
@@ -154,7 +154,7 @@ class TestAnalyze:
             assert tuple(rec["windows"]) == ours.windows
             assert rec["phi"] == ours.phi
             assert rec["tdp_lower_bound"] == ours.bound
-            assert [tuple(iv) for iv in rec["intervals"]] == list(ours.intervals)
+            assert [tuple(iv) for iv in rec["intervals"]] == spec.window_intervals(ours.windows)
         windows_csv = (out / "windows.csv").read_text().strip().splitlines()
         assert windows_csv[0] == "k,region_lo,region_hi,T,p"
         assert len(windows_csv) == 1 + series.n_windows
@@ -800,6 +800,26 @@ class TestCsvReader:
         assert len(sources) == 1 and sources[0].name == str(fifo)  # the open file, read once
         assert_same_columns(got, read_stratum_csv(str(path), col))
 
+    def test_label_holding_a_line_break_exits_2_from_a_file_and_a_fifo(self, tmp_path, capsys):
+        # a regular file reads the quoted CRLF as LF and a FIFO keeps it; both are refused
+        content = b'y,z,s\n1,0.2,"a\r\nb"\n2,0.4,"a\nb"\n3,0.6,c\n'
+        path, fifo = tmp_path / "d.csv", tmp_path / "fifo"
+        path.write_bytes(content)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(content,), daemon=True)
+        writer.start()
+        argv = ["analyze", "--stratum-col", "s", "--out", str(tmp_path / "o")]
+        assert main([*argv, "--data", str(path)]) == 2
+        with alarm_after(60):  # a second open of the FIFO would wait for a writer that never comes
+            assert main([*argv, "--data", str(fifo)]) == 2
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert capsys.readouterr().err.splitlines() == [
+            f"smoothdiff: input error: {path}: stratum label 'a\\nb' holds a line break",
+            f"smoothdiff: input error: {fifo}: stratum label 'a\\r\\nb' holds a line break",
+        ]
+        assert not (tmp_path / "o").exists()
+
     def test_plain_file_with_a_compressed_name_reads_from_its_open_file(self, tmp_path, monkeypatch):
         # numpy would take "d.csv.gz" for gzip data and fail
         content, col = csv_case("plain", np.random.default_rng(5))
@@ -829,7 +849,9 @@ class TestCsvReader:
         assert isinstance(exc.value.__cause__, UnicodeDecodeError)  # raised by numpy's reader
         assert main(["analyze", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff" in err and "Traceback" not in err
+        assert "Traceback" not in err
+        # the offset in the file (12 + 22 * 50000 + 6), not in the decoder's chunk
+        assert f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 1100018: invalid start byte" in err
 
     def test_synth_gait_file_bitwise_equal_to_float_reader(self, tmp_path):
         path = tmp_path / "gait.csv"
@@ -860,6 +882,7 @@ class TestCsvReader:
             (b"y,z,stratum\n1,0.5,1\n1_000,0.6,2\n",
              "unreadable data (could not convert string '1_000' to float64 at row 1, column 1"),
             (b"y,z\n1,0.5\n1,0.6\n", "header has no stratum column 'stratum'"),
+            (b"y,z,stratum\n1,0.5,1\n1,0.6,\xff\n", "'utf-8' codec can't decode byte 0xff in position"),
         ],
     )
     def test_malformed_fifo_exits_2_without_opening_it_again(self, tmp_path, content, message):

@@ -494,8 +494,7 @@ def per_iteration_bordered_irls(data, spec, pen, lam):
         mu = fitting._logistic(eta, np.empty_like(eta))
         new_deviance = float(_binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12)))
         system = fitting._BandSystem(lam, coef, beta, new_deviance, gram, factors[0], border, n_iter)
-        [sigma], [edf] = fitting._selected_inverses([system], penalty_band)
-        band = fitting._covariance_band(system, sigma)
+        [band], [edf] = fitting._selected_inverses([system], penalty_band)
         fit = fitting._band_fit(data, system, band, float(edf), float(data.y @ data.y), penalty_band)
         if fitting._converged(new_deviance, deviance):
             return fit
@@ -1617,7 +1616,7 @@ class TestLogistic:
                 for (f1, _), (f2, _) in (fits[k : k + 2] for fits in (got, want))
             ]
             for alpha in scenario.alphas:
-                windows = [[r.windows for r in threshold_regions(s, alpha, scenario.thresholds).records] for s in series]
+                windows = [[r.windows for r in threshold_regions(s.p, alpha, scenario.thresholds).records] for s in series]
                 assert windows[0] == windows[1]
 
 

@@ -112,18 +112,6 @@ def family_pvalues(kind, n, alpha, rng):
     return np.full(n, 1.0 if kind == "ones" else 0.0)
 
 
-class FakeSeries:
-    def __init__(self, p, spec):
-        self.p = np.asarray(p, dtype=float)
-        self.spec = spec
-
-
-def series_for(p):
-    spec = make_basis(0.0, 1.0, len(p) + 2, 2)
-    assert spec.n_regions == len(p)
-    return FakeSeries(p, spec)
-
-
 class TestSimes:
     def test_single_hypothesis_reduces_to_level(self):
         assert simes_test([0.04], 0.05) is True
@@ -304,20 +292,16 @@ def exhaustive_largest_set(p, alpha, tau):
 
 class TestThresholdRegions:
     def test_all_ones_yield_empty_regions(self):
-        series = series_for(np.ones(8))
-        report = threshold_regions(series, 0.1, [0.9, 0.7, 0.5])
+        report = threshold_regions(np.ones(8), 0.1, [0.9, 0.7, 0.5])
         for rec in report.records:
             assert rec.windows == ()
             assert rec.bound == 0.0
-            assert rec.intervals == ()
 
     def test_all_zeros_cover_every_window(self):
-        series = series_for(np.zeros(9))
-        report = threshold_regions(series, 0.1, [0.9])
+        report = threshold_regions(np.zeros(9), 0.1, [0.9])
         rec = report.records[0]
         assert rec.windows == tuple(range(9))
         assert rec.bound == 1.0
-        assert rec.intervals == ((0.0, 1.0),)
 
     @given(
         n=st.integers(2, 2000),
@@ -337,7 +321,7 @@ class TestThresholdRegions:
         order = np.lexsort((np.arange(n), fam.p))
         expected = [phi_alpha(fam, order[:s]) for s in range(1, n + 1)]
         assert _prefix_phi(fam, order).tolist() == expected
-        report = threshold_regions(series_for(p), alpha, [0.5, 0.7, 0.9])
+        report = threshold_regions(p, alpha, [0.5, 0.7, 0.9])
         assert report.h == fam.h
         for rec in report.records:
             size, phi = largest_prefix_by_descending_search(expected, rec.tau)
@@ -350,7 +334,7 @@ class TestThresholdRegions:
 
         monkeypatch.setattr(tdp, "phi_alpha", refuse)
         p = np.random.default_rng(12).uniform(0, 1, 200) ** 6
-        report = threshold_regions(series_for(p), 0.1, [0.9, 0.7, 0.5])
+        report = threshold_regions(p, 0.1, [0.9, 0.7, 0.5])
         assert all(rec.windows for rec in report.records)
 
     def test_greedy_matches_exhaustive_search(self):
@@ -359,23 +343,22 @@ class TestThresholdRegions:
             n = int(rng.integers(2, 11))
             p = rng.uniform(0, 1, n) ** rng.uniform(0.3, 3.0)
             alpha = float(rng.choice([0.05, 0.2]))
-            series = series_for(p)
             for tau in (0.5, 0.7, 0.9):
-                rec = threshold_regions(series, alpha, [tau]).records[0]
+                rec = threshold_regions(p, alpha, [tau]).records[0]
                 assert len(rec.windows) == exhaustive_largest_set(p, alpha, tau)
 
     def test_region_nesting_across_thresholds(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             p = rng.uniform(0, 1, 20) ** 3
-            report = threshold_regions(series_for(p), 0.1, [0.9, 0.7, 0.5])
+            report = threshold_regions(p, 0.1, [0.9, 0.7, 0.5])
             by_tau = {rec.tau: set(rec.windows) for rec in report.records}
             assert by_tau[0.9] <= by_tau[0.7] <= by_tau[0.5]
 
     def test_reported_bound_meets_threshold(self):
         rng = np.random.default_rng(9)
         p = rng.uniform(0, 1, 15) ** 4
-        report = threshold_regions(series_for(p), 0.1, [0.8, 0.6])
+        report = threshold_regions(p, 0.1, [0.8, 0.6])
         for rec in report.records:
             if rec.windows:
                 assert rec.bound >= rec.tau
@@ -385,18 +368,18 @@ class TestThresholdRegions:
 
     def test_deterministic_tie_break_on_equal_pvalues(self):
         p = np.full(6, 0.001)
-        rec = threshold_regions(series_for(p), 0.1, [0.99]).records[0]
-        rec2 = threshold_regions(series_for(p), 0.1, [0.99]).records[0]
+        rec = threshold_regions(p, 0.1, [0.99]).records[0]
+        rec2 = threshold_regions(p, 0.1, [0.99]).records[0]
         assert rec.windows == rec2.windows
 
     def test_intervals_are_window_regions(self):
+        # the selected windows index the p-values; the basis labels them with covariate intervals
         p = np.asarray([0.001, 0.9, 0.9, 0.001, 0.001, 0.9, 0.9, 0.9])
-        series = series_for(p)
-        rec = threshold_regions(series, 0.1, [0.95]).records[0]
+        rec = threshold_regions(p, 0.1, [0.95]).records[0]
         assert rec.windows == (0, 3, 4)
-        spec = series.spec
+        spec = make_basis(0.0, 1.0, p.size + 2, 2)
         bp = spec.breakpoints
-        assert rec.intervals == ((bp[0], bp[1]), (bp[3], bp[5]))
+        assert spec.window_intervals(rec.windows) == [(bp[0], bp[1]), (bp[3], bp[5])]
 
     def test_weak_fwer_under_uniform_nulls(self):
         rng = np.random.default_rng(10)
