@@ -96,7 +96,6 @@ class DesignMatrix:
     values: np.ndarray
     start: np.ndarray
     m: int
-    _cols: np.ndarray | None = field(default=None, repr=False)
     _ops: tuple | None = field(default=None, repr=False)
     _gram: np.ndarray | None = field(default=None, repr=False)
     _design: scipy.sparse.csr_array | None = field(default=None, repr=False)
@@ -108,13 +107,6 @@ class DesignMatrix:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def cols(self) -> np.ndarray:
-        """n x width column index of the compact rows."""
-        if self._cols is None:
-            self._cols = self.start[:, None] + np.arange(self.width)[None, :]
-        return self._cols
 
     def _operators(self) -> tuple:
         if self._ops is None:
@@ -193,9 +185,8 @@ class DesignMatrix:
         """
         if self._design is None:
             indptr = np.arange(0, self.values.size + 1, self.width)
-            self._design = scipy.sparse.csr_array(
-                (self.values.ravel(), self.cols.ravel(), indptr), shape=(self.n, self.m)
-            )
+            cols = self.start[:, None] + np.arange(self.width)
+            self._design = scipy.sparse.csr_array((self.values.ravel(), cols.ravel(), indptr), shape=(self.n, self.m))
         return np.ascontiguousarray((self._design @ coef.T).T)
 
 

@@ -21,7 +21,8 @@ grid, so it builds no IRLS operator. No lambda's result depends on its
 block.
 `select_lambda` sets up and solves each stratum's grid so in turn, raising
 an input error at once, selects the inverses of every grid together and
-chooses each stratum's point; a given lambda is a one-point grid.
+chooses each stratum's point; a given lambda is a one-point grid. A grid
+point is then its fit, (system, sigma, edf), or its NumericalError.
 
 The posterior covariance of c is dispersion * (A^{-1} + BB'), the border
 B = V L^{-T} (Woodbury on the Schur complement of X'WX). Everything a fit
@@ -391,14 +392,14 @@ def _sum_of_squares(data: StratumData) -> float:
     return yss
 
 
-def _dispersion(data: StratumData, deviance: float, edf: float, yss: float) -> float:
+def _dispersion(data: StratumData, deviance: float, edf: float) -> float:
     """RSS / (n - edf) for a Gaussian fit, 1 for a binomial one.
 
-    0 for a rounding-level RSS (`_flushed`, given y'y as `yss`).
+    0 for a rounding-level RSS (`_flushed`).
     """
     if data.family == "binomial":
         return 1.0
-    if _flushed(data, deviance, yss):
+    if _flushed(data, deviance):
         return 0.0
     return deviance / (data.n - edf)
 
@@ -571,12 +572,12 @@ def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarra
     return out
 
 
-def _border_bands(borders: np.ndarray, b: int) -> np.ndarray:
-    """The upper (b+1)-band of BB' for each of a (k, m, p) stack of borders."""
-    k, m, _ = borders.shape
-    out = np.zeros((k, b + 1, m))
+def _border_band(border: np.ndarray, b: int) -> np.ndarray:
+    """The upper (b+1)-band of BB' for an m x p border B."""
+    m = border.shape[0]
+    out = np.zeros((b + 1, m))
     for d in range(min(b, m - 1) + 1):
-        out[:, b - d, d:] = np.sum(borders[:, : m - d] * borders[:, d:], axis=-1)
+        out[b - d, d:] = np.sum(border[: m - d] * border[d:], axis=-1)
     return out
 
 
@@ -586,21 +587,16 @@ def _selected_inverses(systems: list[_BandSystem], penalty_band: np.ndarray) -> 
     One `selected_inverse_band` call gives every band of A^{-1} and one
     `_band_trace` every tr(A^{-1} Z'WZ). A system with fixed effects has
     covariance band A^{-1} + R, R the band of BB', and as tr(A^{-1} A) = m,
-    edf = p + tr(A^{-1} Z'WZ) - lambda tr(R S); the systems are grouped by p
-    for R, since the strata of one analysis may have different columns, and
-    each group's R is added to its bands once its edf has used it.
+    edf = p + tr(A^{-1} Z'WZ) - lambda tr(R S); each such system's R is
+    added to its band once its edf has used it.
     """
     sigma = selected_inverse_band(np.stack([s.factor for s in systems]))
     edf = _band_trace(sigma, np.stack([s.gram for s in systems]))
-    groups: dict[int, list[int]] = {}
     for k, s in enumerate(systems):
         if s.beta.size:  # no border: R = 0
-            groups.setdefault(s.beta.size, []).append(k)
-    for p, group in groups.items():
-        outer = _border_bands(np.stack([systems[k].border for k in group]), sigma.shape[1] - 1)
-        lams = np.asarray([systems[k].lam for k in group])
-        edf[group] = p + edf[group] - lams * _band_trace(outer, penalty_band)
-        sigma[group] += outer
+            outer = _border_band(s.border, sigma.shape[1] - 1)
+            edf[k] = s.beta.size + edf[k] - s.lam * _band_trace(outer, penalty_band)
+            sigma[k] += outer
     return sigma, edf
 
 
@@ -612,16 +608,16 @@ def _precision_band(system: _BandSystem, penalty_band: np.ndarray) -> np.ndarray
 
 
 def _band_fit(
-    data: StratumData, system: _BandSystem, band: np.ndarray, edf: float, yss: float, penalty_band: np.ndarray
+    data: StratumData, system: _BandSystem, band: np.ndarray, edf: float, penalty_band: np.ndarray
 ) -> StratumFit:
-    """The fit of a solved system, given its unit-dispersion covariance band, its edf, y'y (`yss`) and S's band.
+    """The fit of a solved system, given its unit-dispersion covariance band, its edf and S's band.
 
     A NumericalError naming lambda and the quantity when the coefficients,
     deviance, dispersion or covariance band are not finite, as when a huge
     dispersion times the band overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite quantity raises below
-        dispersion = _dispersion(data, system.deviance, edf, yss)
+        dispersion = _dispersion(data, system.deviance, edf)
         cov_band = dispersion * band
     quantities = (
         ("coefficients", np.concatenate([system.coef, system.beta])),
@@ -649,9 +645,9 @@ def _band_fit(
 
 def _solve_grid(
     data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, penalty_band: np.ndarray, lams: np.ndarray | None
-) -> tuple[float, list]:
-    """(yss, solved): one stratum's y'y and, per lambda of its ascending grid (`lams`, or else
-    `default_lambda_grid`), its `_BandSystem` or the NumericalError its fit raised.
+) -> list:
+    """Per lambda of one stratum's ascending grid (`lams`, or else `default_lambda_grid`),
+    its `_BandSystem` or the NumericalError its fit raised.
 
     The set-up checks that every z lies in the basis domain (where its row
     is not zero) and y'y, warns when n <= m, then builds the design matrix,
@@ -666,7 +662,7 @@ def _solve_grid(
             f"{outside.size} rows have z outside the domain "
             f"[{spec.z_lo!r}, {spec.z_hi!r}], the first z = {float(data.z[outside[0]])!r}"
         )
-    yss = _sum_of_squares(data)
+    _sum_of_squares(data)
     if data.n <= spec.m:  # stacklevel 3: the caller of `select_lambda`
         warnings.warn(
             f"sample size n={data.n} does not exceed basis dimension m={spec.m}; the fit may be poorly determined",
@@ -679,25 +675,19 @@ def _solve_grid(
             f"penalized system is not positive definite at any lambda: the data do not identify "
             f"the polynomials of degree < {pen.order} that the penalty leaves free"
         )
-        return yss, [singular] * lams.size
-    return yss, _grid_systems(dm, data, penalty_band, lams)
+        return [singular] * lams.size
+    return _grid_systems(dm, data, penalty_band, lams)
 
 
-def _failed(data: StratumData, points: list) -> np.ndarray:
-    """Whether each grid point (system, sigma, edf) fails: its system did not solve, or its fit leaves n - edf < 1."""
-    return np.asarray([not isinstance(s, _BandSystem) or data.n - e < 1.0 for s, _, e in points], dtype=bool)
-
-
-def _point_error(data: StratumData, point: tuple) -> NumericalError:
-    """The error of a failing grid point (system, sigma, edf): its fit's own, or less than one
-    residual degree of freedom, n - edf < 1, by which its dispersion and GCV score would divide."""
-    result, _, edf = point
-    if isinstance(result, NumericalError):
-        return result
-    return NumericalError(
-        f"effective degrees of freedom {float(edf):.6g} leave less than one residual degree of freedom "
-        f"at sample size {data.n}"
-    )
+def _point(data: StratumData, system: _BandSystem, sigma: np.ndarray, edf: float) -> tuple | NumericalError:
+    """A solved grid point, (system, sigma, edf), or the NumericalError of a fit that leaves
+    less than one residual degree of freedom, n - edf < 1, by which its dispersion and GCV score would divide."""
+    if data.n - edf < 1.0:
+        return NumericalError(
+            f"effective degrees of freedom {float(edf):.6g} leave less than one residual degree of freedom "
+            f"at sample size {data.n}"
+        )
+    return system, sigma, float(edf)
 
 
 def _grid_scale(gram_band: np.ndarray, penalty_band: np.ndarray) -> float:
@@ -711,40 +701,36 @@ def default_lambda_grid(dm: DesignMatrix, pen: PenaltyMatrix) -> np.ndarray:
     return np.geomspace(1e-4 * scale, 1e4 * scale, LAMBDA_GRID_POINTS)
 
 
-def _flushed(data: StratumData, deviance, yss: float):
+def _flushed(data: StratumData, deviance):
     """Whether a deviance (or each of an array of them) is a Gaussian fit's rounding-level
-    residual, at most 1e-16 y'y (`yss`): an exact fit."""
-    return (data.family == "gaussian") & (deviance <= 1e-16 * max(yss, 1e-300))
+    residual, at most 1e-16 y'y: an exact fit. y'y is the stratum's, which `_sum_of_squares` checked."""
+    return (data.family == "gaussian") & (deviance <= 1e-16 * max(float(data.y @ data.y), 1e-300))
 
 
-def _gcv_scores(data: StratumData, deviance: np.ndarray, edf: np.ndarray, yss: float) -> np.ndarray:
-    """n * deviance / (n - edf)^2 per grid point, with rounding-level Gaussian deviance read as zero.
+def _gcv_scores(data: StratumData, deviance: np.ndarray, edf: np.ndarray) -> np.ndarray:
+    """n * deviance / (n - edf)^2 per fit grid point, with rounding-level Gaussian deviance read as zero.
 
     `float_power` squares through libm's pow, as Python's float ** does. A
-    point that failed, or leaves n - edf < 1, scores whatever the division
-    gives; `_gcv_choice` skips it.
+    fit point has n - edf >= 1 (`_point`), so no score divides by zero.
     """
-    dev = np.where(_flushed(data, deviance, yss), 0.0, deviance)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return data.n * dev / np.float_power(data.n - edf, 2)
+    dev = np.where(_flushed(data, deviance), 0.0, deviance)
+    return data.n * dev / np.float_power(data.n - edf, 2)
 
 
-def _gcv_choice(data: StratumData, yss: float, points: list) -> int:
-    """Index of the grid point (system, sigma, edf) minimizing GCV, ties going to the larger lambda.
+def _gcv_choice(data: StratumData, points: list) -> int:
+    """Index of the grid point minimizing GCV, ties going to the larger lambda.
 
-    A point whose fit failed or leaves n - edf < 1 is skipped; when every
-    one is, the error is raised from the last failing point's.
+    Only the fit points, (system, sigma, edf), are scored, and a NaN score
+    is skipped; when no candidate is left, the error is raised from the last
+    point that is a NumericalError.
     """
-    deviance = np.asarray([s.deviance if isinstance(s, _BandSystem) else np.nan for s, _, _ in points])
-    failed = _failed(data, points)
-    scores = _gcv_scores(data, deviance, np.asarray([e for _, _, e in points], dtype=float), yss)
-    candidate = ~failed & (scores <= np.inf)
-    if not candidate.any():
-        failures = np.flatnonzero(failed)
-        cause = _point_error(data, points[failures[-1]]) if failures.size else None
-        raise NumericalError("no smoothing parameter candidate could be fit") from cause
-    best = scores[candidate].min()
-    return int(np.flatnonzero(candidate & (scores == best))[-1])
+    fitted = [j for j, point in enumerate(points) if not isinstance(point, NumericalError)]
+    deviance = np.asarray([points[j][0].deviance for j in fitted], dtype=float)
+    scores = _gcv_scores(data, deviance, np.asarray([points[j][2] for j in fitted], dtype=float))
+    if not (scores <= np.inf).any():
+        errors = [point for point in points if isinstance(point, NumericalError)]
+        raise NumericalError("no smoothing parameter candidate could be fit") from (errors[-1] if errors else None)
+    return fitted[np.flatnonzero(scores == scores[scores <= np.inf].min())[-1]]
 
 
 def select_lambda(
@@ -767,8 +753,9 @@ def select_lambda(
     at once, naming its stratum by position, from 1, when there are several.
     So every stratum's input error and warning comes before any stratum's
     fitting failure. One selected inversion over every grid's solved systems
-    then gives each point, in order, its (sigma, edf), or (None, NaN) where
-    its fit failed, and each stratum's point is chosen.
+    then makes each point, in order, its fit (system, sigma, edf) or its
+    NumericalError: the fit's own, or that of n - edf < 1 (`_point`). GCV
+    chooses among the fits; a given lambda's one point is its fit or raises.
     """
     if lam is not None and not (np.isfinite(lam) and lam >= 0):
         raise ParameterError(f"smoothing parameter must be finite and >= 0, got {float(lam)!r}")
@@ -777,19 +764,18 @@ def select_lambda(
     grids = []
     for i, data in enumerate(strata, 1):
         try:
-            grids.append((data, *_solve_grid(data, spec, pen, penalty_band, lams)))
+            grids.append((data, _solve_grid(data, spec, pen, penalty_band, lams)))
         except ParameterError as exc:
             if len(strata) == 1:
                 raise
             raise ParameterError(f"stratum {i}: {exc}") from exc
-    systems = [s for _, _, solved in grids for s in solved if isinstance(s, _BandSystem)]
+    systems = [s for _, solved in grids for s in solved if isinstance(s, _BandSystem)]
     inverses = zip(*_selected_inverses(systems, penalty_band)) if systems else None
     fits = []
-    for data, yss, solved in grids:
-        points = [(s, *next(inverses)) if isinstance(s, _BandSystem) else (s, None, np.nan) for s in solved]
-        j = _gcv_choice(data, yss, points) if lam is None else 0
-        if _failed(data, points)[j]:  # only a given lambda's point; GCV skips failing ones
-            raise _point_error(data, points[j])
-        system, sigma, edf = points[j]
-        fits.append(_band_fit(data, system, sigma, float(edf), yss, penalty_band))
+    for data, solved in grids:
+        points = [_point(data, s, *next(inverses)) if isinstance(s, _BandSystem) else s for s in solved]
+        point = points[0] if lam is not None else points[_gcv_choice(data, points)]
+        if isinstance(point, NumericalError):  # only a given lambda's: GCV chooses among the fits
+            raise point
+        fits.append(_band_fit(data, *point, penalty_band))
     return fits

@@ -104,6 +104,9 @@ class SimScenario:
         # a repeated level would count each replicate twice in its cell
         object.__setattr__(self, "alphas", tuple(dict.fromkeys(float(a) for a in self.alphas)))
         object.__setattr__(self, "thresholds", tuple(sorted({float(t) for t in self.thresholds}, reverse=True)))
+        # a bad m, degree, domain or penalty order fails here, before any replicate runs
+        self.basis()
+        difference_penalty(self.m, self.penalty_order)
 
     def basis(self) -> BasisSpec:
         return make_basis(self.domain[0], self.domain[1], self.m, self.degree)
@@ -215,7 +218,10 @@ class SimOutcome:
     records: tuple[ReplicateRecord, ...]
     error_table: dict
     tdp_table: dict
-    n_failed: int
+
+    @property
+    def n_failed(self) -> int:
+        return sum(r.failed for r in self.records)
 
     @property
     def n_effective(self) -> int:
@@ -468,14 +474,7 @@ def _tally(scenario: SimScenario, scored) -> tuple[dict, dict]:
 
 
 def _aggregate(scenario: SimScenario, records: list[ReplicateRecord]) -> SimOutcome:
-    error_table, tdp_table = _tally(scenario, (r.regions for r in records if not r.failed))
-    return SimOutcome(
-        scenario=scenario,
-        records=tuple(records),
-        error_table=error_table,
-        tdp_table=tdp_table,
-        n_failed=sum(r.failed for r in records),
-    )
+    return SimOutcome(scenario, tuple(records), *_tally(scenario, (r.regions for r in records if not r.failed)))
 
 
 REPLICATES_PER_TASK = 8  # replicates sent to a pool worker at a time
@@ -553,14 +552,10 @@ def outcome_to_json(outcome: SimOutcome) -> str:
         "scenario": _jsonable(asdict(outcome.scenario)),
         "n_failed": outcome.n_failed,
         "n_effective": outcome.n_effective,
-        "error_table": {
-            f"alpha={a}|tdp={t}": {"value": v, "mc_se": se, "n": n}
-            for (a, t), (v, se, n) in sorted(outcome.error_table.items())
-        },
-        "tdp_table": {
-            f"alpha={a}|tdp={t}": {"value": v, "mc_se": se, "n": n}
-            for (a, t), (v, se, n) in sorted(outcome.tdp_table.items())
-        },
         "replicates": [_jsonable(asdict(r)) for r in outcome.records],
     }
+    for key, table in (("error_table", outcome.error_table), ("tdp_table", outcome.tdp_table)):
+        payload[key] = {
+            f"alpha={a}|tdp={t}": {"value": v, "mc_se": se, "n": n} for (a, t), (v, se, n) in sorted(table.items())
+        }
     return json.dumps(payload, sort_keys=True, indent=1)

@@ -342,10 +342,15 @@ def cross_with_by_column_bincount(dm, x, weights=None) -> np.ndarray:
     return out
 
 
+def compact_columns(dm) -> np.ndarray:
+    """n x width column index of the compact rows."""
+    return dm.start[:, None] + np.arange(dm.width)
+
+
 def dense_design(dm) -> np.ndarray:
     """The n x m design matrix Z from its compact rows."""
     out = np.zeros((dm.n, dm.m))
-    np.put_along_axis(out, dm.cols, dm.values, axis=1)
+    np.put_along_axis(out, compact_columns(dm), dm.values, axis=1)
     return out
 
 
@@ -457,7 +462,7 @@ def unit_covariance_band(precision_bands: np.ndarray, borders: list, bandwidth: 
         if info:
             raise fitting._not_positive_definite(info)
         factors.append(factor)
-    outer = [fitting._border_bands(border[None], width)[0] for border in borders]
+    outer = [fitting._border_band(border, width) for border in borders]
     return fitting.selected_inverse_band(np.stack(factors)) + np.stack(outer)
 
 
@@ -474,7 +479,7 @@ def pointwise_variance(design, cov):
 
 def predict_by_einsum(dm, coef):
     """Z @ coef gathered from the compact rows."""
-    return np.einsum("ij,ij->i", dm.values, coef[dm.cols])
+    return np.einsum("ij,ij->i", dm.values, coef[compact_columns(dm)])
 
 
 def _banded_solve(gram, penalty_band, lam, rhs):
@@ -816,16 +821,17 @@ def span_order_by_int64_sort(start: np.ndarray, m: int) -> np.ndarray:
     return np.argsort(start.astype(np.int64), kind="stable")
 
 
-def gcv_choice_by_loop(data, solved, edf, yss):
+def gcv_choice_by_loop(data, solved, edf):
     """(index, failure) of the per-lambda GCV loop over one grid.
 
     `solved` holds each point's solved system (anything with a `deviance`)
     or its NumericalError, `edf` each solved point's edf. A point fails on
     its own error or with n - edf < 1; the others score n * dev / (n - edf)**2
-    in Python floats, rounding-level Gaussian deviance read as zero, and the
-    last point at or below the running best wins. `index` is None when no
-    point scores, and `failure` is the last failing point's error.
+    in Python floats, Gaussian deviance at most 1e-16 y'y read as zero, and
+    the last point at or below the running best wins. `index` is None when
+    no point scores, and `failure` is the last failing point's error.
     """
+    yss = float(data.y @ data.y)
     best, best_score, failure = None, np.inf, None
     for j, (result, e) in enumerate(zip(solved, edf)):
         if isinstance(result, NumericalError):

@@ -1089,6 +1089,27 @@ class TestSimulate:
         assert f"{scenario}:13: scenario key 'alphas' repeats the one on line 9" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "settings, problem",
+        [
+            (("n_nonzero = 2", "m = 3", "degree = 3"), "basis dimension m=3 must be at least degree+2=5"),
+            (("penalty_order = 0",), "penalty order must be at least 1"),
+            (("penalty_order = 20",), "basis dimension m=20 must exceed penalty order 20"),
+        ],
+    )
+    def test_bad_basis_or_penalty_exits_2_before_the_pool_starts(self, tmp_path, capsys, monkeypatch, settings, problem):
+        # 24 replicates at --threads 2 take two workers, which used to start and then each raise
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the process pool started")
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+        scenario = tmp_path / "bad.scn"
+        scenario.write_text(scenario_with(*settings, "n_replicates = 24"))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", str(scenario), "--threads", "2", "--out", str(out)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", ["-5", "0"])
     def test_sample_size_below_one_exits_2(self, tmp_path, capsys, n):
         # -5 was a traceback from rng.uniform; 0 failed only inside the first replicate
@@ -1159,15 +1180,16 @@ TINY_SCENARIO = (
 )
 
 
-def scenario_with(setting):
-    """`TINY_SCENARIO` with the line of `setting`'s key replaced by it, or `setting` added after."""
-    key = setting.split("=", 1)[0].strip()
+def scenario_with(*settings):
+    """`TINY_SCENARIO` with the line of each setting's key replaced by it, or the setting added after."""
     lines = TINY_SCENARIO.splitlines()
-    keys = [line.split("=", 1)[0].strip() for line in lines]
-    if key in keys:
-        lines[keys.index(key)] = setting
-    else:
-        lines.append(setting)
+    for setting in settings:
+        key = setting.split("=", 1)[0].strip()
+        keys = [line.split("=", 1)[0].strip() for line in lines]
+        if key in keys:
+            lines[keys.index(key)] = setting
+        else:
+            lines.append(setting)
     return "\n".join(lines) + "\n"
 
 

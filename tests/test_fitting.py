@@ -495,7 +495,7 @@ def per_iteration_bordered_irls(data, spec, pen, lam):
         new_deviance = float(_binomial_deviance(y, np.clip(mu, 1e-12, 1.0 - 1e-12)))
         system = fitting._BandSystem(lam, coef, beta, new_deviance, gram, factors[0], border, n_iter)
         [band], [edf] = fitting._selected_inverses([system], penalty_band)
-        fit = fitting._band_fit(data, system, band, float(edf), float(data.y @ data.y), penalty_band)
+        fit = fitting._band_fit(data, system, band, float(edf), penalty_band)
         if fitting._converged(new_deviance, deviance):
             return fit
         deviance = new_deviance
@@ -717,7 +717,7 @@ def batched_gcv_path(data, spec, pen, grid):
     penalty_band = fitting._penalty_band(spec, pen)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # some fixtures have n <= m
-        _, solved = fitting._solve_grid(data, spec, pen, penalty_band, np.sort(grid))
+        solved = fitting._solve_grid(data, spec, pen, penalty_band, np.sort(grid))
     systems = [s for s in solved if not isinstance(s, NumericalError)]
     edf = fitting._selected_inverses(systems, penalty_band)[1] if systems else []
     path = []
@@ -725,7 +725,7 @@ def batched_gcv_path(data, spec, pen, grid):
         if data.n - e < 1.0:
             continue
         dev = 0.0 if system.deviance <= 1e-16 * max(yss, 1e-300) else system.deviance
-        [score] = fitting._gcv_scores(data, np.asarray([system.deviance]), np.asarray([e]), yss)
+        [score] = fitting._gcv_scores(data, np.asarray([system.deviance]), np.asarray([e]))
         path.append((system.lam, dev, float(e), float(score)))
     return path
 
@@ -1274,13 +1274,12 @@ def assert_matches_per_lambda_oracle(data, spec, pen, grid):
         ref = fitting._BandSystem(float(lam), coef, np.zeros(0), deviance, gram, factor, no_border, n_iter)
         assert np.array_equal(fitting._precision_band(ref, penalty_band), ab)
         (sigma, ref_sigma), (edf, ref_edf) = fitting._selected_inverses([got, ref], penalty_band)
-        yss = float(data.y @ data.y)
         if data.n - ref_edf < 1:  # less than one residual df: the fit fails at this lambda
             assert edf == pytest.approx(ref_edf, rel=1e-12, abs=0.0)
             assert data.n - edf < 1
             continue
-        fit = fitting._band_fit(data, got, sigma, float(edf), yss, penalty_band)
-        ref_fit = fitting._band_fit(data, ref, ref_sigma, float(ref_edf), yss, penalty_band)
+        fit = fitting._band_fit(data, got, sigma, float(edf), penalty_band)
+        ref_fit = fitting._band_fit(data, ref, ref_sigma, float(ref_edf), penalty_band)
         assert_close(fit.coef, ref_fit.coef)
         assert_close(fit.cov_band, ref_fit.cov_band, atol=np.max(np.abs(ref_sigma)) * slack / (data.n - ref_edf))
         assert fit.edf == pytest.approx(ref_fit.edf, rel=1e-12, abs=0.0)
@@ -1675,13 +1674,13 @@ class TestNonFiniteFit:
         old = getattr(system, field)
         bad = replace(system, **{field: value if np.isscalar(old) else np.full_like(old, value)})
         sigma = np.full_like(penalty_band, 1e10)
-        edf, yss = data.n - 0.5, float(data.y @ data.y)
-        fit = fitting._band_fit(data, system, sigma, edf, yss, penalty_band)
+        edf = data.n - 0.5
+        fit = fitting._band_fit(data, system, sigma, edf, penalty_band)
         assert np.isfinite(fit.cov_band).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=rf"^fit at lambda 0.5 has a non-finite {name}$"):
-                fitting._band_fit(data, bad, sigma, edf, yss, penalty_band)
+                fitting._band_fit(data, bad, sigma, edf, penalty_band)
 
 
 def joint_pair(case):
@@ -1722,7 +1721,7 @@ class TestJointSelection:
         use_lambda_grid(monkeypatch, grid)
         penalty_band = fitting._penalty_band(spec, pen)
         for data in strata:
-            _, solved = fitting._solve_grid(data, spec, pen, penalty_band, grid)
+            solved = fitting._solve_grid(data, spec, pen, penalty_band, grid)
             assert [isinstance(s, NumericalError) for s in solved] == list(grid == 1e308)
         fits = select_lambda(strata, spec, pen)
         for fit, data in zip(fits, strata):
@@ -1762,25 +1761,31 @@ class FakeSystem(fitting._BandSystem):
         super().__init__(0.0, None, np.zeros(0), deviance, None, None, None, 1)
 
 
-DEVIANCES = [0.0, 1e-30, 0.5, 1.0, 1.0, 2.0, np.inf, np.nan]
+# 1e-20 and 1e-3 read as exact fits only from y'y 1e-4 and 1e13 up: the flush rule at each y'y scale.
+DEVIANCES = [0.0, 1e-30, 1e-20, 1e-3, 0.5, 1.0, 1.0, 2.0, np.inf, np.nan]
 EDFS = [0.5, 2.0, 2.0, 3.0, 7.5, 9.0, 9.5, 10.0, 12.0]
+
+
+def gaussian_with_sum_of_squares(n, yss, seed=0):
+    """A Gaussian stratum of n rows whose y, drawn N(0, 1), is scaled to y'y about `yss`."""
+    y = np.random.default_rng(seed).normal(size=n)
+    return StratumData(y=y * np.sqrt(yss / (y @ y)), z=np.linspace(0, 1, n))
 
 
 class TestVectorGcv:
     """`_gcv_choice` against the per-lambda loop it replaced (`gcv_choice_by_loop`)."""
 
     @staticmethod
-    def assert_same_choice(data, points, yss):
-        triples = [
-            (p, None, np.nan) if isinstance(p, NumericalError) else (FakeSystem(p[0]), None, p[1]) for p in points
-        ]
-        solved, _, edf = zip(*triples)
-        index, failure = gcv_choice_by_loop(data, solved, edf, yss)
+    def assert_same_choice(data, points):
+        solved = [p if isinstance(p, NumericalError) else FakeSystem(p[0]) for p in points]
+        edf = [np.nan if isinstance(p, NumericalError) else p[1] for p in points]
+        index, failure = gcv_choice_by_loop(data, solved, edf)
+        grid = [s if isinstance(s, NumericalError) else fitting._point(data, s, None, e) for s, e in zip(solved, edf)]
         if index is not None:
-            assert fitting._gcv_choice(data, yss, triples) == index
+            assert fitting._gcv_choice(data, grid) == index
             return
         with pytest.raises(NumericalError, match="^no smoothing parameter candidate could be fit$") as exc:
-            fitting._gcv_choice(data, yss, triples)
+            fitting._gcv_choice(data, grid)
         cause = exc.value.__cause__
         assert (cause is None) == (failure is None)
         if failure is not None:
@@ -1803,22 +1808,33 @@ class TestVectorGcv:
         ),
     )
     def test_matches_the_loop(self, family, n, yss, points):
-        data = StratumData(y=np.arange(n) % 2 * 1.0, z=np.linspace(0, 1, n), family=family)
+        if family == "gaussian":
+            data = gaussian_with_sum_of_squares(n, yss, seed=n)
+        else:
+            data = StratumData(y=np.arange(n) % 2 * 1.0, z=np.linspace(0, 1, n), family=family)
         points = [NumericalError(f"point {j} {p}") if isinstance(p, str) else p for j, p in enumerate(points)]
-        self.assert_same_choice(data, points, yss)
+        self.assert_same_choice(data, points)
+
+    @pytest.mark.parametrize("yss, index", [(1e-10, 0), (1.0, 1), (1e14, 2)])
+    def test_exact_fit_scale_is_the_stratum_sum_of_squares(self, yss, index):
+        # a deviance ties the exact fit before it only where it is at most 1e-16 y'y
+        data = gaussian_with_sum_of_squares(12, yss)
+        points = [(0.0, 3.0), (1e-20, 3.0), (1e-3, 3.0)]
+        self.assert_same_choice(data, points)
+        assert fitting._gcv_choice(data, [(FakeSystem(d), None, e) for d, e in points]) == index
 
     def test_ties_go_to_the_larger_lambda(self):
         data = StratumData(y=np.zeros(20), z=np.linspace(0, 1, 20))
         points = [(1.0, 3.0), (0.0, 5.0), (1e-30, 4.0), (0.0, 9.0), (2.0, 3.0)]
-        self.assert_same_choice(data, points, 1.0)
-        assert fitting._gcv_choice(data, 1.0, [(FakeSystem(d), None, e) for d, e in points]) == 3
+        self.assert_same_choice(data, points)
+        assert fitting._gcv_choice(data, [(FakeSystem(d), None, e) for d, e in points]) == 3
 
     def test_less_than_one_residual_df_is_skipped(self):
         data = StratumData(y=np.zeros(10), z=np.linspace(0, 1, 10))
-        self.assert_same_choice(data, [(1.0, 9.5), (2.0, 3.0), (0.5, 9.5)], 1.0)
+        self.assert_same_choice(data, [(1.0, 9.5), (2.0, 3.0), (0.5, 9.5)])
 
     def test_no_candidate_is_caused_by_the_last_failure(self):
         data = StratumData(y=np.zeros(10), z=np.linspace(0, 1, 10))
         diverged = NumericalError("linear predictor diverged (complete or quasi-complete separation)")
         for points in ([diverged, (1.0, 9.5)], [(1.0, 9.5), diverged], [diverged], [(np.nan, 2.0)]):
-            self.assert_same_choice(data, points, 1.0)
+            self.assert_same_choice(data, points)
