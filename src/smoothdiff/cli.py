@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dpbtrf
 
 from .basis import DesignMatrix, design_matrix, difference_penalty, make_basis
 from .errors import NumericalError, ParameterError
-from .fitting import StratumData, StratumFit, covariance_block, select_lambda
+from .fitting import LAMBDA_GRID_POINTS, StratumData, StratumFit, covariance_block, select_lambda
 from .simulate import PRESETS, SimScenario, outcome_to_json, run_scenario, sweep_summary
 from .tdp import threshold_regions
 from .toeplitz import PentaParams, diagnose_pentadiagonal
@@ -123,10 +123,30 @@ def _write_csv(path: str, header: str, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_text(value, pad: str = "\n") -> str:
+    """The text of `json.dumps(value, sort_keys=True, indent=1)` for string-keyed dicts, starting at
+    indent `pad`, with the escaping and every scalar left to json's C encoder.
+
+    json's pure-Python encoder formats every value once `indent` is set. Here
+    only the layout of dicts and of lists that hold containers is built:
+    each key and scalar, and each flat list of scalars whole, is one
+    `json.dumps` call without an indent, a flat list taking `,` and the next
+    line's indent as its item separator.
+    """
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    inner = pad + " "
+    if isinstance(value, dict):
+        items = [f"{json.dumps(key)}: {_json_text(v, inner)}" for key, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if any(isinstance(v, (dict, list, tuple)) for v in value):
+        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + pad + "]"
+    return "[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + pad + "]"
+
+
 def _write_json(path: str, payload) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=1)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(_json_text(payload))
 
 
 def read_stratum_csv(path: str, stratum_col: str | None = None):
@@ -312,6 +332,15 @@ def cmd_analyze(config: AnalysisConfig) -> int:
     except NumericalError as exc:  # when no lambda could be fit, name the last one's cause
         cause = f": {exc.__cause__}" if exc.__cause__ is not None else ""
         raise NumericalError(f"{exc}{cause}") from exc
+    for i, fit in enumerate(fits, 1):
+        if fit.grid_index in (0, LAMBDA_GRID_POINTS - 1):
+            upper = fit.grid_index == LAMBDA_GRID_POINTS - 1
+            note = "; the window tests may not cover this stratum's smoothing bias" if upper else ""
+            print(
+                f"smoothdiff: stratum {i}: GCV chose the {'upper' if upper else 'lower'} edge of the lambda grid "
+                f"(lambda={fit.lam:.6g}, edf={fit.edf:.4g}){note}",
+                file=sys.stderr,
+            )
     source = "gcv" if config.lam is None else "fixed"
     series = window_statistics(fits[0].coef - fits[1].coef, fits[0].cov_band + fits[1].cov_band, spec)
     report = threshold_regions(series.p, config.alpha, config.tdp)
@@ -434,6 +463,11 @@ def cmd_simulate(args) -> int:
             "alpha,tdp_threshold,value,n_replicates,mc_se",
             ((alpha, tau, value, n, se) for (alpha, tau), (value, se, n) in sorted(table.items())),
         )
+    _write_csv(
+        os.path.join(args.out, f"{name}_simultaneous_table.csv"),
+        "alpha,value,n_replicates,mc_se",
+        ((alpha, value, n, se) for alpha, (value, se, n) in sorted(outcome.simultaneous_error.items())),
+    )
     if scenario.m_delta_sweep is not None:
         _write_csv(
             os.path.join(args.out, f"{name}_curves.csv"),

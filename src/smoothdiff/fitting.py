@@ -18,7 +18,14 @@ converges or fails, keeping its own error. A Gaussian fit is the same solve
 done once, with W = I: its Gram band and Z'[y | X] are the design matrix's
 unweighted `bincount` products, formed once per stratum and shared by the
 grid, so it builds no IRLS operator. No lambda's result depends on its
-block.
+block. Nor does a Gaussian grid form a residual: each point's deviance is
+an interval, the quadratic form of its coefficients in those shared
+products plus or minus a bound on the rounding of both that form and the
+residual sum (`_deviance_screen`), in O(m b) per point. GCV forms the
+residual sum ||y - Zc - X beta||^2, from the compact rows of Z, only for
+the points whose score intervals reach the least upper bound, the chosen
+one among them (`_gcv_choice`, `_exact`), so every fit's deviance is that
+sum, bit for bit.
 `select_lambda` sets up and solves each stratum's grid so in turn, raising
 an input error at once, selects the inverses of every grid together and
 chooses each stratum's point; a given lambda is a one-point grid. A grid
@@ -43,7 +50,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -130,7 +137,9 @@ class StratumFit:
     `border` the m x p matrix B of the fixed effects (m x 0 without any),
     and `cov_band` the upper band of the posterior covariance
     dispersion * (A^{-1} + BB') to A's half-bandwidth (None for a fit read
-    from a model file, which keeps only A's band and B).
+    from a model file, which keeps only A's band and B). `grid_index` is
+    the position of `lam` in the grid GCV chose it from (None for a given
+    lambda or a fit read from a model file).
     """
 
     coef: np.ndarray
@@ -144,6 +153,7 @@ class StratumFit:
     cov_band: np.ndarray | None = None
     precision_band: np.ndarray | None = None
     border: np.ndarray | None = field(default=None, repr=False)
+    grid_index: int | None = None
 
 
 def covariance_block(fits: Sequence[StratumFit], cols: np.ndarray) -> np.ndarray:
@@ -232,12 +242,21 @@ def selected_inverse_band(factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_trace(sigma: np.ndarray, gram: np.ndarray):
-    """tr(Sigma G) from the (b+1)-band of Sigma and the possibly narrower band of G, per system of a stack."""
-    g = gram.shape[-2]
+def _band_trace(sigma: np.ndarray, grams) -> np.ndarray:
+    """tr(Sigma_k G_k) per system k of a stack, from the (b+1)-bands of Sigma and the possibly
+    narrower bands of the G_k, a sequence with one per system.
+
+    The weighted G_k are written into one array the size of the stack, with
+    no stack of the G_k beside it: a Gaussian grid's systems share one G.
+    """
+    g = grams[0].shape[-2]
     weight = np.full((g, 1), 2.0)  # each off-diagonal entry stands for two
     weight[-1] = 1.0
-    return np.sum(sigma[..., -g:, :] * (weight * gram), axis=(-2, -1))
+    terms = np.empty((len(grams), g, sigma.shape[-1]))
+    for term, gram in zip(terms, grams):
+        np.multiply(weight, gram, out=term)
+    terms *= sigma[..., -g:, :]
+    return np.sum(terms, axis=(-2, -1))
 
 
 def _penalty_band(spec: BasisSpec, pen: PenaltyMatrix) -> np.ndarray:
@@ -353,6 +372,21 @@ def _predict(dm: DesignMatrix, X: np.ndarray, coefs: np.ndarray, betas: np.ndarr
     return eta
 
 
+def _row_predict(dm: DesignMatrix, coef: np.ndarray) -> np.ndarray:
+    """Z coef from the compact rows, (..., n) for (..., m) coef, without the CSR form of Z.
+
+    Each value is summed from zero in column order, the order of the CSR
+    product behind `DesignMatrix.predict`, so the two agree bit for bit.
+    """
+    eta = np.zeros((*coef.shape[:-1], dm.n))
+    term = np.empty_like(eta)
+    for a in range(dm.width):
+        np.take(coef[..., a:], dm.start, axis=-1, out=term)
+        term *= dm.values[:, a]
+        eta += term
+    return eta
+
+
 def _check_identifiable(dm: DesignMatrix, X: np.ndarray, order: int) -> bool:
     """Whether the data identify the smooth's unpenalized part; ParameterError for an unidentified fixed effect.
 
@@ -365,7 +399,7 @@ def _check_identifiable(dm: DesignMatrix, X: np.ndarray, order: int) -> bool:
     value. beta is identified unless some Xa equals Zc with Sc = 0.
     """
     null = np.vander(np.linspace(-1.0, 1.0, dm.m), order, increasing=True)
-    r = np.linalg.qr(np.hstack([dm.predict(null.T).T, X]), mode="r")
+    r = np.linalg.qr(np.hstack([_row_predict(dm, null.T).T, X]), mode="r")
     diag = np.abs(np.diagonal(r))
     if X.shape[1]:
         resid = np.zeros(X.shape[1])
@@ -453,8 +487,12 @@ class _BandSystem:
     `gram` is the band of Z'WZ at convergence, `factor` the Cholesky factor
     of A = Z'WZ + lam S and `border` the m x p matrix B of the fixed
     effects; `n_iter` counts the solves (1 for a Gaussian fit, the IRLS
-    iterations for a binomial one). A's band is summed again for the one
-    fit that keeps it (`_precision_band`), so a grid holds no band of it.
+    iterations for a binomial one). The fit's deviance lies within
+    `deviance` +- `margin`; a margin of 0 makes `deviance` the exact one,
+    as a binomial fit's always is and a Gaussian fit's is once `_exact`
+    has replaced its screen by the residual sum. A's band is summed again
+    for the one fit that keeps it (`_precision_band`), so a grid holds no
+    band of it.
     """
 
     lam: float
@@ -465,6 +503,7 @@ class _BandSystem:
     factor: np.ndarray
     border: np.ndarray
     n_iter: int
+    margin: float = 0.0
 
 
 # Systems advanced together: a block of _BLOCK_VALUES // n lambdas keeps
@@ -486,24 +525,86 @@ def _grid_systems(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarray,
     blocks = [lams[i : i + size] for i in range(0, lams.size, size)]
     if data.family == "gaussian":
         shared = dm.gram_band(), *_cross_products(dm, data.X, data.y)
-        solved = [_gaussian_block(dm, data, penalty_band, block, *shared) for block in blocks]
+        solved = [_gaussian_block(data, penalty_band, block, *shared) for block in blocks]
     else:
         solved = [_binomial_block(dm, data, penalty_band, block) for block in blocks]
     return [out for block in solved for out in block]
 
 
-def _gaussian_block(
-    dm: DesignMatrix, data: StratumData, penalty_band: np.ndarray, lams: np.ndarray, gram, zr, xr
-) -> list:
-    """Penalized least squares at each lambda: one solve with w = 1, Z'Z, Z'[y | X] and X'[y | X] shared."""
+def _band_form(gram: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """c'Gc per row c of a (k, m) stack, from G's upper band."""
+    g = gram.shape[0]
+    out = (coefs * coefs) @ gram[-1]
+    for d in range(1, g):
+        out += 2.0 * ((coefs[:, :-d] * coefs[:, d:]) @ gram[g - 1 - d, d:])
+    return out
+
+
+def _deviance_screen(data: StratumData, gram, zr, xr, coefs: np.ndarray, betas: np.ndarray) -> tuple:
+    """(deviance, margin) of each row theta = [c; beta] of a stack: the residual sum
+    ||y - Zc - X beta||^2 lies within deviance +- margin, both in O(m b + p^2) per row.
+
+    The deviance is the quadratic form y'y - 2 theta'[Z X]'y + theta'[Z X]'[Z X] theta,
+    from the Gram band, Z'[y | X] and X'[y | X] that the grid shares.
+    Expanded, this form and the residual sum `_exact` computes are both sums
+    of the terms s_a s_b over each row i's entries s = (y_i, -z_ij c_j,
+    -x_ik beta_k), and each computed term passes through at most K =
+    n + 2m + (w + p + 4)^2 roundings, w the width of Z's rows: a sum of N
+    terms in any order rounds each at most N - 1 times. So each lies within
+    gamma_K sum_i t_i^2 of the exact form, gamma_K = K u / (1 - K u) and
+    t_i = |y_i| + (Z|c|)_i + (|X||beta|)_i. As (a + b + c)^2 <= 3 (a^2 +
+    b^2 + c^2) and Z >= 0, sum_i t_i^2 <= T = 3 (y'y + |c|'Z'Z|c| +
+    |beta|'|X|'|X||beta|), whose terms are all non-negative. The margin
+    4 K u T + 4 tiny covers both sums' errors, twice gamma_K T, with room
+    for T's own rounding and an absolute `tiny` for underflow, whose error
+    is at most 2^-1075 in each of fewer than 2^52 operations. A margin is
+    infinite where T exceeds an eighth of the largest float, so a finite
+    bound never rests on an overflowed sum.
+    """
+    yy = float(data.y @ data.y)
+    abs_x = np.abs(data.X)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed screen is unbounded
+        cross = coefs @ zr[:, 0] + betas @ xr[:, 0]
+        mixed = np.sum((coefs @ zr[:, 1:]) * betas, axis=1)
+        fixed = np.einsum("kp,pq,kq->k", betas, xr[:, 1:], betas)
+        deviance = yy - 2.0 * cross + (_band_form(gram, coefs) + 2.0 * mixed + fixed)
+        abs_b = np.abs(betas)
+        tsum = 3.0 * (yy + _band_form(gram, np.abs(coefs)) + np.einsum("kp,pq,kq->k", abs_b, abs_x.T @ abs_x, abs_b))
+        depth = data.n + 2 * gram.shape[1] + (gram.shape[0] + betas.shape[1] + 4) ** 2
+        margin = 4.0 * depth * (np.finfo(float).eps / 2) * tsum + 4.0 * np.finfo(float).tiny
+    return deviance, np.where(tsum < np.finfo(float).max / 8, margin, np.inf)
+
+
+def _gaussian_block(data: StratumData, penalty_band: np.ndarray, lams: np.ndarray, gram, zr, xr) -> list:
+    """Penalized least squares at each lambda: one solve with w = 1, Z'Z, Z'[y | X] and X'[y | X] shared.
+
+    A system's deviance is the screen of `_deviance_screen`, and no
+    residual is formed: `_exact` forms it for the points GCV cannot
+    otherwise tell apart, and for the chosen one.
+    """
     _, factors, sols, out = _band_solve(penalty_band, lams, gram, zr)
     coefs, betas, borders = _eliminate_border(sols, zr, xr, out)
     ok = np.flatnonzero([e is None for e in out])
-    resid = data.y - _predict(dm, data.X, coefs[ok], betas[ok])
-    deviance = np.sum(resid * resid, axis=1)
-    for j, dev in zip(ok, deviance):
-        out[j] = _BandSystem(float(lams[j]), coefs[j], betas[j], float(dev), gram, factors[j], borders[j], 1)
+    deviance, margin = _deviance_screen(data, gram, zr, xr, coefs[ok], betas[ok])
+    for j, dev, bound in zip(ok, deviance.tolist(), margin.tolist()):
+        out[j] = _BandSystem(float(lams[j]), coefs[j], betas[j], dev, gram, factors[j], borders[j], 1, bound)
     return out
+
+
+def _exact(dm: DesignMatrix, data: StratumData, system: _BandSystem) -> _BandSystem:
+    """The system with its exact deviance: a Gaussian screen replaced by the residual sum ||y - Zc - X beta||^2.
+
+    Zc comes from the compact rows (`_row_predict`), X beta is added column
+    by column and the squares are summed by `np.sum`, as the grid once
+    formed every point's residual, so the sum is the same bit for bit.
+    """
+    if not system.margin:
+        return system
+    eta = _row_predict(dm, system.coef)
+    for j in range(data.X.shape[1]):
+        eta += system.beta[j] * data.X[:, j]
+    resid = data.y - eta
+    return replace(system, deviance=float(np.sum(resid * resid)), margin=0.0)
 
 
 def _binomial_block(dm: DesignMatrix, data: StratumData, penalty_band: np.ndarray, lams: np.ndarray) -> list:
@@ -591,11 +692,11 @@ def _selected_inverses(systems: list[_BandSystem], penalty_band: np.ndarray) -> 
     added to its band once its edf has used it.
     """
     sigma = selected_inverse_band(np.stack([s.factor for s in systems]))
-    edf = _band_trace(sigma, np.stack([s.gram for s in systems]))
+    edf = _band_trace(sigma, [s.gram for s in systems])
     for k, s in enumerate(systems):
         if s.beta.size:  # no border: R = 0
             outer = _border_band(s.border, sigma.shape[1] - 1)
-            edf[k] = s.beta.size + edf[k] - s.lam * _band_trace(outer, penalty_band)
+            edf[k] = s.beta.size + edf[k] - s.lam * _band_trace(outer[None], [penalty_band])[0]
             sigma[k] += outer
     return sigma, edf
 
@@ -608,9 +709,15 @@ def _precision_band(system: _BandSystem, penalty_band: np.ndarray) -> np.ndarray
 
 
 def _band_fit(
-    data: StratumData, system: _BandSystem, band: np.ndarray, edf: float, penalty_band: np.ndarray
+    data: StratumData,
+    system: _BandSystem,
+    band: np.ndarray,
+    edf: float,
+    penalty_band: np.ndarray,
+    grid_index: int | None = None,
 ) -> StratumFit:
-    """The fit of a solved system, given its unit-dispersion covariance band, its edf and S's band.
+    """The fit of a solved system with its exact deviance (`_exact`), given its unit-dispersion
+    covariance band, its edf, S's band and the position GCV chose it at, if any.
 
     A NumericalError naming lambda and the quantity when the coefficients,
     deviance, dispersion or covariance band are not finite, as when a huge
@@ -640,14 +747,15 @@ def _band_fit(
         cov_band=cov_band,
         precision_band=_precision_band(system, penalty_band),
         border=system.border,
+        grid_index=grid_index,
     )
 
 
 def _solve_grid(
     data: StratumData, spec: BasisSpec, pen: PenaltyMatrix, penalty_band: np.ndarray, lams: np.ndarray | None
-) -> list:
-    """Per lambda of one stratum's ascending grid (`lams`, or else `default_lambda_grid`),
-    its `_BandSystem` or the NumericalError its fit raised.
+) -> tuple[DesignMatrix | None, list]:
+    """(dm, solved): per lambda of one stratum's ascending grid (`lams`, or else
+    `default_lambda_grid`), its `_BandSystem` or the NumericalError its fit raised.
 
     The set-up checks that every z lies in the basis domain (where its row
     is not zero) and y'y, warns when n <= m, then builds the design matrix,
@@ -655,6 +763,10 @@ def _solve_grid(
     raises. `_grid_systems` solves every lambda (a Gaussian one by one
     banded solve, a binomial one by IRLS) for its coefficients and deviance
     only, and every lambda fails where the data do not identify the smooth.
+    A Gaussian stratum's design matrix `dm` comes back for `_exact`: it holds
+    the compact rows and no CSR form, as no Gaussian path builds one. A
+    binomial deviance is exact, so its `dm`, which holds the IRLS operators,
+    is not kept (None).
     """
     outside = np.flatnonzero((data.z < spec.z_lo) | (data.z > spec.z_hi))
     if outside.size:
@@ -675,8 +787,8 @@ def _solve_grid(
             f"penalized system is not positive definite at any lambda: the data do not identify "
             f"the polynomials of degree < {pen.order} that the penalty leaves free"
         )
-        return [singular] * lams.size
-    return _grid_systems(dm, data, penalty_band, lams)
+        return None, [singular] * lams.size
+    return (dm if data.family == "gaussian" else None), _grid_systems(dm, data, penalty_band, lams)
 
 
 def _point(data: StratumData, system: _BandSystem, sigma: np.ndarray, edf: float) -> tuple | NumericalError:
@@ -717,20 +829,39 @@ def _gcv_scores(data: StratumData, deviance: np.ndarray, edf: np.ndarray) -> np.
     return data.n * dev / np.float_power(data.n - edf, 2)
 
 
-def _gcv_choice(data: StratumData, points: list) -> int:
+def _gcv_choice(data: StratumData, dm: DesignMatrix | None, points: list) -> int:
     """Index of the grid point minimizing GCV, ties going to the larger lambda.
 
-    Only the fit points, (system, sigma, edf), are scored, and a NaN score
-    is skipped; when no candidate is left, the error is raised from the last
-    point that is a NumericalError.
+    Only the fit points, (system, sigma, edf), are scored. Each deviance
+    interval, `deviance` +- `margin` of its system, becomes a score
+    interval: `_gcv_scores` at both ends, so the flush rule applies to each,
+    widened by two ulps either way for the score's own rounding, and
+    unbounded where an end is not finite. The contenders are the points
+    whose interval reaches the smallest upper end; the minimizer is among
+    them, and so is every point that ties it. `_exact` replaces each
+    contender's system in `points` by one with its exact deviance, formed
+    from `dm`'s rows (None when every margin is 0), and the contenders are
+    scored on it: a NaN score is skipped, and when no candidate is left, the
+    error is raised from the last point that is a NumericalError.
     """
     fitted = [j for j, point in enumerate(points) if not isinstance(point, NumericalError)]
-    deviance = np.asarray([points[j][0].deviance for j in fitted], dtype=float)
-    scores = _gcv_scores(data, deviance, np.asarray([points[j][2] for j in fitted], dtype=float))
+    systems = [points[j][0] for j in fitted]
+    edf = np.asarray([points[j][2] for j in fitted], dtype=float)
+    deviance = np.asarray([s.deviance for s in systems], dtype=float)
+    margin = np.asarray([s.margin for s in systems], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite end is unbounded
+        low, high = _gcv_scores(data, np.stack([deviance - margin, deviance + margin]), edf)
+    low = np.where(low >= 0, np.nextafter(np.nextafter(low, -np.inf), -np.inf), -np.inf)
+    high = np.where(high < np.inf, np.nextafter(np.nextafter(high, np.inf), np.inf), np.inf)
+    contenders = np.flatnonzero(low <= np.min(high, initial=np.inf)).tolist()
+    for k in contenders:
+        points[fitted[k]] = (_exact(dm, data, systems[k]), *points[fitted[k]][1:])
+    exact = np.asarray([points[fitted[k]][0].deviance for k in contenders], dtype=float)
+    scores = _gcv_scores(data, exact, edf[contenders])
     if not (scores <= np.inf).any():
         errors = [point for point in points if isinstance(point, NumericalError)]
         raise NumericalError("no smoothing parameter candidate could be fit") from (errors[-1] if errors else None)
-    return fitted[np.flatnonzero(scores == scores[scores <= np.inf].min())[-1]]
+    return fitted[contenders[np.flatnonzero(scores == scores[scores <= np.inf].min())[-1]]]
 
 
 def select_lambda(
@@ -755,7 +886,9 @@ def select_lambda(
     fitting failure. One selected inversion over every grid's solved systems
     then makes each point, in order, its fit (system, sigma, edf) or its
     NumericalError: the fit's own, or that of n - edf < 1 (`_point`). GCV
-    chooses among the fits; a given lambda's one point is its fit or raises.
+    chooses among the fits, and the fit records the grid index it chose
+    (`grid_index`); a given lambda's one point is its fit or raises. Either
+    way the fit's deviance is the exact residual sum (`_exact`).
     """
     if lam is not None and not (np.isfinite(lam) and lam >= 0):
         raise ParameterError(f"smoothing parameter must be finite and >= 0, got {float(lam)!r}")
@@ -764,18 +897,20 @@ def select_lambda(
     grids = []
     for i, data in enumerate(strata, 1):
         try:
-            grids.append((data, _solve_grid(data, spec, pen, penalty_band, lams)))
+            grids.append((data, *_solve_grid(data, spec, pen, penalty_band, lams)))
         except ParameterError as exc:
             if len(strata) == 1:
                 raise
             raise ParameterError(f"stratum {i}: {exc}") from exc
-    systems = [s for _, solved in grids for s in solved if isinstance(s, _BandSystem)]
+    systems = [s for _, _, solved in grids for s in solved if isinstance(s, _BandSystem)]
     inverses = zip(*_selected_inverses(systems, penalty_band)) if systems else None
     fits = []
-    for data, solved in grids:
+    for data, dm, solved in grids:
         points = [_point(data, s, *next(inverses)) if isinstance(s, _BandSystem) else s for s in solved]
-        point = points[0] if lam is not None else points[_gcv_choice(data, points)]
+        index = None if lam is not None else _gcv_choice(data, dm, points)
+        point = points[index or 0]
         if isinstance(point, NumericalError):  # only a given lambda's: GCV chooses among the fits
             raise point
-        fits.append(_band_fit(data, *point, penalty_band))
+        system, sigma, edf = point
+        fits.append(_band_fit(data, _exact(dm, data, system), sigma, edf, penalty_band, index))
     return fits

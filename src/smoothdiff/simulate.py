@@ -181,6 +181,9 @@ class RegionOutcome:
 
 @dataclass(frozen=True)
 class ReplicateRecord:
+    """One replicate's scores; `simultaneous_error` maps each alpha to 1 when the closed test
+    claims a discovery among the windows that hold no planted difference, else 0."""
+
     index: int
     m_delta: float
     true_indices: tuple[int, ...]
@@ -189,6 +192,7 @@ class ReplicateRecord:
     truth_region_tdp: dict = field(default_factory=dict)
     failed: bool = False
     message: str = ""
+    simultaneous_error: dict = field(default_factory=dict)
 
 
 # Failure causes in report order, each with the text that marks its messages
@@ -212,12 +216,17 @@ def failure_cause(message: str) -> str:
 
 @dataclass(frozen=True)
 class SimOutcome:
-    """Aggregated simulation results: per-cell tables plus raw records."""
+    """Aggregated simulation results: per-cell tables plus raw records.
+
+    `simultaneous_error` maps each alpha to (rate, Monte Carlo se, count) of
+    the replicates whose closed test claimed a discovery among the true nulls.
+    """
 
     scenario: SimScenario
     records: tuple[ReplicateRecord, ...]
     error_table: dict
     tdp_table: dict
+    simultaneous_error: dict
 
     @property
     def n_failed(self) -> int:
@@ -340,14 +349,21 @@ def _score_regions(report: TdpReport, truth_cells: np.ndarray) -> list[RegionOut
 
 def _score_series(
     series: WindowTestSeries, scenario: SimScenario, truth_cells: np.ndarray
-) -> tuple[list[RegionOutcome], list[TdpReport]]:
-    """Scored regions of every (alpha, threshold) cell, and the TDP report per alpha.
+) -> tuple[list[RegionOutcome], list[TdpReport], dict]:
+    """Scored regions of every (alpha, threshold) cell, the TDP report per alpha, and
+    the simultaneous error per alpha.
 
     Cell k is true (`_truth_cells`) iff window k holds a coefficient that
     differs between the strata: window k holds coefficients k..k+degree.
+    The guarantee fails exactly when the closed test claims a discovery
+    among the true nulls N, the windows that are not true: phi_alpha(N) > 0
+    (Goeman & Solari 2011). Without a true null nothing can be falsely
+    claimed, so the error is 0 with no closed test run.
     """
     reports = [threshold_regions(series.p, alpha, scenario.thresholds) for alpha in scenario.alphas]
-    return [outcome for report in reports for outcome in _score_regions(report, truth_cells)], reports
+    nulls = np.flatnonzero(~truth_cells)
+    simultaneous = {r.alpha: int(nulls.size > 0 and phi_alpha(r.family, nulls) > 0) for r in reports}
+    return [outcome for report in reports for outcome in _score_regions(report, truth_cells)], reports, simultaneous
 
 
 def run_replicate(scenario: SimScenario, index: int) -> ReplicateRecord:
@@ -370,14 +386,20 @@ def run_replicate(scenario: SimScenario, index: int) -> ReplicateRecord:
     except NumericalError as exc:
         return ReplicateRecord(index, m_delta, true_indices, failed=True, message=str(exc))
     truth_cells = _truth_cells(spec, np.flatnonzero(b_alt != b_base))
-    regions, reports = _score_series(series, scenario, truth_cells)
+    regions, reports, simultaneous = _score_series(series, scenario, truth_cells)
     truth_windows = np.flatnonzero(truth_cells)
     truth_region_tdp = {}
     if truth_windows.size:
         for report in reports:
             truth_region_tdp[report.alpha] = phi_alpha(report.family, truth_windows) / truth_windows.size
     return ReplicateRecord(
-        index, m_delta, true_indices, tuple(float(p) for p in series.p), tuple(regions), truth_region_tdp
+        index,
+        m_delta,
+        true_indices,
+        tuple(float(p) for p in series.p),
+        tuple(regions),
+        truth_region_tdp,
+        simultaneous_error=simultaneous,
     )
 
 
@@ -444,8 +466,9 @@ def exact_model_error_rates(
             noise = dtbtrs(factor, rng.normal(size=(scenario.m, 1))[::-1])[0][::-1, 0]
             series = window_statistics((b_alt - b_base) + scale * noise, v_band, spec)
             truth_cells = _truth_cells(spec, np.flatnonzero(b_alt != b_base))
-            scored.append(_score_series(series, scenario, truth_cells)[0])
-        error_table, _ = _tally(scenario, scored)
+            regions, _, simultaneous = _score_series(series, scenario, truth_cells)
+            scored.append((regions, simultaneous))
+        error_table, _, _ = _tally(scenario, scored)
         rates.update(((n_nonzero, alpha, tau), cell) for (alpha, tau), cell in error_table.items())
     return rates
 
@@ -460,21 +483,26 @@ def _cell_stats(values: list[float]) -> tuple[float, float, int]:
     return mean, se, n
 
 
-def _tally(scenario: SimScenario, scored) -> tuple[dict, dict]:
-    """Error and empirical-TDP tables, (alpha, tau) -> (mean, Monte Carlo se, count), in one
-    pass over the scored regions of every replicate."""
+def _tally(scenario: SimScenario, scored) -> tuple[dict, dict, dict]:
+    """Error and empirical-TDP tables, (alpha, tau) -> (mean, Monte Carlo se, count), and the
+    simultaneous error, alpha -> (rate, Monte Carlo se, count), in one pass over the
+    (scored regions, simultaneous error) of every replicate."""
     errors = {(a, t): [] for a in scenario.alphas for t in scenario.thresholds}
     tdps = {cell: [] for cell in errors}
-    for regions in scored:
+    simultaneous = {a: [] for a in scenario.alphas}
+    for regions, claimed in scored:
         for region in regions:
             errors[(region.alpha, region.tau)].append(float(region.error))
             if region.empirical_tdp is not None:
                 tdps[(region.alpha, region.tau)].append(region.empirical_tdp)
-    return tuple({cell: _cell_stats(values) for cell, values in t.items()} for t in (errors, tdps))
+        for alpha, error in claimed.items():
+            simultaneous[alpha].append(float(error))
+    return tuple({cell: _cell_stats(values) for cell, values in t.items()} for t in (errors, tdps, simultaneous))
 
 
 def _aggregate(scenario: SimScenario, records: list[ReplicateRecord]) -> SimOutcome:
-    return SimOutcome(scenario, tuple(records), *_tally(scenario, (r.regions for r in records if not r.failed)))
+    scored = ((r.regions, r.simultaneous_error) for r in records if not r.failed)
+    return SimOutcome(scenario, tuple(records), *_tally(scenario, scored))
 
 
 REPLICATES_PER_TASK = 8  # replicates sent to a pool worker at a time
@@ -552,7 +580,13 @@ def outcome_to_json(outcome: SimOutcome) -> str:
         "scenario": _jsonable(asdict(outcome.scenario)),
         "n_failed": outcome.n_failed,
         "n_effective": outcome.n_effective,
-        "replicates": [_jsonable(asdict(r)) for r in outcome.records],
+        # each replicate's simultaneous error is counted in the table alone
+        "replicates": [
+            _jsonable({k: v for k, v in asdict(r).items() if k != "simultaneous_error"}) for r in outcome.records
+        ],
+        "simultaneous_error": {
+            f"alpha={a}": {"value": v, "mc_se": se, "n": n} for a, (v, se, n) in outcome.simultaneous_error.items()
+        },
     }
     for key, table in (("error_table", outcome.error_table), ("tdp_table", outcome.tdp_table)):
         payload[key] = {

@@ -121,7 +121,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -536,7 +536,7 @@ def gaussian_systems_by_operators(dm, data, penalty_band, lams):
     """A Gaussian stratum's `_BandSystem`s with Z'Z and Z'[y | X] from the CSR operators at w = 1."""
     ones = np.ones(data.n)
     shared = dm.gram_band(ones), *fitting._cross_products(dm, data.X, data.y, ones)
-    return fitting._gaussian_block(dm, data, penalty_band, lams, *shared)
+    return fitting._gaussian_block(data, penalty_band, lams, *shared)
 
 
 def binomial_deviance_by_where(y, mu):
@@ -849,6 +849,67 @@ def gcv_choice_by_loop(data, solved, edf):
         if (score := data.n * dev / (data.n - e) ** 2) <= best_score:
             best, best_score = j, score
     return best, failure
+
+
+def residual_deviances(dm, data, systems) -> list[float]:
+    """Each Gaussian system's residual sum as the grid formed it for every point: (block, n)
+    residuals y - Zc - X beta through the CSR `predict`, blocks of `_BLOCK_VALUES // n` systems."""
+    size = max(1, fitting._BLOCK_VALUES // data.n)
+    out = []
+    for i in range(0, len(systems), size):
+        block = systems[i : i + size]
+        coefs, betas = np.stack([s.coef for s in block]), np.stack([s.beta for s in block])
+        resid = data.y - fitting._predict(dm, data.X, coefs, betas)
+        out += np.sum(resid * resid, axis=1).tolist()
+    return out
+
+
+def select_lambda_by_residuals(strata, spec, pen, lam=None):
+    """(fits, indices): `select_lambda` choosing over the exact deviance of every grid point.
+
+    Each stratum's grid is solved as the library solves it, then every
+    Gaussian point's deviance is its residual sum (`residual_deviances`),
+    and GCV chooses by `gcv_choice_by_loop` among all the points, with no
+    screen. `indices` holds each stratum's chosen grid index (None for a
+    given `lam`). Input errors and warnings are the library's, from its
+    `_solve_grid`.
+    """
+    penalty_band = fitting._penalty_band(spec, pen)
+    lams = None if lam is None else np.asarray([float(lam)])
+    grids = []
+    for i, data in enumerate(strata, 1):
+        try:
+            dm, solved = fitting._solve_grid(data, spec, pen, penalty_band, lams)
+        except ParameterError as exc:
+            if len(strata) == 1:
+                raise
+            raise ParameterError(f"stratum {i}: {exc}") from exc
+        systems = [s for s in solved if isinstance(s, fitting._BandSystem)]
+        if data.family == "gaussian" and systems:
+            exact = iter(residual_deviances(dm, data, systems))
+            solved = [s if isinstance(s, NumericalError) else replace(s, deviance=next(exact), margin=0.0) for s in solved]
+        grids.append((data, solved))
+    systems = [s for _, solved in grids for s in solved if isinstance(s, fitting._BandSystem)]
+    inverses = zip(*fitting._selected_inverses(systems, penalty_band)) if systems else None
+    fits, indices = [], []
+    for data, solved in grids:
+        sigmas, edf = {}, {}
+        for j, s in enumerate(solved):
+            if isinstance(s, fitting._BandSystem):
+                sigmas[j], edf[j] = next(inverses)
+        if lam is not None:
+            index = None
+            point = fitting._point(data, solved[0], sigmas[0], edf[0]) if 0 in sigmas else solved[0]
+            if isinstance(point, NumericalError):
+                raise point
+        else:
+            index, failure = gcv_choice_by_loop(data, solved, [edf.get(j, np.nan) for j in range(len(solved))])
+            if index is None:
+                raise NumericalError("no smoothing parameter candidate could be fit") from failure
+            point = solved[index], sigmas[index], float(edf[index])
+        fits.append(fitting._band_fit(data, *point, penalty_band, index))
+        indices.append(index)
+    return fits, indices
 
 
 def eval_basis(spec, z: float) -> np.ndarray:

@@ -81,6 +81,14 @@ def table1a_run():
     return run_scenario(scenario)
 
 
+def simultaneous_check(outcome, alpha):
+    """The guarantee as stated: the rate of replicates whose closed test claims a discovery among
+    the true nulls is at most alpha plus Monte Carlo noise. Returns (ok, detail)."""
+    rate, mc_se, n = outcome.simultaneous_error[alpha]
+    ceiling = alpha + 2 * mc_se
+    return rate <= ceiling, f"simultaneous error={rate:.4f} +/- {mc_se:.4f} over {n}, guarantee <= {ceiling:.4f}"
+
+
 @pytest.fixture(scope="session")
 def table1b_run():
     scenario = SimScenario(
@@ -146,6 +154,10 @@ class TestCriterion2Table1a:
         ok, detail = error_cell_check(value, mc_se, 0.2, exact, exact_se)
         report(f"criterion 2 (Table 1a, alpha=0.2, tdp={tau})", ok, detail)
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.2])
+    def test_simultaneous_error(self, table1a_run, alpha):
+        report(f"criterion 2 (Table 1a, simultaneous, alpha={alpha})", *simultaneous_check(table1a_run, alpha))
+
 
 class TestCriterion3Table2a:
     @pytest.mark.parametrize("tau,target", [(0.5, 0.505), (0.7, 0.705), (0.9, 0.908)])
@@ -171,6 +183,9 @@ class TestCriterion4ConservativeRegime:
             ok and tdp >= 0.53,
             f"{detail}, mean TDP={tdp:.4f} (>= 0.53 required)",
         )
+
+    def test_simultaneous_error(self, table1b_run):
+        report("criterion 4 (30/120, simultaneous, alpha=0.1)", *simultaneous_check(table1b_run, 0.1))
 
 
 class TestConservativenessTrend:
@@ -205,21 +220,29 @@ class TestErrorCellCheck:
         assert self.check(0.08, 300, 0.1, 0.0887, 0.0073)
 
 
+@pytest.fixture(scope="session")
+def table_s1_run():
+    scenario = SimScenario(
+        n_nonzero=20,
+        family="binomial",
+        m_delta=6.0,
+        sigma_delta2=0.05,
+        n_per_stratum=4000,
+        m=120,
+        alphas=(0.1,),
+        thresholds=(0.5, 0.7, 0.9),
+        n_replicates=300,
+        seed=SEED,
+    )
+    return run_scenario(scenario)
+
+
 class TestCriterion5BinaryPipeline:
-    def test_table_s1_row(self):
-        scenario = SimScenario(
-            n_nonzero=20,
-            family="binomial",
-            m_delta=6.0,
-            sigma_delta2=0.05,
-            n_per_stratum=4000,
-            m=120,
-            alphas=(0.1,),
-            thresholds=(0.5, 0.7, 0.9),
-            n_replicates=300,
-            seed=SEED,
-        )
-        outcome = run_scenario(scenario)
+    def test_simultaneous_error(self, table_s1_run):
+        report("criterion 5 (Table S1, binary, simultaneous, alpha=0.1)", *simultaneous_check(table_s1_run, 0.1))
+
+    def test_table_s1_row(self, table_s1_run):
+        outcome = table_s1_run
         targets = {0.5: 0.522, 0.7: 0.726, 0.9: 0.920}
         fail_rate = outcome.n_failed / len(outcome.records)
         values = {tau: outcome.tdp_table[(0.1, tau)][0] for tau in targets}

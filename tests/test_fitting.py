@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,13 +24,15 @@ from oracles import (
     gcv_choice_by_loop,
     penalty_matrix,
     per_lambda_band_solve,
+    residual_deviances,
+    select_lambda_by_residuals,
     solve_penalized_per_iteration,
 )
 from scipy.special import expit, xlogy
 
 from smoothdiff import basis, fitting
 from smoothdiff.basis import design_matrix, difference_penalty, expand_band, make_basis
-from smoothdiff.cli import main
+from smoothdiff.cli import AnalysisConfig, load_strata, main
 from smoothdiff.errors import NumericalError, ParameterError
 from smoothdiff.fitting import (
     StratumData,
@@ -717,8 +721,8 @@ def batched_gcv_path(data, spec, pen, grid):
     penalty_band = fitting._penalty_band(spec, pen)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # some fixtures have n <= m
-        solved = fitting._solve_grid(data, spec, pen, penalty_band, np.sort(grid))
-    systems = [s for s in solved if not isinstance(s, NumericalError)]
+        dm, solved = fitting._solve_grid(data, spec, pen, penalty_band, np.sort(grid))
+    systems = [fitting._exact(dm, data, s) for s in solved if not isinstance(s, NumericalError)]
     edf = fitting._selected_inverses(systems, penalty_band)[1] if systems else []
     path = []
     for system, e in zip(systems, edf):
@@ -1278,7 +1282,7 @@ def assert_matches_per_lambda_oracle(data, spec, pen, grid):
             assert edf == pytest.approx(ref_edf, rel=1e-12, abs=0.0)
             assert data.n - edf < 1
             continue
-        fit = fitting._band_fit(data, got, sigma, float(edf), penalty_band)
+        fit = fitting._band_fit(data, fitting._exact(dm, data, got), sigma, float(edf), penalty_band)
         ref_fit = fitting._band_fit(data, ref, ref_sigma, float(ref_edf), penalty_band)
         assert_close(fit.coef, ref_fit.coef)
         assert_close(fit.cov_band, ref_fit.cov_band, atol=np.max(np.abs(ref_sigma)) * slack / (data.n - ref_edf))
@@ -1345,7 +1349,7 @@ def assert_systems_bitwise_equal(got, want):
         if isinstance(b, NumericalError):
             assert str(a) == str(b)
             continue
-        for name in ("lam", "deviance", "n_iter"):
+        for name in ("lam", "deviance", "n_iter", "margin"):
             assert getattr(a, name) == getattr(b, name), name
         for name in ("coef", "beta", "gram", "factor", "border"):
             x, y = getattr(a, name), getattr(b, name)
@@ -1670,7 +1674,8 @@ class TestNonFiniteFit:
     def test_each_quantity_named(self, field, value, name):
         data, spec, pen = fixed_effect_fixture(8, 2, 61, "gaussian", p=1)
         penalty_band = fitting._penalty_band(spec, pen)
-        system = fitting._grid_systems(design_matrix(spec, data.z), data, penalty_band, np.asarray([0.5]))[0]
+        dm = design_matrix(spec, data.z)
+        system = fitting._exact(dm, data, fitting._grid_systems(dm, data, penalty_band, np.asarray([0.5]))[0])
         old = getattr(system, field)
         bad = replace(system, **{field: value if np.isscalar(old) else np.full_like(old, value)})
         sigma = np.full_like(penalty_band, 1e10)
@@ -1721,7 +1726,7 @@ class TestJointSelection:
         use_lambda_grid(monkeypatch, grid)
         penalty_band = fitting._penalty_band(spec, pen)
         for data in strata:
-            solved = fitting._solve_grid(data, spec, pen, penalty_band, grid)
+            _, solved = fitting._solve_grid(data, spec, pen, penalty_band, grid)
             assert [isinstance(s, NumericalError) for s in solved] == list(grid == 1e308)
         fits = select_lambda(strata, spec, pen)
         for fit, data in zip(fits, strata):
@@ -1782,10 +1787,10 @@ class TestVectorGcv:
         index, failure = gcv_choice_by_loop(data, solved, edf)
         grid = [s if isinstance(s, NumericalError) else fitting._point(data, s, None, e) for s, e in zip(solved, edf)]
         if index is not None:
-            assert fitting._gcv_choice(data, grid) == index
+            assert fitting._gcv_choice(data, None, grid) == index
             return
         with pytest.raises(NumericalError, match="^no smoothing parameter candidate could be fit$") as exc:
-            fitting._gcv_choice(data, grid)
+            fitting._gcv_choice(data, None, grid)
         cause = exc.value.__cause__
         assert (cause is None) == (failure is None)
         if failure is not None:
@@ -1821,13 +1826,13 @@ class TestVectorGcv:
         data = gaussian_with_sum_of_squares(12, yss)
         points = [(0.0, 3.0), (1e-20, 3.0), (1e-3, 3.0)]
         self.assert_same_choice(data, points)
-        assert fitting._gcv_choice(data, [(FakeSystem(d), None, e) for d, e in points]) == index
+        assert fitting._gcv_choice(data, None, [(FakeSystem(d), None, e) for d, e in points]) == index
 
     def test_ties_go_to_the_larger_lambda(self):
         data = StratumData(y=np.zeros(20), z=np.linspace(0, 1, 20))
         points = [(1.0, 3.0), (0.0, 5.0), (1e-30, 4.0), (0.0, 9.0), (2.0, 3.0)]
         self.assert_same_choice(data, points)
-        assert fitting._gcv_choice(data, [(FakeSystem(d), None, e) for d, e in points]) == 3
+        assert fitting._gcv_choice(data, None, [(FakeSystem(d), None, e) for d, e in points]) == 3
 
     def test_less_than_one_residual_df_is_skipped(self):
         data = StratumData(y=np.zeros(10), z=np.linspace(0, 1, 10))
@@ -1838,3 +1843,132 @@ class TestVectorGcv:
         diverged = NumericalError("linear predictor diverged (complete or quasi-complete separation)")
         for points in ([diverged, (1.0, 9.5)], [(1.0, 9.5), diverged], [diverged], [(np.nan, 2.0)]):
             self.assert_same_choice(data, points)
+
+
+def scaled_strata(rng, kind, n, m, p, scale):
+    """One Gaussian stratum on [0, 1] with p fixed effects, y scaled by `scale`.
+
+    "signal" is a smooth curve plus unit noise. "exact" is a constant plus
+    X beta, which the fit reproduces at every lambda, so every deviance is
+    at the rounding level. "near" adds noise of 1e-8 to 1e-5 of the
+    signal's size, so the residual sum is 1e-16 to 1e-10 of y'y.
+    """
+    z = rng.uniform(0, 1, n)
+    X = rng.normal(size=(n, p))
+    base = 1.5 + X @ np.linspace(0.5, -0.7, p)
+    if kind == "exact":
+        y = base
+    elif kind == "near":
+        y = base + np.sin(6 * z) + 10.0 ** rng.uniform(-8, -5) * rng.normal(size=n)
+    else:
+        y = base + np.sin(6 * z) + rng.normal(size=n)
+    return StratumData(y=y * scale, z=z, X=X if p else None)
+
+
+def outcome_of(fn):
+    """(value, None) of a call, or (None, (type, message, cause message)) of the error it raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # n <= m
+            return fn(), None
+    except (NumericalError, ParameterError) as exc:
+        return None, (type(exc), str(exc), str(exc.__cause__))
+
+
+class TestDevianceScreen:
+    """A Gaussian grid scores each point by a deviance interval and forms the residual sum only for
+    GCV's contenders; the fits equal those chosen over every point's residual sum, bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(strata, spec, pen, lam=None):
+        got, error = outcome_of(lambda: select_lambda(strata, spec, pen, lam))
+        want, want_error = outcome_of(lambda: select_lambda_by_residuals(strata, spec, pen, lam))
+        assert error == want_error
+        if want is None:
+            return
+        fits, indices = want
+        assert [f.grid_index for f in got] == indices
+        for a, b in zip(got, fits):
+            assert_fits_bitwise_equal(a, b)
+            assert a.grid_index == b.grid_index
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["signal", "exact", "near"]),
+        m=st.integers(6, 40),
+        degree=st.integers(1, 3),
+        n=st.integers(5, 400),
+        p=st.integers(0, 2),
+        scale=st.one_of(
+            st.integers(-490, 490).map(lambda k: 2.0**k),
+            st.floats(-150, 150).map(lambda e: 10.0**e),
+        ),
+        lam=st.one_of(st.none(), st.floats(-6, 4).map(lambda e: 10.0**e)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_every_point_oracle(self, kind, m, degree, n, p, scale, lam, seed):
+        rng = np.random.default_rng(seed)
+        spec, pen = make_basis(0.0, 1.0, m, degree), difference_penalty(m, 2)
+        strata = [scaled_strata(rng, kind, n, m, p, scale), scaled_strata(rng, "signal", n + 7, m, 0, 1.0)]
+        self.assert_matches_oracle(strata, spec, pen, lam)
+
+    @pytest.mark.parametrize("kind", ["signal", "exact", "near"])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_margin_covers_the_residual_sum_at_every_point(self, kind, p):
+        rng = np.random.default_rng(7 + p)
+        spec, pen = make_basis(0.0, 1.0, 30, 3), difference_penalty(30, 2)
+        for scale in (2.0**-480, 1e-150, 3.7, 1e150, 2.0**480):
+            data = scaled_strata(rng, kind, 300, 30, p, scale)
+            dm = design_matrix(spec, data.z)
+            solved = fitting._grid_systems(dm, data, fitting._penalty_band(spec, pen), default_lambda_grid(dm, pen))
+            for system in solved:
+                exact = fitting._exact(dm, data, system).deviance
+                assert system.margin > 0 and abs(system.deviance - exact) <= system.margin
+                assert system.margin <= 1e-9 * float(data.y @ data.y) + 1e-300
+
+    def test_exact_residual_is_the_grid_residual(self):
+        strata, spec, pen = preset_strata("table1a", 1)
+        data = strata[0]
+        dm = design_matrix(spec, data.z)
+        solved = fitting._grid_systems(dm, data, fitting._penalty_band(spec, pen), default_lambda_grid(dm, pen))
+        assert [fitting._exact(dm, data, s).deviance for s in solved] == residual_deviances(dm, data, solved)
+        coefs = np.stack([s.coef for s in solved])
+        assert np.array_equal(fitting._row_predict(dm, coefs), dm.predict(coefs))
+
+    def test_scores_four_ulps_above_the_least_upper_bound_are_contenders(self, monkeypatch):
+        # n / (n - edf)^2 = 1, so each score is its deviance; each bound is widened by two ulps, so the
+        # least upper bound is two ulps above the least score 1.0, and a score reaches it from four above
+        data = StratumData(y=np.ones(4), z=np.linspace(0, 1, 4))
+        ulps = [1.0]
+        for _ in range(5):
+            ulps.append(float(np.nextafter(ulps[-1], 2.0)))
+        deviances = [2.0, 1.0, ulps[4], ulps[5]]
+        exact = []
+        real = fitting._exact
+        monkeypatch.setattr(fitting, "_exact", lambda dm, data, s: exact.append(s.deviance) or real(dm, data, s))
+        assert fitting._gcv_choice(data, None, [(FakeSystem(d), None, 2.0) for d in deviances]) == 1
+        assert exact == [1.0, ulps[4]]
+
+    def test_synth_gait_strata_leave_at_most_two_contenders(self, monkeypatch, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "demo_analysis.py"
+        spec_obj = importlib.util.spec_from_file_location("demo_analysis", script)
+        demo = importlib.util.module_from_spec(spec_obj)
+        spec_obj.loader.exec_module(demo)
+        contenders = []
+        real = fitting._exact
+
+        def recording(dm, data, system):
+            if system.margin:
+                contenders.append(system.lam)
+            return real(dm, data, system)
+
+        monkeypatch.setattr(fitting, "_exact", recording)
+        for n, m, seed in ((4000, 120, 1), (10000, 500, 2)):
+            path = tmp_path / f"gait_{m}.csv"
+            demo.synth_gait(str(path), n=n, seed=seed)
+            strata = load_strata(AnalysisConfig(data=str(path), basis_dim=m, domain=(0.0, 100.0)))
+            spec, pen = make_basis(0.0, 100.0, m, 3), difference_penalty(m, 2)
+            for data in strata:
+                contenders.clear()
+                [fit] = select_lambda([data], spec, pen)
+                assert fit.lam in contenders and 1 <= len(contenders) <= 2

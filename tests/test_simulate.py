@@ -1,12 +1,13 @@
+import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import aggregate_by_cell_scan, clumped_indices_by_choice, dense_covariance
+from oracles import aggregate_by_cell_scan, closed_testing_oracle, clumped_indices_by_choice, dense_covariance
 from scipy.stats import chi2, chisquare
 
 from smoothdiff import cli, fitting, simulate
@@ -403,6 +404,59 @@ class TestTally:
         want_errors, want_tdps = aggregate_by_cell_scan(scenario, records)
         assert_tables_equal(outcome.error_table, want_errors)
         assert_tables_equal(outcome.tdp_table, want_tdps)
+
+
+class TestSimultaneousError:
+    """A replicate errs simultaneously when the closed test claims a discovery among the windows
+    holding no planted difference; the table gives its rate per alpha."""
+
+    def test_flag_is_the_closed_test_claim_among_true_nulls(self):
+        # 10 windows, few enough for the brute-force closed test
+        scenario = small_scenario(m=12, n_nonzero=2, alphas=(0.05, 0.3), m_delta=0.8, n_replicates=12)
+        spec = scenario.basis()
+        flags = []
+        for index in range(scenario.n_replicates):
+            rec = run_replicate(scenario, index)
+            assert not rec.failed
+            delta = np.zeros(scenario.m)
+            delta[list(rec.true_indices)] = 1.0
+            nulls = np.flatnonzero(~simulate._truth_cells(spec, np.flatnonzero(delta)))
+            for alpha in scenario.alphas:
+                family = PValueFamily(p=np.asarray(rec.p_values), alpha=alpha)
+                assert rec.simultaneous_error[alpha] == int(closed_testing_oracle(family, nulls) > 0)
+                flags.append(rec.simultaneous_error[alpha])
+        assert 0 in flags and 1 in flags
+
+    def test_no_true_null_is_no_error_without_a_closed_test(self, monkeypatch):
+        scenario = small_scenario()
+        series = simulate.window_statistics(np.zeros(scenario.m), np.tile([[0.0], [0.0], [1.0]], scenario.m), scenario.basis())
+        truth = np.ones(series.n_windows, dtype=bool)
+        monkeypatch.setattr(simulate, "phi_alpha", lambda *args: pytest.fail("closed test run without a true null"))
+        assert simulate._score_series(series, scenario, truth)[2] == {0.1: 0}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tally_is_the_rate_over_replicates_that_did_not_fail(self, seed):
+        scenario = small_scenario(alphas=(0.2, 0.1), n_replicates=9)
+        rng = np.random.default_rng(seed)
+        records = [
+            rec if rec.failed else replace(rec, simultaneous_error={a: int(rng.integers(0, 2)) for a in scenario.alphas})
+            for rec in random_records(scenario, 9, rng)
+        ]
+        outcome = _aggregate(scenario, records)
+        want = {
+            a: simulate._cell_stats([float(r.simultaneous_error[a]) for r in records if not r.failed])
+            for a in scenario.alphas
+        }
+        assert_tables_equal(outcome.simultaneous_error, want)
+
+    def test_outcome_json_gains_the_table_and_no_replicate_field(self):
+        outcome = run_scenario(small_scenario(alphas=(0.2, 0.1), n_replicates=3))
+        payload = json.loads(outcome_to_json(outcome))
+        table = payload.pop("simultaneous_error")
+        assert table == {
+            f"alpha={a}": {"value": v, "mc_se": se, "n": n} for a, (v, se, n) in outcome.simultaneous_error.items()
+        }
+        assert all("simultaneous_error" not in rec for rec in payload["replicates"])
 
 
 class TestExactModelErrorRates:
